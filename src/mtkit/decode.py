@@ -15,6 +15,7 @@ wins exact ties.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,7 @@ from .errors import (
     SearchSpaceTooLargeError,
     VocabMismatchError,
 )
-from .models import EnsembleScorer, Scorer
+from .models import _NORM_TOL, EnsembleScorer, Scorer
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,20 @@ def _log_dist(dist: np.ndarray) -> np.ndarray:
 def beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]:
     """Return up to min(n_candidates, beam_size) completed hypotheses.
 
-    Every eos-expansion of a surviving partial is recorded, and the search
-    always runs all max_len steps, so a saturated beam enumerates exactly
-    the sequences exact_search does. If nothing completes, the best partial
-    is returned alone with completed=False.
+    Every eos-expansion of a surviving partial is recorded. With a length
+    penalty (alpha != 0) the search runs all max_len steps, so a saturated
+    beam enumerates exactly the sequences exact_search does. With alpha == 0
+    it stops early once no live partial can still reach the top
+    min(n_candidates, beam_size) completions: under the Scorer contract a
+    step adds at most log(1 + 1e-6) * (1 + lambda) to a score, so when the
+    best live score plus that much per remaining step is still below the
+    last kept completion, the remaining steps cannot change the result. If
+    nothing completes, the best partial is returned alone with
+    completed=False.
+
+    Each step scores the (beams x V) matrix (score + log P_fwd) + lambda *
+    log P_lm at once and sorts only the entries that can reach the beam, so
+    every score and tie-break equals the one-token-at-a-time recurrence.
     """
     fwd = _as_scorer(fwd)
     if lm is not None:
@@ -112,45 +123,87 @@ def beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]:
             )
     vocab_size = fwd.vocab_size
     eos = fwd.eos_id
+    alpha = cfg.length_penalty_alpha
+    limit = min(cfg.n_candidates, cfg.beam_size)
 
     # (score, tokens, fwd_sum, lm_sum)
     beams = [(0.0, (), 0.0, 0.0)]
     completed: list[Candidate] = []
-    for _ in range(cfg.max_len):
+    kept = []  # min-heap of the `limit` best completed scores
+    for step in range(cfg.max_len):
         if not beams:
             break
-        expansions = []
-        for score, tokens, fwd_sum, lm_sum in beams:
-            logf = _log_dist(fwd.next_dist(source, tokens))
-            logl = _log_dist(lm.next_dist((), tokens)) if lam > 0 else None
-            for tok in range(vocab_size):
-                flp = float(logf[tok])
-                if lam > 0:
-                    llp = float(logl[tok])
-                    new_score = score + flp + lam * llp
-                else:
-                    llp = 0.0
-                    new_score = score + flp
-                if new_score == float("-inf"):
-                    continue
-                entry = (new_score, tokens + (tok,), fwd_sum + flp, lm_sum + llp)
-                if tok == eos:
-                    completed.append(_finish(entry, lam, cfg.length_penalty_alpha))
-                else:
-                    expansions.append(entry)
-        expansions.sort(key=lambda e: (-e[0], e[1]))
-        beams = expansions[: cfg.beam_size]
+        logf = np.array(
+            [_log_dist(fwd.next_dist(source, b[1])) for b in beams], dtype=np.float64
+        )
+        scores = np.array([b[0] for b in beams])[:, None] + logf
+        if lam > 0:
+            logl = np.array(
+                [_log_dist(lm.next_dist((), b[1])) for b in beams], dtype=np.float64
+            )
+            scores += lam * logl
 
-    limit = min(cfg.n_candidates, cfg.beam_size)
+        def entry(row, tok):
+            score, tokens, fwd_sum, lm_sum = beams[row]
+            llp = float(logl[row, tok]) if lam > 0 else 0.0
+            return (float(scores[row, tok]), tokens + (tok,),
+                    fwd_sum + float(logf[row, tok]), lm_sum + llp)
+
+        for row in np.flatnonzero(scores[:, eos] != -np.inf):
+            cand = _finish(entry(row, eos), lam, alpha)
+            completed.append(cand)
+            heapq.heappush(kept, cand.fused_score)
+            if len(kept) > limit:
+                heapq.heappop(kept)
+
+        scores[:, eos] = -np.inf
+        flat = scores.ravel()
+        live = flat > -np.inf
+        if np.count_nonzero(live) > cfg.beam_size:
+            cut = flat.size - cfg.beam_size
+            live = flat >= np.partition(flat, cut)[cut]
+        picked = np.flatnonzero(live)
+        rows, toks = np.divmod(picked, vocab_size)
+        # the scalar sort key (-score, tokens): tokens compare as (parent
+        # tokens, token), and all parents have the same length
+        by_tokens = sorted(range(len(beams)), key=lambda i: beams[i][1])
+        parent_rank = np.empty(len(beams), dtype=np.intp)
+        parent_rank[by_tokens] = np.arange(len(beams))
+        order = np.lexsort((toks, parent_rank[rows], -flat[picked]))[: cfg.beam_size]
+        beams = [entry(int(rows[i]), int(toks[i])) for i in order]
+
+        if (alpha == 0 and beams and len(kept) == limit
+                and _score_ceiling(beams[0][0], cfg.max_len - step - 1, lam) < kept[0]):
+            break
+
     if completed:
         completed.sort(key=lambda c: (-c.fused_score, c.tokens))
         return completed[:limit]
     if beams:
         best = beams[0]
-        flagged = _finish(best, lam, cfg.length_penalty_alpha)
+        flagged = _finish(best, lam, alpha)
         flagged.completed = False
         return [flagged]
     raise NoCompletedHypothesisError("all expansions hit zero-probability tokens")
+
+
+# Largest log-probability a Scorer may return: a distribution may sum to
+# 1 + _NORM_TOL, so one entry may be that large. The relative margin covers
+# the rounding of the float log.
+_MAX_STEP_LOGP = math.log1p(_NORM_TOL) * (1 + 1e-9)
+
+
+def _score_ceiling(score: float, steps: int, lam: float) -> float:
+    """Upper bound on the score of any extension of `score` by up to `steps` tokens.
+
+    Repeats the recurrence with the largest log-probability the Scorer
+    contract allows. Float rounding is monotone, so the bound also holds
+    for the rounded scores the search computes.
+    """
+    lm_gain = lam * _MAX_STEP_LOGP
+    for _ in range(steps):
+        score = score + _MAX_STEP_LOGP + lm_gain
+    return score
 
 
 def _finish(entry, lam: float, alpha: float) -> Candidate:
@@ -237,17 +290,11 @@ def topk_sample(fwd, source, cfg: DecodeConfig) -> Candidate:
     completed = False
     for _ in range(cfg.max_len):
         dist = fwd.next_dist(source, tokens)
-        order = sorted(range(fwd.vocab_size), key=lambda t: (-dist[t], t))
-        top = order[: cfg.sample_k]
-        total = float(sum(dist[t] for t in top))
-        r = rng.random() * total
-        chosen = top[-1]
-        acc = 0.0
-        for t in top:
-            acc += float(dist[t])
-            if r < acc:
-                chosen = t
-                break
+        # descending probability, lowest id first among ties
+        top = np.argsort(-dist, kind="stable")[: cfg.sample_k]
+        acc = np.cumsum(dist[top])  # sequential, like a running float sum
+        r = rng.random() * float(acc[-1])
+        chosen = int(top[min(int(np.searchsorted(acc, r, side="right")), len(top) - 1)])
         p = float(dist[chosen])
         fwd_sum += math.log(p) if p > 0 else float("-inf")
         tokens += (chosen,)
@@ -260,10 +307,20 @@ def topk_sample(fwd, source, cfg: DecodeConfig) -> Candidate:
 
 
 def sequence_logprob(scorer, source, tokens) -> float:
-    """Independent recomputation: sum of per-step log next_dist[token]."""
+    """Independent recomputation: sum of per-step log next_dist[token].
+
+    Raises VocabMismatchError when a source or target id lies outside the
+    scorer's vocab [0, vocab_size).
+    """
     scorer = _as_scorer(scorer)
     source = tuple(source)
     tokens = tuple(tokens)
+    for what, ids in (("source", source), ("token", tokens)):
+        bad = [t for t in ids if not 0 <= t < scorer.vocab_size]
+        if bad:
+            raise VocabMismatchError(
+                f"{what} id {bad[0]} outside the scorer vocab [0, {scorer.vocab_size})"
+            )
     total = 0.0
     for i, tok in enumerate(tokens):
         p = float(scorer.next_dist(source, tokens[:i])[tok])

@@ -334,6 +334,15 @@ class NGramScorer(Scorer):
     orders whose context was never seen drop out and the remaining weights
     renormalize. The floor redistributes a little mass to every token so
     the support is full: P = (1 - floor * V) * P_interp + floor.
+
+    Order k uses the last k-1 prefix tokens as its context. A prefix shorter
+    than order-1 is not padded: the top orders reuse the whole (shorter)
+    prefix, so an empty prefix scores every order with the unigram context.
+
+    The first next_dist call builds a per-context index (KenLM-style state
+    lookup): the token ids and counts of each context's grams, stored in two
+    flat arrays with offsets. Grams whose last id lies outside [0, V) count
+    toward their context's total but score no token.
     """
 
     def __init__(self, order: int, vocab_size: int, eos_id: int, counts: dict,
@@ -357,22 +366,53 @@ class NGramScorer(Scorer):
         for gram, c in self.counts.items():
             ctx = gram[:-1]
             self.totals[ctx] = self.totals.get(ctx, 0) + c
+        self._index = None
+
+    def _context_index(self):
+        """(spans, ids, counts): spans maps each queryable context with a
+        non-zero total to (lo, hi, total); ids[lo:hi] and counts[lo:hi] hold
+        its in-vocab grams.
+
+        Built on first use rather than at construction, so training and
+        loading stay cheap. Concurrent first calls may each build it; the
+        results are equal, so either assignment is fine.
+        """
+        if self._index is not None:
+            return self._index
+        by_ctx: dict[tuple, list] = {}
+        for gram, c in self.counts.items():
+            if gram and c and 0 <= gram[-1] < self.vocab_size:
+                by_ctx.setdefault(gram[:-1], []).append((gram[-1], c))
+        ids, counts, spans = [], [], {}
+        for ctx, total in self.totals.items():
+            if total == 0 or len(ctx) >= self.order:
+                continue
+            grams = sorted(by_ctx.get(ctx, ()))
+            spans[ctx] = (len(ids), len(ids) + len(grams), float(total))
+            ids.extend(tok for tok, _ in grams)
+            counts.extend(float(c) for _, c in grams)
+        self._index = (
+            spans,
+            np.array(ids, dtype=np.intp),
+            np.array(counts, dtype=np.float64),
+        )
+        return self._index
 
     def next_dist(self, source, prefix) -> np.ndarray:
         prefix = tuple(prefix)
+        spans, ids, counts = self._context_index()
         interp = np.zeros(self.vocab_size)
         active = 0.0
         for k in range(1, self.order + 1):
             ctx = prefix[len(prefix) - (k - 1):] if k > 1 else ()
-            total = self.totals.get(ctx, 0)
-            if total == 0:
+            span = spans.get(ctx)
+            if span is None:
                 continue
+            lo, hi, total = span
             w = self.weights[k - 1]
             active += w
-            for tok in range(self.vocab_size):
-                c = self.counts.get(ctx + (tok,), 0)
-                if c:
-                    interp[tok] += w * c / total
+            # per token, the same operations as the scalar w * c / total
+            interp[ids[lo:hi]] += w * counts[lo:hi] / total
         if active > 0:
             interp /= active
         else:

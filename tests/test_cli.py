@@ -617,3 +617,18 @@ def test_tune_lambda_grid_output(tmp_path):
         assert float(sf) in (0.0, 0.1)
         assert float(ncr) in (0.0, 0.5)
         assert 0.0 <= float(score) <= 100.0
+
+
+def test_rerank_out_of_vocab_dump_is_named_error(tmp_path, capsys):
+    fwd_path = tmp_path / "fwd.scorer"
+    models.save_table_scorer(_fusion_fwd(), fwd_path)
+    src = tmp_path / "src.txt"
+    _write(src, ["0"])
+    for bad in ("0,3,2", "-1,2"):
+        dump = tmp_path / "dump.tsv"
+        _write(dump, [f"0\t0\t-1.0\t-\t-\t-\t{bad}"])
+        out = tmp_path / "out.txt"
+        rc = run(["rerank", "--dump", str(dump), "--source", str(src),
+                  "--rev", str(fwd_path), "--lm", str(fwd_path), "-o", str(out)])
+        assert rc == 1
+        assert "error: VocabMismatchError:" in capsys.readouterr().err

@@ -438,6 +438,27 @@ def _rev_lm_tables():
     return rev, lm
 
 
+@pytest.mark.parametrize("source, tokens", [
+    ((0,), (2,)),      # token id == V
+    ((0,), (0, 7)),    # token id > V
+    ((0,), (-1,)),     # negative ids must not wrap to the last vocab entry
+    ((2,), (0,)),      # source id == V
+    ((-1,), (0,)),
+])
+def test_sequence_logprob_rejects_out_of_vocab_ids(source, tokens):
+    fwd = TableScorer(["a", "eos"], {}, np.ones(2) / 2)
+    with pytest.raises(VocabMismatchError):
+        sequence_logprob(fwd, source, tokens)
+
+
+def test_rerank_rejects_out_of_vocab_candidate():
+    rev, lm = _rev_lm_tables()
+    for bad in ((0, 3, 2), (-1, 2)):
+        cands = _mk_cands() + [Candidate(tokens=bad, fwd_logprob=-1.0)]
+        with pytest.raises(VocabMismatchError):
+            noisy_channel_rerank(cands, rev, lm, NoisyChannelConfig(0.5), (0,))
+
+
 def test_rerank_lambda_zero_is_forward_order():
     rev, lm = _rev_lm_tables()
     cands = _mk_cands()

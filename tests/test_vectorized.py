@@ -1,0 +1,343 @@
+"""The vectorized beam step, top-k sampler and n-gram scorer against their
+scalar references (tests/scalar_reference.py), compared with `==`, plus the
+early stop of beam search and saturated-beam agreement with exact_search."""
+
+import math
+import random
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mtkit.decode import DecodeConfig, beam_search, exact_search, topk_sample
+from mtkit.errors import NoCompletedHypothesisError
+from mtkit.models import (
+    NGramScorer,
+    Scorer,
+    TableScorer,
+    load_ngram_scorer,
+    ngram_train,
+)
+
+from conftest import make_table_scorer
+from scalar_reference import (
+    reference_beam_search,
+    reference_ngram_next_dist,
+    reference_topk_sample,
+)
+
+
+class HashScorer(Scorer):
+    """Pseudo-random rows keyed on (source, prefix), drawn on first use.
+
+    A row is uniform (all tokens tied), quantized to a few levels (many
+    ties), or continuous; zero_frac plants exact zeros. `scale` multiplies
+    every row, so scale = 1 + 5e-7 stays within the Scorer contract while
+    letting a step raise a score.
+    """
+
+    def __init__(self, vocab_size, seed, tie_frac=0.3, zero_frac=0.0, scale=1.0):
+        self.vocab_size = vocab_size
+        self.eos_id = vocab_size - 1
+        self.seed = seed
+        self.tie_frac = tie_frac
+        self.zero_frac = zero_frac
+        self.scale = scale
+        self._rows = {}
+
+    def next_dist(self, source, prefix):
+        key = (tuple(source), tuple(prefix))
+        if key not in self._rows:
+            rng = random.Random(f"{self.seed}|{key}")
+            kind = rng.random()
+            if kind < self.tie_frac:
+                vec = np.ones(self.vocab_size)
+            elif kind < 2 * self.tie_frac:
+                vec = np.array([float(rng.randint(1, 3)) for _ in range(self.vocab_size)])
+            else:
+                vec = np.array([rng.random() + 0.01 for _ in range(self.vocab_size)])
+            for tok in range(self.vocab_size):
+                if rng.random() < self.zero_frac:
+                    vec[tok] = 0.0
+            if vec.sum() == 0.0:
+                vec[rng.randrange(self.vocab_size)] = 1.0
+            self._rows[key] = vec / vec.sum() * self.scale
+        return self._rows[key]
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except NoCompletedHypothesisError as exc:
+        return type(exc)
+
+
+def _random_case(rng):
+    vocab = rng.randint(3, 9)
+    cfg = DecodeConfig(
+        beam_size=rng.randint(1, min(vocab, 6)),
+        max_len=rng.randint(1, 7),
+        n_candidates=rng.randint(1, 6),
+        length_penalty_alpha=rng.choice([0.0, 0.0, 0.7]),
+        fusion_lambda=rng.choice([0.0, 0.3, 1.0]),
+    )
+    zero_frac = rng.choice([0.0, 0.2, 0.5])
+    fwd = HashScorer(vocab, rng.random(), tie_frac=rng.choice([0.0, 0.3, 0.5]),
+                     zero_frac=zero_frac)
+    lm = HashScorer(vocab, rng.random(), zero_frac=zero_frac)
+    return fwd, lm, (1, 2), cfg
+
+
+# ---------------------------------------------------------------------------
+# beam step
+
+
+def test_beam_matches_scalar_reference_on_unsaturated_instances():
+    rng = random.Random(2017)
+    for _ in range(300):
+        fwd, lm, source, cfg = _random_case(rng)
+        assert _outcome(beam_search, fwd, lm, source, cfg) == _outcome(
+            reference_beam_search, fwd, lm, source, cfg)
+
+
+def test_beam_matches_reference_on_uniform_rows():
+    # every row uniform: each step is one big tie broken by token order
+    for vocab, beam in ((5, 3), (40, 7)):
+        fwd = HashScorer(vocab, 0, tie_frac=1.0)
+        for alpha in (0.0, 1.0):
+            cfg = DecodeConfig(beam_size=beam, max_len=5, n_candidates=beam,
+                               length_penalty_alpha=alpha)
+            assert beam_search(fwd, None, (0,), cfg) == reference_beam_search(
+                fwd, None, (0,), cfg)
+
+
+def test_beam_matches_reference_with_zero_lm_probabilities():
+    # log 0 in the lm must prune a token, never produce 0 * -inf = nan
+    for seed in range(20):
+        fwd = HashScorer(6, seed, tie_frac=0.3)
+        lm = HashScorer(6, seed + 100, zero_frac=0.4)
+        cfg = DecodeConfig(beam_size=3, max_len=6, n_candidates=3, fusion_lambda=0.5)
+        got = beam_search(fwd, lm, (0,), cfg)
+        assert got == reference_beam_search(fwd, lm, (0,), cfg)
+        assert all(not math.isnan(c.fused_score) for c in got)
+
+
+def test_beam_tie_break_uses_token_order_not_beam_order():
+    # Step 1 keeps (b,) ahead of (a,) by score. At step 2, (a,a), (a,b),
+    # (b,b) and (b,c) tie exactly for the last beam slot; the scalar key
+    # (-score, tokens) picks (a,a), although its parent is the second beam.
+    fwd = TableScorer(
+        ["a", "b", "c", "eos"],
+        {
+            ((0,), ()): [0.25, 0.5, 0.25, 0.0],
+            ((0,), (1,)): [0.5, 0.25, 0.25, 0.0],
+            ((0,), (0,)): [0.5, 0.5, 0.0, 0.0],
+        },
+        np.ones(4) / 4,
+    )
+    for alpha in (0.0, 2.0):
+        cfg = DecodeConfig(beam_size=2, max_len=3, n_candidates=2,
+                           length_penalty_alpha=alpha)
+        got = beam_search(fwd, None, (0,), cfg)
+        assert got == reference_beam_search(fwd, None, (0,), cfg)
+        assert [c.tokens for c in got] == [(1, 0, 3), (0, 0, 3)]
+
+
+# ---------------------------------------------------------------------------
+# early stop
+
+
+class Counting(Scorer):
+    """Counts the next_dist calls made to a wrapped scorer."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab_size = inner.vocab_size
+        self.eos_id = inner.eos_id
+        self.calls = 0
+
+    def next_dist(self, source, prefix):
+        self.calls += 1
+        return self.inner.next_dist(source, prefix)
+
+
+def test_early_stop_equals_full_search_and_saves_steps():
+    # eos takes most of the mass, so the top completions are settled early
+    fwd = TableScorer(["a", "b", "eos"], {}, [0.1, 0.1, 0.8])
+    cfg = DecodeConfig(beam_size=2, max_len=20, n_candidates=2)
+    counted, counted_ref = Counting(fwd), Counting(fwd)
+    assert beam_search(counted, None, (0,), cfg) == reference_beam_search(
+        counted_ref, None, (0,), cfg)
+    assert counted.calls == 3  # steps 1 and 2 only
+    assert counted_ref.calls == 39
+
+
+def test_no_early_stop_with_length_penalty():
+    fwd = TableScorer(["a", "b", "eos"], {}, [0.1, 0.1, 0.8])
+    cfg = DecodeConfig(beam_size=2, max_len=20, n_candidates=2, length_penalty_alpha=1.0)
+    counted, counted_ref = Counting(fwd), Counting(fwd)
+    assert beam_search(counted, None, (0,), cfg) == reference_beam_search(
+        counted_ref, None, (0,), cfg)
+    assert counted.calls == counted_ref.calls == 39
+
+
+def test_early_stop_allows_rows_summing_above_one():
+    # Rows sum to 1 + 5e-7, which the Scorer contract allows. After step 1
+    # the live partial (a,) is 2.5e-7 below the completion (eos,), but its
+    # eos step has probability 1 + 5e-7 > 1 and overtakes it.
+    p_eos = 0.5
+    p_a = p_eos * (1 - 2.5e-7)
+    fwd = TableScorer(
+        ["a", "b", "eos"],
+        {
+            ((0,), ()): [p_a, 1 + 5e-7 - p_a - p_eos, p_eos],
+            ((0,), (0,)): [0.0, 0.0, 1 + 5e-7],
+        },
+        [0.0, 0.0, 1 + 5e-7],
+    )
+    cfg = DecodeConfig(beam_size=2, max_len=3, n_candidates=1)
+    got = beam_search(fwd, None, (0,), cfg)
+    assert got == reference_beam_search(fwd, None, (0,), cfg)
+    assert got[0].tokens == (0, 2)
+    assert got[0].fused_score > math.log(p_eos)
+
+
+def test_early_stop_matches_reference_on_scaled_rows():
+    rng = random.Random(5)
+    for _ in range(100):
+        vocab = rng.randint(3, 6)
+        fwd = HashScorer(vocab, rng.random(), scale=1 + 5e-7)
+        lm = HashScorer(vocab, rng.random(), scale=1 + 5e-7)
+        cfg = DecodeConfig(beam_size=rng.randint(1, 4), max_len=rng.randint(2, 8),
+                           n_candidates=rng.randint(1, 4),
+                           fusion_lambda=rng.choice([0.0, 0.5]))
+        assert _outcome(beam_search, fwd, lm, (0,), cfg) == _outcome(
+            reference_beam_search, fwd, lm, (0,), cfg)
+
+
+# ---------------------------------------------------------------------------
+# saturated beam == exact search
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    vocab=st.integers(2, 4),
+    max_len=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from([0.0, 0.05, 0.1, 0.5]),
+    zero_frac=st.sampled_from([0.0, 0.3]),
+)
+def test_saturated_beam_equals_exact_search(vocab, max_len, seed, lam, zero_frac):
+    rng = random.Random(seed)
+    source = (0,)
+    fwd = make_table_scorer(vocab, max_len, rng, source=source, zero_frac=zero_frac)
+    lm = make_table_scorer(vocab, max_len, rng, source=(), zero_frac=zero_frac)
+    size = vocab ** max_len
+    cfg = DecodeConfig(beam_size=size, max_len=max_len, n_candidates=size,
+                       fusion_lambda=lam)
+    try:
+        oracle = exact_search(fwd, lm, source, max_len, fusion_lambda=lam)
+    except NoCompletedHypothesisError:
+        result = _outcome(beam_search, fwd, lm, source, cfg)
+        assert result is NoCompletedHypothesisError or not result[0].completed
+        return
+    top = beam_search(fwd, lm, source, cfg)[0]
+    assert top.tokens == oracle.tokens
+    assert top.fused_score == oracle.fused_score
+    assert top.fwd_logprob == oracle.fwd_logprob
+    assert top.lm_logprob == oracle.lm_logprob
+
+
+# ---------------------------------------------------------------------------
+# top-k sampling
+
+
+@pytest.mark.parametrize("tie_frac", [0.0, 0.5, 1.0])
+def test_topk_sample_matches_scalar_reference(tie_frac):
+    fwd = HashScorer(12, 3, tie_frac=tie_frac, zero_frac=0.2)
+    for k in (1, 2, 5, 12, 20):
+        for seed in range(25):
+            cfg = DecodeConfig(max_len=8, sample_k=k, seed=seed)
+            assert topk_sample(fwd, (0,), cfg) == reference_topk_sample(fwd, (0,), cfg)
+
+
+# ---------------------------------------------------------------------------
+# n-gram scorer
+
+
+def _bits(vec):
+    return np.asarray(vec, dtype=np.float64).tobytes()
+
+
+def _random_prefixes(rng, vocab, n):
+    ids = list(range(vocab)) + [-1, vocab, vocab + 3]
+    for length in (0, 1, 2, 3, 5):
+        for _ in range(n):
+            yield tuple(rng.choice(ids) if rng.random() < 0.1 else rng.randrange(vocab)
+                        for _ in range(length))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_ngram_next_dist_matches_scalar_reference(order):
+    rng = random.Random(order)
+    corpus = [[rng.randrange(9) for _ in range(rng.randint(1, 12))] for _ in range(60)]
+    weights = [rng.random() + 0.1 for _ in range(order)]
+    m = ngram_train(corpus, order, vocab_size=11, eos_id=10, weights=weights)
+    for prefix in _random_prefixes(rng, 11, 30):
+        assert _bits(m.next_dist((), prefix)) == _bits(reference_ngram_next_dist(m, prefix))
+
+
+def test_ngram_short_prefix_reuses_shorter_context():
+    # an empty prefix scores every order with the unigram context
+    m = ngram_train([[0, 1, 2], [1, 1]], 3, weights=[0.2, 0.3, 0.5])
+    unigram = NGramScorer(1, m.vocab_size, m.eos_id,
+                          {g: c for g, c in m.counts.items() if len(g) == 1},
+                          [1.0], m.floor)
+    np.testing.assert_allclose(m.next_dist((), ()), unigram.next_dist((), ()),
+                               rtol=1e-12)
+    for prefix in ((), (1,)):
+        assert _bits(m.next_dist((), prefix)) == _bits(reference_ngram_next_dist(m, prefix))
+
+
+def test_ngram_model_file_with_out_of_vocab_grams(tmp_path):
+    # last ids >= V (and < 0) count toward their context's total but score nothing
+    path = tmp_path / "lm.ngram"
+    path.write_text(
+        "ngram-v1 3 5 4\nfloor 0.01\nweights 0.2 0.3 0.5\n"
+        "count 0 4\ncount 1 3\ncount 4 2\ncount 7 5\n"
+        "count 0,1 2\ncount 0,9 3\ncount 1,-1 1\ncount 2,8 4\n"
+        "count 0,1,2 1\ncount 0,1,6 2\ncount 1,2,3 0\n",
+        encoding="utf-8",
+    )
+    m = load_ngram_scorer(path)
+    for prefix in ((), (0,), (1,), (2,), (0, 1), (1, 2), (3, 3), (9, 0), (-1,)):
+        assert _bits(m.next_dist((), prefix)) == _bits(reference_ngram_next_dist(m, prefix))
+
+
+def test_ngram_lazy_index_is_safe_under_threads():
+    # first next_dist calls race to build the index; every thread must see
+    # the scalar reference's output
+    rng = random.Random(8)
+    corpus = [[rng.randrange(30) for _ in range(10)] for _ in range(200)]
+    prefixes = list(_random_prefixes(rng, 31, 10))
+    m = ngram_train(corpus, 3, vocab_size=31)
+    expected = [_bits(reference_ngram_next_dist(m, p)) for p in prefixes]
+    results = [None] * 6
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(slot):
+            results[slot] = [_bits(m.next_dist((), p)) for p in prefixes]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert all(r == expected for r in results)
