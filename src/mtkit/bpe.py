@@ -8,14 +8,19 @@ the word-end marker, the corpus characters, and the merges.
 
 from __future__ import annotations
 
+import heapq
 import random
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 from .errors import EmptyCorpusError, ModelFormatError, UnknownIdError, VocabTooSmallError
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 WORD_END = "</w>"
+SPECIALS = (PAD, UNK, BOS, EOS, WORD_END)
+# Entries kept in a model's dropout-0 word cache before it is cleared, so
+# encoding an unbounded stream of distinct words uses bounded memory.
+ZERO_DROPOUT_CACHE_MAX = 1 << 16
 
 
 @dataclass
@@ -37,6 +42,12 @@ class BpeModel:
             raise ModelFormatError("stored vocab exceeds configured vocab_size")
         if len(self.id_to_token) != len(self.vocab):
             raise ModelFormatError("duplicate ids in vocab")
+        missing = [tok for tok in SPECIALS if tok not in self.vocab]
+        if missing:
+            raise ModelFormatError(f"vocab lacks required symbols {missing}")
+        bad = [i for i in self.id_to_token if not 0 <= i < self.vocab_size]
+        if bad:
+            raise ModelFormatError(f"ids {bad[:5]} outside [0, {self.vocab_size})")
         known = set(self.vocab) - {PAD, UNK, BOS, EOS}
         for left, right in self.merges:
             if left not in known or right not in known:
@@ -66,6 +77,15 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
 
     Ties between equally frequent pairs go to the lexicographically smaller
     pair, so training is deterministic given the corpus.
+
+    Pairs are counted once. After that a pair -> word-index map limits each
+    merge to the words that hold the merged pair: their old pairs are
+    subtracted and their new pairs added, weighted by word frequency, as in
+    `learn_bpe` of subword-nmt (Sennrich et al. 2016). The best pair comes
+    from a lazy max-heap of (-count, pair) entries whose stale entries are
+    dropped when they reach the top, so the pick, ties included, equals the
+    minimum of (-count, pair) over all current counts, and the merges equal
+    those of recounting every pair after each merge.
     """
     word_freqs: Counter[str] = Counter()
     for line in corpus:
@@ -74,28 +94,36 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
         raise EmptyCorpusError("bpe_train: corpus contains no words")
 
     alphabet = sorted({ch for word in word_freqs for ch in word})
-    base = [PAD, UNK, BOS, EOS, WORD_END] + alphabet
+    base = list(SPECIALS) + alphabet
     if vocab_size <= len(base):
         raise VocabTooSmallError(
             f"vocab_size {vocab_size} <= base symbol count {len(base)} (no room for merges)"
         )
 
-    words = {word: tuple(word) + (WORD_END,) for word in word_freqs}
+    words = [tuple(word) + (WORD_END,) for word in word_freqs]
+    freqs = list(word_freqs.values())
+    pair_counts: defaultdict[tuple[str, str], int] = defaultdict(int)
+    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for idx, symbols in enumerate(words):
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += freqs[idx]
+            where[pair].add(idx)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     while len(base) + len(merges) < vocab_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for word, symbols in words.items():
-            freq = word_freqs[word]
-            for i in range(len(symbols) - 1):
-                pair_counts[(symbols[i], symbols[i + 1])] += freq
-        if not pair_counts:
+        while heap and -heap[0][0] != pair_counts.get(heap[0][1]):
+            heapq.heappop(heap)
+        if not heap:
             break
-        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        best = heapq.heappop(heap)[1]
         merges.append(best)
         merged = best[0] + best[1]
-        for word, symbols in words.items():
-            if merged not in word + WORD_END:
-                continue
+        touched: set[tuple[str, str]] = set()
+        # Visit order is free: counts are integer sums, so any order gives them exactly.
+        for idx in where.pop(best):
+            symbols = words[idx]
             out = []
             i = 0
             while i < len(symbols):
@@ -105,7 +133,24 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
                 else:
                     out.append(symbols[i])
                     i += 1
-            words[word] = tuple(out)
+            if len(out) == len(symbols):
+                continue  # stale index entry: an earlier merge took the pair apart
+            freq = freqs[idx]
+            for pair in zip(symbols, symbols[1:]):
+                pair_counts[pair] -= freq
+                touched.add(pair)
+            for pair in zip(out, out[1:]):
+                pair_counts[pair] += freq
+                where[pair].add(idx)
+                touched.add(pair)
+            words[idx] = tuple(out)
+        for pair in touched:
+            count = pair_counts[pair]
+            if count:
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del pair_counts[pair]
+                where.pop(pair, None)
 
     vocab = {tok: i for i, tok in enumerate(base)}
     for left, right in merges:
@@ -116,8 +161,11 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
 
 
 def _encode_word(model: BpeModel, word: str, rng: random.Random | None, dropout_p: float) -> tuple[str, ...]:
-    if dropout_p == 0.0 and word in model._zero_dropout_cache:
-        return model._zero_dropout_cache[word]
+    cache = model._zero_dropout_cache
+    if dropout_p == 0.0:
+        cached = cache.get(word)
+        if cached is not None:
+            return cached
     ranks = model.merge_ranks
     symbols = list(word) + [WORD_END]
     while len(symbols) > 1:
@@ -136,7 +184,9 @@ def _encode_word(model: BpeModel, word: str, rng: random.Random | None, dropout_
         symbols[i : i + 2] = [symbols[i] + symbols[i + 1]]
     result = tuple(symbols)
     if dropout_p == 0.0:
-        model._zero_dropout_cache[word] = result
+        if len(cache) >= ZERO_DROPOUT_CACHE_MAX:
+            cache.clear()
+        cache[word] = result
     return result
 
 
@@ -182,12 +232,25 @@ def save_model(model: BpeModel, path) -> None:
             fh.write(f"{left} {right}\n")
 
 
+def _parse_int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ModelFormatError(f"{where}: expected an integer, got {text!r}") from None
+
+
 def load_model(path) -> BpeModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    """Read a `save_model` file; any malformed or inconsistent content raises
+    ModelFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     header = lines[0].split()
     if len(header) != 2 or header[0] != "bpe-v1":
         raise ModelFormatError(f"{path}: expected header 'bpe-v1 <vocab_size>'")
+    vocab_size = _parse_int(header[1], f"{path}:1")
     vocab: dict[str, int] = {}
     merges: list[tuple[str, str]] = []
     section = "vocab"
@@ -199,7 +262,9 @@ def load_model(path) -> BpeModel:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ModelFormatError(f"{path}:{lineno}: expected token<TAB>id")
-            vocab[parts[0]] = int(parts[1])
+            if parts[0] in vocab:
+                raise ModelFormatError(f"{path}:{lineno}: duplicate token {parts[0]!r}")
+            vocab[parts[0]] = _parse_int(parts[1], f"{path}:{lineno}")
         else:
             if line == "":
                 continue
@@ -207,29 +272,4 @@ def load_model(path) -> BpeModel:
             if len(parts) != 2:
                 raise ModelFormatError(f"{path}:{lineno}: expected 'left right'")
             merges.append((parts[0], parts[1]))
-    return BpeModel(merges=merges, vocab=vocab, vocab_size=int(header[1]))
-
-
-@dataclass(frozen=True)
-class PairTokenizer:
-    """Tokenizer setup for a language pair: one shared model, or one per side."""
-
-    source: BpeModel
-    target: BpeModel
-    shared: bool
-
-    @classmethod
-    def make_shared(cls, model: BpeModel) -> "PairTokenizer":
-        return cls(source=model, target=model, shared=True)
-
-    @classmethod
-    def make_per_language(cls, source: BpeModel, target: BpeModel) -> "PairTokenizer":
-        if source is target:
-            raise ValueError("per-language setup requires two independent models")
-        return cls(source=source, target=target, shared=False)
-
-    def encode_source(self, text: str, dropout_p: float = 0.0, seed: int = 0) -> list[int]:
-        return bpe_encode(self.source, text, dropout_p, seed)
-
-    def encode_target(self, text: str, dropout_p: float = 0.0, seed: int = 0) -> list[int]:
-        return bpe_encode(self.target, text, dropout_p, seed)
+    return BpeModel(merges=merges, vocab=vocab, vocab_size=vocab_size)

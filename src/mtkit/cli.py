@@ -3,12 +3,16 @@
 Conventions shared by all subcommands: input is a positional path ('-' for
 stdin), data goes to --output/-o ('-' for stdout), logs go to stderr, all
 randomness flows from --seed, and --threads (or MTKIT_THREADS) sizes worker
-pools whose output is byte-identical to the single-threaded run.
+pools whose output is byte-identical to the single-threaded run. Every output
+file is written to a temporary file beside it and renamed into place only
+when the subcommand succeeds, so a failed run leaves no partial file behind
+and an existing file unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import replace
@@ -26,19 +30,41 @@ def _default_threads() -> int:
         return 1
 
 
+@contextlib.contextmanager
 def _open_in(path: str):
-    return sys.stdin if path == "-" else open(path, encoding="utf-8")
+    if path == "-":
+        yield sys.stdin
+        return
+    with open(path, encoding="utf-8") as fh:
+        yield fh
 
 
+@contextlib.contextmanager
+def _staged(path: str):
+    """Yield a temporary path beside `path` that replaces `path` only if the
+    block completes; on failure the temporary file is removed."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        yield path  # a device or pipe such as /dev/null: nothing to replace
+        return
+    tmp = f"{target}.tmp{os.getpid()}"
+    try:
+        yield tmp
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
 def _open_out(path: str | None):
+    """Text sink for -o: stdout for None or '-', else a staged file."""
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
-
-
-def _close(handle) -> None:
-    if handle not in (sys.stdin, sys.stdout):
-        handle.close()
+        yield sys.stdout
+        return
+    with _staged(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _log(msg: str) -> None:
@@ -67,11 +93,8 @@ def _bpe_tokenizer(model: bpe.BpeModel):
 
 
 def _read_sources(path: str, bpe_model: bpe.BpeModel | None) -> list[list[int]]:
-    fh = _open_in(path)
-    try:
+    with _open_in(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
-    finally:
-        _close(fh)
     if bpe_model is not None:
         return [bpe.bpe_encode(bpe_model, line) for line in lines]
     return [_parse_ids(line) for line in lines]
@@ -82,21 +105,14 @@ def _read_sources(path: str, bpe_model: bpe.BpeModel | None) -> list[list[int]]:
 
 def cmd_normalize(args) -> int:
     rules = textnorm.load_rules(args.rules) if args.rules else None
-    src = _open_in(args.input)
-    out = _open_out(args.output)
-    try:
+    with _open_in(args.input) as src, _open_out(args.output) as out:
         for line in src:
             out.write(textnorm.normalize_punct(line.rstrip("\n"), rules) + "\n")
-    finally:
-        _close(src)
-        _close(out)
     return 0
 
 
 def cmd_tokenize(args) -> int:
-    src = _open_in(args.input)
-    out = _open_out(args.output)
-    try:
+    with _open_in(args.input) as src, _open_out(args.output) as out:
         for line in src:
             line = line.rstrip("\n")
             if args.detok:
@@ -106,9 +122,6 @@ def cmd_tokenize(args) -> int:
                 out.write(text + "\n")
             else:
                 out.write(" ".join(textnorm.word_tokenize(line, lang=args.lang)) + "\n")
-    finally:
-        _close(src)
-        _close(out)
     return 0
 
 
@@ -116,42 +129,30 @@ def cmd_tokenize(args) -> int:
 # bpe commands
 
 def cmd_bpe_train(args) -> int:
-    src = _open_in(args.input)
-    try:
+    with _open_in(args.input) as src:
         model = bpe.bpe_train((line.rstrip("\n") for line in src), args.vocab_size)
-    finally:
-        _close(src)
-    bpe.save_model(model, args.model_out)
+    with _staged(args.model_out) as tmp:
+        bpe.save_model(model, tmp)
     _log(f"bpe-train: {len(model.merges)} merges, {len(model.vocab)} vocab entries")
     return 0
 
 
 def cmd_bpe_encode(args) -> int:
     model = bpe.load_model(args.model)
-    src = _open_in(args.input)
-    out = _open_out(args.output)
-    try:
+    with _open_in(args.input) as src, _open_out(args.output) as out:
         for idx, line in enumerate(src):
             ids = bpe.bpe_encode(
                 model, line.rstrip("\n"), dropout_p=args.dropout, seed=args.seed + idx
             )
             out.write(" ".join(str(i) for i in ids) + "\n")
-    finally:
-        _close(src)
-        _close(out)
     return 0
 
 
 def cmd_bpe_decode(args) -> int:
     model = bpe.load_model(args.model)
-    src = _open_in(args.input)
-    out = _open_out(args.output)
-    try:
+    with _open_in(args.input) as src, _open_out(args.output) as out:
         for line in src:
             out.write(bpe.bpe_decode(model, _parse_ids(line)) + "\n")
-    finally:
-        _close(src)
-        _close(out)
     return 0
 
 
@@ -171,9 +172,7 @@ def cmd_filter(args) -> int:
         min_len_tokens=args.min_len,
     )
     report = corpus.FilterReport()
-    src = _open_in(args.input)
-    out = _open_out(args.output)
-    try:
+    with _open_in(args.input) as src, _open_out(args.output) as out:
         pending: list[corpus.ParallelExample] = []
 
         def flush() -> None:
@@ -209,12 +208,9 @@ def cmd_filter(args) -> int:
                 if len(pending) >= CHUNK:
                     flush()
         flush()
-    finally:
-        _close(src)
-        _close(out)
     report_lines = report.to_lines()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with _staged(args.report) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write("\n".join(report_lines) + "\n")
     for line in report_lines:
         _log("filter report: " + line.replace("\t", "="))
@@ -233,7 +229,8 @@ def cmd_langid_train(args) -> int:
         labeled, seed=args.seed, n_features=args.features,
         epochs=args.epochs, lr=args.lr,
     )
-    corpus.save_langid(model, args.model_out)
+    with _staged(args.model_out) as tmp:
+        corpus.save_langid(model, tmp)
     _log(f"langid-train: {len(model.langs)} languages, {len(labeled)} lines")
     return 0
 
@@ -250,24 +247,16 @@ def cmd_mix(args) -> int:
             items = list(corpus.read_parallel_tsv(fh, provenance=provenance))
         corpora.append((items, weight))
     mixed = corpus.mix_sample(corpora, args.n, args.seed)
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         for pair in mixed:
             out.write(corpus.format_tsv_line(pair) + "\n")
-    finally:
-        _close(out)
     return 0
 
 
 def cmd_reverse_target(args) -> int:
-    src = _open_in(args.input)
-    out = _open_out(args.output)
-    try:
+    with _open_in(args.input) as src, _open_out(args.output) as out:
         for pair in corpus.read_parallel_tsv(src):
             out.write(corpus.format_tsv_line(corpus.reverse_target(pair)) + "\n")
-    finally:
-        _close(src)
-        _close(out)
     return 0
 
 
@@ -284,7 +273,8 @@ def cmd_domain_train(args) -> int:
         positives, negatives, seed=args.seed, lang=args.lang,
         tokenizer=tokenizer, epochs=args.epochs, lr=args.lr,
     )
-    domain.save_classifier(clf, args.model_out)
+    with _staged(args.model_out) as tmp:
+        domain.save_classifier(clf, tmp)
     if clf.holdout_accuracy is not None:
         _log(f"domain-train: held-out accuracy {clf.holdout_accuracy:.3f}")
     return 0
@@ -297,9 +287,7 @@ def cmd_domain_select(args) -> int:
     cfg = domain.SelectionConfig(
         stage1_threshold=args.stage1, final_threshold=args.final
     )
-    src = _open_in(args.input)
-    out = _open_out(args.output)
-    try:
+    with _open_in(args.input) as src, _open_out(args.output) as out:
         pairs = corpus.read_parallel_tsv(src)
         selected, counts = domain.bilingual_select(
             pairs, clf_en, clf_ru, cfg, english_side=args.english_side
@@ -308,9 +296,6 @@ def cmd_domain_select(args) -> int:
             out.write(
                 corpus.format_tsv_line(pair, (repr(score_en), repr(score_ru))) + "\n"
             )
-    finally:
-        _close(src)
-        _close(out)
     _log(
         "domain-select counts: "
         + " ".join(f"{k}={counts[k]}" for k in ("input", "stage1_kept", "stage2_scored", "final_kept"))
@@ -331,7 +316,8 @@ def cmd_avg_checkpoints(args) -> int:
         scored.sort(key=lambda sp: (-sp[0], sp[1]))
         paths = [path for _, path in scored[: args.top_k]]
         _log(f"avg-checkpoints: top-{args.top_k} by validation score: {paths}")
-    models.average_checkpoint_files(paths, args.output)
+    with _staged(args.output) as tmp:
+        models.average_checkpoint_files(paths, tmp)
     _log(f"avg-checkpoints: averaged {len(paths)} checkpoints")
     return 0
 
@@ -368,13 +354,10 @@ def cmd_decode(args) -> int:
     cfg = _decode_config(args, fusion_lambda=args.fusion_lambda)
     sources = _read_sources(args.input, bpe_model)
     results = decode.decode_batch(fwd, lm, sources, cfg, threads=args.threads)
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         _write_bodies(out, [cands[0] for cands in results], fwd.eos_id, bpe_model)
-    finally:
-        _close(out)
     if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
+        with _staged(args.dump) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write("\n".join(decode.format_candidates(results)) + "\n")
     return 0
 
@@ -387,11 +370,8 @@ def cmd_sample(args) -> int:
     )
     sources = _read_sources(args.input, bpe_model)
     cands = decode.sample_batch(fwd, sources, cfg, threads=args.threads)
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         _write_bodies(out, cands, fwd.eos_id, bpe_model)
-    finally:
-        _close(out)
     return 0
 
 
@@ -411,14 +391,11 @@ def cmd_rerank(args) -> int:
         decode.noisy_channel_rerank(cands, rev, lm, cfg, source)
         for cands, source in zip(cands_per_sentence, sources)
     ]
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         if args.top1:
             _write_bodies(out, [cands[0] for cands in ranked], rev.eos_id, bpe_model)
         else:
             out.write("\n".join(decode.format_candidates(ranked)) + "\n")
-    finally:
-        _close(out)
     return 0
 
 
@@ -432,19 +409,16 @@ def cmd_score_bleu(args) -> int:
         refs = [line.rstrip("\n").split() for line in fh]
     result = bleu.corpus_bleu(hyps, refs)
     if args.sentence_scores:
-        with open(args.sentence_scores, "w", encoding="utf-8") as fh:
+        with _staged(args.sentence_scores) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             for idx, (hyp, ref) in enumerate(zip(hyps, refs)):
                 fh.write(f"{idx}\t{bleu.sentence_bleu(hyp, ref):.4f}\n")
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         out.write(
             f"BLEU {result.score:.4f} BP {result.brevity_penalty:.4f} "
             f"lens {result.hyp_len}/{result.ref_len} precisions "
             + " ".join(f"{p:.4f}" for p in result.precisions)
             + "\n"
         )
-    finally:
-        _close(out)
     return 0
 
 
@@ -466,14 +440,11 @@ def cmd_oracle_bleu(args) -> int:
         winners.append(tokens)
     result = bleu.corpus_bleu(winners, refs)
     if args.selected:
-        with open(args.selected, "w", encoding="utf-8") as fh:
+        with _staged(args.selected) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             for tokens in winners:
                 fh.write(" ".join(str(t) for t in tokens) + "\n")
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         out.write(f"oracle-BLEU {result.score:.4f}\n")
-    finally:
-        _close(out)
     return 0
 
 
@@ -491,12 +462,9 @@ def cmd_tune_lambda(args) -> int:
     results = decode.grid_search_lambdas(
         fwd, rev, lm, sources, refs, cfg, sf_grid, ncr_grid, threads=args.threads
     )
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         for lam_sf, lam_ncr, score in results:
             out.write(f"{lam_sf!r}\t{lam_ncr!r}\t{score:.4f}\n")
-    finally:
-        _close(out)
     return 0
 
 

@@ -1,8 +1,9 @@
-"""Scalar reference implementations of the vectorized decoding layers.
+"""Scalar reference implementations of the optimized layers.
 
 These are the original one-token-at-a-time loops of `beam_search`,
-`topk_sample` and `NGramScorer.next_dist`, kept for the tests only. The
-library versions must agree with them bit for bit (`==` on every float).
+`topk_sample` and `NGramScorer.next_dist`, and the recount-every-pair
+merge loop of `bpe_train`, kept for the tests only. The library versions
+must agree with them exactly (`==` on every float, merge and vocab id).
 The reference beam always runs all max_len steps, so it also checks the
 early stop of the library version.
 """
@@ -11,11 +12,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 
+from mtkit.bpe import BOS, EOS, PAD, UNK, WORD_END, BpeModel
 from mtkit.decode import Candidate, DecodeConfig, _finish, _log_dist
-from mtkit.errors import NoCompletedHypothesisError
+from mtkit.errors import EmptyCorpusError, NoCompletedHypothesisError, VocabTooSmallError
 
 
 def reference_beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]:
@@ -115,3 +118,52 @@ def reference_ngram_next_dist(model, prefix) -> np.ndarray:
     else:
         interp[:] = 1.0 / model.vocab_size
     return (1.0 - model.floor * model.vocab_size) * interp + model.floor
+
+
+def reference_bpe_train(corpus, vocab_size: int) -> BpeModel:
+    word_freqs: Counter[str] = Counter()
+    for line in corpus:
+        word_freqs.update(line.split())
+    if not word_freqs:
+        raise EmptyCorpusError("bpe_train: corpus contains no words")
+
+    alphabet = sorted({ch for word in word_freqs for ch in word})
+    base = [PAD, UNK, BOS, EOS, WORD_END] + alphabet
+    if vocab_size <= len(base):
+        raise VocabTooSmallError(
+            f"vocab_size {vocab_size} <= base symbol count {len(base)} (no room for merges)"
+        )
+
+    words = {word: tuple(word) + (WORD_END,) for word in word_freqs}
+    merges: list[tuple[str, str]] = []
+    while len(base) + len(merges) < vocab_size:
+        pair_counts: Counter[tuple[str, str]] = Counter()
+        for word, symbols in words.items():
+            freq = word_freqs[word]
+            for i in range(len(symbols) - 1):
+                pair_counts[(symbols[i], symbols[i + 1])] += freq
+        if not pair_counts:
+            break
+        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        merges.append(best)
+        merged = best[0] + best[1]
+        for word, symbols in words.items():
+            if merged not in word + WORD_END:
+                continue
+            out = []
+            i = 0
+            while i < len(symbols):
+                if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == best:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(symbols[i])
+                    i += 1
+            words[word] = tuple(out)
+
+    vocab = {tok: i for i, tok in enumerate(base)}
+    for left, right in merges:
+        sym = left + right
+        if sym not in vocab:
+            vocab[sym] = len(vocab)
+    return BpeModel(merges=merges, vocab=vocab, vocab_size=vocab_size)

@@ -1,20 +1,30 @@
 """BPE training, dropout encoding, decoding, and the model file format."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtkit import bpe
 from mtkit.bpe import (
     BpeModel,
-    PairTokenizer,
     bpe_decode,
     bpe_encode,
     bpe_train,
     load_model,
     save_model,
 )
-from mtkit.errors import EmptyCorpusError, ModelFormatError, UnknownIdError, VocabTooSmallError
+from mtkit.errors import (
+    EmptyCorpusError,
+    ModelFormatError,
+    MtkitError,
+    UnknownIdError,
+    VocabTooSmallError,
+)
+
+from scalar_reference import reference_bpe_train
 
 # base symbols for corpus {aaab, aab}: 4 specials + </w> + {a, b} = 7
 
@@ -57,6 +67,71 @@ def test_train_empty_corpus():
 def test_train_vocab_too_small():
     with pytest.raises(VocabTooSmallError):
         bpe_train(["aaab aab"], vocab_size=7)  # base size exactly, no merge room
+
+
+# ---------------------------------------------------------------------------
+# incremental training against the recount-every-merge reference
+
+
+def _train_both(corpus, vocab_size):
+    """(merges, vocab) of bpe_train and of the reference, or the error types."""
+    out = []
+    for train in (bpe_train, reference_bpe_train):
+        try:
+            model = train(corpus, vocab_size)
+            out.append((model.merges, model.vocab))
+        except MtkitError as exc:
+            out.append(type(exc))
+    return out
+
+
+_words = st.lists(
+    st.sampled_from(["a", "ab", "abc", "</w>"]).flatmap(
+        lambda alphabet: st.text(alphabet=alphabet, min_size=1, max_size=7)
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_words.map(" ".join), max_size=4), vocab_size=st.integers(1, 60))
+def test_train_matches_reference(lines, vocab_size):
+    # small alphabets make equal pair counts, and so the tie-break, common
+    ours, ref = _train_both(lines, vocab_size)
+    assert ours == ref
+
+
+@pytest.mark.parametrize("corpus", [
+    ["aaaa aaa aaaaa aa"],  # overlapping pairs of one symbol
+    ["aaaa aaaa", "abababab aaa"],
+    ["aaab aab baaa abaaba"],
+])
+def test_train_matches_reference_on_runs(corpus):
+    ours, ref = _train_both(corpus, 40)
+    assert ours == ref
+
+
+def test_train_two_pairs_with_one_string():
+    # A corpus holding the marker's characters makes ("/", "</w>") and
+    # ("/</w", ">") both spell "/</w>"; they are different pairs.
+    ours, ref = _train_both(["/</w> /"], 60)
+    assert ours == ref
+    merges, _ = ours
+    assert ("/", "</w>") in merges and ("/</w", ">") in merges
+
+
+def test_train_stops_when_every_pair_is_merged():
+    ours, ref = _train_both(["abc abd ab", "dcba"], 1000)
+    assert ours == ref
+    _, vocab = ours
+    assert len(vocab) < 1000  # stopped on running out of pairs, not on budget
+    assert {"abc</w>", "abd</w>", "ab</w>", "dcba</w>"} <= set(vocab)
+
+
+def test_train_matches_reference_on_fixture_corpus(trilingual_lines):
+    corpus = trilingual_lines[:1000]
+    ours, ref = _train_both(corpus, 300)
+    assert ours == ref
 
 
 def test_special_ids_fixed():
@@ -129,6 +204,19 @@ def test_unknown_characters_map_to_unk():
     assert model.unk_id in ids
 
 
+def test_zero_dropout_cache_is_bounded():
+    model = bpe_train(["abc abd bcd dab"] * 3, vocab_size=30)
+    words = itertools.islice(
+        itertools.product("abcd", repeat=9), bpe.ZERO_DROPOUT_CACHE_MAX + 100
+    )
+    text = " ".join("".join(w) for w in words)
+    ids = bpe_encode(model, text)
+    assert len(model._zero_dropout_cache) <= bpe.ZERO_DROPOUT_CACHE_MAX
+    fresh = BpeModel(merges=model.merges, vocab=model.vocab, vocab_size=model.vocab_size)
+    assert ids == bpe_encode(fresh, text)
+    assert bpe_encode(model, text) == ids  # after the clear, cache hits agree too
+
+
 def test_decode_empty():
     model = bpe_train(["aaab aab"], vocab_size=8)
     assert bpe_decode(model, []) == ""
@@ -180,31 +268,67 @@ def test_load_bad_vocab_line(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("content", [
+    "bpe-v1 abc\n<pad>\t0\n\n",  # non-integer vocab size
+    "bpe-v1 10\n<pad>\tx\n\n",  # non-integer id
+    "bpe-v1 10\n<pad>\t0\n<pad>\t1\n\n",  # duplicate token
+])
+def test_load_rejects_malformed_fields(tmp_path, content):
+    path = tmp_path / "m.bpe"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_load_rejects_non_utf8(tmp_path, fixture_bpe):
+    path = tmp_path / "m.bpe"
+    save_model(fixture_bpe, path)
+    path.write_bytes(path.read_bytes() + b"\xff\xfe a\n")
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+_SPECIAL_VOCAB = {bpe.PAD: 0, bpe.UNK: 1, bpe.BOS: 2, bpe.EOS: 3, bpe.WORD_END: 4, "a": 5}
+
+
+@pytest.mark.parametrize("vocab", [
+    *({k: v for k, v in _SPECIAL_VOCAB.items() if k != tok} for tok in bpe.SPECIALS),
+    {**_SPECIAL_VOCAB, "a": 10},  # id == vocab_size
+    {**_SPECIAL_VOCAB, "a": -1},
+], ids=[*(f"no {tok}" for tok in bpe.SPECIALS), "id == vocab_size", "negative id"])
+def test_model_validation_rejects_missing_specials_and_bad_ids(vocab):
+    with pytest.raises(ModelFormatError):
+        BpeModel(merges=[], vocab=vocab, vocab_size=10)
+
+
+def test_load_fuzzed_model_files(tmp_path):
+    """Truncated or garbled files load as a valid model or raise ModelFormatError."""
+    model = bpe_train(["abc abd ab ba", "cab"], vocab_size=20)
+    path = tmp_path / "m.bpe"
+    save_model(model, path)
+    data = path.read_bytes()
+    rng = random.Random(11)
+    variants = [data[:n] for n in range(len(data))]
+    for _ in range(600):
+        garbled = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            garbled[rng.randrange(len(garbled))] = rng.choice(
+                [*b"\t\n -0123456789ab<>/", rng.randrange(256)]
+            )
+        variants.append(bytes(garbled))
+    loaded = 0
+    for blob in variants:
+        path.write_bytes(blob)
+        try:
+            fuzzed = load_model(path)
+        except ModelFormatError:
+            continue
+        loaded += 1
+        fuzzed._validate()
+        bpe_decode(fuzzed, bpe_encode(fuzzed, "abc cab zz"))
+    assert 0 < loaded < len(variants)
+
+
 def test_model_validation_rejects_inconsistency():
     with pytest.raises(ModelFormatError):
         BpeModel(merges=[("q", "z")], vocab={bpe.PAD: 0, bpe.UNK: 1, bpe.BOS: 2, bpe.EOS: 3, bpe.WORD_END: 4}, vocab_size=10)
-
-
-# ---------------------------------------------------------------------------
-# pair tokenizer
-
-
-def test_shared_pair_tokenizer(fixture_bpe):
-    pt = PairTokenizer.make_shared(fixture_bpe)
-    assert pt.shared and pt.source is pt.target
-    text = "the water day"
-    assert pt.encode_source(text) == pt.encode_target(text)
-
-
-def test_per_language_pair_tokenizer():
-    en = bpe_train(["the cat sat down", "the dog sat"], vocab_size=40)
-    ru = bpe_train(["кот сидит дома", "пёс сидит"], vocab_size=40)
-    pt = PairTokenizer.make_per_language(en, ru)
-    assert not pt.shared
-    assert bpe_decode(en, pt.encode_source("the cat")) == "the cat"
-    assert bpe_decode(ru, pt.encode_target("кот сидит")) == "кот сидит"
-
-
-def test_per_language_rejects_same_model(fixture_bpe):
-    with pytest.raises(ValueError):
-        PairTokenizer.make_per_language(fixture_bpe, fixture_bpe)

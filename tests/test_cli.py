@@ -84,6 +84,26 @@ def test_default_threads_env(monkeypatch):
     assert _default_threads() == 1
 
 
+def test_failed_run_leaves_no_output_file(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"fine line\n\xff\xfe broken\n")
+    out = tmp_path / "out.txt"
+    assert run(["normalize", str(bad), "-o", str(out)]) == 1
+    assert "error: UnicodeDecodeError:" in capsys.readouterr().err
+    assert not out.exists()
+
+    out.write_text("previous contents\n", encoding="utf-8")
+    assert run(["normalize", str(bad), "-o", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "previous contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "out.txt"]
+
+    good = tmp_path / "good.txt"
+    _write(good, ["a  b"])
+    assert run(["normalize", str(good), "-o", str(out)]) == 0
+    assert _read(out) == ["a b"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "good.txt", "out.txt"]
+
+
 # ---------------------------------------------------------------------------
 # text commands
 
@@ -185,6 +205,18 @@ def test_bpe_encode_deterministic(tmp_path):
          "-o", str(plain)])
     for dropped, whole in zip(_read(out1), _read(plain)):
         assert len(dropped.split()) >= len(whole.split())
+
+
+@pytest.mark.parametrize("command", ["bpe-encode", "bpe-decode"])
+def test_bpe_model_without_specials_is_named_error(tmp_path, capsys, command):
+    model = tmp_path / "codes.bpe"
+    model.write_text("bpe-v1 10\na\t0\nb\t1\n\n", encoding="utf-8")
+    inp = tmp_path / "in.txt"
+    _write(inp, ["0 1"])
+    out = tmp_path / "out.txt"
+    assert run([command, str(inp), "--model", str(model), "-o", str(out)]) == 1
+    assert "error: ModelFormatError:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
