@@ -2,11 +2,12 @@
 
 Conventions shared by all subcommands: input is a positional path ('-' for
 stdin), data goes to --output/-o ('-' for stdout), logs go to stderr, all
-randomness flows from --seed, and --threads (or MTKIT_THREADS) sizes worker
-pools whose output is byte-identical to the single-threaded run. Every output
-file is written to a temporary file beside it and renamed into place only
-when the subcommand succeeds, so a failed run leaves no partial file behind
-and an existing file unchanged.
+randomness flows from --seed. filter, decode, sample and tune-lambda accept
+--threads so existing scripts keep working, but ignore it: every stage runs
+on one thread, because worker pools bound by the interpreter lock ran slower
+than one thread. Every output file is written to a temporary file beside it
+and renamed into place only when the subcommand succeeds, so a failed run
+leaves no partial file behind and an existing file unchanged.
 """
 
 from __future__ import annotations
@@ -18,16 +19,9 @@ import sys
 from dataclasses import replace
 
 from . import bleu, bpe, corpus, decode, domain, models, textnorm
-from .errors import MtkitError
+from .errors import ModelFormatError, MtkitError
 
 CHUNK = 4096
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MTKIT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @contextlib.contextmanager
@@ -176,9 +170,7 @@ def cmd_filter(args) -> int:
         pending: list[corpus.ParallelExample] = []
 
         def flush() -> None:
-            kept, chunk_report = corpus.filter_corpus(
-                pending, cfg, langid, threads=args.threads
-            )
+            kept, chunk_report = corpus.filter_corpus(pending, cfg, langid)
             nonlocal report
             report = report.merge(chunk_report)
             for pair in kept:
@@ -311,8 +303,10 @@ def cmd_avg_checkpoints(args) -> int:
     if args.top_k is not None:
         scored = []
         for path in paths:
-            meta = models.checkpoint_metadata(path)
-            scored.append((float(meta.get("validation_score", 0.0)), path))
+            score = models.checkpoint_metadata(path).get("validation_score", 0.0)
+            if type(score) not in (int, float):
+                raise ModelFormatError(f"{path}: validation_score {score!r} is not a number")
+            scored.append((float(score), path))
         scored.sort(key=lambda sp: (-sp[0], sp[1]))
         paths = [path for _, path in scored[: args.top_k]]
         _log(f"avg-checkpoints: top-{args.top_k} by validation score: {paths}")
@@ -353,7 +347,7 @@ def cmd_decode(args) -> int:
     bpe_model = bpe.load_model(args.bpe) if args.bpe else None
     cfg = _decode_config(args, fusion_lambda=args.fusion_lambda)
     sources = _read_sources(args.input, bpe_model)
-    results = decode.decode_batch(fwd, lm, sources, cfg, threads=args.threads)
+    results = decode.decode_batch(fwd, lm, sources, cfg)
     with _open_out(args.output) as out:
         _write_bodies(out, [cands[0] for cands in results], fwd.eos_id, bpe_model)
     if args.dump:
@@ -369,7 +363,7 @@ def cmd_sample(args) -> int:
         max_len=args.max_len, sample_k=args.k, seed=args.seed
     )
     sources = _read_sources(args.input, bpe_model)
-    cands = decode.sample_batch(fwd, sources, cfg, threads=args.threads)
+    cands = decode.sample_batch(fwd, sources, cfg)
     with _open_out(args.output) as out:
         _write_bodies(out, cands, fwd.eos_id, bpe_model)
     return 0
@@ -459,9 +453,7 @@ def cmd_tune_lambda(args) -> int:
     cfg = _decode_config(args)
     sf_grid = [float(v) for v in args.sf_grid.split(",")]
     ncr_grid = [float(v) for v in args.ncr_grid.split(",")]
-    results = decode.grid_search_lambdas(
-        fwd, rev, lm, sources, refs, cfg, sf_grid, ncr_grid, threads=args.threads
-    )
+    results = decode.grid_search_lambdas(fwd, rev, lm, sources, refs, cfg, sf_grid, ncr_grid)
     with _open_out(args.output) as out:
         for lam_sf, lam_ncr, score in results:
             out.write(f"{lam_sf!r}\t{lam_ncr!r}\t{score:.4f}\n")
@@ -479,7 +471,8 @@ def _add_io(sub, input_positional: bool = True) -> None:
 
 def _add_common(sub) -> None:
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=_default_threads())
+    sub.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility and ignored; every stage runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,7 @@
 The filter cascade applies rules in a fixed order (language id on each
 side, minimum length, maximum length, length ratio, cleanliness score) and
 attributes each rejection to the first rule that fired, so reports are
-reproducible and mergeable across workers.
+reproducible and mergeable across chunks of a stream.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -222,22 +221,17 @@ def filter_pair(pair: ParallelExample, cfg: FilterConfig,
     return None
 
 
-def filter_corpus(pairs, cfg: FilterConfig, langid: LangIdModel | None = None,
-                  threads: int = 1) -> tuple[list[ParallelExample], FilterReport]:
+def filter_corpus(pairs, cfg: FilterConfig,
+                  langid: LangIdModel | None = None) -> tuple[list[ParallelExample], FilterReport]:
     """Apply the cascade to every pair, preserving input order.
 
-    Rules are pure, so mapping them across a thread pool gives byte-identical
-    results to the sequential run.
+    The report counts this call's pairs only; callers that filter a stream
+    chunk by chunk combine the chunk reports with FilterReport.merge.
     """
-    pairs = list(pairs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(lambda p: filter_pair(p, cfg, langid), pairs))
-    else:
-        verdicts = [filter_pair(p, cfg, langid) for p in pairs]
     report = FilterReport()
     kept = []
-    for pair, verdict in zip(pairs, verdicts):
+    for pair in pairs:
+        verdict = filter_pair(pair, cfg, langid)
         report.total += 1
         if verdict is None:
             report.kept += 1

@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -366,24 +365,14 @@ def noisy_channel_rerank(cands: list[Candidate], rev, lm, cfg: NoisyChannelConfi
 # ---------------------------------------------------------------------------
 # batch drivers
 
-def decode_batch(fwd, lm, sources, cfg: DecodeConfig, threads: int = 1):
+def decode_batch(fwd, lm, sources, cfg: DecodeConfig):
     """Beam-decode many sources; output order follows input order."""
-    sources = list(sources)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: beam_search(fwd, lm, s, cfg), sources))
     return [beam_search(fwd, lm, s, cfg) for s in sources]
 
 
-def sample_batch(fwd, sources, cfg: DecodeConfig, threads: int = 1):
+def sample_batch(fwd, sources, cfg: DecodeConfig):
     """Sample one candidate per source with per-line seeds cfg.seed + index."""
-    sources = list(sources)
-    configs = [replace(cfg, seed=cfg.seed + i) for i in range(len(sources))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda sc: topk_sample(fwd, sc[0], sc[1]),
-                                 zip(sources, configs)))
-    return [topk_sample(fwd, s, c) for s, c in zip(sources, configs)]
+    return [topk_sample(fwd, s, replace(cfg, seed=cfg.seed + i)) for i, s in enumerate(sources)]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +437,7 @@ def parse_candidates(lines, eos_id: int | None = None) -> list[list[Candidate]]:
 
 
 def grid_search_lambdas(fwd, rev, lm, sources, refs, cfg: DecodeConfig,
-                        sf_grid, ncr_grid, threads: int = 1):
+                        sf_grid, ncr_grid):
     """Sweep fusion and re-rank weights against references; BLEU per point.
 
     Returns a list of (lambda_sf, lambda_ncr, bleu_score) tuples in grid
@@ -459,7 +448,7 @@ def grid_search_lambdas(fwd, rev, lm, sources, refs, cfg: DecodeConfig,
     eos = _as_scorer(fwd).eos_id
     for lam_sf in sf_grid:
         decode_cfg = replace(cfg, fusion_lambda=lam_sf)
-        cands_per_sentence = decode_batch(fwd, lm, sources, decode_cfg, threads=threads)
+        cands_per_sentence = decode_batch(fwd, lm, sources, decode_cfg)
         for lam_ncr in ncr_grid:
             winners = []
             for source, cands in zip(sources, cands_per_sentence):

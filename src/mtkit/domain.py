@@ -49,10 +49,6 @@ class DomainClassifier:
         return 1.0 / (1.0 + math.exp(-z))
 
 
-def domain_score(clf: DomainClassifier, text: str) -> float:
-    return clf.score(text)
-
-
 @dataclass(frozen=True)
 class SelectionConfig:
     stage1_threshold: float = 0.5

@@ -59,7 +59,7 @@ class VocabMismatchError(MtkitError):
 
 
 class EmptyEnsembleError(MtkitError):
-    """ensemble_next_dist received no scorers."""
+    """An ensemble was built from no scorers."""
 
 
 class SearchSpaceTooLargeError(MtkitError):

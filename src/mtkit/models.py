@@ -10,7 +10,10 @@ know which kind of model is behind them.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -60,13 +63,16 @@ def checkpoint_average(checkpoints: list[Checkpoint]) -> Checkpoint:
     names = _check_compatible(
         [{n: a.shape for n, a in c.tensors.items()} for c in checkpoints]
     )
-    k = len(checkpoints)
-    out = {}
-    for name in names:
-        stack = np.stack([c.tensors[name].astype(np.float64) for c in checkpoints])
-        stack.sort(axis=0)
-        out[name] = (stack.sum(axis=0) / k).astype(np.float32)
-    return Checkpoint(tensors=out, metadata={"source_count": k})
+    out = {name: _sorted_mean([c.tensors[name] for c in checkpoints]) for name in names}
+    return Checkpoint(tensors=out, metadata={"source_count": len(checkpoints)})
+
+
+def _sorted_mean(arrays: list) -> np.ndarray:
+    """f32 mean of equal-shaped arrays: sort the k values per element, sum
+    them in f64, divide by k. Sorting makes the input order irrelevant."""
+    stack = np.array(arrays, dtype=np.float64)
+    stack.sort(axis=0)
+    return (stack.sum(axis=0) / len(arrays)).astype(np.float32)
 
 
 def _check_compatible(shape_maps: list[dict]) -> list[str]:
@@ -82,135 +88,158 @@ def _check_compatible(shape_maps: list[dict]) -> list[str]:
     return sorted(first)
 
 
+# Container: magic NMTC, u32 version, u64 header length, a JSON header
+# {"metadata": {...}, "tensors": [{"name", "shape", "dtype", "offset"}, ...]},
+# then raw little-endian f32 payloads in sorted-name order; offsets count
+# from the end of the header.
 _MAGIC = b"NMTC"
 _VERSION = 1
+_PREFIX = struct.Struct("<4sIQ")
 
 
-def _checkpoint_header(ckpt: Checkpoint) -> tuple[bytes, list[str]]:
-    names = sorted(ckpt.tensors)
+def _write_checkpoint(path, metadata: dict, shapes: dict, tensor) -> None:
+    """Write a container with tensors named and shaped by `shapes`.
+
+    tensor(name) supplies each payload, called once per name in sorted
+    order just before it is written, so a caller can compute tensors one
+    at a time instead of holding them all.
+    """
+    names = sorted(shapes)
     entries = []
     offset = 0
     for name in names:
-        arr = ckpt.tensors[name]
-        entries.append(
-            {"name": name, "shape": list(arr.shape), "dtype": "f32", "offset": offset}
-        )
-        offset += arr.size * 4
-    header = {"metadata": ckpt.metadata, "tensors": entries}
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"), names
+        shape = list(shapes[name])
+        entries.append({"name": name, "shape": shape, "dtype": "f32", "offset": offset})
+        offset += math.prod(shape) * 4
+    header = json.dumps(
+        {"metadata": metadata, "tensors": entries}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
+        fh.write(header)
+        for name in names:
+            fh.write(np.asarray(tensor(name), dtype="<f4").tobytes())
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Binary container: magic NMTC, u32 version, u64 header length, JSON
-    header, then raw little-endian f32 payloads in header order."""
-    header_bytes, names = _checkpoint_header(ckpt)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for name in names:
-            fh.write(ckpt.tensors[name].astype("<f4").tobytes())
+    """Write ckpt as an NMTC container (layout above); the same checkpoint
+    always gives the same bytes."""
+    shapes = {name: arr.shape for name, arr in ckpt.tensors.items()}
+    _write_checkpoint(path, ckpt.metadata, shapes, ckpt.tensors.__getitem__)
 
 
-def _read_header(fh, path):
-    magic = fh.read(4)
-    if magic != _MAGIC:
-        raise ModelFormatError(f"{path}: bad magic {magic!r}")
-    (version,) = struct.unpack("<I", fh.read(4))
+def _file_size(fh) -> int:
+    return os.fstat(fh.fileno()).st_size
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _read_header(fh, path) -> tuple[dict, list[dict], int]:
+    """Parse and check the header; return (metadata, tensor entries, payload start).
+
+    Any defect raises ModelFormatError: short or wrong magic, version and
+    length fields, a header that is not a UTF-8 JSON object, or a tensor
+    entry without a string name and dtype, a list of non-negative int
+    dimensions as shape, and a non-negative int offset. Payloads are not
+    read here.
+    """
+    prefix = fh.read(_PREFIX.size)
+    if prefix[:4] != _MAGIC:
+        raise ModelFormatError(f"{path}: bad magic {prefix[:4]!r}")
+    if len(prefix) < _PREFIX.size:
+        raise ModelFormatError(f"{path}: truncated header prefix")
+    _, version, hlen = _PREFIX.unpack(prefix)
     if version != _VERSION:
         raise ModelFormatError(f"{path}: unsupported version {version}")
-    (hlen,) = struct.unpack("<Q", fh.read(8))
-    header = json.loads(fh.read(hlen).decode("utf-8"))
-    payload_start = 4 + 4 + 8 + hlen
-    return header, payload_start
+    payload_start = _PREFIX.size + hlen
+    if payload_start > _file_size(fh):
+        raise ModelFormatError(f"{path}: header runs past the end of the file")
+    try:
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise ModelFormatError(f"{path}: header is not a JSON object")
+    metadata = header.get("metadata", {})
+    entries = header.get("tensors")
+    if not isinstance(metadata, dict) or not isinstance(entries, list):
+        raise ModelFormatError(f"{path}: header needs a metadata object and a tensors list")
+    names = set()
+    for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("dtype"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(_is_count(d) for d in entry["shape"])
+            and _is_count(entry.get("offset"))
+        ):
+            raise ModelFormatError(f"{path}: malformed tensor entry {entry!r}")
+        if entry["name"] in names:
+            raise ModelFormatError(f"{path}: duplicate tensor {entry['name']!r}")
+        names.add(entry["name"])
+    return metadata, entries, payload_start
+
+
+def _read_tensor(fh, path, payload_start: int, entry: dict) -> np.ndarray:
+    """Read one payload described by a checked header entry as a writable
+    f32 array; a wrong dtype, a short payload or a non-finite value raises
+    ModelFormatError."""
+    if entry["dtype"] != "f32":
+        raise ModelFormatError(f"{path}: unsupported dtype {entry['dtype']}")
+    shape = tuple(entry["shape"])
+    nbytes = math.prod(shape) * 4
+    start = payload_start + entry["offset"]
+    if start + nbytes > _file_size(fh):
+        raise ModelFormatError(f"{path}: truncated payload for {entry['name']!r}")
+    fh.seek(start)
+    arr = np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape).copy()
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"{path}: tensor {entry['name']!r} contains non-finite values")
+    return arr
 
 
 def checkpoint_metadata(path) -> dict:
     """Read just the metadata block, leaving payloads untouched."""
     with open(path, "rb") as fh:
-        header, _ = _read_header(fh, path)
-    return header.get("metadata", {})
+        metadata, _, _ = _read_header(fh, path)
+    return metadata
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        header, payload_start = _read_header(fh, path)
-        tensors = {}
-        for entry in header["tensors"]:
-            if entry["dtype"] != "f32":
-                raise ModelFormatError(f"{path}: unsupported dtype {entry['dtype']}")
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            fh.seek(payload_start + entry["offset"])
-            raw = fh.read(count * 4)
-            if len(raw) != count * 4:
-                raise ModelFormatError(f"{path}: truncated payload for {entry['name']!r}")
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    return Checkpoint(tensors=tensors, metadata=header.get("metadata", {}))
+        metadata, entries, payload_start = _read_header(fh, path)
+        tensors = {e["name"]: _read_tensor(fh, path, payload_start, e) for e in entries}
+    return Checkpoint(tensors=tensors, metadata=metadata)
 
 
 def average_checkpoint_files(paths: list, out_path) -> None:
-    """Average checkpoint files tensor by tensor.
+    """Average checkpoint files tensor by tensor into out_path.
 
-    Only k copies of one tensor are resident at a time, so memory is bounded
-    by the largest tensor rather than the full checkpoint size.
+    The output equals save_checkpoint(checkpoint_average(...)) of the loaded
+    files, byte for byte, but only k copies of one tensor are resident at a
+    time, so memory is bounded by the largest tensor rather than the full
+    checkpoint size.
     """
     if not paths:
         raise EmptyCheckpointListError("no checkpoint files given")
-    handles = [open(p, "rb") for p in paths]
-    try:
-        headers = []
-        for fh, p in zip(handles, paths):
-            headers.append(_read_header(fh, p))
-        names = _check_compatible(
-            [
-                {e["name"]: tuple(e["shape"]) for e in header["tensors"]}
-                for header, _ in headers
-            ]
-        )
-        entry_maps = [
-            {e["name"]: e for e in header["tensors"]} for header, _ in headers
-        ]
-        k = len(paths)
-        shapes = {name: tuple(entry_maps[0][name]["shape"]) for name in names}
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(p, "rb")) for p in paths]
+        headers = [_read_header(fh, p) for fh, p in zip(handles, paths)]
+        entry_maps = [{e["name"]: e for e in entries} for _, entries, _ in headers]
+        _check_compatible([{n: e["shape"] for n, e in m.items()} for m in entry_maps])
 
-        out_entries = []
-        offset = 0
-        for name in names:
-            shape = shapes[name]
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            out_entries.append(
-                {"name": name, "shape": list(shape), "dtype": "f32", "offset": offset}
-            )
-            offset += count * 4
-        out_header = {
-            "metadata": {"source_count": k},
-            "tensors": out_entries,
-        }
-        header_bytes = json.dumps(out_header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        def mean(name: str) -> np.ndarray:
+            return _sorted_mean([
+                _read_tensor(fh, p, payload_start, entries[name])
+                for fh, p, (_, _, payload_start), entries
+                in zip(handles, paths, headers, entry_maps)
+            ])
 
-        with open(out_path, "wb") as out:
-            out.write(_MAGIC)
-            out.write(struct.pack("<I", _VERSION))
-            out.write(struct.pack("<Q", len(header_bytes)))
-            out.write(header_bytes)
-            for name in names:
-                shape = shapes[name]
-                count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-                parts = []
-                for fh, (header, payload_start), entries in zip(handles, headers, entry_maps):
-                    fh.seek(payload_start + entries[name]["offset"])
-                    raw = fh.read(count * 4)
-                    if len(raw) != count * 4:
-                        raise ModelFormatError(f"truncated payload for {name!r}")
-                    parts.append(np.frombuffer(raw, dtype="<f4").astype(np.float64))
-                stack = np.stack(parts)
-                stack.sort(axis=0)
-                out.write((stack.sum(axis=0) / k).astype("<f4").tobytes())
-    finally:
-        for fh in handles:
-            fh.close()
+        shapes = {name: e["shape"] for name, e in entry_maps[0].items()}
+        _write_checkpoint(out_path, {"source_count": len(paths)}, shapes, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +525,16 @@ def load_ngram_scorer(path) -> NGramScorer:
 # ensembling
 
 def ensemble_next_dist(scorers: list[Scorer], source, prefix) -> np.ndarray:
-    """Mean of the members' next-token distributions."""
-    if not scorers:
-        raise EmptyEnsembleError("ensemble needs at least one scorer")
-    sizes = {s.vocab_size for s in scorers}
-    if len(sizes) > 1:
-        raise VocabMismatchError(f"member vocab sizes differ: {sorted(sizes)}")
-    acc = np.zeros(scorers[0].vocab_size)
-    for s in scorers:
-        acc += s.next_dist(source, prefix)
-    return acc / len(scorers)
+    """Mean of the members' next-token distributions (see EnsembleScorer)."""
+    return EnsembleScorer(scorers).next_dist(source, prefix)
 
 
 class EnsembleScorer(Scorer):
-    """Scorer view of a model list; next_dist is the member mean."""
+    """Scorer view of a model list; next_dist is the member mean.
+
+    Members are checked once, here: at least one, with equal vocab sizes and
+    eos ids.
+    """
 
     def __init__(self, scorers: list[Scorer]):
         if not scorers:
@@ -525,7 +550,10 @@ class EnsembleScorer(Scorer):
         self.eos_id = scorers[0].eos_id
 
     def next_dist(self, source, prefix) -> np.ndarray:
-        return ensemble_next_dist(self.scorers, source, prefix)
+        acc = np.zeros(self.vocab_size)
+        for s in self.scorers:
+            acc += s.next_dist(source, prefix)
+        return acc / len(self.scorers)
 
 
 def load_scorer(path) -> Scorer:

@@ -104,11 +104,6 @@ def nonbreaking_prefixes(lang: str) -> frozenset[str]:
     return _PREFIX_CACHE[lang]
 
 
-def load_prefixes(path) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
-
-
 def _split_chunk(chunk: str, prefixes: frozenset[str]) -> list[str]:
     head: list[str] = []
     while chunk and chunk[0] in _LEADING:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mtkit import models, textnorm
-from mtkit.cli import _default_threads, run
+from mtkit.cli import run
 from mtkit.decode import (
     Candidate,
     DecodeConfig,
@@ -71,17 +71,6 @@ def test_missing_file_reports_error_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert any(l.startswith("error: FileNotFoundError:") for l in err.splitlines())
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.setenv("MTKIT_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("MTKIT_THREADS", "notanumber")
-    assert _default_threads() == 1
-    monkeypatch.setenv("MTKIT_THREADS", "-4")
-    assert _default_threads() == 1
-    monkeypatch.delenv("MTKIT_THREADS")
-    assert _default_threads() == 1
 
 
 def test_failed_run_leaves_no_output_file(tmp_path, capsys):
@@ -429,6 +418,41 @@ def test_avg_checkpoints_mean_and_top_k(tmp_path):
     loaded = models.load_checkpoint(best)
     np.testing.assert_array_equal(
         loaded.tensors["w"], np.array([3.0, 5.0], dtype=np.float32))
+
+
+@pytest.mark.parametrize("cut", [5, 20, -4])
+def test_avg_checkpoints_truncated_input_exits_1(tmp_path, capsys, cut):
+    good = tmp_path / "good.nmtc"
+    models.save_checkpoint(models.Checkpoint({"w": np.array([1.0, 3.0], dtype=np.float32)}), good)
+    bad = tmp_path / "bad.nmtc"
+    bad.write_bytes(good.read_bytes()[:cut])
+    out = tmp_path / "avg.nmtc"
+    assert run(["avg-checkpoints", str(good), str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: ModelFormatError:" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.nmtc", "good.nmtc"]
+
+
+@pytest.mark.parametrize("score", [[1], None, "0.5", True])
+def test_avg_checkpoints_top_k_needs_numeric_score(tmp_path, capsys, score):
+    path = tmp_path / "c.nmtc"
+    models.save_checkpoint(models.Checkpoint({"w": np.zeros(2, dtype=np.float32)},
+                                             {"validation_score": score}), path)
+    out = tmp_path / "avg.nmtc"
+    assert run(["avg-checkpoints", str(path), "-o", str(out), "--top-k", "1"]) == 1
+    assert "error: ModelFormatError:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_avg_checkpoints_rejects_non_f32_dtype(tmp_path, capsys):
+    path = tmp_path / "f16.nmtc"
+    models.save_checkpoint(models.Checkpoint({"w": np.array([1.0, 3.0], dtype=np.float32)}), path)
+    path.write_bytes(path.read_bytes().replace(b'"dtype":"f32"', b'"dtype":"f16"'))
+    out = tmp_path / "avg.nmtc"
+    assert run(["avg-checkpoints", str(path), str(path), "-o", str(out)]) == 1
+    assert "error: ModelFormatError:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -181,14 +181,6 @@ def test_filter_corpus_deterministic(planted_filter_fixture, langid_model):
     assert kept1 == kept2 and report1 == report2
 
 
-def test_filter_corpus_threads_match_sequential(planted_filter_fixture, langid_model):
-    pairs, _ = planted_filter_fixture
-    cfg = FilterConfig(required_langs=("en", "de"))
-    seq_kept, seq_report = filter_corpus(pairs, cfg, langid_model, threads=1)
-    par_kept, par_report = filter_corpus(pairs, cfg, langid_model, threads=4)
-    assert par_kept == seq_kept and par_report == seq_report
-
-
 def test_filter_corpus_order_preserved(planted_filter_fixture, langid_model):
     pairs, _ = planted_filter_fixture
     kept, _ = filter_corpus(pairs, FilterConfig(required_langs=("en", "de")), langid_model)

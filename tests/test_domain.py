@@ -9,7 +9,6 @@ from mtkit.domain import (
     DomainClassifier,
     SelectionConfig,
     bilingual_select,
-    domain_score,
     domain_train,
     load_classifier,
     save_classifier,
@@ -89,7 +88,7 @@ def test_score_in_unit_interval(clf_en):
 
 def test_score_deterministic(clf_en):
     line = " ".join(MED_EN[:5])
-    assert clf_en.score(line) == clf_en.score(line) == domain_score(clf_en, line)
+    assert clf_en.score(line) == clf_en.score(line)
 
 
 def test_doubling_preserves_sign(clf_en):

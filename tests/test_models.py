@@ -1,6 +1,8 @@
 """Checkpoint storage/averaging, table and n-gram scorers, ensembling."""
 
+import json
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -183,6 +185,120 @@ def test_file_averaging_empty_list(tmp_path):
         average_checkpoint_files([], tmp_path / "x.ckpt")
 
 
+def _container(header, payload=b"", version=1) -> bytes:
+    """Raw NMTC bytes: magic, version, header length, header, payload."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode("utf-8")
+    return b"NMTC" + struct.pack("<IQ", version, len(header)) + header + payload
+
+
+def _checkpoint_readers(path, tmp_path):
+    return [
+        lambda: load_checkpoint(path),
+        lambda: checkpoint_metadata(path),
+        lambda: average_checkpoint_files([path, path], tmp_path / "avg.ckpt"),
+    ]
+
+
+def test_non_f32_dtype_rejected_by_every_reader(tmp_path):
+    entry = {"name": "w", "shape": [2], "dtype": "f16", "offset": 0}
+    path = tmp_path / "f16.ckpt"
+    path.write_bytes(_container({"metadata": {}, "tensors": [entry]}, b"\0" * 8))
+    with pytest.raises(ModelFormatError, match="dtype"):
+        load_checkpoint(path)
+    with pytest.raises(ModelFormatError, match="dtype"):
+        average_checkpoint_files([path, path], tmp_path / "avg.ckpt")
+
+
+def _entry(**changes):
+    entry = {"name": "w", "shape": [2], "dtype": "f32", "offset": 0}
+    entry.update(changes)
+    return {k: v for k, v in entry.items() if v is not _MISSING}
+
+
+_MISSING = object()
+
+_BAD_CONTAINERS = {
+    "magic only": b"NMTC",
+    "short version": b"NMTC\x01",
+    "short length": b"NMTC" + struct.pack("<I", 1) + b"\x05\x00",
+    "length past end": b"NMTC" + struct.pack("<IQ", 1, 2**63) + b"{}",
+    "version 2": _container({"tensors": []}, version=2),
+    "not utf-8": _container(b'{"tensors": [], "x": "\xff"}'),
+    "not json": _container(b'{"tensors": ['),
+    "json list": _container([]),
+    "no tensors": _container({"metadata": {}}),
+    "tensors not a list": _container({"tensors": {"w": 1}}),
+    "metadata not an object": _container({"metadata": [1], "tensors": []}),
+    "entry not an object": _container({"tensors": ["w"]}),
+    "missing name": _container({"tensors": [_entry(name=_MISSING)]}),
+    "int name": _container({"tensors": [_entry(name=3)]}),
+    "missing shape": _container({"tensors": [_entry(shape=_MISSING)]}),
+    "string shape": _container({"tensors": [_entry(shape="2")]}),
+    "negative dim": _container({"tensors": [_entry(shape=[-2])]}),
+    "float dim": _container({"tensors": [_entry(shape=[2.0])]}),
+    "bool dim": _container({"tensors": [_entry(shape=[True])]}),
+    "missing dtype": _container({"tensors": [_entry(dtype=_MISSING)]}),
+    "null dtype": _container({"tensors": [_entry(dtype=None)]}),
+    "missing offset": _container({"tensors": [_entry(offset=_MISSING)]}),
+    "negative offset": _container({"tensors": [_entry(offset=-4)]}),
+    "string offset": _container({"tensors": [_entry(offset="0")]}),
+    "duplicate name": _container({"tensors": [_entry(), _entry(offset=8)]}, b"\0" * 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONTAINERS))
+def test_malformed_header_raises_model_format_error(tmp_path, case):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_BAD_CONTAINERS[case])
+    for read in _checkpoint_readers(path, tmp_path):
+        with pytest.raises(ModelFormatError):
+            read()
+
+
+def test_huge_shape_is_a_truncated_payload(tmp_path):
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(_container({"tensors": [_entry(shape=[2**40, 2**40])]}, b"\0" * 8))
+    with pytest.raises(ModelFormatError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_non_finite_payload_rejected(tmp_path):
+    path = tmp_path / "nan.ckpt"
+    path.write_bytes(_container({"tensors": [_entry()]}, np.array([1, np.inf], "<f4").tobytes()))
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        load_checkpoint(path)
+
+
+def test_load_fuzzed_checkpoint_files(tmp_path):
+    """Truncated or garbled files load or raise ModelFormatError, in every reader."""
+    rng = random.Random(12)
+    ckpt = _random_checkpoint(rng)
+    ckpt.tensors["scalar"] = np.float32(0.5)
+    ckpt.tensors["empty"] = np.zeros((0, 3), dtype=np.float32)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(Checkpoint(ckpt.tensors, ckpt.metadata), path)
+    data = path.read_bytes()
+    variants = [data[:n] for n in range(len(data))]
+    for _ in range(400):
+        garbled = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            garbled[rng.randrange(len(garbled))] = rng.choice(
+                [*b'0123456789-.,[]{}":fe', rng.randrange(256)]
+            )
+        variants.append(bytes(garbled))
+    succeeded = 0
+    for blob in variants:
+        path.write_bytes(blob)
+        for read in _checkpoint_readers(path, tmp_path):
+            try:
+                read()
+            except ModelFormatError:
+                continue
+            succeeded += 1
+    assert 0 < succeeded < 3 * len(variants)
+
+
 # ---------------------------------------------------------------------------
 # ensembling
 
@@ -254,6 +370,13 @@ def test_ensemble_scorer_eos_mismatch():
     b = _FixedScorer([0.5, 0.5], eos_id=1)
     with pytest.raises(VocabMismatchError):
         EnsembleScorer([a, b])
+
+
+def test_ensemble_next_dist_eos_mismatch():
+    a = _FixedScorer([0.5, 0.5], eos_id=0)
+    b = _FixedScorer([0.5, 0.5], eos_id=1)
+    with pytest.raises(VocabMismatchError, match="eos"):
+        ensemble_next_dist([a, b], (), ())
 
 
 # ---------------------------------------------------------------------------

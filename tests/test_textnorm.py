@@ -10,7 +10,6 @@ from mtkit.textnorm import (
     NormalizationRules,
     detokenize,
     german_quote_postprocess,
-    load_prefixes,
     load_rules,
     nonbreaking_prefixes,
     normalize_punct,
@@ -134,12 +133,6 @@ def test_tokenize_explicit_prefixes_override():
 
 def test_tokenize_unknown_language_prefixes_empty():
     assert nonbreaking_prefixes("xx") == frozenset()
-
-
-def test_load_prefixes_file(tmp_path):
-    path = tmp_path / "p.txt"
-    path.write_text("abc\n\n  def \n", encoding="utf-8")
-    assert load_prefixes(path) == frozenset({"abc", "def"})
 
 
 # ---------------------------------------------------------------------------
