@@ -125,8 +125,9 @@ def oracle_select(cands, ref, eos_id=None):
     return best_cand, best_score
 
 
-def oracle_corpus_bleu(cands_per_sentence, refs, eos_id=None) -> BleuResult:
-    """Corpus BLEU of the per-sentence oracle winners."""
+def oracle_corpus_bleu(cands_per_sentence, refs, eos_id=None) -> tuple[BleuResult, list[list]]:
+    """Corpus BLEU of the per-sentence oracle winners, and the winners'
+    tokens (one trailing eos stripped when eos_id is given)."""
     if len(cands_per_sentence) != len(refs):
         raise LengthMismatchError(
             f"{len(cands_per_sentence)} candidate lists vs {len(refs)} references"
@@ -135,4 +136,4 @@ def oracle_corpus_bleu(cands_per_sentence, refs, eos_id=None) -> BleuResult:
         _hyp_tokens(oracle_select(cands, ref, eos_id)[0], eos_id)
         for cands, ref in zip(cands_per_sentence, refs)
     ]
-    return corpus_bleu(winners, refs)
+    return corpus_bleu(winners, refs), winners

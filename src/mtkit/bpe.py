@@ -13,7 +13,13 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .errors import EmptyCorpusError, ModelFormatError, UnknownIdError, VocabTooSmallError
+from .errors import (
+    EmptyCorpusError,
+    ModelFormatError,
+    UnknownIdError,
+    VocabTooSmallError,
+    model_file,
+)
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 WORD_END = "</w>"
@@ -232,44 +238,27 @@ def save_model(model: BpeModel, path) -> None:
             fh.write(f"{left} {right}\n")
 
 
-def _parse_int(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ModelFormatError(f"{where}: expected an integer, got {text!r}") from None
-
-
 def load_model(path) -> BpeModel:
     """Read a `save_model` file; any malformed or inconsistent content raises
     ModelFormatError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "bpe-v1":
-        raise ModelFormatError(f"{path}: expected header 'bpe-v1 <vocab_size>'")
-    vocab_size = _parse_int(header[1], f"{path}:1")
     vocab: dict[str, int] = {}
     merges: list[tuple[str, str]] = []
-    section = "vocab"
-    for lineno, line in enumerate(lines[1:], start=2):
-        if section == "vocab":
+    with model_file(path, "bpe-v1") as (header, lines):
+        vocab_size = int(header)
+        for lineno, line in lines:
             if line == "":
-                section = "merges"
-                continue
+                break  # end of the vocab section; merges follow
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ModelFormatError(f"{path}:{lineno}: expected token<TAB>id")
             if parts[0] in vocab:
                 raise ModelFormatError(f"{path}:{lineno}: duplicate token {parts[0]!r}")
-            vocab[parts[0]] = _parse_int(parts[1], f"{path}:{lineno}")
-        else:
+            vocab[parts[0]] = int(parts[1])
+        for lineno, line in lines:
             if line == "":
                 continue
             parts = line.split(" ")
             if len(parts) != 2:
                 raise ModelFormatError(f"{path}:{lineno}: expected 'left right'")
             merges.append((parts[0], parts[1]))
-    return BpeModel(merges=merges, vocab=vocab, vocab_size=vocab_size)
+        return BpeModel(merges=merges, vocab=vocab, vocab_size=vocab_size)

@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import replace
 
 from . import bleu, bpe, corpus, decode, domain, models, textnorm
 from .errors import ModelFormatError, MtkitError
@@ -421,18 +420,7 @@ def cmd_oracle_bleu(args) -> int:
         cands_per_sentence = decode.parse_candidates(fh, eos_id=args.eos_id)
     with open(args.ref, encoding="utf-8") as fh:
         refs = [_parse_ids(line) for line in fh]
-    if len(cands_per_sentence) != len(refs):
-        raise ValueError(
-            f"{len(cands_per_sentence)} dumped sentences vs {len(refs)} references"
-        )
-    winners = []
-    for cands, ref in zip(cands_per_sentence, refs):
-        cand, _ = bleu.oracle_select(cands, ref, eos_id=args.eos_id)
-        tokens = list(cand.tokens)
-        if args.eos_id is not None and tokens and tokens[-1] == args.eos_id:
-            tokens = tokens[:-1]
-        winners.append(tokens)
-    result = bleu.corpus_bleu(winners, refs)
+    result, winners = bleu.oracle_corpus_bleu(cands_per_sentence, refs, eos_id=args.eos_id)
     if args.selected:
         with _staged(args.selected) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             for tokens in winners:

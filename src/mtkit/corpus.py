@@ -16,7 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyCorpusListError, EmptyTextError, ModelFormatError, SingleClassCorpusError
+from .errors import (
+    EmptyCorpusListError,
+    EmptyTextError,
+    ModelFormatError,
+    SingleClassCorpusError,
+    model_file,
+)
 
 
 class Provenance(Enum):
@@ -105,6 +111,8 @@ class LangIdModel:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64)
         self.n_features = n_features
+        if n_features < 1:
+            raise ModelFormatError(f"n_features must be positive, got {n_features}")
         if self.weights.shape != (n_features, len(langs)) or self.bias.shape != (len(langs),):
             raise ModelFormatError("langid weight shapes inconsistent with langs/n_features")
 
@@ -163,15 +171,12 @@ def save_langid(model: LangIdModel, path) -> None:
 
 
 def load_langid(path) -> LangIdModel:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "langid-v1":
-            raise ModelFormatError(f"{path}: expected header 'langid-v1 <n_features>'")
-        n_features = int(header[1])
-        langs = None
-        bias = None
-        weights = None
-        for line in fh:
+    langs = None
+    bias = None
+    weights = None
+    with model_file(path, "langid-v1") as (header, lines):
+        n_features = int(header)
+        for lineno, line in lines:
             parts = line.split()
             if not parts:
                 continue
@@ -182,13 +187,19 @@ def load_langid(path) -> LangIdModel:
                 bias = np.array([float(v) for v in parts[1:]])
             elif parts[0] == "w":
                 if weights is None:
-                    raise ModelFormatError(f"{path}: weight line before langs line")
-                weights[int(parts[1])] = [float(v) for v in parts[2:]]
+                    raise ModelFormatError(f"{path}:{lineno}: weight line before langs line")
+                row = int(parts[1])
+                if not 0 <= row < n_features or len(parts) != 2 + len(langs):
+                    raise ModelFormatError(
+                        f"{path}:{lineno}: expected 'w <row in [0, {n_features})>' "
+                        f"and {len(langs)} weights"
+                    )
+                weights[row] = [float(v) for v in parts[2:]]
             else:
-                raise ModelFormatError(f"{path}: unknown line kind {parts[0]!r}")
-    if langs is None or bias is None:
-        raise ModelFormatError(f"{path}: missing langs or bias line")
-    return LangIdModel(langs, weights, bias, n_features)
+                raise ModelFormatError(f"{path}:{lineno}: unknown line kind {parts[0]!r}")
+        if langs is None or bias is None:
+            raise ModelFormatError(f"{path}: missing langs or bias line")
+        return LangIdModel(langs, weights, bias, n_features)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +255,9 @@ def filter_corpus(pairs, cfg: FilterConfig,
 # ---------------------------------------------------------------------------
 # reversal and mixing
 
-def reverse_target(pair: ParallelExample,
-                   provenance: Provenance | None = None) -> ParallelExample:
-    """Reverse the target token order; an involution when provenance is None.
-
-    Distillation paths pass provenance=Provenance.R2L_DISTILLED to tag output.
-    """
-    reversed_target = " ".join(reversed(pair.target.split()))
-    return replace(
-        pair,
-        target=reversed_target,
-        provenance=pair.provenance if provenance is None else provenance,
-    )
+def reverse_target(pair: ParallelExample) -> ParallelExample:
+    """Reverse the target token order; an involution."""
+    return replace(pair, target=" ".join(reversed(pair.target.split())))
 
 
 def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:

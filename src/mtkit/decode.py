@@ -29,7 +29,7 @@ from .errors import (
     SearchSpaceTooLargeError,
     VocabMismatchError,
 )
-from .models import _NORM_TOL, EnsembleScorer, Scorer
+from .models import _NORM_TOL, Scorer
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,10 @@ class Candidate:
 @dataclass(frozen=True)
 class NoisyChannelConfig:
     lambda_ncr: float = 0.6
-    normalize_by_length: bool = False  # experimental: per-token component scores
 
     def __post_init__(self):
         if self.lambda_ncr < 0:
             raise ValueError("lambda_ncr must be >= 0")
-
-
-def _as_scorer(fwd) -> Scorer:
-    """Accept a single scorer or a list to ensemble."""
-    if isinstance(fwd, Scorer):
-        return fwd
-    return EnsembleScorer(list(fwd))
 
 
 def _length_penalty(n: int, alpha: float) -> float:
@@ -88,7 +80,7 @@ def _log_dist(dist: np.ndarray) -> np.ndarray:
         return np.log(dist)
 
 
-def beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]:
+def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> list[Candidate]:
     """Return up to min(n_candidates, beam_size) completed hypotheses.
 
     Every eos-expansion of a surviving partial is recorded. With a length
@@ -106,9 +98,6 @@ def beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]:
     log P_lm at once and sorts only the entries that can reach the beam, so
     every score and tie-break equals the one-token-at-a-time recurrence.
     """
-    fwd = _as_scorer(fwd)
-    if lm is not None:
-        lm = _as_scorer(lm)
     source = tuple(source)
     if not source:
         raise ValueError("source must be non-empty")
@@ -216,15 +205,13 @@ def _finish(entry, lam: float, alpha: float) -> Candidate:
     )
 
 
-def exact_search(fwd, lm, source, max_len: int, fusion_lambda: float = 0.0) -> Candidate:
+def exact_search(fwd: Scorer, lm: Scorer | None, source, max_len: int,
+                 fusion_lambda: float = 0.0) -> Candidate:
     """Score every eos-terminated sequence of length <= max_len; return the argmax.
 
     Shares the beam recurrence arithmetic operation for operation, so it is
     a bit-exact oracle rather than an approximate one.
     """
-    fwd = _as_scorer(fwd)
-    if lm is not None:
-        lm = _as_scorer(lm)
     source = tuple(source)
     lam = fusion_lambda
     if lam > 0 and lm is None:
@@ -273,14 +260,13 @@ def exact_search(fwd, lm, source, max_len: int, fusion_lambda: float = 0.0) -> C
     return best
 
 
-def topk_sample(fwd, source, cfg: DecodeConfig) -> Candidate:
+def topk_sample(fwd: Scorer, source, cfg: DecodeConfig) -> Candidate:
     """Sample one sequence, drawing each step from the renormalized top-k.
 
     sample_k = 1 reduces to greedy decoding (argmax with lowest-id ties).
     fwd_logprob accumulates the raw model probabilities of the sampled
     tokens, not the renormalized ones.
     """
-    fwd = _as_scorer(fwd)
     source = tuple(source)
     rng = random.Random(cfg.seed)
     eos = fwd.eos_id
@@ -305,13 +291,12 @@ def topk_sample(fwd, source, cfg: DecodeConfig) -> Candidate:
     )
 
 
-def sequence_logprob(scorer, source, tokens) -> float:
+def sequence_logprob(scorer: Scorer, source, tokens) -> float:
     """Independent recomputation: sum of per-step log next_dist[token].
 
     Raises VocabMismatchError when a source or target id lies outside the
     scorer's vocab [0, vocab_size).
     """
-    scorer = _as_scorer(scorer)
     source = tuple(source)
     tokens = tuple(tokens)
     for what, ids in (("source", source), ("token", tokens)):
@@ -327,50 +312,40 @@ def sequence_logprob(scorer, source, tokens) -> float:
     return total
 
 
-def noisy_channel_rerank(cands: list[Candidate], rev, lm, cfg: NoisyChannelConfig,
-                         source) -> list[Candidate]:
+def noisy_channel_rerank(cands: list[Candidate], rev: Scorer, lm: Scorer,
+                         cfg: NoisyChannelConfig, source) -> list[Candidate]:
     """Re-rank candidates by fwd + lam * (rev + lm) component sums.
 
     The forward term reuses each candidate's fwd_logprob from decoding (an
     ensemble forward pass already averaged there); the reverse model scores
     the source (plus its own eos) conditioned on the candidate; the language
-    model scores the candidate unconditionally, including its eos. With
-    normalize_by_length each component becomes a per-token average before
-    combining (experimental, off by default). Returns a new sorted list over
-    the same candidate objects; ties keep input order.
+    model scores the candidate unconditionally, including its eos. Returns a
+    new sorted list over the same candidate objects; ties keep input order.
     """
     if not cands:
         raise EmptyCandidateListError("nothing to re-rank")
-    rev = _as_scorer(rev)
-    lm = _as_scorer(lm)
     source = tuple(source)
     rev_target = source + (rev.eos_id,)
     lam = cfg.lambda_ncr
     for cand in cands:
         cand.rev_logprob = sequence_logprob(rev, cand.tokens, rev_target)
         cand.lm_logprob = sequence_logprob(lm, (), cand.tokens)
-        fwd_term, rev_term, lm_term = cand.fwd_logprob, cand.rev_logprob, cand.lm_logprob
-        if cfg.normalize_by_length:
-            n = max(len(cand.tokens), 1)
-            fwd_term, rev_term, lm_term = (
-                fwd_term / n, rev_term / len(rev_target), lm_term / n,
-            )
         if lam == 0:
-            cand.combined_score = fwd_term
+            cand.combined_score = cand.fwd_logprob
         else:
-            cand.combined_score = fwd_term + lam * (rev_term + lm_term)
+            cand.combined_score = cand.fwd_logprob + lam * (cand.rev_logprob + cand.lm_logprob)
     return sorted(cands, key=lambda c: -c.combined_score)
 
 
 # ---------------------------------------------------------------------------
 # batch drivers
 
-def decode_batch(fwd, lm, sources, cfg: DecodeConfig):
+def decode_batch(fwd: Scorer, lm: Scorer | None, sources, cfg: DecodeConfig):
     """Beam-decode many sources; output order follows input order."""
     return [beam_search(fwd, lm, s, cfg) for s in sources]
 
 
-def sample_batch(fwd, sources, cfg: DecodeConfig):
+def sample_batch(fwd: Scorer, sources, cfg: DecodeConfig):
     """Sample one candidate per source with per-line seeds cfg.seed + index."""
     return [topk_sample(fwd, s, replace(cfg, seed=cfg.seed + i)) for i, s in enumerate(sources)]
 
@@ -436,8 +411,8 @@ def parse_candidates(lines, eos_id: int | None = None) -> list[list[Candidate]]:
     ]
 
 
-def grid_search_lambdas(fwd, rev, lm, sources, refs, cfg: DecodeConfig,
-                        sf_grid, ncr_grid):
+def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
+                        cfg: DecodeConfig, sf_grid, ncr_grid):
     """Sweep fusion and re-rank weights against references; BLEU per point.
 
     Returns a list of (lambda_sf, lambda_ncr, bleu_score) tuples in grid
@@ -445,7 +420,7 @@ def grid_search_lambdas(fwd, rev, lm, sources, refs, cfg: DecodeConfig,
     """
     refs = [list(r) for r in refs]
     results = []
-    eos = _as_scorer(fwd).eos_id
+    eos = fwd.eos_id
     for lam_sf in sf_grid:
         decode_cfg = replace(cfg, fusion_lambda=lam_sf)
         cands_per_sentence = decode_batch(fwd, lm, sources, decode_cfg)

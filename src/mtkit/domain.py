@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ParallelExample
-from .errors import EmptyClassError, ModelFormatError
+from .errors import EmptyClassError, ModelFormatError, model_file
 
 
 def _whitespace_tokenize(text: str) -> list[str]:
@@ -28,6 +28,9 @@ def _whitespace_tokenize(text: str) -> list[str]:
 # must reach a 0.90 cutoff even though the double average lands one ulp
 # below 0.9. The slack is far below any meaningful score resolution.
 _THRESHOLD_EPS = 1e-9
+
+# Share of each class held out to measure DomainClassifier.holdout_accuracy.
+HOLDOUT_FRAC = 0.1
 
 
 class DomainClassifier:
@@ -79,8 +82,7 @@ def _fit_logistic(texts: list[list[str]], labels: np.ndarray, vocab: list[str],
 
 
 def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
-                 tokenizer=None, epochs: int = 300, lr: float = 0.5,
-                 holdout_frac: float = 0.1) -> DomainClassifier:
+                 tokenizer=None, epochs: int = 300, lr: float = 0.5) -> DomainClassifier:
     """Train a binary in-domain classifier on equal-sized classes.
 
     The larger class is subsampled to match the smaller. A held-out split is
@@ -105,7 +107,7 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
     neg_toks = [tokenizer(t) for t in negatives]
     vocab = sorted({tok for toks in pos_toks + neg_toks for tok in toks})
 
-    n_hold = int(size * holdout_frac)
+    n_hold = int(size * HOLDOUT_FRAC)
     if n_hold > 0 and size - n_hold > 0:
         order = list(range(size))
         rng.shuffle(order)
@@ -174,14 +176,11 @@ def save_classifier(clf: DomainClassifier, path) -> None:
 
 
 def load_classifier(path, tokenizer=None) -> DomainClassifier:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "domcls-v1":
-            raise ModelFormatError(f"{path}: expected header 'domcls-v1 <lang>'")
-        weights = {}
-        bias = 0.0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+    weights = {}
+    bias = 0.0
+    with model_file(path, "domcls-v1") as (header, lines):
+        (lang,) = header.split()
+        for lineno, line in lines:
             if not line:
                 continue
             tok, _, value = line.partition("\t")
@@ -191,4 +190,4 @@ def load_classifier(path, tokenizer=None) -> DomainClassifier:
                 bias = float(value)
             else:
                 weights[tok] = float(value)
-    return DomainClassifier(header[1], weights, bias, tokenizer)
+    return DomainClassifier(lang, weights, bias, tokenizer)

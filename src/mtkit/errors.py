@@ -1,4 +1,7 @@
-"""Exception types shared across mtkit modules."""
+"""Exception types shared across mtkit modules, and the reader for text model files."""
+
+import contextlib
+import re
 
 
 class MtkitError(Exception):
@@ -7,6 +10,32 @@ class MtkitError(Exception):
 
 class ModelFormatError(MtkitError):
     """A model/config file does not match its declared format."""
+
+
+@contextlib.contextmanager
+def model_file(path, magic: str | None):
+    """Open a UTF-8 text model file whose first word is `magic`.
+
+    Yields (header, lines). header is the rest of the first line after the
+    magic word and one space; with magic None no word is checked and header
+    is the whole first line. lines yields (line number, line without its
+    newline) for each later line, blank lines included, read from the file
+    as the caller iterates, so no file is held in memory whole. A
+    ValueError (UnicodeDecodeError included), IndexError or re.error raised
+    inside the block becomes a ModelFormatError naming the file, so loaders
+    parse fields with plain int(), float(), unpacking and indexing.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline().rstrip("\n")
+            word, _, rest = first.partition(" ")
+            if magic is None:
+                rest = first
+            elif word != magic:
+                raise ModelFormatError(f"{path}: expected a {magic!r} header, got {word!r}")
+            yield rest, ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2))
+    except (ValueError, IndexError, re.error) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 class EmptyCorpusError(MtkitError):

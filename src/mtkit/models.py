@@ -27,6 +27,7 @@ from .errors import (
     NameSetMismatchError,
     ShapeMismatchError,
     VocabMismatchError,
+    model_file,
 )
 
 _NORM_TOL = 1e-6
@@ -329,11 +330,8 @@ def load_table_scorer(path) -> TableScorer:
     eos_token = "eos"
     default = None
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().strip() != "tablescorer-v1":
-            raise ModelFormatError(f"{path}: expected header 'tablescorer-v1'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+    with model_file(path, "tablescorer-v1") as (_, lines):
+        for lineno, line in lines:
             if not line:
                 continue
             kind, _, rest = line.partition(" ")
@@ -351,9 +349,9 @@ def load_table_scorer(path) -> TableScorer:
                 ]
             else:
                 raise ModelFormatError(f"{path}:{lineno}: unknown line kind {kind!r}")
-    if vocab is None or default is None:
-        raise ModelFormatError(f"{path}: missing vocab or default line")
-    return TableScorer(vocab, table, default, eos_token=eos_token)
+        if vocab is None or default is None:
+            raise ModelFormatError(f"{path}: missing vocab or default line")
+        return TableScorer(vocab, table, default, eos_token=eos_token)
 
 
 class NGramScorer(Scorer):
@@ -496,15 +494,12 @@ def save_ngram_scorer(m: NGramScorer, path) -> None:
 
 
 def load_ngram_scorer(path) -> NGramScorer:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "ngram-v1":
-            raise ModelFormatError(f"{path}: expected header 'ngram-v1 <order> <vocab> <eos>'")
-        order, vocab_size, eos_id = int(header[1]), int(header[2]), int(header[3])
-        floor = None
-        weights = None
-        counts = {}
-        for lineno, line in enumerate(fh, start=2):
+    floor = None
+    weights = None
+    counts = {}
+    with model_file(path, "ngram-v1") as (header, lines):
+        order, vocab_size, eos_id = (int(x) for x in header.split())
+        for lineno, line in lines:
             parts = line.split()
             if not parts:
                 continue
@@ -513,21 +508,19 @@ def load_ngram_scorer(path) -> NGramScorer:
             elif parts[0] == "weights":
                 weights = [float(w) for w in parts[1:]]
             elif parts[0] == "count":
-                counts[_parse_ids(parts[1])] = int(parts[2])
+                count = int(parts[2]) if len(parts) == 3 else -1
+                if count < 0:
+                    raise ModelFormatError(f"{path}:{lineno}: expected 'count <ids> <count >= 0>'")
+                counts[_parse_ids(parts[1])] = count
             else:
                 raise ModelFormatError(f"{path}:{lineno}: unknown line kind {parts[0]!r}")
-    if floor is None or weights is None:
-        raise ModelFormatError(f"{path}: missing floor or weights line")
-    return NGramScorer(order, vocab_size, eos_id, counts, weights, floor)
+        if floor is None or weights is None:
+            raise ModelFormatError(f"{path}: missing floor or weights line")
+        return NGramScorer(order, vocab_size, eos_id, counts, weights, floor)
 
 
 # ---------------------------------------------------------------------------
 # ensembling
-
-def ensemble_next_dist(scorers: list[Scorer], source, prefix) -> np.ndarray:
-    """Mean of the members' next-token distributions (see EnsembleScorer)."""
-    return EnsembleScorer(scorers).next_dist(source, prefix)
-
 
 class EnsembleScorer(Scorer):
     """Scorer view of a model list; next_dist is the member mean.
@@ -558,9 +551,8 @@ class EnsembleScorer(Scorer):
 
 def load_scorer(path) -> Scorer:
     """Dispatch on the first header word: table scorer or n-gram model."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().split()
-    kind = first[0] if first else ""
+    with model_file(path, None) as (header, _):
+        kind = header.partition(" ")[0]
     if kind == "tablescorer-v1":
         return load_table_scorer(path)
     if kind == "ngram-v1":

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, model_file
 
 DEFAULT_RULES_VERSION = "moses-lite-1"
 
@@ -52,20 +52,18 @@ class NormalizationRules:
 
 def load_rules(path) -> NormalizationRules:
     """Read an ordered rule table: header `normrules-v1 <tag>`, then pattern<TAB>replacement lines."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    header = lines[0].split(" ", 1)
-    if header[0] != "normrules-v1" or len(header) != 2:
-        raise ModelFormatError(f"{path}: expected header 'normrules-v1 <version>'")
     rules = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ModelFormatError(f"{path}:{lineno}: expected pattern<TAB>replacement")
-        rules.append((re.compile(parts[0]), parts[1]))
-    return NormalizationRules(version=header[1], rules=tuple(rules))
+    with model_file(path, "normrules-v1") as (version, lines):
+        for lineno, line in lines:
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ModelFormatError(f"{path}:{lineno}: expected pattern<TAB>replacement")
+            pattern = re.compile(parts[0])
+            pattern.sub(parts[1], "")  # parses the replacement, so a bad one fails here
+            rules.append((pattern, parts[1]))
+    return NormalizationRules(version=version, rules=tuple(rules))
 
 
 def save_rules(rules: NormalizationRules, path) -> None:

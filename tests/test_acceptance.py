@@ -113,7 +113,7 @@ def test_ensemble_identity_and_hand_mean():
 
         a = TableScorer(["a", "eos"], {((0,), ()): [0.8, 0.2]}, [0.5, 0.5])
         b = TableScorer(["a", "eos"], {((0,), ()): [0.2, 0.8]}, [0.5, 0.5])
-        mean = models.ensemble_next_dist([a, b], (0,), ())
+        mean = models.EnsembleScorer([a, b]).next_dist((0,), ())
         assert mean.tolist() == [0.5, 0.5]
 
 
@@ -155,7 +155,7 @@ def test_oracle_selection_never_scores_below_rank_one(random_decode_instances):
             ref = list(exact_search(fwd, None, source, max_len).tokens[:-1])
             cands_all.append(cands)
             cfg_refs.append(ref or [0])  # references must be non-empty
-        score_oracle = bleu.oracle_corpus_bleu(cands_all, cfg_refs, eos_id=None)
+        score_oracle, _ = bleu.oracle_corpus_bleu(cands_all, cfg_refs, eos_id=None)
         rank1 = [list(c[0].tokens) for c in cands_all]
         score_rank1 = bleu.corpus_bleu(rank1, cfg_refs).score
         assert score_oracle.score >= score_rank1
@@ -172,7 +172,7 @@ def test_oracle_selection_never_scores_below_rank_one(random_decode_instances):
                 variants.append(v)
             rng.shuffle(variants)
             cand_sets.append(variants)
-        oracle = bleu.oracle_corpus_bleu(cand_sets, refs)
+        oracle, _ = bleu.oracle_corpus_bleu(cand_sets, refs)
         rank1 = bleu.corpus_bleu([cs[0] for cs in cand_sets], refs)
         assert oracle.score >= rank1.score
         assert oracle.score == 100.0  # the untouched reference is recoverable

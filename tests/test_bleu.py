@@ -228,10 +228,11 @@ def test_oracle_corpus_dominates_rank1():
         cands = [[rng.choice(vocab) for _ in range(rng.randint(1, 7))] for _ in range(5)]
         refs.append(ref)
         cand_lists.append(cands)
-    oracle = oracle_corpus_bleu(cand_lists, refs)
+    oracle, winners = oracle_corpus_bleu(cand_lists, refs)
     rank1 = corpus_bleu([c[0] for c in cand_lists], refs)
     assert oracle.score >= rank1.score
     assert isinstance(oracle, BleuResult)
+    assert oracle == corpus_bleu(winners, refs)
 
 
 def test_oracle_corpus_length_mismatch():

@@ -208,6 +208,55 @@ def test_bpe_model_without_specials_is_named_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+_NGRAM = "ngram-v1 1 3 2\nfloor 0.01\nweights 1.0\ncount 0 1\n"
+_TABLE = "tablescorer-v1\nvocab a b eos\neos eos\ndefault 0.25 0.25 0.5\n"
+_LANGID = "langid-v1 16\nlangs en ru\nbias 0.0 0.0\nw 1 0.5 -0.5\n"
+_DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
+
+
+@pytest.mark.parametrize("command, good, bad", [
+    pytest.param("decode", _NGRAM, _NGRAM + "count 1\n", id="ngram count missing"),
+    pytest.param("decode", _NGRAM, _NGRAM.replace("ngram-v1 1 3 2", "ngram-v1 3 x 4"),
+                 id="ngram header not int"),
+    pytest.param("decode", _NGRAM, _NGRAM + "count 1 -3\n", id="ngram negative count"),
+    pytest.param("decode", _TABLE, _TABLE.replace("default 0.25 0.25 0.5", "default 0.5 zz"),
+                 id="table default not float"),
+    pytest.param("decode", _TABLE, _TABLE + "ctx 0|- 0.25 0.125 0.125\n",
+                 id="table context sums to 0.5"),
+    pytest.param("normalize", "normrules-v1 x\na\tb\n", "normrules-v1 x\n(unclosed\ty\n",
+                 id="rules bad pattern"),
+    pytest.param("normalize", "normrules-v1 x\na\tb\n", "normrules-v1 x\na\t\\9\n",
+                 id="rules bad replacement"),
+    pytest.param("filter", _LANGID, _LANGID + "w 99 1 1\n", id="langid row past n_features"),
+    pytest.param("filter", _LANGID, _LANGID + "w 1 7\n", id="langid row short"),
+    pytest.param("filter", _LANGID, _LANGID + "w -1 1 1\n", id="langid negative row"),
+    pytest.param("filter", _LANGID, "langid-v1 0\nlangs en ru\nbias 0.0 0.0\n",
+                 id="langid no features"),
+    pytest.param("domain-select", _DOMCLS, _DOMCLS + "bar\tx\n", id="domcls weight not float"),
+    pytest.param("domain-select", _DOMCLS, (_DOMCLS + "caf\xe9\t0.5\n").encode("latin-1"),
+                 id="domcls not utf-8"),
+])
+def test_malformed_model_file_exits_1(tmp_path, capsys, command, good, bad):
+    model = tmp_path / "model.txt"
+    inp = tmp_path / "in.txt"
+    _write(inp, ["0" if command == "decode" else "a b\tc d"])
+    flag = {"decode": ["--model"], "normalize": ["--rules"],
+            "filter": ["--langs", "en,ru", "--langid"],
+            "domain-select": ["--clf-ru", str(model), "--clf-en"]}[command]
+    out = tmp_path / "out.txt"
+    argv = [command, str(inp), *flag, str(model), "-o", str(out)]
+    model.write_text(good, encoding="utf-8")
+    assert run(argv) == 0  # the same command runs with the well-formed model
+    out.unlink()
+    capsys.readouterr()
+    model.write_bytes(bad if isinstance(bad, bytes) else bad.encode("utf-8"))
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: ModelFormatError:" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "model.txt"]
+
+
 # ---------------------------------------------------------------------------
 # filter / langid / mix / reverse
 

@@ -247,11 +247,10 @@ def test_reverse_target_length_preserving():
 
 
 def test_reverse_target_provenance_tag():
-    p = ParallelExample("x", "a b", provenance=Provenance.BITEXT)
-    tagged = reverse_target(p, provenance=Provenance.R2L_DISTILLED)
-    assert tagged.provenance is Provenance.R2L_DISTILLED
-    # default keeps the existing tag so the involution holds
-    assert reverse_target(p).provenance is Provenance.BITEXT
+    # the tag is kept, so the involution holds; mix tags R2L data itself
+    for provenance in Provenance:
+        p = ParallelExample("x", "a b", provenance=provenance)
+        assert reverse_target(p).provenance is provenance
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from mtkit.errors import (
     SearchSpaceTooLargeError,
     VocabMismatchError,
 )
-from mtkit.models import EnsembleScorer, TableScorer
+from mtkit.models import TableScorer
 
 from conftest import enumerate_prefixes, make_lm_scorer, make_table_scorer
 
@@ -148,16 +148,6 @@ def test_beam_lambda_zero_ignores_lm_argument():
     lm = make_lm_scorer(3, 3, rng)
     cfg = DecodeConfig(beam_size=5, max_len=3, n_candidates=5)
     assert beam_search(fwd, lm, (0, 1), cfg) == beam_search(fwd, None, (0, 1), cfg)
-
-
-def test_beam_accepts_scorer_list_as_ensemble():
-    rng = random.Random(46)
-    a = make_table_scorer(3, 2, rng)
-    b = make_table_scorer(3, 2, rng)
-    cfg = DecodeConfig(beam_size=4, max_len=2, n_candidates=4)
-    assert beam_search([a, b], None, (0, 1), cfg) == beam_search(
-        EnsembleScorer([a, b]), None, (0, 1), cfg
-    )
 
 
 def test_beam_deterministic():
@@ -523,22 +513,6 @@ def test_rerank_empty_list():
     rev, lm = _rev_lm_tables()
     with pytest.raises(EmptyCandidateListError):
         noisy_channel_rerank([], rev, lm, NoisyChannelConfig(), (0,))
-
-
-def test_rerank_length_normalization_flag():
-    rev, lm = _rev_lm_tables()
-    base = noisy_channel_rerank(_mk_cands(), rev, lm, NoisyChannelConfig(0.5), (0,))
-    normed = noisy_channel_rerank(
-        _mk_cands(), rev, lm, NoisyChannelConfig(0.5, normalize_by_length=True), (0,)
-    )
-    for c in normed:
-        n = len(c.tokens)
-        expect = c.fwd_logprob / n + 0.5 * (c.rev_logprob / 2 + c.lm_logprob / n)
-        assert c.combined_score == pytest.approx(expect, abs=1e-12)
-    # defaults unchanged by the flagged variant
-    for c in base:
-        expect = c.fwd_logprob + 0.5 * (c.rev_logprob + c.lm_logprob)
-        assert c.combined_score == pytest.approx(expect, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

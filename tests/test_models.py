@@ -24,7 +24,6 @@ from mtkit.models import (
     average_checkpoint_files,
     checkpoint_average,
     checkpoint_metadata,
-    ensemble_next_dist,
     load_checkpoint,
     load_ngram_scorer,
     load_scorer,
@@ -315,14 +314,14 @@ class _FixedScorer:
 
 def test_ensemble_single_scorer_identity():
     s = _FixedScorer([0.3, 0.7])
-    out = ensemble_next_dist([s], (), ())
+    out = EnsembleScorer([s]).next_dist((), ())
     assert np.allclose(out, [0.3, 0.7], atol=1e-7)
 
 
 def test_ensemble_hand_mean():
     a = _FixedScorer([0.8, 0.2])
     b = _FixedScorer([0.2, 0.8])
-    out = ensemble_next_dist([a, b], (), ())
+    out = EnsembleScorer([a, b]).next_dist((), ())
     assert np.array_equal(out, np.array([0.5, 0.5]))
 
 
@@ -338,7 +337,7 @@ def test_ensemble_output_normalized_randomized():
     rng = random.Random(7)
     scorers = [make_table_scorer(5, 2, rng) for _ in range(3)]
     for prefix in [(), (0,), (2,), (0, 3)]:
-        out = ensemble_next_dist(scorers, (0, 1), prefix)
+        out = EnsembleScorer(scorers).next_dist((0, 1), prefix)
         assert abs(float(out.sum()) - 1.0) <= 1e-6
         assert np.all(out >= 0)
 
@@ -347,7 +346,7 @@ def test_ensemble_can_change_argmax():
     # ensembling does not commute with argmax for k >= 2
     a = _FixedScorer([0.6, 0.4, 0.0])
     b = _FixedScorer([0.0, 0.45, 0.55])
-    out = ensemble_next_dist([a, b], (), ())
+    out = EnsembleScorer([a, b]).next_dist((), ())
     assert int(np.argmax(a.vec)) == 0
     assert int(np.argmax(b.vec)) == 2
     assert int(np.argmax(out)) == 1
@@ -355,12 +354,10 @@ def test_ensemble_can_change_argmax():
 
 def test_ensemble_vocab_mismatch():
     with pytest.raises(VocabMismatchError):
-        ensemble_next_dist([_FixedScorer([1.0]), _FixedScorer([0.5, 0.5])], (), ())
+        EnsembleScorer([_FixedScorer([1.0]), _FixedScorer([0.5, 0.5])])
 
 
 def test_ensemble_empty():
-    with pytest.raises(EmptyEnsembleError):
-        ensemble_next_dist([], (), ())
     with pytest.raises(EmptyEnsembleError):
         EnsembleScorer([])
 
@@ -368,15 +365,8 @@ def test_ensemble_empty():
 def test_ensemble_scorer_eos_mismatch():
     a = _FixedScorer([0.5, 0.5], eos_id=0)
     b = _FixedScorer([0.5, 0.5], eos_id=1)
-    with pytest.raises(VocabMismatchError):
-        EnsembleScorer([a, b])
-
-
-def test_ensemble_next_dist_eos_mismatch():
-    a = _FixedScorer([0.5, 0.5], eos_id=0)
-    b = _FixedScorer([0.5, 0.5], eos_id=1)
     with pytest.raises(VocabMismatchError, match="eos"):
-        ensemble_next_dist([a, b], (), ())
+        EnsembleScorer([a, b])
 
 
 # ---------------------------------------------------------------------------
