@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import bleu, bpe, corpus, decode, domain, models, textnorm
-from .errors import ModelFormatError, MtkitError
+from .errors import ConfigError, ModelFormatError, MtkitError
 
 CHUNK = 4096
 
@@ -300,11 +300,15 @@ def cmd_domain_select(args) -> int:
 def cmd_avg_checkpoints(args) -> int:
     paths = list(args.checkpoints)
     if args.top_k is not None:
+        if args.top_k < 1:
+            raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
         scored = []
         for path in paths:
             score = models.checkpoint_metadata(path).get("validation_score", 0.0)
-            if type(score) not in (int, float):
-                raise ModelFormatError(f"{path}: validation_score {score!r} is not a number")
+            # false for NaN, the infinities and ints beyond the float range
+            if type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
+                raise ModelFormatError(
+                    f"{path}: validation_score {score!r} is not a finite number")
             scored.append((float(score), path))
         scored.sort(key=lambda sp: (-sp[0], sp[1]))
         paths = [path for _, path in scored[: args.top_k]]
@@ -379,9 +383,8 @@ def cmd_rerank(args) -> int:
         raise ValueError(
             f"{len(cands_per_sentence)} dumped sentences vs {len(sources)} sources"
         )
-    cfg = decode.NoisyChannelConfig(lambda_ncr=args.lam)
     ranked = [
-        decode.noisy_channel_rerank(cands, rev, lm, cfg, source)
+        decode.noisy_channel_rerank(cands, rev, lm, args.lam, source)
         for cands, source in zip(cands_per_sentence, sources)
     ]
     with _open_out(args.output) as out:

@@ -115,6 +115,8 @@ class LangIdModel:
             raise ModelFormatError(f"n_features must be positive, got {n_features}")
         if self.weights.shape != (n_features, len(langs)) or self.bias.shape != (len(langs),):
             raise ModelFormatError("langid weight shapes inconsistent with langs/n_features")
+        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
+            raise ModelFormatError("langid weights and bias must be finite")
 
     def predict_proba(self, text: str) -> np.ndarray:
         logits = _langid_features(text, self.n_features) @ self.weights + self.bias
@@ -210,12 +212,14 @@ def filter_pair(pair: ParallelExample, cfg: FilterConfig,
     """Return None to keep, or the name of the first rule that rejects.
 
     Lengths are whitespace word tokens, counted before any subword step.
-    Pairs without an external score skip the score rule.
+    A blank side fails its language-id rule when that rule is on. Pairs
+    without an external score skip the score rule.
     """
     if langid is not None and cfg.required_langs is not None:
-        if langid_classify(langid, pair.source)[0] != cfg.required_langs[0]:
+        src_lang, tgt_lang = cfg.required_langs
+        if not pair.source.strip() or langid_classify(langid, pair.source)[0] != src_lang:
             return "langid_src"
-        if langid_classify(langid, pair.target)[0] != cfg.required_langs[1]:
+        if not pair.target.strip() or langid_classify(langid, pair.target)[0] != tgt_lang:
             return "langid_tgt"
     len_s = len(pair.source.split())
     len_t = len(pair.target.split())

@@ -62,15 +62,6 @@ class Candidate:
     combined_score: float | None = None
 
 
-@dataclass(frozen=True)
-class NoisyChannelConfig:
-    lambda_ncr: float = 0.6
-
-    def __post_init__(self):
-        if self.lambda_ncr < 0:
-            raise ValueError("lambda_ncr must be >= 0")
-
-
 def _length_penalty(n: int, alpha: float) -> float:
     return ((5.0 + n) / 6.0) ** alpha
 
@@ -313,8 +304,8 @@ def sequence_logprob(scorer: Scorer, source, tokens) -> float:
 
 
 def noisy_channel_rerank(cands: list[Candidate], rev: Scorer, lm: Scorer,
-                         cfg: NoisyChannelConfig, source) -> list[Candidate]:
-    """Re-rank candidates by fwd + lam * (rev + lm) component sums.
+                         lambda_ncr: float, source) -> list[Candidate]:
+    """Re-rank candidates by fwd + lambda_ncr * (rev + lm) component sums.
 
     The forward term reuses each candidate's fwd_logprob from decoding (an
     ensemble forward pass already averaged there); the reverse model scores
@@ -322,18 +313,20 @@ def noisy_channel_rerank(cands: list[Candidate], rev: Scorer, lm: Scorer,
     model scores the candidate unconditionally, including its eos. Returns a
     new sorted list over the same candidate objects; ties keep input order.
     """
+    if lambda_ncr < 0:
+        raise ValueError("lambda_ncr must be >= 0")
     if not cands:
         raise EmptyCandidateListError("nothing to re-rank")
     source = tuple(source)
     rev_target = source + (rev.eos_id,)
-    lam = cfg.lambda_ncr
     for cand in cands:
         cand.rev_logprob = sequence_logprob(rev, cand.tokens, rev_target)
         cand.lm_logprob = sequence_logprob(lm, (), cand.tokens)
-        if lam == 0:
+        if lambda_ncr == 0:
             cand.combined_score = cand.fwd_logprob
         else:
-            cand.combined_score = cand.fwd_logprob + lam * (cand.rev_logprob + cand.lm_logprob)
+            cand.combined_score = (
+                cand.fwd_logprob + lambda_ncr * (cand.rev_logprob + cand.lm_logprob))
     return sorted(cands, key=lambda c: -c.combined_score)
 
 
@@ -427,9 +420,7 @@ def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
         for lam_ncr in ncr_grid:
             winners = []
             for source, cands in zip(sources, cands_per_sentence):
-                ranked = noisy_channel_rerank(
-                    cands, rev, lm, NoisyChannelConfig(lam_ncr), source
-                )
+                ranked = noisy_channel_rerank(cands, rev, lm, lam_ncr, source)
                 body = list(ranked[0].tokens)
                 if body and body[-1] == eos:
                     body = body[:-1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,6 +30,9 @@ def _whitespace_tokenize(text: str) -> list[str]:
 # below 0.9. The slack is far below any meaningful score resolution.
 _THRESHOLD_EPS = 1e-9
 
+# The largest x for which math.exp(x) does not overflow.
+_EXP_MAX = math.log(sys.float_info.max)
+
 # Share of each class held out to measure DomainClassifier.holdout_accuracy.
 HOLDOUT_FRAC = 0.1
 
@@ -40,6 +44,9 @@ class DomainClassifier:
         self.lang = lang
         self.weights = dict(weights)
         self.bias = float(bias)
+        values = [*self.weights.values(), self.bias]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("domain classifier weights and bias must be finite")
         self.tokenizer = tokenizer or _whitespace_tokenize
         self.holdout_accuracy: float | None = None
 
@@ -49,6 +56,9 @@ class DomainClassifier:
             w = self.weights.get(tok)
             if w is not None:
                 z += w * count
+        if -z > _EXP_MAX:
+            # exp(-z) would overflow; the logistic equals exp(z) to within rounding
+            return math.exp(z)
         return 1.0 / (1.0 + math.exp(-z))
 
 
@@ -190,4 +200,4 @@ def load_classifier(path, tokenizer=None) -> DomainClassifier:
                 bias = float(value)
             else:
                 weights[tok] = float(value)
-    return DomainClassifier(lang, weights, bias, tokenizer)
+        return DomainClassifier(lang, weights, bias, tokenizer)

@@ -38,6 +38,10 @@ def model_file(path, magic: str | None):
         raise ModelFormatError(f"{path}: {exc}") from None
 
 
+class ConfigError(MtkitError):
+    """An option value lies outside its allowed range."""
+
+
 class EmptyCorpusError(MtkitError):
     """An operation that needs a non-empty corpus received an empty one."""
 
@@ -80,7 +84,7 @@ class NameSetMismatchError(MtkitError):
 
 
 class EmptyCheckpointListError(MtkitError):
-    """checkpoint_average received an empty list."""
+    """Checkpoint averaging received no files."""
 
 
 class VocabMismatchError(MtkitError):

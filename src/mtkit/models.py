@@ -15,7 +15,6 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,59 +34,6 @@ _NORM_TOL = 1e-6
 
 # ---------------------------------------------------------------------------
 # checkpoints
-
-@dataclass
-class Checkpoint:
-    """Named f32 tensors plus free-form metadata (step, validation score)."""
-
-    tensors: dict[str, np.ndarray]
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for name, arr in self.tensors.items():
-            arr = np.asarray(arr, dtype=np.float32)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"tensor {name!r} contains non-finite values")
-            clean[name] = arr
-        self.tensors = clean
-
-
-def checkpoint_average(checkpoints: list[Checkpoint]) -> Checkpoint:
-    """Elementwise mean of k checkpoints sharing names and shapes.
-
-    Values are summed in f64 after sorting the k values per element, so the
-    result is bit-identical under any permutation of the input list.
-    """
-    if not checkpoints:
-        raise EmptyCheckpointListError("checkpoint_average needs at least one checkpoint")
-    names = _check_compatible(
-        [{n: a.shape for n, a in c.tensors.items()} for c in checkpoints]
-    )
-    out = {name: _sorted_mean([c.tensors[name] for c in checkpoints]) for name in names}
-    return Checkpoint(tensors=out, metadata={"source_count": len(checkpoints)})
-
-
-def _sorted_mean(arrays: list) -> np.ndarray:
-    """f32 mean of equal-shaped arrays: sort the k values per element, sum
-    them in f64, divide by k. Sorting makes the input order irrelevant."""
-    stack = np.array(arrays, dtype=np.float64)
-    stack.sort(axis=0)
-    return (stack.sum(axis=0) / len(arrays)).astype(np.float32)
-
-
-def _check_compatible(shape_maps: list[dict]) -> list[str]:
-    """Validate identical name sets and shapes; return sorted names."""
-    first = shape_maps[0]
-    for other in shape_maps[1:]:
-        if set(other) != set(first):
-            missing = set(first) ^ set(other)
-            raise NameSetMismatchError(f"tensor name sets differ (symmetric diff: {sorted(missing)})")
-        for name, shape in other.items():
-            if tuple(shape) != tuple(first[name]):
-                raise ShapeMismatchError(name, f"{tuple(first[name])} vs {tuple(shape)}")
-    return sorted(first)
-
 
 # Container: magic NMTC, u32 version, u64 header length, a JSON header
 # {"metadata": {...}, "tensors": [{"name", "shape", "dtype", "offset"}, ...]},
@@ -122,11 +68,19 @@ def _write_checkpoint(path, metadata: dict, shapes: dict, tensor) -> None:
             fh.write(np.asarray(tensor(name), dtype="<f4").tobytes())
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ckpt as an NMTC container (layout above); the same checkpoint
-    always gives the same bytes."""
-    shapes = {name: arr.shape for name, arr in ckpt.tensors.items()}
-    _write_checkpoint(path, ckpt.metadata, shapes, ckpt.tensors.__getitem__)
+def save_checkpoint(tensors: dict, path, metadata: dict | None = None) -> None:
+    """Write name -> array tensors as f32 in an NMTC container (layout above).
+
+    The same tensors and metadata always give the same bytes. A value that
+    is not finite once converted to f32 raises ValueError before the file
+    is opened.
+    """
+    tensors = {name: np.asarray(arr, dtype=np.float32) for name, arr in tensors.items()}
+    for name, arr in tensors.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"tensor {name!r} contains non-finite values")
+    shapes = {name: arr.shape for name, arr in tensors.items()}
+    _write_checkpoint(path, metadata or {}, shapes, tensors.__getitem__)
 
 
 def _file_size(fh) -> int:
@@ -185,8 +139,8 @@ def _read_header(fh, path) -> tuple[dict, list[dict], int]:
 
 
 def _read_tensor(fh, path, payload_start: int, entry: dict) -> np.ndarray:
-    """Read one payload described by a checked header entry as a writable
-    f32 array; a wrong dtype, a short payload or a non-finite value raises
+    """Read one payload described by a checked header entry as an f32
+    array; a wrong dtype, a short payload or a non-finite value raises
     ModelFormatError."""
     if entry["dtype"] != "f32":
         raise ModelFormatError(f"{path}: unsupported dtype {entry['dtype']}")
@@ -196,7 +150,7 @@ def _read_tensor(fh, path, payload_start: int, entry: dict) -> np.ndarray:
     if start + nbytes > _file_size(fh):
         raise ModelFormatError(f"{path}: truncated payload for {entry['name']!r}")
     fh.seek(start)
-    arr = np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape).copy()
+    arr = np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"{path}: tensor {entry['name']!r} contains non-finite values")
     return arr
@@ -209,18 +163,13 @@ def checkpoint_metadata(path) -> dict:
     return metadata
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        metadata, entries, payload_start = _read_header(fh, path)
-        tensors = {e["name"]: _read_tensor(fh, path, payload_start, e) for e in entries}
-    return Checkpoint(tensors=tensors, metadata=metadata)
-
-
 def average_checkpoint_files(paths: list, out_path) -> None:
     """Average checkpoint files tensor by tensor into out_path.
 
-    The output equals save_checkpoint(checkpoint_average(...)) of the loaded
-    files, byte for byte, but only k copies of one tensor are resident at a
+    The files must share tensor names and shapes. Each output element is
+    the mean of its k input values, summed in f64 after sorting, so the
+    output bytes do not depend on the order of paths; its metadata is
+    {"source_count": k}. Only k copies of one tensor are resident at a
     time, so memory is bounded by the largest tensor rather than the full
     checkpoint size.
     """
@@ -230,16 +179,25 @@ def average_checkpoint_files(paths: list, out_path) -> None:
         handles = [stack.enter_context(open(p, "rb")) for p in paths]
         headers = [_read_header(fh, p) for fh, p in zip(handles, paths)]
         entry_maps = [{e["name"]: e for e in entries} for _, entries, _ in headers]
-        _check_compatible([{n: e["shape"] for n, e in m.items()} for m in entry_maps])
+        shapes = {name: e["shape"] for name, e in entry_maps[0].items()}
+        for entries in entry_maps[1:]:
+            if set(entries) != set(shapes):
+                diff = sorted(set(entries) ^ set(shapes))
+                raise NameSetMismatchError(f"tensor name sets differ (symmetric diff: {diff})")
+            for name, e in entries.items():
+                if e["shape"] != shapes[name]:
+                    raise ShapeMismatchError(
+                        name, f"{tuple(shapes[name])} vs {tuple(e['shape'])}")
 
         def mean(name: str) -> np.ndarray:
-            return _sorted_mean([
+            values = np.array([
                 _read_tensor(fh, p, payload_start, entries[name])
                 for fh, p, (_, _, payload_start), entries
                 in zip(handles, paths, headers, entry_maps)
-            ])
+            ], dtype=np.float64)
+            values.sort(axis=0)
+            return (values.sum(axis=0) / len(paths)).astype(np.float32)
 
-        shapes = {name: e["shape"] for name, e in entry_maps[0].items()}
         _write_checkpoint(out_path, {"source_count": len(paths)}, shapes, mean)
 
 
@@ -265,8 +223,8 @@ def _check_dist(vec: np.ndarray, what: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim != 1:
         raise ValueError(f"{what}: expected 1-d vector")
-    if np.any(vec < 0):
-        raise ValueError(f"{what}: negative probability")
+    if not np.all(vec >= 0):  # false for NaN too; an infinity fails the sum check
+        raise ValueError(f"{what}: negative or NaN probability")
     if abs(float(vec.sum()) - 1.0) > _NORM_TOL:
         raise ValueError(f"{what}: sums to {vec.sum():.9f}, not 1")
     vec.setflags(write=False)
@@ -379,8 +337,10 @@ class NGramScorer(Scorer):
         if not 0 <= eos_id < vocab_size:
             raise ValueError("eos_id out of range")
         weights = [float(w) for w in weights]
-        if len(weights) != order or any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("need one non-negative weight per order, not all zero")
+        # NaN or infinite weights, and weights whose sum overflows, fail the sum check
+        if (len(weights) != order or any(w < 0 for w in weights)
+                or not 0 < sum(weights) < math.inf):
+            raise ValueError("need one non-negative weight per order, with a finite sum above 0")
         if not 0 < floor * vocab_size < 1:
             raise ValueError("floor * vocab_size must lie in (0, 1)")
         self.order = order

@@ -1,8 +1,9 @@
 """Scalar reference implementations of the optimized layers.
 
 These are the original one-token-at-a-time loops of `beam_search`,
-`topk_sample` and `NGramScorer.next_dist`, and the recount-every-pair
-merge loop of `bpe_train`, kept for the tests only. The library versions
+`topk_sample` and `NGramScorer.next_dist`, the recount-every-pair
+merge loop of `bpe_train`, and a per-element loop for the checkpoint
+mean of `average_checkpoint_files`, kept for the tests only. The library versions
 must agree with them exactly (`==` on every float, merge and vocab id).
 The reference beam always runs all max_len steps, so it also checks the
 early stop of the library version.
@@ -167,3 +168,20 @@ def reference_bpe_train(corpus, vocab_size: int) -> BpeModel:
         if sym not in vocab:
             vocab[sym] = len(vocab)
     return BpeModel(merges=merges, vocab=vocab, vocab_size=vocab_size)
+
+
+def reference_checkpoint_mean(tensor_sets: list[dict]) -> dict:
+    """Per element: sort the k values as Python floats, add them up one by
+    one, divide by k and round to f32."""
+    k = len(tensor_sets)
+    out = {}
+    for name in tensor_sets[0]:
+        arrays = [np.asarray(tensors[name], dtype=np.float32) for tensors in tensor_sets]
+        means = []
+        for values in zip(*(a.ravel().tolist() for a in arrays)):
+            total = 0.0
+            for v in sorted(values):
+                total += v
+            means.append(np.float32(total / k))
+        out[name] = np.array(means, dtype=np.float32).reshape(arrays[0].shape)
+    return out

@@ -15,7 +15,6 @@ from mtkit.cli import run
 from mtkit.decode import (
     Candidate,
     DecodeConfig,
-    NoisyChannelConfig,
     beam_search,
     exact_search,
     format_candidates,
@@ -74,30 +73,31 @@ def test_lambda_zero_reductions(random_decode_instances):
             rev = fwd
             before = [c.tokens for c in fused0]
             ranked = noisy_channel_rerank(
-                fused0, rev, lm, NoisyChannelConfig(0.0), source)
+                fused0, rev, lm, 0.0, source)
             assert [c.tokens for c in ranked] == before
 
 
-def test_checkpoint_averaging_identity_and_hand_mean():
-    with criterion("checkpoint averaging: k-identical within 1e-7, "
-                   "two-checkpoint mean exact"):
+def test_checkpoint_averaging_identity_and_hand_mean(tmp_path):
+    with criterion("checkpoint averaging: k-identical files average to the "
+                   "same tensors, two-checkpoint mean exact"):
+        def average(tensor_sets, expected):
+            paths = []
+            for i, tensors in enumerate(tensor_sets):
+                paths.append(tmp_path / f"c{i}.ckpt")
+                models.save_checkpoint(tensors, paths[-1])
+            models.average_checkpoint_files(paths, tmp_path / "avg.ckpt")
+            models.save_checkpoint(expected, tmp_path / "expected.ckpt",
+                                   {"source_count": len(paths)})
+            return (tmp_path / "avg.ckpt").read_bytes() == (
+                tmp_path / "expected.ckpt").read_bytes()
+
         rng = np.random.default_rng(12)
         tensors = {
             "enc.w": rng.normal(size=(4, 3)).astype(np.float32),
             "dec.b": rng.normal(size=(7,)).astype(np.float32),
         }
-        base = models.Checkpoint({k: v.copy() for k, v in tensors.items()})
-        copies = [models.Checkpoint({k: v.copy() for k, v in tensors.items()})
-                  for _ in range(5)]
-        avg = models.checkpoint_average(copies)
-        for name in tensors:
-            assert np.max(np.abs(avg.tensors[name] - base.tensors[name])) <= 1e-7
-
-        pair = models.checkpoint_average([
-            models.Checkpoint({"w": np.array([1.0, 3.0], dtype=np.float32)}),
-            models.Checkpoint({"w": np.array([3.0, 5.0], dtype=np.float32)}),
-        ])
-        assert pair.tensors["w"].tolist() == [2.0, 4.0]
+        assert average([tensors] * 5, tensors)
+        assert average([{"w": [1.0, 3.0]}, {"w": [3.0, 5.0]}], {"w": [2.0, 4.0]})
 
 
 def test_ensemble_identity_and_hand_mean():
@@ -130,7 +130,7 @@ def test_noisy_channel_hand_arithmetic_and_set_preservation():
         rev = TableScorer(vocab, {}, [0.3, 0.2, 0.5])
         lm = TableScorer(vocab, {}, [0.25, 0.25, 0.5])
         ranked = noisy_channel_rerank(
-            list(cands), rev, lm, NoisyChannelConfig(0.5), source)
+            list(cands), rev, lm, 0.5, source)
 
         assert set(map(id, ranked)) == set(map(id, cands))
         # rev scores source + its eos given the candidate; lm scores the

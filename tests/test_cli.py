@@ -10,7 +10,6 @@ from mtkit.cli import run
 from mtkit.decode import (
     Candidate,
     DecodeConfig,
-    NoisyChannelConfig,
     beam_search,
     format_candidates,
     noisy_channel_rerank,
@@ -356,6 +355,26 @@ def test_langid_train_then_filter(tmp_path, langid_file):
     assert report["rejected.langid_tgt"] == "1"
 
 
+def test_filter_langid_rejects_blank_side(tmp_path, langid_file):
+    rng = random.Random(18)
+    inp = tmp_path / "pairs.tsv"
+    out = tmp_path / "kept.tsv"
+    rep = tmp_path / "report.txt"
+    good = [f"{make_sentence(rng, 'en', 8)}\t{make_sentence(rng, 'ru', 8)}"
+            for _ in range(2)]
+    blank_src = f" \t{make_sentence(rng, 'ru', 8)}"
+    blank_tgt = f"{make_sentence(rng, 'en', 8)}\t "
+    _write(inp, [good[0], blank_src, blank_tgt, good[1]])
+    rc = run(["filter", str(inp), "-o", str(out), "--report", str(rep),
+              "--langid", str(langid_file), "--langs", "en,ru"])
+    assert rc == 0
+    assert _read(out) == good
+    report = dict(line.split("\t") for line in _read(rep))
+    assert report["total"] == "4"
+    assert report["rejected.langid_src"] == "1"
+    assert report["rejected.langid_tgt"] == "1"
+
+
 def test_mix_ratio_and_determinism(tmp_path):
     part_a = tmp_path / "a.tsv"
     part_b = tmp_path / "b.tsv"
@@ -442,37 +461,60 @@ def test_domain_train_and_select(tmp_path, capsys):
         assert (score_en + score_ru) / 2 >= 0.90 - 1e-9
 
 
+def test_domain_select_long_out_of_domain_line(tmp_path, capsys):
+    clf = tmp_path / "clf.domcls"
+    clf.write_text("domcls-v1 en\ncell\t5.0\nvote\t-0.8\n__bias__\t0.0\n", encoding="utf-8")
+    inp = tmp_path / "pairs.tsv"
+    _write(inp, [" ".join(["vote"] * 1000) + "\tvote", "cell cell\tcell cell"])
+    out = tmp_path / "selected.tsv"
+    rc = run(["domain-select", str(inp), "-o", str(out),
+              "--clf-en", str(clf), "--clf-ru", str(clf)])
+    assert rc == 0
+    assert [line.split("\t")[:2] for line in _read(out)] == [["cell cell", "cell cell"]]
+    assert "domain-select counts: input=2 stage1_kept=1 " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # model commands
+
+def _checkpoint_bytes(tmp_path, w, metadata) -> bytes:
+    path = tmp_path / "expected.nmtc"
+    models.save_checkpoint({"w": w}, path, metadata)
+    return path.read_bytes()
+
 
 def test_avg_checkpoints_mean_and_top_k(tmp_path):
     p1 = tmp_path / "ckpt1.nmtc"
     p2 = tmp_path / "ckpt2.nmtc"
-    models.save_checkpoint(models.Checkpoint(
-        {"w": np.array([1.0, 3.0], dtype=np.float32)},
-        {"validation_score": 1.0, "step": 100}), p1)
-    models.save_checkpoint(models.Checkpoint(
-        {"w": np.array([3.0, 5.0], dtype=np.float32)},
-        {"validation_score": 2.0, "step": 200}), p2)
+    models.save_checkpoint({"w": [1.0, 3.0]}, p1, {"validation_score": 1.0, "step": 100})
+    models.save_checkpoint({"w": [3.0, 5.0]}, p2, {"validation_score": 2.0, "step": 200})
 
     avg = tmp_path / "avg.nmtc"
     assert run(["avg-checkpoints", str(p1), str(p2), "-o", str(avg)]) == 0
-    loaded = models.load_checkpoint(avg)
-    np.testing.assert_array_equal(
-        loaded.tensors["w"], np.array([2.0, 4.0], dtype=np.float32))
+    assert avg.read_bytes() == _checkpoint_bytes(tmp_path, [2.0, 4.0], {"source_count": 2})
 
     best = tmp_path / "best.nmtc"
     rc = run(["avg-checkpoints", str(p1), str(p2), "-o", str(best), "--top-k", "1"])
     assert rc == 0
-    loaded = models.load_checkpoint(best)
-    np.testing.assert_array_equal(
-        loaded.tensors["w"], np.array([3.0, 5.0], dtype=np.float32))
+    assert best.read_bytes() == _checkpoint_bytes(tmp_path, [3.0, 5.0], {"source_count": 1})
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_avg_checkpoints_top_k_below_one_exits_1(tmp_path, capsys, k):
+    paths = []
+    for i, score in enumerate([1.0, 2.0, 3.0]):
+        paths.append(str(tmp_path / f"c{i}.nmtc"))
+        models.save_checkpoint({"w": [score]}, paths[-1], {"validation_score": score})
+    out = tmp_path / "avg.nmtc"
+    assert run(["avg-checkpoints", *paths, "-o", str(out), "--top-k", k]) == 1
+    assert "error: ConfigError: --top-k must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cut", [5, 20, -4])
 def test_avg_checkpoints_truncated_input_exits_1(tmp_path, capsys, cut):
     good = tmp_path / "good.nmtc"
-    models.save_checkpoint(models.Checkpoint({"w": np.array([1.0, 3.0], dtype=np.float32)}), good)
+    models.save_checkpoint({"w": [1.0, 3.0]}, good)
     bad = tmp_path / "bad.nmtc"
     bad.write_bytes(good.read_bytes()[:cut])
     out = tmp_path / "avg.nmtc"
@@ -483,20 +525,26 @@ def test_avg_checkpoints_truncated_input_exits_1(tmp_path, capsys, cut):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.nmtc", "good.nmtc"]
 
 
-@pytest.mark.parametrize("score", [[1], None, "0.5", True])
+@pytest.mark.parametrize("score", [
+    [1], None, "0.5", True, float("nan"), float("inf"), float("-inf"),
+    pytest.param(10**400, id="int past float range")])
 def test_avg_checkpoints_top_k_needs_numeric_score(tmp_path, capsys, score):
+    # the good file comes first, so a bad score is caught wherever it sorts
+    good = tmp_path / "good.nmtc"
+    models.save_checkpoint({"w": [1.0, 1.0]}, good, {"validation_score": 0.5})
     path = tmp_path / "c.nmtc"
-    models.save_checkpoint(models.Checkpoint({"w": np.zeros(2, dtype=np.float32)},
-                                             {"validation_score": score}), path)
+    models.save_checkpoint({"w": np.zeros(2)}, path, {"validation_score": score})
     out = tmp_path / "avg.nmtc"
-    assert run(["avg-checkpoints", str(path), "-o", str(out), "--top-k", "1"]) == 1
-    assert "error: ModelFormatError:" in capsys.readouterr().err
+    assert run(["avg-checkpoints", str(good), str(path), "-o", str(out), "--top-k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "error: ModelFormatError:" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
 def test_avg_checkpoints_rejects_non_f32_dtype(tmp_path, capsys):
     path = tmp_path / "f16.nmtc"
-    models.save_checkpoint(models.Checkpoint({"w": np.array([1.0, 3.0], dtype=np.float32)}), path)
+    models.save_checkpoint({"w": [1.0, 3.0]}, path)
     path.write_bytes(path.read_bytes().replace(b'"dtype":"f32"', b'"dtype":"f16"'))
     out = tmp_path / "avg.nmtc"
     assert run(["avg-checkpoints", str(path), str(path), "-o", str(out)]) == 1
@@ -604,10 +652,9 @@ def test_rerank_top1_matches_library(tmp_path):
 
     with open(dump, encoding="utf-8") as fh:
         cands_per_sentence = parse_candidates(fh, eos_id=rev.eos_id)
-    cfg = NoisyChannelConfig(lambda_ncr=0.5)
     expected = []
     for cands in cands_per_sentence:
-        best = noisy_channel_rerank(cands, rev, lm, cfg, [0])[0]
+        best = noisy_channel_rerank(cands, rev, lm, 0.5, [0])[0]
         expected.append(" ".join(str(t) for t in best.tokens[:-1]))
     assert _read(top1) == expected
 
@@ -624,17 +671,27 @@ def test_rerank_full_dump_output(tmp_path):
     run(["decode", str(src), "--model", str(fwd_path), "--beam", "9",
          "--max-len", "2", "--n-candidates", "9", "--dump", str(dump),
          "-o", str(tmp_path / "ignored.txt")])
+
+    def rerank(out, *lam):
+        return run(["rerank", "--dump", str(dump), "--source", str(src),
+                    "--rev", str(rev_path), "--lm", str(rev_path), *lam, "-o", str(out)])
+
     ranked = tmp_path / "ranked.tsv"
-    rc = run(["rerank", "--dump", str(dump), "--source", str(src),
-              "--rev", str(rev_path), "--lm", str(rev_path), "--lam", "0.5",
-              "-o", str(ranked)])
-    assert rc == 0
+    assert rerank(ranked, "--lam", "0.5") == 0
     with open(ranked, encoding="utf-8") as fh:
         parsed = parse_candidates(fh, eos_id=2)
     assert len(parsed) == 1
     combined = [c.combined_score for c in parsed[0]]
     assert all(c is not None for c in combined)
     assert combined == sorted(combined, reverse=True)
+
+    # --lam defaults to 0.6 and must not be negative
+    assert rerank(tmp_path / "default.tsv") == 0
+    assert rerank(tmp_path / "explicit.tsv", "--lam", "0.6") == 0
+    assert (tmp_path / "default.tsv").read_bytes() == (tmp_path / "explicit.tsv").read_bytes()
+    assert (tmp_path / "default.tsv").read_bytes() != ranked.read_bytes()
+    assert rerank(tmp_path / "negative.tsv", "--lam", "-0.5") == 1
+    assert not (tmp_path / "negative.tsv").exists()
 
 
 def test_rerank_dump_source_count_mismatch(tmp_path, capsys):

@@ -154,6 +154,17 @@ def test_filter_langid_tgt(langid_model):
     assert filter_pair(pair, cfg, langid_model) == "langid_tgt"
 
 
+def test_filter_langid_rejects_blank_side(langid_model):
+    cfg = FilterConfig(required_langs=("en", "ru"))
+    blank_src = ParallelExample(" ", "привет мир как дела")
+    blank_tgt = ParallelExample("the water day people", "\t ")
+    assert filter_pair(blank_src, cfg, langid_model) == "langid_src"
+    assert filter_pair(blank_tgt, cfg, langid_model) == "langid_tgt"
+    # without a langid model the same pairs are too short
+    assert filter_pair(blank_src, cfg) == "too_short"
+    assert filter_pair(blank_tgt, cfg) == "too_short"
+
+
 # ---------------------------------------------------------------------------
 # filter_corpus
 

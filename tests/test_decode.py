@@ -10,7 +10,6 @@ import pytest
 from mtkit.decode import (
     Candidate,
     DecodeConfig,
-    NoisyChannelConfig,
     beam_search,
     decode_batch,
     exact_search,
@@ -85,12 +84,6 @@ def test_decode_config_validation():
     ):
         with pytest.raises(ValueError):
             DecodeConfig(**bad)
-
-
-def test_noisy_channel_config_validation():
-    assert NoisyChannelConfig().lambda_ncr == 0.6
-    with pytest.raises(ValueError):
-        NoisyChannelConfig(lambda_ncr=-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +439,13 @@ def test_rerank_rejects_out_of_vocab_candidate():
     for bad in ((0, 3, 2), (-1, 2)):
         cands = _mk_cands() + [Candidate(tokens=bad, fwd_logprob=-1.0)]
         with pytest.raises(VocabMismatchError):
-            noisy_channel_rerank(cands, rev, lm, NoisyChannelConfig(0.5), (0,))
+            noisy_channel_rerank(cands, rev, lm, 0.5, (0,))
 
 
 def test_rerank_lambda_zero_is_forward_order():
     rev, lm = _rev_lm_tables()
     cands = _mk_cands()
-    ranked = noisy_channel_rerank(cands, rev, lm, NoisyChannelConfig(0.0), (0,))
+    ranked = noisy_channel_rerank(cands, rev, lm, 0.0, (0,))
     assert [c.fwd_logprob for c in ranked] == [-1.0, -1.5, -2.0]
     for c in ranked:
         assert c.combined_score == c.fwd_logprob
@@ -463,7 +456,7 @@ def test_rerank_hand_arithmetic_exact():
     rev, lm = _rev_lm_tables()
     cands = _mk_cands()
     source = (0,)
-    ranked = noisy_channel_rerank(cands, rev, lm, NoisyChannelConfig(0.5), source)
+    ranked = noisy_channel_rerank(cands, rev, lm, 0.5, source)
 
     # independent recomputation with the documented component definitions
     expected = []
@@ -488,7 +481,7 @@ def test_rerank_hand_arithmetic_exact():
 def test_rerank_preserves_candidate_set():
     rev, lm = _rev_lm_tables()
     cands = _mk_cands()
-    ranked = noisy_channel_rerank(cands, rev, lm, NoisyChannelConfig(0.6), (0,))
+    ranked = noisy_channel_rerank(cands, rev, lm, 0.6, (0,))
     assert len(ranked) == len(cands)
     assert {id(c) for c in ranked} == {id(c) for c in cands}
 
@@ -497,7 +490,7 @@ def test_rerank_stable_for_duplicates():
     rev, lm = _rev_lm_tables()
     first = Candidate(tokens=(0, 2), fwd_logprob=-1.0)
     second = Candidate(tokens=(0, 2), fwd_logprob=-1.0)
-    ranked = noisy_channel_rerank([first, second], rev, lm, NoisyChannelConfig(0.5), (0,))
+    ranked = noisy_channel_rerank([first, second], rev, lm, 0.5, (0,))
     assert ranked[0] is first and ranked[1] is second
 
 
@@ -505,14 +498,20 @@ def test_rerank_reuses_forward_score_without_rescoring():
     rev, lm = _rev_lm_tables()
     tampered = Candidate(tokens=(1, 2), fwd_logprob=+5.0)  # impossible as a real logprob
     honest = Candidate(tokens=(0, 2), fwd_logprob=-0.1)
-    ranked = noisy_channel_rerank([honest, tampered], rev, lm, NoisyChannelConfig(0.0), (0,))
+    ranked = noisy_channel_rerank([honest, tampered], rev, lm, 0.0, (0,))
     assert ranked[0] is tampered  # the stored value was trusted verbatim
 
 
 def test_rerank_empty_list():
     rev, lm = _rev_lm_tables()
     with pytest.raises(EmptyCandidateListError):
-        noisy_channel_rerank([], rev, lm, NoisyChannelConfig(), (0,))
+        noisy_channel_rerank([], rev, lm, 0.6, (0,))
+
+
+def test_rerank_rejects_negative_lambda():
+    rev, lm = _rev_lm_tables()
+    with pytest.raises(ValueError, match="lambda_ncr"):
+        noisy_channel_rerank(_mk_cands(), rev, lm, -0.5, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +546,7 @@ def test_candidate_dump_roundtrip(random_decode_instances):
     fwd, lm, source, max_len = random_decode_instances[1]
     cands = beam_search(fwd, lm, source, _saturated(fwd.vocab_size, max_len))
     rev = make_table_scorer(fwd.vocab_size, max_len, random.Random(51), source=source)
-    ranked = noisy_channel_rerank(cands, rev, lm, NoisyChannelConfig(0.5), source)
+    ranked = noisy_channel_rerank(cands, rev, lm, 0.5, source)
     lines = format_candidates([ranked])
     parsed = parse_candidates(lines, eos_id=fwd.eos_id)
     assert len(parsed) == 1
@@ -596,7 +595,7 @@ def test_grid_search_shape_and_reduction(random_decode_instances):
     refs = []
     for src in sources:
         cands = beam_search(fwd, lm, src, cfg)
-        top = noisy_channel_rerank(cands, rev, lm, NoisyChannelConfig(0.0), src)[0]
+        top = noisy_channel_rerank(cands, rev, lm, 0.0, src)[0]
         body = list(top.tokens)
         if body and body[-1] == fwd.eos_id:
             body = body[:-1]

@@ -1,6 +1,8 @@
 """Domain classifiers and the two-stage bilingual selection funnel."""
 
+import math
 import random
+import sys
 
 import pytest
 
@@ -102,9 +104,21 @@ def test_doubling_preserves_sign(clf_en):
             assert (once > 0) == (twice > 0)
 
 
-def test_unknown_tokens_score_at_bias(clf_en):
-    import math
+def test_score_long_out_of_domain_line_does_not_overflow():
+    # 1000 tokens at weight -0.8 give z = -800, where exp(-z) overflows
+    clf = DomainClassifier("en", {"vote": -0.8}, 0.0)
+    assert clf.score(" ".join(["vote"] * 1000)) == 0.0
+    # up to exp's overflow point the score is the plain logistic, bit for
+    # bit, and just past it the score goes on continuously
+    edge = math.log(sys.float_info.max)
+    last = DomainClassifier("en", {}, -edge).score("x")
+    past = DomainClassifier("en", {}, math.nextafter(-edge, -math.inf)).score("x")
+    assert last == 1.0 / (1.0 + math.exp(edge))
+    assert 0.0 < past <= last
+    assert past == pytest.approx(last, rel=1e-9)
 
+
+def test_unknown_tokens_score_at_bias(clf_en):
     expected = 1.0 / (1.0 + math.exp(-clf_en.bias))
     assert clf_en.score("zzzunseen qqqtoken") == pytest.approx(expected, abs=1e-12)
 

@@ -71,6 +71,40 @@ def test_load_fuzzed_model_files(tmp_path, name):
     assert 0 < loaded < len(variants)
 
 
+# site -> (loader, file text with {x} at one numeric field, a valid value for it)
+_NUMERIC_SITES = {
+    "table default": (models.load_table_scorer,
+                      "tablescorer-v1\nvocab a eos\neos eos\ndefault {x} 0.5\n", "0.5"),
+    "table context": (models.load_table_scorer,
+                      "tablescorer-v1\nvocab a eos\neos eos\ndefault 0.5 0.5\n"
+                      "ctx 0|- 0.5 {x}\n", "0.5"),
+    "ngram floor": (models.load_ngram_scorer,
+                    "ngram-v1 1 3 2\nfloor {x}\nweights 1.0\ncount 0 1\n", "0.01"),
+    "ngram weights": (models.load_ngram_scorer,
+                      "ngram-v1 2 3 2\nfloor 0.01\nweights 1.0 {x}\ncount 0 1\n", "0.5"),
+    "langid bias": (corpus.load_langid,
+                    "langid-v1 4\nlangs en ru\nbias 0.0 {x}\nw 1 0.5 -0.5\n", "0.5"),
+    "langid weight": (corpus.load_langid,
+                      "langid-v1 4\nlangs en ru\nbias 0.0 0.0\nw 1 {x} -0.5\n", "0.5"),
+    "domcls weight": (domain.load_classifier,
+                      "domcls-v1 en\nfoo\t{x}\n__bias__\t0.5\n", "-0.5"),
+    "domcls bias": (domain.load_classifier,
+                    "domcls-v1 en\nfoo\t0.5\n__bias__\t{x}\n", "-0.5"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("site", sorted(_NUMERIC_SITES))
+def test_non_finite_value_raises_model_format_error(tmp_path, site, value):
+    load, text, valid = _NUMERIC_SITES[site]
+    path = tmp_path / "model.txt"
+    path.write_text(text.format(x=valid), encoding="utf-8")
+    load(path)
+    path.write_text(text.format(x=value), encoding="utf-8")
+    with pytest.raises(ModelFormatError):
+        load(path)
+
+
 def test_model_file_streams_lines(tmp_path):
     # the bad byte lies far past the first lines, so only a reader that
     # decodes the file as it goes hands those lines out before failing

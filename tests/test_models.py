@@ -1,4 +1,4 @@
-"""Checkpoint storage/averaging, table and n-gram scorers, ensembling."""
+"""Checkpoint files and averaging, table and n-gram scorers, ensembling."""
 
 import json
 import random
@@ -17,14 +17,11 @@ from mtkit.errors import (
     VocabMismatchError,
 )
 from mtkit.models import (
-    Checkpoint,
     EnsembleScorer,
     NGramScorer,
     TableScorer,
     average_checkpoint_files,
-    checkpoint_average,
     checkpoint_metadata,
-    load_checkpoint,
     load_ngram_scorer,
     load_scorer,
     load_table_scorer,
@@ -35,81 +32,114 @@ from mtkit.models import (
 )
 
 from conftest import make_table_scorer
+from scalar_reference import reference_checkpoint_mean
 
 
-def _random_checkpoint(rng, names=("enc.w", "dec.w", "emb")):
-    return Checkpoint(
-        tensors={
-            n: np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(2)], dtype=np.float32)
-            for n in names
-        },
-        metadata={"step": rng.randint(0, 10**6), "validation_score": rng.random()},
-    )
+def _random_tensors(rng, names=("enc.w", "dec.w", "emb")):
+    return {
+        n: np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(2)], dtype=np.float32)
+        for n in names
+    }
+
+
+def _save_all(tmp_path, tensor_sets, metadata=None):
+    paths = []
+    for i, tensors in enumerate(tensor_sets):
+        path = tmp_path / f"c{i}.ckpt"
+        save_checkpoint(tensors, path, metadata)
+        paths.append(path)
+    return paths
+
+
+def _average_bytes(tmp_path, paths) -> bytes:
+    out = tmp_path / "avg.ckpt"
+    average_checkpoint_files(paths, out)
+    return out.read_bytes()
+
+
+def _saved_bytes(tmp_path, tensors, metadata=None) -> bytes:
+    path = tmp_path / "expected.ckpt"
+    save_checkpoint(tensors, path, metadata)
+    return path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
 # checkpoint averaging
 
 
-def test_average_hand_mean():
-    a = Checkpoint({"w": np.array([1.0, 3.0], dtype=np.float32)})
-    b = Checkpoint({"w": np.array([3.0, 5.0], dtype=np.float32)})
-    avg = checkpoint_average([a, b])
-    assert np.array_equal(avg.tensors["w"], np.array([2.0, 4.0], dtype=np.float32))
-    assert avg.metadata == {"source_count": 2}
+def test_average_hand_mean(tmp_path):
+    paths = _save_all(tmp_path, [{"w": [1.0, 3.0]}, {"w": [3.0, 5.0]}])
+    assert _average_bytes(tmp_path, paths) == _saved_bytes(
+        tmp_path, {"w": np.array([2.0, 4.0], dtype=np.float32)}, {"source_count": 2})
 
 
-def test_average_identical_checkpoints():
+def test_average_identical_checkpoints(tmp_path):
     rng = random.Random(0)
-    c = _random_checkpoint(rng)
-    avg = checkpoint_average([c, c, c, c])
-    for name in c.tensors:
-        assert np.allclose(avg.tensors[name], c.tensors[name], atol=1e-7)
+    tensors = _random_tensors(rng)
+    paths = _save_all(tmp_path, [tensors] * 4, {"step": 7})
+    assert _average_bytes(tmp_path, paths) == _saved_bytes(
+        tmp_path, tensors, {"source_count": 4})
 
 
-def test_average_single_checkpoint_identity():
+def test_average_single_checkpoint_identity(tmp_path):
     rng = random.Random(1)
-    c = _random_checkpoint(rng)
-    avg = checkpoint_average([c])
-    for name in c.tensors:
-        assert np.array_equal(avg.tensors[name], c.tensors[name])
+    (path,) = _save_all(tmp_path, [_random_tensors(rng)], {"source_count": 1})
+    assert _average_bytes(tmp_path, [path]) == path.read_bytes()
 
 
-def test_average_permutation_invariance_bit_exact():
+def test_average_permutation_invariance_bit_exact(tmp_path):
     rng = random.Random(2)
-    ckpts = [_random_checkpoint(rng) for _ in range(5)]
-    base = checkpoint_average(ckpts)
+    paths = _save_all(tmp_path, [_random_tensors(rng) for _ in range(5)])
+    base = _average_bytes(tmp_path, paths)
     order = list(range(5))
     for _ in range(6):
         rng.shuffle(order)
-        perm = checkpoint_average([ckpts[i] for i in order])
-        for name in base.tensors:
-            assert perm.tensors[name].tobytes() == base.tensors[name].tobytes()
+        assert _average_bytes(tmp_path, [paths[i] for i in order]) == base
 
 
-def test_average_shape_mismatch_names_tensor():
-    a = Checkpoint({"w": np.zeros(2, dtype=np.float32)})
-    b = Checkpoint({"w": np.zeros(3, dtype=np.float32)})
+def test_average_matches_scalar_reference(tmp_path):
+    """An independent per-element loop gives the same output bytes."""
+    rng = np.random.default_rng(5)
+    shapes = {"a": (), "b": (1,), "c": (7,), "d": (3, 1), "e": (2, 3, 4), "f": (129,),
+              "g": (16, 33)}
+    for k in (1, 2, 3, 5, 8, 23):
+        tensor_sets = [
+            {name: (rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 31, shape))
+             .astype(np.float32) for name, shape in shapes.items()}
+            for _ in range(k)
+        ]
+        paths = _save_all(tmp_path, tensor_sets)
+        expected = reference_checkpoint_mean(tensor_sets)
+        assert _average_bytes(tmp_path, paths) == _saved_bytes(
+            tmp_path, expected, {"source_count": k})
+
+
+def test_average_shape_mismatch_names_tensor(tmp_path):
+    paths = _save_all(tmp_path, [{"w": np.zeros(2)}, {"w": np.zeros(3)}])
     with pytest.raises(ShapeMismatchError) as err:
-        checkpoint_average([a, b])
+        average_checkpoint_files(paths, tmp_path / "avg.ckpt")
     assert "w" in str(err.value)
 
 
-def test_average_name_set_mismatch():
-    a = Checkpoint({"w": np.zeros(2, dtype=np.float32)})
-    b = Checkpoint({"v": np.zeros(2, dtype=np.float32)})
+def test_average_name_set_mismatch(tmp_path):
+    paths = _save_all(tmp_path, [{"w": np.zeros(2)}, {"v": np.zeros(2)}])
     with pytest.raises(NameSetMismatchError):
-        checkpoint_average([a, b])
+        average_checkpoint_files(paths, tmp_path / "avg.ckpt")
 
 
-def test_average_empty_list():
+def test_average_empty_list(tmp_path):
     with pytest.raises(EmptyCheckpointListError):
-        checkpoint_average([])
+        average_checkpoint_files([], tmp_path / "x.ckpt")
 
 
-def test_checkpoint_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Checkpoint({"w": np.array([1.0, np.nan], dtype=np.float32)})
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_checkpoint_rejects_non_finite(tmp_path):
+    path = tmp_path / "c.ckpt"
+    # 1e39 is finite in f64 but not once converted to f32
+    for value in (np.nan, np.inf, -np.inf, 1e39):
+        with pytest.raises(ValueError, match="non-finite"):
+            save_checkpoint({"w": np.array([1.0, value])}, path)
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -118,70 +148,44 @@ def test_checkpoint_rejects_non_finite():
 
 def test_checkpoint_file_roundtrip(tmp_path):
     rng = random.Random(3)
-    c = _random_checkpoint(rng)
-    c.tensors["scalar"] = np.float32(2.5).reshape(())
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(c, path)
-    loaded = load_checkpoint(path)
-    assert set(loaded.tensors) == set(c.tensors)
-    for name in c.tensors:
-        assert loaded.tensors[name].tobytes() == np.asarray(c.tensors[name]).tobytes()
-        assert loaded.tensors[name].shape == np.asarray(c.tensors[name]).shape
-    assert loaded.metadata == c.metadata
+    tensors = _random_tensors(rng)
+    tensors["scalar"] = np.float32(2.5).reshape(())
+    metadata = {"step": 3, "validation_score": 0.75}
+    (path,) = _save_all(tmp_path, [tensors], metadata)
+    assert checkpoint_metadata(path) == metadata
+    assert _average_bytes(tmp_path, [path]) == _saved_bytes(
+        tmp_path, tensors, {"source_count": 1})
 
 
 def test_checkpoint_save_deterministic(tmp_path):
     rng = random.Random(4)
-    c = _random_checkpoint(rng)
+    tensors = _random_tensors(rng)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(c, p1)
-    save_checkpoint(c, p2)
+    save_checkpoint(tensors, p1, {"step": 3})
+    save_checkpoint(tensors, p2, {"step": 3})
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_checkpoint_metadata_only_read(tmp_path):
-    c = Checkpoint({"w": np.zeros(4, dtype=np.float32)}, metadata={"validation_score": 0.25})
     path = tmp_path / "m.ckpt"
-    save_checkpoint(c, path)
+    save_checkpoint({"w": np.zeros(4)}, path, {"validation_score": 0.25})
     assert checkpoint_metadata(path) == {"validation_score": 0.25}
 
 
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"XXXX" + b"\0" * 32)
-    with pytest.raises(ModelFormatError):
-        load_checkpoint(path)
+    for read in _checkpoint_readers(path, tmp_path):
+        with pytest.raises(ModelFormatError):
+            read()
 
 
 def test_checkpoint_truncated_payload(tmp_path):
-    c = Checkpoint({"w": np.zeros(8, dtype=np.float32)})
     path = tmp_path / "t.ckpt"
-    save_checkpoint(c, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(ModelFormatError):
-        load_checkpoint(path)
-
-
-def test_file_averaging_matches_in_memory(tmp_path):
-    rng = random.Random(5)
-    ckpts = [_random_checkpoint(rng) for _ in range(4)]
-    paths = []
-    for i, c in enumerate(ckpts):
-        p = tmp_path / f"c{i}.ckpt"
-        save_checkpoint(c, p)
-        paths.append(p)
-    out = tmp_path / "avg.ckpt"
-    average_checkpoint_files(paths, out)
-
-    reference = tmp_path / "ref.ckpt"
-    save_checkpoint(checkpoint_average(ckpts), reference)
-    assert out.read_bytes() == reference.read_bytes()
-
-
-def test_file_averaging_empty_list(tmp_path):
-    with pytest.raises(EmptyCheckpointListError):
-        average_checkpoint_files([], tmp_path / "x.ckpt")
+    save_checkpoint({"w": np.zeros(8)}, path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ModelFormatError, match="truncated"):
+        average_checkpoint_files([path], tmp_path / "avg.ckpt")
 
 
 def _container(header, payload=b"", version=1) -> bytes:
@@ -193,7 +197,6 @@ def _container(header, payload=b"", version=1) -> bytes:
 
 def _checkpoint_readers(path, tmp_path):
     return [
-        lambda: load_checkpoint(path),
         lambda: checkpoint_metadata(path),
         lambda: average_checkpoint_files([path, path], tmp_path / "avg.ckpt"),
     ]
@@ -203,8 +206,6 @@ def test_non_f32_dtype_rejected_by_every_reader(tmp_path):
     entry = {"name": "w", "shape": [2], "dtype": "f16", "offset": 0}
     path = tmp_path / "f16.ckpt"
     path.write_bytes(_container({"metadata": {}, "tensors": [entry]}, b"\0" * 8))
-    with pytest.raises(ModelFormatError, match="dtype"):
-        load_checkpoint(path)
     with pytest.raises(ModelFormatError, match="dtype"):
         average_checkpoint_files([path, path], tmp_path / "avg.ckpt")
 
@@ -259,24 +260,26 @@ def test_huge_shape_is_a_truncated_payload(tmp_path):
     path = tmp_path / "huge.ckpt"
     path.write_bytes(_container({"tensors": [_entry(shape=[2**40, 2**40])]}, b"\0" * 8))
     with pytest.raises(ModelFormatError, match="truncated"):
-        load_checkpoint(path)
+        average_checkpoint_files([path], tmp_path / "avg.ckpt")
 
 
 def test_non_finite_payload_rejected(tmp_path):
     path = tmp_path / "nan.ckpt"
-    path.write_bytes(_container({"tensors": [_entry()]}, np.array([1, np.inf], "<f4").tobytes()))
-    with pytest.raises(ModelFormatError, match="non-finite"):
-        load_checkpoint(path)
+    for value in (np.nan, np.inf, -np.inf):
+        payload = np.array([1, value], "<f4").tobytes()
+        path.write_bytes(_container({"tensors": [_entry()]}, payload))
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            average_checkpoint_files([path], tmp_path / "avg.ckpt")
 
 
 def test_load_fuzzed_checkpoint_files(tmp_path):
-    """Truncated or garbled files load or raise ModelFormatError, in every reader."""
+    """Truncated or garbled files are read or raise ModelFormatError, in every reader."""
     rng = random.Random(12)
-    ckpt = _random_checkpoint(rng)
-    ckpt.tensors["scalar"] = np.float32(0.5)
-    ckpt.tensors["empty"] = np.zeros((0, 3), dtype=np.float32)
+    tensors = _random_tensors(rng)
+    tensors["scalar"] = np.float32(0.5)
+    tensors["empty"] = np.zeros((0, 3), dtype=np.float32)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(Checkpoint(ckpt.tensors, ckpt.metadata), path)
+    save_checkpoint(tensors, path, {"step": 12, "validation_score": 0.5})
     data = path.read_bytes()
     variants = [data[:n] for n in range(len(data))]
     for _ in range(400):
@@ -295,7 +298,7 @@ def test_load_fuzzed_checkpoint_files(tmp_path):
             except ModelFormatError:
                 continue
             succeeded += 1
-    assert 0 < succeeded < 3 * len(variants)
+    assert 0 < succeeded < 2 * len(variants)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +498,8 @@ def test_ngram_train_validation():
         NGramScorer(2, 4, 3, {}, [0.5, 0.5], floor=0.5)  # floor * V >= 1
     with pytest.raises(ValueError):
         NGramScorer(2, 4, 3, {}, [0.5], floor=1e-4)  # weight count != order
+    with pytest.raises(ValueError):
+        NGramScorer(2, 4, 3, {}, [1e308, 1e308], floor=1e-4)  # weight sum overflows
 
 
 def test_ngram_save_load_roundtrip(tmp_path):
