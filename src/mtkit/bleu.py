@@ -2,9 +2,10 @@
 
 Scores are computed over already-tokenized sequences; callers choose the
 tokenization (word tokens for reporting, ids for oracle selection over
-decoder output). Corpus BLEU is the standard unsmoothed 4-gram formula;
-sentence BLEU floors zero match counts at a small epsilon so candidates
-can be ranked by real differences.
+decoder output) and strip any end-of-sentence marker first. Corpus BLEU
+is the standard unsmoothed 4-gram formula; sentence BLEU floors zero
+match counts at a small epsilon so candidates can be ranked by real
+differences.
 """
 
 from __future__ import annotations
@@ -99,41 +100,25 @@ def sentence_bleu(hyp, ref) -> float:
     return bp * math.exp(log_sum / MAX_ORDER) * 100.0
 
 
-def _hyp_tokens(cand, eos_id):
-    tokens = list(getattr(cand, "tokens", cand))
-    if eos_id is not None and tokens and tokens[-1] == eos_id:
-        tokens = tokens[:-1]
-    return tokens
-
-
-def oracle_select(cands, ref, eos_id=None):
-    """Return (best candidate, its sentence BLEU); first index wins ties.
-
-    Accepts decode-module Candidate objects or plain token lists. When
-    eos_id is given, one trailing eos is stripped before scoring so a
-    completed hypothesis is compared against an eos-free reference.
-    """
-    if not cands:
+def oracle_select(hyps, ref):
+    """Return (best hypothesis, its sentence BLEU); first index wins ties."""
+    if not hyps:
         raise EmptyCandidateListError("oracle_select requires at least one candidate")
-    best_cand = None
+    best_hyp = None
     best_score = -1.0
-    for cand in cands:
-        score = sentence_bleu(_hyp_tokens(cand, eos_id), ref)
+    for hyp in hyps:
+        score = sentence_bleu(hyp, ref)
         if score > best_score:
-            best_cand = cand
+            best_hyp = hyp
             best_score = score
-    return best_cand, best_score
+    return best_hyp, best_score
 
 
-def oracle_corpus_bleu(cands_per_sentence, refs, eos_id=None) -> tuple[BleuResult, list[list]]:
-    """Corpus BLEU of the per-sentence oracle winners, and the winners'
-    tokens (one trailing eos stripped when eos_id is given)."""
-    if len(cands_per_sentence) != len(refs):
+def oracle_corpus_bleu(hyps_per_sentence, refs) -> tuple[BleuResult, list]:
+    """Corpus BLEU of the per-sentence oracle winners, and the winners."""
+    if len(hyps_per_sentence) != len(refs):
         raise LengthMismatchError(
-            f"{len(cands_per_sentence)} candidate lists vs {len(refs)} references"
+            f"{len(hyps_per_sentence)} candidate lists vs {len(refs)} references"
         )
-    winners = [
-        _hyp_tokens(oracle_select(cands, ref, eos_id)[0], eos_id)
-        for cands, ref in zip(cands_per_sentence, refs)
-    ]
+    winners = [oracle_select(hyps, ref)[0] for hyps, ref in zip(hyps_per_sentence, refs)]
     return corpus_bleu(winners, refs), winners

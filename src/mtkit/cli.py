@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 
 from . import bleu, bpe, corpus, decode, domain, models, textnorm
-from .errors import ConfigError, ModelFormatError, MtkitError
+from .errors import ConfigError, LengthMismatchError, ModelFormatError, MtkitError
 
 CHUNK = 4096
 
@@ -93,6 +94,17 @@ def _read_sources(path: str, bpe_model: bpe.BpeModel | None) -> list[list[int]]:
     return [_parse_ids(line) for line in lines]
 
 
+def _read_tsv(src, stage: str, provenance=corpus.Provenance.BITEXT, skipped=None):
+    """Pairs from TSV lines; each malformed line is logged and, when a
+    `skipped` list is given, its line number appended there."""
+    def on_malformed(line_no: int, why: str) -> None:
+        _log(f"{stage}: malformed line {line_no}: {why}")
+        if skipped is not None:
+            skipped.append(line_no)
+
+    return corpus.read_parallel_tsv(src, provenance, on_malformed)
+
+
 # ---------------------------------------------------------------------------
 # text commands
 
@@ -153,6 +165,8 @@ def cmd_bpe_decode(args) -> int:
 # corpus commands
 
 def cmd_filter(args) -> int:
+    if args.mono and args.langid:
+        raise ConfigError("--mono applies length bounds only and takes no --langid")
     langid = corpus.load_langid(args.langid) if args.langid else None
     required = tuple(args.langs.split(",")) if args.langs else None
     if langid is not None and required is None:
@@ -165,40 +179,18 @@ def cmd_filter(args) -> int:
         min_len_tokens=args.min_len,
     )
     report = corpus.FilterReport()
+    skipped: list[int] = []
     with _open_in(args.input) as src, _open_out(args.output) as out:
-        pending: list[corpus.ParallelExample] = []
-
-        def flush() -> None:
-            kept, chunk_report = corpus.filter_corpus(pending, cfg, langid)
-            nonlocal report
+        if args.mono:
+            pairs = (corpus.ParallelExample(t, t) for t in (line.rstrip("\n") for line in src))
+        else:
+            pairs = _read_tsv(src, "filter", skipped=skipped)
+        while chunk := list(itertools.islice(pairs, CHUNK)):
+            kept, chunk_report = corpus.filter_corpus(chunk, cfg, langid)
             report = report.merge(chunk_report)
             for pair in kept:
-                if args.mono:
-                    out.write(pair.source + "\n")
-                else:
-                    out.write(corpus.format_tsv_line(pair) + "\n")
-            pending.clear()
-
-        def on_malformed(line_no: int, why: str) -> None:
-            report.malformed += 1
-            _log(f"filter: malformed line {line_no}: {why}")
-
-        if args.mono:
-            seq = 0
-            for line_no, line in enumerate(src, start=1):
-                text = line.rstrip("\n")
-                pending.append(
-                    corpus.ParallelExample(source=text, target=text, sequence_no=seq)
-                )
-                seq += 1
-                if len(pending) >= CHUNK:
-                    flush()
-        else:
-            for pair in corpus.read_parallel_tsv(src, on_malformed=on_malformed):
-                pending.append(pair)
-                if len(pending) >= CHUNK:
-                    flush()
-        flush()
+                out.write((pair.source if args.mono else corpus.format_tsv_line(pair)) + "\n")
+    report.malformed = len(skipped)
     report_lines = report.to_lines()
     if args.report:
         with _staged(args.report) as tmp, open(tmp, "w", encoding="utf-8") as fh:
@@ -235,7 +227,7 @@ def cmd_mix(args) -> int:
         weight = float(fields[0])
         provenance = corpus.Provenance(fields[1])
         with open(fields[2], encoding="utf-8") as fh:
-            items = list(corpus.read_parallel_tsv(fh, provenance=provenance))
+            items = list(_read_tsv(fh, "mix", provenance))
         corpora.append((items, weight))
     mixed = corpus.mix_sample(corpora, args.n, args.seed)
     with _open_out(args.output) as out:
@@ -246,7 +238,7 @@ def cmd_mix(args) -> int:
 
 def cmd_reverse_target(args) -> int:
     with _open_in(args.input) as src, _open_out(args.output) as out:
-        for pair in corpus.read_parallel_tsv(src):
+        for pair in _read_tsv(src, "reverse-target"):
             out.write(corpus.format_tsv_line(corpus.reverse_target(pair)) + "\n")
     return 0
 
@@ -279,7 +271,7 @@ def cmd_domain_select(args) -> int:
         stage1_threshold=args.stage1, final_threshold=args.final
     )
     with _open_in(args.input) as src, _open_out(args.output) as out:
-        pairs = corpus.read_parallel_tsv(src)
+        pairs = _read_tsv(src, "domain-select")
         selected, counts = domain.bilingual_select(
             pairs, clf_en, clf_ru, cfg, english_side=args.english_side
         )
@@ -335,13 +327,10 @@ def _decode_config(args, fusion_lambda: float = 0.0) -> decode.DecodeConfig:
 
 def _write_bodies(out, cands_top1, eos_id: int, bpe_model) -> None:
     for cand in cands_top1:
-        tokens = list(cand.tokens)
         if bpe_model is not None:
-            out.write(bpe.bpe_decode(bpe_model, tokens) + "\n")
+            out.write(bpe.bpe_decode(bpe_model, list(cand.tokens)) + "\n")
         else:
-            if tokens and tokens[-1] == eos_id:
-                tokens = tokens[:-1]
-            out.write(" ".join(str(t) for t in tokens) + "\n")
+            out.write(" ".join(str(t) for t in decode.strip_eos(cand.tokens, eos_id)) + "\n")
 
 
 def cmd_decode(args) -> int:
@@ -378,9 +367,9 @@ def cmd_rerank(args) -> int:
     bpe_model = bpe.load_model(args.bpe) if args.bpe else None
     sources = _read_sources(args.source, bpe_model)
     with open(args.dump, encoding="utf-8") as fh:
-        cands_per_sentence = decode.parse_candidates(fh, eos_id=rev.eos_id)
+        cands_per_sentence = decode.parse_candidates(fh)
     if len(cands_per_sentence) != len(sources):
-        raise ValueError(
+        raise LengthMismatchError(
             f"{len(cands_per_sentence)} dumped sentences vs {len(sources)} sources"
         )
     ranked = [
@@ -420,10 +409,13 @@ def cmd_score_bleu(args) -> int:
 
 def cmd_oracle_bleu(args) -> int:
     with open(args.dump, encoding="utf-8") as fh:
-        cands_per_sentence = decode.parse_candidates(fh, eos_id=args.eos_id)
+        hyps_per_sentence = [
+            [decode.strip_eos(cand.tokens, args.eos_id) for cand in cands]
+            for cands in decode.parse_candidates(fh)
+        ]
     with open(args.ref, encoding="utf-8") as fh:
         refs = [_parse_ids(line) for line in fh]
-    result, winners = bleu.oracle_corpus_bleu(cands_per_sentence, refs, eos_id=args.eos_id)
+    result, winners = bleu.oracle_corpus_bleu(hyps_per_sentence, refs)
     if args.selected:
         with _staged(args.selected) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             for tokens in winners:
@@ -646,10 +638,7 @@ def run(argv=None) -> int:
     _log_config(args)
     try:
         return args.func(args)
-    except MtkitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (MtkitError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -39,7 +39,6 @@ class ParallelExample:
     target: str
     external_score: float | None = None
     provenance: Provenance = Provenance.BITEXT
-    sequence_no: int = 0
 
 
 RULE_ORDER = ("langid_src", "langid_tgt", "too_short", "too_long", "ratio", "score")
@@ -268,7 +267,7 @@ def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:
     """Draw n examples, picking corpus i with probability weight_i / sum.
 
     Each corpus is consumed in order and replayed from the start when
-    exhausted. Emitted examples are renumbered 0..n-1.
+    exhausted.
     """
     corpora = [(list(stream), float(weight)) for stream, weight in corpora]
     if not corpora:
@@ -282,20 +281,18 @@ def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:
     weights = [w for _, w in corpora]
     cursors = [0] * len(corpora)
     out = []
-    for seq_no in range(n):
+    for _ in range(n):
         i = rng.choices(range(len(corpora)), weights=weights)[0]
         items = corpora[i][0]
-        item = items[cursors[i] % len(items)]
+        out.append(items[cursors[i] % len(items)])
         cursors[i] += 1
-        out.append(replace(item, sequence_no=seq_no))
     return out
 
 
 # ---------------------------------------------------------------------------
 # TSV input/output
 
-def parse_tsv_line(line: str, sequence_no: int,
-                   provenance: Provenance = Provenance.BITEXT) -> ParallelExample:
+def parse_tsv_line(line: str, provenance: Provenance = Provenance.BITEXT) -> ParallelExample:
     """Parse `source<TAB>target[<TAB>score]`; raises ValueError on bad lines."""
     cols = line.rstrip("\n").split("\t")
     if len(cols) not in (2, 3):
@@ -305,26 +302,21 @@ def parse_tsv_line(line: str, sequence_no: int,
         score = float(cols[2])
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score {score} outside [0, 1]")
-    return ParallelExample(
-        source=cols[0], target=cols[1], external_score=score,
-        provenance=provenance, sequence_no=sequence_no,
-    )
+    return ParallelExample(cols[0], cols[1], score, provenance)
 
 
 def read_parallel_tsv(lines, provenance: Provenance = Provenance.BITEXT,
                       on_malformed=None):
     """Yield examples from TSV lines; malformed lines are reported, not fatal."""
-    seq_no = 0
     for line_no, line in enumerate(lines, start=1):
         if line.strip() == "":
             continue
         try:
-            pair = parse_tsv_line(line, seq_no, provenance)
+            pair = parse_tsv_line(line, provenance)
         except ValueError as exc:
             if on_malformed is not None:
                 on_malformed(line_no, str(exc))
             continue
-        seq_no += 1
         yield pair
 
 

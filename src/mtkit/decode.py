@@ -58,7 +58,6 @@ class Candidate:
     lm_logprob: float | None = None
     rev_logprob: float | None = None
     fused_score: float = 0.0
-    completed: bool = True
     combined_score: float | None = None
 
 
@@ -82,8 +81,8 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
     step adds at most log(1 + 1e-6) * (1 + lambda) to a score, so when the
     best live score plus that much per remaining step is still below the
     last kept completion, the remaining steps cannot change the result. If
-    nothing completes, the best partial is returned alone with
-    completed=False.
+    nothing completes, the best partial is returned alone; its last token
+    is not eos.
 
     Each step scores the (beams x V) matrix (score + log P_fwd) + lambda *
     log P_lm at once and sorts only the entries that can reach the beam, so
@@ -159,10 +158,7 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
         completed.sort(key=lambda c: (-c.fused_score, c.tokens))
         return completed[:limit]
     if beams:
-        best = beams[0]
-        flagged = _finish(best, lam, alpha)
-        flagged.completed = False
-        return [flagged]
+        return [_finish(beams[0], lam, alpha)]
     raise NoCompletedHypothesisError("all expansions hit zero-probability tokens")
 
 
@@ -263,7 +259,6 @@ def topk_sample(fwd: Scorer, source, cfg: DecodeConfig) -> Candidate:
     eos = fwd.eos_id
     tokens: tuple[int, ...] = ()
     fwd_sum = 0.0
-    completed = False
     for _ in range(cfg.max_len):
         dist = fwd.next_dist(source, tokens)
         # descending probability, lowest id first among ties
@@ -275,11 +270,8 @@ def topk_sample(fwd: Scorer, source, cfg: DecodeConfig) -> Candidate:
         fwd_sum += math.log(p) if p > 0 else float("-inf")
         tokens += (chosen,)
         if chosen == eos:
-            completed = True
             break
-    return Candidate(
-        tokens=tokens, fwd_logprob=fwd_sum, fused_score=fwd_sum, completed=completed
-    )
+    return Candidate(tokens=tokens, fwd_logprob=fwd_sum, fused_score=fwd_sum)
 
 
 def sequence_logprob(scorer: Scorer, source, tokens) -> float:
@@ -343,6 +335,14 @@ def sample_batch(fwd: Scorer, sources, cfg: DecodeConfig):
     return [topk_sample(fwd, s, replace(cfg, seed=cfg.seed + i)) for i, s in enumerate(sources)]
 
 
+def strip_eos(tokens, eos_id: int | None) -> list[int]:
+    """The tokens without one trailing eos; eos_id None strips nothing."""
+    tokens = list(tokens)
+    if eos_id is not None and tokens and tokens[-1] == eos_id:
+        tokens.pop()
+    return tokens
+
+
 # ---------------------------------------------------------------------------
 # candidate dump format
 
@@ -376,8 +376,8 @@ def format_candidates(cands_per_sentence) -> list[str]:
     return lines
 
 
-def parse_candidates(lines, eos_id: int | None = None) -> list[list[Candidate]]:
-    """Inverse of format_candidates; completion inferred from the last token."""
+def parse_candidates(lines) -> list[list[Candidate]]:
+    """Inverse of format_candidates."""
     sentences: dict[int, list[tuple[int, Candidate]]] = {}
     for line in lines:
         line = line.rstrip("\n")
@@ -394,7 +394,6 @@ def parse_candidates(lines, eos_id: int | None = None) -> list[list[Candidate]]:
             lm_logprob=_parse_opt(cols[3]),
             rev_logprob=_parse_opt(cols[4]),
             fused_score=float(cols[2]),
-            completed=(tokens[-1] == eos_id) if (eos_id is not None and tokens) else True,
             combined_score=_parse_opt(cols[5]),
         )
         sentences.setdefault(idx, []).append((rank, cand))
@@ -413,7 +412,6 @@ def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
     """
     refs = [list(r) for r in refs]
     results = []
-    eos = fwd.eos_id
     for lam_sf in sf_grid:
         decode_cfg = replace(cfg, fusion_lambda=lam_sf)
         cands_per_sentence = decode_batch(fwd, lm, sources, decode_cfg)
@@ -421,9 +419,6 @@ def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
             winners = []
             for source, cands in zip(sources, cands_per_sentence):
                 ranked = noisy_channel_rerank(cands, rev, lm, lam_ncr, source)
-                body = list(ranked[0].tokens)
-                if body and body[-1] == eos:
-                    body = body[:-1]
-                winners.append(body)
+                winners.append(strip_eos(ranked[0].tokens, fwd.eos_id))
             results.append((lam_sf, lam_ncr, corpus_bleu(winners, refs).score))
     return results

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ParallelExample
 from .errors import EmptyClassError, ModelFormatError, model_file
 
 

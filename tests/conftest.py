@@ -96,13 +96,13 @@ def langid_model(langid_corpus):
 # ---------------------------------------------------------------------------
 # planted filter fixture
 
-def _clean_pair(rng: random.Random, seq_no: int) -> corpus.ParallelExample:
+def _clean_pair(rng: random.Random) -> corpus.ParallelExample:
     len_s = rng.randint(5, 20)
     len_t = rng.randint(max(1, -(-len_s * 4 // 5)), len_s * 5 // 4)  # ratio <= 1.25
     source = " ".join(rng.choice(EN_WORDS) for _ in range(len_s))
     target = " ".join(rng.choice(DE_WORDS) for _ in range(len_t))
     score = None if rng.random() < 0.5 else round(rng.uniform(0.6, 1.0), 3)
-    return corpus.ParallelExample(source, target, score, sequence_no=seq_no)
+    return corpus.ParallelExample(source, target, score)
 
 
 @pytest.fixture(scope="session")
@@ -112,7 +112,7 @@ def planted_filter_fixture():
     rng = random.Random(77)
     tagged = []
     for _ in range(900):
-        tagged.append((None, _clean_pair(rng, 0)))
+        tagged.append((None, _clean_pair(rng)))
     for _ in range(25):
         bad = corpus.ParallelExample(
             " ".join(rng.choice(RU_WORDS) for _ in range(10)),
@@ -140,12 +140,7 @@ def planted_filter_fixture():
         )
         tagged.append(("score", bad))
     rng.shuffle(tagged)
-    pairs = [
-        corpus.ParallelExample(
-            p.source, p.target, p.external_score, p.provenance, seq_no
-        )
-        for seq_no, (_, p) in enumerate(tagged)
-    ]
+    pairs = [p for _, p in tagged]
     expected = corpus.FilterReport(total=1000, kept=900)
     for rule, _ in tagged:
         if rule is not None:

@@ -61,10 +61,7 @@ def reference_beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]
         completed.sort(key=lambda c: (-c.fused_score, c.tokens))
         return completed[:limit]
     if beams:
-        best = beams[0]
-        flagged = _finish(best, lam, cfg.length_penalty_alpha)
-        flagged.completed = False
-        return [flagged]
+        return [_finish(beams[0], lam, cfg.length_penalty_alpha)]
     raise NoCompletedHypothesisError("all expansions hit zero-probability tokens")
 
 
@@ -74,7 +71,6 @@ def reference_topk_sample(fwd, source, cfg: DecodeConfig) -> Candidate:
     eos = fwd.eos_id
     tokens: tuple[int, ...] = ()
     fwd_sum = 0.0
-    completed = False
     for _ in range(cfg.max_len):
         dist = fwd.next_dist(source, tokens)
         order = sorted(range(fwd.vocab_size), key=lambda t: (-dist[t], t))
@@ -92,11 +88,8 @@ def reference_topk_sample(fwd, source, cfg: DecodeConfig) -> Candidate:
         fwd_sum += math.log(p) if p > 0 else float("-inf")
         tokens += (chosen,)
         if chosen == eos:
-            completed = True
             break
-    return Candidate(
-        tokens=tokens, fwd_logprob=fwd_sum, fused_score=fwd_sum, completed=completed
-    )
+    return Candidate(tokens=tokens, fwd_logprob=fwd_sum, fused_score=fwd_sum)
 
 
 def reference_ngram_next_dist(model, prefix) -> np.ndarray:

@@ -155,7 +155,8 @@ def test_oracle_selection_never_scores_below_rank_one(random_decode_instances):
             ref = list(exact_search(fwd, None, source, max_len).tokens[:-1])
             cands_all.append(cands)
             cfg_refs.append(ref or [0])  # references must be non-empty
-        score_oracle, _ = bleu.oracle_corpus_bleu(cands_all, cfg_refs, eos_id=None)
+        hyps_all = [[list(c.tokens) for c in cands] for cands in cands_all]
+        score_oracle, _ = bleu.oracle_corpus_bleu(hyps_all, cfg_refs)
         rank1 = [list(c[0].tokens) for c in cands_all]
         score_rank1 = bleu.corpus_bleu(rank1, cfg_refs).score
         assert score_oracle.score >= score_rank1
@@ -200,7 +201,6 @@ def test_domain_funnel_matches_hand_recompute(domain_fixture):
         clf_ru = domain.domain_train(med_ru[:400], news_ru[:400], seed=0)
 
         rng = random.Random(4242)
-        pairs = []
         rows = (
             [(med_en[i + 400], med_ru[i + 400]) for i in range(150)]
             + [(news_en[i + 400], news_ru[i + 400]) for i in range(150)]
@@ -208,22 +208,21 @@ def test_domain_funnel_matches_hand_recompute(domain_fixture):
             + [(news_en[i + 550], med_ru[i + 550]) for i in range(100)]
         )
         rng.shuffle(rows)
-        for seq, (src, tgt) in enumerate(rows):
-            pairs.append(corpus.ParallelExample(source=src, target=tgt,
-                                                sequence_no=seq))
+        pairs = [corpus.ParallelExample(source=src, target=tgt) for src, tgt in rows]
+        position = {id(p): i for i, p in enumerate(pairs)}
 
         cfg = domain.SelectionConfig(stage1_threshold=0.5, final_threshold=0.90)
         selected, counts = domain.bilingual_select(pairs, clf_en, clf_ru, cfg)
 
         expected = []
-        for pair in pairs:
+        for i, pair in enumerate(pairs):
             s_en = clf_en.score(pair.source)
             if s_en <= 0.5:
                 continue
             s_ru = clf_ru.score(pair.target)
             if (s_en + s_ru) / 2 >= 0.90:
-                expected.append((pair.sequence_no, s_en, s_ru))
-        got = [(p.sequence_no, se, sr) for p, se, sr in selected]
+                expected.append((i, s_en, s_ru))
+        got = [(position[id(p)], se, sr) for p, se, sr in selected]
         assert got == expected
         assert counts["final_kept"] == len(expected)
         assert 0 < len(expected) < len(pairs)
@@ -232,11 +231,6 @@ def test_domain_funnel_matches_hand_recompute(domain_fixture):
 def test_mixing_ratios_within_tolerance():
     with criterion("mixing ratios: 6:3:1 at n=100k within +-0.01 "
                    "per provenance"):
-        def make(tag, n):
-            return [corpus.ParallelExample(source=f"{tag}{i}", target=f"t{i}",
-                                           sequence_no=i, provenance=prov)
-                    for i in range(n)]
-
         parts = []
         for prov, weight in (
             (corpus.Provenance.BITEXT, 6.0),
@@ -244,8 +238,7 @@ def test_mixing_ratios_within_tolerance():
             (corpus.Provenance.R2L_DISTILLED, 1.0),
         ):
             items = [corpus.ParallelExample(source=f"{prov.value}-{i}",
-                                            target=f"t{i}", sequence_no=i,
-                                            provenance=prov)
+                                            target=f"t{i}", provenance=prov)
                      for i in range(50)]
             parts.append((items, weight))
         mixed = corpus.mix_sample(parts, 100_000, seed=7)

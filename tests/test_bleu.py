@@ -12,6 +12,7 @@ from mtkit.bleu import (
     oracle_select,
     sentence_bleu,
 )
+from mtkit.decode import strip_eos
 from mtkit.errors import (
     EmptyCandidateListError,
     EmptyCorpusError,
@@ -200,23 +201,17 @@ def test_oracle_four_way_hand_comparison():
     assert best is cands[1] and score == 100.0
 
 
-def test_oracle_duck_types_candidate_objects():
-    from mtkit.decode import Candidate
-
-    ref = [1, 2, 3]
-    cands = [
-        Candidate(tokens=(1, 2, 9), fwd_logprob=-1.0),
-        Candidate(tokens=(1, 2, 3), fwd_logprob=-5.0),
-    ]
-    best, score = oracle_select(cands, ref)
-    assert best is cands[1] and score == 100.0
-
-
 def test_oracle_strips_trailing_eos():
+    # oracle-bleu strips one trailing eos from each candidate before scoring
+    assert strip_eos((1, 2, 99), 99) == [1, 2]
+    assert strip_eos([1, 99, 99], 99) == [1, 99]  # one eos only
+    assert strip_eos((99, 1), 99) == [99, 1]  # not trailing
+    assert strip_eos((), 99) == []
+    assert strip_eos((1, 99), None) == [1, 99]  # no eos id, no strip
     ref = [1, 2]
-    cands = [[1, 2, 99], [1, 9, 99]]
-    best, score = oracle_select(cands, ref, eos_id=99)
-    assert best == [1, 2, 99] and score == 100.0
+    hyps = [strip_eos(c, 99) for c in ([1, 9, 99], [1, 2, 99], [1, 2])]
+    best, score = oracle_select(hyps, ref)
+    assert best is hyps[1] and best == [1, 2] and score == 100.0
 
 
 def test_oracle_corpus_dominates_rank1():

@@ -299,6 +299,20 @@ def test_filter_mono_mode(tmp_path, capsys):
     assert "rejected.too_long=1" in err
 
 
+def test_filter_mono_rejects_langid(tmp_path, capsys, langid_file):
+    # --mono applies the length bounds only: one sentence cannot pass both
+    # sides of an en,ru language check
+    rng = random.Random(6)
+    inp = tmp_path / "mono.txt"
+    out = tmp_path / "kept.txt"
+    _write(inp, [make_sentence(rng, "en", 8) for _ in range(5)])
+    rc = run(["filter", str(inp), "-o", str(out), "--mono",
+              "--langid", str(langid_file), "--langs", "en,ru"])
+    assert rc == 1
+    assert "error: ConfigError:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_filter_threads_identical_output(tmp_path):
     inp = tmp_path / "pairs.tsv"
     rng = random.Random(3)
@@ -397,6 +411,24 @@ def test_mix_ratio_and_determinism(tmp_path):
     assert out3.read_bytes() != out1.read_bytes()
 
 
+_MALFORMED_TSV = ["a b\tx y", "one column only", "c d\tz w\tnope", "e f\tu v\t0.9"]
+
+
+def _assert_malformed_logged(err: str, stage: str) -> None:
+    assert f"{stage}: malformed line 2: expected 2 or 3 tab-separated columns, got 1" in err
+    assert f"{stage}: malformed line 3: could not convert string to float: 'nope'" in err
+    assert "malformed line 1:" not in err and "malformed line 4:" not in err
+
+
+def test_mix_logs_malformed_lines(tmp_path, capsys):
+    part = tmp_path / "part.tsv"
+    _write(part, _MALFORMED_TSV)
+    out = tmp_path / "mix.tsv"
+    assert run(["mix", "--part", f"1:bitext:{part}", "--n", "4", "-o", str(out)]) == 0
+    assert _read(out) == ["a b\tx y", "e f\tu v\t0.9"] * 2
+    _assert_malformed_logged(capsys.readouterr().err, "mix")
+
+
 def test_mix_bad_part_spec(tmp_path, capsys):
     rc = run(["mix", "--part", "nocolons", "--n", "5"])
     assert rc == 1
@@ -412,6 +444,15 @@ def test_reverse_target_involution(tmp_path):
     assert _read(once) == ["a b c\tz y x\t0.5", "q r\tw v u"]
     assert run(["reverse-target", str(once), "-o", str(twice)]) == 0
     assert twice.read_bytes() == inp.read_bytes()
+
+
+def test_reverse_target_logs_malformed_lines(tmp_path, capsys):
+    inp = tmp_path / "pairs.tsv"
+    _write(inp, _MALFORMED_TSV)
+    assert run(["reverse-target", str(inp)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["a b\ty x", "e f\tv u\t0.9"]
+    _assert_malformed_logged(captured.err, "reverse-target")
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +613,13 @@ def test_decode_writes_top1_and_dump(tmp_path):
     cfg = DecodeConfig(beam_size=9, max_len=2, n_candidates=9)
     expected = [beam_search(fwd, None, [0], cfg) for _ in range(2)]
     with open(dump, encoding="utf-8") as fh:
-        parsed = parse_candidates(fh, eos_id=fwd.eos_id)
+        parsed = parse_candidates(fh)
     assert len(parsed) == 2
     for got_cands, want_cands in zip(parsed, expected):
+        assert len(got_cands) == len(want_cands)
         for got, want in zip(got_cands, want_cands):
             assert got.tokens == want.tokens
             assert got.fused_score == want.fused_score
-            assert got.completed == want.completed
 
 
 def test_decode_ensemble_of_identical_models_matches_single(tmp_path):
@@ -651,7 +692,7 @@ def test_rerank_top1_matches_library(tmp_path):
     assert rc == 0
 
     with open(dump, encoding="utf-8") as fh:
-        cands_per_sentence = parse_candidates(fh, eos_id=rev.eos_id)
+        cands_per_sentence = parse_candidates(fh)
     expected = []
     for cands in cands_per_sentence:
         best = noisy_channel_rerank(cands, rev, lm, 0.5, [0])[0]
@@ -679,7 +720,7 @@ def test_rerank_full_dump_output(tmp_path):
     ranked = tmp_path / "ranked.tsv"
     assert rerank(ranked, "--lam", "0.5") == 0
     with open(ranked, encoding="utf-8") as fh:
-        parsed = parse_candidates(fh, eos_id=2)
+        parsed = parse_candidates(fh)
     assert len(parsed) == 1
     combined = [c.combined_score for c in parsed[0]]
     assert all(c is not None for c in combined)
@@ -704,10 +745,12 @@ def test_rerank_dump_source_count_mismatch(tmp_path, capsys):
          "--dump", str(dump), "-o", str(tmp_path / "ignored.txt")])
     two_sources = tmp_path / "src2.txt"
     _write(two_sources, ["0", "0"])
+    out = tmp_path / "ranked.tsv"
     rc = run(["rerank", "--dump", str(dump), "--source", str(two_sources),
-              "--rev", str(fwd_path), "--lm", str(fwd_path)])
+              "--rev", str(fwd_path), "--lm", str(fwd_path), "-o", str(out)])
     assert rc == 1
-    assert "error: ValueError:" in capsys.readouterr().err
+    assert "error: LengthMismatchError: 1 dumped sentences vs 2 sources" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

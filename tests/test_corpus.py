@@ -195,8 +195,9 @@ def test_filter_corpus_deterministic(planted_filter_fixture, langid_model):
 def test_filter_corpus_order_preserved(planted_filter_fixture, langid_model):
     pairs, _ = planted_filter_fixture
     kept, _ = filter_corpus(pairs, FilterConfig(required_langs=("en", "de")), langid_model)
-    seq = [p.sequence_no for p in kept]
-    assert seq == sorted(seq)
+    position = {id(p): i for i, p in enumerate(pairs)}
+    seq = [position[id(p)] for p in kept]
+    assert len(kept) == 900 and seq == sorted(seq)
 
 
 def test_filter_report_reconciles(planted_filter_fixture, langid_model):
@@ -242,7 +243,7 @@ def test_reverse_target_involution():
             make_sentence(rng, "en"),
             " ".join(rng.choice("abcdef") for _ in range(rng.randint(1, 12))),
             external_score=rng.choice([None, 0.7]),
-            sequence_no=rng.randint(0, 99),
+            provenance=rng.choice(list(Provenance)),
         )
         assert reverse_target(reverse_target(p)) == p
 
@@ -270,7 +271,7 @@ def test_reverse_target_provenance_tag():
 
 def _corpus(n, provenance):
     return [
-        ParallelExample(f"s{i}", f"t{i}", provenance=provenance, sequence_no=i)
+        ParallelExample(f"s{i}", f"t{i}", provenance=provenance)
         for i in range(n)
     ]
 
@@ -308,11 +309,6 @@ def test_mix_single_corpus_replays_in_order():
     assert [p.source for p in out] == [f"s{i % 4}" for i in range(10)]
 
 
-def test_mix_renumbers_sequence():
-    out = mix_sample([(_corpus(5, Provenance.BITEXT), 1.0)], n=12, seed=3)
-    assert [p.sequence_no for p in out] == list(range(12))
-
-
 def test_mix_deterministic():
     parts = [(_corpus(50, Provenance.BITEXT), 1.0), (_corpus(50, Provenance.NEWS), 1.0)]
     assert mix_sample(parts, 500, seed=5) == mix_sample(parts, 500, seed=5)
@@ -333,34 +329,34 @@ def test_mix_errors():
 
 
 def test_parse_tsv_two_and_three_columns():
-    p = parse_tsv_line("hello\twelt", 4)
-    assert (p.source, p.target, p.external_score, p.sequence_no) == ("hello", "welt", None, 4)
-    q = parse_tsv_line("hello\twelt\t0.85\n", 0)
+    p = parse_tsv_line("hello\twelt")
+    assert (p.source, p.target, p.external_score) == ("hello", "welt", None)
+    q = parse_tsv_line("hello\twelt\t0.85\n")
     assert q.external_score == 0.85
 
 
 def test_parse_tsv_rejects_bad_lines():
     with pytest.raises(ValueError):
-        parse_tsv_line("only one column", 0)
+        parse_tsv_line("only one column")
     with pytest.raises(ValueError):
-        parse_tsv_line("a\tb\t1.5", 0)
+        parse_tsv_line("a\tb\t1.5")
     with pytest.raises(ValueError):
-        parse_tsv_line("a\tb\tnot_a_number", 0)
+        parse_tsv_line("a\tb\tnot_a_number")
 
 
 def test_read_parallel_tsv_skips_and_reports():
     lines = ["a\tb", "", "broken line", "c\td\t0.9", "   ", "e\tf"]
     seen = []
     pairs = list(read_parallel_tsv(lines, on_malformed=lambda no, msg: seen.append(no)))
-    assert [(p.source, p.sequence_no) for p in pairs] == [("a", 0), ("c", 1), ("e", 2)]
+    assert [p.source for p in pairs] == ["a", "c", "e"]
     assert seen == [3]
 
 
 def test_format_tsv_roundtrip():
-    p = ParallelExample("hello", "welt", external_score=0.75, sequence_no=9)
+    p = ParallelExample("hello", "welt", external_score=0.75)
     line = format_tsv_line(p)
     assert line == "hello\twelt\t0.75"
-    back = parse_tsv_line(line, 9)
+    back = parse_tsv_line(line)
     assert back == p
 
 

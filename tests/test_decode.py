@@ -119,7 +119,6 @@ def test_beam_candidates_well_formed():
     assert cands
     eos = fwd.eos_id
     for c in cands:
-        assert c.completed
         assert c.tokens[-1] == eos and eos not in c.tokens[:-1]
         assert c.fwd_logprob <= 0.0
         assert c.fused_score == c.fwd_logprob  # lambda 0
@@ -156,7 +155,7 @@ def test_beam_unfinished_flagged():
     m = TableScorer(["a", "b", "eos"], {}, dead_eos)
     cands = beam_search(m, None, (0,), DecodeConfig(beam_size=4, max_len=3, n_candidates=4))
     assert len(cands) == 1
-    assert not cands[0].completed
+    assert cands[0].tokens[-1] != m.eos_id
     assert len(cands[0].tokens) == 3 and 2 not in cands[0].tokens
 
 
@@ -208,7 +207,7 @@ def test_beam_monotone_in_width(random_decode_instances):
                     fusion_lambda=lam,
                 )
                 cands = beam_search(fwd, lm, source, cfg)
-                if cands and cands[0].completed:
+                if cands and cands[0].tokens[-1] == fwd.eos_id:
                     assert cands[0].fused_score >= best_prev - 1e-12
                     best_prev = max(best_prev, cands[0].fused_score)
 
@@ -304,8 +303,7 @@ def test_topk_k1_is_greedy():
     )
     for seed in range(5):
         c = topk_sample(fwd, (0,), DecodeConfig(max_len=4, sample_k=1, seed=seed))
-        assert c.tokens == (1, 2)
-        assert c.completed
+        assert c.tokens == (1, 2) and c.tokens[-1] == fwd.eos_id
 
 
 def test_topk_k1_tie_takes_lowest_id():
@@ -336,7 +334,7 @@ def test_topk_unfinished_flag():
     dead_eos = np.array([0.6, 0.4, 0.0])
     m = TableScorer(["a", "b", "eos"], {}, dead_eos)
     c = topk_sample(m, (0,), DecodeConfig(max_len=3, sample_k=2, seed=1))
-    assert not c.completed and len(c.tokens) == 3
+    assert c.tokens[-1] != m.eos_id and len(c.tokens) == 3
 
 
 def test_topk_restricts_to_top_k():
@@ -548,7 +546,7 @@ def test_candidate_dump_roundtrip(random_decode_instances):
     rev = make_table_scorer(fwd.vocab_size, max_len, random.Random(51), source=source)
     ranked = noisy_channel_rerank(cands, rev, lm, 0.5, source)
     lines = format_candidates([ranked])
-    parsed = parse_candidates(lines, eos_id=fwd.eos_id)
+    parsed = parse_candidates(lines)
     assert len(parsed) == 1
     for orig, back in zip(ranked, parsed[0]):
         assert back.tokens == orig.tokens
@@ -556,7 +554,6 @@ def test_candidate_dump_roundtrip(random_decode_instances):
         assert back.lm_logprob == orig.lm_logprob
         assert back.rev_logprob == orig.rev_logprob
         assert back.combined_score == orig.combined_score
-        assert back.completed == orig.completed
 
 
 def test_candidate_dump_none_fields():
@@ -570,13 +567,6 @@ def test_candidate_dump_none_fields():
 def test_parse_candidates_rejects_bad_lines():
     with pytest.raises(ValueError):
         parse_candidates(["1\t2\t3"])
-
-
-def test_parse_candidates_completion_inference():
-    lines = ["0\t0\t-1.0\t-\t-\t-\t0,2", "0\t1\t-1.0\t-\t-\t-\t0,1"]
-    parsed = parse_candidates(lines, eos_id=2)
-    assert parsed[0][0].completed is True
-    assert parsed[0][1].completed is False
 
 
 # ---------------------------------------------------------------------------
