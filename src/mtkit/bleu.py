@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyCandidateListError, EmptyCorpusError, EmptyReferenceError, LengthMismatchError
+from .errors import EmptyInputError, LengthMismatchError
 
 MAX_ORDER = 4
 _EPS = 1e-9
@@ -45,7 +45,7 @@ def corpus_bleu(hyps, refs) -> BleuResult:
     if len(hyps) != len(refs):
         raise LengthMismatchError(f"{len(hyps)} hypotheses vs {len(refs)} references")
     if not hyps:
-        raise EmptyCorpusError("corpus_bleu needs at least one sentence pair")
+        raise EmptyInputError("corpus_bleu needs at least one sentence pair")
 
     matched = [0] * MAX_ORDER
     total = [0] * MAX_ORDER
@@ -85,7 +85,7 @@ def sentence_bleu(hyp, ref) -> float:
     hyp = list(hyp)
     ref = list(ref)
     if not ref:
-        raise EmptyReferenceError("sentence_bleu requires a non-empty reference")
+        raise EmptyInputError("sentence_bleu requires a non-empty reference")
     if not hyp:
         return 0.0
     log_sum = 0.0
@@ -103,7 +103,7 @@ def sentence_bleu(hyp, ref) -> float:
 def oracle_select(hyps, ref):
     """Return (best hypothesis, its sentence BLEU); first index wins ties."""
     if not hyps:
-        raise EmptyCandidateListError("oracle_select requires at least one candidate")
+        raise EmptyInputError("oracle_select requires at least one candidate")
     best_hyp = None
     best_score = -1.0
     for hyp in hyps:

@@ -13,13 +13,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .errors import (
-    EmptyCorpusError,
-    ModelFormatError,
-    UnknownIdError,
-    VocabTooSmallError,
-    model_file,
-)
+from .errors import ConfigError, EmptyInputError, ModelFormatError, VocabMismatchError, model_file
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 WORD_END = "</w>"
@@ -97,12 +91,12 @@ def bpe_train(corpus, vocab_size: int) -> BpeModel:
     for line in corpus:
         word_freqs.update(line.split())
     if not word_freqs:
-        raise EmptyCorpusError("bpe_train: corpus contains no words")
+        raise EmptyInputError("bpe_train: corpus contains no words")
 
     alphabet = sorted({ch for word in word_freqs for ch in word})
     base = list(SPECIALS) + alphabet
     if vocab_size <= len(base):
-        raise VocabTooSmallError(
+        raise ConfigError(
             f"vocab_size {vocab_size} <= base symbol count {len(base)} (no room for merges)"
         )
 
@@ -200,7 +194,7 @@ def bpe_encode(model: BpeModel, text: str, dropout_p: float = 0.0, seed: int = 0
     """Encode text to token ids; with dropout_p > 0 each applicable merge is
     skipped with that probability via a generator seeded per call."""
     if not 0.0 <= dropout_p < 1.0:
-        raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p}")
+        raise ConfigError(f"dropout_p must be in [0, 1), got {dropout_p}")
     rng = random.Random(seed) if dropout_p > 0.0 else None
     ids: list[int] = []
     unk = model.unk_id
@@ -222,7 +216,7 @@ def bpe_decode(model: BpeModel, ids) -> str:
             continue
         tok = model.id_to_token.get(tid)
         if tok is None:
-            raise UnknownIdError(f"id {tid} not in vocab")
+            raise VocabMismatchError(f"id {tid} not in vocab")
         pieces.append(tok)
     return "".join(pieces).replace(WORD_END, " ").rstrip()
 

@@ -19,18 +19,30 @@ import os
 import sys
 
 from . import bleu, bpe, corpus, decode, domain, models, textnorm
-from .errors import ConfigError, LengthMismatchError, ModelFormatError, MtkitError
+from .errors import (
+    ConfigError,
+    EmptyInputError,
+    InputFormatError,
+    LengthMismatchError,
+    ModelFormatError,
+    MtkitError,
+    naming,
+)
 
 CHUNK = 4096
 
 
 @contextlib.contextmanager
 def _open_in(path: str):
-    if path == "-":
-        yield sys.stdin
-        return
-    with open(path, encoding="utf-8") as fh:
-        yield fh
+    """The one way the CLI reads a text input ('-' for stdin). A ValueError
+    raised in the block, from undecodable bytes or a field that int() or
+    float() rejects, becomes an InputFormatError naming the path."""
+    with naming(path, InputFormatError):
+        if path == "-":
+            yield sys.stdin
+            return
+        with open(path, encoding="utf-8") as fh:
+            yield fh
 
 
 @contextlib.contextmanager
@@ -86,19 +98,22 @@ def _bpe_tokenizer(model: bpe.BpeModel):
     return lambda text: [model.id_to_token[i] for i in bpe.bpe_encode(model, text)]
 
 
-def _read_sources(path: str, bpe_model: bpe.BpeModel | None) -> list[list[int]]:
+def _read_sources(path: str, bpe_model: bpe.BpeModel | None,
+                  nonempty: bool = False) -> list[list[int]]:
+    """One id list per line; with `nonempty`, a line with no ids is an error."""
     with _open_in(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if bpe_model is not None:
-        return [bpe.bpe_encode(bpe_model, line) for line in lines]
-    return [_parse_ids(line) for line in lines]
+        sources = [_parse_ids(line) if bpe_model is None else bpe.bpe_encode(bpe_model, line)
+                   for line in fh]
+    if nonempty and [] in sources:
+        raise EmptyInputError(f"{path}: line {sources.index([]) + 1} holds no source tokens")
+    return sources
 
 
-def _read_tsv(src, stage: str, provenance=corpus.Provenance.BITEXT, skipped=None):
-    """Pairs from TSV lines; each malformed line is logged and, when a
-    `skipped` list is given, its line number appended there."""
+def _read_tsv(src, stage: str, path: str, provenance=corpus.Provenance.BITEXT, skipped=None):
+    """Pairs from the TSV lines of `path`; each malformed line is logged and,
+    when a `skipped` list is given, its line number appended there."""
     def on_malformed(line_no: int, why: str) -> None:
-        _log(f"{stage}: malformed line {line_no}: {why}")
+        _log(f"{stage}: {path}: malformed line {line_no}: {why}")
         if skipped is not None:
             skipped.append(line_no)
 
@@ -121,7 +136,7 @@ def cmd_tokenize(args) -> int:
         for line in src:
             line = line.rstrip("\n")
             if args.detok:
-                text = textnorm.detokenize(line.split(), lang=args.lang)
+                text = textnorm.detokenize(line.split())
                 if args.german_quotes:
                     text = textnorm.german_quote_postprocess(text)
                 out.write(text + "\n")
@@ -170,7 +185,7 @@ def cmd_filter(args) -> int:
     langid = corpus.load_langid(args.langid) if args.langid else None
     required = tuple(args.langs.split(",")) if args.langs else None
     if langid is not None and required is None:
-        raise ValueError("--langid requires --langs src,tgt")
+        raise ConfigError("--langid requires --langs src,tgt")
     cfg = corpus.FilterConfig(
         max_len_tokens=args.max_len,
         max_len_ratio=args.max_ratio,
@@ -184,7 +199,7 @@ def cmd_filter(args) -> int:
         if args.mono:
             pairs = (corpus.ParallelExample(t, t) for t in (line.rstrip("\n") for line in src))
         else:
-            pairs = _read_tsv(src, "filter", skipped=skipped)
+            pairs = _read_tsv(src, "filter", args.input, skipped=skipped)
         while chunk := list(itertools.islice(pairs, CHUNK)):
             kept, chunk_report = corpus.filter_corpus(chunk, cfg, langid)
             report = report.merge(chunk_report)
@@ -205,8 +220,8 @@ def cmd_langid_train(args) -> int:
     for spec_item in args.data:
         code, _, path = spec_item.partition("=")
         if not path:
-            raise ValueError(f"expected CODE=PATH, got {spec_item!r}")
-        with open(path, encoding="utf-8") as fh:
+            raise ConfigError(f"langid-train data: expected CODE=PATH, got {spec_item!r}")
+        with _open_in(path) as fh:
             labeled.extend((line.rstrip("\n"), code) for line in fh if line.strip())
     model = corpus.langid_train(
         labeled, seed=args.seed, n_features=args.features,
@@ -221,14 +236,14 @@ def cmd_langid_train(args) -> int:
 def cmd_mix(args) -> int:
     corpora = []
     for part in args.part:
-        fields = part.split(":", 2)
-        if len(fields) != 3:
-            raise ValueError(f"expected WEIGHT:PROVENANCE:PATH, got {part!r}")
-        weight = float(fields[0])
-        provenance = corpus.Provenance(fields[1])
-        with open(fields[2], encoding="utf-8") as fh:
-            items = list(_read_tsv(fh, "mix", provenance))
-        corpora.append((items, weight))
+        try:
+            weight_text, tag, path = part.split(":", 2)
+            weight, provenance = float(weight_text), corpus.Provenance(tag)
+        except ValueError as exc:
+            raise ConfigError(
+                f"--part {part!r}: expected WEIGHT:PROVENANCE:PATH ({exc})") from None
+        with _open_in(path) as fh:
+            corpora.append((list(_read_tsv(fh, "mix", path, provenance)), weight))
     mixed = corpus.mix_sample(corpora, args.n, args.seed)
     with _open_out(args.output) as out:
         for pair in mixed:
@@ -238,7 +253,7 @@ def cmd_mix(args) -> int:
 
 def cmd_reverse_target(args) -> int:
     with _open_in(args.input) as src, _open_out(args.output) as out:
-        for pair in _read_tsv(src, "reverse-target"):
+        for pair in _read_tsv(src, "reverse-target", args.input):
             out.write(corpus.format_tsv_line(corpus.reverse_target(pair)) + "\n")
     return 0
 
@@ -248,9 +263,9 @@ def cmd_reverse_target(args) -> int:
 
 def cmd_domain_train(args) -> int:
     tokenizer = _bpe_tokenizer(bpe.load_model(args.bpe)) if args.bpe else None
-    with open(args.positives, encoding="utf-8") as fh:
+    with _open_in(args.positives) as fh:
         positives = [line.rstrip("\n") for line in fh if line.strip()]
-    with open(args.negatives, encoding="utf-8") as fh:
+    with _open_in(args.negatives) as fh:
         negatives = [line.rstrip("\n") for line in fh if line.strip()]
     clf = domain.domain_train(
         positives, negatives, seed=args.seed, lang=args.lang,
@@ -271,7 +286,7 @@ def cmd_domain_select(args) -> int:
         stage1_threshold=args.stage1, final_threshold=args.final
     )
     with _open_in(args.input) as src, _open_out(args.output) as out:
-        pairs = _read_tsv(src, "domain-select")
+        pairs = _read_tsv(src, "domain-select", args.input)
         selected, counts = domain.bilingual_select(
             pairs, clf_en, clf_ru, cfg, english_side=args.english_side
         )
@@ -338,7 +353,7 @@ def cmd_decode(args) -> int:
     lm = models.load_scorer(args.lm) if args.lm else None
     bpe_model = bpe.load_model(args.bpe) if args.bpe else None
     cfg = _decode_config(args, fusion_lambda=args.fusion_lambda)
-    sources = _read_sources(args.input, bpe_model)
+    sources = _read_sources(args.input, bpe_model, nonempty=True)
     results = decode.decode_batch(fwd, lm, sources, cfg)
     with _open_out(args.output) as out:
         _write_bodies(out, [cands[0] for cands in results], fwd.eos_id, bpe_model)
@@ -366,7 +381,7 @@ def cmd_rerank(args) -> int:
     lm = models.load_scorer(args.lm)
     bpe_model = bpe.load_model(args.bpe) if args.bpe else None
     sources = _read_sources(args.source, bpe_model)
-    with open(args.dump, encoding="utf-8") as fh:
+    with _open_in(args.dump) as fh:
         cands_per_sentence = decode.parse_candidates(fh)
     if len(cands_per_sentence) != len(sources):
         raise LengthMismatchError(
@@ -388,10 +403,10 @@ def cmd_rerank(args) -> int:
 # scoring commands
 
 def cmd_score_bleu(args) -> int:
-    with open(args.hyp, encoding="utf-8") as fh:
-        hyps = [line.rstrip("\n").split() for line in fh]
-    with open(args.ref, encoding="utf-8") as fh:
-        refs = [line.rstrip("\n").split() for line in fh]
+    with _open_in(args.hyp) as fh:
+        hyps = [line.split() for line in fh]
+    with _open_in(args.ref) as fh:
+        refs = [line.split() for line in fh]
     result = bleu.corpus_bleu(hyps, refs)
     if args.sentence_scores:
         with _staged(args.sentence_scores) as tmp, open(tmp, "w", encoding="utf-8") as fh:
@@ -408,12 +423,12 @@ def cmd_score_bleu(args) -> int:
 
 
 def cmd_oracle_bleu(args) -> int:
-    with open(args.dump, encoding="utf-8") as fh:
+    with _open_in(args.dump) as fh:
         hyps_per_sentence = [
             [decode.strip_eos(cand.tokens, args.eos_id) for cand in cands]
             for cands in decode.parse_candidates(fh)
         ]
-    with open(args.ref, encoding="utf-8") as fh:
+    with _open_in(args.ref) as fh:
         refs = [_parse_ids(line) for line in fh]
     result, winners = bleu.oracle_corpus_bleu(hyps_per_sentence, refs)
     if args.selected:
@@ -425,18 +440,25 @@ def cmd_oracle_bleu(args) -> int:
     return 0
 
 
+def _grid(option: str, text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{option} {text!r}: {exc}") from None
+
+
 def cmd_tune_lambda(args) -> int:
     fwd = _load_forward(args.model)
     rev = models.load_scorer(args.rev)
     lm = models.load_scorer(args.lm)
     bpe_model = bpe.load_model(args.bpe) if args.bpe else None
-    sources = _read_sources(args.source, bpe_model)
-    with open(args.ref, encoding="utf-8") as fh:
+    sources = _read_sources(args.source, bpe_model, nonempty=True)
+    with _open_in(args.ref) as fh:
         refs = [_parse_ids(line) for line in fh]
     cfg = _decode_config(args)
-    sf_grid = [float(v) for v in args.sf_grid.split(",")]
-    ncr_grid = [float(v) for v in args.ncr_grid.split(",")]
-    results = decode.grid_search_lambdas(fwd, rev, lm, sources, refs, cfg, sf_grid, ncr_grid)
+    results = decode.grid_search_lambdas(
+        fwd, rev, lm, sources, refs, cfg,
+        _grid("--sf-grid", args.sf_grid), _grid("--ncr-grid", args.ncr_grid))
     with _open_out(args.output) as out:
         for lam_sf, lam_ncr, score in results:
             out.write(f"{lam_sf!r}\t{lam_ncr!r}\t{score:.4f}\n")
@@ -638,7 +660,7 @@ def run(argv=None) -> int:
     _log_config(args)
     try:
         return args.func(args)
-    except (MtkitError, ValueError, OSError) as exc:
+    except (MtkitError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

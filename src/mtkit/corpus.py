@@ -8,6 +8,7 @@ reproducible and mergeable across chunks of a stream.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from collections import Counter
@@ -16,13 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    EmptyCorpusListError,
-    EmptyTextError,
-    ModelFormatError,
-    SingleClassCorpusError,
-    model_file,
-)
+from .errors import ConfigError, EmptyInputError, InputFormatError, ModelFormatError, model_file
 
 
 class Provenance(Enum):
@@ -53,10 +48,12 @@ class FilterConfig:
     min_len_tokens: int = 1
 
     def __post_init__(self):
-        if self.max_len_ratio < 1:
-            raise ValueError("max_len_ratio must be >= 1")
+        if not self.max_len_ratio >= 1:
+            raise ConfigError("max_len_ratio must be >= 1")
         if not 0 <= self.min_external_score <= 1:
-            raise ValueError("min_external_score must lie in [0, 1]")
+            raise ConfigError("min_external_score must lie in [0, 1]")
+        if self.required_langs is not None and len(self.required_langs) != 2:
+            raise ConfigError(f"required_langs needs two codes, got {self.required_langs}")
 
 
 @dataclass
@@ -127,10 +124,12 @@ class LangIdModel:
 def langid_train(labeled, seed: int = 0, n_features: int = 2048,
                  epochs: int = 400, lr: float = 5.0) -> LangIdModel:
     """Fit by full-batch gradient descent; deterministic given data order and seed."""
+    if n_features < 1:
+        raise ConfigError(f"n_features must be positive, got {n_features}")
     pairs = [(text, lang) for text, lang in labeled]
     langs = sorted({lang for _, lang in pairs})
     if len(langs) < 2:
-        raise SingleClassCorpusError(f"need at least 2 languages, got {langs}")
+        raise EmptyInputError(f"need at least 2 languages, got {langs}")
     lang_idx = {lang: i for i, lang in enumerate(langs)}
     n = len(pairs)
     x = np.stack([_langid_features(text, n_features) for text, _ in pairs])
@@ -154,7 +153,7 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
 
 def langid_classify(model: LangIdModel, text: str) -> tuple[str, float]:
     if not text.strip():
-        raise EmptyTextError("cannot classify empty text")
+        raise EmptyInputError("cannot classify empty text")
     probs = model.predict_proba(text)
     idx = int(np.argmax(probs))
     return model.langs[idx], float(probs[idx])
@@ -271,12 +270,12 @@ def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:
     """
     corpora = [(list(stream), float(weight)) for stream, weight in corpora]
     if not corpora:
-        raise EmptyCorpusListError("mix_sample needs at least one corpus")
+        raise EmptyInputError("mix_sample needs at least one corpus")
     for i, (items, weight) in enumerate(corpora):
         if not items:
-            raise EmptyCorpusListError(f"corpus {i} is empty")
-        if weight <= 0:
-            raise ValueError(f"corpus {i} weight must be positive, got {weight}")
+            raise EmptyInputError(f"corpus {i} is empty")
+        if not 0 < weight < math.inf:
+            raise ConfigError(f"corpus {i} weight must be positive and finite, got {weight}")
     rng = random.Random(seed)
     weights = [w for _, w in corpora]
     cursors = [0] * len(corpora)
@@ -296,12 +295,12 @@ def parse_tsv_line(line: str, provenance: Provenance = Provenance.BITEXT) -> Par
     """Parse `source<TAB>target[<TAB>score]`; raises ValueError on bad lines."""
     cols = line.rstrip("\n").split("\t")
     if len(cols) not in (2, 3):
-        raise ValueError(f"expected 2 or 3 tab-separated columns, got {len(cols)}")
+        raise InputFormatError(f"expected 2 or 3 tab-separated columns, got {len(cols)}")
     score = None
     if len(cols) == 3 and cols[2] != "":
         score = float(cols[2])
         if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score {score} outside [0, 1]")
+            raise InputFormatError(f"score {score} outside [0, 1]")
     return ParallelExample(cols[0], cols[1], score, provenance)
 
 

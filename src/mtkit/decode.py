@@ -24,9 +24,10 @@ import numpy as np
 
 from .bleu import corpus_bleu
 from .errors import (
-    EmptyCandidateListError,
+    ConfigError,
+    EmptyInputError,
+    InputFormatError,
     NoCompletedHypothesisError,
-    SearchSpaceTooLargeError,
     VocabMismatchError,
 )
 from .models import _NORM_TOL, Scorer
@@ -44,11 +45,11 @@ class DecodeConfig:
 
     def __post_init__(self):
         if self.beam_size < 1 or self.max_len < 1 or self.n_candidates < 1:
-            raise ValueError("beam_size, max_len, n_candidates must be >= 1")
-        if self.fusion_lambda < 0:
-            raise ValueError("fusion_lambda must be >= 0")
+            raise ConfigError("beam_size, max_len, n_candidates must be >= 1")
+        if not self.fusion_lambda >= 0:
+            raise ConfigError("fusion_lambda must be >= 0")
         if self.sample_k < 1:
-            raise ValueError("sample_k must be >= 1")
+            raise ConfigError("sample_k must be >= 1")
 
 
 @dataclass
@@ -90,11 +91,11 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
     """
     source = tuple(source)
     if not source:
-        raise ValueError("source must be non-empty")
+        raise EmptyInputError("source must be non-empty")
     lam = cfg.fusion_lambda
     if lam > 0:
         if lm is None:
-            raise ValueError("fusion_lambda > 0 requires a language model")
+            raise ConfigError("fusion_lambda > 0 requires a language model")
         if lm.vocab_size != fwd.vocab_size:
             raise VocabMismatchError(
                 f"lm vocab {lm.vocab_size} != forward vocab {fwd.vocab_size}"
@@ -202,11 +203,11 @@ def exact_search(fwd: Scorer, lm: Scorer | None, source, max_len: int,
     source = tuple(source)
     lam = fusion_lambda
     if lam > 0 and lm is None:
-        raise ValueError("fusion_lambda > 0 requires a language model")
+        raise ConfigError("fusion_lambda > 0 requires a language model")
     vocab_size = fwd.vocab_size
     eos = fwd.eos_id
     if vocab_size ** max_len > 10 ** 6:
-        raise SearchSpaceTooLargeError(
+        raise ConfigError(
             f"{vocab_size}^{max_len} sequences exceed the enumeration budget"
         )
 
@@ -305,10 +306,10 @@ def noisy_channel_rerank(cands: list[Candidate], rev: Scorer, lm: Scorer,
     model scores the candidate unconditionally, including its eos. Returns a
     new sorted list over the same candidate objects; ties keep input order.
     """
-    if lambda_ncr < 0:
-        raise ValueError("lambda_ncr must be >= 0")
+    if not lambda_ncr >= 0:
+        raise ConfigError("lambda_ncr must be >= 0")
     if not cands:
-        raise EmptyCandidateListError("nothing to re-rank")
+        raise EmptyInputError("nothing to re-rank")
     source = tuple(source)
     rev_target = source + (rev.eos_id,)
     for cand in cands:
@@ -377,15 +378,16 @@ def format_candidates(cands_per_sentence) -> list[str]:
 
 
 def parse_candidates(lines) -> list[list[Candidate]]:
-    """Inverse of format_candidates."""
+    """Inverse of format_candidates; the sentence indices must run 0..n-1."""
     sentences: dict[int, list[tuple[int, Candidate]]] = {}
-    for line in lines:
+    for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line:
             continue
         cols = line.split("\t")
         if len(cols) != 7:
-            raise ValueError(f"expected 7 tab-separated columns, got {len(cols)}")
+            raise InputFormatError(
+                f"dump line {line_no}: expected 7 tab-separated columns, got {len(cols)}")
         idx, rank = int(cols[0]), int(cols[1])
         tokens = tuple(int(t) for t in cols[6].split(",")) if cols[6] else ()
         cand = Candidate(
@@ -397,6 +399,9 @@ def parse_candidates(lines) -> list[list[Candidate]]:
             combined_score=_parse_opt(cols[5]),
         )
         sentences.setdefault(idx, []).append((rank, cand))
+    missing = set(range(len(sentences))) - sentences.keys()
+    if missing:
+        raise InputFormatError(f"dump sentence indices must run 0..n-1; {min(missing)} is missing")
     return [
         [cand for _, cand in sorted(group, key=lambda rc: rc[0])]
         for _, group in sorted(sentences.items())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyClassError, ModelFormatError, model_file
+from .errors import ConfigError, EmptyInputError, ModelFormatError, model_file
 
 
 def _whitespace_tokenize(text: str) -> list[str]:
@@ -45,7 +45,7 @@ class DomainClassifier:
         self.bias = float(bias)
         values = [*self.weights.values(), self.bias]
         if not all(math.isfinite(v) for v in values):
-            raise ValueError("domain classifier weights and bias must be finite")
+            raise ModelFormatError("domain classifier weights and bias must be finite")
         self.tokenizer = tokenizer or _whitespace_tokenize
         self.holdout_accuracy: float | None = None
 
@@ -68,7 +68,7 @@ class SelectionConfig:
 
     def __post_init__(self):
         if not 0 <= self.stage1_threshold <= self.final_threshold <= 1:
-            raise ValueError("need 0 <= stage1_threshold <= final_threshold <= 1")
+            raise ConfigError("need 0 <= stage1_threshold <= final_threshold <= 1")
 
 
 def _fit_logistic(texts: list[list[str]], labels: np.ndarray, vocab: list[str],
@@ -101,9 +101,9 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
     positives = list(positives)
     negatives = list(negatives)
     if not positives:
-        raise EmptyClassError("no positive examples")
+        raise EmptyInputError("no positive examples")
     if not negatives:
-        raise EmptyClassError("no negative examples")
+        raise EmptyInputError("no negative examples")
     rng = random.Random(seed)
     size = min(len(positives), len(negatives))
     if len(positives) > size:
@@ -157,7 +157,7 @@ def bilingual_select(pairs, clf_en: DomainClassifier, clf_ru: DomainClassifier,
     Russian side is only ever scored for stage-1 survivors.
     """
     if english_side not in ("source", "target"):
-        raise ValueError("english_side must be 'source' or 'target'")
+        raise ConfigError("english_side must be 'source' or 'target'")
     counts = {"input": 0, "stage1_kept": 0, "stage2_scored": 0, "final_kept": 0}
     selected = []
     for pair in pairs:

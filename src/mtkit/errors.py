@@ -1,4 +1,7 @@
-"""Exception types shared across mtkit modules, and the reader for text model files."""
+"""Exception types shared across mtkit modules: one class per kind of
+failure, the message saying where. ConfigError and InputFormatError are also
+ValueErrors, as json.JSONDecodeError is. Also the readers' rule for naming
+the file at fault, and the reader for text model files."""
 
 import contextlib
 import re
@@ -9,65 +12,28 @@ class MtkitError(Exception):
 
 
 class ModelFormatError(MtkitError):
-    """A model/config file does not match its declared format."""
+    """A model file, or the values a model is built from, breaks its format."""
 
 
-@contextlib.contextmanager
-def model_file(path, magic: str | None):
-    """Open a UTF-8 text model file whose first word is `magic`.
-
-    Yields (header, lines). header is the rest of the first line after the
-    magic word and one space; with magic None no word is checked and header
-    is the whole first line. lines yields (line number, line without its
-    newline) for each later line, blank lines included, read from the file
-    as the caller iterates, so no file is held in memory whole. A
-    ValueError (UnicodeDecodeError included), IndexError or re.error raised
-    inside the block becomes a ModelFormatError naming the file, so loaders
-    parse fields with plain int(), float(), unpacking and indexing.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline().rstrip("\n")
-            word, _, rest = first.partition(" ")
-            if magic is None:
-                rest = first
-            elif word != magic:
-                raise ModelFormatError(f"{path}: expected a {magic!r} header, got {word!r}")
-            yield rest, ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2))
-    except (ValueError, IndexError, re.error) as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+class ConfigError(MtkitError, ValueError):
+    """An option or argument value lies outside its allowed range."""
 
 
-class ConfigError(MtkitError):
-    """An option value lies outside its allowed range."""
+class InputFormatError(MtkitError, ValueError):
+    """A data file, data line, candidate dump or option spec is malformed."""
 
 
-class EmptyCorpusError(MtkitError):
-    """An operation that needs a non-empty corpus received an empty one."""
+class EmptyInputError(MtkitError):
+    """An input that must hold something is empty: a corpus, a class, a text,
+    a source, a candidate list, a reference or a list of files or models."""
 
 
-class VocabTooSmallError(MtkitError):
-    """Requested BPE vocab size leaves no room for any merge."""
+class VocabMismatchError(MtkitError):
+    """An id lies outside a model's vocab, or combined models disagree on it."""
 
 
-class UnknownIdError(MtkitError):
-    """A token id is outside the model vocabulary."""
-
-
-class SingleClassCorpusError(MtkitError):
-    """Language-ID training data contains fewer than two languages."""
-
-
-class EmptyTextError(MtkitError):
-    """Classification of empty text was requested."""
-
-
-class EmptyClassError(MtkitError):
-    """Domain-classifier training received an empty positive or negative class."""
-
-
-class EmptyCorpusListError(MtkitError):
-    """mix_sample received no corpora."""
+class LengthMismatchError(MtkitError):
+    """Two inputs that must pair up line by line differ in length."""
 
 
 class ShapeMismatchError(MtkitError):
@@ -83,33 +49,46 @@ class NameSetMismatchError(MtkitError):
     """Checkpoints do not share an identical set of tensor names."""
 
 
-class EmptyCheckpointListError(MtkitError):
-    """Checkpoint averaging received no files."""
-
-
-class VocabMismatchError(MtkitError):
-    """Scorers with incompatible vocabularies were combined."""
-
-
-class EmptyEnsembleError(MtkitError):
-    """An ensemble was built from no scorers."""
-
-
-class SearchSpaceTooLargeError(MtkitError):
-    """exact_search would have to enumerate more than the allowed number of sequences."""
-
-
 class NoCompletedHypothesisError(MtkitError):
     """Exhaustive search found no finite-score eos-terminated sequence."""
 
 
-class EmptyCandidateListError(MtkitError):
-    """Re-ranking or oracle selection received no candidates."""
+@contextlib.contextmanager
+def naming(path, error: type[MtkitError], catch=(ValueError,)):
+    """Re-raise a `catch` exception from the block that is not an MtkitError
+    as `error("<path>: ...")`; named errors pass through unchanged.
+
+    Readers parse fields with plain int() and float() inside this block, so
+    undecodable bytes and bad numbers name the file they came from.
+    """
+    try:
+        yield
+    except MtkitError:
+        raise
+    except catch as exc:
+        raise error(f"{path}: {exc}") from None
 
 
-class LengthMismatchError(MtkitError):
-    """Hypothesis and reference lists differ in length."""
+@contextlib.contextmanager
+def model_file(path, magic: str | None):
+    """Open a UTF-8 text model file whose first word is `magic`.
 
-
-class EmptyReferenceError(MtkitError):
-    """Sentence BLEU against an empty reference is undefined."""
+    Yields (header, lines). header is the rest of the first line after the
+    magic word and one space; with magic None no word is checked and header
+    is the whole first line. lines yields (line number, line without its
+    newline) for each later line, blank lines included, read from the file
+    as the caller iterates, so no file is held in memory whole. Under
+    `naming`, a ValueError (UnicodeDecodeError included), IndexError or
+    re.error raised inside the block becomes a ModelFormatError naming the
+    file, so loaders parse fields with plain int(), float(), unpacking and
+    indexing.
+    """
+    with naming(path, ModelFormatError, (ValueError, IndexError, re.error)), \
+            open(path, encoding="utf-8") as fh:
+        first = fh.readline().rstrip("\n")
+        word, _, rest = first.partition(" ")
+        if magic is None:
+            rest = first
+        elif word != magic:
+            raise ModelFormatError(f"{path}: expected a {magic!r} header, got {word!r}")
+        yield rest, ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2))

@@ -19,9 +19,8 @@ import struct
 import numpy as np
 
 from .errors import (
-    EmptyCheckpointListError,
-    EmptyCorpusError,
-    EmptyEnsembleError,
+    ConfigError,
+    EmptyInputError,
     ModelFormatError,
     NameSetMismatchError,
     ShapeMismatchError,
@@ -72,13 +71,13 @@ def save_checkpoint(tensors: dict, path, metadata: dict | None = None) -> None:
     """Write name -> array tensors as f32 in an NMTC container (layout above).
 
     The same tensors and metadata always give the same bytes. A value that
-    is not finite once converted to f32 raises ValueError before the file
+    is not finite once converted to f32 raises ModelFormatError before the file
     is opened.
     """
     tensors = {name: np.asarray(arr, dtype=np.float32) for name, arr in tensors.items()}
     for name, arr in tensors.items():
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"tensor {name!r} contains non-finite values")
+            raise ModelFormatError(f"tensor {name!r} contains non-finite values")
     shapes = {name: arr.shape for name, arr in tensors.items()}
     _write_checkpoint(path, metadata or {}, shapes, tensors.__getitem__)
 
@@ -174,7 +173,7 @@ def average_checkpoint_files(paths: list, out_path) -> None:
     checkpoint size.
     """
     if not paths:
-        raise EmptyCheckpointListError("no checkpoint files given")
+        raise EmptyInputError("no checkpoint files given")
     with contextlib.ExitStack() as stack:
         handles = [stack.enter_context(open(p, "rb")) for p in paths]
         headers = [_read_header(fh, p) for fh, p in zip(handles, paths)]
@@ -222,11 +221,11 @@ class Scorer:
 def _check_dist(vec: np.ndarray, what: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim != 1:
-        raise ValueError(f"{what}: expected 1-d vector")
+        raise ModelFormatError(f"{what}: expected 1-d vector")
     if not np.all(vec >= 0):  # false for NaN too; an infinity fails the sum check
-        raise ValueError(f"{what}: negative or NaN probability")
+        raise ModelFormatError(f"{what}: negative or NaN probability")
     if abs(float(vec.sum()) - 1.0) > _NORM_TOL:
-        raise ValueError(f"{what}: sums to {vec.sum():.9f}, not 1")
+        raise ModelFormatError(f"{what}: sums to {vec.sum():.9f}, not 1")
     vec.setflags(write=False)
     return vec
 
@@ -333,16 +332,16 @@ class NGramScorer(Scorer):
     def __init__(self, order: int, vocab_size: int, eos_id: int, counts: dict,
                  weights, floor: float):
         if order < 1:
-            raise ValueError("order must be >= 1")
+            raise ModelFormatError("order must be >= 1")
         if not 0 <= eos_id < vocab_size:
-            raise ValueError("eos_id out of range")
+            raise ModelFormatError("eos_id out of range")
         weights = [float(w) for w in weights]
         # NaN or infinite weights, and weights whose sum overflows, fail the sum check
         if (len(weights) != order or any(w < 0 for w in weights)
                 or not 0 < sum(weights) < math.inf):
-            raise ValueError("need one non-negative weight per order, with a finite sum above 0")
+            raise ModelFormatError("need one non-negative weight per order, with a finite sum above 0")
         if not 0 < floor * vocab_size < 1:
-            raise ValueError("floor * vocab_size must lie in (0, 1)")
+            raise ModelFormatError("floor * vocab_size must lie in (0, 1)")
         self.order = order
         self.vocab_size = vocab_size
         self.eos_id = eos_id
@@ -361,8 +360,7 @@ class NGramScorer(Scorer):
         its in-vocab grams.
 
         Built on first use rather than at construction, so training and
-        loading stay cheap. Concurrent first calls may each build it; the
-        results are equal, so either assignment is fine.
+        loading stay cheap.
         """
         if self._index is not None:
             return self._index
@@ -419,10 +417,10 @@ def ngram_train(corpus, order: int, *, vocab_size: int | None = None,
     default floor scales down with vocab size to keep total floor mass small.
     """
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise ConfigError("order must be >= 1")
     sequences = [list(seq) for seq in corpus]
     if not any(sequences):
-        raise EmptyCorpusError("ngram_train: no tokens in corpus")
+        raise EmptyInputError("ngram_train: no tokens in corpus")
     max_id = max(max(seq) for seq in sequences if seq)
     if eos_id is None:
         eos_id = max_id + 1
@@ -491,7 +489,7 @@ class EnsembleScorer(Scorer):
 
     def __init__(self, scorers: list[Scorer]):
         if not scorers:
-            raise EmptyEnsembleError("ensemble needs at least one scorer")
+            raise EmptyInputError("ensemble needs at least one scorer")
         sizes = {s.vocab_size for s in scorers}
         if len(sizes) > 1:
             raise VocabMismatchError(f"member vocab sizes differ: {sorted(sizes)}")

@@ -135,7 +135,7 @@ def word_tokenize(text: str, lang: str = "en", prefixes: frozenset[str] | None =
     return tokens
 
 
-def detokenize(tokens: list[str], lang: str = "en") -> str:
+def detokenize(tokens: list[str]) -> str:
     """Join tokens back into a sentence; inverse of word_tokenize on canonically spaced text."""
     out: list[str] = []
     quote_open = False

@@ -19,7 +19,7 @@ import numpy as np
 
 from mtkit.bpe import BOS, EOS, PAD, UNK, WORD_END, BpeModel
 from mtkit.decode import Candidate, DecodeConfig, _finish, _log_dist
-from mtkit.errors import EmptyCorpusError, NoCompletedHypothesisError, VocabTooSmallError
+from mtkit.errors import ConfigError, EmptyInputError, NoCompletedHypothesisError
 
 
 def reference_beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]:
@@ -119,12 +119,12 @@ def reference_bpe_train(corpus, vocab_size: int) -> BpeModel:
     for line in corpus:
         word_freqs.update(line.split())
     if not word_freqs:
-        raise EmptyCorpusError("bpe_train: corpus contains no words")
+        raise EmptyInputError("bpe_train: corpus contains no words")
 
     alphabet = sorted({ch for word in word_freqs for ch in word})
     base = [PAD, UNK, BOS, EOS, WORD_END] + alphabet
     if vocab_size <= len(base):
-        raise VocabTooSmallError(
+        raise ConfigError(
             f"vocab_size {vocab_size} <= base symbol count {len(base)} (no room for merges)"
         )
 

@@ -13,12 +13,7 @@ from mtkit.bleu import (
     sentence_bleu,
 )
 from mtkit.decode import strip_eos
-from mtkit.errors import (
-    EmptyCandidateListError,
-    EmptyCorpusError,
-    EmptyReferenceError,
-    LengthMismatchError,
-)
+from mtkit.errors import EmptyInputError, LengthMismatchError
 
 # ---------------------------------------------------------------------------
 # corpus_bleu
@@ -72,7 +67,7 @@ def test_length_mismatch():
 
 
 def test_empty_corpus():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(EmptyInputError):
         corpus_bleu([], [])
 
 
@@ -142,7 +137,7 @@ def test_sentence_empty_hyp_zero():
 
 
 def test_sentence_empty_ref_raises():
-    with pytest.raises(EmptyReferenceError):
+    with pytest.raises(EmptyInputError):
         sentence_bleu(["a"], [])
 
 
@@ -175,7 +170,7 @@ def test_oracle_single_candidate():
 
 
 def test_oracle_empty_candidates():
-    with pytest.raises(EmptyCandidateListError):
+    with pytest.raises(EmptyInputError):
         oracle_select([], ["a"])
 
 

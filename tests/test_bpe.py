@@ -17,11 +17,11 @@ from mtkit.bpe import (
     save_model,
 )
 from mtkit.errors import (
-    EmptyCorpusError,
+    ConfigError,
+    EmptyInputError,
     ModelFormatError,
     MtkitError,
-    UnknownIdError,
-    VocabTooSmallError,
+    VocabMismatchError,
 )
 
 from scalar_reference import reference_bpe_train
@@ -60,12 +60,12 @@ def test_train_deterministic_byte_identical(tmp_path, trilingual_lines):
 
 
 def test_train_empty_corpus():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(EmptyInputError):
         bpe_train(["", "   "], vocab_size=10)
 
 
 def test_train_vocab_too_small():
-    with pytest.raises(VocabTooSmallError):
+    with pytest.raises(ConfigError):
         bpe_train(["aaab aab"], vocab_size=7)  # base size exactly, no merge room
 
 
@@ -235,7 +235,7 @@ def test_decode_strips_pad_bos_unk(fixture_bpe):
 
 
 def test_decode_unknown_id(fixture_bpe):
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(VocabMismatchError):
         bpe_decode(fixture_bpe, [10**6])
 
 

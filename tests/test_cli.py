@@ -77,7 +77,7 @@ def test_failed_run_leaves_no_output_file(tmp_path, capsys):
     bad.write_bytes(b"fine line\n\xff\xfe broken\n")
     out = tmp_path / "out.txt"
     assert run(["normalize", str(bad), "-o", str(out)]) == 1
-    assert "error: UnicodeDecodeError:" in capsys.readouterr().err
+    assert f"error: InputFormatError: {bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
     assert not out.exists()
 
     out.write_text("previous contents\n", encoding="utf-8")
@@ -347,7 +347,7 @@ def test_filter_langid_requires_langs(tmp_path, capsys, langid_file):
     _write(inp, ["a\tb"])
     rc = run(["filter", str(inp), "--langid", str(langid_file)])
     assert rc == 1
-    assert "error: ValueError:" in capsys.readouterr().err
+    assert "error: ConfigError:" in capsys.readouterr().err
 
 
 def test_langid_train_then_filter(tmp_path, langid_file):
@@ -414,25 +414,33 @@ def test_mix_ratio_and_determinism(tmp_path):
 _MALFORMED_TSV = ["a b\tx y", "one column only", "c d\tz w\tnope", "e f\tu v\t0.9"]
 
 
-def _assert_malformed_logged(err: str, stage: str) -> None:
-    assert f"{stage}: malformed line 2: expected 2 or 3 tab-separated columns, got 1" in err
-    assert f"{stage}: malformed line 3: could not convert string to float: 'nope'" in err
+def _assert_malformed_logged(err: str, stage: str, path) -> None:
+    assert f"{stage}: {path}: malformed line 2: expected 2 or 3 tab-separated columns, got 1" in err
+    assert f"{stage}: {path}: malformed line 3: could not convert string to float: 'nope'" in err
     assert "malformed line 1:" not in err and "malformed line 4:" not in err
 
 
 def test_mix_logs_malformed_lines(tmp_path, capsys):
     part = tmp_path / "part.tsv"
+    other = tmp_path / "other.tsv"
     _write(part, _MALFORMED_TSV)
+    _write(other, _MALFORMED_TSV)
     out = tmp_path / "mix.tsv"
     assert run(["mix", "--part", f"1:bitext:{part}", "--n", "4", "-o", str(out)]) == 0
     assert _read(out) == ["a b\tx y", "e f\tu v\t0.9"] * 2
-    _assert_malformed_logged(capsys.readouterr().err, "mix")
+    _assert_malformed_logged(capsys.readouterr().err, "mix", part)
+    # two parts with the same defect: each logged line names its own file
+    assert run(["mix", "--part", f"1:bitext:{part}", "--part", f"1:news:{other}",
+                "--n", "4", "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    _assert_malformed_logged(err, "mix", part)
+    _assert_malformed_logged(err, "mix", other)
 
 
 def test_mix_bad_part_spec(tmp_path, capsys):
     rc = run(["mix", "--part", "nocolons", "--n", "5"])
     assert rc == 1
-    assert "error: ValueError:" in capsys.readouterr().err
+    assert "error: ConfigError:" in capsys.readouterr().err
 
 
 def test_reverse_target_involution(tmp_path):
@@ -452,7 +460,7 @@ def test_reverse_target_logs_malformed_lines(tmp_path, capsys):
     assert run(["reverse-target", str(inp)]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["a b\ty x", "e f\tv u\t0.9"]
-    _assert_malformed_logged(captured.err, "reverse-target")
+    _assert_malformed_logged(captured.err, "reverse-target", inp)
 
 
 # ---------------------------------------------------------------------------
@@ -837,3 +845,103 @@ def test_rerank_out_of_vocab_dump_is_named_error(tmp_path, capsys):
                   "--rev", str(fwd_path), "--lm", str(fwd_path), "-o", str(out)])
         assert rc == 1
         assert "error: VocabMismatchError:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bad input: exit 1 with the kind of error, naming the file at fault
+
+def _bad_input_argv(tmp_path, case, langid_file):
+    """argv for `case` over small files in tmp_path, writing its output
+    there too, and the start of the error line it must print."""
+    out = str(tmp_path / "out.txt")
+    fwd = tmp_path / "fwd.scorer"
+    models.save_table_scorer(_fusion_fwd(), fwd)
+    ids = tmp_path / "ids.txt"
+    _write(ids, ["0", "0"])
+    dump = tmp_path / "dump.tsv"
+    _write(dump, ["0\t0\t-1.0\t-\t-\t-\t0,2", "1\t0\t-1.0\t-\t-\t-\t0,2"])
+    pairs = tmp_path / "pairs.tsv"
+    _write(pairs, ["a\tb"])
+    rerank = ["rerank", "--dump", str(dump), "--source", str(ids),
+              "--rev", str(fwd), "--lm", str(fwd), "--top1", "-o", out]
+    tune = ["tune-lambda", "--model", str(fwd), "--rev", str(fwd), "--lm", str(fwd),
+            "--source", str(ids), "--ref", str(ids), "--beam", "2", "--max-len", "2", "-o", out]
+    decode = ["decode", str(ids), "--model", str(fwd), "--max-len", "2", "-o", out]
+    if case == "reverse-target not utf-8":
+        pairs.write_bytes(b"a b\tc d\n\xff\tx\n")
+        return ["reverse-target", str(pairs), "-o", out], f"InputFormatError: {pairs}: 'utf-8' codec"
+    if case == "rerank source not an int":
+        _write(ids, ["1 2 x", "0"])
+        return rerank, f"InputFormatError: {ids}: invalid literal for int()"
+    if case == "oracle-bleu dump float":
+        _write(dump, ["0\t0\tzz\t-\t-\t-\t0,2", "1\t0\t-1.0\t-\t-\t-\t0,2"])
+        return (["oracle-bleu", "--dump", str(dump), "--ref", str(ids), "-o", out],
+                f"InputFormatError: {dump}: could not convert string to float: 'zz'")
+    if case.startswith("mix part "):
+        spec = case.removeprefix("mix part ").format(pairs)
+        return (["mix", "--part", spec, "--n", "2", "-o", out],
+                f"ConfigError: --part {spec!r}: expected WEIGHT:PROVENANCE:PATH")
+    if case == "tune-lambda grid":
+        return tune + ["--sf-grid", "0,x"], "ConfigError: --sf-grid '0,x'"
+    if case == "decode beam 0":
+        return decode + ["--beam", "0"], "ConfigError: beam_size"
+    if case == "decode blank source line":
+        _write(ids, ["0", "", "0"])
+        return decode, f"EmptyInputError: {ids}: line 2 holds no source tokens"
+    if case.startswith("filter langs "):
+        langs = case.removeprefix("filter langs ")
+        return (["filter", str(pairs), "--langid", str(langid_file), "--langs", langs, "-o", out],
+                "ConfigError: required_langs needs two codes")
+    assert case == "langid-train features 0"
+    return (["langid-train", f"en={pairs}", f"ru={ids}", "--features", "0",
+             "--model-out", out],
+            "ConfigError: n_features must be positive, got 0")
+
+
+@pytest.mark.parametrize("case", [
+    "reverse-target not utf-8", "rerank source not an int", "oracle-bleu dump float",
+    "mix part abc:bitext:{}", "mix part 1:nope:{}", "tune-lambda grid", "decode beam 0",
+    "decode blank source line", "filter langs en", "filter langs en,ru,de",
+    "langid-train features 0",
+])
+def test_bad_input_is_named_error(tmp_path, capsys, langid_file, case):
+    argv, expected = _bad_input_argv(tmp_path, case, langid_file)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: {expected}")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["rerank", "oracle-bleu"])
+def test_dump_indices_must_run_from_zero(tmp_path, capsys, command):
+    fwd = tmp_path / "fwd.scorer"
+    models.save_table_scorer(_fusion_fwd(), fwd)
+    src = tmp_path / "src.txt"
+    _write(src, ["0", "0"])
+    dump = tmp_path / "dump.tsv"  # sentences 1 and 2 of a three-line source
+    _write(dump, ["1\t0\t-1.0\t-\t-\t-\t0,2", "2\t0\t-2.0\t-\t-\t-\t1,2"])
+    out = tmp_path / "out.txt"
+    if command == "rerank":
+        argv = ["rerank", "--dump", str(dump), "--source", str(src), "--rev", str(fwd),
+                "--lm", str(fwd), "--top1"]
+    else:
+        argv = ["oracle-bleu", "--dump", str(dump), "--ref", str(src), "--eos-id", "2"]
+    assert run(argv + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: InputFormatError: dump sentence indices must run 0..n-1; 0 is missing" in err
+    assert not out.exists()
+
+
+def test_stray_value_error_is_a_bug_not_an_exit_code(tmp_path, monkeypatch):
+    # only named errors and OSError become exit 1; anything else is a defect
+    # in mtkit and must surface as a traceback
+    def cmd(args):
+        raise ValueError("stray")
+
+    monkeypatch.setattr("mtkit.cli.cmd_reverse_target", cmd)
+    inp = tmp_path / "pairs.tsv"
+    _write(inp, ["a\tb"])
+    with pytest.raises(ValueError, match="stray"):
+        run(["reverse-target", str(inp)])

@@ -23,7 +23,7 @@ from mtkit.corpus import (
     reverse_target,
     save_langid,
 )
-from mtkit.errors import EmptyCorpusListError, EmptyTextError, SingleClassCorpusError
+from mtkit.errors import EmptyInputError
 
 from conftest import make_sentence
 
@@ -55,7 +55,7 @@ def test_langid_disjoint_alphabets_perfect():
 
 def test_langid_single_class_rejected():
     rng = random.Random(89)
-    with pytest.raises(SingleClassCorpusError):
+    with pytest.raises(EmptyInputError):
         langid_train([(make_sentence(rng, "en"), "en") for _ in range(200)])
 
 
@@ -80,7 +80,7 @@ def test_langid_deterministic(langid_model):
 
 
 def test_langid_empty_text(langid_model):
-    with pytest.raises(EmptyTextError):
+    with pytest.raises(EmptyInputError):
         langid_classify(langid_model, "   ")
 
 
@@ -316,9 +316,9 @@ def test_mix_deterministic():
 
 
 def test_mix_errors():
-    with pytest.raises(EmptyCorpusListError):
+    with pytest.raises(EmptyInputError):
         mix_sample([], 10, seed=0)
-    with pytest.raises(EmptyCorpusListError):
+    with pytest.raises(EmptyInputError):
         mix_sample([([], 1.0)], 10, seed=0)
     with pytest.raises(ValueError):
         mix_sample([(_corpus(3, Provenance.BITEXT), 0.0)], 10, seed=0)

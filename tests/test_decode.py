@@ -22,9 +22,9 @@ from mtkit.decode import (
     topk_sample,
 )
 from mtkit.errors import (
-    EmptyCandidateListError,
+    ConfigError,
+    EmptyInputError,
     NoCompletedHypothesisError,
-    SearchSpaceTooLargeError,
     VocabMismatchError,
 )
 from mtkit.models import TableScorer
@@ -93,7 +93,7 @@ def test_decode_config_validation():
 def test_beam_requires_nonempty_source():
     rng = random.Random(40)
     fwd = make_table_scorer(3, 2, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyInputError):
         beam_search(fwd, None, (), DecodeConfig(beam_size=2, max_len=2))
 
 
@@ -256,7 +256,7 @@ def test_exact_search_single_eos_vocab():
 
 def test_exact_search_space_budget():
     m = TableScorer([f"t{i}" for i in range(100)] + ["eos"], {}, np.ones(101) / 101)
-    with pytest.raises(SearchSpaceTooLargeError):
+    with pytest.raises(ConfigError):
         exact_search(m, None, (0,), max_len=3)
 
 
@@ -502,7 +502,7 @@ def test_rerank_reuses_forward_score_without_rescoring():
 
 def test_rerank_empty_list():
     rev, lm = _rev_lm_tables()
-    with pytest.raises(EmptyCandidateListError):
+    with pytest.raises(EmptyInputError):
         noisy_channel_rerank([], rev, lm, 0.6, (0,))
 
 

@@ -15,7 +15,7 @@ from mtkit.domain import (
     load_classifier,
     save_classifier,
 )
-from mtkit.errors import EmptyClassError
+from mtkit.errors import EmptyInputError
 
 from conftest import MED_EN, MED_RU, NEWS_EN, NEWS_RU, make_domain_line
 
@@ -61,9 +61,9 @@ def test_train_subsamples_larger_class(domain_fixture):
 
 
 def test_train_empty_class():
-    with pytest.raises(EmptyClassError):
+    with pytest.raises(EmptyInputError):
         domain_train([], ["news text"])
-    with pytest.raises(EmptyClassError):
+    with pytest.raises(EmptyInputError):
         domain_train(["med text"], [])
 
 

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from mtkit.errors import (
-    EmptyCheckpointListError,
-    EmptyCorpusError,
-    EmptyEnsembleError,
+    EmptyInputError,
     ModelFormatError,
     NameSetMismatchError,
     ShapeMismatchError,
@@ -128,7 +126,7 @@ def test_average_name_set_mismatch(tmp_path):
 
 
 def test_average_empty_list(tmp_path):
-    with pytest.raises(EmptyCheckpointListError):
+    with pytest.raises(EmptyInputError):
         average_checkpoint_files([], tmp_path / "x.ckpt")
 
 
@@ -137,7 +135,7 @@ def test_checkpoint_rejects_non_finite(tmp_path):
     path = tmp_path / "c.ckpt"
     # 1e39 is finite in f64 but not once converted to f32
     for value in (np.nan, np.inf, -np.inf, 1e39):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ModelFormatError, match="non-finite"):
             save_checkpoint({"w": np.array([1.0, value])}, path)
         assert not path.exists()
 
@@ -361,7 +359,7 @@ def test_ensemble_vocab_mismatch():
 
 
 def test_ensemble_empty():
-    with pytest.raises(EmptyEnsembleError):
+    with pytest.raises(EmptyInputError):
         EnsembleScorer([])
 
 
@@ -410,9 +408,9 @@ def test_table_validation_errors():
         TableScorer(["a", "a", "eos"], {}, [0.5, 0.0, 0.5])  # dup vocab
     with pytest.raises(ModelFormatError):
         TableScorer(["a", "b"], {}, [0.5, 0.5])  # no eos token
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError):
         TableScorer(["a", "eos"], {}, [0.9, 0.2])  # not normalized
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError):
         TableScorer(["a", "eos"], {}, [-0.1, 1.1])  # negative
     with pytest.raises(ModelFormatError):
         TableScorer(["a", "eos"], {((), ()): [1.0]}, [0.5, 0.5])  # wrong length
@@ -488,17 +486,17 @@ def test_ngram_eos_appended():
 
 
 def test_ngram_train_validation():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(EmptyInputError):
         ngram_train([], order=2)
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(EmptyInputError):
         ngram_train([[]], order=2)
     with pytest.raises(ValueError):
         ngram_train([[0, 1]], order=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError):
         NGramScorer(2, 4, 3, {}, [0.5, 0.5], floor=0.5)  # floor * V >= 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError):
         NGramScorer(2, 4, 3, {}, [0.5], floor=1e-4)  # weight count != order
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError):
         NGramScorer(2, 4, 3, {}, [1e308, 1e308], floor=1e-4)  # weight sum overflows
 
 

@@ -157,7 +157,7 @@ def test_roundtrip_fixture(trilingual_lines):
     for i, line in enumerate(trilingual_lines):
         lang = langs[i % 3]
         norm = normalize_punct(line)
-        assert detokenize(word_tokenize(norm, lang=lang), lang=lang) == norm
+        assert detokenize(word_tokenize(norm, lang=lang)) == norm
 
 
 def test_roundtrip_handpicked():
