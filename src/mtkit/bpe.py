@@ -244,15 +244,15 @@ def load_model(path) -> BpeModel:
                 break  # end of the vocab section; merges follow
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ModelFormatError(f"{path}:{lineno}: expected token<TAB>id")
+                raise ModelFormatError(f"line {lineno}: expected token<TAB>id")
             if parts[0] in vocab:
-                raise ModelFormatError(f"{path}:{lineno}: duplicate token {parts[0]!r}")
+                raise ModelFormatError(f"line {lineno}: duplicate token {parts[0]!r}")
             vocab[parts[0]] = int(parts[1])
         for lineno, line in lines:
             if line == "":
                 continue
             parts = line.split(" ")
             if len(parts) != 2:
-                raise ModelFormatError(f"{path}:{lineno}: expected 'left right'")
+                raise ModelFormatError(f"line {lineno}: expected 'left right'")
             merges.append((parts[0], parts[1]))
         return BpeModel(merges=merges, vocab=vocab, vocab_size=vocab_size)

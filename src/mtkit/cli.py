@@ -1,13 +1,14 @@
 """Command-line entry point: one binary, subcommand per pipeline stage.
 
 Conventions shared by all subcommands: input is a positional path ('-' for
-stdin), data goes to --output/-o ('-' for stdout), logs go to stderr, all
-randomness flows from --seed. filter, decode, sample and tune-lambda accept
---threads so existing scripts keep working, but ignore it: every stage runs
-on one thread, because worker pools bound by the interpreter lock ran slower
-than one thread. Every output file is written to a temporary file beside it
-and renamed into place only when the subcommand succeeds, so a failed run
-leaves no partial file behind and an existing file unchanged.
+stdin), data goes to --output/-o and side outputs such as --report ('-' for
+stdout), logs go to stderr, all randomness flows from --seed. filter, decode,
+sample and tune-lambda accept --threads so existing scripts keep working, but
+ignore it: every stage runs on one thread, because worker pools bound by the
+interpreter lock ran slower than one thread. Every output file is written to
+a temporary file beside it and renamed into place only when the subcommand
+succeeds, so a failed run leaves no partial file behind and an existing file
+unchanged.
 """
 
 from __future__ import annotations
@@ -34,15 +35,14 @@ CHUNK = 4096
 
 @contextlib.contextmanager
 def _open_in(path: str):
-    """The one way the CLI reads a text input ('-' for stdin). A ValueError
-    raised in the block, from undecodable bytes or a field that int() or
-    float() rejects, becomes an InputFormatError naming the path."""
-    with naming(path, InputFormatError):
-        if path == "-":
-            yield sys.stdin
-            return
-        with open(path, encoding="utf-8") as fh:
-            yield fh
+    """The one way the CLI reads a text input ('-' for stdin), held to strict
+    UTF-8 whatever the locale. An InputFormatError or ValueError raised in
+    the block, from a line check, undecodable bytes or a field that int() or
+    float() rejects, becomes an InputFormatError that starts with the path."""
+    stdin = path == "-"
+    with naming(path, InputFormatError), \
+            open(sys.stdin.fileno() if stdin else path, encoding="utf-8", closefd=not stdin) as fh:
+        yield fh
 
 
 @contextlib.contextmanager
@@ -65,7 +65,7 @@ def _staged(path: str):
 
 @contextlib.contextmanager
 def _open_out(path: str | None):
-    """Text sink for -o: stdout for None or '-', else a staged file."""
+    """Text sink for -o and the side outputs: stdout for None or '-', else a staged file."""
     if path is None or path == "-":
         yield sys.stdout
         return
@@ -208,7 +208,7 @@ def cmd_filter(args) -> int:
     report.malformed = len(skipped)
     report_lines = report.to_lines()
     if args.report:
-        with _staged(args.report) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        with _open_out(args.report) as fh:
             fh.write("\n".join(report_lines) + "\n")
     for line in report_lines:
         _log("filter report: " + line.replace("\t", "="))
@@ -358,7 +358,7 @@ def cmd_decode(args) -> int:
     with _open_out(args.output) as out:
         _write_bodies(out, [cands[0] for cands in results], fwd.eos_id, bpe_model)
     if args.dump:
-        with _staged(args.dump) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        with _open_out(args.dump) as fh:
             fh.write("\n".join(decode.format_candidates(results)) + "\n")
     return 0
 
@@ -409,7 +409,7 @@ def cmd_score_bleu(args) -> int:
         refs = [line.split() for line in fh]
     result = bleu.corpus_bleu(hyps, refs)
     if args.sentence_scores:
-        with _staged(args.sentence_scores) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        with _open_out(args.sentence_scores) as fh:
             for idx, (hyp, ref) in enumerate(zip(hyps, refs)):
                 fh.write(f"{idx}\t{bleu.sentence_bleu(hyp, ref):.4f}\n")
     with _open_out(args.output) as out:
@@ -432,7 +432,7 @@ def cmd_oracle_bleu(args) -> int:
         refs = [_parse_ids(line) for line in fh]
     result, winners = bleu.oracle_corpus_bleu(hyps_per_sentence, refs)
     if args.selected:
-        with _staged(args.selected) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        with _open_out(args.selected) as fh:
             for tokens in winners:
                 fh.write(" ".join(str(t) for t in tokens) + "\n")
     with _open_out(args.output) as out:
@@ -667,3 +667,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -187,18 +187,18 @@ def load_langid(path) -> LangIdModel:
                 bias = np.array([float(v) for v in parts[1:]])
             elif parts[0] == "w":
                 if weights is None:
-                    raise ModelFormatError(f"{path}:{lineno}: weight line before langs line")
+                    raise ModelFormatError(f"line {lineno}: weight line before langs line")
                 row = int(parts[1])
                 if not 0 <= row < n_features or len(parts) != 2 + len(langs):
                     raise ModelFormatError(
-                        f"{path}:{lineno}: expected 'w <row in [0, {n_features})>' "
+                        f"line {lineno}: expected 'w <row in [0, {n_features})>' "
                         f"and {len(langs)} weights"
                     )
                 weights[row] = [float(v) for v in parts[2:]]
             else:
-                raise ModelFormatError(f"{path}:{lineno}: unknown line kind {parts[0]!r}")
+                raise ModelFormatError(f"line {lineno}: unknown line kind {parts[0]!r}")
         if langs is None or bias is None:
-            raise ModelFormatError(f"{path}: missing langs or bias line")
+            raise ModelFormatError("missing langs or bias line")
         return LangIdModel(langs, weights, bias, n_features)
 
 
@@ -292,7 +292,8 @@ def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:
 # TSV input/output
 
 def parse_tsv_line(line: str, provenance: Provenance = Provenance.BITEXT) -> ParallelExample:
-    """Parse `source<TAB>target[<TAB>score]`; raises ValueError on bad lines."""
+    """Parse `source<TAB>target[<TAB>score]`; a bad line raises InputFormatError,
+    or float()'s ValueError for a score that does not parse."""
     cols = line.rstrip("\n").split("\t")
     if len(cols) not in (2, 3):
         raise InputFormatError(f"expected 2 or 3 tab-separated columns, got {len(cols)}")

@@ -194,7 +194,7 @@ def load_classifier(path, tokenizer=None) -> DomainClassifier:
                 continue
             tok, _, value = line.partition("\t")
             if not value:
-                raise ModelFormatError(f"{path}:{lineno}: expected token<TAB>weight")
+                raise ModelFormatError(f"line {lineno}: expected token<TAB>weight")
             if tok == "__bias__":
                 bias = float(value)
             else:

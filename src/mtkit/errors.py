@@ -55,17 +55,15 @@ class NoCompletedHypothesisError(MtkitError):
 
 @contextlib.contextmanager
 def naming(path, error: type[MtkitError], catch=(ValueError,)):
-    """Re-raise a `catch` exception from the block that is not an MtkitError
-    as `error("<path>: ...")`; named errors pass through unchanged.
-
-    Readers parse fields with plain int() and float() inside this block, so
-    undecodable bytes and bad numbers name the file they came from.
-    """
+    """Re-raise an `error`, or a `catch` exception that is not an MtkitError,
+    raised in the block as `error("<path>: ...")`; other named errors pass
+    through. The one place a reader names the file at fault: its line checks,
+    model constructors and plain int() and float() all raise without it."""
     try:
         yield
-    except MtkitError:
-        raise
-    except catch as exc:
+    except (error, *catch) as exc:
+        if isinstance(exc, MtkitError) and not isinstance(exc, error):
+            raise
         raise error(f"{path}: {exc}") from None
 
 
@@ -78,10 +76,10 @@ def model_file(path, magic: str | None):
     is the whole first line. lines yields (line number, line without its
     newline) for each later line, blank lines included, read from the file
     as the caller iterates, so no file is held in memory whole. Under
-    `naming`, a ValueError (UnicodeDecodeError included), IndexError or
-    re.error raised inside the block becomes a ModelFormatError naming the
-    file, so loaders parse fields with plain int(), float(), unpacking and
-    indexing.
+    `naming`, a ModelFormatError (a wrong magic word, a line or constructor
+    check), ValueError, IndexError or re.error raised inside the block becomes
+    a ModelFormatError that starts with the path, so loaders leave the path
+    out and parse fields with plain int(), float(), unpacking and indexing.
     """
     with naming(path, ModelFormatError, (ValueError, IndexError, re.error)), \
             open(path, encoding="utf-8") as fh:
@@ -90,5 +88,5 @@ def model_file(path, magic: str | None):
         if magic is None:
             rest = first
         elif word != magic:
-            raise ModelFormatError(f"{path}: expected a {magic!r} header, got {word!r}")
+            raise ModelFormatError(f"expected a {magic!r} header, got {word!r}")
         yield rest, ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2))

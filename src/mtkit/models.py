@@ -26,6 +26,7 @@ from .errors import (
     ShapeMismatchError,
     VocabMismatchError,
     model_file,
+    naming,
 )
 
 _NORM_TOL = 1e-6
@@ -90,36 +91,34 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _read_header(fh, path) -> tuple[dict, list[dict], int]:
+def _read_header(fh) -> tuple[dict, list[dict], int]:
     """Parse and check the header; return (metadata, tensor entries, payload start).
 
-    Any defect raises ModelFormatError: short or wrong magic, version and
-    length fields, a header that is not a UTF-8 JSON object, or a tensor
+    Any defect raises ModelFormatError (ValueError if not UTF-8 JSON), to be
+    named by the caller's `naming`: short or wrong magic, version and length
+    fields, a header that is not a UTF-8 JSON object, or a tensor
     entry without a string name and dtype, a list of non-negative int
     dimensions as shape, and a non-negative int offset. Payloads are not
     read here.
     """
     prefix = fh.read(_PREFIX.size)
     if prefix[:4] != _MAGIC:
-        raise ModelFormatError(f"{path}: bad magic {prefix[:4]!r}")
+        raise ModelFormatError(f"bad magic {prefix[:4]!r}")
     if len(prefix) < _PREFIX.size:
-        raise ModelFormatError(f"{path}: truncated header prefix")
+        raise ModelFormatError("truncated header prefix")
     _, version, hlen = _PREFIX.unpack(prefix)
     if version != _VERSION:
-        raise ModelFormatError(f"{path}: unsupported version {version}")
+        raise ModelFormatError(f"unsupported version {version}")
     payload_start = _PREFIX.size + hlen
     if payload_start > _file_size(fh):
-        raise ModelFormatError(f"{path}: header runs past the end of the file")
-    try:
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+        raise ModelFormatError("header runs past the end of the file")
+    header = json.loads(fh.read(hlen).decode("utf-8"))
     if not isinstance(header, dict):
-        raise ModelFormatError(f"{path}: header is not a JSON object")
+        raise ModelFormatError("header is not a JSON object")
     metadata = header.get("metadata", {})
     entries = header.get("tensors")
     if not isinstance(metadata, dict) or not isinstance(entries, list):
-        raise ModelFormatError(f"{path}: header needs a metadata object and a tensors list")
+        raise ModelFormatError("header needs a metadata object and a tensors list")
     names = set()
     for entry in entries:
         if not (
@@ -130,35 +129,35 @@ def _read_header(fh, path) -> tuple[dict, list[dict], int]:
             and all(_is_count(d) for d in entry["shape"])
             and _is_count(entry.get("offset"))
         ):
-            raise ModelFormatError(f"{path}: malformed tensor entry {entry!r}")
+            raise ModelFormatError(f"malformed tensor entry {entry!r}")
         if entry["name"] in names:
-            raise ModelFormatError(f"{path}: duplicate tensor {entry['name']!r}")
+            raise ModelFormatError(f"duplicate tensor {entry['name']!r}")
         names.add(entry["name"])
     return metadata, entries, payload_start
 
 
-def _read_tensor(fh, path, payload_start: int, entry: dict) -> np.ndarray:
+def _read_tensor(fh, payload_start: int, entry: dict) -> np.ndarray:
     """Read one payload described by a checked header entry as an f32
     array; a wrong dtype, a short payload or a non-finite value raises
     ModelFormatError."""
     if entry["dtype"] != "f32":
-        raise ModelFormatError(f"{path}: unsupported dtype {entry['dtype']}")
+        raise ModelFormatError(f"unsupported dtype {entry['dtype']}")
     shape = tuple(entry["shape"])
     nbytes = math.prod(shape) * 4
     start = payload_start + entry["offset"]
     if start + nbytes > _file_size(fh):
-        raise ModelFormatError(f"{path}: truncated payload for {entry['name']!r}")
+        raise ModelFormatError(f"truncated payload for {entry['name']!r}")
     fh.seek(start)
     arr = np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape)
     if not np.all(np.isfinite(arr)):
-        raise ModelFormatError(f"{path}: tensor {entry['name']!r} contains non-finite values")
+        raise ModelFormatError(f"tensor {entry['name']!r} contains non-finite values")
     return arr
 
 
 def checkpoint_metadata(path) -> dict:
     """Read just the metadata block, leaving payloads untouched."""
-    with open(path, "rb") as fh:
-        metadata, _, _ = _read_header(fh, path)
+    with naming(path, ModelFormatError), open(path, "rb") as fh:
+        metadata, _, _ = _read_header(fh)
     return metadata
 
 
@@ -176,7 +175,10 @@ def average_checkpoint_files(paths: list, out_path) -> None:
         raise EmptyInputError("no checkpoint files given")
     with contextlib.ExitStack() as stack:
         handles = [stack.enter_context(open(p, "rb")) for p in paths]
-        headers = [_read_header(fh, p) for fh, p in zip(handles, paths)]
+        headers = []
+        for fh, p in zip(handles, paths):
+            with naming(p, ModelFormatError):
+                headers.append(_read_header(fh))
         entry_maps = [{e["name"]: e for e in entries} for _, entries, _ in headers]
         shapes = {name: e["shape"] for name, e in entry_maps[0].items()}
         for entries in entry_maps[1:]:
@@ -189,11 +191,11 @@ def average_checkpoint_files(paths: list, out_path) -> None:
                         name, f"{tuple(shapes[name])} vs {tuple(e['shape'])}")
 
         def mean(name: str) -> np.ndarray:
-            values = np.array([
-                _read_tensor(fh, p, payload_start, entries[name])
-                for fh, p, (_, _, payload_start), entries
-                in zip(handles, paths, headers, entry_maps)
-            ], dtype=np.float64)
+            values = []
+            for fh, p, (_, _, payload_start), entries in zip(handles, paths, headers, entry_maps):
+                with naming(p, ModelFormatError):
+                    values.append(_read_tensor(fh, payload_start, entries[name]))
+            values = np.array(values, dtype=np.float64)
             values.sort(axis=0)
             return (values.sum(axis=0) / len(paths)).astype(np.float32)
 
@@ -305,9 +307,9 @@ def load_table_scorer(path) -> TableScorer:
                     float(x) for x in probs.split(" ")
                 ]
             else:
-                raise ModelFormatError(f"{path}:{lineno}: unknown line kind {kind!r}")
+                raise ModelFormatError(f"line {lineno}: unknown line kind {kind!r}")
         if vocab is None or default is None:
-            raise ModelFormatError(f"{path}: missing vocab or default line")
+            raise ModelFormatError("missing vocab or default line")
         return TableScorer(vocab, table, default, eos_token=eos_token)
 
 
@@ -468,12 +470,12 @@ def load_ngram_scorer(path) -> NGramScorer:
             elif parts[0] == "count":
                 count = int(parts[2]) if len(parts) == 3 else -1
                 if count < 0:
-                    raise ModelFormatError(f"{path}:{lineno}: expected 'count <ids> <count >= 0>'")
+                    raise ModelFormatError(f"line {lineno}: expected 'count <ids> <count >= 0>'")
                 counts[_parse_ids(parts[1])] = count
             else:
-                raise ModelFormatError(f"{path}:{lineno}: unknown line kind {parts[0]!r}")
+                raise ModelFormatError(f"line {lineno}: unknown line kind {parts[0]!r}")
         if floor is None or weights is None:
-            raise ModelFormatError(f"{path}: missing floor or weights line")
+            raise ModelFormatError("missing floor or weights line")
         return NGramScorer(order, vocab_size, eos_id, counts, weights, floor)
 
 
@@ -511,8 +513,6 @@ def load_scorer(path) -> Scorer:
     """Dispatch on the first header word: table scorer or n-gram model."""
     with model_file(path, None) as (header, _):
         kind = header.partition(" ")[0]
-    if kind == "tablescorer-v1":
-        return load_table_scorer(path)
-    if kind == "ngram-v1":
-        return load_ngram_scorer(path)
-    raise ModelFormatError(f"{path}: unrecognized scorer header {kind!r}")
+        if kind not in ("tablescorer-v1", "ngram-v1"):
+            raise ModelFormatError(f"unrecognized scorer header {kind!r}")
+    return load_table_scorer(path) if kind == "tablescorer-v1" else load_ngram_scorer(path)

@@ -59,7 +59,7 @@ def load_rules(path) -> NormalizationRules:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ModelFormatError(f"{path}:{lineno}: expected pattern<TAB>replacement")
+                raise ModelFormatError(f"line {lineno}: expected pattern<TAB>replacement")
             pattern = re.compile(parts[0])
             pattern.sub(parts[1], "")  # parses the replacement, so a bad one fails here
             rules.append((pattern, parts[1]))

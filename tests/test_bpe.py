@@ -302,7 +302,8 @@ def test_model_validation_rejects_missing_specials_and_bad_ids(vocab):
 
 
 def test_load_fuzzed_model_files(tmp_path):
-    """Truncated or garbled files load as a valid model or raise ModelFormatError."""
+    """Truncated or garbled files load as a valid model or raise
+    ModelFormatError, which starts with the path and names it once."""
     model = bpe_train(["abc abd ab ba", "cab"], vocab_size=20)
     path = tmp_path / "m.bpe"
     save_model(model, path)
@@ -321,7 +322,8 @@ def test_load_fuzzed_model_files(tmp_path):
         path.write_bytes(blob)
         try:
             fuzzed = load_model(path)
-        except ModelFormatError:
+        except ModelFormatError as exc:
+            assert str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1, exc
             continue
         loaded += 1
         fuzzed._validate()

@@ -1,10 +1,14 @@
 """End-to-end runs of the mtkit command line against small on-disk fixtures."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mtkit
 from mtkit import models, textnorm
 from mtkit.cli import run
 from mtkit.decode import (
@@ -90,6 +94,35 @@ def test_failed_run_leaves_no_output_file(tmp_path, capsys):
     assert run(["normalize", str(good), "-o", str(out)]) == 0
     assert _read(out) == ["a b"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "good.txt", "out.txt"]
+
+
+def test_stdin_is_held_to_utf8(tmp_path, capsys, monkeypatch):
+    # under the C and C.UTF-8 locales Python's own stdin decodes bad bytes
+    # with surrogateescape instead of failing
+    raw = tmp_path / "stdin.txt"
+    raw.write_bytes(b"a\xff\n")
+    with open(raw, encoding="utf-8", errors="surrogateescape") as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(["normalize", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(
+        "error: InputFormatError: -: 'utf-8' codec can't decode byte 0xff")
+    raw.write_text("café  au lait\n", encoding="utf-8")
+    with open(raw, encoding="utf-8", errors="surrogateescape") as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(["normalize", "-"]) == 0
+    assert capsys.readouterr().out == "café au lait\n"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a\xff\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "mtkit.cli", "normalize", str(bad)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith(f"error: InputFormatError: {bad}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +284,8 @@ def test_malformed_model_file_exits_1(tmp_path, capsys, command, good, bad):
     model.write_bytes(bad if isinstance(bad, bytes) else bad.encode("utf-8"))
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert "error: ModelFormatError:" in err
+    last = err.splitlines()[-1]
+    assert last.startswith(f"error: ModelFormatError: {model}: ") and last.count(str(model)) == 1
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "model.txt"]
 
@@ -780,6 +814,16 @@ def test_score_bleu_output_line(tmp_path):
     assert _read(sent) == ["0\t60.6531"]
 
 
+def test_dash_side_output_is_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "hyp.txt", ["the cat"])
+    _write(tmp_path / "ref.txt", ["the cat sat"])
+    assert run(["score-bleu", "--hyp", "hyp.txt", "--ref", "ref.txt", "-o", "bleu.txt",
+                "--sentence-scores", "-"]) == 0
+    assert capsys.readouterr().out == "0\t60.6531\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bleu.txt", "hyp.txt", "ref.txt"]
+
+
 def test_oracle_bleu_picks_reference_match(tmp_path):
     per_sentence = [
         [
@@ -930,7 +974,8 @@ def test_dump_indices_must_run_from_zero(tmp_path, capsys, command):
         argv = ["oracle-bleu", "--dump", str(dump), "--ref", str(src), "--eos-id", "2"]
     assert run(argv + ["-o", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "error: InputFormatError: dump sentence indices must run 0..n-1; 0 is missing" in err
+    assert (f"error: InputFormatError: {dump}: dump sentence indices must run 0..n-1; "
+            "0 is missing") in err
     assert not out.exists()
 
 

@@ -1,10 +1,11 @@
 """Fuzzed data inputs through the command line: every run ends in exit 0, or
 in exit 1 with a named MtkitError as the last stderr line, and a failed run
-leaves no output file behind.
+leaves no output file behind. An InputFormatError or ModelFormatError starts
+with the path of the file at fault and names it once.
 
 Model files have their own fuzz (test_model_file.py); this one covers what
-the stages read as data: TSV pairs, id lines, candidate dumps and
-references, and the --part, CODE=PATH and grid specs.
+the stages read as data: text, TSV pairs, id lines, candidate dumps and
+references, and the --part, CODE=PATH and grid specs and numeric options.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtkit import errors, models
+from mtkit import bpe, domain, errors, models
 from mtkit.cli import run
 
 # Data lines are made of pieces. A clean line holds ids and spaces only, so
@@ -65,7 +66,10 @@ _DUMP = _file(
         ["0", "1", "2", "-1", "x"], ["0", "1", "x"], ["-1.0", "nan", "inf", "zz", "-"],
         ["-", "-2.0", "q"], ["-", "nan", "q"], ["-", "-1.5", "q"],
         ["0,2", "", "x", "5,2", "-1", "1,,2"], widths=(5, 6, 7, 8))))
+_TEXT = _file(_line([b"a", b"b", b"c", b" ", b'"', b"'", b",", b".", b"-", "«".encode(),
+                      "é".encode()]), _line(_DIRTY))
 _SPEC_VALUES = ["0", "0.1", "1", "2.5", "-1", "x", "", "nan", "inf", "1e9"]
+_PROBS = ["0", "0.5", "0.9", "1", "1.5", "-0.1", "nan", "inf"]
 _GRID = st.lists(st.sampled_from(_SPEC_VALUES), min_size=1, max_size=3).map(",".join)
 
 
@@ -78,6 +82,25 @@ def scorer_path(tmp_path_factory):
         np.ones(3) / 3,
     ), path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def bpe_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "codes.bpe"
+    bpe.save_model(bpe.bpe_train(["a b c ab abc", "ca bc"], vocab_size=16), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def domain_paths(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for lang in ("en", "ru"):
+        path = work / f"{lang}.domcls"
+        domain.save_classifier(domain.domain_train(
+            ["a b", "b 1 2", "a a 0"], ["c", "1 0", "x y"], lang=lang, epochs=5), path)
+        paths.append(str(path))
+    return paths
 
 
 def _run_checked(argv_for, files: dict) -> None:
@@ -100,6 +123,9 @@ def _run_checked(argv_for, files: dict) -> None:
         match = re.match(r"error: (\w+): ", last)
         assert match, last
         assert issubclass(getattr(errors, match.group(1)), errors.MtkitError), last
+        if match.group(1) in ("InputFormatError", "ModelFormatError"):
+            assert any(last.startswith(f"{match.group()}{path}: ") and last.count(path) == 1
+                       for path in paths.values()), last
         assert sorted(os.listdir(work)) == sorted(files), last
 
 
@@ -195,3 +221,51 @@ def test_fuzz_domain_train(pos, neg):
     _run_checked(lambda p, out: ["domain-train", "--positives", p["pos"], "--negatives",
                                  p["neg"], "--epochs", "2", "--model-out", out],
                  {"pos": pos, "neg": neg})
+
+
+@_FUZZ
+@given(text=_TEXT)
+def test_fuzz_normalize(text):
+    _run_checked(lambda p, out: ["normalize", p["in"], "-o", out], {"in": text})
+
+
+@_FUZZ
+@given(text=_TEXT, lang=st.sampled_from(["en", "de", "ru"]), detok=st.booleans(),
+       german_quotes=st.booleans())
+def test_fuzz_tokenize(text, lang, detok, german_quotes):
+    _run_checked(lambda p, out: ["tokenize", p["in"], "--lang", lang, "-o", out,
+                                 *(["--detok"] if detok else []),
+                                 *(["--german-quotes"] if german_quotes else [])],
+                 {"in": text})
+
+
+@_FUZZ
+@given(text=_TEXT, vocab_size=st.sampled_from(["0", "5", "6", "12", "40"]))
+def test_fuzz_bpe_train(text, vocab_size):
+    _run_checked(lambda p, out: ["bpe-train", p["in"], "--vocab-size", vocab_size,
+                                 "--model-out", out], {"in": text})
+
+
+@_FUZZ
+@given(text=_TEXT, dropout=st.sampled_from(["0", "0.1", "0.5", "1", "-0.1", "nan", "inf"]))
+def test_fuzz_bpe_encode(bpe_path, text, dropout):
+    _run_checked(lambda p, out: ["bpe-encode", p["in"], "--model", bpe_path,
+                                 f"--dropout={dropout}", "-o", out], {"in": text})
+
+
+@_FUZZ
+@given(ids=_file(_line([b"5", b"6", b"7", b" "]),
+                 _line(_DIRTY + [b"3", b"99999999999999999999999"])))
+def test_fuzz_bpe_decode(bpe_path, ids):
+    _run_checked(lambda p, out: ["bpe-decode", p["in"], "--model", bpe_path, "-o", out],
+                 {"in": ids})
+
+
+@_FUZZ
+@given(tsv=_TSV, stage1=st.sampled_from(_PROBS), final=st.sampled_from(_PROBS),
+       side=st.sampled_from(["source", "target"]))
+def test_fuzz_domain_select(domain_paths, tsv, stage1, final, side):
+    _run_checked(lambda p, out: ["domain-select", p["in.tsv"], "--clf-en", domain_paths[0],
+                                 "--clf-ru", domain_paths[1], f"--stage1={stage1}",
+                                 f"--final={final}", "--english-side", side, "-o", out],
+                 {"in.tsv": tsv})

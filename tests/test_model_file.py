@@ -46,7 +46,8 @@ _FORMATS = {
 
 @pytest.mark.parametrize("name", sorted(_FORMATS))
 def test_load_fuzzed_model_files(tmp_path, name):
-    """Truncated or garbled files load or raise ModelFormatError."""
+    """Truncated or garbled files load or raise ModelFormatError, which
+    starts with the path and names it once."""
     save, load = _FORMATS[name]
     path = tmp_path / name
     save(path)
@@ -65,7 +66,8 @@ def test_load_fuzzed_model_files(tmp_path, name):
         path.write_bytes(blob)
         try:
             load(path)
-        except ModelFormatError:
+        except ModelFormatError as exc:
+            assert str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1, exc
             continue
         loaded += 1
     assert 0 < loaded < len(variants)

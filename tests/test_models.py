@@ -271,7 +271,8 @@ def test_non_finite_payload_rejected(tmp_path):
 
 
 def test_load_fuzzed_checkpoint_files(tmp_path):
-    """Truncated or garbled files are read or raise ModelFormatError, in every reader."""
+    """Truncated or garbled files are read or raise ModelFormatError, which
+    starts with the path and names it once, in every reader."""
     rng = random.Random(12)
     tensors = _random_tensors(rng)
     tensors["scalar"] = np.float32(0.5)
@@ -293,7 +294,8 @@ def test_load_fuzzed_checkpoint_files(tmp_path):
         for read in _checkpoint_readers(path, tmp_path):
             try:
                 read()
-            except ModelFormatError:
+            except ModelFormatError as exc:
+                assert str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1, exc
                 continue
             succeeded += 1
     assert 0 < succeeded < 2 * len(variants)
