@@ -1,0 +1,90 @@
+"""The candidate dump: what `decode --dump` writes and `rerank` and
+`oracle-bleu` read, one tab-separated line per candidate, together with the
+Candidate record it holds. Numpy-free, so stages that only read a dump start
+without loading numpy.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import InputFormatError
+
+
+@dataclass
+class Candidate:
+    tokens: tuple[int, ...]
+    fwd_logprob: float
+    lm_logprob: float | None = None
+    rev_logprob: float | None = None
+    fused_score: float = 0.0
+    combined_score: float | None = None
+
+
+def strip_eos(tokens, eos_id: int | None) -> list[int]:
+    """The tokens without one trailing eos; eos_id None strips nothing."""
+    tokens = list(tokens)
+    if eos_id is not None and tokens and tokens[-1] == eos_id:
+        tokens.pop()
+    return tokens
+
+
+def _fmt_opt(value: float | None) -> str:
+    return "-" if value is None else repr(float(value))
+
+
+def _parse_opt(text: str) -> float | None:
+    return None if text == "-" else float(text)
+
+
+def format_candidates(cands_per_sentence) -> list[str]:
+    """One line per candidate: idx, rank, fwd, lm, rev, combined, tokens."""
+    lines = []
+    for idx, cands in enumerate(cands_per_sentence):
+        for rank, cand in enumerate(cands):
+            tokens = ",".join(str(t) for t in cand.tokens)
+            lines.append(
+                "\t".join(
+                    [
+                        str(idx),
+                        str(rank),
+                        repr(float(cand.fwd_logprob)),
+                        _fmt_opt(cand.lm_logprob),
+                        _fmt_opt(cand.rev_logprob),
+                        _fmt_opt(cand.combined_score),
+                        tokens,
+                    ]
+                )
+            )
+    return lines
+
+
+def parse_candidates(lines) -> list[list[Candidate]]:
+    """Inverse of format_candidates; the sentence indices must run 0..n-1."""
+    sentences: dict[int, list[tuple[int, Candidate]]] = {}
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 7:
+            raise InputFormatError(
+                f"dump line {line_no}: expected 7 tab-separated columns, got {len(cols)}")
+        idx, rank = int(cols[0]), int(cols[1])
+        tokens = tuple(int(t) for t in cols[6].split(",")) if cols[6] else ()
+        cand = Candidate(
+            tokens=tokens,
+            fwd_logprob=float(cols[2]),
+            lm_logprob=_parse_opt(cols[3]),
+            rev_logprob=_parse_opt(cols[4]),
+            fused_score=float(cols[2]),
+            combined_score=_parse_opt(cols[5]),
+        )
+        sentences.setdefault(idx, []).append((rank, cand))
+    missing = set(range(len(sentences))) - sentences.keys()
+    if missing:
+        raise InputFormatError(f"dump sentence indices must run 0..n-1; {min(missing)} is missing")
+    return [
+        [cand for _, cand in sorted(group, key=lambda rc: rc[0])]
+        for _, group in sorted(sentences.items())
+    ]

@@ -9,6 +9,12 @@ interpreter lock ran slower than one thread. Every output file is written to
 a temporary file beside it and renamed into place only when the subcommand
 succeeds, so a failed run leaves no partial file behind and an existing file
 unchanged.
+
+Imports: this module imports at the top only the modules that do not load
+numpy (errors, textnorm, bpe, bleu, corpus, candidates). A subcommand that
+needs decode, domain or models imports it inside its own function, so the
+text, BPE, filter, mix and BLEU stages start without paying for numpy; each
+stage runs as its own process in a pipeline, so start-up is paid per stage.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import itertools
 import os
 import sys
 
-from . import bleu, bpe, corpus, decode, domain, models, textnorm
+from . import bleu, bpe, candidates, corpus, textnorm
 from .errors import (
     ConfigError,
     EmptyInputError,
@@ -89,6 +95,7 @@ def _parse_ids(line: str) -> list[int]:
 
 
 def _load_forward(paths: list[str]):
+    from . import models
     scorers = [models.load_scorer(p) for p in paths]
     return scorers[0] if len(scorers) == 1 else models.EnsembleScorer(scorers)
 
@@ -262,6 +269,7 @@ def cmd_reverse_target(args) -> int:
 # domain commands
 
 def cmd_domain_train(args) -> int:
+    from . import domain
     tokenizer = _bpe_tokenizer(bpe.load_model(args.bpe)) if args.bpe else None
     with _open_in(args.positives) as fh:
         positives = [line.rstrip("\n") for line in fh if line.strip()]
@@ -279,6 +287,7 @@ def cmd_domain_train(args) -> int:
 
 
 def cmd_domain_select(args) -> int:
+    from . import domain
     tokenizer = _bpe_tokenizer(bpe.load_model(args.bpe)) if args.bpe else None
     clf_en = domain.load_classifier(args.clf_en, tokenizer)
     clf_ru = domain.load_classifier(args.clf_ru, tokenizer)
@@ -305,6 +314,7 @@ def cmd_domain_select(args) -> int:
 # model commands
 
 def cmd_avg_checkpoints(args) -> int:
+    from . import models
     paths = list(args.checkpoints)
     if args.top_k is not None:
         if args.top_k < 1:
@@ -329,7 +339,8 @@ def cmd_avg_checkpoints(args) -> int:
 # ---------------------------------------------------------------------------
 # decoding commands
 
-def _decode_config(args, fusion_lambda: float = 0.0) -> decode.DecodeConfig:
+def _decode_config(args, fusion_lambda: float = 0.0):
+    from . import decode
     return decode.DecodeConfig(
         beam_size=args.beam,
         max_len=args.max_len,
@@ -345,10 +356,11 @@ def _write_bodies(out, cands_top1, eos_id: int, bpe_model) -> None:
         if bpe_model is not None:
             out.write(bpe.bpe_decode(bpe_model, list(cand.tokens)) + "\n")
         else:
-            out.write(" ".join(str(t) for t in decode.strip_eos(cand.tokens, eos_id)) + "\n")
+            out.write(" ".join(str(t) for t in candidates.strip_eos(cand.tokens, eos_id)) + "\n")
 
 
 def cmd_decode(args) -> int:
+    from . import decode, models
     fwd = _load_forward(args.model)
     lm = models.load_scorer(args.lm) if args.lm else None
     bpe_model = bpe.load_model(args.bpe) if args.bpe else None
@@ -359,11 +371,12 @@ def cmd_decode(args) -> int:
         _write_bodies(out, [cands[0] for cands in results], fwd.eos_id, bpe_model)
     if args.dump:
         with _open_out(args.dump) as fh:
-            fh.write("\n".join(decode.format_candidates(results)) + "\n")
+            fh.write("\n".join(candidates.format_candidates(results)) + "\n")
     return 0
 
 
 def cmd_sample(args) -> int:
+    from . import decode
     fwd = _load_forward(args.model)
     bpe_model = bpe.load_model(args.bpe) if args.bpe else None
     cfg = decode.DecodeConfig(
@@ -377,12 +390,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_rerank(args) -> int:
+    from . import decode, models
     rev = models.load_scorer(args.rev)
     lm = models.load_scorer(args.lm)
     bpe_model = bpe.load_model(args.bpe) if args.bpe else None
     sources = _read_sources(args.source, bpe_model)
     with _open_in(args.dump) as fh:
-        cands_per_sentence = decode.parse_candidates(fh)
+        cands_per_sentence = candidates.parse_candidates(fh)
     if len(cands_per_sentence) != len(sources):
         raise LengthMismatchError(
             f"{len(cands_per_sentence)} dumped sentences vs {len(sources)} sources"
@@ -395,7 +409,7 @@ def cmd_rerank(args) -> int:
         if args.top1:
             _write_bodies(out, [cands[0] for cands in ranked], rev.eos_id, bpe_model)
         else:
-            out.write("\n".join(decode.format_candidates(ranked)) + "\n")
+            out.write("\n".join(candidates.format_candidates(ranked)) + "\n")
     return 0
 
 
@@ -425,8 +439,8 @@ def cmd_score_bleu(args) -> int:
 def cmd_oracle_bleu(args) -> int:
     with _open_in(args.dump) as fh:
         hyps_per_sentence = [
-            [decode.strip_eos(cand.tokens, args.eos_id) for cand in cands]
-            for cands in decode.parse_candidates(fh)
+            [candidates.strip_eos(cand.tokens, args.eos_id) for cand in cands]
+            for cands in candidates.parse_candidates(fh)
         ]
     with _open_in(args.ref) as fh:
         refs = [_parse_ids(line) for line in fh]
@@ -448,6 +462,7 @@ def _grid(option: str, text: str) -> list[float]:
 
 
 def cmd_tune_lambda(args) -> int:
+    from . import decode, models
     fwd = _load_forward(args.model)
     rev = models.load_scorer(args.rev)
     lm = models.load_scorer(args.lm)

@@ -4,6 +4,9 @@ The filter cascade applies rules in a fixed order (language id on each
 side, minimum length, maximum length, length ratio, cleanliness score) and
 attributes each rejection to the first rule that fired, so reports are
 reproducible and mergeable across chunks of a stream.
+
+Only the language-id code uses numpy, and it imports numpy where it needs
+it, so the stages that read and write pairs start without loading it.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, EmptyInputError, InputFormatError, ModelFormatError, model_file
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Provenance(Enum):
@@ -54,6 +59,10 @@ class FilterConfig:
             raise ConfigError("min_external_score must lie in [0, 1]")
         if self.required_langs is not None and len(self.required_langs) != 2:
             raise ConfigError(f"required_langs needs two codes, got {self.required_langs}")
+        if not 0 <= self.min_len_tokens <= self.max_len_tokens:
+            raise ConfigError(
+                f"min_len_tokens {self.min_len_tokens} and max_len_tokens "
+                f"{self.max_len_tokens} must satisfy 0 <= min <= max")
 
 
 @dataclass
@@ -86,6 +95,7 @@ _NGRAM_RANGE = (2, 4)
 
 
 def _langid_features(text: str, n_features: int) -> np.ndarray:
+    import numpy as np
     vec = np.zeros(n_features)
     text = text.lower()
     counts: Counter[int] = Counter()
@@ -103,6 +113,7 @@ class LangIdModel:
     """Multinomial logistic regression over hashed character 2..4-grams."""
 
     def __init__(self, langs: list[str], weights: np.ndarray, bias: np.ndarray, n_features: int):
+        import numpy as np
         self.langs = list(langs)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64)
@@ -115,6 +126,7 @@ class LangIdModel:
             raise ModelFormatError("langid weights and bias must be finite")
 
     def predict_proba(self, text: str) -> np.ndarray:
+        import numpy as np
         logits = _langid_features(text, self.n_features) @ self.weights + self.bias
         logits -= logits.max()
         exp = np.exp(logits)
@@ -124,17 +136,25 @@ class LangIdModel:
 def langid_train(labeled, seed: int = 0, n_features: int = 2048,
                  epochs: int = 400, lr: float = 5.0) -> LangIdModel:
     """Fit by full-batch gradient descent; deterministic given data order and seed."""
+    import numpy as np
     if n_features < 1:
         raise ConfigError(f"n_features must be positive, got {n_features}")
+    if epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    if not 0 < lr < math.inf:
+        raise ConfigError(f"lr must be positive and finite, got {lr}")
     pairs = [(text, lang) for text, lang in labeled]
     langs = sorted({lang for _, lang in pairs})
     if len(langs) < 2:
         raise EmptyInputError(f"need at least 2 languages, got {langs}")
     lang_idx = {lang: i for i, lang in enumerate(langs)}
     n = len(pairs)
-    x = np.stack([_langid_features(text, n_features) for text, _ in pairs])
+    # Filled in place rather than stacked from row vectors: the same values
+    # without a second copy of the matrix at the memory peak.
+    x = np.zeros((n, n_features))
     y = np.zeros((n, len(langs)))
-    for row, (_, lang) in enumerate(pairs):
+    for row, (text, lang) in enumerate(pairs):
+        x[row] = _langid_features(text, n_features)
         y[row, lang_idx[lang]] = 1.0
 
     rng = np.random.default_rng(seed)
@@ -155,7 +175,7 @@ def langid_classify(model: LangIdModel, text: str) -> tuple[str, float]:
     if not text.strip():
         raise EmptyInputError("cannot classify empty text")
     probs = model.predict_proba(text)
-    idx = int(np.argmax(probs))
+    idx = int(probs.argmax())
     return model.langs[idx], float(probs[idx])
 
 
@@ -166,11 +186,12 @@ def save_langid(model: LangIdModel, path) -> None:
         fh.write("bias " + " ".join(repr(float(v)) for v in model.bias) + "\n")
         for idx in range(model.n_features):
             row = model.weights[idx]
-            if np.any(row != 0.0):
+            if (row != 0.0).any():
                 fh.write(f"w {idx} " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_langid(path) -> LangIdModel:
+    import numpy as np
     langs = None
     bias = None
     weights = None

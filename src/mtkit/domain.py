@@ -98,6 +98,10 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
     scored for accuracy (stored on the classifier), then the model is refit
     on all examples.
     """
+    if epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    if not 0 < lr < math.inf:
+        raise ConfigError(f"lr must be positive and finite, got {lr}")
     positives = list(positives)
     negatives = list(negatives)
     if not positives:

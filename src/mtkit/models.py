@@ -96,10 +96,10 @@ def _read_header(fh) -> tuple[dict, list[dict], int]:
 
     Any defect raises ModelFormatError (ValueError if not UTF-8 JSON), to be
     named by the caller's `naming`: short or wrong magic, version and length
-    fields, a header that is not a UTF-8 JSON object, or a tensor
-    entry without a string name and dtype, a list of non-negative int
-    dimensions as shape, and a non-negative int offset. Payloads are not
-    read here.
+    fields, a header that is not a UTF-8 JSON object or nests too deeply to
+    parse, or a tensor entry without a string name and dtype, a list of
+    non-negative int dimensions as shape, and a non-negative int offset.
+    Payloads are not read here.
     """
     prefix = fh.read(_PREFIX.size)
     if prefix[:4] != _MAGIC:
@@ -112,7 +112,10 @@ def _read_header(fh) -> tuple[dict, list[dict], int]:
     payload_start = _PREFIX.size + hlen
     if payload_start > _file_size(fh):
         raise ModelFormatError("header runs past the end of the file")
-    header = json.loads(fh.read(hlen).decode("utf-8"))
+    try:
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+    except RecursionError:
+        raise ModelFormatError("header JSON nests too deeply") from None
     if not isinstance(header, dict):
         raise ModelFormatError("header is not a JSON object")
     metadata = header.get("metadata", {})

@@ -18,7 +18,8 @@ from collections import Counter
 import numpy as np
 
 from mtkit.bpe import BOS, EOS, PAD, UNK, WORD_END, BpeModel
-from mtkit.decode import Candidate, DecodeConfig, _finish, _log_dist
+from mtkit.candidates import Candidate
+from mtkit.decode import DecodeConfig, _finish, _log_dist
 from mtkit.errors import ConfigError, EmptyInputError, NoCompletedHypothesisError
 
 

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from mtkit import bleu, bpe, corpus, domain, models, textnorm
+from mtkit.candidates import Candidate, format_candidates
 from mtkit.cli import run
 from mtkit.decode import (
-    Candidate,
     DecodeConfig,
     beam_search,
     exact_search,
-    format_candidates,
     noisy_channel_rerank,
     topk_sample,
 )

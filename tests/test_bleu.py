@@ -12,7 +12,7 @@ from mtkit.bleu import (
     oracle_select,
     sentence_bleu,
 )
-from mtkit.decode import strip_eos
+from mtkit.candidates import strip_eos
 from mtkit.errors import EmptyInputError, LengthMismatchError
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """End-to-end runs of the mtkit command line against small on-disk fixtures."""
 
+import json
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -10,15 +12,9 @@ import pytest
 
 import mtkit
 from mtkit import models, textnorm
+from mtkit.candidates import Candidate, format_candidates, parse_candidates
 from mtkit.cli import run
-from mtkit.decode import (
-    Candidate,
-    DecodeConfig,
-    beam_search,
-    format_candidates,
-    noisy_channel_rerank,
-    parse_candidates,
-)
+from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
 from mtkit.models import TableScorer
 
 from conftest import EN_WORDS, MED_EN, MED_RU, NEWS_EN, NEWS_RU, RU_WORDS, \
@@ -936,17 +932,35 @@ def _bad_input_argv(tmp_path, case, langid_file):
         langs = case.removeprefix("filter langs ")
         return (["filter", str(pairs), "--langid", str(langid_file), "--langs", langs, "-o", out],
                 "ConfigError: required_langs needs two codes")
-    assert case == "langid-train features 0"
-    return (["langid-train", f"en={pairs}", f"ru={ids}", "--features", "0",
-             "--model-out", out],
-            "ConfigError: n_features must be positive, got 0")
+    if case.startswith("filter "):
+        flag, value = case.removeprefix("filter ").split()
+        return ["filter", str(pairs), flag, value, "-o", out], "ConfigError: min_len_tokens"
+    if case == "avg-checkpoints deep header":
+        deep = tmp_path / "deep.nmtc"
+        deep.write_bytes(b"NMTC" + struct.pack("<IQ", 1, 200000) + b"[" * 200000)
+        return (["avg-checkpoints", str(deep), "-o", out],
+                f"ModelFormatError: {deep}: header JSON nests too deeply")
+    command, option, value = case.split()
+    if command == "domain-train":
+        argv = ["domain-train", "--positives", str(pairs), "--negatives", str(ids)]
+    else:
+        argv = ["langid-train", f"en={pairs}", f"ru={ids}"]
+    argv += [f"--{option}={value}", "--model-out", out]
+    if option == "features":
+        return argv, "ConfigError: n_features must be positive, got 0"
+    if option == "epochs":
+        return argv, f"ConfigError: epochs must be at least 1, got {value}"
+    return argv, f"ConfigError: lr must be positive and finite, got {float(value)}"
 
 
 @pytest.mark.parametrize("case", [
     "reverse-target not utf-8", "rerank source not an int", "oracle-bleu dump float",
     "mix part abc:bitext:{}", "mix part 1:nope:{}", "tune-lambda grid", "decode beam 0",
     "decode blank source line", "filter langs en", "filter langs en,ru,de",
-    "langid-train features 0",
+    "filter --max-len -1", "filter --min-len -1", "filter --min-len 300",
+    "avg-checkpoints deep header", "langid-train features 0", "langid-train epochs -1",
+    "langid-train epochs 0", "langid-train lr nan", "langid-train lr 0",
+    "domain-train epochs -3", "domain-train lr nan", "domain-train lr -inf",
 ])
 def test_bad_input_is_named_error(tmp_path, capsys, langid_file, case):
     argv, expected = _bad_input_argv(tmp_path, case, langid_file)
@@ -990,3 +1004,47 @@ def test_stray_value_error_is_a_bug_not_an_exit_code(tmp_path, monkeypatch):
     _write(inp, ["a\tb"])
     with pytest.raises(ValueError, match="stray"):
         run(["reverse-target", str(inp)])
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+def test_text_and_bleu_stages_do_not_load_numpy(tmp_path, langid_file):
+    # A pipeline runs each stage as its own process, so a stage that does no
+    # array math must not pay for importing numpy. The stages run one after
+    # another in one fresh interpreter; the last one needs numpy, so the
+    # check cannot pass because numpy never loads at all.
+    text = tmp_path / "text.txt"
+    _write(text, ["Hello, world.", "A small test, again."])
+    pairs = tmp_path / "pairs.tsv"
+    _write(pairs, ["a b c\tx y z", "d e\tu v"])
+    ids = tmp_path / "ids.txt"
+    _write(ids, ["0", "1"])
+    dump = tmp_path / "dump.tsv"
+    _write(dump, ["0\t0\t-1.0\t-\t-\t-\t0,2", "1\t0\t-1.0\t-\t-\t-\t1,2"])
+    tok, codes, enc, out = (str(tmp_path / n) for n in ("tok", "codes", "enc", "out"))
+    numpy_free = [
+        ["normalize", str(text), "-o", out],
+        ["tokenize", str(text), "-o", tok],
+        ["bpe-train", tok, "--vocab-size", "40", "--model-out", codes],
+        ["bpe-encode", tok, "--model", codes, "-o", enc],
+        ["bpe-encode", tok, "--model", codes, "--dropout", "0.1", "-o", enc],
+        ["bpe-decode", enc, "--model", codes, "-o", out],
+        ["reverse-target", str(pairs), "-o", out],
+        ["mix", "--part", f"1:bitext:{pairs}", "--n", "3", "-o", out],
+        ["filter", str(pairs), "-o", out],
+        ["filter", str(text), "--mono", "-o", out],
+        ["score-bleu", "--hyp", str(text), "--ref", str(text), "-o", out],
+        ["oracle-bleu", "--dump", str(dump), "--ref", str(ids), "--eos-id", "2", "-o", out],
+    ]
+    with_langid = ["filter", str(pairs), "--langid", str(langid_file), "--langs", "en,ru",
+                   "-o", out]
+    script = ("import json, sys\n"
+              "from mtkit.cli import run\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    print(argv[0], run(argv), 'numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(numpy_free + [with_langid])],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == (
+        [f"{argv[0]} 0 False" for argv in numpy_free] + ["filter 0 True"])

@@ -7,16 +7,14 @@ import random
 import numpy as np
 import pytest
 
+from mtkit.candidates import Candidate, format_candidates, parse_candidates
 from mtkit.decode import (
-    Candidate,
     DecodeConfig,
     beam_search,
     decode_batch,
     exact_search,
-    format_candidates,
     grid_search_lambdas,
     noisy_channel_rerank,
-    parse_candidates,
     sample_batch,
     sequence_logprob,
     topk_sample,

@@ -224,6 +224,7 @@ _BAD_CONTAINERS = {
     "version 2": _container({"tensors": []}, version=2),
     "not utf-8": _container(b'{"tensors": [], "x": "\xff"}'),
     "not json": _container(b'{"tensors": ['),
+    "deep nesting": _container(b"[" * 200000),
     "json list": _container([]),
     "no tensors": _container({"metadata": {}}),
     "tensors not a list": _container({"tensors": {"w": 1}}),
