@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputFormatError
+from .errors import ConfigError, InputFormatError
 
 
 @dataclass
@@ -23,6 +23,8 @@ class Candidate:
 
 def strip_eos(tokens, eos_id: int | None) -> list[int]:
     """The tokens without one trailing eos; eos_id None strips nothing."""
+    if eos_id is not None and eos_id < 0:
+        raise ConfigError(f"eos_id must be >= 0, got {eos_id}")
     tokens = list(tokens)
     if eos_id is not None and tokens and tokens[-1] == eos_id:
         tokens.pop()

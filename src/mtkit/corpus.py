@@ -143,6 +143,8 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
     if not 0 < lr < math.inf:
         raise ConfigError(f"lr must be positive and finite, got {lr}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     pairs = [(text, lang) for text, lang in labeled]
     langs = sorted({lang for _, lang in pairs})
     if len(langs) < 2:
@@ -289,6 +291,8 @@ def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:
     Each corpus is consumed in order and replayed from the start when
     exhausted.
     """
+    if n < 0:
+        raise ConfigError(f"sample size n must be >= 0, got {n}")
     corpora = [(list(stream), float(weight)) for stream, weight in corpora]
     if not corpora:
         raise EmptyInputError("mix_sample needs at least one corpus")

@@ -46,8 +46,10 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_size < 1 or self.max_len < 1 or self.n_candidates < 1:
             raise ConfigError("beam_size, max_len, n_candidates must be >= 1")
-        if not self.fusion_lambda >= 0:
-            raise ConfigError("fusion_lambda must be >= 0")
+        if not 0 <= self.fusion_lambda < math.inf:
+            raise ConfigError(f"fusion_lambda must be finite and >= 0, got {self.fusion_lambda}")
+        if not math.isfinite(self.length_penalty_alpha):
+            raise ConfigError(f"length_penalty_alpha must be finite, got {self.length_penalty_alpha}")
         if self.sample_k < 1:
             raise ConfigError("sample_k must be >= 1")
 
@@ -296,8 +298,8 @@ def noisy_channel_rerank(cands: list[Candidate], rev: Scorer, lm: Scorer,
     model scores the candidate unconditionally, including its eos. Returns a
     new sorted list over the same candidate objects; ties keep input order.
     """
-    if not lambda_ncr >= 0:
-        raise ConfigError("lambda_ncr must be >= 0")
+    if not 0 <= lambda_ncr < math.inf:
+        raise ConfigError(f"lambda_ncr must be finite and >= 0, got {lambda_ncr}")
     if not cands:
         raise EmptyInputError("nothing to re-rank")
     source = tuple(source)

@@ -68,12 +68,11 @@ def naming(path, error: type[MtkitError], catch=(ValueError,)):
 
 
 @contextlib.contextmanager
-def model_file(path, magic: str | None):
+def model_file(path, magic: str):
     """Open a UTF-8 text model file whose first word is `magic`.
 
     Yields (header, lines). header is the rest of the first line after the
-    magic word and one space; with magic None no word is checked and header
-    is the whole first line. lines yields (line number, line without its
+    magic word and one space. lines yields (line number, line without its
     newline) for each later line, blank lines included, read from the file
     as the caller iterates, so no file is held in memory whole. Under
     `naming`, a ModelFormatError (a wrong magic word, a line or constructor
@@ -83,10 +82,7 @@ def model_file(path, magic: str | None):
     """
     with naming(path, ModelFormatError, (ValueError, IndexError, re.error)), \
             open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        word, _, rest = first.partition(" ")
-        if magic is None:
-            rest = first
-        elif word != magic:
+        word, _, rest = fh.readline().rstrip("\n").partition(" ")
+        if word != magic:
             raise ModelFormatError(f"expected a {magic!r} header, got {word!r}")
         yield rest, ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2))

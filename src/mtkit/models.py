@@ -37,15 +37,17 @@ _NORM_TOL = 1e-6
 
 # Container: magic NMTC, u32 version, u64 header length, a JSON header
 # {"metadata": {...}, "tensors": [{"name", "shape", "dtype", "offset"}, ...]},
-# then raw little-endian f32 payloads in sorted-name order; offsets count
-# from the end of the header.
+# then raw little-endian f32 or f64 payloads in sorted-name order; offsets
+# count from the end of the header.
 _MAGIC = b"NMTC"
 _VERSION = 1
 _PREFIX = struct.Struct("<4sIQ")
+_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_F32 = {"f32": _DTYPES["f32"]}  # the only dtype average_checkpoint_files reads
 
 
-def _write_checkpoint(path, metadata: dict, shapes: dict, tensor) -> None:
-    """Write a container with tensors named and shaped by `shapes`.
+def _write_checkpoint(path, metadata: dict, shapes: dict, tensor, dtype: str = "f32") -> None:
+    """Write a container of `dtype` tensors named and shaped by `shapes`.
 
     tensor(name) supplies each payload, called once per name in sorted
     order just before it is written, so a caller can compute tensors one
@@ -56,8 +58,8 @@ def _write_checkpoint(path, metadata: dict, shapes: dict, tensor) -> None:
     offset = 0
     for name in names:
         shape = list(shapes[name])
-        entries.append({"name": name, "shape": shape, "dtype": "f32", "offset": offset})
-        offset += math.prod(shape) * 4
+        entries.append({"name": name, "shape": shape, "dtype": dtype, "offset": offset})
+        offset += math.prod(shape) * _DTYPES[dtype].itemsize
     header = json.dumps(
         {"metadata": metadata, "tensors": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
@@ -65,7 +67,7 @@ def _write_checkpoint(path, metadata: dict, shapes: dict, tensor) -> None:
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
         fh.write(header)
         for name in names:
-            fh.write(np.asarray(tensor(name), dtype="<f4").tobytes())
+            fh.write(np.asarray(tensor(name), dtype=_DTYPES[dtype]).tobytes())
 
 
 def save_checkpoint(tensors: dict, path, metadata: dict | None = None) -> None:
@@ -139,19 +141,20 @@ def _read_header(fh) -> tuple[dict, list[dict], int]:
     return metadata, entries, payload_start
 
 
-def _read_tensor(fh, payload_start: int, entry: dict) -> np.ndarray:
-    """Read one payload described by a checked header entry as an f32
-    array; a wrong dtype, a short payload or a non-finite value raises
-    ModelFormatError."""
-    if entry["dtype"] != "f32":
+def _read_tensor(fh, payload_start: int, entry: dict, dtypes=_DTYPES) -> np.ndarray:
+    """Read one payload described by a checked header entry as an array of
+    one of `dtypes`; another dtype, a short payload or a non-finite value
+    raises ModelFormatError."""
+    dtype = dtypes.get(entry["dtype"])
+    if dtype is None:
         raise ModelFormatError(f"unsupported dtype {entry['dtype']}")
     shape = tuple(entry["shape"])
-    nbytes = math.prod(shape) * 4
+    nbytes = math.prod(shape) * dtype.itemsize
     start = payload_start + entry["offset"]
     if start + nbytes > _file_size(fh):
         raise ModelFormatError(f"truncated payload for {entry['name']!r}")
     fh.seek(start)
-    arr = np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape)
+    arr = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"tensor {entry['name']!r} contains non-finite values")
     return arr
@@ -170,9 +173,9 @@ def average_checkpoint_files(paths: list, out_path) -> None:
     The files must share tensor names and shapes. Each output element is
     the mean of its k input values, summed in f64 after sorting, so the
     output bytes do not depend on the order of paths; its metadata is
-    {"source_count": k}. Only k copies of one tensor are resident at a
-    time, so memory is bounded by the largest tensor rather than the full
-    checkpoint size.
+    {"source_count": k}. Every tensor must be f32. Only k copies of one
+    tensor are resident at a time, so memory is bounded by the largest
+    tensor rather than the full checkpoint size.
     """
     if not paths:
         raise EmptyInputError("no checkpoint files given")
@@ -197,7 +200,7 @@ def average_checkpoint_files(paths: list, out_path) -> None:
             values = []
             for fh, p, (_, _, payload_start), entries in zip(handles, paths, headers, entry_maps):
                 with naming(p, ModelFormatError):
-                    values.append(_read_tensor(fh, payload_start, entries[name]))
+                    values.append(_read_tensor(fh, payload_start, entries[name], _F32))
             values = np.array(values, dtype=np.float64)
             values.sort(axis=0)
             return (values.sum(axis=0) / len(paths)).astype(np.float32)
@@ -274,46 +277,40 @@ def _parse_ids(text: str) -> tuple:
 
 
 def save_table_scorer(m: TableScorer, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tablescorer-v1\n")
-        fh.write("vocab " + " ".join(m.vocab) + "\n")
-        fh.write(f"eos {m.eos_token}\n")
-        fh.write("default " + " ".join(repr(float(p)) for p in m.default) + "\n")
-        for (src, prefix), vec in sorted(m.table.items()):
-            fh.write(
-                f"ctx {_fmt_ids(src)}|{_fmt_ids(prefix)} "
-                + " ".join(repr(float(p)) for p in vec)
-                + "\n"
-            )
+    """Write m as an NMTC container (layout above) of f64 payloads, so every
+    value loads back bit for bit: `default` (V) and `rows` (contexts x V,
+    in sorted context order). The metadata holds the vocab, the eos token
+    and the contexts as [[source ids], [prefix ids]] pairs."""
+    keys = sorted(m.table)
+    contexts = [[[int(i) for i in src], [int(i) for i in prefix]] for src, prefix in keys]
+    tensors = {"default": m.default,
+               "rows": np.array([m.table[k] for k in keys]).reshape(len(keys), m.vocab_size)}
+    _write_checkpoint(path, {"vocab": m.vocab, "eos": m.eos_token, "contexts": contexts},
+                      {name: arr.shape for name, arr in tensors.items()}, tensors.__getitem__, "f64")
 
 
 def load_table_scorer(path) -> TableScorer:
-    vocab = None
-    eos_token = "eos"
-    default = None
-    table = {}
-    with model_file(path, "tablescorer-v1") as (_, lines):
-        for lineno, line in lines:
-            if not line:
-                continue
-            kind, _, rest = line.partition(" ")
-            if kind == "vocab":
-                vocab = rest.split(" ")
-            elif kind == "eos":
-                eos_token = rest
-            elif kind == "default":
-                default = [float(x) for x in rest.split(" ")]
-            elif kind == "ctx":
-                key, _, probs = rest.partition(" ")
-                src_txt, _, prefix_txt = key.partition("|")
-                table[(_parse_ids(src_txt), _parse_ids(prefix_txt))] = [
-                    float(x) for x in probs.split(" ")
-                ]
-            else:
-                raise ModelFormatError(f"line {lineno}: unknown line kind {kind!r}")
-        if vocab is None or default is None:
-            raise ModelFormatError("missing vocab or default line")
-        return TableScorer(vocab, table, default, eos_token=eos_token)
+    """Read a save_table_scorer file; a malformed one raises ModelFormatError."""
+    with naming(path, ModelFormatError), open(path, "rb") as fh:
+        metadata, entries, payload_start = _read_header(fh)
+        vocab, eos, contexts = (metadata.get(k) for k in ("vocab", "eos", "contexts"))
+        if not (isinstance(vocab, list) and all(isinstance(t, str) for t in (*vocab, eos))):
+            raise ModelFormatError("metadata needs a vocab list of strings and an eos string")
+        if not (isinstance(contexts, list) and all(
+                isinstance(c, list) and len(c) == 2
+                and all(isinstance(ids, list) and all(type(i) is int for i in ids) for ids in c)
+                for c in contexts)):
+            raise ModelFormatError("metadata contexts must be [[source ids], [prefix ids]] pairs")
+        tensors = {e["name"]: _read_tensor(fh, payload_start, e) for e in entries}
+        if set(tensors) != {"default", "rows"}:
+            raise ModelFormatError(f"expected tensors ['default', 'rows'], got {sorted(tensors)}")
+        default, rows = tensors["default"], tensors["rows"]
+        if rows.ndim != 2 or len(rows) != len(contexts):
+            raise ModelFormatError(f"rows of shape {rows.shape} for {len(contexts)} contexts")
+        table = {(tuple(src), tuple(prefix)): row for (src, prefix), row in zip(contexts, rows)}
+        if len(table) != len(contexts):
+            raise ModelFormatError("duplicate contexts")
+        return TableScorer(vocab, table, default, eos_token=eos)
 
 
 class NGramScorer(Scorer):
@@ -513,9 +510,8 @@ class EnsembleScorer(Scorer):
 
 
 def load_scorer(path) -> Scorer:
-    """Dispatch on the first header word: table scorer or n-gram model."""
-    with model_file(path, None) as (header, _):
-        kind = header.partition(" ")[0]
-        if kind not in ("tablescorer-v1", "ngram-v1"):
-            raise ModelFormatError(f"unrecognized scorer header {kind!r}")
-    return load_table_scorer(path) if kind == "tablescorer-v1" else load_ngram_scorer(path)
+    """Read an NMTC container as a table scorer and any other file as an
+    n-gram model, whose header check rejects what is neither."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_MAGIC))
+    return load_table_scorer(path) if magic == _MAGIC else load_ngram_scorer(path)

@@ -7,7 +7,9 @@ Everything is seeded; fixtures are deterministic across runs and test order.
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -223,6 +225,29 @@ def make_table_scorer(vocab_n: int, max_len: int, rng: random.Random,
         table[(tuple(source), prefix)] = vec
     default = np.ones(vocab_n) / vocab_n
     return TableScorer(vocab, table, default)
+
+
+def nmtc_bytes(header, payload=b"", version=1) -> bytes:
+    """Raw NMTC bytes: magic, version, header length, header, payload."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode("utf-8")
+    return b"NMTC" + struct.pack("<IQ", version, len(header)) + header + payload
+
+
+def table_container(vocab, default, contexts=(), rows=(), eos="eos",
+                    default_dtype="f64") -> bytes:
+    """NMTC bytes of a table scorer put together field by field, so a test
+    can break any rule that save_table_scorer keeps: rows need not match
+    contexts, and values may be non-finite or unnormalized."""
+    default = np.array(default, dtype="<f8")
+    rows = np.array(rows, dtype="<f8").reshape(len(rows), -1) if len(rows) else np.zeros((0, 0))
+    metadata = {"vocab": list(vocab), "eos": eos,
+                "contexts": [[list(ids) for ids in context] for context in contexts]}
+    tensors = [
+        {"name": "default", "shape": list(default.shape), "dtype": default_dtype, "offset": 0},
+        {"name": "rows", "shape": list(rows.shape), "dtype": "f64", "offset": default.nbytes},
+    ]
+    return nmtc_bytes({"metadata": metadata, "tensors": tensors}, default.tobytes() + rows.tobytes())
 
 
 def make_lm_scorer(vocab_n: int, max_len: int, rng: random.Random) -> TableScorer:

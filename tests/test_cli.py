@@ -18,7 +18,7 @@ from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
 from mtkit.models import TableScorer
 
 from conftest import EN_WORDS, MED_EN, MED_RU, NEWS_EN, NEWS_RU, RU_WORDS, \
-    make_domain_line, make_sentence
+    make_domain_line, make_sentence, table_container
 
 
 def _write(path, lines):
@@ -237,7 +237,8 @@ def test_bpe_model_without_specials_is_named_error(tmp_path, capsys, command):
 
 
 _NGRAM = "ngram-v1 1 3 2\nfloor 0.01\nweights 1.0\ncount 0 1\n"
-_TABLE = "tablescorer-v1\nvocab a b eos\neos eos\ndefault 0.25 0.25 0.5\n"
+_TABLE_VOCAB = ["a", "b", "eos"]
+_TABLE = table_container(_TABLE_VOCAB, [0.25, 0.25, 0.5])
 _LANGID = "langid-v1 16\nlangs en ru\nbias 0.0 0.0\nw 1 0.5 -0.5\n"
 _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
 
@@ -247,9 +248,11 @@ _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
     pytest.param("decode", _NGRAM, _NGRAM.replace("ngram-v1 1 3 2", "ngram-v1 3 x 4"),
                  id="ngram header not int"),
     pytest.param("decode", _NGRAM, _NGRAM + "count 1 -3\n", id="ngram negative count"),
-    pytest.param("decode", _TABLE, _TABLE.replace("default 0.25 0.25 0.5", "default 0.5 zz"),
+    pytest.param("decode", _TABLE,
+                 table_container(_TABLE_VOCAB, [0.25, 0.25, 0.5], default_dtype="i64"),
                  id="table default not float"),
-    pytest.param("decode", _TABLE, _TABLE + "ctx 0|- 0.25 0.125 0.125\n",
+    pytest.param("decode", _TABLE, table_container(_TABLE_VOCAB, [0.25, 0.25, 0.5], [((0,), ())],
+                                                   [[0.25, 0.125, 0.125]]),
                  id="table context sums to 0.5"),
     pytest.param("normalize", "normrules-v1 x\na\tb\n", "normrules-v1 x\n(unclosed\ty\n",
                  id="rules bad pattern"),
@@ -273,7 +276,7 @@ def test_malformed_model_file_exits_1(tmp_path, capsys, command, good, bad):
             "domain-select": ["--clf-ru", str(model), "--clf-en"]}[command]
     out = tmp_path / "out.txt"
     argv = [command, str(inp), *flag, str(model), "-o", str(out)]
-    model.write_text(good, encoding="utf-8")
+    model.write_bytes(good if isinstance(good, bytes) else good.encode("utf-8"))
     assert run(argv) == 0  # the same command runs with the well-formed model
     out.unlink()
     capsys.readouterr()
@@ -925,6 +928,27 @@ def _bad_input_argv(tmp_path, case, langid_file):
         return tune + ["--sf-grid", "0,x"], "ConfigError: --sf-grid '0,x'"
     if case == "decode beam 0":
         return decode + ["--beam", "0"], "ConfigError: beam_size"
+    if case.startswith(("decode alpha ", "tune-lambda alpha ")):
+        argv = decode if case.startswith("decode") else tune
+        value = case.split()[-1]
+        return argv + ["--alpha", value], f"ConfigError: length_penalty_alpha must be finite, got {value}"
+    if case == "decode fusion-lambda inf":
+        return (decode + ["--fusion-lambda", "inf"],
+                "ConfigError: fusion_lambda must be finite and >= 0, got inf")
+    if case == "rerank lam inf":
+        return rerank + ["--lam", "inf"], "ConfigError: lambda_ncr must be finite and >= 0, got inf"
+    if case == "tune-lambda ncr-grid inf":
+        return (tune + ["--ncr-grid", "0,inf"],
+                "ConfigError: lambda_ncr must be finite and >= 0, got inf")
+    if case == "mix n -1":
+        return (["mix", "--part", f"1:bitext:{pairs}", "--n=-1", "-o", out],
+                "ConfigError: sample size n must be >= 0, got -1")
+    if case == "oracle-bleu eos-id -5":
+        return (["oracle-bleu", "--dump", str(dump), "--ref", str(ids), "--eos-id=-5", "-o", out],
+                "ConfigError: eos_id must be >= 0, got -5")
+    if case == "avg-checkpoints table":
+        return (["avg-checkpoints", str(fwd), "-o", out],
+                f"ModelFormatError: {fwd}: unsupported dtype f64")
     if case == "decode blank source line":
         _write(ids, ["0", "", "0"])
         return decode, f"EmptyInputError: {ids}: line 2 holds no source tokens"
@@ -950,6 +974,8 @@ def _bad_input_argv(tmp_path, case, langid_file):
         return argv, "ConfigError: n_features must be positive, got 0"
     if option == "epochs":
         return argv, f"ConfigError: epochs must be at least 1, got {value}"
+    if option == "seed":
+        return argv, f"ConfigError: seed must be >= 0, got {value}"
     return argv, f"ConfigError: lr must be positive and finite, got {float(value)}"
 
 
@@ -961,6 +987,9 @@ def _bad_input_argv(tmp_path, case, langid_file):
     "avg-checkpoints deep header", "langid-train features 0", "langid-train epochs -1",
     "langid-train epochs 0", "langid-train lr nan", "langid-train lr 0",
     "domain-train epochs -3", "domain-train lr nan", "domain-train lr -inf",
+    "decode alpha nan", "decode alpha inf", "tune-lambda alpha nan", "decode fusion-lambda inf",
+    "rerank lam inf", "tune-lambda ncr-grid inf", "mix n -1", "oracle-bleu eos-id -5",
+    "langid-train seed -1", "avg-checkpoints table",
 ])
 def test_bad_input_is_named_error(tmp_path, capsys, langid_file, case):
     argv, expected = _bad_input_argv(tmp_path, case, langid_file)

@@ -1,4 +1,5 @@
-"""The shared text model-file reader and the loaders built on it."""
+"""The shared text model-file reader and the loaders built on it, and the
+non-finite value check of every model loader."""
 
 import random
 import zlib
@@ -8,13 +9,7 @@ import pytest
 from mtkit import corpus, domain, models, textnorm
 from mtkit.errors import ModelFormatError, model_file
 
-
-def _save_table(path):
-    models.save_table_scorer(models.TableScorer(
-        ["a", "b", "eos"],
-        {((0,), ()): [0.5, 0.25, 0.25], ((0,), (1,)): [0.125, 0.125, 0.75]},
-        [0.25, 0.25, 0.5],
-    ), path)
+from conftest import table_container
 
 
 def _save_ngram(path):
@@ -36,7 +31,6 @@ def _save_rules(path):
 
 
 _FORMATS = {
-    "tablescorer": (_save_table, models.load_table_scorer),
     "ngram": (_save_ngram, models.load_ngram_scorer),
     "langid": (_save_langid, corpus.load_langid),
     "domcls": (_save_domcls, domain.load_classifier),
@@ -73,13 +67,14 @@ def test_load_fuzzed_model_files(tmp_path, name):
     assert 0 < loaded < len(variants)
 
 
-# site -> (loader, file text with {x} at one numeric field, a valid value for it)
+# site -> (loader, file text with {x} at one numeric field or a function
+# giving the file bytes for x, a valid value for it)
 _NUMERIC_SITES = {
     "table default": (models.load_table_scorer,
-                      "tablescorer-v1\nvocab a eos\neos eos\ndefault {x} 0.5\n", "0.5"),
+                      lambda x: table_container(["a", "eos"], [float(x), 0.5]), "0.5"),
     "table context": (models.load_table_scorer,
-                      "tablescorer-v1\nvocab a eos\neos eos\ndefault 0.5 0.5\n"
-                      "ctx 0|- 0.5 {x}\n", "0.5"),
+                      lambda x: table_container(["a", "eos"], [0.5, 0.5], [((0,), ())],
+                                                [[0.5, float(x)]]), "0.5"),
     "ngram floor": (models.load_ngram_scorer,
                     "ngram-v1 1 3 2\nfloor {x}\nweights 1.0\ncount 0 1\n", "0.01"),
     "ngram weights": (models.load_ngram_scorer,
@@ -100,9 +95,13 @@ _NUMERIC_SITES = {
 def test_non_finite_value_raises_model_format_error(tmp_path, site, value):
     load, text, valid = _NUMERIC_SITES[site]
     path = tmp_path / "model.txt"
-    path.write_text(text.format(x=valid), encoding="utf-8")
+
+    def write(x):
+        path.write_bytes(text(x) if callable(text) else text.format(x=x).encode("utf-8"))
+
+    write(valid)
     load(path)
-    path.write_text(text.format(x=value), encoding="utf-8")
+    write(value)
     with pytest.raises(ModelFormatError):
         load(path)
 

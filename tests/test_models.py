@@ -1,11 +1,12 @@
 """Checkpoint files and averaging, table and n-gram scorers, ensembling."""
 
-import json
 import random
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtkit.errors import (
     EmptyInputError,
@@ -29,7 +30,7 @@ from mtkit.models import (
     save_table_scorer,
 )
 
-from conftest import make_table_scorer
+from conftest import make_table_scorer, nmtc_bytes, table_container
 from scalar_reference import reference_checkpoint_mean
 
 
@@ -186,24 +187,18 @@ def test_checkpoint_truncated_payload(tmp_path):
         average_checkpoint_files([path], tmp_path / "avg.ckpt")
 
 
-def _container(header, payload=b"", version=1) -> bytes:
-    """Raw NMTC bytes: magic, version, header length, header, payload."""
-    if not isinstance(header, bytes):
-        header = json.dumps(header).encode("utf-8")
-    return b"NMTC" + struct.pack("<IQ", version, len(header)) + header + payload
-
-
 def _checkpoint_readers(path, tmp_path):
     return [
         lambda: checkpoint_metadata(path),
         lambda: average_checkpoint_files([path, path], tmp_path / "avg.ckpt"),
+        lambda: load_table_scorer(path),
     ]
 
 
 def test_non_f32_dtype_rejected_by_every_reader(tmp_path):
     entry = {"name": "w", "shape": [2], "dtype": "f16", "offset": 0}
     path = tmp_path / "f16.ckpt"
-    path.write_bytes(_container({"metadata": {}, "tensors": [entry]}, b"\0" * 8))
+    path.write_bytes(nmtc_bytes({"metadata": {}, "tensors": [entry]}, b"\0" * 8))
     with pytest.raises(ModelFormatError, match="dtype"):
         average_checkpoint_files([path, path], tmp_path / "avg.ckpt")
 
@@ -221,28 +216,28 @@ _BAD_CONTAINERS = {
     "short version": b"NMTC\x01",
     "short length": b"NMTC" + struct.pack("<I", 1) + b"\x05\x00",
     "length past end": b"NMTC" + struct.pack("<IQ", 1, 2**63) + b"{}",
-    "version 2": _container({"tensors": []}, version=2),
-    "not utf-8": _container(b'{"tensors": [], "x": "\xff"}'),
-    "not json": _container(b'{"tensors": ['),
-    "deep nesting": _container(b"[" * 200000),
-    "json list": _container([]),
-    "no tensors": _container({"metadata": {}}),
-    "tensors not a list": _container({"tensors": {"w": 1}}),
-    "metadata not an object": _container({"metadata": [1], "tensors": []}),
-    "entry not an object": _container({"tensors": ["w"]}),
-    "missing name": _container({"tensors": [_entry(name=_MISSING)]}),
-    "int name": _container({"tensors": [_entry(name=3)]}),
-    "missing shape": _container({"tensors": [_entry(shape=_MISSING)]}),
-    "string shape": _container({"tensors": [_entry(shape="2")]}),
-    "negative dim": _container({"tensors": [_entry(shape=[-2])]}),
-    "float dim": _container({"tensors": [_entry(shape=[2.0])]}),
-    "bool dim": _container({"tensors": [_entry(shape=[True])]}),
-    "missing dtype": _container({"tensors": [_entry(dtype=_MISSING)]}),
-    "null dtype": _container({"tensors": [_entry(dtype=None)]}),
-    "missing offset": _container({"tensors": [_entry(offset=_MISSING)]}),
-    "negative offset": _container({"tensors": [_entry(offset=-4)]}),
-    "string offset": _container({"tensors": [_entry(offset="0")]}),
-    "duplicate name": _container({"tensors": [_entry(), _entry(offset=8)]}, b"\0" * 16),
+    "version 2": nmtc_bytes({"tensors": []}, version=2),
+    "not utf-8": nmtc_bytes(b'{"tensors": [], "x": "\xff"}'),
+    "not json": nmtc_bytes(b'{"tensors": ['),
+    "deep nesting": nmtc_bytes(b"[" * 200000),
+    "json list": nmtc_bytes([]),
+    "no tensors": nmtc_bytes({"metadata": {}}),
+    "tensors not a list": nmtc_bytes({"tensors": {"w": 1}}),
+    "metadata not an object": nmtc_bytes({"metadata": [1], "tensors": []}),
+    "entry not an object": nmtc_bytes({"tensors": ["w"]}),
+    "missing name": nmtc_bytes({"tensors": [_entry(name=_MISSING)]}),
+    "int name": nmtc_bytes({"tensors": [_entry(name=3)]}),
+    "missing shape": nmtc_bytes({"tensors": [_entry(shape=_MISSING)]}),
+    "string shape": nmtc_bytes({"tensors": [_entry(shape="2")]}),
+    "negative dim": nmtc_bytes({"tensors": [_entry(shape=[-2])]}),
+    "float dim": nmtc_bytes({"tensors": [_entry(shape=[2.0])]}),
+    "bool dim": nmtc_bytes({"tensors": [_entry(shape=[True])]}),
+    "missing dtype": nmtc_bytes({"tensors": [_entry(dtype=_MISSING)]}),
+    "null dtype": nmtc_bytes({"tensors": [_entry(dtype=None)]}),
+    "missing offset": nmtc_bytes({"tensors": [_entry(offset=_MISSING)]}),
+    "negative offset": nmtc_bytes({"tensors": [_entry(offset=-4)]}),
+    "string offset": nmtc_bytes({"tensors": [_entry(offset="0")]}),
+    "duplicate name": nmtc_bytes({"tensors": [_entry(), _entry(offset=8)]}, b"\0" * 16),
 }
 
 
@@ -257,7 +252,7 @@ def test_malformed_header_raises_model_format_error(tmp_path, case):
 
 def test_huge_shape_is_a_truncated_payload(tmp_path):
     path = tmp_path / "huge.ckpt"
-    path.write_bytes(_container({"tensors": [_entry(shape=[2**40, 2**40])]}, b"\0" * 8))
+    path.write_bytes(nmtc_bytes({"tensors": [_entry(shape=[2**40, 2**40])]}, b"\0" * 8))
     with pytest.raises(ModelFormatError, match="truncated"):
         average_checkpoint_files([path], tmp_path / "avg.ckpt")
 
@@ -266,40 +261,46 @@ def test_non_finite_payload_rejected(tmp_path):
     path = tmp_path / "nan.ckpt"
     for value in (np.nan, np.inf, -np.inf):
         payload = np.array([1, value], "<f4").tobytes()
-        path.write_bytes(_container({"tensors": [_entry()]}, payload))
+        path.write_bytes(nmtc_bytes({"tensors": [_entry()]}, payload))
         with pytest.raises(ModelFormatError, match="non-finite"):
             average_checkpoint_files([path], tmp_path / "avg.ckpt")
 
 
 def test_load_fuzzed_checkpoint_files(tmp_path):
-    """Truncated or garbled files are read or raise ModelFormatError, which
-    starts with the path and names it once, in every reader."""
+    """Truncated or garbled checkpoint and table files are read or raise
+    ModelFormatError, which starts with the path and names it once, in
+    every reader."""
     rng = random.Random(12)
     tensors = _random_tensors(rng)
     tensors["scalar"] = np.float32(0.5)
     tensors["empty"] = np.zeros((0, 3), dtype=np.float32)
     path = tmp_path / "m.ckpt"
     save_checkpoint(tensors, path, {"step": 12, "validation_score": 0.5})
-    data = path.read_bytes()
-    variants = [data[:n] for n in range(len(data))]
-    for _ in range(400):
-        garbled = bytearray(data)
-        for _ in range(rng.randint(1, 3)):
-            garbled[rng.randrange(len(garbled))] = rng.choice(
-                [*b'0123456789-.,[]{}":fe', rng.randrange(256)]
-            )
-        variants.append(bytes(garbled))
-    succeeded = 0
-    for blob in variants:
-        path.write_bytes(blob)
-        for read in _checkpoint_readers(path, tmp_path):
-            try:
-                read()
-            except ModelFormatError as exc:
-                assert str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1, exc
-                continue
-            succeeded += 1
-    assert 0 < succeeded < 2 * len(variants)
+    checkpoint = path.read_bytes()
+    save_table_scorer(make_table_scorer(3, 2, rng), path)
+    table = path.read_bytes()
+    readers = _checkpoint_readers(path, tmp_path)
+    for data, loads in ((checkpoint, readers[1]), (table, readers[2])):
+        variants = [data[:n] for n in range(len(data))]
+        for _ in range(400):
+            garbled = bytearray(data)
+            for _ in range(rng.randint(1, 3)):
+                garbled[rng.randrange(len(garbled))] = rng.choice(
+                    [*b'0123456789-.,[]{}":fe', rng.randrange(256)]
+                )
+            variants.append(bytes(garbled))
+        succeeded = {read: 0 for read in readers}
+        for blob in variants:
+            path.write_bytes(blob)
+            for read in readers:
+                try:
+                    read()
+                except ModelFormatError as exc:
+                    assert str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1, exc
+                    continue
+                succeeded[read] += 1
+        # the reader the file was written for loads some variants, not all
+        assert 0 < succeeded[loads] < len(variants)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +448,87 @@ def test_load_scorer_dispatch(tmp_path):
     bad.write_text("mystery-v9\n")
     with pytest.raises(ModelFormatError):
         load_scorer(bad)
+
+
+def _dists(n: int, vocab_n: int):
+    """n probability vectors over vocab_n tokens, each normalized by numpy."""
+    weights = st.lists(st.floats(0.0, 1.0), min_size=vocab_n, max_size=vocab_n)
+    return st.lists(weights.filter(lambda w: sum(w) > 0), min_size=n, max_size=n).map(
+        lambda rows: [np.array(w) / np.sum(w) for w in rows])
+
+
+@st.composite
+def _tables(draw):
+    vocab_n = draw(st.integers(1, 5))
+    ids = st.lists(st.integers(0, 2**31), max_size=3).map(tuple)
+    contexts = draw(st.lists(st.tuples(ids, ids), max_size=6, unique=True))
+    rows = draw(_dists(len(contexts) + 1, vocab_n))
+    vocab = [f"w{i} \u00e9\"" for i in range(vocab_n - 1)] + ["eos"]
+    return TableScorer(vocab, dict(zip(contexts, rows)), rows[-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_tables())
+def test_table_container_roundtrip_is_bit_exact(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "t.table"
+    save_table_scorer(table, path)
+    loaded = load_scorer(path)
+    assert isinstance(loaded, TableScorer)
+    assert (loaded.vocab, loaded.eos_id) == (table.vocab, table.eos_id)
+    assert loaded.default.tobytes() == table.default.tobytes()
+    assert list(loaded.table) == sorted(table.table)
+    for key, row in table.table.items():
+        assert loaded.table[key].tobytes() == row.tobytes()
+
+
+def test_empty_table_roundtrip(tmp_path):
+    path = tmp_path / "empty.table"
+    save_table_scorer(TableScorer(["eos"], {}, [1.0]), path)
+    loaded = load_table_scorer(path)
+    assert loaded.table == {} and loaded.default.tobytes() == np.array([1.0]).tobytes()
+
+
+_VOCAB = ["a", "eos"]
+_ROW = [0.5, 0.5]
+_CTX = [((0,), ())]
+
+# case -> (file bytes, what the error names)
+_BAD_TABLES = {
+    "rows miss a context": (table_container(_VOCAB, _ROW, _CTX, []), "rows of shape"),
+    "row for no context": (table_container(_VOCAB, _ROW, [], [_ROW]), "rows of shape"),
+    "rows not a matrix": (nmtc_bytes({"metadata": {"vocab": _VOCAB, "eos": "eos", "contexts": []},
+                                      "tensors": [_entry(name="default", dtype="f64"),
+                                                  _entry(name="rows", dtype="f64", offset=16)]},
+                                     np.array(_ROW * 2).tobytes()), "rows of shape"),
+    "nan in a row": (table_container(_VOCAB, _ROW, _CTX, [[0.5, np.nan]]), "non-finite"),
+    "inf in default": (table_container(_VOCAB, [np.inf, 0.5]), "non-finite"),
+    "row sums to 0.75": (table_container(_VOCAB, _ROW, _CTX, [[0.5, 0.25]]), "sums to"),
+    "row too short": (table_container(_VOCAB, _ROW, _CTX, [[1.0]]), "vector length"),
+    "eos missing from vocab": (table_container(["a", "b"], _ROW), "missing from vocab"),
+    "duplicate vocab token": (table_container(["a", "a", "eos"], [0.25, 0.25, 0.5]), "duplicate"),
+    "duplicate context": (table_container(_VOCAB, _ROW, _CTX * 2, [_ROW, _ROW]), "duplicate"),
+    "vocab not a list": (table_container("a eos", _ROW), "vocab"),
+    "int token": (table_container(["a", 1], _ROW), "vocab"),
+    "no eos": (table_container(_VOCAB, _ROW, eos=None), "eos"),
+    "context not a pair": (table_container(_VOCAB, _ROW, [((0,), (), ())], [_ROW]), "contexts"),
+    "float id": (table_container(_VOCAB, _ROW, [((0.0,), ())], [_ROW]), "contexts"),
+    "f16 default": (table_container(_VOCAB, _ROW, default_dtype="f16"), "dtype"),
+    "extra tensor": (nmtc_bytes({"metadata": {"vocab": _VOCAB, "eos": "eos", "contexts": []},
+                                 "tensors": [_entry(name=n, dtype="f64")
+                                             for n in ("default", "rows", "x")]},
+                                np.array(_ROW).tobytes()), "expected tensors"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TABLES))
+def test_malformed_table_container_raises_model_format_error(tmp_path, case):
+    data, what = _BAD_TABLES[case]
+    path = tmp_path / "bad.table"
+    path.write_bytes(data)
+    for load in (load_table_scorer, load_scorer):
+        with pytest.raises(ModelFormatError, match=what) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
