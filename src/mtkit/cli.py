@@ -10,11 +10,13 @@ a temporary file beside it and renamed into place only when the subcommand
 succeeds, so a failed run leaves no partial file behind and an existing file
 unchanged.
 
-Imports: this module imports at the top only the modules that do not load
-numpy (errors, textnorm, bpe, bleu, corpus, candidates). A subcommand that
-needs decode, domain or models imports it inside its own function, so the
-text, BPE, filter, mix and BLEU stages start without paying for numpy; each
-stage runs as its own process in a pipeline, so start-up is paid per stage.
+Imports: each stage runs as its own process in a pipeline, so start-up is
+paid per stage. No mtkit module loads numpy at import; each imports it
+inside the functions that do array math, so only the stages that reach them
+pay for it (rerank over n-gram models and domain-select do not). This
+module imports errors, textnorm, bpe, bleu, corpus and candidates at the
+top; a subcommand that needs decode, domain or models imports it inside its
+own function, which keeps their import time off the other stages.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import os
 import sys
 
 from . import bleu, bpe, candidates, corpus, textnorm
@@ -34,6 +35,7 @@ from .errors import (
     ModelFormatError,
     MtkitError,
     naming,
+    staged,
 )
 
 CHUNK = 4096
@@ -52,30 +54,12 @@ def _open_in(path: str):
 
 
 @contextlib.contextmanager
-def _staged(path: str):
-    """Yield a temporary path beside `path` that replaces `path` only if the
-    block completes; on failure the temporary file is removed."""
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        yield path  # a device or pipe such as /dev/null: nothing to replace
-        return
-    tmp = f"{target}.tmp{os.getpid()}"
-    try:
-        yield tmp
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-@contextlib.contextmanager
 def _open_out(path: str | None):
     """Text sink for -o and the side outputs: stdout for None or '-', else a staged file."""
     if path is None or path == "-":
         yield sys.stdout
         return
-    with _staged(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+    with staged(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         yield fh
 
 
@@ -158,7 +142,7 @@ def cmd_tokenize(args) -> int:
 def cmd_bpe_train(args) -> int:
     with _open_in(args.input) as src:
         model = bpe.bpe_train((line.rstrip("\n") for line in src), args.vocab_size)
-    with _staged(args.model_out) as tmp:
+    with staged(args.model_out) as tmp:
         bpe.save_model(model, tmp)
     _log(f"bpe-train: {len(model.merges)} merges, {len(model.vocab)} vocab entries")
     return 0
@@ -234,7 +218,7 @@ def cmd_langid_train(args) -> int:
         labeled, seed=args.seed, n_features=args.features,
         epochs=args.epochs, lr=args.lr,
     )
-    with _staged(args.model_out) as tmp:
+    with staged(args.model_out) as tmp:
         corpus.save_langid(model, tmp)
     _log(f"langid-train: {len(model.langs)} languages, {len(labeled)} lines")
     return 0
@@ -279,7 +263,7 @@ def cmd_domain_train(args) -> int:
         positives, negatives, seed=args.seed, lang=args.lang,
         tokenizer=tokenizer, epochs=args.epochs, lr=args.lr,
     )
-    with _staged(args.model_out) as tmp:
+    with staged(args.model_out) as tmp:
         domain.save_classifier(clf, tmp)
     if clf.holdout_accuracy is not None:
         _log(f"domain-train: held-out accuracy {clf.holdout_accuracy:.3f}")
@@ -330,8 +314,7 @@ def cmd_avg_checkpoints(args) -> int:
         scored.sort(key=lambda sp: (-sp[0], sp[1]))
         paths = [path for _, path in scored[: args.top_k]]
         _log(f"avg-checkpoints: top-{args.top_k} by validation score: {paths}")
-    with _staged(args.output) as tmp:
-        models.average_checkpoint_files(paths, tmp)
+    models.average_checkpoint_files(paths, args.output)
     _log(f"avg-checkpoints: averaged {len(paths)} checkpoints")
     return 0
 

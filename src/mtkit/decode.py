@@ -11,6 +11,10 @@ same order), so saturated-beam agreement is bit-exact, not approximate.
 Tie-breaking is (-score, token tuple, insertion order) everywhere: lower
 token ids win, a prefix sorts before its extensions, earlier insertion
 wins exact ties.
+
+numpy is imported inside the search and sampling functions. Re-ranking
+reads one probability per token through Scorer.token_prob, so re-ranking
+with n-gram models runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bleu import corpus_bleu
 from .candidates import Candidate, strip_eos
@@ -31,6 +34,9 @@ from .errors import (
     VocabMismatchError,
 )
 from .models import _NORM_TOL, Scorer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,7 @@ def _length_penalty(n: int, alpha: float) -> float:
 
 
 def _log_dist(dist: np.ndarray) -> np.ndarray:
+    import numpy as np
     with np.errstate(divide="ignore"):
         return np.log(dist)
 
@@ -81,6 +88,7 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
     log P_lm at once and sorts only the entries that can reach the beam, so
     every score and tie-break equals the one-token-at-a-time recurrence.
     """
+    import numpy as np
     source = tuple(source)
     if not source:
         raise EmptyInputError("source must be non-empty")
@@ -247,6 +255,7 @@ def topk_sample(fwd: Scorer, source, cfg: DecodeConfig) -> Candidate:
     fwd_logprob accumulates the raw model probabilities of the sampled
     tokens, not the renormalized ones.
     """
+    import numpy as np
     source = tuple(source)
     rng = random.Random(cfg.seed)
     eos = fwd.eos_id
@@ -268,7 +277,10 @@ def topk_sample(fwd: Scorer, source, cfg: DecodeConfig) -> Candidate:
 
 
 def sequence_logprob(scorer: Scorer, source, tokens) -> float:
-    """Independent recomputation: sum of per-step log next_dist[token].
+    """Independent recomputation: the sum over steps of log P(token | source,
+    earlier tokens), each probability read with scorer.token_prob, which
+    equals next_dist(source, prefix)[token] bit for bit. An n-gram scorer
+    answers it with a few dict lookups, without building a distribution.
 
     Raises VocabMismatchError when a source or target id lies outside the
     scorer's vocab [0, vocab_size).
@@ -283,7 +295,7 @@ def sequence_logprob(scorer: Scorer, source, tokens) -> float:
             )
     total = 0.0
     for i, tok in enumerate(tokens):
-        p = float(scorer.next_dist(source, tokens[:i])[tok])
+        p = scorer.token_prob(source, tokens[:i], tok)
         total += math.log(p) if p > 0 else float("-inf")
     return total
 

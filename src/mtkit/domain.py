@@ -5,6 +5,10 @@ encoder; the two-stage procedure is the part under test. Stage 1 keeps
 pairs whose English side scores strictly above the first threshold, stage 2
 scores the Russian side of the survivors only, and a pair is selected when
 the mean of the two scores reaches the final threshold.
+
+Only training uses numpy, and it imports numpy where it needs it; scoring,
+selection and the model file are pure Python, so `mtkit domain-select`
+starts without loading it.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, EmptyInputError, ModelFormatError, model_file
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _whitespace_tokenize(text: str) -> list[str]:
@@ -73,6 +79,7 @@ class SelectionConfig:
 
 def _fit_logistic(texts: list[list[str]], labels: np.ndarray, vocab: list[str],
                   epochs: int, lr: float) -> tuple[np.ndarray, float]:
+    import numpy as np
     index = {tok: i for i, tok in enumerate(vocab)}
     x = np.zeros((len(texts), len(vocab)))
     for row, toks in enumerate(texts):
@@ -98,6 +105,7 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
     scored for accuracy (stored on the classifier), then the model is refit
     on all examples.
     """
+    import numpy as np
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
     if not 0 < lr < math.inf:

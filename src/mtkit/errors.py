@@ -1,9 +1,11 @@
 """Exception types shared across mtkit modules: one class per kind of
 failure, the message saying where. ConfigError and InputFormatError are also
 ValueErrors, as json.JSONDecodeError is. Also the readers' rule for naming
-the file at fault, and the reader for text model files."""
+the file at fault, the reader for text model files, and the writers' rule
+for leaving no partial output file behind."""
 
 import contextlib
+import os
 import re
 
 
@@ -86,3 +88,22 @@ def model_file(path, magic: str):
         if word != magic:
             raise ModelFormatError(f"expected a {magic!r} header, got {word!r}")
         yield rest, ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2))
+
+
+@contextlib.contextmanager
+def staged(path):
+    """Yield a temporary path beside `path` that replaces `path` only if the
+    block completes; on failure the temporary file is removed, so `path`
+    keeps its earlier bytes or stays absent."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        yield path  # a device or pipe such as /dev/null: nothing to replace
+        return
+    tmp = f"{target}.tmp{os.getpid()}"
+    try:
+        yield tmp
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

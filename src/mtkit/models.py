@@ -4,8 +4,13 @@ Neural forward passes are out of scope. Two deterministic scorers realize
 the next-token interface instead: TableScorer (explicit conditional
 distributions, enumerable by brute force) and NGramScorer (interpolated
 count model over a monolingual corpus). Everything a decoder consumes goes
-through Scorer.next_dist so beam search, sampling, and re-ranking never
-know which kind of model is behind them.
+through Scorer.next_dist (the whole distribution, for beam search and
+sampling) or Scorer.token_prob (one entry of it, for re-ranking), so the
+decoders never know which kind of model is behind them.
+
+numpy is imported inside the functions that do array math. Loading,
+training and saving an n-gram model and its token_prob are pure Python, so
+`mtkit rerank` over n-gram models starts without loading numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ import json
 import math
 import os
 import struct
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConfigError,
@@ -27,7 +31,11 @@ from .errors import (
     VocabMismatchError,
     model_file,
     naming,
+    staged,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _NORM_TOL = 1e-6
 
@@ -42,7 +50,7 @@ _NORM_TOL = 1e-6
 _MAGIC = b"NMTC"
 _VERSION = 1
 _PREFIX = struct.Struct("<4sIQ")
-_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_DTYPES = {"f32": "<f4", "f64": "<f8"}  # numpy dtype strings
 _F32 = {"f32": _DTYPES["f32"]}  # the only dtype average_checkpoint_files reads
 
 
@@ -53,13 +61,15 @@ def _write_checkpoint(path, metadata: dict, shapes: dict, tensor, dtype: str = "
     order just before it is written, so a caller can compute tensors one
     at a time instead of holding them all.
     """
+    import numpy as np
+    np_dtype = np.dtype(_DTYPES[dtype])
     names = sorted(shapes)
     entries = []
     offset = 0
     for name in names:
         shape = list(shapes[name])
         entries.append({"name": name, "shape": shape, "dtype": dtype, "offset": offset})
-        offset += math.prod(shape) * _DTYPES[dtype].itemsize
+        offset += math.prod(shape) * np_dtype.itemsize
     header = json.dumps(
         {"metadata": metadata, "tensors": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
@@ -67,7 +77,7 @@ def _write_checkpoint(path, metadata: dict, shapes: dict, tensor, dtype: str = "
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
         fh.write(header)
         for name in names:
-            fh.write(np.asarray(tensor(name), dtype=_DTYPES[dtype]).tobytes())
+            fh.write(np.asarray(tensor(name), dtype=np_dtype).tobytes())
 
 
 def save_checkpoint(tensors: dict, path, metadata: dict | None = None) -> None:
@@ -77,6 +87,7 @@ def save_checkpoint(tensors: dict, path, metadata: dict | None = None) -> None:
     is not finite once converted to f32 raises ModelFormatError before the file
     is opened.
     """
+    import numpy as np
     tensors = {name: np.asarray(arr, dtype=np.float32) for name, arr in tensors.items()}
     for name, arr in tensors.items():
         if not np.all(np.isfinite(arr)):
@@ -145,9 +156,10 @@ def _read_tensor(fh, payload_start: int, entry: dict, dtypes=_DTYPES) -> np.ndar
     """Read one payload described by a checked header entry as an array of
     one of `dtypes`; another dtype, a short payload or a non-finite value
     raises ModelFormatError."""
-    dtype = dtypes.get(entry["dtype"])
-    if dtype is None:
+    import numpy as np
+    if entry["dtype"] not in dtypes:
         raise ModelFormatError(f"unsupported dtype {entry['dtype']}")
+    dtype = np.dtype(dtypes[entry["dtype"]])
     shape = tuple(entry["shape"])
     nbytes = math.prod(shape) * dtype.itemsize
     start = payload_start + entry["offset"]
@@ -175,8 +187,12 @@ def average_checkpoint_files(paths: list, out_path) -> None:
     output bytes do not depend on the order of paths; its metadata is
     {"source_count": k}. Every tensor must be f32. Only k copies of one
     tensor are resident at a time, so memory is bounded by the largest
-    tensor rather than the full checkpoint size.
+    tensor rather than the full checkpoint size. Payloads are checked as
+    they are written, so the output goes to a staged file that replaces
+    out_path only once every tensor is written; a rejected input leaves
+    out_path as it was.
     """
+    import numpy as np
     if not paths:
         raise EmptyInputError("no checkpoint files given")
     with contextlib.ExitStack() as stack:
@@ -205,7 +221,8 @@ def average_checkpoint_files(paths: list, out_path) -> None:
             values.sort(axis=0)
             return (values.sum(axis=0) / len(paths)).astype(np.float32)
 
-        _write_checkpoint(out_path, {"source_count": len(paths)}, shapes, mean)
+        with staged(out_path) as tmp:
+            _write_checkpoint(tmp, {"source_count": len(paths)}, shapes, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +234,9 @@ class Scorer:
     next_dist(source, prefix) returns a probability vector over the vocab,
     non-negative and summing to 1 within 1e-6, deterministic for fixed
     inputs. Unconditional scorers (language models) ignore source.
+    token_prob(source, prefix, tok) returns entry tok of that vector, for
+    a tok in [0, vocab_size); a scorer that can compute one entry without
+    the whole vector overrides it, and must return the same float.
     """
 
     vocab_size: int
@@ -225,8 +245,12 @@ class Scorer:
     def next_dist(self, source, prefix) -> np.ndarray:
         raise NotImplementedError
 
+    def token_prob(self, source, prefix, tok: int) -> float:
+        return float(self.next_dist(source, prefix)[tok])
+
 
 def _check_dist(vec: np.ndarray, what: str) -> np.ndarray:
+    import numpy as np
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim != 1:
         raise ModelFormatError(f"{what}: expected 1-d vector")
@@ -281,6 +305,7 @@ def save_table_scorer(m: TableScorer, path) -> None:
     value loads back bit for bit: `default` (V) and `rows` (contexts x V,
     in sorted context order). The metadata holds the vocab, the eos token
     and the contexts as [[source ids], [prefix ids]] pairs."""
+    import numpy as np
     keys = sorted(m.table)
     contexts = [[[int(i) for i in src], [int(i) for i in prefix]] for src, prefix in keys]
     tensors = {"default": m.default,
@@ -329,6 +354,10 @@ class NGramScorer(Scorer):
     lookup): the token ids and counts of each context's grams, stored in two
     flat arrays with offsets. Grams whose last id lies outside [0, V) count
     toward their context's total but score no token.
+
+    token_prob scores one token with dict lookups in counts and totals,
+    without numpy or the index: the same operations in the same order as
+    next_dist performs for that token, so it returns the same float.
     """
 
     def __init__(self, order: int, vocab_size: int, eos_id: int, counts: dict,
@@ -366,6 +395,7 @@ class NGramScorer(Scorer):
         """
         if self._index is not None:
             return self._index
+        import numpy as np
         by_ctx: dict[tuple, list] = {}
         for gram, c in self.counts.items():
             if gram and c and 0 <= gram[-1] < self.vocab_size:
@@ -386,6 +416,7 @@ class NGramScorer(Scorer):
         return self._index
 
     def next_dist(self, source, prefix) -> np.ndarray:
+        import numpy as np
         prefix = tuple(prefix)
         spans, ids, counts = self._context_index()
         interp = np.zeros(self.vocab_size)
@@ -407,6 +438,23 @@ class NGramScorer(Scorer):
         out = (1.0 - self.floor * self.vocab_size) * interp + self.floor
         out.setflags(write=False)
         return out
+
+    def token_prob(self, source, prefix, tok: int) -> float:
+        prefix = tuple(prefix)
+        p = 0.0
+        active = 0.0
+        for k in range(1, self.order + 1):
+            ctx = prefix[len(prefix) - (k - 1):] if k > 1 else ()
+            total = self.totals.get(ctx, 0)
+            if total == 0:
+                continue
+            w = self.weights[k - 1]
+            active += w
+            c = self.counts.get(ctx + (tok,), 0)
+            if c:
+                p += w * float(c) / float(total)
+        p = p / active if active > 0 else 1.0 / self.vocab_size
+        return (1.0 - self.floor * self.vocab_size) * p + self.floor
 
 
 def ngram_train(corpus, order: int, *, vocab_size: int | None = None,
@@ -503,6 +551,7 @@ class EnsembleScorer(Scorer):
         self.eos_id = scorers[0].eos_id
 
     def next_dist(self, source, prefix) -> np.ndarray:
+        import numpy as np
         acc = np.zeros(self.vocab_size)
         for s in self.scorers:
             acc += s.next_dist(source, prefix)

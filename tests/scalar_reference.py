@@ -1,7 +1,8 @@
 """Scalar reference implementations of the optimized layers.
 
 These are the original one-token-at-a-time loops of `beam_search`,
-`topk_sample` and `NGramScorer.next_dist`, the recount-every-pair
+`topk_sample` and `NGramScorer.next_dist`, the `next_dist`-based loops of
+`sequence_logprob` and `noisy_channel_rerank`, the recount-every-pair
 merge loop of `bpe_train`, and a per-element loop for the checkpoint
 mean of `average_checkpoint_files`, kept for the tests only. The library versions
 must agree with them exactly (`==` on every float, merge and vocab id).
@@ -113,6 +114,32 @@ def reference_ngram_next_dist(model, prefix) -> np.ndarray:
     else:
         interp[:] = 1.0 / model.vocab_size
     return (1.0 - model.floor * model.vocab_size) * interp + model.floor
+
+
+def reference_sequence_logprob(scorer, source, tokens) -> float:
+    """Sum of log next_dist(source, prefix)[token], reading the whole vector
+    at every step; ids must lie in the scorer's vocab."""
+    source = tuple(source)
+    tokens = tuple(tokens)
+    total = 0.0
+    for i, tok in enumerate(tokens):
+        p = float(scorer.next_dist(source, tokens[:i])[tok])
+        total += math.log(p) if p > 0 else float("-inf")
+    return total
+
+
+def reference_noisy_channel_rerank(cands, rev, lm, lambda_ncr, source) -> list[tuple]:
+    """(input index, rev_logprob, lm_logprob, combined score) per candidate,
+    best first, ties in input order; the candidates are not modified."""
+    rev_target = tuple(source) + (rev.eos_id,)
+    rows = []
+    for i, cand in enumerate(cands):
+        rev_lp = reference_sequence_logprob(rev, cand.tokens, rev_target)
+        lm_lp = reference_sequence_logprob(lm, (), cand.tokens)
+        combined = cand.fwd_logprob if lambda_ncr == 0 else (
+            cand.fwd_logprob + lambda_ncr * (rev_lp + lm_lp))
+        rows.append((i, rev_lp, lm_lp, combined))
+    return sorted(rows, key=lambda r: -r[3])
 
 
 def reference_bpe_train(corpus, vocab_size: int) -> BpeModel:

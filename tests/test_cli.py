@@ -1041,8 +1041,9 @@ def test_stray_value_error_is_a_bug_not_an_exit_code(tmp_path, monkeypatch):
 def test_text_and_bleu_stages_do_not_load_numpy(tmp_path, langid_file):
     # A pipeline runs each stage as its own process, so a stage that does no
     # array math must not pay for importing numpy. The stages run one after
-    # another in one fresh interpreter; the last one needs numpy, so the
-    # check cannot pass because numpy never loads at all.
+    # another in one fresh interpreter; the last two need numpy (a table
+    # scorer is an array file), so the check cannot pass because numpy never
+    # loads at all.
     text = tmp_path / "text.txt"
     _write(text, ["Hello, world.", "A small test, again."])
     pairs = tmp_path / "pairs.tsv"
@@ -1052,6 +1053,13 @@ def test_text_and_bleu_stages_do_not_load_numpy(tmp_path, langid_file):
     dump = tmp_path / "dump.tsv"
     _write(dump, ["0\t0\t-1.0\t-\t-\t-\t0,2", "1\t0\t-1.0\t-\t-\t-\t1,2"])
     tok, codes, enc, out = (str(tmp_path / n) for n in ("tok", "codes", "enc", "out"))
+    rev, lm, table, clf = (str(tmp_path / n)
+                           for n in ("rev.ngram", "lm.ngram", "rev.table", "en.domcls"))
+    models.save_ngram_scorer(models.ngram_train([[1, 0], [0]], 2, vocab_size=3, eos_id=2), rev)
+    models.save_ngram_scorer(models.ngram_train([[0, 0, 1], [1]], 3, vocab_size=3, eos_id=2), lm)
+    models.save_table_scorer(TableScorer(["a", "b", "eos"], {}, np.ones(3) / 3), table)
+    _write(tmp_path / "en.domcls", ["domcls-v1 en", "a\t2.0", "u\t1.5", "__bias__\t-0.5"])
+    rerank = ["rerank", "--dump", str(dump), "--source", str(ids), "--lm", lm, "-o", out]
     numpy_free = [
         ["normalize", str(text), "-o", out],
         ["tokenize", str(text), "-o", tok],
@@ -1065,15 +1073,21 @@ def test_text_and_bleu_stages_do_not_load_numpy(tmp_path, langid_file):
         ["filter", str(text), "--mono", "-o", out],
         ["score-bleu", "--hyp", str(text), "--ref", str(text), "-o", out],
         ["oracle-bleu", "--dump", str(dump), "--ref", str(ids), "--eos-id", "2", "-o", out],
+        ["domain-select", str(pairs), "--clf-en", clf, "--clf-ru", clf, "--final", "0.5",
+         "-o", out],
+        rerank + ["--rev", rev],
+        rerank + ["--rev", rev, "--top1"],
     ]
-    with_langid = ["filter", str(pairs), "--langid", str(langid_file), "--langs", "en,ru",
-                   "-o", out]
+    with_numpy = [
+        rerank + ["--rev", table],
+        ["filter", str(pairs), "--langid", str(langid_file), "--langs", "en,ru", "-o", out],
+    ]
     script = ("import json, sys\n"
               "from mtkit.cli import run\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    print(argv[0], run(argv), 'numpy' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(numpy_free + [with_langid])],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(numpy_free + with_numpy)],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.splitlines() == (
-        [f"{argv[0]} 0 False" for argv in numpy_free] + ["filter 0 True"])
+        [f"{argv[0]} 0 False" for argv in numpy_free] + ["rerank 0 True", "filter 0 True"])

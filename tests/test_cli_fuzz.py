@@ -6,8 +6,15 @@ with the path of the file at fault and names it once.
 Model files have their own fuzz (test_model_file.py); this one covers what
 the stages read as data: text, TSV pairs, id lines, candidate dumps and
 references, and the --part, CODE=PATH and grid specs and numeric options.
+
+Every int and float option of every subcommand, found by walking the parser,
+is also tried with out-of-range values on tiny valid inputs: -1 and 0 for an
+int, nan, inf and -inf for a float. Each run exits 0, or is rejected: exit 2
+(argparse's usage error) or exit 1 with a ConfigError naming the option.
+A nan is always rejected.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -20,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtkit import bpe, domain, errors, models
-from mtkit.cli import run
+from mtkit.cli import build_parser, run
 
 # Data lines are made of pieces. A clean line holds ids and spaces only, so
 # that runs reach past the parsers; a dirty line also holds numbers the
@@ -269,3 +276,83 @@ def test_fuzz_domain_select(domain_paths, tsv, stage1, final, side):
                                  "--clf-ru", domain_paths[1], f"--stage1={stage1}",
                                  f"--final={final}", "--english-side", side, "-o", out],
                  {"in.tsv": tsv})
+
+
+# ---------------------------------------------------------------------------
+# numeric options
+
+
+def _numeric_options():
+    """(subcommand, option, value) for every int and float option."""
+    (subparsers,) = (a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    values = {int: ("-1", "0"), float: ("nan", "inf", "-inf")}
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for value in values.get(action.type, ()):
+                yield name, action.option_strings[-1], value
+
+
+@pytest.fixture(scope="module")
+def base_argv(tmp_path_factory, scorer_path, bpe_path, domain_paths):
+    """A run of each subcommand on tiny valid inputs that exits 0; the option
+    under test is appended, and argparse keeps the last value given."""
+    work = tmp_path_factory.mktemp("numeric")
+    files = {"text": "a b c\nb c a\n", "ids": "0\n0 1\n", "pairs": "a b\tx y\nb\ty\n",
+             "en": "the cat\na dog\n", "ru": "кот\nпёс\n",
+             "dump": "0\t0\t-1.0\t-\t-\t-\t0,2\n1\t0\t-2.0\t-\t-\t-\t1,2\n"}
+    p = {}
+    for name, text in files.items():
+        p[name] = str(work / name)
+        (work / name).write_text(text, encoding="utf-8")
+    for i in range(2):
+        p[f"ckpt{i}"] = str(work / f"c{i}.ckpt")
+        models.save_checkpoint({"w": np.array([1.0, i])}, p[f"ckpt{i}"],
+                               {"validation_score": float(i)})
+    out = str(work / "out")
+    model = ("--model", scorer_path)
+    return {
+        "bpe-train": ["bpe-train", p["text"], "--vocab-size", "30", "--model-out", out],
+        "bpe-encode": ["bpe-encode", p["text"], "--model", bpe_path, "-o", out],
+        "filter": ["filter", p["pairs"], "-o", out],
+        "langid-train": ["langid-train", f"en={p['en']}", f"ru={p['ru']}", "--features", "8",
+                         "--epochs", "2", "--model-out", out],
+        "domain-train": ["domain-train", "--positives", p["en"], "--negatives", p["ru"],
+                         "--epochs", "2", "--model-out", out],
+        "domain-select": ["domain-select", p["pairs"], "--clf-en", domain_paths[0],
+                          "--clf-ru", domain_paths[1], "-o", out],
+        "mix": ["mix", "--part", f"1:bitext:{p['pairs']}", "--n", "2", "-o", out],
+        "avg-checkpoints": ["avg-checkpoints", p["ckpt0"], p["ckpt1"], "-o", out],
+        "decode": ["decode", p["ids"], *model, "--lm", scorer_path, "--fusion-lambda", "0.1",
+                   "--max-len", "3", "-o", out],
+        "sample": ["sample", p["ids"], *model, "--max-len", "3", "-o", out],
+        "rerank": ["rerank", "--dump", p["dump"], "--source", p["ids"], "--rev", scorer_path,
+                   "--lm", scorer_path, "-o", out],
+        "oracle-bleu": ["oracle-bleu", "--dump", p["dump"], "--ref", p["ids"], "-o", out],
+        "tune-lambda": ["tune-lambda", *model, "--rev", scorer_path, "--lm", scorer_path,
+                        "--source", p["ids"], "--ref", p["ids"], "--beam", "2", "--max-len",
+                        "3", "--sf-grid", "0,0.1", "--ncr-grid", "0,0.5", "-o", out],
+    }
+
+
+def test_numeric_option_base_runs_exit_0(base_argv):
+    assert {name for name, _, _ in _numeric_options()} <= set(base_argv)
+    for argv in base_argv.values():
+        assert run(argv) == 0, argv
+
+
+@pytest.mark.parametrize("subcommand, option, value", [
+    pytest.param(*case, id=f"{case[0]} {case[1]}={case[2]}") for case in _numeric_options()])
+def test_numeric_option_exits_0_or_names_option(base_argv, capsys, subcommand, option, value):
+    rc = run(base_argv[subcommand] + [f"{option}={value}"])
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert value != "nan"
+        return
+    if rc == 2:  # argparse rejected the value
+        return
+    assert rc == 1
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ConfigError: "), last
+    words = option.lstrip("-").split("-")
+    assert all(word in last for word in words), last

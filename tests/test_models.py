@@ -131,6 +131,21 @@ def test_average_empty_list(tmp_path):
         average_checkpoint_files([], tmp_path / "x.ckpt")
 
 
+@pytest.mark.parametrize("earlier", [None, b"earlier output"])
+def test_rejected_average_leaves_output_untouched(tmp_path, earlier):
+    # the table's f64 payloads are rejected while the output is being written
+    table = tmp_path / "fwd.table"
+    save_table_scorer(make_table_scorer(3, 2, random.Random(3)), table)
+    out = tmp_path / "avg.ckpt"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    with pytest.raises(ModelFormatError, match="dtype f64"):
+        average_checkpoint_files([table], out)
+    assert (out.read_bytes() if out.exists() else None) == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["fwd.table"] + (["avg.ckpt"] if earlier else []))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
 def test_checkpoint_rejects_non_finite(tmp_path):
     path = tmp_path / "c.ckpt"

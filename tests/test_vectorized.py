@@ -1,6 +1,8 @@
 """The vectorized beam step, top-k sampler and n-gram scorer against their
 scalar references (tests/scalar_reference.py), compared with `==`, plus the
-early stop of beam search and saturated-beam agreement with exact_search."""
+early stop of beam search and saturated-beam agreement with exact_search.
+The n-gram token_prob and re-ranking, which read one probability per token,
+are checked bit for bit against next_dist and its loops."""
 
 import math
 import random
@@ -12,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtkit.decode import DecodeConfig, beam_search, exact_search, topk_sample
+from mtkit.candidates import Candidate
+from mtkit.decode import (
+    DecodeConfig,
+    beam_search,
+    exact_search,
+    noisy_channel_rerank,
+    topk_sample,
+)
 from mtkit.errors import NoCompletedHypothesisError
 from mtkit.models import (
     NGramScorer,
@@ -26,6 +35,7 @@ from conftest import make_table_scorer
 from scalar_reference import (
     reference_beam_search,
     reference_ngram_next_dist,
+    reference_noisy_channel_rerank,
     reference_topk_sample,
 )
 
@@ -341,3 +351,58 @@ def test_ngram_lazy_index_is_safe_under_threads():
     finally:
         sys.setswitchinterval(old_interval)
     assert all(r == expected for r in results)
+
+
+# ---------------------------------------------------------------------------
+# one token at a time: NGramScorer.token_prob and re-ranking
+
+
+@st.composite
+def _ngram_scorers(draw, vocab=st.integers(2, 6)):
+    """NGramScorers built straight from counts: orders 1-4, grams (the empty
+    one too) whose ids may lie outside [0, V), zero counts and zero weights."""
+    order = draw(st.integers(1, 4))
+    vocab = draw(vocab)
+    ids = st.integers(0, vocab - 1) | st.sampled_from([-1, vocab, vocab + 2])
+    counts = draw(st.dictionaries(st.lists(ids, max_size=order).map(tuple),
+                                  st.integers(0, 5), max_size=40))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0, 10),
+                            min_size=order, max_size=order).filter(lambda w: sum(w) > 0))
+    floor = draw(st.floats(1e-9, 0.99 / vocab))
+    return NGramScorer(order, vocab, draw(st.integers(0, vocab - 1)), counts, weights, floor)
+
+
+_ONE_TOKEN = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_ONE_TOKEN
+@given(m=_ngram_scorers(), data=st.data())
+def test_ngram_token_prob_is_next_dist_entry(m, data):
+    ids = st.integers(0, m.vocab_size - 1) | st.sampled_from([-1, m.vocab_size + 2])
+    prefixes = data.draw(st.lists(st.lists(ids, max_size=5).map(tuple), max_size=6))
+    seen = [gram[:-1] for gram in m.counts]  # contexts seen in training
+    prefixes += [()] + seen + [(0,) + ctx for ctx in seen]
+    for prefix in prefixes:
+        got = [m.token_prob((1,), prefix, tok) for tok in range(m.vocab_size)]
+        assert _bits(got) == _bits(m.next_dist((1,), prefix)), prefix
+
+
+@_ONE_TOKEN
+@given(vocab=st.integers(2, 6), data=st.data())
+def test_noisy_channel_rerank_matches_next_dist_oracle(vocab, data):
+    rev = data.draw(_ngram_scorers(st.just(vocab)))
+    lm = data.draw(_ngram_scorers(st.just(vocab)))
+    tokens = st.lists(st.integers(0, vocab - 1), min_size=1, max_size=4).map(tuple)
+    pool = data.draw(st.lists(tokens, min_size=1, max_size=3))
+    # few distinct token tuples and forward scores, so combined scores tie
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(pool),
+                                         st.sampled_from([-0.5, -1.0, -2.5])),
+                               min_size=1, max_size=8))
+    cands = [Candidate(tokens=t, fwd_logprob=f) for t, f in drawn]
+    lam = data.draw(st.sampled_from([0.0, 0.5, 0.6, 1.0]) | st.floats(0, 5))
+    source = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=3))
+    expected = reference_noisy_channel_rerank(cands, rev, lm, lam, source)
+    ranked = noisy_channel_rerank(cands, rev, lm, lam, source)
+    assert [id(c) for c in ranked] == [id(cands[row[0]]) for row in expected]
+    assert _bits([(c.rev_logprob, c.lm_logprob, c.combined_score) for c in ranked]) == \
+        _bits([row[1:] for row in expected])
