@@ -190,11 +190,17 @@ def _encode_word(model: BpeModel, word: str, rng: random.Random | None, dropout_
     return result
 
 
+def check_dropout(dropout_p: float) -> None:
+    """Raise ConfigError unless 0 <= dropout_p < 1; a caller that encodes
+    line by line runs it once first, so an empty input is checked too."""
+    if not 0.0 <= dropout_p < 1.0:
+        raise ConfigError(f"dropout_p must be in [0, 1), got {dropout_p}")
+
+
 def bpe_encode(model: BpeModel, text: str, dropout_p: float = 0.0, seed: int = 0) -> list[int]:
     """Encode text to token ids; with dropout_p > 0 each applicable merge is
     skipped with that probability via a generator seeded per call."""
-    if not 0.0 <= dropout_p < 1.0:
-        raise ConfigError(f"dropout_p must be in [0, 1), got {dropout_p}")
+    check_dropout(dropout_p)
     rng = random.Random(seed) if dropout_p > 0.0 else None
     ids: list[int] = []
     unk = model.unk_id

@@ -149,6 +149,7 @@ def cmd_bpe_train(args) -> int:
 
 
 def cmd_bpe_encode(args) -> int:
+    bpe.check_dropout(args.dropout)
     model = bpe.load_model(args.model)
     with _open_in(args.input) as src, _open_out(args.output) as out:
         for idx, line in enumerate(src):
@@ -374,6 +375,7 @@ def cmd_sample(args) -> int:
 
 def cmd_rerank(args) -> int:
     from . import decode, models
+    decode.check_lambda_ncr(args.lam)
     rev = models.load_scorer(args.rev)
     lm = models.load_scorer(args.lm)
     bpe_model = bpe.load_model(args.bpe) if args.bpe else None

@@ -134,7 +134,7 @@ class LangIdModel:
 
 
 def langid_train(labeled, seed: int = 0, n_features: int = 2048,
-                 epochs: int = 400, lr: float = 5.0) -> LangIdModel:
+                 epochs: int = 300, lr: float = 2.0) -> LangIdModel:
     """Fit by full-batch gradient descent; deterministic given data order and seed."""
     import numpy as np
     if n_features < 1:

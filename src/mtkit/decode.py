@@ -1,12 +1,13 @@
-"""Decoding: beam search with optional shallow fusion, exhaustive exact
-search (the test oracle), top-k sampled generation, and noisy-channel
-re-ranking of beam candidates.
+"""Decoding: beam search with optional shallow fusion and a length
+penalty, top-k sampled generation, and noisy-channel re-ranking of beam
+candidates.
 
 The partial-hypothesis score is the recurrence
     S(y_1..n) = S(y_1..n-1) + log P_fwd(y_n | y_<n, x) + lam_sf * log P_lm(y_n | y_<n)
 with S(empty) = 0. The terminating eos is scored like any other token.
-Exact search scores sequences with identical arithmetic (same operations,
-same order), so saturated-beam agreement is bit-exact, not approximate.
+The exhaustive search in the tests (tests/scalar_reference.py) scores
+sequences with identical arithmetic (same operations, same order), so
+saturated-beam agreement is bit-exact, not approximate.
 
 Tie-breaking is (-score, token tuple, insertion order) everywhere: lower
 token ids win, a prefix sorts before its extensions, earlier insertion
@@ -19,7 +20,6 @@ with n-gram models runs without loading numpy.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass, replace
@@ -56,6 +56,15 @@ class DecodeConfig:
             raise ConfigError(f"fusion_lambda must be finite and >= 0, got {self.fusion_lambda}")
         if not math.isfinite(self.length_penalty_alpha):
             raise ConfigError(f"length_penalty_alpha must be finite, got {self.length_penalty_alpha}")
+        # lp(n) is monotone in n, so its ends bound every entry of the table
+        # beam_search divides by
+        try:
+            ends = [_length_penalty(n, self.length_penalty_alpha) for n in (0, self.max_len)]
+        except OverflowError:
+            ends = [math.inf]
+        if not all(0 < lp < math.inf for lp in ends):
+            raise ConfigError(f"length_penalty_alpha {self.length_penalty_alpha} puts the "
+                              f"length penalty out of float range within max_len {self.max_len}")
         if self.sample_k < 1:
             raise ConfigError("sample_k must be >= 1")
 
@@ -73,16 +82,20 @@ def _log_dist(dist: np.ndarray) -> np.ndarray:
 def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> list[Candidate]:
     """Return up to min(n_candidates, beam_size) completed hypotheses.
 
-    Every eos-expansion of a surviving partial is recorded. With a length
-    penalty (alpha != 0) the search runs all max_len steps, so a saturated
-    beam enumerates exactly the sequences exact_search does. With alpha == 0
-    it stops early once no live partial can still reach the top
-    min(n_candidates, beam_size) completions: under the Scorer contract a
-    step adds at most log(1 + 1e-6) * (1 + lambda) to a score, so when the
-    best live score plus that much per remaining step is still below the
-    last kept completion, the remaining steps cannot change the result. If
-    nothing completes, the best partial is returned alone; its last token
-    is not eos.
+    Every eos-expansion of a surviving partial is scored; a completion's
+    fused score is its score divided by the length penalty lp(n) =
+    ((5 + n) / 6) ** alpha of its length n (Wu et al. 2016), which is 1 at
+    alpha = 0. The search stops before max_len once no live partial can
+    still reach the top min(n_candidates, beam_size) completions (Huang et
+    al. 2017). Under the Scorer contract a step adds at most
+    log(1 + 1e-6) * (1 + lambda) to a score, so the best live score plus
+    that much per remaining step bounds the score c of any later
+    completion, and its fused score is at most the largest c / lp(n) over
+    the lengths n it can still have. Division by a positive number is
+    monotone under rounding, so when that bound is below the last kept
+    completion the remaining steps cannot change the result. If nothing
+    completes, the best partial is returned alone; its last token is not
+    eos.
 
     Each step scores the (beams x V) matrix (score + log P_fwd) + lambda *
     log P_lm at once and sorts only the entries that can reach the beam, so
@@ -102,13 +115,12 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
             )
     vocab_size = fwd.vocab_size
     eos = fwd.eos_id
-    alpha = cfg.length_penalty_alpha
     limit = min(cfg.n_candidates, cfg.beam_size)
+    lp = [_length_penalty(n, cfg.length_penalty_alpha) for n in range(cfg.max_len + 1)]
 
     # (score, tokens, fwd_sum, lm_sum)
     beams = [(0.0, (), 0.0, 0.0)]
-    completed: list[Candidate] = []
-    kept = []  # min-heap of the `limit` best completed scores
+    completed: list[Candidate] = []  # the `limit` best so far, best first
     for step in range(cfg.max_len):
         if not beams:
             break
@@ -129,11 +141,9 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
                     fwd_sum + float(logf[row, tok]), lm_sum + llp)
 
         for row in np.flatnonzero(scores[:, eos] != -np.inf):
-            cand = _finish(entry(row, eos), lam, alpha)
-            completed.append(cand)
-            heapq.heappush(kept, cand.fused_score)
-            if len(kept) > limit:
-                heapq.heappop(kept)
+            completed.append(_finish(entry(row, eos), lam, lp))
+        completed.sort(key=lambda c: (-c.fused_score, c.tokens))
+        del completed[limit:]
 
         scores[:, eos] = -np.inf
         flat = scores.ravel()
@@ -151,15 +161,16 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
         order = np.lexsort((toks, parent_rank[rows], -flat[picked]))[: cfg.beam_size]
         beams = [entry(int(rows[i]), int(toks[i])) for i in order]
 
-        if (alpha == 0 and beams and len(kept) == limit
-                and _score_ceiling(beams[0][0], cfg.max_len - step - 1, lam) < kept[0]):
-            break
+        if beams and len(completed) == limit:
+            ceiling = _score_ceiling(beams[0][0], cfg.max_len - step - 1, lam)
+            if max((ceiling / lp[n] for n in range(step + 2, cfg.max_len + 1)),
+                   default=-math.inf) < completed[-1].fused_score:
+                break
 
     if completed:
-        completed.sort(key=lambda c: (-c.fused_score, c.tokens))
-        return completed[:limit]
+        return completed
     if beams:
-        return [_finish(beams[0], lam, alpha)]
+        return [_finish(beams[0], lam, lp)]
     raise NoCompletedHypothesisError("all expansions hit zero-probability tokens")
 
 
@@ -182,70 +193,14 @@ def _score_ceiling(score: float, steps: int, lam: float) -> float:
     return score
 
 
-def _finish(entry, lam: float, alpha: float) -> Candidate:
+def _finish(entry, lam: float, lp: list[float]) -> Candidate:
     score, tokens, fwd_sum, lm_sum = entry
-    fused = score if alpha == 0 else score / _length_penalty(len(tokens), alpha)
     return Candidate(
         tokens=tokens,
         fwd_logprob=fwd_sum,
         lm_logprob=lm_sum if lam > 0 else None,
-        fused_score=fused,
+        fused_score=score / lp[len(tokens)],
     )
-
-
-def exact_search(fwd: Scorer, lm: Scorer | None, source, max_len: int,
-                 fusion_lambda: float = 0.0) -> Candidate:
-    """Score every eos-terminated sequence of length <= max_len; return the argmax.
-
-    Shares the beam recurrence arithmetic operation for operation, so it is
-    a bit-exact oracle rather than an approximate one.
-    """
-    source = tuple(source)
-    lam = fusion_lambda
-    if lam > 0 and lm is None:
-        raise ConfigError("fusion_lambda > 0 requires a language model")
-    vocab_size = fwd.vocab_size
-    eos = fwd.eos_id
-    if vocab_size ** max_len > 10 ** 6:
-        raise ConfigError(
-            f"{vocab_size}^{max_len} sequences exceed the enumeration budget"
-        )
-
-    best: Candidate | None = None
-    # prefix (eos-free), score, fwd_sum, lm_sum
-    stack = [((), 0.0, 0.0, 0.0)]
-    while stack:
-        prefix, score, fwd_sum, lm_sum = stack.pop()
-        logf = _log_dist(fwd.next_dist(source, prefix))
-        logl = _log_dist(lm.next_dist((), prefix)) if lam > 0 else None
-        for tok in range(vocab_size):
-            flp = float(logf[tok])
-            if lam > 0:
-                llp = float(logl[tok])
-                new_score = score + flp + lam * llp
-            else:
-                llp = 0.0
-                new_score = score + flp
-            if new_score == float("-inf"):
-                continue
-            tokens = prefix + (tok,)
-            if tok == eos:
-                if (
-                    best is None
-                    or new_score > best.fused_score
-                    or (new_score == best.fused_score and tokens < best.tokens)
-                ):
-                    best = Candidate(
-                        tokens=tokens,
-                        fwd_logprob=fwd_sum + flp,
-                        lm_logprob=lm_sum + llp if lam > 0 else None,
-                        fused_score=new_score,
-                    )
-            elif len(tokens) < max_len:
-                stack.append((tokens, new_score, fwd_sum + flp, lm_sum + llp))
-    if best is None:
-        raise NoCompletedHypothesisError("no eos-terminated sequence has finite score")
-    return best
 
 
 def topk_sample(fwd: Scorer, source, cfg: DecodeConfig) -> Candidate:
@@ -300,6 +255,14 @@ def sequence_logprob(scorer: Scorer, source, tokens) -> float:
     return total
 
 
+def check_lambda_ncr(lambda_ncr: float) -> None:
+    """Raise ConfigError unless lambda_ncr is finite and >= 0; a caller that
+    re-ranks sentence by sentence runs it once first, so an empty input is
+    checked too."""
+    if not 0 <= lambda_ncr < math.inf:
+        raise ConfigError(f"lambda_ncr must be finite and >= 0, got {lambda_ncr}")
+
+
 def noisy_channel_rerank(cands: list[Candidate], rev: Scorer, lm: Scorer,
                          lambda_ncr: float, source) -> list[Candidate]:
     """Re-rank candidates by fwd + lambda_ncr * (rev + lm) component sums.
@@ -310,8 +273,7 @@ def noisy_channel_rerank(cands: list[Candidate], rev: Scorer, lm: Scorer,
     model scores the candidate unconditionally, including its eos. Returns a
     new sorted list over the same candidate objects; ties keep input order.
     """
-    if not 0 <= lambda_ncr < math.inf:
-        raise ConfigError(f"lambda_ncr must be finite and >= 0, got {lambda_ncr}")
+    check_lambda_ncr(lambda_ncr)
     if not cands:
         raise EmptyInputError("nothing to re-rank")
     source = tuple(source)

@@ -92,7 +92,8 @@ def langid_corpus():
 @pytest.fixture(scope="session")
 def langid_model(langid_corpus):
     train, _ = langid_corpus
-    return corpus.langid_train(train, seed=0)
+    # the fit the langid tests were written against, longer than the default
+    return corpus.langid_train(train, seed=0, epochs=400, lr=5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Scalar reference implementations of the optimized layers.
 
 These are the original one-token-at-a-time loops of `beam_search`,
-`topk_sample` and `NGramScorer.next_dist`, the `next_dist`-based loops of
+`topk_sample` and `NGramScorer.next_dist`, an exhaustive search over every
+terminated sequence, the `next_dist`-based loops of
 `sequence_logprob` and `noisy_channel_rerank`, the recount-every-pair
 merge loop of `bpe_train`, and a per-element loop for the checkpoint
 mean of `average_checkpoint_files`, kept for the tests only. The library versions
 must agree with them exactly (`==` on every float, merge and vocab id).
-The reference beam always runs all max_len steps, so it also checks the
-early stop of the library version.
+The reference beam always runs all max_len steps and applies the length
+penalty with its own arithmetic, so it also checks the early stop of the
+library version. A saturated beam must agree with `exact_search`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,19 @@ import numpy as np
 
 from mtkit.bpe import BOS, EOS, PAD, UNK, WORD_END, BpeModel
 from mtkit.candidates import Candidate
-from mtkit.decode import DecodeConfig, _finish, _log_dist
+from mtkit.decode import DecodeConfig, _log_dist
 from mtkit.errors import ConfigError, EmptyInputError, NoCompletedHypothesisError
+
+
+def _reference_finish(entry, lam: float, alpha: float) -> Candidate:
+    score, tokens, fwd_sum, lm_sum = entry
+    n = len(tokens)
+    return Candidate(
+        tokens=tokens,
+        fwd_logprob=fwd_sum,
+        lm_logprob=lm_sum if lam > 0 else None,
+        fused_score=score if alpha == 0 else score / ((5.0 + n) / 6.0) ** alpha,
+    )
 
 
 def reference_beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]:
@@ -52,7 +65,7 @@ def reference_beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]
                     continue
                 entry = (new_score, tokens + (tok,), fwd_sum + flp, lm_sum + llp)
                 if tok == eos:
-                    completed.append(_finish(entry, lam, cfg.length_penalty_alpha))
+                    completed.append(_reference_finish(entry, lam, cfg.length_penalty_alpha))
                 else:
                     expansions.append(entry)
         expansions.sort(key=lambda e: (-e[0], e[1]))
@@ -63,8 +76,62 @@ def reference_beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]
         completed.sort(key=lambda c: (-c.fused_score, c.tokens))
         return completed[:limit]
     if beams:
-        return [_finish(beams[0], lam, cfg.length_penalty_alpha)]
+        return [_reference_finish(beams[0], lam, cfg.length_penalty_alpha)]
     raise NoCompletedHypothesisError("all expansions hit zero-probability tokens")
+
+
+def exact_search(fwd, lm, source, max_len: int, fusion_lambda: float = 0.0) -> Candidate:
+    """Score every eos-terminated sequence of length <= max_len; return the argmax.
+
+    Shares the beam recurrence arithmetic operation for operation, so it is
+    a bit-exact oracle rather than an approximate one.
+    """
+    source = tuple(source)
+    lam = fusion_lambda
+    if lam > 0 and lm is None:
+        raise ConfigError("fusion_lambda > 0 requires a language model")
+    vocab_size = fwd.vocab_size
+    eos = fwd.eos_id
+    if vocab_size ** max_len > 10 ** 6:
+        raise ConfigError(
+            f"{vocab_size}^{max_len} sequences exceed the enumeration budget"
+        )
+
+    best: Candidate | None = None
+    # prefix (eos-free), score, fwd_sum, lm_sum
+    stack = [((), 0.0, 0.0, 0.0)]
+    while stack:
+        prefix, score, fwd_sum, lm_sum = stack.pop()
+        logf = _log_dist(fwd.next_dist(source, prefix))
+        logl = _log_dist(lm.next_dist((), prefix)) if lam > 0 else None
+        for tok in range(vocab_size):
+            flp = float(logf[tok])
+            if lam > 0:
+                llp = float(logl[tok])
+                new_score = score + flp + lam * llp
+            else:
+                llp = 0.0
+                new_score = score + flp
+            if new_score == float("-inf"):
+                continue
+            tokens = prefix + (tok,)
+            if tok == eos:
+                if (
+                    best is None
+                    or new_score > best.fused_score
+                    or (new_score == best.fused_score and tokens < best.tokens)
+                ):
+                    best = Candidate(
+                        tokens=tokens,
+                        fwd_logprob=fwd_sum + flp,
+                        lm_logprob=lm_sum + llp if lam > 0 else None,
+                        fused_score=new_score,
+                    )
+            elif len(tokens) < max_len:
+                stack.append((tokens, new_score, fwd_sum + flp, lm_sum + llp))
+    if best is None:
+        raise NoCompletedHypothesisError("no eos-terminated sequence has finite score")
+    return best
 
 
 def reference_topk_sample(fwd, source, cfg: DecodeConfig) -> Candidate:

@@ -16,13 +16,13 @@ from mtkit.cli import run
 from mtkit.decode import (
     DecodeConfig,
     beam_search,
-    exact_search,
     noisy_channel_rerank,
     topk_sample,
 )
 from mtkit.models import TableScorer
 
 from conftest import make_sentence, make_table_scorer
+from scalar_reference import exact_search
 
 
 @contextmanager

@@ -1,5 +1,6 @@
 """End-to-end runs of the mtkit command line against small on-disk fixtures."""
 
+import inspect
 import json
 import os
 import random
@@ -11,9 +12,9 @@ import numpy as np
 import pytest
 
 import mtkit
-from mtkit import models, textnorm
+from mtkit import corpus, models, textnorm
 from mtkit.candidates import Candidate, format_candidates, parse_candidates
-from mtkit.cli import run
+from mtkit.cli import build_parser, run
 from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
 from mtkit.models import TableScorer
 
@@ -381,6 +382,14 @@ def test_filter_langid_requires_langs(tmp_path, capsys, langid_file):
     rc = run(["filter", str(inp), "--langid", str(langid_file)])
     assert rc == 1
     assert "error: ConfigError:" in capsys.readouterr().err
+
+
+def test_langid_train_library_defaults_match_cli():
+    # the library and `mtkit langid-train` fit the same model from the same data
+    params = inspect.signature(corpus.langid_train).parameters
+    args = build_parser().parse_args(["langid-train", "en=a", "ru=b", "--model-out", "m"])
+    assert ([params[name].default for name in ("n_features", "epochs", "lr", "seed")]
+            == [args.features, args.epochs, args.lr, args.seed])
 
 
 def test_langid_train_then_filter(tmp_path, langid_file):

@@ -8,8 +8,9 @@ the stages read as data: text, TSV pairs, id lines, candidate dumps and
 references, and the --part, CODE=PATH and grid specs and numeric options.
 
 Every int and float option of every subcommand, found by walking the parser,
-is also tried with out-of-range values on tiny valid inputs: -1 and 0 for an
-int, nan, inf and -inf for a float. Each run exits 0, or is rejected: exit 2
+is also tried with out-of-range values on tiny valid inputs, and on empty
+ones where the subcommand accepts them: -1 and 0 for an int, nan, inf and
+-inf for a float. Each run exits 0, or is rejected: exit 2
 (argparse's usage error) or exit 1 with a ConfigError naming the option.
 A nan is always rejected.
 """
@@ -293,18 +294,33 @@ def _numeric_options():
                 yield name, action.option_strings[-1], value
 
 
+# Subcommands that finish with exit 0 when their data files are empty; a
+# range check must still run on such a run, although no line reaches the
+# function that checks it per line.
+_EMPTY_OK = {"bpe-encode", "filter", "domain-select", "decode", "sample", "rerank"}
+
+
 @pytest.fixture(scope="module")
 def base_argv(tmp_path_factory, scorer_path, bpe_path, domain_paths):
-    """A run of each subcommand on tiny valid inputs that exits 0; the option
-    under test is appended, and argparse keeps the last value given."""
-    work = tmp_path_factory.mktemp("numeric")
+    """Runs of each subcommand that exit 0: on tiny valid inputs, and for the
+    subcommands in _EMPTY_OK also on empty ones. The option under test is
+    appended, and argparse keeps the last value given."""
     files = {"text": "a b c\nb c a\n", "ids": "0\n0 1\n", "pairs": "a b\tx y\nb\ty\n",
              "en": "the cat\na dog\n", "ru": "кот\nпёс\n",
              "dump": "0\t0\t-1.0\t-\t-\t-\t0,2\n1\t0\t-2.0\t-\t-\t-\t1,2\n"}
-    p = {}
-    for name, text in files.items():
-        p[name] = str(work / name)
-        (work / name).write_text(text, encoding="utf-8")
+    runs = {}
+    for inputs in ("tiny", "empty"):
+        work = tmp_path_factory.mktemp(f"numeric-{inputs}")
+        p = {}
+        for name, text in files.items():
+            p[name] = str(work / name)
+            (work / name).write_text(text if inputs == "tiny" else "", encoding="utf-8")
+        runs[inputs] = _numeric_argv(work, p, scorer_path, bpe_path, domain_paths)
+    return {name: [argv] + ([runs["empty"][name]] if name in _EMPTY_OK else [])
+            for name, argv in runs["tiny"].items()}
+
+
+def _numeric_argv(work, p, scorer_path, bpe_path, domain_paths):
     for i in range(2):
         p[f"ckpt{i}"] = str(work / f"c{i}.ckpt")
         models.save_checkpoint({"w": np.array([1.0, i])}, p[f"ckpt{i}"],
@@ -337,22 +353,24 @@ def base_argv(tmp_path_factory, scorer_path, bpe_path, domain_paths):
 
 def test_numeric_option_base_runs_exit_0(base_argv):
     assert {name for name, _, _ in _numeric_options()} <= set(base_argv)
-    for argv in base_argv.values():
-        assert run(argv) == 0, argv
+    for argvs in base_argv.values():
+        for argv in argvs:
+            assert run(argv) == 0, argv
 
 
 @pytest.mark.parametrize("subcommand, option, value", [
     pytest.param(*case, id=f"{case[0]} {case[1]}={case[2]}") for case in _numeric_options()])
 def test_numeric_option_exits_0_or_names_option(base_argv, capsys, subcommand, option, value):
-    rc = run(base_argv[subcommand] + [f"{option}={value}"])
-    err = capsys.readouterr().err
-    if rc == 0:
-        assert value != "nan"
-        return
-    if rc == 2:  # argparse rejected the value
-        return
-    assert rc == 1
-    last = err.splitlines()[-1]
-    assert last.startswith("error: ConfigError: "), last
-    words = option.lstrip("-").split("-")
-    assert all(word in last for word in words), last
+    for argv in base_argv[subcommand]:
+        rc = run(argv + [f"{option}={value}"])
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert value != "nan", argv
+            continue
+        if rc == 2:  # argparse rejected the value
+            continue
+        assert rc == 1
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ConfigError: "), last
+        words = option.lstrip("-").split("-")
+        assert all(word in last for word in words), last

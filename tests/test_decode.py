@@ -12,7 +12,6 @@ from mtkit.decode import (
     DecodeConfig,
     beam_search,
     decode_batch,
-    exact_search,
     grid_search_lambdas,
     noisy_channel_rerank,
     sample_batch,
@@ -28,6 +27,7 @@ from mtkit.errors import (
 from mtkit.models import TableScorer
 
 from conftest import enumerate_prefixes, make_lm_scorer, make_table_scorer
+from scalar_reference import exact_search
 
 
 def _saturated(vocab_n, max_len, **kw):
@@ -82,6 +82,15 @@ def test_decode_config_validation():
     ):
         with pytest.raises(ValueError):
             DecodeConfig(**bad)
+
+
+def test_decode_config_rejects_length_penalty_out_of_float_range():
+    # (55 / 6) ** 1000 overflows, (55 / 6) ** -2000 rounds to 0 and
+    # (5 / 6) ** -5000 overflows; beam_search would divide by every one
+    for alpha in (1000.0, -2000.0, -5000.0):
+        with pytest.raises(ConfigError, match="length_penalty_alpha"):
+            DecodeConfig(max_len=50, length_penalty_alpha=alpha)
+    DecodeConfig(max_len=50, length_penalty_alpha=300.0)  # about 1e289
 
 
 # ---------------------------------------------------------------------------

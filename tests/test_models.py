@@ -31,7 +31,7 @@ from mtkit.models import (
 )
 
 from conftest import make_table_scorer, nmtc_bytes, table_container
-from scalar_reference import reference_checkpoint_mean
+from scalar_reference import exact_search, reference_checkpoint_mean
 
 
 def _random_tensors(rng, names=("enc.w", "dec.w", "emb")):
@@ -408,7 +408,7 @@ def test_table_unlisted_context_default():
 def test_table_zero_eos_context_never_terminates_there():
     # eos mass 0 right after the empty prefix: no complete one-token
     # hypothesis (eos,) can exist; enumeration confirms
-    from mtkit.decode import DecodeConfig, beam_search, exact_search
+    from mtkit.decode import DecodeConfig, beam_search
 
     vocab = ["t0", "t1", "eos"]
     eos_id = 2

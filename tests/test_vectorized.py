@@ -18,7 +18,6 @@ from mtkit.candidates import Candidate
 from mtkit.decode import (
     DecodeConfig,
     beam_search,
-    exact_search,
     noisy_channel_rerank,
     topk_sample,
 )
@@ -33,6 +32,7 @@ from mtkit.models import (
 
 from conftest import make_table_scorer
 from scalar_reference import (
+    exact_search,
     reference_beam_search,
     reference_ngram_next_dist,
     reference_noisy_channel_rerank,
@@ -91,7 +91,7 @@ def _random_case(rng):
         beam_size=rng.randint(1, min(vocab, 6)),
         max_len=rng.randint(1, 7),
         n_candidates=rng.randint(1, 6),
-        length_penalty_alpha=rng.choice([0.0, 0.0, 0.7]),
+        length_penalty_alpha=rng.choice([-1.5, -0.4, 0.0, 0.0, 0.7, 2.5]),
         fusion_lambda=rng.choice([0.0, 0.3, 1.0]),
     )
     zero_frac = rng.choice([0.0, 0.2, 0.5])
@@ -156,6 +156,26 @@ def test_beam_tie_break_uses_token_order_not_beam_order():
         assert [c.tokens for c in got] == [(1, 0, 3), (0, 0, 3)]
 
 
+def test_completions_tied_across_steps_rank_by_tokens():
+    # (b, eos) completes at step 2 and (a, a, eos) at step 3 with the same
+    # score, 3 log 0.5; the later, lower token tuple ranks first
+    fwd = TableScorer(
+        ["a", "b", "eos"],
+        {
+            ((0,), ()): [0.5, 0.5, 0.0],
+            ((0,), (0,)): [0.5, 0.5, 0.0],
+            ((0,), (1,)): [0.375, 0.375, 0.25],
+            ((0,), (0, 0)): [0.25, 0.25, 0.5],
+        },
+        np.ones(3) / 3,
+    )
+    cfg = DecodeConfig(beam_size=2, max_len=3, n_candidates=2)
+    got = beam_search(fwd, None, (0,), cfg)
+    assert got == reference_beam_search(fwd, None, (0,), cfg)
+    assert [c.tokens for c in got] == [(0, 0, 2), (1, 2)]
+    assert got[0].fused_score == got[1].fused_score
+
+
 # ---------------------------------------------------------------------------
 # early stop
 
@@ -185,13 +205,16 @@ def test_early_stop_equals_full_search_and_saves_steps():
     assert counted_ref.calls == 39
 
 
-def test_no_early_stop_with_length_penalty():
+def test_early_stop_with_length_penalty():
+    # the same instance under alpha = 1: each completion's score is divided
+    # by its length penalty, and the search still stops long before max_len
     fwd = TableScorer(["a", "b", "eos"], {}, [0.1, 0.1, 0.8])
     cfg = DecodeConfig(beam_size=2, max_len=20, n_candidates=2, length_penalty_alpha=1.0)
     counted, counted_ref = Counting(fwd), Counting(fwd)
     assert beam_search(counted, None, (0,), cfg) == reference_beam_search(
         counted_ref, None, (0,), cfg)
-    assert counted.calls == counted_ref.calls == 39
+    assert counted.calls == 7
+    assert counted_ref.calls == 39
 
 
 def test_early_stop_allows_rows_summing_above_one():
@@ -223,6 +246,7 @@ def test_early_stop_matches_reference_on_scaled_rows():
         lm = HashScorer(vocab, rng.random(), scale=1 + 5e-7)
         cfg = DecodeConfig(beam_size=rng.randint(1, 4), max_len=rng.randint(2, 8),
                            n_candidates=rng.randint(1, 4),
+                           length_penalty_alpha=rng.choice([-0.4, 0.0, 1.0]),
                            fusion_lambda=rng.choice([0.0, 0.5]))
         assert _outcome(beam_search, fwd, lm, (0,), cfg) == _outcome(
             reference_beam_search, fwd, lm, (0,), cfg)
