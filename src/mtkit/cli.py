@@ -11,12 +11,16 @@ succeeds, so a failed run leaves no partial file behind and an existing file
 unchanged.
 
 Imports: each stage runs as its own process in a pipeline, so start-up is
-paid per stage. No mtkit module loads numpy at import; each imports it
-inside the functions that do array math, so only the stages that reach them
-pay for it (rerank over n-gram models and domain-select do not). This
-module imports errors, textnorm, bpe, bleu, corpus and candidates at the
-top; a subcommand that needs decode, domain or models imports it inside its
-own function, which keeps their import time off the other stages.
+paid per stage, and where bytecode writing is off (PYTHONDONTWRITEBYTECODE)
+that includes compiling every module the stage imports. This module imports
+only argparse, contextlib, itertools, sys and mtkit.errors at the top
+(annotations come from a TYPE_CHECKING import); each cmd_* function imports
+the mtkit modules it uses, and a helper that needs one only on some paths
+(bpe for --bpe) imports it there. So score-bleu loads bleu alone, and
+decode and rerank load bpe only with --bpe. No mtkit
+module loads numpy at import either; each imports it inside the functions
+that do array math, so only the stages that reach them pay for it (rerank
+over n-gram models and domain-select do not).
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import argparse
 import contextlib
 import itertools
 import sys
+from typing import TYPE_CHECKING
 
-from . import bleu, bpe, candidates, corpus, textnorm
 from .errors import (
     ConfigError,
     EmptyInputError,
@@ -37,6 +41,9 @@ from .errors import (
     naming,
     staged,
 )
+
+if TYPE_CHECKING:
+    from .bpe import BpeModel
 
 CHUNK = 4096
 
@@ -84,37 +91,58 @@ def _load_forward(paths: list[str]):
     return scorers[0] if len(scorers) == 1 else models.EnsembleScorer(scorers)
 
 
-def _bpe_tokenizer(model: bpe.BpeModel):
-    """Token-string tokenizer for domain classifiers backed by a BPE model."""
+def _load_bpe(path: str | None) -> BpeModel | None:
+    """The --bpe model, or None without one; bpe is imported only for one."""
+    if not path:
+        return None
+    from . import bpe
+    return bpe.load_model(path)
+
+
+def _bpe_tokenizer(path: str | None):
+    """Token-string tokenizer for domain classifiers backed by the --bpe
+    model, or None without one."""
+    if not path:
+        return None
+    from . import bpe
+    model = bpe.load_model(path)
     return lambda text: [model.id_to_token[i] for i in bpe.bpe_encode(model, text)]
 
 
-def _read_sources(path: str, bpe_model: bpe.BpeModel | None,
+def _read_sources(path: str, bpe_model: BpeModel | None,
                   nonempty: bool = False) -> list[list[int]]:
     """One id list per line; with `nonempty`, a line with no ids is an error."""
     with _open_in(path) as fh:
-        sources = [_parse_ids(line) if bpe_model is None else bpe.bpe_encode(bpe_model, line)
-                   for line in fh]
+        if bpe_model is None:
+            sources = [_parse_ids(line) for line in fh]
+        else:
+            from . import bpe
+            sources = [bpe.bpe_encode(bpe_model, line) for line in fh]
     if nonempty and [] in sources:
         raise EmptyInputError(f"{path}: line {sources.index([]) + 1} holds no source tokens")
     return sources
 
 
-def _read_tsv(src, stage: str, path: str, provenance=corpus.Provenance.BITEXT, skipped=None):
-    """Pairs from the TSV lines of `path`; each malformed line is logged and,
-    when a `skipped` list is given, its line number appended there."""
+def _read_tsv(src, stage: str, path: str, provenance=None, skipped=None):
+    """Pairs from the TSV lines of `path`, tagged `provenance` (bitext by
+    default); each malformed line is logged and, when a `skipped` list is
+    given, its line number appended there."""
+    from . import corpus
+
     def on_malformed(line_no: int, why: str) -> None:
         _log(f"{stage}: {path}: malformed line {line_no}: {why}")
         if skipped is not None:
             skipped.append(line_no)
 
-    return corpus.read_parallel_tsv(src, provenance, on_malformed)
+    return corpus.read_parallel_tsv(
+        src, corpus.Provenance.BITEXT if provenance is None else provenance, on_malformed)
 
 
 # ---------------------------------------------------------------------------
 # text commands
 
 def cmd_normalize(args) -> int:
+    from . import textnorm
     rules = textnorm.load_rules(args.rules) if args.rules else None
     with _open_in(args.input) as src, _open_out(args.output) as out:
         for line in src:
@@ -123,6 +151,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
+    from . import textnorm
     with _open_in(args.input) as src, _open_out(args.output) as out:
         for line in src:
             line = line.rstrip("\n")
@@ -140,6 +169,7 @@ def cmd_tokenize(args) -> int:
 # bpe commands
 
 def cmd_bpe_train(args) -> int:
+    from . import bpe
     with _open_in(args.input) as src:
         model = bpe.bpe_train((line.rstrip("\n") for line in src), args.vocab_size)
     with staged(args.model_out) as tmp:
@@ -149,6 +179,7 @@ def cmd_bpe_train(args) -> int:
 
 
 def cmd_bpe_encode(args) -> int:
+    from . import bpe
     bpe.check_dropout(args.dropout)
     model = bpe.load_model(args.model)
     with _open_in(args.input) as src, _open_out(args.output) as out:
@@ -161,6 +192,7 @@ def cmd_bpe_encode(args) -> int:
 
 
 def cmd_bpe_decode(args) -> int:
+    from . import bpe
     model = bpe.load_model(args.model)
     with _open_in(args.input) as src, _open_out(args.output) as out:
         for line in src:
@@ -172,6 +204,7 @@ def cmd_bpe_decode(args) -> int:
 # corpus commands
 
 def cmd_filter(args) -> int:
+    from . import corpus
     if args.mono and args.langid:
         raise ConfigError("--mono applies length bounds only and takes no --langid")
     langid = corpus.load_langid(args.langid) if args.langid else None
@@ -208,6 +241,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_langid_train(args) -> int:
+    from . import corpus
     labeled = []
     for spec_item in args.data:
         code, _, path = spec_item.partition("=")
@@ -226,6 +260,7 @@ def cmd_langid_train(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    from . import corpus
     corpora = []
     for part in args.part:
         try:
@@ -244,6 +279,7 @@ def cmd_mix(args) -> int:
 
 
 def cmd_reverse_target(args) -> int:
+    from . import corpus
     with _open_in(args.input) as src, _open_out(args.output) as out:
         for pair in _read_tsv(src, "reverse-target", args.input):
             out.write(corpus.format_tsv_line(corpus.reverse_target(pair)) + "\n")
@@ -255,7 +291,7 @@ def cmd_reverse_target(args) -> int:
 
 def cmd_domain_train(args) -> int:
     from . import domain
-    tokenizer = _bpe_tokenizer(bpe.load_model(args.bpe)) if args.bpe else None
+    tokenizer = _bpe_tokenizer(args.bpe)
     with _open_in(args.positives) as fh:
         positives = [line.rstrip("\n") for line in fh if line.strip()]
     with _open_in(args.negatives) as fh:
@@ -272,8 +308,8 @@ def cmd_domain_train(args) -> int:
 
 
 def cmd_domain_select(args) -> int:
-    from . import domain
-    tokenizer = _bpe_tokenizer(bpe.load_model(args.bpe)) if args.bpe else None
+    from . import corpus, domain
+    tokenizer = _bpe_tokenizer(args.bpe)
     clf_en = domain.load_classifier(args.clf_en, tokenizer)
     clf_ru = domain.load_classifier(args.clf_ru, tokenizer)
     cfg = domain.SelectionConfig(
@@ -335,19 +371,24 @@ def _decode_config(args, fusion_lambda: float = 0.0):
     )
 
 
-def _write_bodies(out, cands_top1, eos_id: int, bpe_model) -> None:
-    for cand in cands_top1:
-        if bpe_model is not None:
+def _write_bodies(out, cands_top1, eos_id: int, bpe_model: BpeModel | None) -> None:
+    """One line per candidate: its text through the --bpe model, or else its
+    token ids without the target-side `eos_id`."""
+    if bpe_model is not None:
+        from . import bpe
+        for cand in cands_top1:
             out.write(bpe.bpe_decode(bpe_model, list(cand.tokens)) + "\n")
-        else:
-            out.write(" ".join(str(t) for t in candidates.strip_eos(cand.tokens, eos_id)) + "\n")
+        return
+    from . import candidates
+    for cand in cands_top1:
+        out.write(" ".join(str(t) for t in candidates.strip_eos(cand.tokens, eos_id)) + "\n")
 
 
 def cmd_decode(args) -> int:
-    from . import decode, models
+    from . import candidates, decode, models
     fwd = _load_forward(args.model)
     lm = models.load_scorer(args.lm) if args.lm else None
-    bpe_model = bpe.load_model(args.bpe) if args.bpe else None
+    bpe_model = _load_bpe(args.bpe)
     cfg = _decode_config(args, fusion_lambda=args.fusion_lambda)
     sources = _read_sources(args.input, bpe_model, nonempty=True)
     results = decode.decode_batch(fwd, lm, sources, cfg)
@@ -362,7 +403,7 @@ def cmd_decode(args) -> int:
 def cmd_sample(args) -> int:
     from . import decode
     fwd = _load_forward(args.model)
-    bpe_model = bpe.load_model(args.bpe) if args.bpe else None
+    bpe_model = _load_bpe(args.bpe)
     cfg = decode.DecodeConfig(
         max_len=args.max_len, sample_k=args.k, seed=args.seed
     )
@@ -374,11 +415,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    from . import decode, models
+    from . import candidates, decode, models
     decode.check_lambda_ncr(args.lam)
     rev = models.load_scorer(args.rev)
     lm = models.load_scorer(args.lm)
-    bpe_model = bpe.load_model(args.bpe) if args.bpe else None
+    bpe_model = _load_bpe(args.bpe)
     sources = _read_sources(args.source, bpe_model)
     with _open_in(args.dump) as fh:
         cands_per_sentence = candidates.parse_candidates(fh)
@@ -392,7 +433,7 @@ def cmd_rerank(args) -> int:
     ]
     with _open_out(args.output) as out:
         if args.top1:
-            _write_bodies(out, [cands[0] for cands in ranked], rev.eos_id, bpe_model)
+            _write_bodies(out, [cands[0] for cands in ranked], lm.eos_id, bpe_model)
         else:
             out.write("\n".join(candidates.format_candidates(ranked)) + "\n")
     return 0
@@ -402,6 +443,7 @@ def cmd_rerank(args) -> int:
 # scoring commands
 
 def cmd_score_bleu(args) -> int:
+    from . import bleu
     with _open_in(args.hyp) as fh:
         hyps = [line.split() for line in fh]
     with _open_in(args.ref) as fh:
@@ -422,6 +464,7 @@ def cmd_score_bleu(args) -> int:
 
 
 def cmd_oracle_bleu(args) -> int:
+    from . import bleu, candidates
     with _open_in(args.dump) as fh:
         hyps_per_sentence = [
             [candidates.strip_eos(cand.tokens, args.eos_id) for cand in cands]
@@ -451,7 +494,7 @@ def cmd_tune_lambda(args) -> int:
     fwd = _load_forward(args.model)
     rev = models.load_scorer(args.rev)
     lm = models.load_scorer(args.lm)
-    bpe_model = bpe.load_model(args.bpe) if args.bpe else None
+    bpe_model = _load_bpe(args.bpe)
     sources = _read_sources(args.source, bpe_model, nonempty=True)
     with _open_in(args.ref) as fh:
         refs = [_parse_ids(line) for line in fh]

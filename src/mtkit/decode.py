@@ -15,7 +15,8 @@ wins exact ties.
 
 numpy is imported inside the search and sampling functions. Re-ranking
 reads one probability per token through Scorer.token_prob, so re-ranking
-with n-gram models runs without loading numpy.
+with n-gram models runs without loading numpy. grid_search_lambdas, the one
+user of BLEU here, imports mtkit.bleu itself, so decode and rerank do not.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .bleu import corpus_bleu
 from .candidates import Candidate, strip_eos
 from .errors import (
     ConfigError,
@@ -309,6 +309,7 @@ def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
     Returns a list of (lambda_sf, lambda_ncr, bleu_score) tuples in grid
     order. refs are eos-free token id sequences.
     """
+    from .bleu import corpus_bleu
     refs = [list(r) for r in refs]
     results = []
     for lam_sf in sf_grid:

@@ -292,14 +292,6 @@ class TableScorer(Scorer):
         return self.table.get((tuple(source), tuple(prefix)), self.default)
 
 
-def _fmt_ids(ids) -> str:
-    return ",".join(str(i) for i in ids) if ids else "-"
-
-
-def _parse_ids(text: str) -> tuple:
-    return () if text == "-" else tuple(int(x) for x in text.split(","))
-
-
 def save_table_scorer(m: TableScorer, path) -> None:
     """Write m as an NMTC container (layout above) of f64 payloads, so every
     value loads back bit for bit: `default` (V) and `rows` (contexts x V,
@@ -358,6 +350,10 @@ class NGramScorer(Scorer):
     token_prob scores one token with dict lookups in counts and totals,
     without numpy or the index: the same operations in the same order as
     next_dist performs for that token, so it returns the same float.
+
+    given_weights keeps the weights as passed in; weights holds them divided
+    by their sum. A second division need not give the same floats, so the
+    model file stores given_weights.
     """
 
     def __init__(self, order: int, vocab_size: int, eos_id: int, counts: dict,
@@ -376,6 +372,7 @@ class NGramScorer(Scorer):
         self.order = order
         self.vocab_size = vocab_size
         self.eos_id = eos_id
+        self.given_weights = weights
         self.weights = [w / sum(weights) for w in weights]
         self.floor = float(floor)
         self.counts = {tuple(g): int(c) for g, c in counts.items()}
@@ -492,39 +489,82 @@ def ngram_train(corpus, order: int, *, vocab_size: int | None = None,
     return NGramScorer(order, vocab_size, eos_id, counts, weights, floor)
 
 
+# n-gram file, ngram-v2 text: the header line "ngram-v2 <order> <V> <eos>",
+# "floor <floor>", "weights <w_1> ... <w_order>" (given_weights, which the
+# constructor normalizes on load to the same floats as before the save), then
+# for each gram length k that occurs, in increasing k, the line
+# "grams <k> <ids>" (k ids per gram, the grams in sorted order) and the line
+# "counts <k> <counts>" (one count per gram, in the same order). One line per
+# gram length lets the loader parse a whole order with one int() map and key
+# it with one zip, so no Python code runs per gram.
+
 def save_ngram_scorer(m: NGramScorer, path) -> None:
+    """Write m as an ngram-v2 file (layout above)."""
+    by_len: dict[int, list[tuple]] = {}
+    for gram in sorted(m.counts):
+        by_len.setdefault(len(gram), []).append(gram)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"ngram-v1 {m.order} {m.vocab_size} {m.eos_id}\n")
+        fh.write(f"ngram-v2 {m.order} {m.vocab_size} {m.eos_id}\n")
         fh.write(f"floor {m.floor!r}\n")
-        fh.write("weights " + " ".join(repr(w) for w in m.weights) + "\n")
-        for gram in sorted(m.counts):
-            fh.write(f"count {_fmt_ids(gram)} {m.counts[gram]}\n")
+        fh.write("weights " + " ".join(repr(w) for w in m.given_weights) + "\n")
+        for k, grams in sorted(by_len.items()):
+            fh.write(" ".join(["grams", str(k), *(str(i) for gram in grams for i in gram)]) + "\n")
+            fh.write(" ".join(["counts", str(k), *(str(m.counts[gram]) for gram in grams)]) + "\n")
 
 
 def load_ngram_scorer(path) -> NGramScorer:
-    floor = None
-    weights = None
-    counts = {}
-    with model_file(path, "ngram-v1") as (header, lines):
+    """Read a save_ngram_scorer file (layout above). Besides a malformed
+    field, a repeated line, a grams line without its counts line or the
+    reverse, an id count that is not k times the count count, a gram listed
+    twice and a negative count raise ModelFormatError naming the line."""
+    found: dict = {}  # "floor", "weights", ("grams", k), ("counts", k) -> (line no, values)
+    with model_file(path, "ngram-v2") as (header, lines):
         order, vocab_size, eos_id = (int(x) for x in header.split())
         for lineno, line in lines:
-            parts = line.split()
-            if not parts:
+            kind, _, rest = line.partition(" ")
+            if kind in ("grams", "counts"):
+                k, _, rest = rest.partition(" ")
+                key, parse = (kind, int(k)), int
+                if key[1] < 0:
+                    raise ModelFormatError(f"line {lineno}: negative gram length {k}")
+            elif kind in ("floor", "weights"):
+                key, parse = kind, float
+            elif not line.strip():
                 continue
-            if parts[0] == "floor":
-                floor = float(parts[1])
-            elif parts[0] == "weights":
-                weights = [float(w) for w in parts[1:]]
-            elif parts[0] == "count":
-                count = int(parts[2]) if len(parts) == 3 else -1
-                if count < 0:
-                    raise ModelFormatError(f"line {lineno}: expected 'count <ids> <count >= 0>'")
-                counts[_parse_ids(parts[1])] = count
             else:
-                raise ModelFormatError(f"line {lineno}: unknown line kind {parts[0]!r}")
-        if floor is None or weights is None:
+                raise ModelFormatError(f"line {lineno}: unknown line kind {kind!r}")
+            if key in found:
+                raise ModelFormatError(f"line {lineno}: repeats line {found[key][0]}")
+            found[key] = lineno, list(map(parse, rest.split()))
+        if "floor" not in found or "weights" not in found:
             raise ModelFormatError("missing floor or weights line")
-        return NGramScorer(order, vocab_size, eos_id, counts, weights, floor)
+        floor_line, floor = found.pop("floor")
+        if len(floor) != 1:
+            raise ModelFormatError(f"line {floor_line}: expected one floor value")
+        _, weights = found.pop("weights")
+        counts: dict[tuple, int] = {}
+        for (kind, k), (lineno, values) in found.items():
+            if kind == "counts":
+                if ("grams", k) not in found:
+                    raise ModelFormatError(f"line {lineno}: counts {k} has no grams {k} line")
+                continue
+            if ("counts", k) not in found:
+                raise ModelFormatError(f"line {lineno}: grams {k} has no counts {k} line")
+            counts_line, cnts = found["counts", k]
+            if len(values) != k * len(cnts):
+                raise ModelFormatError(
+                    f"line {lineno}: {len(values)} ids for the {len(cnts)} counts of line "
+                    f"{counts_line}, not {k} per gram")
+            if not cnts:
+                continue  # lists no grams; zip would build a k-long list for nothing
+            if min(cnts) < 0:
+                raise ModelFormatError(f"line {counts_line}: negative count")
+            grams = list(zip(*[iter(values)] * k)) if k else [()] * len(cnts)
+            before = len(counts)
+            counts.update(zip(grams, cnts))
+            if len(counts) != before + len(grams):
+                raise ModelFormatError(f"line {lineno}: a {k}-gram is listed twice")
+        return NGramScorer(order, vocab_size, eos_id, counts, weights, floor[0])
 
 
 # ---------------------------------------------------------------------------

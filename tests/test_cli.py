@@ -237,7 +237,7 @@ def test_bpe_model_without_specials_is_named_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-_NGRAM = "ngram-v1 1 3 2\nfloor 0.01\nweights 1.0\ncount 0 1\n"
+_NGRAM = "ngram-v2 1 3 2\nfloor 0.01\nweights 1.0\ngrams 1 0\ncounts 1 1\n"
 _TABLE_VOCAB = ["a", "b", "eos"]
 _TABLE = table_container(_TABLE_VOCAB, [0.25, 0.25, 0.5])
 _LANGID = "langid-v1 16\nlangs en ru\nbias 0.0 0.0\nw 1 0.5 -0.5\n"
@@ -245,10 +245,15 @@ _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
 
 
 @pytest.mark.parametrize("command, good, bad", [
-    pytest.param("decode", _NGRAM, _NGRAM + "count 1\n", id="ngram count missing"),
-    pytest.param("decode", _NGRAM, _NGRAM.replace("ngram-v1 1 3 2", "ngram-v1 3 x 4"),
+    pytest.param("decode", _NGRAM, _NGRAM.replace("grams 1 0\n", "grams 1 0 1\n"),
+                 id="ngram count missing"),
+    pytest.param("decode", _NGRAM, _NGRAM.replace("ngram-v2 1 3 2", "ngram-v2 3 x 4"),
                  id="ngram header not int"),
-    pytest.param("decode", _NGRAM, _NGRAM + "count 1 -3\n", id="ngram negative count"),
+    pytest.param("decode", _NGRAM, _NGRAM.replace("grams 1 0\ncounts 1 1",
+                                                  "grams 1 0 1\ncounts 1 1 -3"),
+                 id="ngram negative count"),
+    pytest.param("decode", _NGRAM, "ngram-v1 1 3 2\nfloor 0.01\nweights 1.0\ncount 0 1\n",
+                 id="ngram-v1 file"),
     pytest.param("decode", _TABLE,
                  table_container(_TABLE_VOCAB, [0.25, 0.25, 0.5], default_dtype="i64"),
                  id="table default not float"),
@@ -750,6 +755,22 @@ def test_rerank_top1_matches_library(tmp_path):
     assert _read(top1) == expected
 
 
+def test_rerank_top1_strips_the_target_eos(tmp_path):
+    # the reverse model scores the source followed by its own (source-side)
+    # eos; --top1 writes target hypotheses, so it strips the lm's eos
+    rev_path, lm_path = tmp_path / "rev.ngram", tmp_path / "lm.ngram"
+    models.save_ngram_scorer(models.ngram_train([[1, 2, 0]], 2, vocab_size=5, eos_id=4), rev_path)
+    models.save_ngram_scorer(models.ngram_train([[1, 2]], 2, vocab_size=5, eos_id=3), lm_path)
+    src = tmp_path / "src.txt"
+    _write(src, ["0"])
+    dump = tmp_path / "dump.tsv"
+    _write(dump, ["0\t0\t-1.0\t-\t-\t-\t1,2,3"])
+    top1 = tmp_path / "top1.txt"
+    assert run(["rerank", "--dump", str(dump), "--source", str(src), "--rev", str(rev_path),
+                "--lm", str(lm_path), "--lam", "0", "--top1", "-o", str(top1)]) == 0
+    assert _read(top1) == ["1 2"]
+
+
 def test_rerank_full_dump_output(tmp_path):
     fwd_path = tmp_path / "fwd.scorer"
     rev_path = tmp_path / "rev.scorer"
@@ -1100,3 +1121,37 @@ def test_text_and_bleu_stages_do_not_load_numpy(tmp_path, langid_file):
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.splitlines() == (
         [f"{argv[0]} 0 False" for argv in numpy_free] + ["rerank 0 True", "filter 0 True"])
+
+
+def test_translate_stages_import_only_their_modules(tmp_path):
+    # Each stage imports the mtkit modules it uses inside its own function,
+    # so a stage started in a fresh interpreter loads no other; where
+    # bytecode writing is off, every extra module is compiled again per run.
+    src, ref, hyp = tmp_path / "src.ids", tmp_path / "ref.ids", tmp_path / "hyp.txt"
+    _write(src, ["0", "0"])
+    _write(ref, ["0", "1"])
+    _write(hyp, ["0", "1"])
+    fwd, lm, dump, out = (str(tmp_path / n) for n in ("fwd.table", "lm.ngram", "dump", "out"))
+    models.save_table_scorer(_fusion_fwd(), fwd)
+    models.save_ngram_scorer(models.ngram_train([[0, 1], [1]], 2, vocab_size=3, eos_id=2), lm)
+    scorers = {"mtkit", "mtkit.cli", "mtkit.errors", "mtkit.candidates", "mtkit.decode",
+               "mtkit.models"}
+    stages = [
+        (["decode", str(src), "--model", fwd, "--lm", lm, "--fusion-lambda", "0.1",
+          "--max-len", "4", "--dump", dump, "-o", out], scorers),
+        (["rerank", "--dump", dump, "--source", str(src), "--rev", lm, "--lm", lm,
+          "--top1", "-o", out], scorers),
+        (["score-bleu", "--hyp", str(hyp), "--ref", str(ref), "-o", out],
+         {"mtkit", "mtkit.cli", "mtkit.errors", "mtkit.bleu"}),
+        (["oracle-bleu", "--dump", dump, "--ref", str(ref), "--eos-id", "2", "-o", out],
+         {"mtkit", "mtkit.cli", "mtkit.errors", "mtkit.bleu", "mtkit.candidates"}),
+    ]
+    script = ("import json, sys\n"
+              "from mtkit.cli import run\n"
+              "code = run(json.loads(sys.argv[1]))\n"
+              "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'mtkit'))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
+    for argv, expected in stages:
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.split() == ["0", *sorted(expected)], argv[0]

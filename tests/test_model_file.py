@@ -67,6 +67,51 @@ def test_load_fuzzed_model_files(tmp_path, name):
     assert 0 < loaded < len(variants)
 
 
+_NGRAM_HEAD = "ngram-v2 2 4 3\nfloor 0.01\nweights 0.5 0.5\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param(_NGRAM_HEAD + "floor 0.02\ngrams 1 0\ncounts 1 1\n", 4, id="floor repeated"),
+    pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 1\nweights 1.0 0.0\n", 6,
+                 id="weights repeated"),
+    pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 1\ngrams 1 2\ncounts 1 5\n", 6,
+                 id="grams repeated"),
+    pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 1\ncounts 1 5\n", 6, id="counts repeated"),
+    pytest.param(_NGRAM_HEAD + "grams 1 0 0\ncounts 1 1 5\n", 4, id="gram listed twice"),
+    pytest.param(_NGRAM_HEAD + "grams 0\ncounts 0 1 5\n", 4, id="empty gram listed twice"),
+    pytest.param(_NGRAM_HEAD + "grams 2 0 1 1 2 0 1\ncounts 2 1 1 1\n", 4,
+                 id="2-gram listed twice"),
+    pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 1\ngrams 2 0 1\n", 6,
+                 id="grams without counts"),
+    pytest.param(_NGRAM_HEAD + "counts 2 1\ngrams 1 0\ncounts 1 1\n", 4,
+                 id="counts without grams"),
+    pytest.param(_NGRAM_HEAD + "grams 2 0 1 2\ncounts 2 1\n", 4, id="ids not k per count"),
+    pytest.param(_NGRAM_HEAD + "grams 1 0 1\ncounts 1 1\n", 4, id="fewer counts than grams"),
+    pytest.param(_NGRAM_HEAD + "grams 1 0 1\ncounts 1 1 -1\n", 5, id="negative count"),
+    pytest.param(_NGRAM_HEAD + "grams -1\ncounts -1\n", 4, id="negative gram length"),
+    pytest.param(_NGRAM_HEAD + "count 0 1\n", 4, id="ngram-v1 count line"),
+    pytest.param(_NGRAM_HEAD.replace("floor 0.01", "floor 0.01 0.02"), 2,
+                 id="two floor values"),
+])
+def test_malformed_ngram_file_names_the_line(tmp_path, text, line):
+    """Each defect raises ModelFormatError naming the file and the line;
+    none loads with one of two values silently winning."""
+    path = tmp_path / "lm.ngram"
+    path.write_text(_NGRAM_HEAD + "grams 1 1\ncounts 1 2\n", encoding="utf-8")
+    models.load_ngram_scorer(path)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError) as err:
+        models.load_ngram_scorer(path)
+    assert str(err.value).startswith(f"{path}: line {line}: "), err.value
+
+
+def test_ngram_v1_file_is_rejected(tmp_path):
+    path = tmp_path / "lm.ngram"
+    path.write_text("ngram-v1 1 3 2\nfloor 0.01\nweights 1.0\ncount 0 1\n", encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="expected a 'ngram-v2' header, got 'ngram-v1'"):
+        models.load_ngram_scorer(path)
+
+
 # site -> (loader, file text with {x} at one numeric field or a function
 # giving the file bytes for x, a valid value for it)
 _NUMERIC_SITES = {
@@ -76,9 +121,10 @@ _NUMERIC_SITES = {
                       lambda x: table_container(["a", "eos"], [0.5, 0.5], [((0,), ())],
                                                 [[0.5, float(x)]]), "0.5"),
     "ngram floor": (models.load_ngram_scorer,
-                    "ngram-v1 1 3 2\nfloor {x}\nweights 1.0\ncount 0 1\n", "0.01"),
+                    "ngram-v2 1 3 2\nfloor {x}\nweights 1.0\ngrams 1 0\ncounts 1 1\n", "0.01"),
     "ngram weights": (models.load_ngram_scorer,
-                      "ngram-v1 2 3 2\nfloor 0.01\nweights 1.0 {x}\ncount 0 1\n", "0.5"),
+                      "ngram-v2 2 3 2\nfloor 0.01\nweights 1.0 {x}\ngrams 1 0\ncounts 1 1\n",
+                      "0.5"),
     "langid bias": (corpus.load_langid,
                     "langid-v1 4\nlangs en ru\nbias 0.0 {x}\nw 1 0.5 -0.5\n", "0.5"),
     "langid weight": (corpus.load_langid,

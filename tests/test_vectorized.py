@@ -28,6 +28,7 @@ from mtkit.models import (
     TableScorer,
     load_ngram_scorer,
     ngram_train,
+    save_ngram_scorer,
 )
 
 from conftest import make_table_scorer
@@ -340,10 +341,10 @@ def test_ngram_model_file_with_out_of_vocab_grams(tmp_path):
     # last ids >= V (and < 0) count toward their context's total but score nothing
     path = tmp_path / "lm.ngram"
     path.write_text(
-        "ngram-v1 3 5 4\nfloor 0.01\nweights 0.2 0.3 0.5\n"
-        "count 0 4\ncount 1 3\ncount 4 2\ncount 7 5\n"
-        "count 0,1 2\ncount 0,9 3\ncount 1,-1 1\ncount 2,8 4\n"
-        "count 0,1,2 1\ncount 0,1,6 2\ncount 1,2,3 0\n",
+        "ngram-v2 3 5 4\nfloor 0.01\nweights 0.2 0.3 0.5\n"
+        "grams 1 0 1 4 7\ncounts 1 4 3 2 5\n"
+        "grams 2 0 1 0 9 1 -1 2 8\ncounts 2 2 3 1 4\n"
+        "grams 3 0 1 2 0 1 6 1 2 3\ncounts 3 1 2 0\n",
         encoding="utf-8",
     )
     m = load_ngram_scorer(path)
@@ -409,6 +410,26 @@ def test_ngram_token_prob_is_next_dist_entry(m, data):
     for prefix in prefixes:
         got = [m.token_prob((1,), prefix, tok) for tok in range(m.vocab_size)]
         assert _bits(got) == _bits(m.next_dist((1,), prefix)), prefix
+
+
+@_ONE_TOKEN
+@given(m=_ngram_scorers(), data=st.data())
+def test_ngram_file_roundtrip_is_bit_exact(tmp_path_factory, m, data):
+    # the weights in the file are the ones given to the constructor, so the
+    # load normalizes them exactly as the model in memory did
+    path = tmp_path_factory.mktemp("ngram") / "lm.ngram"
+    save_ngram_scorer(m, path)
+    loaded = load_ngram_scorer(path)
+    assert (loaded.order, loaded.vocab_size, loaded.eos_id) == (m.order, m.vocab_size, m.eos_id)
+    assert loaded.counts == m.counts
+    assert loaded.weights == m.weights and loaded.floor == m.floor
+    ids = st.integers(0, m.vocab_size - 1) | st.sampled_from([-1, m.vocab_size + 2])
+    prefixes = data.draw(st.lists(st.lists(ids, max_size=5).map(tuple), max_size=4))
+    prefixes += [()] + [gram[:-1] for gram in m.counts]
+    for prefix in prefixes:
+        assert _bits(loaded.next_dist((1,), prefix)) == _bits(m.next_dist((1,), prefix)), prefix
+        assert _bits([loaded.token_prob((1,), prefix, t) for t in range(m.vocab_size)]) == \
+            _bits([m.token_prob((1,), prefix, t) for t in range(m.vocab_size)]), prefix
 
 
 @_ONE_TOKEN
