@@ -13,14 +13,14 @@ unchanged.
 Imports: each stage runs as its own process in a pipeline, so start-up is
 paid per stage, and where bytecode writing is off (PYTHONDONTWRITEBYTECODE)
 that includes compiling every module the stage imports. This module imports
-only argparse, contextlib, itertools, sys and mtkit.errors at the top
-(annotations come from a TYPE_CHECKING import); each cmd_* function imports
-the mtkit modules it uses, and a helper that needs one only on some paths
-(bpe for --bpe) imports it there. So score-bleu loads bleu alone, and
-decode and rerank load bpe only with --bpe. No mtkit
-module loads numpy at import either; each imports it inside the functions
-that do array math, so only the stages that reach them pay for it (rerank
-over n-gram models and domain-select do not).
+only argparse, contextlib, itertools, sys and mtkit.errors at the top; each
+cmd_* function imports the mtkit modules it uses, so score-bleu loads bleu
+alone. No mtkit module loads numpy at import either; each imports it inside
+the functions that do array math, so only the stages that reach them pay for
+it (rerank over n-gram models and domain-select do not).
+
+The decoding stages read and write token ids only; text goes in through
+bpe-encode and comes out through bpe-decode.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import argparse
 import contextlib
 import itertools
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import (
     ConfigError,
@@ -41,9 +40,6 @@ from .errors import (
     naming,
     staged,
 )
-
-if TYPE_CHECKING:
-    from .bpe import BpeModel
 
 CHUNK = 4096
 
@@ -91,14 +87,6 @@ def _load_forward(paths: list[str]):
     return scorers[0] if len(scorers) == 1 else models.EnsembleScorer(scorers)
 
 
-def _load_bpe(path: str | None) -> BpeModel | None:
-    """The --bpe model, or None without one; bpe is imported only for one."""
-    if not path:
-        return None
-    from . import bpe
-    return bpe.load_model(path)
-
-
 def _bpe_tokenizer(path: str | None):
     """Token-string tokenizer for domain classifiers backed by the --bpe
     model, or None without one."""
@@ -109,24 +97,19 @@ def _bpe_tokenizer(path: str | None):
     return lambda text: [model.id_to_token[i] for i in bpe.bpe_encode(model, text)]
 
 
-def _read_sources(path: str, bpe_model: BpeModel | None,
-                  nonempty: bool = False) -> list[list[int]]:
-    """One id list per line; with `nonempty`, a line with no ids is an error."""
+def _read_ids(path: str, nonempty: bool = False) -> list[list[int]]:
+    """One id list per line of `path`; with `nonempty`, a line with no ids is
+    an error."""
     with _open_in(path) as fh:
-        if bpe_model is None:
-            sources = [_parse_ids(line) for line in fh]
-        else:
-            from . import bpe
-            sources = [bpe.bpe_encode(bpe_model, line) for line in fh]
-    if nonempty and [] in sources:
-        raise EmptyInputError(f"{path}: line {sources.index([]) + 1} holds no source tokens")
-    return sources
+        lines = [_parse_ids(line) for line in fh]
+    if nonempty and [] in lines:
+        raise EmptyInputError(f"{path}: line {lines.index([]) + 1} holds no source tokens")
+    return lines
 
 
-def _read_tsv(src, stage: str, path: str, provenance=None, skipped=None):
-    """Pairs from the TSV lines of `path`, tagged `provenance` (bitext by
-    default); each malformed line is logged and, when a `skipped` list is
-    given, its line number appended there."""
+def _read_tsv(src, stage: str, path: str, skipped=None):
+    """Pairs from the TSV lines of `path`; each malformed line is logged and,
+    when a `skipped` list is given, its line number appended there."""
     from . import corpus
 
     def on_malformed(line_no: int, why: str) -> None:
@@ -134,8 +117,7 @@ def _read_tsv(src, stage: str, path: str, provenance=None, skipped=None):
         if skipped is not None:
             skipped.append(line_no)
 
-    return corpus.read_parallel_tsv(
-        src, corpus.Provenance.BITEXT if provenance is None else provenance, on_malformed)
+    return corpus.read_parallel_tsv(src, on_malformed)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +134,8 @@ def cmd_normalize(args) -> int:
 
 def cmd_tokenize(args) -> int:
     from . import textnorm
+    if args.german_quotes and not args.detok:
+        raise ConfigError("--german-quotes applies to --detok output only")
     with _open_in(args.input) as src, _open_out(args.output) as out:
         for line in src:
             line = line.rstrip("\n")
@@ -207,10 +191,10 @@ def cmd_filter(args) -> int:
     from . import corpus
     if args.mono and args.langid:
         raise ConfigError("--mono applies length bounds only and takes no --langid")
+    if bool(args.langid) != bool(args.langs):
+        raise ConfigError("--langid and --langs src,tgt are given together or not at all")
     langid = corpus.load_langid(args.langid) if args.langid else None
     required = tuple(args.langs.split(",")) if args.langs else None
-    if langid is not None and required is None:
-        raise ConfigError("--langid requires --langs src,tgt")
     cfg = corpus.FilterConfig(
         max_len_tokens=args.max_len,
         max_len_ratio=args.max_ratio,
@@ -265,12 +249,13 @@ def cmd_mix(args) -> int:
     for part in args.part:
         try:
             weight_text, tag, path = part.split(":", 2)
-            weight, provenance = float(weight_text), corpus.Provenance(tag)
+            weight = float(weight_text)
+            corpus.Provenance(tag)  # checks the tag; the pairs do not carry it
         except ValueError as exc:
             raise ConfigError(
                 f"--part {part!r}: expected WEIGHT:PROVENANCE:PATH ({exc})") from None
         with _open_in(path) as fh:
-            corpora.append((list(_read_tsv(fh, "mix", path, provenance)), weight))
+            corpora.append((list(_read_tsv(fh, "mix", path)), weight))
     mixed = corpus.mix_sample(corpora, args.n, args.seed)
     with _open_out(args.output) as out:
         for pair in mixed:
@@ -371,14 +356,8 @@ def _decode_config(args, fusion_lambda: float = 0.0):
     )
 
 
-def _write_bodies(out, cands_top1, eos_id: int, bpe_model: BpeModel | None) -> None:
-    """One line per candidate: its text through the --bpe model, or else its
-    token ids without the target-side `eos_id`."""
-    if bpe_model is not None:
-        from . import bpe
-        for cand in cands_top1:
-            out.write(bpe.bpe_decode(bpe_model, list(cand.tokens)) + "\n")
-        return
+def _write_bodies(out, cands_top1, eos_id: int) -> None:
+    """One line per candidate: its token ids without the target-side `eos_id`."""
     from . import candidates
     for cand in cands_top1:
         out.write(" ".join(str(t) for t in candidates.strip_eos(cand.tokens, eos_id)) + "\n")
@@ -388,12 +367,11 @@ def cmd_decode(args) -> int:
     from . import candidates, decode, models
     fwd = _load_forward(args.model)
     lm = models.load_scorer(args.lm) if args.lm else None
-    bpe_model = _load_bpe(args.bpe)
     cfg = _decode_config(args, fusion_lambda=args.fusion_lambda)
-    sources = _read_sources(args.input, bpe_model, nonempty=True)
+    sources = _read_ids(args.input, nonempty=True)
     results = decode.decode_batch(fwd, lm, sources, cfg)
     with _open_out(args.output) as out:
-        _write_bodies(out, [cands[0] for cands in results], fwd.eos_id, bpe_model)
+        _write_bodies(out, [cands[0] for cands in results], fwd.eos_id)
     if args.dump:
         with _open_out(args.dump) as fh:
             fh.write("\n".join(candidates.format_candidates(results)) + "\n")
@@ -403,14 +381,13 @@ def cmd_decode(args) -> int:
 def cmd_sample(args) -> int:
     from . import decode
     fwd = _load_forward(args.model)
-    bpe_model = _load_bpe(args.bpe)
     cfg = decode.DecodeConfig(
         max_len=args.max_len, sample_k=args.k, seed=args.seed
     )
-    sources = _read_sources(args.input, bpe_model)
+    sources = _read_ids(args.input)
     cands = decode.sample_batch(fwd, sources, cfg)
     with _open_out(args.output) as out:
-        _write_bodies(out, cands, fwd.eos_id, bpe_model)
+        _write_bodies(out, cands, fwd.eos_id)
     return 0
 
 
@@ -419,8 +396,7 @@ def cmd_rerank(args) -> int:
     decode.check_lambda_ncr(args.lam)
     rev = models.load_scorer(args.rev)
     lm = models.load_scorer(args.lm)
-    bpe_model = _load_bpe(args.bpe)
-    sources = _read_sources(args.source, bpe_model)
+    sources = _read_ids(args.source)
     with _open_in(args.dump) as fh:
         cands_per_sentence = candidates.parse_candidates(fh)
     if len(cands_per_sentence) != len(sources):
@@ -433,7 +409,7 @@ def cmd_rerank(args) -> int:
     ]
     with _open_out(args.output) as out:
         if args.top1:
-            _write_bodies(out, [cands[0] for cands in ranked], lm.eos_id, bpe_model)
+            _write_bodies(out, [cands[0] for cands in ranked], lm.eos_id)
         else:
             out.write("\n".join(candidates.format_candidates(ranked)) + "\n")
     return 0
@@ -470,8 +446,7 @@ def cmd_oracle_bleu(args) -> int:
             [candidates.strip_eos(cand.tokens, args.eos_id) for cand in cands]
             for cands in candidates.parse_candidates(fh)
         ]
-    with _open_in(args.ref) as fh:
-        refs = [_parse_ids(line) for line in fh]
+    refs = _read_ids(args.ref)
     result, winners = bleu.oracle_corpus_bleu(hyps_per_sentence, refs)
     if args.selected:
         with _open_out(args.selected) as fh:
@@ -494,10 +469,8 @@ def cmd_tune_lambda(args) -> int:
     fwd = _load_forward(args.model)
     rev = models.load_scorer(args.rev)
     lm = models.load_scorer(args.lm)
-    bpe_model = _load_bpe(args.bpe)
-    sources = _read_sources(args.source, bpe_model, nonempty=True)
-    with _open_in(args.ref) as fh:
-        refs = [_parse_ids(line) for line in fh]
+    sources = _read_ids(args.source, nonempty=True)
+    refs = _read_ids(args.ref)
     cfg = _decode_config(args)
     results = decode.grid_search_lambdas(
         fwd, rev, lm, sources, refs, cfg,
@@ -635,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=50)
     p.add_argument("--n-candidates", type=int, default=15)
     p.add_argument("--alpha", type=float, default=0.0, help="length penalty exponent")
-    p.add_argument("--bpe", default=None, help="treat input as text via this BPE model")
     p.add_argument("--dump", default=None, help="write all candidates here")
     p.set_defaults(func=cmd_decode)
 
@@ -645,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", nargs="+", required=True)
     p.add_argument("--k", type=int, default=500)
     p.add_argument("--max-len", type=int, default=50)
-    p.add_argument("--bpe", default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("rerank", help="noisy-channel re-ranking of a candidate dump")
@@ -654,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rev", required=True, help="reverse-direction scorer")
     p.add_argument("--lm", required=True, help="target-side language model")
     p.add_argument("--lam", type=float, default=0.6)
-    p.add_argument("--bpe", default=None)
     p.add_argument("--top1", action="store_true", help="emit only the top candidate")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_rerank)
@@ -682,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--bpe", default=None)
     p.add_argument("--beam", type=int, default=15)
     p.add_argument("--max-len", type=int, default=50)
     p.add_argument("--n-candidates", type=int, default=15)

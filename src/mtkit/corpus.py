@@ -26,6 +26,8 @@ if TYPE_CHECKING:
 
 
 class Provenance(Enum):
+    """The corpus tags that `mtkit mix --part` accepts."""
+
     BITEXT = "bitext"
     BACKTRANSLATED = "backtranslated"
     R2L_DISTILLED = "r2l_distilled"
@@ -38,7 +40,6 @@ class ParallelExample:
     source: str
     target: str
     external_score: float | None = None
-    provenance: Provenance = Provenance.BITEXT
 
 
 RULE_ORDER = ("langid_src", "langid_tgt", "too_short", "too_long", "ratio", "score")
@@ -197,21 +198,23 @@ def load_langid(path) -> LangIdModel:
     langs = None
     bias = None
     weights = None
+    seen = {}  # "langs", "bias" or a weight row -> the line that set it
     with model_file(path, "langid-v1") as (header, lines):
         n_features = int(header)
         for lineno, line in lines:
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "langs":
+            key = parts[0]
+            if key == "langs":
                 langs = parts[1:]
                 weights = np.zeros((n_features, len(langs)))
-            elif parts[0] == "bias":
+            elif key == "bias":
                 bias = np.array([float(v) for v in parts[1:]])
-            elif parts[0] == "w":
+            elif key == "w":
                 if weights is None:
                     raise ModelFormatError(f"line {lineno}: weight line before langs line")
-                row = int(parts[1])
+                key = row = int(parts[1])
                 if not 0 <= row < n_features or len(parts) != 2 + len(langs):
                     raise ModelFormatError(
                         f"line {lineno}: expected 'w <row in [0, {n_features})>' "
@@ -219,7 +222,10 @@ def load_langid(path) -> LangIdModel:
                     )
                 weights[row] = [float(v) for v in parts[2:]]
             else:
-                raise ModelFormatError(f"line {lineno}: unknown line kind {parts[0]!r}")
+                raise ModelFormatError(f"line {lineno}: unknown line kind {key!r}")
+            if key in seen:
+                raise ModelFormatError(f"line {lineno}: repeats line {seen[key]}")
+            seen[key] = lineno
         if langs is None or bias is None:
             raise ModelFormatError("missing langs or bias line")
         return LangIdModel(langs, weights, bias, n_features)
@@ -316,7 +322,7 @@ def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:
 # ---------------------------------------------------------------------------
 # TSV input/output
 
-def parse_tsv_line(line: str, provenance: Provenance = Provenance.BITEXT) -> ParallelExample:
+def parse_tsv_line(line: str) -> ParallelExample:
     """Parse `source<TAB>target[<TAB>score]`; a bad line raises InputFormatError,
     or float()'s ValueError for a score that does not parse."""
     cols = line.rstrip("\n").split("\t")
@@ -327,17 +333,16 @@ def parse_tsv_line(line: str, provenance: Provenance = Provenance.BITEXT) -> Par
         score = float(cols[2])
         if not 0.0 <= score <= 1.0:
             raise InputFormatError(f"score {score} outside [0, 1]")
-    return ParallelExample(cols[0], cols[1], score, provenance)
+    return ParallelExample(cols[0], cols[1], score)
 
 
-def read_parallel_tsv(lines, provenance: Provenance = Provenance.BITEXT,
-                      on_malformed=None):
+def read_parallel_tsv(lines, on_malformed=None):
     """Yield examples from TSV lines; malformed lines are reported, not fatal."""
     for line_no, line in enumerate(lines, start=1):
         if line.strip() == "":
             continue
         try:
-            pair = parse_tsv_line(line, provenance)
+            pair = parse_tsv_line(line)
         except ValueError as exc:
             if on_malformed is not None:
                 on_malformed(line_no, str(exc))

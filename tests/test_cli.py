@@ -1,5 +1,6 @@
 """End-to-end runs of the mtkit command line against small on-disk fixtures."""
 
+import argparse
 import inspect
 import json
 import os
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 import mtkit
-from mtkit import corpus, models, textnorm
-from mtkit.candidates import Candidate, format_candidates, parse_candidates
+from mtkit import bpe, corpus, domain, models, textnorm
+from mtkit.candidates import Candidate, format_candidates, parse_candidates, strip_eos
 from mtkit.cli import build_parser, run
 from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
 from mtkit.models import TableScorer
@@ -64,6 +65,45 @@ def test_no_args_is_usage_error():
 
 def test_unknown_subcommand_is_usage_error():
     assert run(["frobnicate"]) == 2
+
+
+# Every subcommand's options and positionals, in parser order, without -h.
+# Adding or removing a knob shows up here as a test diff.
+_OPTIONS = {
+    "normalize": "input -o --output --rules",
+    "tokenize": "input -o --output --lang --detok --german-quotes",
+    "bpe-train": "input -o --output --vocab-size --model-out",
+    "bpe-encode": "input -o --output --model --dropout --seed",
+    "bpe-decode": "input -o --output --model",
+    "filter": "input -o --output --seed --threads --max-len --min-len --max-ratio "
+              "--min-score --langid --langs --report --mono",
+    "langid-train": "data --model-out --features --epochs --lr --seed",
+    "domain-train": "--positives --negatives --lang --bpe --model-out --epochs --lr --seed",
+    "domain-select": "input -o --output --clf-en --clf-ru --bpe --stage1 --final --english-side",
+    "mix": "--part --n --seed -o --output",
+    "reverse-target": "input -o --output",
+    "avg-checkpoints": "checkpoints -o --output --top-k",
+    "decode": "input -o --output --seed --threads --model --lm --fusion-lambda --beam "
+              "--max-len --n-candidates --alpha --dump",
+    "sample": "input -o --output --seed --threads --model --k --max-len",
+    "rerank": "--dump --source --rev --lm --lam --top1 -o --output",
+    "score-bleu": "--hyp --ref --sentence-scores -o --output",
+    "oracle-bleu": "--dump --ref --eos-id --selected -o --output",
+    "tune-lambda": "--seed --threads -o --output --model --rev --lm --source --ref --beam "
+                   "--max-len --n-candidates --alpha --sf-grid --ncr-grid",
+}
+
+
+def test_option_inventory():
+    (subparsers,) = (a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: " ".join(opt for action in sub._actions
+                       if not isinstance(action, argparse._HelpAction)
+                       for opt in action.option_strings or [action.dest])
+        for name, sub in subparsers.choices.items()
+    }
+    assert got == _OPTIONS
 
 
 def test_missing_file_reports_error_line(tmp_path, capsys):
@@ -269,6 +309,9 @@ _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
     pytest.param("filter", _LANGID, _LANGID + "w -1 1 1\n", id="langid negative row"),
     pytest.param("filter", _LANGID, "langid-v1 0\nlangs en ru\nbias 0.0 0.0\n",
                  id="langid no features"),
+    pytest.param("filter", _LANGID, _LANGID + "langs en ru\n", id="langid langs repeated"),
+    pytest.param("filter", _LANGID, _LANGID + "bias 1.0 1.0\n", id="langid bias repeated"),
+    pytest.param("filter", _LANGID, _LANGID + "w 1 0.0 0.0\n", id="langid row repeated"),
     pytest.param("domain-select", _DOMCLS, _DOMCLS + "bar\tx\n", id="domcls weight not float"),
     pytest.param("domain-select", _DOMCLS, (_DOMCLS + "caf\xe9\t0.5\n").encode("latin-1"),
                  id="domcls not utf-8"),
@@ -557,6 +600,56 @@ def test_domain_train_and_select(tmp_path, capsys):
         assert (score_en + score_ru) / 2 >= 0.90 - 1e-9
 
 
+def test_domain_train_and_select_with_bpe(tmp_path):
+    # With --bpe the classifiers are keyed by BPE symbols, and selection
+    # matches the library run with the same tokenizer.
+    rng = random.Random(12)
+    texts = {name: [make_domain_line(rng, markers, filler) for _ in range(60)]
+             for name, markers, filler in (
+                 ("med_en", MED_EN, EN_WORDS), ("news_en", NEWS_EN, EN_WORDS),
+                 ("med_ru", MED_RU, RU_WORDS), ("news_ru", NEWS_RU, RU_WORDS))}
+    for name, lines in texts.items():
+        _write(tmp_path / f"{name}.txt", lines)
+    joint, codes = tmp_path / "joint.txt", tmp_path / "codes.bpe"
+    _write(joint, [line for lines in texts.values() for line in lines])
+    assert run(["bpe-train", str(joint), "--vocab-size", "300", "--model-out", str(codes)]) == 0
+    model = bpe.load_model(codes)
+
+    def tokenizer(text):
+        return [model.id_to_token[i] for i in bpe.bpe_encode(model, text)]
+
+    clfs = {}
+    for lang in ("en", "ru"):
+        path, expected = tmp_path / f"{lang}.domcls", tmp_path / f"{lang}.expected"
+        assert run(["domain-train", "--positives", str(tmp_path / f"med_{lang}.txt"),
+                    "--negatives", str(tmp_path / f"news_{lang}.txt"), "--lang", lang,
+                    "--bpe", str(codes), "--model-out", str(path)]) == 0
+        clf = domain.domain_train(texts[f"med_{lang}"], texts[f"news_{lang}"],
+                                  lang=lang, tokenizer=tokenizer)
+        domain.save_classifier(clf, expected)
+        assert path.read_bytes() == expected.read_bytes()
+        keys = [line.split("\t")[0] for line in _read(path)[1:-1]]
+        assert set(keys) <= set(model.vocab)
+        assert any(key.endswith("</w>") for key in keys)
+        clfs[lang] = domain.load_classifier(path, tokenizer)
+
+    def tsv(en, ru):
+        return f"{make_domain_line(rng, en, EN_WORDS)}\t{make_domain_line(rng, ru, RU_WORDS)}"
+
+    rows = [tsv(MED_EN, MED_RU) for _ in range(3)] + [tsv(NEWS_EN, NEWS_RU) for _ in range(3)]
+    inp, out = tmp_path / "pairs.tsv", tmp_path / "selected.tsv"
+    _write(inp, rows)
+    assert run(["domain-select", str(inp), "--clf-en", str(tmp_path / "en.domcls"),
+                "--clf-ru", str(tmp_path / "ru.domcls"), "--bpe", str(codes),
+                "-o", str(out)]) == 0
+    selected, _ = domain.bilingual_select(
+        [corpus.parse_tsv_line(row) for row in rows], clfs["en"], clfs["ru"],
+        domain.SelectionConfig())
+    assert 0 < len(selected) < len(rows)
+    assert _read(out) == [corpus.format_tsv_line(pair, (repr(se), repr(sr)))
+                          for pair, se, sr in selected]
+
+
 def test_domain_select_long_out_of_domain_line(tmp_path, capsys):
     clf = tmp_path / "clf.domcls"
     clf.write_text("domcls-v1 en\ncell\t5.0\nvote\t-0.8\n__bias__\t0.0\n", encoding="utf-8")
@@ -708,6 +801,36 @@ def test_decode_fusion_shifts_winner(tmp_path):
     assert rc == 0
     assert _read(plain) == ["0"]
     assert _read(fused) == ["1"]
+
+
+@pytest.mark.parametrize("eos", ["bpe eos", "word"])
+def test_text_decodes_through_bpe_encode_and_bpe_decode(tmp_path, eos):
+    # The decoding stages read and write ids; text goes in through bpe-encode
+    # and comes out through bpe-decode, with the scorer's eos stripped by
+    # decode even where it is an ordinary BPE symbol rather than <eos>.
+    lines = ["the cat sat on the mat", "the dog sat on the log", "a cat and a dog sat"]
+    text, codes, src, top1, back = (tmp_path / n for n in (
+        "text.txt", "codes.bpe", "src.ids", "top1.ids", "top1.txt"))
+    _write(text, lines)
+    assert run(["bpe-train", str(text), "--vocab-size", "40", "--model-out", str(codes)]) == 0
+    model = bpe.load_model(codes)
+    sources = [bpe.bpe_encode(model, line) for line in lines]
+    eos_id = model.eos_id if eos == "bpe eos" else sources[0][-1]
+    lm = models.ngram_train(sources, 2, vocab_size=model.vocab_size, eos_id=eos_id)
+    lm_path = tmp_path / "lm.ngram"
+    models.save_ngram_scorer(lm, lm_path)
+    assert run(["bpe-encode", str(text), "--model", str(codes), "-o", str(src)]) == 0
+    assert run(["decode", str(src), "--model", str(lm_path), "--beam", "4", "--max-len", "8",
+                "-o", str(top1)]) == 0
+    assert run(["bpe-decode", str(top1), "--model", str(codes), "-o", str(back)]) == 0
+
+    cfg = DecodeConfig(beam_size=4, max_len=8)
+    tops = [beam_search(lm, None, source, cfg)[0].tokens for source in sources]
+    assert any(tokens[-1:] == (eos_id,) for tokens in tops)
+    expected = [bpe.bpe_decode(model, strip_eos(tokens, eos_id)) for tokens in tops]
+    assert _read(back) == expected
+    if eos_id != model.eos_id:  # decoding the eos as a symbol would show
+        assert expected != [bpe.bpe_decode(model, tokens) for tokens in tops]
 
 
 def test_sample_k1_is_greedy(tmp_path):
@@ -940,6 +1063,12 @@ def _bad_input_argv(tmp_path, case, langid_file):
     tune = ["tune-lambda", "--model", str(fwd), "--rev", str(fwd), "--lm", str(fwd),
             "--source", str(ids), "--ref", str(ids), "--beam", "2", "--max-len", "2", "-o", out]
     decode = ["decode", str(ids), "--model", str(fwd), "--max-len", "2", "-o", out]
+    if case == "tokenize german-quotes without detok":
+        return (["tokenize", str(pairs), "--german-quotes", "-o", out],
+                "ConfigError: --german-quotes applies to --detok output only")
+    if case == "filter langs without langid":
+        return (["filter", str(pairs), "--langs", "en,ru", "-o", out],
+                "ConfigError: --langid and --langs src,tgt are given together")
     if case == "reverse-target not utf-8":
         pairs.write_bytes(b"a b\tc d\n\xff\tx\n")
         return ["reverse-target", str(pairs), "-o", out], f"InputFormatError: {pairs}: 'utf-8' codec"
@@ -1019,7 +1148,8 @@ def _bad_input_argv(tmp_path, case, langid_file):
     "domain-train epochs -3", "domain-train lr nan", "domain-train lr -inf",
     "decode alpha nan", "decode alpha inf", "tune-lambda alpha nan", "decode fusion-lambda inf",
     "rerank lam inf", "tune-lambda ncr-grid inf", "mix n -1", "oracle-bleu eos-id -5",
-    "langid-train seed -1", "avg-checkpoints table",
+    "langid-train seed -1", "avg-checkpoints table", "tokenize german-quotes without detok",
+    "filter langs without langid",
 ])
 def test_bad_input_is_named_error(tmp_path, capsys, langid_file, case):
     argv, expected = _bad_input_argv(tmp_path, case, langid_file)

@@ -9,7 +9,6 @@ from mtkit.corpus import (
     FilterConfig,
     FilterReport,
     ParallelExample,
-    Provenance,
     RULE_ORDER,
     filter_corpus,
     filter_pair,
@@ -243,7 +242,6 @@ def test_reverse_target_involution():
             make_sentence(rng, "en"),
             " ".join(rng.choice("abcdef") for _ in range(rng.randint(1, 12))),
             external_score=rng.choice([None, 0.7]),
-            provenance=rng.choice(list(Provenance)),
         )
         assert reverse_target(reverse_target(p)) == p
 
@@ -258,29 +256,24 @@ def test_reverse_target_length_preserving():
     assert len(reverse_target(p).target.split()) == 4
 
 
-def test_reverse_target_provenance_tag():
-    # the tag is kept, so the involution holds; mix tags R2L data itself
-    for provenance in Provenance:
-        p = ParallelExample("x", "a b", provenance=provenance)
-        assert reverse_target(p).provenance is provenance
-
-
 # ---------------------------------------------------------------------------
 # mix_sample
 
 
-def _corpus(n, provenance):
-    return [
-        ParallelExample(f"s{i}", f"t{i}", provenance=provenance)
-        for i in range(n)
-    ]
+def _corpus(n, name):
+    """n pairs whose source text starts with `name`, so a mix tells corpora apart."""
+    return [ParallelExample(f"{name}{i}", f"t{i}") for i in range(n)]
+
+
+def _counts(out, names):
+    return [sum(p.source.startswith(name) for p in out) for name in names]
 
 
 def test_mix_two_to_one_proportion():
-    a = _corpus(500, Provenance.BITEXT)
-    b = _corpus(500, Provenance.BACKTRANSLATED)
+    a = _corpus(500, "a")
+    b = _corpus(500, "b")
     out = mix_sample([(a, 2.0), (b, 1.0)], n=30_000, seed=7)
-    share = sum(p.provenance is Provenance.BITEXT for p in out) / len(out)
+    share = _counts(out, ["a"])[0] / len(out)
     assert abs(share - 2 / 3) <= 0.01
 
 
@@ -288,15 +281,12 @@ def test_mix_six_three_one_chi_square():
     from scipy.stats import chisquare
 
     parts = [
-        (_corpus(300, Provenance.BITEXT), 6.0),
-        (_corpus(300, Provenance.R2L_DISTILLED), 3.0),
-        (_corpus(300, Provenance.BACKTRANSLATED), 1.0),
+        (_corpus(300, "bitext"), 6.0),
+        (_corpus(300, "r2l"), 3.0),
+        (_corpus(300, "bt"), 1.0),
     ]
     out = mix_sample(parts, n=100_000, seed=11)
-    observed = [
-        sum(p.provenance is prov for p in out)
-        for prov in (Provenance.BITEXT, Provenance.R2L_DISTILLED, Provenance.BACKTRANSLATED)
-    ]
+    observed = _counts(out, ["bitext", "r2l", "bt"])
     expected = [60_000, 30_000, 10_000]
     assert chisquare(observed, expected).pvalue > 0.01
     for obs, exp in zip(observed, expected):
@@ -304,13 +294,13 @@ def test_mix_six_three_one_chi_square():
 
 
 def test_mix_single_corpus_replays_in_order():
-    items = _corpus(4, Provenance.NEWS)
+    items = _corpus(4, "s")
     out = mix_sample([(items, 1.0)], n=10, seed=0)
     assert [p.source for p in out] == [f"s{i % 4}" for i in range(10)]
 
 
 def test_mix_deterministic():
-    parts = [(_corpus(50, Provenance.BITEXT), 1.0), (_corpus(50, Provenance.NEWS), 1.0)]
+    parts = [(_corpus(50, "bitext"), 1.0), (_corpus(50, "news"), 1.0)]
     assert mix_sample(parts, 500, seed=5) == mix_sample(parts, 500, seed=5)
     assert mix_sample(parts, 500, seed=5) != mix_sample(parts, 500, seed=6)
 
@@ -321,7 +311,7 @@ def test_mix_errors():
     with pytest.raises(EmptyInputError):
         mix_sample([([], 1.0)], 10, seed=0)
     with pytest.raises(ValueError):
-        mix_sample([(_corpus(3, Provenance.BITEXT), 0.0)], 10, seed=0)
+        mix_sample([(_corpus(3, "s"), 0.0)], 10, seed=0)
 
 
 # ---------------------------------------------------------------------------

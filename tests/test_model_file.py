@@ -105,6 +105,23 @@ def test_malformed_ngram_file_names_the_line(tmp_path, text, line):
     assert str(err.value).startswith(f"{path}: line {line}: "), err.value
 
 
+_LANGID = "langid-v1 4\nlangs en ru\nbias 0.0 0.0\nw 1 0.5 -0.5\n"
+
+
+@pytest.mark.parametrize("extra, first", [
+    pytest.param("langs en ru\n", 2, id="langs"),
+    pytest.param("bias 1.0 1.0\n", 3, id="bias"),
+    pytest.param("w 1 0.0 0.0\n", 4, id="weight row"),
+])
+def test_repeated_langid_line_names_both_lines(tmp_path, extra, first):
+    """A repeated line is an error, not a line that silently wins."""
+    path = tmp_path / "lid.model"
+    path.write_text(_LANGID + extra, encoding="utf-8")
+    with pytest.raises(ModelFormatError) as err:
+        corpus.load_langid(path)
+    assert str(err.value) == f"{path}: line 5: repeats line {first}"
+
+
 def test_ngram_v1_file_is_rejected(tmp_path):
     path = tmp_path / "lm.ngram"
     path.write_text("ngram-v1 1 3 2\nfloor 0.01\nweights 1.0\ncount 0 1\n", encoding="utf-8")
