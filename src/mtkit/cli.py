@@ -510,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tokenize", help="word tokenize (or detokenize with --detok)")
     _add_io(p)
-    p.add_argument("--lang", default="en", choices=("en", "de", "ru"))
+    p.add_argument("--lang", default="en", choices=("en", "de", "ru"),
+                   help="tokenizer language; --detok output is the same for every language")
     p.add_argument("--detok", action="store_true", help="join tokens back into text")
     p.add_argument("--german-quotes", action="store_true",
                    help="with --detok: replace paired ASCII quotes with German ones")

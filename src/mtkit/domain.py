@@ -41,11 +41,20 @@ _EXP_MAX = math.log(sys.float_info.max)
 # Share of each class held out to measure DomainClassifier.holdout_accuracy.
 HOLDOUT_FRAC = 0.1
 
+# The token field of the bias line in a domcls-v1 file.
+_BIAS = "__bias__"
+
 
 class DomainClassifier:
-    """token -> weight map with a bias, scored through a logistic link."""
+    """token -> weight map with a bias, scored through a logistic link.
+
+    No token may be spelled like the model file's bias line (`__bias__`),
+    which would load back as the bias.
+    """
 
     def __init__(self, lang: str, weights: dict[str, float], bias: float, tokenizer=None):
+        if _BIAS in weights:
+            raise ModelFormatError(f"token {_BIAS!r} is reserved for the bias")
         self.lang = lang
         self.weights = dict(weights)
         self.bias = float(bias)
@@ -193,12 +202,14 @@ def save_classifier(clf: DomainClassifier, path) -> None:
         fh.write(f"domcls-v1 {clf.lang}\n")
         for tok in sorted(clf.weights):
             fh.write(f"{tok}\t{clf.weights[tok]!r}\n")
-        fh.write(f"__bias__\t{clf.bias!r}\n")
+        fh.write(f"{_BIAS}\t{clf.bias!r}\n")
 
 
 def load_classifier(path, tokenizer=None) -> DomainClassifier:
+    """Read a save_classifier file. A line without a tab and a token (or the
+    bias line) given twice raise ModelFormatError naming the line."""
     weights = {}
-    bias = 0.0
+    seen: dict[str, int] = {}  # token -> line number
     with model_file(path, "domcls-v1") as (header, lines):
         (lang,) = header.split()
         for lineno, line in lines:
@@ -207,8 +218,9 @@ def load_classifier(path, tokenizer=None) -> DomainClassifier:
             tok, _, value = line.partition("\t")
             if not value:
                 raise ModelFormatError(f"line {lineno}: expected token<TAB>weight")
-            if tok == "__bias__":
-                bias = float(value)
-            else:
-                weights[tok] = float(value)
+            if tok in seen:
+                raise ModelFormatError(f"line {lineno}: repeats line {seen[tok]}")
+            seen[tok] = lineno
+            weights[tok] = float(value)
+        bias = weights.pop(_BIAS, 0.0)
         return DomainClassifier(lang, weights, bias, tokenizer)

@@ -8,9 +8,9 @@ through Scorer.next_dist (the whole distribution, for beam search and
 sampling) or Scorer.token_prob (one entry of it, for re-ranking), so the
 decoders never know which kind of model is behind them.
 
-numpy is imported inside the functions that do array math. Loading,
-training and saving an n-gram model and its token_prob are pure Python, so
-`mtkit rerank` over n-gram models starts without loading numpy.
+numpy is imported inside the functions that do array math. Training an
+n-gram model uses numpy; loading and saving one and its token_prob do not,
+so `mtkit rerank` over n-gram models starts without loading numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ import json
 import math
 import os
 import struct
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from operator import lt
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -77,7 +81,7 @@ def _write_checkpoint(path, metadata: dict, shapes: dict, tensor, dtype: str = "
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
         fh.write(header)
         for name in names:
-            fh.write(np.asarray(tensor(name), dtype=np_dtype).tobytes())
+            fh.write(np.ascontiguousarray(tensor(name), dtype=np_dtype))
 
 
 def save_checkpoint(tensors: dict, path, metadata: dict | None = None) -> None:
@@ -342,14 +346,24 @@ class NGramScorer(Scorer):
     than order-1 is not padded: the top orders reuse the whole (shorter)
     prefix, so an empty prefix scores every order with the unigram context.
 
-    The first next_dist call builds a per-context index (KenLM-style state
-    lookup): the token ids and counts of each context's grams, stored in two
-    flat arrays with offsets. Grams whose last id lies outside [0, V) count
-    toward their context's total but score no token.
+    Layout, as in KenLM: grams maps each gram length k that occurs to (ids,
+    counts), two array('q'); ids holds the k ids of each gram, the grams in
+    sorted order, and counts one count per gram. The constructor takes a
+    gram -> count dict; ngram_train and load_ngram_scorer build the arrays.
 
-    token_prob scores one token with dict lookups in counts and totals,
-    without numpy or the index: the same operations in the same order as
-    next_dist performs for that token, so it returns the same float.
+    Scoring reads per-context spans (KenLM's state). A context shorter than
+    `order` with a non-zero total count has a span (lo, hi, total), found on
+    its first use by bisecting the sorted grams of length len(ctx) + 1 one
+    id column at a time, then kept; a context without counts is searched
+    again each time, so no more spans are kept than the model has contexts.
+    Sorting puts a context's grams side by side, by last id, so [lo, hi)
+    indexes those whose last id lies in [0, V) in two flat arrays of last
+    ids and counts; grams with another last id count toward the total but
+    score no token, and the empty gram counts toward the total of the empty
+    context. next_dist adds a span's counts with numpy; token_prob finds one
+    count by a bisect in the span, without numpy, by the same operations in
+    the same order as next_dist performs for that token, so it returns the
+    same float.
 
     given_weights keeps the weights as passed in; weights holds them divided
     by their sum. A second division need not give the same floats, so the
@@ -358,6 +372,25 @@ class NGramScorer(Scorer):
 
     def __init__(self, order: int, vocab_size: int, eos_id: int, counts: dict,
                  weights, floor: float):
+        grams: dict[int, tuple[array, array]] = {}
+        try:
+            for gram, c in sorted((tuple(g), int(c)) for g, c in counts.items()):
+                ids, cnts = grams.setdefault(len(gram), (array("q"), array("q")))
+                ids.extend(gram)
+                cnts.append(c)
+        except (TypeError, OverflowError):
+            raise ModelFormatError("gram ids and counts must be int64 integers") from None
+        self._init(order, vocab_size, eos_id, grams, weights, floor)
+
+    @classmethod
+    def _from_arrays(cls, order: int, vocab_size: int, eos_id: int, grams: dict,
+                     weights, floor: float) -> NGramScorer:
+        """A model over grams already in the layout above: sorted, no repeats."""
+        m = cls.__new__(cls)
+        m._init(order, vocab_size, eos_id, grams, weights, floor)
+        return m
+
+    def _init(self, order, vocab_size, eos_id, grams, weights, floor) -> None:
         if order < 1:
             raise ModelFormatError("order must be >= 1")
         if not 0 <= eos_id < vocab_size:
@@ -375,59 +408,67 @@ class NGramScorer(Scorer):
         self.given_weights = weights
         self.weights = [w / sum(weights) for w in weights]
         self.floor = float(floor)
-        self.counts = {tuple(g): int(c) for g, c in counts.items()}
-        self.totals = {}
-        for gram, c in self.counts.items():
-            ctx = gram[:-1]
-            self.totals[ctx] = self.totals.get(ctx, 0) + c
-        self._index = None
+        self.grams = grams
+        self._empty = sum(grams[0][1]) if 0 in grams else 0
+        self._spans: dict[tuple, tuple] = {}  # context -> span, kept once found
+        self._orders = None  # _columns()
+        self._dense = None  # last and counts as numpy arrays, for next_dist
 
-    def _context_index(self):
-        """(spans, ids, counts): spans maps each queryable context with a
-        non-zero total to (lo, hi, total); ids[lo:hi] and counts[lo:hi] hold
-        its in-vocab grams.
+    def _columns(self) -> tuple[dict, array, array]:
+        """(columns, last, counts): columns maps each gram length k <= order
+        that occurs to (base, its k id columns); last and counts join the
+        last ids and counts of those lengths, k's from base on. Built on the
+        first scoring call, so training, loading and saving never build it."""
+        if self._orders is None:
+            columns, last, counts = {}, array("q"), array("q")
+            for k in range(1, self.order + 1):
+                if k in self.grams:
+                    ids, cnts = self.grams[k]
+                    columns[k] = len(last), [ids[j::k] for j in range(k)]
+                    last.extend(columns[k][1][-1])
+                    counts.extend(cnts)
+            self._orders = columns, last, counts
+        return self._orders
 
-        Built on first use rather than at construction, so training and
-        loading stay cheap.
-        """
-        if self._index is not None:
-            return self._index
-        import numpy as np
-        by_ctx: dict[tuple, list] = {}
-        for gram, c in self.counts.items():
-            if gram and c and 0 <= gram[-1] < self.vocab_size:
-                by_ctx.setdefault(gram[:-1], []).append((gram[-1], c))
-        ids, counts, spans = [], [], {}
-        for ctx, total in self.totals.items():
-            if total == 0 or len(ctx) >= self.order:
-                continue
-            grams = sorted(by_ctx.get(ctx, ()))
-            spans[ctx] = (len(ids), len(ids) + len(grams), float(total))
-            ids.extend(tok for tok, _ in grams)
-            counts.extend(float(c) for _, c in grams)
-        self._index = (
-            spans,
-            np.array(ids, dtype=np.intp),
-            np.array(counts, dtype=np.float64),
-        )
-        return self._index
+    def _span(self, ctx: tuple) -> tuple | None:
+        """The span of a context shorter than order, searched for and kept,
+        or None when its total count is 0 (see the class docstring)."""
+        columns, _, counts = self._columns()
+        base, cols = columns.get(len(ctx) + 1, (0, ()))
+        lo = hi = 0
+        total = 0 if ctx else self._empty
+        if cols:
+            hi = len(cols[0])
+            for col, i in zip(cols, ctx):  # the grams in [lo, hi) share ctx up to col
+                lo, hi = bisect_left(col, i, lo, hi), bisect_right(col, i, lo, hi)
+            total += sum(counts[base + lo:base + hi])
+            lo, hi = bisect_left(cols[-1], 0, lo, hi), bisect_left(cols[-1], self.vocab_size, lo, hi)
+        if not total:
+            return None
+        span = self._spans[ctx] = base + lo, base + hi, float(total)
+        return span
 
     def next_dist(self, source, prefix) -> np.ndarray:
         import numpy as np
         prefix = tuple(prefix)
-        spans, ids, counts = self._context_index()
+        _, last, counts = self._columns()
+        spans = self._spans
+        if self._dense is None:
+            self._dense = (np.frombuffer(last, dtype=np.int64),
+                           np.frombuffer(counts, dtype=np.int64).astype(np.float64))
+        ids, fcounts = self._dense
         interp = np.zeros(self.vocab_size)
         active = 0.0
         for k in range(1, self.order + 1):
             ctx = prefix[len(prefix) - (k - 1):] if k > 1 else ()
-            span = spans.get(ctx)
+            span = spans.get(ctx) or self._span(ctx)
             if span is None:
                 continue
             lo, hi, total = span
             w = self.weights[k - 1]
             active += w
             # per token, the same operations as the scalar w * c / total
-            interp[ids[lo:hi]] += w * counts[lo:hi] / total
+            interp[ids[lo:hi]] += w * fcounts[lo:hi] / total
         if active > 0:
             interp /= active
         else:
@@ -438,18 +479,21 @@ class NGramScorer(Scorer):
 
     def token_prob(self, source, prefix, tok: int) -> float:
         prefix = tuple(prefix)
+        _, last, counts = self._columns()
+        spans = self._spans
         p = 0.0
         active = 0.0
         for k in range(1, self.order + 1):
             ctx = prefix[len(prefix) - (k - 1):] if k > 1 else ()
-            total = self.totals.get(ctx, 0)
-            if total == 0:
+            span = spans.get(ctx) or self._span(ctx)
+            if span is None:
                 continue
+            lo, hi, total = span
             w = self.weights[k - 1]
             active += w
-            c = self.counts.get(ctx + (tok,), 0)
-            if c:
-                p += w * float(c) / float(total)
+            i = bisect_left(last, tok, lo, hi)
+            if i < hi and last[i] == tok and counts[i]:
+                p += w * float(counts[i]) / total
         p = p / active if active > 0 else 1.0 / self.vocab_size
         return (1.0 - self.floor * self.vocab_size) * p + self.floor
 
@@ -462,31 +506,55 @@ def ngram_train(corpus, order: int, *, vocab_size: int | None = None,
     vocab_size and eos_id default to one past the largest id seen and that
     same value respectively, so plain id corpora work without ceremony. The
     default floor scales down with vocab size to keep total floor mass small.
+
+    Counting takes one numpy sort per gram length k: each k-gram window is
+    keyed by the rank of its first k-1 ids among the distinct (k-1)-grams
+    and the rank of its last id among the distinct ids, so np.unique over
+    the keys counts the k-grams in sorted order.
     """
+    import numpy as np
     if order < 1:
         raise ConfigError("order must be >= 1")
-    sequences = [list(seq) for seq in corpus]
-    if not any(sequences):
+    sequences = [seq for seq in map(list, corpus) if seq]
+    if not sequences:
         raise EmptyInputError("ngram_train: no tokens in corpus")
-    max_id = max(max(seq) for seq in sequences if seq)
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences)) + 1
+    ends = np.cumsum(lengths)  # one past each sentence's eos in the token stream
+    body = np.array(list(chain.from_iterable(sequences)))
+    if body.dtype != np.int64:  # a float, a string or an int past int64 in the corpus
+        raise ConfigError("ngram_train: ids must be integers in the int64 range")
+    max_id = int(body.max())
     if eos_id is None:
         eos_id = max_id + 1
     if vocab_size is None:
         vocab_size = max(max_id, eos_id) + 1
-    counts: dict[tuple, int] = {}
-    for seq in sequences:
-        if not seq:
-            continue
-        toks = seq + [eos_id]
-        for k in range(1, order + 1):
-            for i in range(len(toks) - k + 1):
-                gram = tuple(toks[i : i + k])
-                counts[gram] = counts.get(gram, 0) + 1
+    stream = np.full(int(ends[-1]), eos_id, dtype=np.int64)
+    is_body = np.ones(len(stream), dtype=bool)
+    is_body[ends - 1] = False
+    stream[is_body] = body
+    sentence_end = np.repeat(ends, lengths)
+    ids, rank, cnts = np.unique(stream, return_inverse=True, return_counts=True)
+    last_rank = rank
+    rows = ids[:, None]  # the distinct k-grams in sorted order
+    starts = np.arange(len(stream))  # where each k-gram window starts
+    # on entering step k, rank[i] is the rank of the (k-1)-gram at starts[i]
+    grams = {}
+    for k in range(1, order + 1):
+        if k > 1:
+            keep = starts + k <= sentence_end[starts]
+            starts, rank = starts[keep], rank[keep]
+            if not len(starts):
+                break
+            # both ranks are below len(stream), so the key fits in int64
+            keys, rank, cnts = np.unique(rank * len(ids) + last_rank[starts + k - 1],
+                                         return_inverse=True, return_counts=True)
+            rows = np.column_stack([rows[keys // len(ids)], ids[keys % len(ids)]])
+        grams[k] = array("q", rows.tobytes()), array("q", cnts.astype(np.int64).tobytes())
     if weights is None:
         weights = [1.0 / order] * order
     if floor is None:
         floor = min(1e-4, 0.1 / vocab_size)
-    return NGramScorer(order, vocab_size, eos_id, counts, weights, floor)
+    return NGramScorer._from_arrays(order, vocab_size, eos_id, grams, weights, floor)
 
 
 # n-gram file, ngram-v2 text: the header line "ngram-v2 <order> <V> <eos>",
@@ -494,29 +562,44 @@ def ngram_train(corpus, order: int, *, vocab_size: int | None = None,
 # constructor normalizes on load to the same floats as before the save), then
 # for each gram length k that occurs, in increasing k, the line
 # "grams <k> <ids>" (k ids per gram, the grams in sorted order) and the line
-# "counts <k> <counts>" (one count per gram, in the same order). One line per
-# gram length lets the loader parse a whole order with one int() map and key
-# it with one zip, so no Python code runs per gram.
+# "counts <k> <counts>" (one count per gram, in the same order): the arrays
+# of NGramScorer.grams, written and read as they are.
 
 def save_ngram_scorer(m: NGramScorer, path) -> None:
     """Write m as an ngram-v2 file (layout above)."""
-    by_len: dict[int, list[tuple]] = {}
-    for gram in sorted(m.counts):
-        by_len.setdefault(len(gram), []).append(gram)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"ngram-v2 {m.order} {m.vocab_size} {m.eos_id}\n")
         fh.write(f"floor {m.floor!r}\n")
         fh.write("weights " + " ".join(repr(w) for w in m.given_weights) + "\n")
-        for k, grams in sorted(by_len.items()):
-            fh.write(" ".join(["grams", str(k), *(str(i) for gram in grams for i in gram)]) + "\n")
-            fh.write(" ".join(["counts", str(k), *(str(m.counts[gram]) for gram in grams)]) + "\n")
+        for k, (ids, counts) in sorted(m.grams.items()):
+            fh.write(f"grams {k}" + (" %d" * len(ids)) % tuple(ids) + "\n")
+            fh.write(f"counts {k}" + (" %d" * len(counts)) % tuple(counts) + "\n")
+
+
+def _check_sorted(ids: array, k: int, n: int, lineno: int) -> None:
+    """Raise ModelFormatError naming the line unless the n grams of k ids in
+    ids are in strictly increasing order, which also rules out a repeat.
+    map releases each pair of zip tuples before the next, so zip reuses
+    them and no tuple is built per gram."""
+    if n < 2:
+        return
+    cols = [ids[j::k] for j in range(k)]
+    ordered = list(map(lt, zip(*cols), zip(*(c[1:] for c in cols)))) if k else [False]
+    if all(ordered):
+        return
+    i = ordered.index(False) + 1
+    gram = " ".join(map(str, ids[i * k:i * k + k]))
+    what = "repeats" if ids[i * k - k:i * k] == ids[i * k:i * k + k] else "sorts before"
+    raise ModelFormatError(f"line {lineno}: {k}-gram {i + 1} ({gram}) {what} the one before it")
 
 
 def load_ngram_scorer(path) -> NGramScorer:
-    """Read a save_ngram_scorer file (layout above). Besides a malformed
-    field, a repeated line, a grams line without its counts line or the
-    reverse, an id count that is not k times the count count, a gram listed
-    twice and a negative count raise ModelFormatError naming the line."""
+    """Read a save_ngram_scorer file (layout above), each grams and counts
+    line straight into an array('q'). Besides a malformed field, a repeated
+    line, a grams line without its counts line or the reverse, an id count
+    that is not k times the count count, grams out of sorted order or listed
+    twice, a negative count and a value outside the int64 range raise
+    ModelFormatError naming the line."""
     found: dict = {}  # "floor", "weights", ("grams", k), ("counts", k) -> (line no, values)
     with model_file(path, "ngram-v2") as (header, lines):
         order, vocab_size, eos_id = (int(x) for x in header.split())
@@ -535,36 +618,39 @@ def load_ngram_scorer(path) -> NGramScorer:
                 raise ModelFormatError(f"line {lineno}: unknown line kind {kind!r}")
             if key in found:
                 raise ModelFormatError(f"line {lineno}: repeats line {found[key][0]}")
-            found[key] = lineno, list(map(parse, rest.split()))
+            values = list(map(parse, rest.split()))
+            if parse is int:
+                try:
+                    values = array("q", values)
+                except OverflowError:
+                    raise ModelFormatError(f"line {lineno}: a value outside the int64 range") from None
+            found[key] = lineno, values
         if "floor" not in found or "weights" not in found:
             raise ModelFormatError("missing floor or weights line")
         floor_line, floor = found.pop("floor")
         if len(floor) != 1:
             raise ModelFormatError(f"line {floor_line}: expected one floor value")
         _, weights = found.pop("weights")
-        counts: dict[tuple, int] = {}
-        for (kind, k), (lineno, values) in found.items():
+        grams = {}
+        for (kind, k), (lineno, ids) in found.items():
             if kind == "counts":
                 if ("grams", k) not in found:
                     raise ModelFormatError(f"line {lineno}: counts {k} has no grams {k} line")
                 continue
             if ("counts", k) not in found:
                 raise ModelFormatError(f"line {lineno}: grams {k} has no counts {k} line")
-            counts_line, cnts = found["counts", k]
-            if len(values) != k * len(cnts):
+            counts_line, counts = found["counts", k]
+            if len(ids) != k * len(counts):
                 raise ModelFormatError(
-                    f"line {lineno}: {len(values)} ids for the {len(cnts)} counts of line "
+                    f"line {lineno}: {len(ids)} ids for the {len(counts)} counts of line "
                     f"{counts_line}, not {k} per gram")
-            if not cnts:
-                continue  # lists no grams; zip would build a k-long list for nothing
-            if min(cnts) < 0:
+            if not counts:
+                continue  # lists no grams
+            if min(counts) < 0:
                 raise ModelFormatError(f"line {counts_line}: negative count")
-            grams = list(zip(*[iter(values)] * k)) if k else [()] * len(cnts)
-            before = len(counts)
-            counts.update(zip(grams, cnts))
-            if len(counts) != before + len(grams):
-                raise ModelFormatError(f"line {lineno}: a {k}-gram is listed twice")
-        return NGramScorer(order, vocab_size, eos_id, counts, weights, floor[0])
+            _check_sorted(ids, k, len(counts), lineno)
+            grams[k] = ids, counts
+        return NGramScorer._from_arrays(order, vocab_size, eos_id, grams, weights, floor[0])
 
 
 # ---------------------------------------------------------------------------

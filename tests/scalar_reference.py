@@ -1,9 +1,10 @@
 """Scalar reference implementations of the optimized layers.
 
 These are the original one-token-at-a-time loops of `beam_search`,
-`topk_sample` and `NGramScorer.next_dist`, an exhaustive search over every
-terminated sequence, the `next_dist`-based loops of
-`sequence_logprob` and `noisy_channel_rerank`, the recount-every-pair
+`topk_sample` and `NGramScorer.next_dist`, the dict loop that counted the
+grams of `ngram_train`, the gram-by-gram writer of `save_ngram_scorer`, an
+exhaustive search over every terminated sequence, the `next_dist`-based
+loops of `sequence_logprob` and `noisy_channel_rerank`, the recount-every-pair
 merge loop of `bpe_train`, and a per-element loop for the checkpoint
 mean of `average_checkpoint_files`, kept for the tests only. The library versions
 must agree with them exactly (`==` on every float, merge and vocab id).
@@ -161,19 +162,62 @@ def reference_topk_sample(fwd, source, cfg: DecodeConfig) -> Candidate:
     return Candidate(tokens=tokens, fwd_logprob=fwd_sum, fused_score=fwd_sum)
 
 
+def reference_ngram_counts(corpus, order: int, eos_id: int) -> dict:
+    """gram -> count of every k-gram (k <= order) of the non-empty id
+    sequences, eos appended to each: the dict loop ngram_train ran before it
+    counted with numpy."""
+    counts: dict[tuple, int] = {}
+    for seq in corpus:
+        seq = list(seq)
+        if not seq:
+            continue
+        toks = seq + [eos_id]
+        for k in range(1, order + 1):
+            for i in range(len(toks) - k + 1):
+                gram = tuple(toks[i : i + k])
+                counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def ngram_gram_counts(model) -> dict:
+    """gram -> count, read one gram at a time from a model's per-length arrays."""
+    return {tuple(ids[i * k:i * k + k]): c
+            for k, (ids, counts) in model.grams.items() for i, c in enumerate(counts)}
+
+
+def reference_ngram_file(order, vocab_size, eos_id, counts: dict, weights, floor) -> str:
+    """The ngram-v2 text of a model built from a gram -> count dict, formatted
+    one gram at a time from the sorted dict."""
+    lines = [f"ngram-v2 {order} {vocab_size} {eos_id}", f"floor {float(floor)!r}",
+             "weights " + " ".join(repr(float(w)) for w in weights)]
+    by_len: dict[int, list] = {}
+    for gram in sorted(counts):
+        by_len.setdefault(len(gram), []).append(gram)
+    for k, grams in sorted(by_len.items()):
+        lines.append(" ".join(["grams", str(k), *(str(i) for gram in grams for i in gram)]))
+        lines.append(" ".join(["counts", str(k), *(str(counts[gram]) for gram in grams)]))
+    return "\n".join(lines) + "\n"
+
+
 def reference_ngram_next_dist(model, prefix) -> np.ndarray:
+    """next_dist from count and total dicts built here from the model's grams,
+    one token of the vocab at a time."""
+    counts = ngram_gram_counts(model)
+    totals: dict[tuple, int] = {}
+    for gram, c in counts.items():
+        totals[gram[:-1]] = totals.get(gram[:-1], 0) + c
     prefix = tuple(prefix)
     interp = np.zeros(model.vocab_size)
     active = 0.0
     for k in range(1, model.order + 1):
         ctx = prefix[len(prefix) - (k - 1):] if k > 1 else ()
-        total = model.totals.get(ctx, 0)
+        total = totals.get(ctx, 0)
         if total == 0:
             continue
         w = model.weights[k - 1]
         active += w
         for tok in range(model.vocab_size):
-            c = model.counts.get(ctx + (tok,), 0)
+            c = counts.get(ctx + (tok,), 0)
             if c:
                 interp[tok] += w * c / total
     if active > 0:

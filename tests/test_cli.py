@@ -205,6 +205,18 @@ def test_tokenize_detokenize_roundtrip(tmp_path):
     assert _read(back) == ["Hello, world."]
 
 
+def test_detok_ignores_lang(tmp_path):
+    # detokenize takes no language, so --lang leaves --detok output as it is
+    inp = tmp_path / "tok.txt"
+    _write(inp, ['Er sagte " Hallo " , ( ja ) .', "Он сказал : « да » ?", "It 's $ 5 !"])
+    outputs = []
+    for lang in ("en", "de", "ru"):
+        out = tmp_path / f"{lang}.txt"
+        assert run(["tokenize", str(inp), "-o", str(out), "--detok", "--lang", lang]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_detok_german_quotes(tmp_path):
     inp = tmp_path / "tok.txt"
     out = tmp_path / "text.txt"
@@ -315,6 +327,9 @@ _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
     pytest.param("domain-select", _DOMCLS, _DOMCLS + "bar\tx\n", id="domcls weight not float"),
     pytest.param("domain-select", _DOMCLS, (_DOMCLS + "caf\xe9\t0.5\n").encode("latin-1"),
                  id="domcls not utf-8"),
+    pytest.param("domain-select", _DOMCLS, _DOMCLS + "foo\t-3.0\n", id="domcls token repeated"),
+    pytest.param("domain-select", _DOMCLS, _DOMCLS + "__bias__\t0.0\n__bias__\t2.0\n",
+                 id="domcls bias repeated"),
 ])
 def test_malformed_model_file_exits_1(tmp_path, capsys, command, good, bad):
     model = tmp_path / "model.txt"

@@ -15,7 +15,7 @@ from mtkit.domain import (
     load_classifier,
     save_classifier,
 )
-from mtkit.errors import EmptyInputError
+from mtkit.errors import EmptyInputError, ModelFormatError
 
 from conftest import MED_EN, MED_RU, NEWS_EN, NEWS_RU, make_domain_line
 
@@ -287,6 +287,18 @@ def test_classifier_save_load_roundtrip(tmp_path, clf_en):
     for _ in range(30):
         line = make_domain_line(rng, MED_EN, NEWS_EN)
         assert loaded.score(line) == clf_en.score(line)
+
+
+def test_classifier_roundtrip_and_reserved_bias_token(tmp_path):
+    # a token spelled like the bias line would load back as the bias
+    path = tmp_path / "clf.txt"
+    clf = DomainClassifier("en", {"foo": -0.25, "__bias": 0.5, "bias": 1.0}, 1.5)
+    save_classifier(clf, path)
+    loaded = load_classifier(path)
+    assert (loaded.weights, loaded.bias) == (clf.weights, clf.bias)
+    assert loaded.score("__bias__ foo bias") == clf.score("__bias__ foo bias")
+    with pytest.raises(ModelFormatError, match="'__bias__' is reserved"):
+        DomainClassifier("en", {"__bias__": 1.5, "foo": -0.25}, 0.0)
 
 
 def test_classifier_load_bad_header(tmp_path):

@@ -81,6 +81,13 @@ _NGRAM_HEAD = "ngram-v2 2 4 3\nfloor 0.01\nweights 0.5 0.5\n"
     pytest.param(_NGRAM_HEAD + "grams 0\ncounts 0 1 5\n", 4, id="empty gram listed twice"),
     pytest.param(_NGRAM_HEAD + "grams 2 0 1 1 2 0 1\ncounts 2 1 1 1\n", 4,
                  id="2-gram listed twice"),
+    pytest.param(_NGRAM_HEAD + "grams 1 2 0\ncounts 1 1 1\n", 4, id="grams out of order"),
+    pytest.param(_NGRAM_HEAD + "grams 2 0 2 0 1\ncounts 2 1 1\n", 4,
+                 id="2-grams out of order"),
+    pytest.param(_NGRAM_HEAD + "grams 1 9223372036854775808\ncounts 1 1\n", 4,
+                 id="id outside int64"),
+    pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 9223372036854775808\n", 5,
+                 id="count outside int64"),
     pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 1\ngrams 2 0 1\n", 6,
                  id="grams without counts"),
     pytest.param(_NGRAM_HEAD + "counts 2 1\ngrams 1 0\ncounts 1 1\n", 4,
@@ -120,6 +127,18 @@ def test_repeated_langid_line_names_both_lines(tmp_path, extra, first):
     with pytest.raises(ModelFormatError) as err:
         corpus.load_langid(path)
     assert str(err.value) == f"{path}: line 5: repeats line {first}"
+
+
+@pytest.mark.parametrize("extra, first", [
+    pytest.param("foo\t-3.0\n", 2, id="token"),
+    pytest.param("__bias__\t2.0\n", 3, id="bias"),
+])
+def test_repeated_domcls_line_names_both_lines(tmp_path, extra, first):
+    path = tmp_path / "clf.model"
+    path.write_text("domcls-v1 en\nfoo\t0.5\n__bias__\t0.0\n" + extra, encoding="utf-8")
+    with pytest.raises(ModelFormatError) as err:
+        domain.load_classifier(path)
+    assert str(err.value) == f"{path}: line 4: repeats line {first}"
 
 
 def test_ngram_v1_file_is_rejected(tmp_path):

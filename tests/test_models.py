@@ -598,6 +598,12 @@ def test_ngram_train_validation():
         NGramScorer(2, 4, 3, {}, [0.5], floor=1e-4)  # weight count != order
     with pytest.raises(ModelFormatError):
         NGramScorer(2, 4, 3, {}, [1e308, 1e308], floor=1e-4)  # weight sum overflows
+    with pytest.raises(ModelFormatError):
+        NGramScorer(2, 4, 3, {(0, 2 ** 63): 1}, [0.5, 0.5], floor=1e-4)  # id outside int64
+    with pytest.raises(ValueError):
+        ngram_train([[0, 2 ** 63]], order=2)  # id outside int64
+    with pytest.raises(ValueError):
+        ngram_train([[0, 1.5]], order=2)  # not an integer id
 
 
 def test_ngram_save_load_roundtrip(tmp_path):
@@ -609,7 +615,7 @@ def test_ngram_save_load_roundtrip(tmp_path):
     loaded = load_ngram_scorer(path)
     assert (loaded.order, loaded.vocab_size, loaded.eos_id) == (m.order, m.vocab_size, m.eos_id)
     assert loaded.floor == m.floor and loaded.weights == m.weights
-    assert loaded.counts == m.counts
+    assert loaded.grams == m.grams
     for _ in range(20):
         prefix = tuple(rng.randrange(m.vocab_size) for _ in range(rng.randint(0, 3)))
         assert np.array_equal(loaded.next_dist((), prefix), m.next_dist((), prefix))
@@ -619,4 +625,4 @@ def test_ngram_train_deterministic():
     corpus = [[0, 1, 2, 1], [1, 2], [0, 0, 1]]
     a = ngram_train(corpus, order=2)
     b = ngram_train([list(s) for s in corpus], order=2)
-    assert a.counts == b.counts and a.weights == b.weights and a.floor == b.floor
+    assert a.grams == b.grams and a.weights == b.weights and a.floor == b.floor

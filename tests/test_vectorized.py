@@ -21,7 +21,7 @@ from mtkit.decode import (
     noisy_channel_rerank,
     topk_sample,
 )
-from mtkit.errors import NoCompletedHypothesisError
+from mtkit.errors import EmptyInputError, NoCompletedHypothesisError
 from mtkit.models import (
     NGramScorer,
     Scorer,
@@ -34,7 +34,10 @@ from mtkit.models import (
 from conftest import make_table_scorer
 from scalar_reference import (
     exact_search,
+    ngram_gram_counts,
     reference_beam_search,
+    reference_ngram_counts,
+    reference_ngram_file,
     reference_ngram_next_dist,
     reference_noisy_channel_rerank,
     reference_topk_sample,
@@ -329,7 +332,7 @@ def test_ngram_short_prefix_reuses_shorter_context():
     # an empty prefix scores every order with the unigram context
     m = ngram_train([[0, 1, 2], [1, 1]], 3, weights=[0.2, 0.3, 0.5])
     unigram = NGramScorer(1, m.vocab_size, m.eos_id,
-                          {g: c for g, c in m.counts.items() if len(g) == 1},
+                          {g: c for g, c in ngram_gram_counts(m).items() if len(g) == 1},
                           [1.0], m.floor)
     np.testing.assert_allclose(m.next_dist((), ()), unigram.next_dist((), ()),
                                rtol=1e-12)
@@ -383,9 +386,10 @@ def test_ngram_lazy_index_is_safe_under_threads():
 
 
 @st.composite
-def _ngram_scorers(draw, vocab=st.integers(2, 6)):
-    """NGramScorers built straight from counts: orders 1-4, grams (the empty
-    one too) whose ids may lie outside [0, V), zero counts and zero weights."""
+def _ngram_args(draw, vocab=st.integers(2, 6)):
+    """NGramScorer arguments (order, V, eos, counts, weights, floor): orders
+    1-4, grams (the empty one too) whose ids may lie outside [0, V), zero
+    counts and zero weights."""
     order = draw(st.integers(1, 4))
     vocab = draw(vocab)
     ids = st.integers(0, vocab - 1) | st.sampled_from([-1, vocab, vocab + 2])
@@ -394,22 +398,56 @@ def _ngram_scorers(draw, vocab=st.integers(2, 6)):
     weights = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0, 10),
                             min_size=order, max_size=order).filter(lambda w: sum(w) > 0))
     floor = draw(st.floats(1e-9, 0.99 / vocab))
-    return NGramScorer(order, vocab, draw(st.integers(0, vocab - 1)), counts, weights, floor)
+    return order, vocab, draw(st.integers(0, vocab - 1)), counts, weights, floor
+
+
+def _ngram_scorers(vocab=st.integers(2, 6)):
+    return _ngram_args(vocab).map(lambda args: NGramScorer(*args))
 
 
 _ONE_TOKEN = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 @_ONE_TOKEN
+@given(corpus=st.lists(st.lists(st.integers(-2, 8), max_size=7), max_size=8),
+       order=st.integers(1, 5), eos=st.integers(0, 5))
+def test_ngram_train_counts_match_scalar_reference(corpus, order, eos):
+    # empty sequences, negative ids, ids >= V and orders past a sentence's
+    # length; each length's grams are sorted and paired with their counts
+    if not any(corpus):
+        with pytest.raises(EmptyInputError):
+            ngram_train(corpus, order, vocab_size=6, eos_id=eos)
+        return
+    m = ngram_train(corpus, order, vocab_size=6, eos_id=eos)
+    expected: dict[int, tuple[list, list]] = {}
+    for gram, c in sorted(reference_ngram_counts(corpus, order, eos).items()):
+        ids, counts = expected.setdefault(len(gram), ([], []))
+        ids.extend(gram)
+        counts.append(c)
+    assert {k: (list(ids), list(counts)) for k, (ids, counts) in m.grams.items()} == expected
+
+
+@_ONE_TOKEN
+@given(args=_ngram_args())
+def test_ngram_file_matches_scalar_writer(tmp_path_factory, args):
+    path = tmp_path_factory.mktemp("ngram") / "lm.ngram"
+    save_ngram_scorer(NGramScorer(*args), path)
+    assert path.read_text(encoding="utf-8") == reference_ngram_file(*args)
+
+
+@_ONE_TOKEN
 @given(m=_ngram_scorers(), data=st.data())
 def test_ngram_token_prob_is_next_dist_entry(m, data):
+    # and next_dist is the scalar reference's, for the empty gram, zero
+    # counts and out-of-vocab ids too
     ids = st.integers(0, m.vocab_size - 1) | st.sampled_from([-1, m.vocab_size + 2])
     prefixes = data.draw(st.lists(st.lists(ids, max_size=5).map(tuple), max_size=6))
-    seen = [gram[:-1] for gram in m.counts]  # contexts seen in training
+    seen = [gram[:-1] for gram in ngram_gram_counts(m)]  # contexts seen in training
     prefixes += [()] + seen + [(0,) + ctx for ctx in seen]
     for prefix in prefixes:
         got = [m.token_prob((1,), prefix, tok) for tok in range(m.vocab_size)]
         assert _bits(got) == _bits(m.next_dist((1,), prefix)), prefix
+        assert _bits(got) == _bits(reference_ngram_next_dist(m, prefix)), prefix
 
 
 @_ONE_TOKEN
@@ -421,11 +459,11 @@ def test_ngram_file_roundtrip_is_bit_exact(tmp_path_factory, m, data):
     save_ngram_scorer(m, path)
     loaded = load_ngram_scorer(path)
     assert (loaded.order, loaded.vocab_size, loaded.eos_id) == (m.order, m.vocab_size, m.eos_id)
-    assert loaded.counts == m.counts
+    assert loaded.grams == m.grams
     assert loaded.weights == m.weights and loaded.floor == m.floor
     ids = st.integers(0, m.vocab_size - 1) | st.sampled_from([-1, m.vocab_size + 2])
     prefixes = data.draw(st.lists(st.lists(ids, max_size=5).map(tuple), max_size=4))
-    prefixes += [()] + [gram[:-1] for gram in m.counts]
+    prefixes += [()] + [gram[:-1] for gram in ngram_gram_counts(m)]
     for prefix in prefixes:
         assert _bits(loaded.next_dist((1,), prefix)) == _bits(m.next_dist((1,), prefix)), prefix
         assert _bits([loaded.token_prob((1,), prefix, t) for t in range(m.vocab_size)]) == \
