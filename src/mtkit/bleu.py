@@ -33,6 +33,17 @@ def _ngram_counts(tokens: list, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _ngram_stats(hyp: list, ref: list) -> list[tuple[int, int]]:
+    """Per order n = 1..min(len(hyp), MAX_ORDER): (matches of hyp's n-grams
+    in ref, each clipped at its count in ref, number of n-grams in hyp)."""
+    stats = []
+    for n in range(1, min(len(hyp), MAX_ORDER) + 1):
+        ref_counts = _ngram_counts(ref, n)
+        stats.append((sum(min(cnt, ref_counts[g]) for g, cnt in _ngram_counts(hyp, n).items()),
+                      len(hyp) - n + 1))
+    return stats
+
+
 def corpus_bleu(hyps, refs) -> BleuResult:
     """Aggregate clipped n-gram matches over the corpus, then combine.
 
@@ -54,18 +65,11 @@ def corpus_bleu(hyps, refs) -> BleuResult:
     for hyp, ref in zip(hyps, refs):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, MAX_ORDER + 1):
-            total[n - 1] += max(len(hyp) - n + 1, 0)
-            if len(hyp) < n:
-                continue
-            ref_counts = _ngram_counts(ref, n)
-            matched[n - 1] += sum(
-                min(cnt, ref_counts[g]) for g, cnt in _ngram_counts(hyp, n).items()
-            )
+        for i, (m, n_grams) in enumerate(_ngram_stats(hyp, ref)):
+            matched[i] += m
+            total[i] += n_grams
 
-    precisions = tuple(
-        (matched[i] / total[i]) if total[i] > 0 else 1.0 for i in range(MAX_ORDER)
-    )
+    precisions = tuple(m / t if t > 0 else 1.0 for m, t in zip(matched, total))
     if hyp_len == 0:
         return BleuResult(0.0, precisions, 0.0, 0, ref_len)
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
@@ -89,13 +93,8 @@ def sentence_bleu(hyp, ref) -> float:
     if not hyp:
         return 0.0
     log_sum = 0.0
-    for n in range(1, MAX_ORDER + 1):
-        denom = len(hyp) - n + 1
-        if denom <= 0:
-            continue  # log(1) == 0
-        ref_counts = _ngram_counts(ref, n)
-        m = sum(min(cnt, ref_counts[g]) for g, cnt in _ngram_counts(hyp, n).items())
-        log_sum += math.log((m if m > 0 else _EPS) / denom)
+    for m, n_grams in _ngram_stats(hyp, ref):  # an order past len(hyp) adds log(1) == 0
+        log_sum += math.log((m if m > 0 else _EPS) / n_grams)
     bp = 1.0 if len(hyp) > len(ref) else math.exp(1.0 - len(ref) / len(hyp))
     return bp * math.exp(log_sum / MAX_ORDER) * 100.0
 
@@ -104,14 +103,9 @@ def oracle_select(hyps, ref):
     """Return (best hypothesis, its sentence BLEU); first index wins ties."""
     if not hyps:
         raise EmptyInputError("oracle_select requires at least one candidate")
-    best_hyp = None
-    best_score = -1.0
-    for hyp in hyps:
-        score = sentence_bleu(hyp, ref)
-        if score > best_score:
-            best_hyp = hyp
-            best_score = score
-    return best_hyp, best_score
+    scores = [sentence_bleu(hyp, ref) for hyp in hyps]
+    best = scores.index(max(scores))
+    return hyps[best], scores[best]
 
 
 def oracle_corpus_bleu(hyps_per_sentence, refs) -> tuple[BleuResult, list]:

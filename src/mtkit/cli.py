@@ -5,10 +5,11 @@ stdin), data goes to --output/-o and side outputs such as --report ('-' for
 stdout), logs go to stderr, all randomness flows from --seed. filter, decode,
 sample and tune-lambda accept --threads so existing scripts keep working, but
 ignore it: every stage runs on one thread, because worker pools bound by the
-interpreter lock ran slower than one thread. Every output file is written to
-a temporary file beside it and renamed into place only when the subcommand
-succeeds, so a failed run leaves no partial file behind and an existing file
-unchanged.
+interpreter lock ran slower than one thread. filter, decode and tune-lambda
+draw no random numbers, so they accept --seed and ignore it too. Every
+output file is written to a temporary file beside it and renamed into place
+only when the subcommand succeeds, so a failed run leaves no partial file
+behind and an existing file unchanged.
 
 Imports: each stage runs as its own process in a pipeline, so start-up is
 paid per stage, and where bytecode writing is off (PYTHONDONTWRITEBYTECODE)
@@ -97,6 +98,21 @@ def _bpe_tokenizer(path: str | None):
     return lambda text: [model.id_to_token[i] for i in bpe.bpe_encode(model, text)]
 
 
+def _map_lines(args, convert) -> int:
+    """The per-line stages: write convert(index, line), the newline stripped
+    from line, for each line of args.input to args.output."""
+    with _open_in(args.input) as src, _open_out(args.output) as out:
+        for idx, line in enumerate(src):
+            out.write(convert(idx, line.rstrip("\n")) + "\n")
+    return 0
+
+
+def _read_text(path: str) -> list[str]:
+    """The non-blank lines of `path`, newlines stripped."""
+    with _open_in(path) as fh:
+        return [line.rstrip("\n") for line in fh if line.strip()]
+
+
 def _read_ids(path: str, nonempty: bool = False) -> list[list[int]]:
     """One id list per line of `path`; with `nonempty`, a line with no ids is
     an error."""
@@ -126,27 +142,17 @@ def _read_tsv(src, stage: str, path: str, skipped=None):
 def cmd_normalize(args) -> int:
     from . import textnorm
     rules = textnorm.load_rules(args.rules) if args.rules else None
-    with _open_in(args.input) as src, _open_out(args.output) as out:
-        for line in src:
-            out.write(textnorm.normalize_punct(line.rstrip("\n"), rules) + "\n")
-    return 0
+    return _map_lines(args, lambda _, line: textnorm.normalize_punct(line, rules))
 
 
 def cmd_tokenize(args) -> int:
     from . import textnorm
     if args.german_quotes and not args.detok:
         raise ConfigError("--german-quotes applies to --detok output only")
-    with _open_in(args.input) as src, _open_out(args.output) as out:
-        for line in src:
-            line = line.rstrip("\n")
-            if args.detok:
-                text = textnorm.detokenize(line.split())
-                if args.german_quotes:
-                    text = textnorm.german_quote_postprocess(text)
-                out.write(text + "\n")
-            else:
-                out.write(" ".join(textnorm.word_tokenize(line, lang=args.lang)) + "\n")
-    return 0
+    if args.detok:
+        quotes = textnorm.german_quote_postprocess if args.german_quotes else (lambda text: text)
+        return _map_lines(args, lambda _, line: quotes(textnorm.detokenize(line.split())))
+    return _map_lines(args, lambda _, line: " ".join(textnorm.word_tokenize(line, lang=args.lang)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +172,14 @@ def cmd_bpe_encode(args) -> int:
     from . import bpe
     bpe.check_dropout(args.dropout)
     model = bpe.load_model(args.model)
-    with _open_in(args.input) as src, _open_out(args.output) as out:
-        for idx, line in enumerate(src):
-            ids = bpe.bpe_encode(
-                model, line.rstrip("\n"), dropout_p=args.dropout, seed=args.seed + idx
-            )
-            out.write(" ".join(str(i) for i in ids) + "\n")
-    return 0
+    return _map_lines(args, lambda idx, line: " ".join(map(str, bpe.bpe_encode(
+        model, line, dropout_p=args.dropout, seed=args.seed + idx))))
 
 
 def cmd_bpe_decode(args) -> int:
     from . import bpe
     model = bpe.load_model(args.model)
-    with _open_in(args.input) as src, _open_out(args.output) as out:
-        for line in src:
-            out.write(bpe.bpe_decode(model, _parse_ids(line)) + "\n")
-    return 0
+    return _map_lines(args, lambda _, line: bpe.bpe_decode(model, _parse_ids(line)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +229,7 @@ def cmd_langid_train(args) -> int:
         code, _, path = spec_item.partition("=")
         if not path:
             raise ConfigError(f"langid-train data: expected CODE=PATH, got {spec_item!r}")
-        with _open_in(path) as fh:
-            labeled.extend((line.rstrip("\n"), code) for line in fh if line.strip())
+        labeled.extend((line, code) for line in _read_text(path))
     model = corpus.langid_train(
         labeled, seed=args.seed, n_features=args.features,
         epochs=args.epochs, lr=args.lr,
@@ -277,12 +274,8 @@ def cmd_reverse_target(args) -> int:
 def cmd_domain_train(args) -> int:
     from . import domain
     tokenizer = _bpe_tokenizer(args.bpe)
-    with _open_in(args.positives) as fh:
-        positives = [line.rstrip("\n") for line in fh if line.strip()]
-    with _open_in(args.negatives) as fh:
-        negatives = [line.rstrip("\n") for line in fh if line.strip()]
     clf = domain.domain_train(
-        positives, negatives, seed=args.seed, lang=args.lang,
+        _read_text(args.positives), _read_text(args.negatives), seed=args.seed, lang=args.lang,
         tokenizer=tokenizer, epochs=args.epochs, lr=args.lr,
     )
     with staged(args.model_out) as tmp:
@@ -352,7 +345,6 @@ def _decode_config(args, fusion_lambda: float = 0.0):
         n_candidates=args.n_candidates,
         length_penalty_alpha=args.alpha,
         fusion_lambda=fusion_lambda,
-        seed=args.seed,
     )
 
 
@@ -490,8 +482,10 @@ def _add_io(sub, input_positional: bool = True) -> None:
     sub.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=0)
+def _add_common(sub, seeded: bool = False) -> None:
+    sub.add_argument("--seed", type=int, default=0, help=(
+        "sentence i draws from SEED + i" if seeded else
+        "accepted for compatibility and ignored; this stage draws no random numbers"))
     sub.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility and ignored; every stage runs on one thread")
 
@@ -614,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="top-k sampled generation")
     _add_io(p)
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.add_argument("--model", nargs="+", required=True)
     p.add_argument("--k", type=int, default=500)
     p.add_argument("--max-len", type=int, default=50)

@@ -33,7 +33,7 @@ from .errors import (
     NoCompletedHypothesisError,
     VocabMismatchError,
 )
-from .models import _NORM_TOL, Scorer
+from .models import _NORM_TOL, Scorer, check_same_vocab
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,10 +109,7 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
     if lam > 0:
         if lm is None:
             raise ConfigError("fusion_lambda > 0 requires a language model")
-        if lm.vocab_size != fwd.vocab_size:
-            raise VocabMismatchError(
-                f"lm vocab {lm.vocab_size} != forward vocab {fwd.vocab_size}"
-            )
+        check_same_vocab((fwd, lm), "forward and lm")
     vocab_size = fwd.vocab_size
     eos = fwd.eos_id
     limit = min(cfg.n_candidates, cfg.beam_size)
@@ -307,18 +304,19 @@ def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
     """Sweep fusion and re-rank weights against references; BLEU per point.
 
     Returns a list of (lambda_sf, lambda_ncr, bleu_score) tuples in grid
-    order. refs are eos-free token id sequences.
+    order. refs are eos-free token id sequences. Every grid value is checked
+    before the first decode.
     """
     from .bleu import corpus_bleu
     refs = [list(r) for r in refs]
+    for lam_ncr in ncr_grid:
+        check_lambda_ncr(lam_ncr)
+    configs = [replace(cfg, fusion_lambda=lam_sf) for lam_sf in sf_grid]
     results = []
-    for lam_sf in sf_grid:
-        decode_cfg = replace(cfg, fusion_lambda=lam_sf)
+    for lam_sf, decode_cfg in zip(sf_grid, configs):
         cands_per_sentence = decode_batch(fwd, lm, sources, decode_cfg)
         for lam_ncr in ncr_grid:
-            winners = []
-            for source, cands in zip(sources, cands_per_sentence):
-                ranked = noisy_channel_rerank(cands, rev, lm, lam_ncr, source)
-                winners.append(strip_eos(ranked[0].tokens, fwd.eos_id))
+            winners = [strip_eos(noisy_channel_rerank(cands, rev, lm, lam_ncr, source)[0].tokens,
+                                 fwd.eos_id) for source, cands in zip(sources, cands_per_sentence)]
             results.append((lam_sf, lam_ncr, corpus_bleu(winners, refs).score))
     return results

@@ -346,10 +346,12 @@ class NGramScorer(Scorer):
     than order-1 is not padded: the top orders reuse the whole (shorter)
     prefix, so an empty prefix scores every order with the unigram context.
 
-    Layout, as in KenLM: grams maps each gram length k that occurs to (ids,
-    counts), two array('q'); ids holds the k ids of each gram, the grams in
-    sorted order, and counts one count per gram. The constructor takes a
-    gram -> count dict; ngram_train and load_ngram_scorer build the arrays.
+    Layout, as in KenLM: the constructor takes grams, which maps each gram
+    length k in [0, order] that occurs to (ids, counts), two array('q'); ids
+    holds the k ids of each gram, the grams in sorted order, and counts one
+    non-negative count per gram, as ngram_train builds them and an ngram-v2
+    file holds them. The constructor checks all of this but the order of the
+    grams, which load_ngram_scorer checks, since its input comes from outside.
 
     Scoring reads per-context spans (KenLM's state). A context shorter than
     `order` with a non-zero total count has a span (lo, hi, total), found on
@@ -360,37 +362,18 @@ class NGramScorer(Scorer):
     indexes those whose last id lies in [0, V) in two flat arrays of last
     ids and counts; grams with another last id count toward the total but
     score no token, and the empty gram counts toward the total of the empty
-    context. next_dist adds a span's counts with numpy; token_prob finds one
-    count by a bisect in the span, without numpy, by the same operations in
-    the same order as next_dist performs for that token, so it returns the
-    same float.
+    context. next_dist and token_prob walk the same spans (_walk): next_dist
+    adds a span's counts with numpy; token_prob finds one count by a bisect
+    in the span, without numpy, by the same operations in the same order as
+    next_dist performs for that token, so it returns the same float.
 
     given_weights keeps the weights as passed in; weights holds them divided
     by their sum. A second division need not give the same floats, so the
     model file stores given_weights.
     """
 
-    def __init__(self, order: int, vocab_size: int, eos_id: int, counts: dict,
+    def __init__(self, order: int, vocab_size: int, eos_id: int, grams: dict,
                  weights, floor: float):
-        grams: dict[int, tuple[array, array]] = {}
-        try:
-            for gram, c in sorted((tuple(g), int(c)) for g, c in counts.items()):
-                ids, cnts = grams.setdefault(len(gram), (array("q"), array("q")))
-                ids.extend(gram)
-                cnts.append(c)
-        except (TypeError, OverflowError):
-            raise ModelFormatError("gram ids and counts must be int64 integers") from None
-        self._init(order, vocab_size, eos_id, grams, weights, floor)
-
-    @classmethod
-    def _from_arrays(cls, order: int, vocab_size: int, eos_id: int, grams: dict,
-                     weights, floor: float) -> NGramScorer:
-        """A model over grams already in the layout above: sorted, no repeats."""
-        m = cls.__new__(cls)
-        m._init(order, vocab_size, eos_id, grams, weights, floor)
-        return m
-
-    def _init(self, order, vocab_size, eos_id, grams, weights, floor) -> None:
         if order < 1:
             raise ModelFormatError("order must be >= 1")
         if not 0 <= eos_id < vocab_size:
@@ -402,6 +385,13 @@ class NGramScorer(Scorer):
             raise ModelFormatError("need one non-negative weight per order, with a finite sum above 0")
         if not 0 < floor * vocab_size < 1:
             raise ModelFormatError("floor * vocab_size must lie in (0, 1)")
+        for k, (ids, counts) in grams.items():
+            if not 0 <= k <= order:
+                raise ModelFormatError(f"gram length {k} outside [0, {order}]")
+            if len(ids) != k * len(counts):
+                raise ModelFormatError(f"{len(ids)} ids for {len(counts)} {k}-grams, not {k} per gram")
+            if counts and min(counts) < 0:
+                raise ModelFormatError(f"negative {k}-gram count")
         self.order = order
         self.vocab_size = vocab_size
         self.eos_id = eos_id
@@ -448,24 +438,26 @@ class NGramScorer(Scorer):
         span = self._spans[ctx] = base + lo, base + hi, float(total)
         return span
 
+    def _walk(self, prefix):
+        """(weight, span) of each order k = 1..order whose context has counts."""
+        prefix = tuple(prefix)
+        spans = self._spans
+        for k in range(1, self.order + 1):
+            ctx = prefix[len(prefix) - (k - 1):] if k > 1 else ()
+            span = spans.get(ctx) or self._span(ctx)
+            if span is not None:
+                yield self.weights[k - 1], span
+
     def next_dist(self, source, prefix) -> np.ndarray:
         import numpy as np
-        prefix = tuple(prefix)
-        _, last, counts = self._columns()
-        spans = self._spans
         if self._dense is None:
+            _, last, counts = self._columns()
             self._dense = (np.frombuffer(last, dtype=np.int64),
                            np.frombuffer(counts, dtype=np.int64).astype(np.float64))
         ids, fcounts = self._dense
         interp = np.zeros(self.vocab_size)
         active = 0.0
-        for k in range(1, self.order + 1):
-            ctx = prefix[len(prefix) - (k - 1):] if k > 1 else ()
-            span = spans.get(ctx) or self._span(ctx)
-            if span is None:
-                continue
-            lo, hi, total = span
-            w = self.weights[k - 1]
+        for w, (lo, hi, total) in self._walk(prefix):
             active += w
             # per token, the same operations as the scalar w * c / total
             interp[ids[lo:hi]] += w * fcounts[lo:hi] / total
@@ -478,18 +470,10 @@ class NGramScorer(Scorer):
         return out
 
     def token_prob(self, source, prefix, tok: int) -> float:
-        prefix = tuple(prefix)
         _, last, counts = self._columns()
-        spans = self._spans
         p = 0.0
         active = 0.0
-        for k in range(1, self.order + 1):
-            ctx = prefix[len(prefix) - (k - 1):] if k > 1 else ()
-            span = spans.get(ctx) or self._span(ctx)
-            if span is None:
-                continue
-            lo, hi, total = span
-            w = self.weights[k - 1]
+        for w, (lo, hi, total) in self._walk(prefix):
             active += w
             i = bisect_left(last, tok, lo, hi)
             if i < hi and last[i] == tok and counts[i]:
@@ -554,7 +538,7 @@ def ngram_train(corpus, order: int, *, vocab_size: int | None = None,
         weights = [1.0 / order] * order
     if floor is None:
         floor = min(1e-4, 0.1 / vocab_size)
-    return NGramScorer._from_arrays(order, vocab_size, eos_id, grams, weights, floor)
+    return NGramScorer(order, vocab_size, eos_id, grams, weights, floor)
 
 
 # n-gram file, ngram-v2 text: the header line "ngram-v2 <order> <V> <eos>",
@@ -596,10 +580,10 @@ def _check_sorted(ids: array, k: int, n: int, lineno: int) -> None:
 def load_ngram_scorer(path) -> NGramScorer:
     """Read a save_ngram_scorer file (layout above), each grams and counts
     line straight into an array('q'). Besides a malformed field, a repeated
-    line, a grams line without its counts line or the reverse, an id count
-    that is not k times the count count, grams out of sorted order or listed
-    twice, a negative count and a value outside the int64 range raise
-    ModelFormatError naming the line."""
+    line, a gram length outside [0, order], a grams line without its counts
+    line or the reverse, an id count that is not k times the count count,
+    grams out of sorted order or listed twice, a negative count and a value
+    outside the int64 range raise ModelFormatError naming the line."""
     found: dict = {}  # "floor", "weights", ("grams", k), ("counts", k) -> (line no, values)
     with model_file(path, "ngram-v2") as (header, lines):
         order, vocab_size, eos_id = (int(x) for x in header.split())
@@ -608,8 +592,8 @@ def load_ngram_scorer(path) -> NGramScorer:
             if kind in ("grams", "counts"):
                 k, _, rest = rest.partition(" ")
                 key, parse = (kind, int(k)), int
-                if key[1] < 0:
-                    raise ModelFormatError(f"line {lineno}: negative gram length {k}")
+                if not 0 <= key[1] <= order:
+                    raise ModelFormatError(f"line {lineno}: gram length {k} outside [0, {order}]")
             elif kind in ("floor", "weights"):
                 key, parse = kind, float
             elif not line.strip():
@@ -650,11 +634,20 @@ def load_ngram_scorer(path) -> NGramScorer:
                 raise ModelFormatError(f"line {counts_line}: negative count")
             _check_sorted(ids, k, len(counts), lineno)
             grams[k] = ids, counts
-        return NGramScorer._from_arrays(order, vocab_size, eos_id, grams, weights, floor[0])
+        return NGramScorer(order, vocab_size, eos_id, grams, weights, floor[0])
 
 
 # ---------------------------------------------------------------------------
 # ensembling
+
+def check_same_vocab(scorers, what: str) -> None:
+    """Raise VocabMismatchError, naming the scorers as `what` and listing
+    their values in order, unless they share a vocab size and an eos id."""
+    for attr, name in (("vocab_size", "vocab sizes"), ("eos_id", "eos ids")):
+        values = [getattr(s, attr) for s in scorers]
+        if len(set(values)) > 1:
+            raise VocabMismatchError(f"{what} {name} differ: {values}")
+
 
 class EnsembleScorer(Scorer):
     """Scorer view of a model list; next_dist is the member mean.
@@ -666,12 +659,7 @@ class EnsembleScorer(Scorer):
     def __init__(self, scorers: list[Scorer]):
         if not scorers:
             raise EmptyInputError("ensemble needs at least one scorer")
-        sizes = {s.vocab_size for s in scorers}
-        if len(sizes) > 1:
-            raise VocabMismatchError(f"member vocab sizes differ: {sorted(sizes)}")
-        eos = {s.eos_id for s in scorers}
-        if len(eos) > 1:
-            raise VocabMismatchError(f"member eos ids differ: {sorted(eos)}")
+        check_same_vocab(scorers, "member")
         self.scorers = list(scorers)
         self.vocab_size = scorers[0].vocab_size
         self.eos_id = scorers[0].eos_id

@@ -2,7 +2,8 @@
 
 These are the original one-token-at-a-time loops of `beam_search`,
 `topk_sample` and `NGramScorer.next_dist`, the dict loop that counted the
-grams of `ngram_train`, the gram-by-gram writer of `save_ngram_scorer`, an
+grams of `ngram_train`, the gram-by-gram writer of `save_ngram_scorer`, a
+gram -> count dict to `NGramScorer` conversion (`ngram_from_counts`), an
 exhaustive search over every terminated sequence, the `next_dist`-based
 loops of `sequence_logprob` and `noisy_channel_rerank`, the recount-every-pair
 merge loop of `bpe_train`, and a per-element loop for the checkpoint
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -25,6 +27,7 @@ from mtkit.bpe import BOS, EOS, PAD, UNK, WORD_END, BpeModel
 from mtkit.candidates import Candidate
 from mtkit.decode import DecodeConfig, _log_dist
 from mtkit.errors import ConfigError, EmptyInputError, NoCompletedHypothesisError
+from mtkit.models import NGramScorer
 
 
 def _reference_finish(entry, lam: float, alpha: float) -> Candidate:
@@ -177,6 +180,17 @@ def reference_ngram_counts(corpus, order: int, eos_id: int) -> dict:
                 gram = tuple(toks[i : i + k])
                 counts[gram] = counts.get(gram, 0) + 1
     return counts
+
+
+def ngram_from_counts(order, vocab_size, eos_id, counts: dict, weights, floor) -> NGramScorer:
+    """An NGramScorer over a gram -> count dict, its grams sorted into the
+    per-length arrays the constructor takes."""
+    grams: dict[int, tuple[array, array]] = {}
+    for gram, c in sorted(counts.items()):
+        ids, cnts = grams.setdefault(len(gram), (array("q"), array("q")))
+        ids.extend(gram)
+        cnts.append(c)
+    return NGramScorer(order, vocab_size, eos_id, grams, weights, floor)
 
 
 def ngram_gram_counts(model) -> dict:

@@ -818,6 +818,22 @@ def test_decode_fusion_shifts_winner(tmp_path):
     assert _read(fused) == ["1"]
 
 
+def test_decode_lm_with_another_eos_exits_1(tmp_path, capsys):
+    # the forward eos would get the lm's probability of an ordinary token
+    fwd_path = tmp_path / "fwd.scorer"
+    lm_path = tmp_path / "lm.scorer"
+    models.save_table_scorer(_fusion_fwd(), fwd_path)  # eos id 2
+    models.save_table_scorer(TableScorer(["a", "eos", "b"], {}, np.ones(3) / 3), lm_path)
+    src = tmp_path / "src.txt"
+    _write(src, ["0"])
+    out = tmp_path / "out.txt"
+    rc = run(["decode", str(src), "--model", str(fwd_path), "--lm", str(lm_path),
+              "--fusion-lambda", "0.1", "-o", str(out)])
+    assert rc == 1
+    assert "error: VocabMismatchError: forward and lm eos ids differ: [2, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eos", ["bpe eos", "word"])
 def test_text_decodes_through_bpe_encode_and_bpe_decode(tmp_path, eos):
     # The decoding stages read and write ids; text goes in through bpe-encode

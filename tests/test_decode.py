@@ -24,7 +24,7 @@ from mtkit.errors import (
     NoCompletedHypothesisError,
     VocabMismatchError,
 )
-from mtkit.models import TableScorer
+from mtkit.models import Scorer, TableScorer
 
 from conftest import enumerate_prefixes, make_lm_scorer, make_table_scorer
 from scalar_reference import exact_search
@@ -117,6 +117,15 @@ def test_beam_fusion_vocab_mismatch():
     lm = make_lm_scorer(4, 2, rng)
     with pytest.raises(VocabMismatchError):
         beam_search(fwd, lm, (0, 1), DecodeConfig(fusion_lambda=0.1, max_len=2))
+
+
+def test_beam_fusion_eos_mismatch():
+    uniform = np.ones(3) / 3
+    fwd = TableScorer(["a", "b", "eos"], {}, uniform)
+    lm = TableScorer(["a", "eos", "b"], {}, uniform)
+    with pytest.raises(VocabMismatchError, match=r"forward and lm eos ids differ: \[2, 1\]"):
+        beam_search(fwd, lm, (0, 1), DecodeConfig(fusion_lambda=0.1, max_len=2))
+    beam_search(fwd, lm, (0, 1), DecodeConfig(max_len=2))  # unfused, the lm is not read
 
 
 def test_beam_candidates_well_formed():
@@ -607,3 +616,22 @@ def test_grid_search_shape_and_reduction(random_decode_instances):
     for _, _, bleu in grid:
         assert 0.0 <= bleu <= 100.0
     assert grid[0][2] == 100.0
+
+
+class _UnreadScorer(Scorer):
+    vocab_size, eos_id = 3, 2
+
+    def next_dist(self, source, prefix):
+        raise AssertionError("decoded before every grid value was checked")
+
+
+@pytest.mark.parametrize("sf_grid, ncr_grid", [
+    pytest.param([0.0, -1.0], [0.0], id="sf"),
+    pytest.param([0.0, math.inf], [0.0], id="sf inf"),
+    pytest.param([0.0], [0.0, -1.0], id="ncr"),
+    pytest.param([0.0], [0.0, math.nan], id="ncr nan"),
+])
+def test_grid_search_checks_the_grids_before_decoding(sf_grid, ncr_grid):
+    s = _UnreadScorer()
+    with pytest.raises(ConfigError):
+        grid_search_lambdas(s, s, s, [(0,)], [[0]], DecodeConfig(), sf_grid, ncr_grid)

@@ -96,6 +96,9 @@ _NGRAM_HEAD = "ngram-v2 2 4 3\nfloor 0.01\nweights 0.5 0.5\n"
     pytest.param(_NGRAM_HEAD + "grams 1 0 1\ncounts 1 1\n", 4, id="fewer counts than grams"),
     pytest.param(_NGRAM_HEAD + "grams 1 0 1\ncounts 1 1 -1\n", 5, id="negative count"),
     pytest.param(_NGRAM_HEAD + "grams -1\ncounts -1\n", 4, id="negative gram length"),
+    pytest.param(_NGRAM_HEAD + "grams 3 0 1 2\ncounts 3 1\n", 4, id="gram length above order"),
+    pytest.param("ngram-v2 1 4 3\nfloor 0.01\nweights 1.0\ngrams 1 0\ncounts 1 1\n"
+                 "grams 5 0 1 2 3 0\ncounts 5 7\n", 6, id="gram length above order 1"),
     pytest.param(_NGRAM_HEAD + "count 0 1\n", 4, id="ngram-v1 count line"),
     pytest.param(_NGRAM_HEAD.replace("floor 0.01", "floor 0.01 0.02"), 2,
                  id="two floor values"),

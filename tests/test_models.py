@@ -2,6 +2,7 @@
 
 import random
 import struct
+from array import array
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from mtkit.models import (
 )
 
 from conftest import make_table_scorer, nmtc_bytes, table_container
-from scalar_reference import exact_search, reference_checkpoint_mean
+from scalar_reference import exact_search, ngram_from_counts, reference_checkpoint_mean
 
 
 def _random_tensors(rng, names=("enc.w", "dec.w", "emb")):
@@ -593,17 +594,33 @@ def test_ngram_train_validation():
     with pytest.raises(ValueError):
         ngram_train([[0, 1]], order=0)
     with pytest.raises(ModelFormatError):
-        NGramScorer(2, 4, 3, {}, [0.5, 0.5], floor=0.5)  # floor * V >= 1
+        ngram_from_counts(2, 4, 3, {}, [0.5, 0.5], floor=0.5)  # floor * V >= 1
     with pytest.raises(ModelFormatError):
-        NGramScorer(2, 4, 3, {}, [0.5], floor=1e-4)  # weight count != order
+        ngram_from_counts(2, 4, 3, {}, [0.5], floor=1e-4)  # weight count != order
     with pytest.raises(ModelFormatError):
-        NGramScorer(2, 4, 3, {}, [1e308, 1e308], floor=1e-4)  # weight sum overflows
-    with pytest.raises(ModelFormatError):
-        NGramScorer(2, 4, 3, {(0, 2 ** 63): 1}, [0.5, 0.5], floor=1e-4)  # id outside int64
+        ngram_from_counts(2, 4, 3, {}, [1e308, 1e308], floor=1e-4)  # weight sum overflows
     with pytest.raises(ValueError):
         ngram_train([[0, 2 ** 63]], order=2)  # id outside int64
     with pytest.raises(ValueError):
         ngram_train([[0, 1.5]], order=2)  # not an integer id
+
+
+@pytest.mark.parametrize("grams, why", [
+    pytest.param({1: (array("q", [0, 1]), array("q", [-5, 2]))}, "negative 1-gram count",
+                 id="negative count"),
+    pytest.param({3: (array("q", [0, 1, 2]), array("q", [1]))}, "gram length 3 outside [0, 2]",
+                 id="gram length above order"),
+    pytest.param({-1: (array("q"), array("q", [1]))}, "gram length -1 outside [0, 2]",
+                 id="negative gram length"),
+    pytest.param({2: (array("q", [0, 1, 2]), array("q", [1]))}, "3 ids for 1 2-grams, not 2 per gram",
+                 id="ids not k per count"),
+])
+def test_ngram_constructor_checks_the_layout(grams, why):
+    # a negative count would give next_dist entries below 0 and above 1,
+    # against the Scorer contract that beam search's early stop relies on
+    with pytest.raises(ModelFormatError) as err:
+        NGramScorer(2, 4, 3, grams, [0.5, 0.5], 1e-3)
+    assert str(err.value) == why
 
 
 def test_ngram_save_load_roundtrip(tmp_path):

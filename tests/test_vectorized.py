@@ -23,7 +23,6 @@ from mtkit.decode import (
 )
 from mtkit.errors import EmptyInputError, NoCompletedHypothesisError
 from mtkit.models import (
-    NGramScorer,
     Scorer,
     TableScorer,
     load_ngram_scorer,
@@ -34,6 +33,7 @@ from mtkit.models import (
 from conftest import make_table_scorer
 from scalar_reference import (
     exact_search,
+    ngram_from_counts,
     ngram_gram_counts,
     reference_beam_search,
     reference_ngram_counts,
@@ -331,9 +331,9 @@ def test_ngram_next_dist_matches_scalar_reference(order):
 def test_ngram_short_prefix_reuses_shorter_context():
     # an empty prefix scores every order with the unigram context
     m = ngram_train([[0, 1, 2], [1, 1]], 3, weights=[0.2, 0.3, 0.5])
-    unigram = NGramScorer(1, m.vocab_size, m.eos_id,
-                          {g: c for g, c in ngram_gram_counts(m).items() if len(g) == 1},
-                          [1.0], m.floor)
+    unigram = ngram_from_counts(1, m.vocab_size, m.eos_id,
+                                {g: c for g, c in ngram_gram_counts(m).items() if len(g) == 1},
+                                [1.0], m.floor)
     np.testing.assert_allclose(m.next_dist((), ()), unigram.next_dist((), ()),
                                rtol=1e-12)
     for prefix in ((), (1,)):
@@ -387,7 +387,7 @@ def test_ngram_lazy_index_is_safe_under_threads():
 
 @st.composite
 def _ngram_args(draw, vocab=st.integers(2, 6)):
-    """NGramScorer arguments (order, V, eos, counts, weights, floor): orders
+    """ngram_from_counts arguments (order, V, eos, counts, weights, floor): orders
     1-4, grams (the empty one too) whose ids may lie outside [0, V), zero
     counts and zero weights."""
     order = draw(st.integers(1, 4))
@@ -402,7 +402,7 @@ def _ngram_args(draw, vocab=st.integers(2, 6)):
 
 
 def _ngram_scorers(vocab=st.integers(2, 6)):
-    return _ngram_args(vocab).map(lambda args: NGramScorer(*args))
+    return _ngram_args(vocab).map(lambda args: ngram_from_counts(*args))
 
 
 _ONE_TOKEN = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -431,7 +431,7 @@ def test_ngram_train_counts_match_scalar_reference(corpus, order, eos):
 @given(args=_ngram_args())
 def test_ngram_file_matches_scalar_writer(tmp_path_factory, args):
     path = tmp_path_factory.mktemp("ngram") / "lm.ngram"
-    save_ngram_scorer(NGramScorer(*args), path)
+    save_ngram_scorer(ngram_from_counts(*args), path)
     assert path.read_text(encoding="utf-8") == reference_ngram_file(*args)
 
 
