@@ -13,7 +13,8 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .errors import ConfigError, EmptyInputError, ModelFormatError, VocabMismatchError, model_file
+from .errors import (ConfigError, EmptyInputError, ModelFormatError, VocabMismatchError,
+                     check_new_line, model_file, model_writer)
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 WORD_END = "</w>"
@@ -229,8 +230,7 @@ def bpe_decode(model: BpeModel, ids) -> str:
 
 def save_model(model: BpeModel, path) -> None:
     """Write the text container: `bpe-v1 <vocab_size>`, vocab lines, blank line, merge lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"bpe-v1 {model.vocab_size}\n")
+    with model_writer(path, "bpe-v1", model.vocab_size) as fh:
         for tok, tid in sorted(model.vocab.items(), key=lambda kv: kv[1]):
             fh.write(f"{tok}\t{tid}\n")
         fh.write("\n")
@@ -239,10 +239,11 @@ def save_model(model: BpeModel, path) -> None:
 
 
 def load_model(path) -> BpeModel:
-    """Read a `save_model` file; any malformed or inconsistent content raises
-    ModelFormatError."""
+    """Read a `save_model` file; any malformed or inconsistent content,
+    a repeated token or merge line included, raises ModelFormatError."""
     vocab: dict[str, int] = {}
     merges: list[tuple[str, str]] = []
+    seen: dict = {}  # token, or (left, right) merge -> line number
     with model_file(path, "bpe-v1") as (header, lines):
         vocab_size = int(header)
         for lineno, line in lines:
@@ -251,8 +252,7 @@ def load_model(path) -> BpeModel:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ModelFormatError(f"line {lineno}: expected token<TAB>id")
-            if parts[0] in vocab:
-                raise ModelFormatError(f"line {lineno}: duplicate token {parts[0]!r}")
+            check_new_line(seen, parts[0], lineno)
             vocab[parts[0]] = int(parts[1])
         for lineno, line in lines:
             if line == "":
@@ -260,5 +260,6 @@ def load_model(path) -> BpeModel:
             parts = line.split(" ")
             if len(parts) != 2:
                 raise ModelFormatError(f"line {lineno}: expected 'left right'")
+            check_new_line(seen, (parts[0], parts[1]), lineno)
             merges.append((parts[0], parts[1]))
         return BpeModel(merges=merges, vocab=vocab, vocab_size=vocab_size)

@@ -6,6 +6,7 @@ without loading numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InputFormatError
@@ -62,7 +63,8 @@ def format_candidates(cands_per_sentence) -> list[str]:
 
 
 def parse_candidates(lines) -> list[list[Candidate]]:
-    """Inverse of format_candidates; the sentence indices must run 0..n-1."""
+    """Inverse of format_candidates; the sentence indices must run 0..n-1
+    and no score may be NaN (-inf is a legal log-probability)."""
     sentences: dict[int, list[tuple[int, Candidate]]] = {}
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -82,6 +84,9 @@ def parse_candidates(lines) -> list[list[Candidate]]:
             fused_score=float(cols[2]),
             combined_score=_parse_opt(cols[5]),
         )
+        scores = (cand.fwd_logprob, cand.lm_logprob, cand.rev_logprob, cand.combined_score)
+        if any(x is not None and math.isnan(x) for x in scores):
+            raise InputFormatError(f"dump line {line_no}: a score is NaN")
         sentences.setdefault(idx, []).append((rank, cand))
     missing = set(range(len(sentences))) - sentences.keys()
     if missing:

@@ -162,8 +162,7 @@ def cmd_bpe_train(args) -> int:
     from . import bpe
     with _open_in(args.input) as src:
         model = bpe.bpe_train((line.rstrip("\n") for line in src), args.vocab_size)
-    with staged(args.model_out) as tmp:
-        bpe.save_model(model, tmp)
+    bpe.save_model(model, args.model_out)
     _log(f"bpe-train: {len(model.merges)} merges, {len(model.vocab)} vocab entries")
     return 0
 
@@ -234,8 +233,7 @@ def cmd_langid_train(args) -> int:
         labeled, seed=args.seed, n_features=args.features,
         epochs=args.epochs, lr=args.lr,
     )
-    with staged(args.model_out) as tmp:
-        corpus.save_langid(model, tmp)
+    corpus.save_langid(model, args.model_out)
     _log(f"langid-train: {len(model.langs)} languages, {len(labeled)} lines")
     return 0
 
@@ -278,8 +276,7 @@ def cmd_domain_train(args) -> int:
         _read_text(args.positives), _read_text(args.negatives), seed=args.seed, lang=args.lang,
         tokenizer=tokenizer, epochs=args.epochs, lr=args.lr,
     )
-    with staged(args.model_out) as tmp:
-        domain.save_classifier(clf, tmp)
+    domain.save_classifier(clf, args.model_out)
     if clf.holdout_accuracy is not None:
         _log(f"domain-train: held-out accuracy {clf.holdout_accuracy:.3f}")
     return 0

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, EmptyInputError, InputFormatError, ModelFormatError, model_file
+from .errors import (ConfigError, EmptyInputError, InputFormatError, ModelFormatError,
+                     check_new_line, model_file, model_writer)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,6 +122,8 @@ class LangIdModel:
         self.n_features = n_features
         if n_features < 1:
             raise ModelFormatError(f"n_features must be positive, got {n_features}")
+        if len(set(self.langs)) != len(self.langs) or len(self.langs) < 2:
+            raise ModelFormatError(f"need 2 or more distinct languages, got {self.langs}")
         if self.weights.shape != (n_features, len(langs)) or self.bias.shape != (len(langs),):
             raise ModelFormatError("langid weight shapes inconsistent with langs/n_features")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
@@ -183,8 +186,7 @@ def langid_classify(model: LangIdModel, text: str) -> tuple[str, float]:
 
 
 def save_langid(model: LangIdModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"langid-v1 {model.n_features}\n")
+    with model_writer(path, "langid-v1", model.n_features) as fh:
         fh.write("langs " + " ".join(model.langs) + "\n")
         fh.write("bias " + " ".join(repr(float(v)) for v in model.bias) + "\n")
         for idx in range(model.n_features):
@@ -223,9 +225,7 @@ def load_langid(path) -> LangIdModel:
                 weights[row] = [float(v) for v in parts[2:]]
             else:
                 raise ModelFormatError(f"line {lineno}: unknown line kind {key!r}")
-            if key in seen:
-                raise ModelFormatError(f"line {lineno}: repeats line {seen[key]}")
-            seen[key] = lineno
+            check_new_line(seen, key, lineno)
         if langs is None or bias is None:
             raise ModelFormatError("missing langs or bias line")
         return LangIdModel(langs, weights, bias, n_features)

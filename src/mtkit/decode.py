@@ -30,6 +30,7 @@ from .candidates import Candidate, strip_eos
 from .errors import (
     ConfigError,
     EmptyInputError,
+    LengthMismatchError,
     NoCompletedHypothesisError,
     VocabMismatchError,
 )
@@ -304,11 +305,13 @@ def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
     """Sweep fusion and re-rank weights against references; BLEU per point.
 
     Returns a list of (lambda_sf, lambda_ncr, bleu_score) tuples in grid
-    order. refs are eos-free token id sequences. Every grid value is checked
-    before the first decode.
+    order. refs are eos-free token id sequences, one per source. The
+    reference count and every grid value are checked before the first decode.
     """
     from .bleu import corpus_bleu
     refs = [list(r) for r in refs]
+    if len(refs) != len(sources):
+        raise LengthMismatchError(f"{len(sources)} sources vs {len(refs)} references")
     for lam_ncr in ncr_grid:
         check_lambda_ncr(lam_ncr)
     configs = [replace(cfg, fusion_lambda=lam_sf) for lam_sf in sf_grid]

@@ -20,7 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, EmptyInputError, ModelFormatError, model_file
+from .errors import (ConfigError, EmptyInputError, ModelFormatError, check_new_line, model_file,
+                     model_writer)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -198,8 +199,7 @@ def bilingual_select(pairs, clf_en: DomainClassifier, clf_ru: DomainClassifier,
 
 
 def save_classifier(clf: DomainClassifier, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"domcls-v1 {clf.lang}\n")
+    with model_writer(path, "domcls-v1", clf.lang) as fh:
         for tok in sorted(clf.weights):
             fh.write(f"{tok}\t{clf.weights[tok]!r}\n")
         fh.write(f"{_BIAS}\t{clf.bias!r}\n")
@@ -218,9 +218,7 @@ def load_classifier(path, tokenizer=None) -> DomainClassifier:
             tok, _, value = line.partition("\t")
             if not value:
                 raise ModelFormatError(f"line {lineno}: expected token<TAB>weight")
-            if tok in seen:
-                raise ModelFormatError(f"line {lineno}: repeats line {seen[tok]}")
-            seen[tok] = lineno
+            check_new_line(seen, tok, lineno)
             weights[tok] = float(value)
         bias = weights.pop(_BIAS, 0.0)
         return DomainClassifier(lang, weights, bias, tokenizer)

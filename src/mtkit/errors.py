@@ -1,8 +1,9 @@
 """Exception types shared across mtkit modules: one class per kind of
 failure, the message saying where. ConfigError and InputFormatError are also
 ValueErrors, as json.JSONDecodeError is. Also the readers' rule for naming
-the file at fault, the reader for text model files, and the writers' rule
-for leaving no partial output file behind."""
+the file at fault, the reader and the writer for text model files, their
+rule against a repeated line, and the writers' rule for leaving no partial
+output file behind."""
 
 import contextlib
 import os
@@ -90,6 +91,15 @@ def model_file(path, magic: str):
         yield rest, ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2))
 
 
+def check_new_line(seen: dict, key, lineno: int) -> None:
+    """Record in `seen` (key -> line number) that line `lineno` sets `key`;
+    raise ModelFormatError naming both lines if an earlier line set it, so
+    no repeated line of a model file silently wins or shifts a rank."""
+    first = seen.setdefault(key, lineno)
+    if first != lineno:
+        raise ModelFormatError(f"line {lineno}: repeats line {first}")
+
+
 @contextlib.contextmanager
 def staged(path):
     """Yield a temporary path beside `path` that replaces `path` only if the
@@ -107,3 +117,13 @@ def staged(path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@contextlib.contextmanager
+def model_writer(path, magic: str, header):
+    """Yield a UTF-8 text handle whose first line `<magic> <header>` is
+    written, the file `model_file` reads. The file is staged: `path` is
+    replaced only if the block completes."""
+    with staged(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(f"{magic} {header}\n")
+        yield fh

@@ -33,7 +33,9 @@ from .errors import (
     NameSetMismatchError,
     ShapeMismatchError,
     VocabMismatchError,
+    check_new_line,
     model_file,
+    model_writer,
     naming,
     staged,
 )
@@ -63,7 +65,9 @@ def _write_checkpoint(path, metadata: dict, shapes: dict, tensor, dtype: str = "
 
     tensor(name) supplies each payload, called once per name in sorted
     order just before it is written, so a caller can compute tensors one
-    at a time instead of holding them all.
+    at a time instead of holding them all. The file is staged: `path` is
+    replaced only once every tensor is written, so a tensor(name) that
+    raises leaves it as it was.
     """
     import numpy as np
     np_dtype = np.dtype(_DTYPES[dtype])
@@ -77,7 +81,7 @@ def _write_checkpoint(path, metadata: dict, shapes: dict, tensor, dtype: str = "
     header = json.dumps(
         {"metadata": metadata, "tensors": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with staged(path) as tmp, open(tmp, "wb") as fh:
         fh.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
         fh.write(header)
         for name in names:
@@ -192,9 +196,8 @@ def average_checkpoint_files(paths: list, out_path) -> None:
     {"source_count": k}. Every tensor must be f32. Only k copies of one
     tensor are resident at a time, so memory is bounded by the largest
     tensor rather than the full checkpoint size. Payloads are checked as
-    they are written, so the output goes to a staged file that replaces
-    out_path only once every tensor is written; a rejected input leaves
-    out_path as it was.
+    they are written; the writer stages its file, so a rejected input
+    leaves out_path as it was.
     """
     import numpy as np
     if not paths:
@@ -225,8 +228,7 @@ def average_checkpoint_files(paths: list, out_path) -> None:
             values.sort(axis=0)
             return (values.sum(axis=0) / len(paths)).astype(np.float32)
 
-        with staged(out_path) as tmp:
-            _write_checkpoint(tmp, {"source_count": len(paths)}, shapes, mean)
+        _write_checkpoint(out_path, {"source_count": len(paths)}, shapes, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +553,7 @@ def ngram_train(corpus, order: int, *, vocab_size: int | None = None,
 
 def save_ngram_scorer(m: NGramScorer, path) -> None:
     """Write m as an ngram-v2 file (layout above)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"ngram-v2 {m.order} {m.vocab_size} {m.eos_id}\n")
+    with model_writer(path, "ngram-v2", f"{m.order} {m.vocab_size} {m.eos_id}") as fh:
         fh.write(f"floor {m.floor!r}\n")
         fh.write("weights " + " ".join(repr(w) for w in m.given_weights) + "\n")
         for k, (ids, counts) in sorted(m.grams.items()):
@@ -584,7 +585,8 @@ def load_ngram_scorer(path) -> NGramScorer:
     line or the reverse, an id count that is not k times the count count,
     grams out of sorted order or listed twice, a negative count and a value
     outside the int64 range raise ModelFormatError naming the line."""
-    found: dict = {}  # "floor", "weights", ("grams", k), ("counts", k) -> (line no, values)
+    found: dict = {}  # "floor", "weights", ("grams", k), ("counts", k) -> values
+    line_of: dict = {}  # the same keys -> line number
     with model_file(path, "ngram-v2") as (header, lines):
         order, vocab_size, eos_id = (int(x) for x in header.split())
         for lineno, line in lines:
@@ -600,30 +602,30 @@ def load_ngram_scorer(path) -> NGramScorer:
                 continue
             else:
                 raise ModelFormatError(f"line {lineno}: unknown line kind {kind!r}")
-            if key in found:
-                raise ModelFormatError(f"line {lineno}: repeats line {found[key][0]}")
+            check_new_line(line_of, key, lineno)
             values = list(map(parse, rest.split()))
             if parse is int:
                 try:
                     values = array("q", values)
                 except OverflowError:
                     raise ModelFormatError(f"line {lineno}: a value outside the int64 range") from None
-            found[key] = lineno, values
+            found[key] = values
         if "floor" not in found or "weights" not in found:
             raise ModelFormatError("missing floor or weights line")
-        floor_line, floor = found.pop("floor")
+        floor = found.pop("floor")
         if len(floor) != 1:
-            raise ModelFormatError(f"line {floor_line}: expected one floor value")
-        _, weights = found.pop("weights")
+            raise ModelFormatError(f"line {line_of['floor']}: expected one floor value")
+        weights = found.pop("weights")
         grams = {}
-        for (kind, k), (lineno, ids) in found.items():
+        for (kind, k), ids in found.items():
+            lineno = line_of[kind, k]
             if kind == "counts":
                 if ("grams", k) not in found:
                     raise ModelFormatError(f"line {lineno}: counts {k} has no grams {k} line")
                 continue
             if ("counts", k) not in found:
                 raise ModelFormatError(f"line {lineno}: grams {k} has no counts {k} line")
-            counts_line, counts = found["counts", k]
+            counts_line, counts = line_of["counts", k], found["counts", k]
             if len(ids) != k * len(counts):
                 raise ModelFormatError(
                     f"line {lineno}: {len(ids)} ids for the {len(counts)} counts of line "

@@ -1,24 +1,22 @@
 """Punctuation normalization, word tokenization, and German quote post-processing.
 
-The normalizer is a versioned ordered rewrite table (straight quotes, single
-spaces, ascii dashes). The tokenizer splits punctuation off words with a
-non-breaking-prefix list per language; `detokenize` inverts it on canonically
-spaced text. Everything here is a pure function over immutable rule tables.
+The normalizer applies an ordered rewrite table (straight quotes, single
+spaces, ascii dashes): a tuple of compiled (pattern, replacement) pairs. The
+tokenizer splits punctuation off words with a non-breaking-prefix list per
+language; `detokenize` inverts it on canonically spaced text. Everything here
+is a pure function over immutable rule tables.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ModelFormatError, model_file
 
-DEFAULT_RULES_VERSION = "moses-lite-1"
-
 # Ordered (pattern, replacement) rewrites. No replacement may reintroduce a
 # match for any rule, so a single pass is idempotent.
-_DEFAULT_RULES: list[tuple[str, str]] = [
+_DEFAULT_RULES = tuple((re.compile(p), r) for p, r in [
     (r"\r", ""),
     (r"[​‎‏﻿]", ""),
     (r"[     　]", " "),
@@ -29,31 +27,14 @@ _DEFAULT_RULES: list[tuple[str, str]] = [
     (r"…", "..."),
     (r"[ \t]+", " "),
     (r"^ | $", ""),
-]
+])
 
 
-@dataclass(frozen=True)
-class NormalizationRules:
-    """Ordered rewrite table with a version tag."""
-
-    version: str
-    rules: tuple[tuple[re.Pattern[str], str], ...]
-
-    @classmethod
-    def default(cls) -> "NormalizationRules":
-        compiled = tuple((re.compile(p), r) for p, r in _DEFAULT_RULES)
-        return cls(version=DEFAULT_RULES_VERSION, rules=compiled)
-
-    def apply(self, text: str) -> str:
-        for pattern, repl in self.rules:
-            text = pattern.sub(repl, text)
-        return text
-
-
-def load_rules(path) -> NormalizationRules:
-    """Read an ordered rule table: header `normrules-v1 <tag>`, then pattern<TAB>replacement lines."""
+def load_rules(path) -> tuple[tuple[re.Pattern[str], str], ...]:
+    """Read an ordered rule table: header `normrules-v1 <tag>`, then
+    pattern<TAB>replacement lines. The tag names the table and is not used."""
     rules = []
-    with model_file(path, "normrules-v1") as (version, lines):
+    with model_file(path, "normrules-v1") as (_, lines):
         for lineno, line in lines:
             if not line:
                 continue
@@ -63,22 +44,14 @@ def load_rules(path) -> NormalizationRules:
             pattern = re.compile(parts[0])
             pattern.sub(parts[1], "")  # parses the replacement, so a bad one fails here
             rules.append((pattern, parts[1]))
-    return NormalizationRules(version=version, rules=tuple(rules))
+    return tuple(rules)
 
 
-def save_rules(rules: NormalizationRules, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"normrules-v1 {rules.version}\n")
-        for pattern, repl in rules.rules:
-            fh.write(f"{pattern.pattern}\t{repl}\n")
-
-
-_DEFAULT = NormalizationRules.default()
-
-
-def normalize_punct(text: str, rules: NormalizationRules | None = None) -> str:
-    """Rewrite text to canonical punctuation (total, idempotent)."""
-    return (rules or _DEFAULT).apply(text)
+def normalize_punct(text: str, rules: tuple[tuple[re.Pattern[str], str], ...] | None = None) -> str:
+    """Rewrite text with `rules`, the default table for None (total, idempotent)."""
+    for pattern, repl in _DEFAULT_RULES if rules is None else rules:
+        text = pattern.sub(repl, text)
+    return text
 
 
 # Tokenization: characters peeled off chunk edges. Apostrophes stay attached
@@ -125,10 +98,9 @@ def _split_chunk(chunk: str, prefixes: frozenset[str]) -> list[str]:
     return head + ([chunk] if chunk else []) + tail[::-1]
 
 
-def word_tokenize(text: str, lang: str = "en", prefixes: frozenset[str] | None = None) -> list[str]:
+def word_tokenize(text: str, lang: str = "en") -> list[str]:
     """Split normalized text into surface tokens (punctuation separated from words)."""
-    if prefixes is None:
-        prefixes = nonbreaking_prefixes(lang)
+    prefixes = nonbreaking_prefixes(lang)
     tokens: list[str] = []
     for chunk in text.split():
         tokens.extend(_split_chunk(chunk, prefixes))

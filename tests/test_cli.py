@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 import mtkit
-from mtkit import bpe, corpus, domain, models, textnorm
+from mtkit import bpe, corpus, domain, models
 from mtkit.candidates import Candidate, format_candidates, parse_candidates, strip_eos
 from mtkit.cli import build_parser, run
 from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
 from mtkit.models import TableScorer
 
 from conftest import EN_WORDS, MED_EN, MED_RU, NEWS_EN, NEWS_RU, RU_WORDS, \
-    make_domain_line, make_sentence, table_container
+    default_rules_text, make_domain_line, make_sentence, table_container
 
 
 def _write(path, lines):
@@ -184,7 +184,7 @@ def test_normalize_stdout_default(tmp_path, capsys):
 
 def test_normalize_custom_rules_file(tmp_path):
     rules_path = tmp_path / "rules.txt"
-    textnorm.save_rules(textnorm.NormalizationRules.default(), rules_path)
+    rules_path.write_text(default_rules_text(), encoding="utf-8")
     inp = tmp_path / "raw.txt"
     out = tmp_path / "norm.txt"
     _write(inp, ["–dash…"])
@@ -324,6 +324,11 @@ _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
     pytest.param("filter", _LANGID, _LANGID + "langs en ru\n", id="langid langs repeated"),
     pytest.param("filter", _LANGID, _LANGID + "bias 1.0 1.0\n", id="langid bias repeated"),
     pytest.param("filter", _LANGID, _LANGID + "w 1 0.0 0.0\n", id="langid row repeated"),
+    pytest.param("filter", _LANGID, "langid-v1 16\nlangs\nbias\n", id="langid no languages"),
+    pytest.param("filter", _LANGID, "langid-v1 16\nlangs en\nbias 0.0\n",
+                 id="langid one language"),
+    pytest.param("filter", _LANGID, "langid-v1 16\nlangs en en\nbias 0.0 0.0\n",
+                 id="langid language repeated"),
     pytest.param("domain-select", _DOMCLS, _DOMCLS + "bar\tx\n", id="domcls weight not float"),
     pytest.param("domain-select", _DOMCLS, (_DOMCLS + "caf\xe9\t0.5\n").encode("latin-1"),
                  id="domcls not utf-8"),

@@ -21,6 +21,8 @@ from mtkit.decode import (
 from mtkit.errors import (
     ConfigError,
     EmptyInputError,
+    InputFormatError,
+    LengthMismatchError,
     NoCompletedHypothesisError,
     VocabMismatchError,
 )
@@ -585,6 +587,16 @@ def test_parse_candidates_rejects_bad_lines():
         parse_candidates(["1\t2\t3"])
 
 
+@pytest.mark.parametrize("column", [2, 3, 4, 5])
+def test_parse_candidates_rejects_a_nan_score(column):
+    cols = ["0", "1", "-1.0", "-inf", "-inf", "-", "1,2"]
+    first = "0\t0\t-1.0\t-\t-\t-\t1"
+    assert parse_candidates([first, "\t".join(cols)])[0][1].lm_logprob == -math.inf
+    cols[column] = "nan"
+    with pytest.raises(InputFormatError, match="^dump line 2: a score is NaN$"):
+        parse_candidates([first, "\t".join(cols)])
+
+
 # ---------------------------------------------------------------------------
 # lambda grid search
 
@@ -635,3 +647,9 @@ def test_grid_search_checks_the_grids_before_decoding(sf_grid, ncr_grid):
     s = _UnreadScorer()
     with pytest.raises(ConfigError):
         grid_search_lambdas(s, s, s, [(0,)], [[0]], DecodeConfig(), sf_grid, ncr_grid)
+
+
+def test_grid_search_checks_the_reference_count_before_decoding():
+    s = _UnreadScorer()
+    with pytest.raises(LengthMismatchError, match="^2 sources vs 1 references$"):
+        grid_search_lambdas(s, s, s, [(0,), (0,)], [[0]], DecodeConfig(), [0.0], [0.0])

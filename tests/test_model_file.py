@@ -1,15 +1,18 @@
-"""The shared text model-file reader and the loaders built on it, and the
-non-finite value check of every model loader."""
+"""The shared text model-file reader and the loaders built on it, the
+non-finite value check of every model loader, and the staging of every
+model saver."""
 
+import builtins
+import errno
 import random
 import zlib
 
 import pytest
 
-from mtkit import corpus, domain, models, textnorm
+from mtkit import bpe, corpus, domain, models, textnorm
 from mtkit.errors import ModelFormatError, model_file
 
-from conftest import table_container
+from conftest import default_rules_text, table_container
 
 
 def _save_ngram(path):
@@ -27,7 +30,7 @@ def _save_domcls(path):
 
 
 def _save_rules(path):
-    textnorm.save_rules(textnorm.NormalizationRules.default(), path)
+    path.write_text(default_rules_text(), encoding="utf-8")
 
 
 _FORMATS = {
@@ -132,6 +135,27 @@ def test_repeated_langid_line_names_both_lines(tmp_path, extra, first):
     assert str(err.value) == f"{path}: line 5: repeats line {first}"
 
 
+_BPE = ("bpe-v1 10\n<pad>\t0\n<unk>\t1\n<bos>\t2\n<eos>\t3\n</w>\t4\na\t5\nb\t6\nab\t7\n"
+        "ab</w>\t8\n\na b\nab </w>\n")
+
+
+@pytest.mark.parametrize("text, line, first", [
+    pytest.param(_BPE + "ab </w>\n", 14, 13, id="last merge"),
+    pytest.param(_BPE + "a b\n", 14, 12, id="earlier merge"),
+    pytest.param(_BPE.replace("b\t6\n", "b\t6\na\t9\n"), 9, 7, id="token"),
+])
+def test_repeated_bpe_line_names_both_lines(tmp_path, text, line, first):
+    """A repeated merge would silently move that pair's rank, which changes
+    the encoding."""
+    path = tmp_path / "m.bpe"
+    path.write_text(_BPE, encoding="utf-8")
+    assert bpe.load_model(path).merges == [("a", "b"), ("ab", "</w>")]
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError) as err:
+        bpe.load_model(path)
+    assert str(err.value) == f"{path}: line {line}: repeats line {first}"
+
+
 @pytest.mark.parametrize("extra, first", [
     pytest.param("foo\t-3.0\n", 2, id="token"),
     pytest.param("__bias__\t2.0\n", 3, id="bias"),
@@ -202,3 +226,70 @@ def test_model_file_streams_lines(tmp_path):
             seen.append(header)
             seen.extend(lines)
     assert seen[:3] == ["7", (2, "first"), (3, "filler line")]
+
+
+class _FullDisk:
+    """A file opened for writing whose second write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _average_saver(tmp_path):
+    ckpt = tmp_path / "in.ckpt"
+    models.save_checkpoint({"w": [1.0, 2.0]}, ckpt)
+    return lambda path: models.average_checkpoint_files([ckpt], path)
+
+
+# saver -> (tmp_path -> a function of the output path that saves one model);
+# the input file that averaging reads is written before the disk fills
+_SAVERS = {
+    "ngram": lambda _: _save_ngram,
+    "langid": lambda _: _save_langid,
+    "domcls": lambda _: _save_domcls,
+    "bpe": lambda _: lambda path: bpe.save_model(bpe.bpe_train(["a b ab abc"], 16), path),
+    "table": lambda _: lambda path: models.save_table_scorer(
+        models.TableScorer(["a", "eos"], {((0,), ()): [0.25, 0.75]}, [0.5, 0.5]), path),
+    "checkpoint": lambda _: lambda path: models.save_checkpoint({"w": [1.0, 2.0]}, path),
+    "average": _average_saver,
+}
+
+
+@pytest.mark.parametrize("earlier", [None, b"earlier bytes"])
+@pytest.mark.parametrize("name", sorted(_SAVERS))
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch, name, earlier):
+    """A save that fails after writing part of its file leaves neither that
+    file nor a temporary one behind, and an existing file as it was."""
+    save = _SAVERS[name](tmp_path)
+    out = tmp_path / "out.model"
+    save(out)  # the save works on a disk with room
+    if earlier is None:
+        out.unlink()
+    else:
+        out.write_bytes(earlier)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    real_open = builtins.open
+
+    def open_on_full_disk(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", open_on_full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        save(out)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (out.read_bytes() if out.exists() else None) == earlier

@@ -7,15 +7,15 @@ import pytest
 from mtkit import textnorm
 from mtkit.errors import ModelFormatError
 from mtkit.textnorm import (
-    NormalizationRules,
     detokenize,
     german_quote_postprocess,
     load_rules,
     nonbreaking_prefixes,
     normalize_punct,
-    save_rules,
     word_tokenize,
 )
+
+from conftest import default_rules_text
 
 # ---------------------------------------------------------------------------
 # normalize_punct
@@ -61,20 +61,20 @@ def test_normalize_idempotent_on_noisy_random_text():
 # rule tables
 
 
-def test_default_rules_version():
-    assert NormalizationRules.default().version == textnorm.DEFAULT_RULES_VERSION
-
-
-def test_rules_save_load_roundtrip(tmp_path):
-    rules = NormalizationRules.default()
+def test_rules_file_loads_the_default_table(tmp_path):
     path = tmp_path / "rules.txt"
-    save_rules(rules, path)
+    path.write_text(default_rules_text(), encoding="utf-8")
     loaded = load_rules(path)
-    assert loaded.version == rules.version
-    assert [(p.pattern, r) for p, r in loaded.rules] == [
-        (p.pattern, r) for p, r in rules.rules
+    assert [(p.pattern, r) for p, r in loaded] == [
+        (p.pattern, r) for p, r in textnorm._DEFAULT_RULES
     ]
-    assert loaded.apply("“x”  y") == normalize_punct("“x”  y")
+    assert normalize_punct("“x”  y", loaded) == normalize_punct("“x”  y")
+
+
+def test_empty_rules_file_rewrites_nothing(tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("normrules-v1 none\n", encoding="utf-8")
+    assert normalize_punct("“x”  y", load_rules(path)) == "“x”  y"
 
 
 def test_rules_bad_header(tmp_path):
@@ -124,11 +124,6 @@ def test_tokenize_nonbreaking_prefix():
 def test_tokenize_german_prefix():
     assert "z.b" in nonbreaking_prefixes("de") or "bzw" in nonbreaking_prefixes("de")
     assert word_tokenize("bzw. morgen", lang="de") == ["bzw.", "morgen"]
-
-
-def test_tokenize_explicit_prefixes_override():
-    assert word_tokenize("foo. bar", prefixes=frozenset({"foo"})) == ["foo.", "bar"]
-    assert word_tokenize("foo. bar", prefixes=frozenset()) == ["foo", ".", "bar"]
 
 
 def test_tokenize_unknown_language_prefixes_empty():
