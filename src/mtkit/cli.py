@@ -199,6 +199,11 @@ def cmd_filter(args) -> int:
         required_langs=required,
         min_len_tokens=args.min_len,
     )
+    if langid is not None:
+        unknown = [code for code in required if code not in langid.langs]
+        if unknown:
+            raise ConfigError(f"--langs {args.langs}: the langid model {args.langid} knows "
+                              f"{' '.join(langid.langs)}, not {' '.join(unknown)}")
     report = corpus.FilterReport()
     skipped: list[int] = []
     with _open_in(args.input) as src, _open_out(args.output) as out:
@@ -287,6 +292,10 @@ def cmd_domain_select(args) -> int:
     tokenizer = _bpe_tokenizer(args.bpe)
     clf_en = domain.load_classifier(args.clf_en, tokenizer)
     clf_ru = domain.load_classifier(args.clf_ru, tokenizer)
+    for flag, path, clf, lang in (("--clf-en", args.clf_en, clf_en, "en"),
+                                  ("--clf-ru", args.clf_ru, clf_ru, "ru")):
+        if clf.lang != lang:
+            raise ConfigError(f"{flag} {path}: holds a {clf.lang!r} classifier, not {lang!r}")
     cfg = domain.SelectionConfig(
         stage1_threshold=args.stage1, final_threshold=args.final
     )

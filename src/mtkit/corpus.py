@@ -5,6 +5,12 @@ side, minimum length, maximum length, length ratio, cleanliness score) and
 attributes each rejection to the first rule that fired, so reports are
 reproducible and mergeable across chunks of a stream.
 
+Language id computes its hashed character 2..4-gram features by block: one
+vectorized CRC-32 pass covers every gram of a block of texts. A block holds
+at most 64 texts and 1 MB of feature rows (one row, if a row alone is
+larger), so its memory is bounded by its texts' length, not the input's.
+The rows, and every verdict, equal those of hashing one gram at a time.
+
 Only the language-id code uses numpy, and it imports numpy where it needs
 it, so the stages that read and write pairs start without loading it.
 """
@@ -13,8 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-import zlib
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -94,21 +98,70 @@ class FilterReport:
 # language identification (hashed char n-gram logistic classifier)
 
 _NGRAM_RANGE = (2, 4)
+# A block is at most _BLOCK_ROWS texts whose feature rows hold at most
+# _BLOCK_CELLS float64 values (1 MB), unless a single row is larger. Besides
+# the rows, its temporaries take a fixed number of bytes per character.
+_BLOCK_ROWS = 64
+_BLOCK_CELLS = 1 << 17
 
 
-def _langid_features(text: str, n_features: int) -> np.ndarray:
+def _block_rows(n_features: int) -> int:
+    return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n_features))
+
+
+def _langid_features(texts: list[str], out: np.ndarray) -> None:
+    """Overwrite row i of `out` with the features of texts[i].
+
+    A text's features are the counts of its lowercased character 2..4-grams,
+    gram g counted at zlib.crc32(g.encode("utf-8")) % n_features, where
+    n_features is the width of `out` (a C-contiguous float64 matrix). Raw
+    counts, not frequencies: short inputs keep sharp logit margins.
+
+    The CRC-32 of every gram is computed at once. A running CRC starts at each
+    character of the block and takes the UTF-8 bytes of that character and
+    the next three, one byte position per table-driven step; it is read off
+    after the 2nd, 3rd and 4th character. A gram that would run past the end
+    of its text is not counted. As with str.encode, a lone surrogate in a
+    gram raises UnicodeEncodeError.
+    """
     import numpy as np
-    vec = np.zeros(n_features)
-    text = text.lower()
-    counts: Counter[int] = Counter()
-    for n in range(_NGRAM_RANGE[0], _NGRAM_RANGE[1] + 1):
-        for i in range(len(text) - n + 1):
-            gram = text[i : i + n]
-            counts[zlib.crc32(gram.encode("utf-8")) % n_features] += 1
-    # Raw counts, not frequencies: short inputs keep sharp logit margins.
-    for idx, c in counts.items():
-        vec[idx] = c
-    return vec
+    n_features = out.shape[1]
+    lo, hi = _NGRAM_RANGE
+    # one text at a time: str.lower maps a final sigma by what follows it
+    lowered = [text.lower() for text in texts]
+    lengths = np.fromiter(map(len, lowered), dtype=np.intp, count=len(lowered))
+    points = np.frombuffer("".join(lowered).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    n = len(points)
+    if ((points >= 0xD800) & (points <= 0xDFFF)).any():  # lone surrogates
+        for text in lowered:
+            if len(text) >= lo:
+                text.encode("utf-8")
+    # padded so that the last grams of the block can be read past its end
+    cp = np.zeros(n + hi - 1, dtype=np.uint32)
+    cp[:n] = points
+    width = 1 + (cp >= 0x80).astype(np.uint32) + (cp >= 0x800) + (cp >= 0x10000)
+    # utf8[b, j]: byte b of character j, where width[j] > b
+    utf8 = np.empty((4, len(cp)), dtype=np.uint32)
+    utf8[0] = (cp >> 6 * (width - 1)) | np.array([0, 0, 0xC0, 0xE0, 0xF0], np.uint32)[width]
+    for b in range(1, 4):
+        utf8[b] = ((cp >> 6 * (np.maximum(width, b + 1) - (b + 1))) & 0x3F) | 0x80
+
+    table = np.arange(256, dtype=np.uint32)  # zlib's, for polynomial 0xEDB88320
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    crc = np.full(n, 0xFFFFFFFF, dtype=np.uint32)
+    row = np.repeat(np.arange(len(lowered)), lengths)
+    rest = np.repeat(np.cumsum(lengths), lengths) - np.arange(n)  # chars left in the text
+    out[...] = 0.0
+    flat = out.reshape(-1)  # a view, as out is C-contiguous
+    for k in range(hi):
+        for b in range(4):
+            on = np.flatnonzero(width[k:k + n] > b)
+            crc[on] = table[(crc[on] ^ utf8[b, k:k + n][on]) & 0xFF] ^ (crc[on] >> 8)
+        if k + 1 >= lo:
+            whole = rest > k
+            grams = (crc[whole] ^ np.uint32(0xFFFFFFFF)) % n_features
+            np.add.at(flat, row[whole] * n_features + grams, 1.0)
 
 
 class LangIdModel:
@@ -131,7 +184,15 @@ class LangIdModel:
 
     def predict_proba(self, text: str) -> np.ndarray:
         import numpy as np
-        logits = _langid_features(text, self.n_features) @ self.weights + self.bias
+        features = np.empty((1, self.n_features))
+        _langid_features([text], features)
+        return self._proba(features[0])
+
+    def _proba(self, features: np.ndarray) -> np.ndarray:
+        """Softmax of one feature row's logits; a block is taken row by row,
+        because a batched product does not round as the row product does."""
+        import numpy as np
+        logits = features @ self.weights + self.bias
         logits -= logits.max()
         exp = np.exp(logits)
         return exp / exp.sum()
@@ -155,12 +216,14 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
         raise EmptyInputError(f"need at least 2 languages, got {langs}")
     lang_idx = {lang: i for i, lang in enumerate(langs)}
     n = len(pairs)
-    # Filled in place rather than stacked from row vectors: the same values
-    # without a second copy of the matrix at the memory peak.
-    x = np.zeros((n, n_features))
+    # Filled in place, block by block, rather than stacked from row vectors:
+    # the same values without a second copy of the matrix at the memory peak.
+    x = np.empty((n, n_features))
     y = np.zeros((n, len(langs)))
-    for row, (text, lang) in enumerate(pairs):
-        x[row] = _langid_features(text, n_features)
+    step = _block_rows(n_features)
+    for start in range(0, n, step):
+        _langid_features([text for text, _ in pairs[start:start + step]], x[start:start + step])
+    for row, (_, lang) in enumerate(pairs):
         y[row, lang_idx[lang]] = 1.0
 
     rng = np.random.default_rng(seed)
@@ -183,6 +246,23 @@ def langid_classify(model: LangIdModel, text: str) -> tuple[str, float]:
     probs = model.predict_proba(text)
     idx = int(probs.argmax())
     return model.langs[idx], float(probs[idx])
+
+
+def _langid_labels(model: LangIdModel, texts) -> dict[str, str]:
+    """Map each distinct non-blank text to the language langid_classify gives
+    it, featurizing a block of texts at a time into one reused buffer."""
+    import numpy as np
+    distinct = list(dict.fromkeys(text for text in texts if text.strip()))
+    step = _block_rows(model.n_features)
+    buffer = np.empty((min(step, len(distinct)), model.n_features))
+    labels = {}
+    for start in range(0, len(distinct), step):
+        block = distinct[start:start + step]
+        rows = buffer[:len(block)]
+        _langid_features(block, rows)
+        for text, row in zip(block, rows):
+            labels[text] = model.langs[int(model._proba(row).argmax())]
+    return labels
 
 
 def save_langid(model: LangIdModel, path) -> None:
@@ -242,11 +322,22 @@ def filter_pair(pair: ParallelExample, cfg: FilterConfig,
     A blank side fails its language-id rule when that rule is on. Pairs
     without an external score skip the score rule.
     """
+    lang_of = None
     if langid is not None and cfg.required_langs is not None:
+        def lang_of(text: str) -> str:
+            return langid_classify(langid, text)[0]
+    return _first_rejection(pair, cfg, lang_of)
+
+
+def _first_rejection(pair: ParallelExample, cfg: FilterConfig, lang_of) -> str | None:
+    """The rule cascade of filter_pair; lang_of(text) gives the language of a
+    non-blank side, or is None when the language-id rules are off. The
+    target is looked up only when the source passed."""
+    if lang_of is not None:
         src_lang, tgt_lang = cfg.required_langs
-        if not pair.source.strip() or langid_classify(langid, pair.source)[0] != src_lang:
+        if not pair.source.strip() or lang_of(pair.source) != src_lang:
             return "langid_src"
-        if not pair.target.strip() or langid_classify(langid, pair.target)[0] != tgt_lang:
+        if not pair.target.strip() or lang_of(pair.target) != tgt_lang:
             return "langid_tgt"
     len_s = len(pair.source.split())
     len_t = len(pair.target.split())
@@ -267,13 +358,26 @@ def filter_corpus(pairs, cfg: FilterConfig,
                   langid: LangIdModel | None = None) -> tuple[list[ParallelExample], FilterReport]:
     """Apply the cascade to every pair, preserving input order.
 
-    The report counts this call's pairs only; callers that filter a stream
-    chunk by chunk combine the chunk reports with FilterReport.merge.
+    With the language-id rules on, the distinct non-blank sources are
+    classified first, a block at a time, then the distinct targets of the
+    pairs whose source passed; the cascade then reads those labels, so each
+    pair gets the verdict filter_pair gives it. The report counts this
+    call's pairs only; callers that filter a stream chunk by chunk combine
+    the chunk reports with FilterReport.merge.
     """
+    pairs = list(pairs)
+    lang_of = None
+    if langid is not None and cfg.required_langs is not None:
+        labels = _langid_labels(langid, (pair.source for pair in pairs))
+        src_lang = cfg.required_langs[0]
+        labels.update(_langid_labels(langid, (
+            pair.target for pair in pairs
+            if labels.get(pair.source) == src_lang and pair.target not in labels)))
+        lang_of = labels.__getitem__
     report = FilterReport()
     kept = []
     for pair in pairs:
-        verdict = filter_pair(pair, cfg, langid)
+        verdict = _first_rejection(pair, cfg, lang_of)
         report.total += 1
         if verdict is None:
             report.kept += 1

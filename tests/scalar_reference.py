@@ -6,8 +6,9 @@ grams of `ngram_train`, the gram-by-gram writer of `save_ngram_scorer`, a
 gram -> count dict to `NGramScorer` conversion (`ngram_from_counts`), an
 exhaustive search over every terminated sequence, the `next_dist`-based
 loops of `sequence_logprob` and `noisy_channel_rerank`, the recount-every-pair
-merge loop of `bpe_train`, and a per-element loop for the checkpoint
-mean of `average_checkpoint_files`, kept for the tests only. The library versions
+merge loop of `bpe_train`, a per-element loop for the checkpoint
+mean of `average_checkpoint_files`, and the gram-by-gram language-id
+features with the one-text classification over them, kept for the tests only. The library versions
 must agree with them exactly (`==` on every float, merge and vocab id).
 The reference beam always runs all max_len steps and applies the length
 penalty with its own arithmetic, so it also checks the early stop of the
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 from array import array
 from collections import Counter
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from mtkit.bpe import BOS, EOS, PAD, UNK, WORD_END, BpeModel
 from mtkit.candidates import Candidate
+from mtkit.corpus import _NGRAM_RANGE
 from mtkit.decode import DecodeConfig, _log_dist
 from mtkit.errors import ConfigError, EmptyInputError, NoCompletedHypothesisError
 from mtkit.models import NGramScorer
@@ -331,3 +334,29 @@ def reference_checkpoint_mean(tensor_sets: list[dict]) -> dict:
             means.append(np.float32(total / k))
         out[name] = np.array(means, dtype=np.float32).reshape(arrays[0].shape)
     return out
+
+
+def reference_langid_features(text: str, n_features: int) -> np.ndarray:
+    vec = np.zeros(n_features)
+    text = text.lower()
+    counts: Counter[int] = Counter()
+    for n in range(_NGRAM_RANGE[0], _NGRAM_RANGE[1] + 1):
+        for i in range(len(text) - n + 1):
+            gram = text[i : i + n]
+            counts[zlib.crc32(gram.encode("utf-8")) % n_features] += 1
+    # Raw counts, not frequencies: short inputs keep sharp logit margins.
+    for idx, c in counts.items():
+        vec[idx] = c
+    return vec
+
+
+def reference_langid_classify(model, text: str) -> tuple[str, float]:
+    """langid_classify over reference_langid_features, one text at a time."""
+    if not text.strip():
+        raise EmptyInputError("cannot classify empty text")
+    logits = reference_langid_features(text, model.n_features) @ model.weights + model.bias
+    logits -= logits.max()
+    exp = np.exp(logits)
+    probs = exp / exp.sum()
+    idx = int(probs.argmax())
+    return model.langs[idx], float(probs[idx])

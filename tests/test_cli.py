@@ -340,9 +340,13 @@ def test_malformed_model_file_exits_1(tmp_path, capsys, command, good, bad):
     model = tmp_path / "model.txt"
     inp = tmp_path / "in.txt"
     _write(inp, ["0" if command == "decode" else "a b\tc d"])
+    files = ["in.txt", "model.txt"]
+    if command == "domain-select":  # --clf-ru takes a well-formed Russian classifier
+        _write(tmp_path / "ru.domcls", ["domcls-v1 ru", "foo\t0.5"])
+        files.append("ru.domcls")
     flag = {"decode": ["--model"], "normalize": ["--rules"],
             "filter": ["--langs", "en,ru", "--langid"],
-            "domain-select": ["--clf-ru", str(model), "--clf-en"]}[command]
+            "domain-select": ["--clf-ru", str(tmp_path / "ru.domcls"), "--clf-en"]}[command]
     out = tmp_path / "out.txt"
     argv = [command, str(inp), *flag, str(model), "-o", str(out)]
     model.write_bytes(good if isinstance(good, bytes) else good.encode("utf-8"))
@@ -355,7 +359,7 @@ def test_malformed_model_file_exits_1(tmp_path, capsys, command, good, bad):
     last = err.splitlines()[-1]
     assert last.startswith(f"error: ModelFormatError: {model}: ") and last.count(str(model)) == 1
     assert "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "model.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 # ---------------------------------------------------------------------------
@@ -671,13 +675,16 @@ def test_domain_train_and_select_with_bpe(tmp_path):
 
 
 def test_domain_select_long_out_of_domain_line(tmp_path, capsys):
-    clf = tmp_path / "clf.domcls"
-    clf.write_text("domcls-v1 en\ncell\t5.0\nvote\t-0.8\n__bias__\t0.0\n", encoding="utf-8")
+    clfs = {}
+    for lang in ("en", "ru"):
+        clfs[lang] = tmp_path / f"{lang}.domcls"
+        clfs[lang].write_text(f"domcls-v1 {lang}\ncell\t5.0\nvote\t-0.8\n__bias__\t0.0\n",
+                              encoding="utf-8")
     inp = tmp_path / "pairs.tsv"
     _write(inp, [" ".join(["vote"] * 1000) + "\tvote", "cell cell\tcell cell"])
     out = tmp_path / "selected.tsv"
     rc = run(["domain-select", str(inp), "-o", str(out),
-              "--clf-en", str(clf), "--clf-ru", str(clf)])
+              "--clf-en", str(clfs["en"]), "--clf-ru", str(clfs["ru"])])
     assert rc == 0
     assert [line.split("\t")[:2] for line in _read(out)] == [["cell cell", "cell cell"]]
     assert "domain-select counts: input=2 stage1_kept=1 " in capsys.readouterr().err
@@ -1147,6 +1154,18 @@ def _bad_input_argv(tmp_path, case, langid_file):
     if case == "decode blank source line":
         _write(ids, ["0", "", "0"])
         return decode, f"EmptyInputError: {ids}: line 2 holds no source tokens"
+    if case == "filter langs outside the model":  # langid_file knows en and ru
+        return (["filter", str(pairs), "--langid", str(langid_file), "--langs", "en,de", "-o", out],
+                f"ConfigError: --langs en,de: the langid model {langid_file} knows en ru, not de")
+    if case.startswith("domain-select clf-"):
+        flag, lang = case.removeprefix("domain-select ").split()
+        clfs = {}
+        for side in ("en", "ru"):
+            clfs[side] = tmp_path / f"{side}.domcls"
+            _write(clfs[side], [f"domcls-v1 {lang if flag == f'clf-{side}' else side}", "a\t1.0"])
+        return (["domain-select", str(pairs), "--clf-en", str(clfs["en"]),
+                 "--clf-ru", str(clfs["ru"]), "-o", out],
+                f"ConfigError: --{flag} {clfs[flag[-2:]]}: holds a {lang!r} classifier")
     if case.startswith("filter langs "):
         langs = case.removeprefix("filter langs ")
         return (["filter", str(pairs), "--langid", str(langid_file), "--langs", langs, "-o", out],
@@ -1185,7 +1204,8 @@ def _bad_input_argv(tmp_path, case, langid_file):
     "decode alpha nan", "decode alpha inf", "tune-lambda alpha nan", "decode fusion-lambda inf",
     "rerank lam inf", "tune-lambda ncr-grid inf", "mix n -1", "oracle-bleu eos-id -5",
     "langid-train seed -1", "avg-checkpoints table", "tokenize german-quotes without detok",
-    "filter langs without langid",
+    "filter langs without langid", "filter langs outside the model",
+    "domain-select clf-en ru", "domain-select clf-ru en", "domain-select clf-ru de",
 ])
 def test_bad_input_is_named_error(tmp_path, capsys, langid_file, case):
     argv, expected = _bad_input_argv(tmp_path, case, langid_file)
@@ -1249,12 +1269,14 @@ def test_text_and_bleu_stages_do_not_load_numpy(tmp_path, langid_file):
     dump = tmp_path / "dump.tsv"
     _write(dump, ["0\t0\t-1.0\t-\t-\t-\t0,2", "1\t0\t-1.0\t-\t-\t-\t1,2"])
     tok, codes, enc, out = (str(tmp_path / n) for n in ("tok", "codes", "enc", "out"))
-    rev, lm, table, clf = (str(tmp_path / n)
-                           for n in ("rev.ngram", "lm.ngram", "rev.table", "en.domcls"))
+    rev, lm, table, clf_en, clf_ru = (
+        str(tmp_path / n) for n in ("rev.ngram", "lm.ngram", "rev.table", "en.domcls", "ru.domcls"))
     models.save_ngram_scorer(models.ngram_train([[1, 0], [0]], 2, vocab_size=3, eos_id=2), rev)
     models.save_ngram_scorer(models.ngram_train([[0, 0, 1], [1]], 3, vocab_size=3, eos_id=2), lm)
     models.save_table_scorer(TableScorer(["a", "b", "eos"], {}, np.ones(3) / 3), table)
-    _write(tmp_path / "en.domcls", ["domcls-v1 en", "a\t2.0", "u\t1.5", "__bias__\t-0.5"])
+    for lang in ("en", "ru"):
+        _write(tmp_path / f"{lang}.domcls",
+               [f"domcls-v1 {lang}", "a\t2.0", "u\t1.5", "__bias__\t-0.5"])
     rerank = ["rerank", "--dump", str(dump), "--source", str(ids), "--lm", lm, "-o", out]
     numpy_free = [
         ["normalize", str(text), "-o", out],
@@ -1269,7 +1291,7 @@ def test_text_and_bleu_stages_do_not_load_numpy(tmp_path, langid_file):
         ["filter", str(text), "--mono", "-o", out],
         ["score-bleu", "--hyp", str(text), "--ref", str(text), "-o", out],
         ["oracle-bleu", "--dump", str(dump), "--ref", str(ids), "--eos-id", "2", "-o", out],
-        ["domain-select", str(pairs), "--clf-en", clf, "--clf-ru", clf, "--final", "0.5",
+        ["domain-select", str(pairs), "--clf-en", clf_en, "--clf-ru", clf_ru, "--final", "0.5",
          "-o", out],
         rerank + ["--rev", rev],
         rerank + ["--rev", rev, "--top1"],

@@ -1,15 +1,22 @@
 """Language id, the filter cascade, target reversal, mixing, and TSV io."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtkit.corpus import (
     FilterConfig,
     FilterReport,
+    LangIdModel,
     ParallelExample,
     RULE_ORDER,
+    _block_rows,
+    _langid_features,
+    _langid_labels,
     filter_corpus,
     filter_pair,
     format_tsv_line,
@@ -25,6 +32,7 @@ from mtkit.corpus import (
 from mtkit.errors import EmptyInputError
 
 from conftest import make_sentence
+from scalar_reference import reference_langid_classify, reference_langid_features
 
 # ---------------------------------------------------------------------------
 # language id
@@ -99,6 +107,103 @@ def test_langid_save_load_roundtrip(tmp_path, langid_model, langid_corpus):
     _, heldout = langid_corpus
     for text, _ in heldout[:120]:
         assert langid_classify(loaded, text) == langid_classify(langid_model, text)
+
+
+# ---------------------------------------------------------------------------
+# language-id features by block, against the gram-by-gram oracle
+
+# ASCII, Cyrillic, CJK and astral characters, and characters whose lower()
+# is longer ("İ") or depends on what follows ("Σ")
+_LID_CHARS = st.sampled_from(list("ab zQ.") + list("дЖё") + list("中文") + ["🎉", "𝐀", "İ", "Σ"])
+_lid_text = st.text(_LID_CHARS | st.characters(exclude_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def _lid_block(draw):
+    """(n_features, texts): one text, or more than one block's worth."""
+    n_features = draw(st.sampled_from([1, 7, 2048, 2**20]))
+    size = draw(st.sampled_from([1, _block_rows(n_features) + 1]))
+    return n_features, draw(st.lists(_lid_text, min_size=size, max_size=size))
+
+
+@functools.lru_cache(maxsize=None)
+def _random_langid_model(n_features: int) -> LangIdModel:
+    rng = np.random.default_rng(n_features)
+    return LangIdModel(["de", "en", "ru"], rng.normal(size=(n_features, 3)),
+                       rng.normal(size=3), n_features)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lid_block())
+@example((7, [""]))  # texts of 0, 1 and 2 characters
+@example((2048, ["a"]))
+@example((1, ["ab"]))
+@example((2**20, ["İ", "zΣ"]))
+def test_langid_features_match_reference(block):
+    n_features, texts = block
+    out = np.full((len(texts), n_features), -1.0)  # every cell is overwritten
+    _langid_features(texts, out)
+    for text, row in zip(texts, out):
+        assert np.array_equal(row, reference_langid_features(text, n_features))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lid_block())
+@example((7, [""]))  # texts of 0, 1 and 2 characters
+@example((2048, ["a"]))
+@example((1, ["ab"]))
+@example((2**20, ["İ", "zΣ"]))
+def test_langid_classify_matches_reference(block):
+    n_features, texts = block
+    model = _random_langid_model(n_features)
+    labels = _langid_labels(model, texts)
+    nonblank = [text for text in texts if text.strip()]
+    assert set(labels) == set(nonblank)
+    for text in nonblank:
+        expected = reference_langid_classify(model, text)
+        assert langid_classify(model, text) == expected
+        assert labels[text] == expected[0]
+
+
+def test_langid_train_matches_reference_features(langid_corpus):
+    # langid_train fills its matrix block by block; the fit depends on the
+    # rows only, so training on the oracle's rows must give the same model
+    train, _ = langid_corpus
+    labeled = train[:100] + train[1000:1100]  # more than one block of texts
+    n_features = 2048
+    model = langid_train(labeled, seed=4, n_features=n_features, epochs=3)
+    assert len(labeled) > _block_rows(n_features)
+    x = np.array([reference_langid_features(text, n_features) for text, _ in labeled])
+    y = np.array([[lang == code for code in model.langs] for _, lang in labeled], dtype=float)
+    rng = np.random.default_rng(4)
+    w = rng.normal(0.0, 0.01, size=(n_features, len(model.langs)))
+    b = np.zeros(len(model.langs))
+    for _ in range(3):
+        logits = x @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits)
+        grad = exp / exp.sum(axis=1, keepdims=True) - y
+        w -= 2.0 * (x.T @ grad) / len(labeled)
+        b -= 2.0 * grad.mean(axis=0)
+    assert np.array_equal(model.weights, w) and np.array_equal(model.bias, b)
+
+
+def test_langid_lone_surrogate(langid_model):
+    # Only a library caller can pass one: the CLI reads strict UTF-8. A lone
+    # surrogate fails once a gram holds it; a one-character text has no gram.
+    out = np.full((2, 16), -1.0)
+    _langid_features(["\ud800", "ab"], out)
+    assert not out[0].any()
+    assert np.array_equal(out[1], reference_langid_features("ab", 16))
+    assert langid_classify(langid_model, "\udc00") == reference_langid_classify(
+        langid_model, "\udc00")
+    for text in ("a\ud800", "\udc00xyz", "ab\ud83d\ude00"):
+        with pytest.raises(UnicodeEncodeError):
+            reference_langid_features(text, 16)
+        with pytest.raises(UnicodeEncodeError):
+            _langid_features(["ok", text], np.empty((2, 16)))
+        with pytest.raises(UnicodeEncodeError):
+            langid_classify(langid_model, text)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +317,40 @@ def test_filter_report_merge(planted_filter_fixture, langid_model):
     _, first = filter_corpus(pairs[:400], cfg, langid_model)
     _, second = filter_corpus(pairs[400:], cfg, langid_model)
     assert first.merge(second) == whole
+
+
+def test_filter_corpus_matches_filter_pair(langid_model):
+    # filter_corpus classifies the sides by block; each verdict must be the
+    # one filter_pair gives the pair alone
+    rng = random.Random(21)
+    repeated = make_sentence(rng, "en", 8)
+    pairs = []
+    for i in range(300):
+        n = rng.randint(3, 12)
+        source = make_sentence(rng, ("en", "en", "en", "ru", "de")[i % 5], n)
+        target = make_sentence(rng, ("de", "de", "de", "de", "en", "ru")[i % 6],
+                               n + 6 if i % 7 == 0 else n)
+        if i % 4 == 0:
+            source = repeated
+        if i % 17 == 0:
+            source = " "
+        if i % 13 == 0:
+            target = "\t"
+        pairs.append(ParallelExample(source, target, round(rng.uniform(0.5, 1.0), 2)))
+    pairs.append(ParallelExample("", make_sentence(rng, "ru")))  # blank source, wrong target
+    cfg = FilterConfig(required_langs=("en", "de"), max_len_tokens=10, min_len_tokens=4)
+    assert len({side for p in pairs for side in (p.source, p.target)}) > _block_rows(2048)
+    kept, report = filter_corpus(pairs, cfg, langid_model)
+    verdicts = [filter_pair(pair, cfg, langid_model) for pair in pairs]
+    assert kept == [pair for pair, v in zip(pairs, verdicts) if v is None]
+    expected = FilterReport(total=len(pairs), kept=verdicts.count(None))
+    for verdict in filter(None, verdicts):
+        expected.rejected[verdict] += 1
+    assert report == expected
+    assert all(report.rejected[rule] > 0 for rule in RULE_ORDER)
+    assert verdicts[-1] == "langid_src"  # the first rule in RULE_ORDER wins
+    _, last = filter_corpus(pairs[-1:], cfg, langid_model)
+    assert last.rejected == {rule: int(rule == "langid_src") for rule in RULE_ORDER}
 
 
 def test_filter_report_lines():
