@@ -11,8 +11,7 @@ differences.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import EmptyInputError, LengthMismatchError
 
@@ -20,13 +19,8 @@ MAX_ORDER = 4
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class BleuResult:
-    score: float  # in [0, 100]
-    precisions: tuple[float, float, float, float]
-    brevity_penalty: float
-    hyp_len: int
-    ref_len: int
+# score lies in [0, 100]; precisions holds one float per order 1..MAX_ORDER
+BleuResult = namedtuple("BleuResult", "score precisions brevity_penalty hyp_len ref_len")
 
 
 def _ngram_counts(tokens: list, n: int) -> Counter:

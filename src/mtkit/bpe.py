@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 
 from .errors import (ConfigError, EmptyInputError, ModelFormatError, VocabMismatchError,
                      check_new_line, model_file, model_writer)
@@ -24,15 +23,14 @@ SPECIALS = (PAD, UNK, BOS, EOS, WORD_END)
 ZERO_DROPOUT_CACHE_MAX = 1 << 16
 
 
-@dataclass
 class BpeModel:
-    """Ordered merge list plus token-string -> id vocabulary."""
+    """Ordered merge list plus token-string -> id vocabulary; vocab_size is
+    the configured target, at least len(vocab)."""
 
-    merges: list[tuple[str, str]]
-    vocab: dict[str, int]
-    vocab_size: int  # configured target, >= len(vocab)
-
-    def __post_init__(self):
+    def __init__(self, merges: list[tuple[str, str]], vocab: dict[str, int], vocab_size: int):
+        self.merges = merges
+        self.vocab = vocab
+        self.vocab_size = vocab_size
         self.merge_ranks = {pair: rank for rank, pair in enumerate(self.merges)}
         self.id_to_token = {i: t for t, i in self.vocab.items()}
         self._zero_dropout_cache: dict[str, tuple[str, ...]] = {}

@@ -18,7 +18,13 @@ only argparse, contextlib, itertools, sys and mtkit.errors at the top; each
 cmd_* function imports the mtkit modules it uses, so score-bleu loads bleu
 alone. No mtkit module loads numpy at import either; each imports it inside
 the functions that do array math, so only the stages that reach them pay for
-it (rerank over n-gram models and domain-select do not).
+it (rerank over n-gram models and domain-select do not). The records are
+named tuples and plain classes, not data classes, whose module loads
+inspect, so a stage loads inspect only with numpy. run() builds the parser
+of the subcommand it is given alone, not all eighteen; with no argument,
+-h/--help or an unknown name first it builds the full parser, and the usage
+line of the one-subcommand parser names every subcommand, so each help and
+usage text is the full parser's.
 
 The decoding stages read and write token ids only; text goes in through
 bpe-encode and comes out through bpe-decode.
@@ -496,176 +502,180 @@ def _add_common(sub, seeded: bool = False) -> None:
                      help="accepted for compatibility and ignored; every stage runs on one thread")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The mtkit parser. When `only` names a subcommand the parser holds that
+    subcommand alone, which is all a run of it reads, and its usage line still
+    names every subcommand; otherwise it holds them all."""
     parser = argparse.ArgumentParser(
         prog="mtkit",
         description="Machine translation decoding and data-curation toolkit.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    names = []
 
-    p = sub.add_parser("normalize", help="normalize punctuation")
-    _add_io(p)
-    p.add_argument("--rules", default=None, help="rules file (default built-in table)")
-    p.set_defaults(func=cmd_normalize)
+    def add(name, func, help_text):
+        """The new parser of subcommand `name`, or None when it is left out."""
+        names.append(name)
+        if only is not None and name != only:
+            return None
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("tokenize", help="word tokenize (or detokenize with --detok)")
-    _add_io(p)
-    p.add_argument("--lang", default="en", choices=("en", "de", "ru"),
-                   help="tokenizer language; --detok output is the same for every language")
-    p.add_argument("--detok", action="store_true", help="join tokens back into text")
-    p.add_argument("--german-quotes", action="store_true",
-                   help="with --detok: replace paired ASCII quotes with German ones")
-    p.set_defaults(func=cmd_tokenize)
+    if p := add("normalize", cmd_normalize, "normalize punctuation"):
+        _add_io(p)
+        p.add_argument("--rules", default=None, help="rules file (default built-in table)")
 
-    p = sub.add_parser("bpe-train", help="learn BPE merges")
-    _add_io(p)
-    p.add_argument("--vocab-size", type=int, required=True)
-    p.add_argument("--model-out", required=True)
-    p.set_defaults(func=cmd_bpe_train)
+    if p := add("tokenize", cmd_tokenize, "word tokenize (or detokenize with --detok)"):
+        _add_io(p)
+        p.add_argument("--lang", default="en", choices=("en", "de", "ru"),
+                       help="tokenizer language; --detok output is the same for every language")
+        p.add_argument("--detok", action="store_true", help="join tokens back into text")
+        p.add_argument("--german-quotes", action="store_true",
+                       help="with --detok: replace paired ASCII quotes with German ones")
 
-    p = sub.add_parser("bpe-encode", help="encode text to token ids")
-    _add_io(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bpe_encode)
+    if p := add("bpe-train", cmd_bpe_train, "learn BPE merges"):
+        _add_io(p)
+        p.add_argument("--vocab-size", type=int, required=True)
+        p.add_argument("--model-out", required=True)
 
-    p = sub.add_parser("bpe-decode", help="decode token ids to text")
-    _add_io(p)
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_bpe_decode)
+    if p := add("bpe-encode", cmd_bpe_encode, "encode text to token ids"):
+        _add_io(p)
+        p.add_argument("--model", required=True)
+        p.add_argument("--dropout", type=float, default=0.0)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("filter", help="apply the parallel-corpus filter cascade")
-    _add_io(p)
-    _add_common(p)
-    p.add_argument("--max-len", type=int, default=250)
-    p.add_argument("--min-len", type=int, default=1)
-    p.add_argument("--max-ratio", type=float, default=1.3)
-    p.add_argument("--min-score", type=float, default=0.6)
-    p.add_argument("--langid", default=None, help="trained language-id model")
-    p.add_argument("--langs", default=None, help="expected src,tgt language codes")
-    p.add_argument("--report", default=None, help="write the filter report here")
-    p.add_argument("--mono", action="store_true",
-                   help="input is one sentence per line; apply length bounds only")
-    p.set_defaults(func=cmd_filter)
+    if p := add("bpe-decode", cmd_bpe_decode, "decode token ids to text"):
+        _add_io(p)
+        p.add_argument("--model", required=True)
 
-    p = sub.add_parser("langid-train", help="train the language-id classifier")
-    p.add_argument("data", nargs="+", help="CODE=PATH labeled line files")
-    p.add_argument("--model-out", required=True)
-    p.add_argument("--features", type=int, default=2048)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_langid_train)
+    if p := add("filter", cmd_filter, "apply the parallel-corpus filter cascade"):
+        _add_io(p)
+        _add_common(p)
+        p.add_argument("--max-len", type=int, default=250)
+        p.add_argument("--min-len", type=int, default=1)
+        p.add_argument("--max-ratio", type=float, default=1.3)
+        p.add_argument("--min-score", type=float, default=0.6)
+        p.add_argument("--langid", default=None, help="trained language-id model")
+        p.add_argument("--langs", default=None, help="expected src,tgt language codes")
+        p.add_argument("--report", default=None, help="write the filter report here")
+        p.add_argument("--mono", action="store_true",
+                       help="input is one sentence per line; apply length bounds only")
 
-    p = sub.add_parser("domain-train", help="train an in-domain binary classifier")
-    p.add_argument("--positives", required=True)
-    p.add_argument("--negatives", required=True)
-    p.add_argument("--lang", default="en")
-    p.add_argument("--bpe", default=None, help="BPE model for tokenization")
-    p.add_argument("--model-out", required=True)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_domain_train)
+    if p := add("langid-train", cmd_langid_train, "train the language-id classifier"):
+        p.add_argument("data", nargs="+", help="CODE=PATH labeled line files")
+        p.add_argument("--model-out", required=True)
+        p.add_argument("--features", type=int, default=2048)
+        p.add_argument("--epochs", type=int, default=300)
+        p.add_argument("--lr", type=float, default=2.0)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("domain-select", help="two-stage bilingual domain selection")
-    _add_io(p)
-    p.add_argument("--clf-en", required=True)
-    p.add_argument("--clf-ru", required=True)
-    p.add_argument("--bpe", default=None, help="BPE model for tokenization")
-    p.add_argument("--stage1", type=float, default=0.5)
-    p.add_argument("--final", type=float, default=0.90)
-    p.add_argument("--english-side", default="source", choices=("source", "target"))
-    p.set_defaults(func=cmd_domain_select)
+    if p := add("domain-train", cmd_domain_train, "train an in-domain binary classifier"):
+        p.add_argument("--positives", required=True)
+        p.add_argument("--negatives", required=True)
+        p.add_argument("--lang", default="en")
+        p.add_argument("--bpe", default=None, help="BPE model for tokenization")
+        p.add_argument("--model-out", required=True)
+        p.add_argument("--epochs", type=int, default=300)
+        p.add_argument("--lr", type=float, default=0.5)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("mix", help="sample a weighted mixture of corpora")
-    p.add_argument("--part", action="append", required=True,
-                   help="WEIGHT:PROVENANCE:PATH, repeatable")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_mix)
+    if p := add("domain-select", cmd_domain_select, "two-stage bilingual domain selection"):
+        _add_io(p)
+        p.add_argument("--clf-en", required=True)
+        p.add_argument("--clf-ru", required=True)
+        p.add_argument("--bpe", default=None, help="BPE model for tokenization")
+        p.add_argument("--stage1", type=float, default=0.5)
+        p.add_argument("--final", type=float, default=0.90)
+        p.add_argument("--english-side", default="source", choices=("source", "target"))
 
-    p = sub.add_parser("reverse-target", help="reverse target token order")
-    _add_io(p)
-    p.set_defaults(func=cmd_reverse_target)
+    if p := add("mix", cmd_mix, "sample a weighted mixture of corpora"):
+        p.add_argument("--part", action="append", required=True,
+                       help="WEIGHT:PROVENANCE:PATH, repeatable")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("avg-checkpoints", help="average checkpoint parameters")
-    p.add_argument("checkpoints", nargs="+")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--top-k", type=int, default=None,
-                   help="average only the k best by validation score")
-    p.set_defaults(func=cmd_avg_checkpoints)
+    if p := add("reverse-target", cmd_reverse_target, "reverse target token order"):
+        _add_io(p)
 
-    p = sub.add_parser("decode", help="beam search, optionally with shallow fusion")
-    _add_io(p)
-    _add_common(p)
-    p.add_argument("--model", nargs="+", required=True,
-                   help="forward scorer file(s); several form an ensemble")
-    p.add_argument("--lm", default=None, help="language model for fusion")
-    p.add_argument("--fusion-lambda", type=float, default=0.0)
-    p.add_argument("--beam", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=50)
-    p.add_argument("--n-candidates", type=int, default=15)
-    p.add_argument("--alpha", type=float, default=0.0, help="length penalty exponent")
-    p.add_argument("--dump", default=None, help="write all candidates here")
-    p.set_defaults(func=cmd_decode)
+    if p := add("avg-checkpoints", cmd_avg_checkpoints, "average checkpoint parameters"):
+        p.add_argument("checkpoints", nargs="+")
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--top-k", type=int, default=None,
+                       help="average only the k best by validation score")
 
-    p = sub.add_parser("sample", help="top-k sampled generation")
-    _add_io(p)
-    _add_common(p, seeded=True)
-    p.add_argument("--model", nargs="+", required=True)
-    p.add_argument("--k", type=int, default=500)
-    p.add_argument("--max-len", type=int, default=50)
-    p.set_defaults(func=cmd_sample)
+    if p := add("decode", cmd_decode, "beam search, optionally with shallow fusion"):
+        _add_io(p)
+        _add_common(p)
+        p.add_argument("--model", nargs="+", required=True,
+                       help="forward scorer file(s); several form an ensemble")
+        p.add_argument("--lm", default=None, help="language model for fusion")
+        p.add_argument("--fusion-lambda", type=float, default=0.0)
+        p.add_argument("--beam", type=int, default=4)
+        p.add_argument("--max-len", type=int, default=50)
+        p.add_argument("--n-candidates", type=int, default=15)
+        p.add_argument("--alpha", type=float, default=0.0, help="length penalty exponent")
+        p.add_argument("--dump", default=None, help="write all candidates here")
 
-    p = sub.add_parser("rerank", help="noisy-channel re-ranking of a candidate dump")
-    p.add_argument("--dump", required=True, help="candidate dump from decode")
-    p.add_argument("--source", required=True, help="source sentences, one per line")
-    p.add_argument("--rev", required=True, help="reverse-direction scorer")
-    p.add_argument("--lm", required=True, help="target-side language model")
-    p.add_argument("--lam", type=float, default=0.6)
-    p.add_argument("--top1", action="store_true", help="emit only the top candidate")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_rerank)
+    if p := add("sample", cmd_sample, "top-k sampled generation"):
+        _add_io(p)
+        _add_common(p, seeded=True)
+        p.add_argument("--model", nargs="+", required=True)
+        p.add_argument("--k", type=int, default=500)
+        p.add_argument("--max-len", type=int, default=50)
 
-    p = sub.add_parser("score-bleu", help="corpus BLEU of hypothesis vs reference")
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--sentence-scores", default=None, help="per-sentence TSV output")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_score_bleu)
+    if p := add("rerank", cmd_rerank, "noisy-channel re-ranking of a candidate dump"):
+        p.add_argument("--dump", required=True, help="candidate dump from decode")
+        p.add_argument("--source", required=True, help="source sentences, one per line")
+        p.add_argument("--rev", required=True, help="reverse-direction scorer")
+        p.add_argument("--lm", required=True, help="target-side language model")
+        p.add_argument("--lam", type=float, default=0.6)
+        p.add_argument("--top1", action="store_true", help="emit only the top candidate")
+        p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("oracle-bleu", help="corpus BLEU of per-sentence best candidates")
-    p.add_argument("--dump", required=True)
-    p.add_argument("--ref", required=True, help="reference token ids, one line each")
-    p.add_argument("--eos-id", type=int, default=None)
-    p.add_argument("--selected", default=None, help="write winning token lines here")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_oracle_bleu)
+    if p := add("score-bleu", cmd_score_bleu, "corpus BLEU of hypothesis vs reference"):
+        p.add_argument("--hyp", required=True)
+        p.add_argument("--ref", required=True)
+        p.add_argument("--sentence-scores", default=None, help="per-sentence TSV output")
+        p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("tune-lambda", help="grid-search fusion and re-rank weights")
-    _add_common(p)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--model", nargs="+", required=True)
-    p.add_argument("--rev", required=True)
-    p.add_argument("--lm", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--beam", type=int, default=15)
-    p.add_argument("--max-len", type=int, default=50)
-    p.add_argument("--n-candidates", type=int, default=15)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--sf-grid", default="0,0.05,0.1,0.2")
-    p.add_argument("--ncr-grid", default="0,0.2,0.4,0.6,0.8,1.0")
-    p.set_defaults(func=cmd_tune_lambda)
+    if p := add("oracle-bleu", cmd_oracle_bleu, "corpus BLEU of per-sentence best candidates"):
+        p.add_argument("--dump", required=True)
+        p.add_argument("--ref", required=True, help="reference token ids, one line each")
+        p.add_argument("--eos-id", type=int, default=None)
+        p.add_argument("--selected", default=None, help="write winning token lines here")
+        p.add_argument("-o", "--output", default=None)
 
+    if p := add("tune-lambda", cmd_tune_lambda, "grid-search fusion and re-rank weights"):
+        _add_common(p)
+        p.add_argument("-o", "--output", default=None)
+        p.add_argument("--model", nargs="+", required=True)
+        p.add_argument("--rev", required=True)
+        p.add_argument("--lm", required=True)
+        p.add_argument("--source", required=True)
+        p.add_argument("--ref", required=True)
+        p.add_argument("--beam", type=int, default=15)
+        p.add_argument("--max-len", type=int, default=50)
+        p.add_argument("--n-candidates", type=int, default=15)
+        p.add_argument("--alpha", type=float, default=0.0)
+        p.add_argument("--sf-grid", default="0,0.05,0.1,0.2")
+        p.add_argument("--ncr-grid", default="0,0.2,0.4,0.6,0.8,1.0")
+
+    if only is None:
+        return parser
+    if only not in names:
+        return build_parser()
+    # the usage line names every subcommand, as the full parser's does; the
+    # full parser sets no metavar, because its errors would then call the
+    # subcommand argument by it
+    sub.metavar = "{" + ",".join(names) + "}"
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -40,25 +40,23 @@ class Provenance(Enum):
     NEWS = "news"
 
 
-@dataclass(frozen=True)
-class ParallelExample:
-    source: str
-    target: str
-    external_score: float | None = None
+# external_score is None when the pair has none
+ParallelExample = namedtuple("ParallelExample", "source target external_score", defaults=(None,))
 
 
 RULE_ORDER = ("langid_src", "langid_tgt", "too_short", "too_long", "ratio", "score")
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    max_len_tokens: int = 250
-    max_len_ratio: float = 1.3
-    min_external_score: float = 0.6
-    required_langs: tuple[str, str] | None = None
-    min_len_tokens: int = 1
+class FilterConfig(namedtuple("FilterConfig", "max_len_tokens max_len_ratio min_external_score "
+                              "required_langs min_len_tokens", defaults=(250, 1.3, 0.6, None, 1))):
+    """Bounds of the filter cascade, checked whenever a config is built,
+    _replace included; required_langs is None or a (source, target) pair of
+    language codes."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.max_len_ratio >= 1:
             raise ConfigError("max_len_ratio must be >= 1")
         if not 0 <= self.min_external_score <= 1:
@@ -69,14 +67,29 @@ class FilterConfig:
             raise ConfigError(
                 f"min_len_tokens {self.min_len_tokens} and max_len_tokens "
                 f"{self.max_len_tokens} must satisfy 0 <= min <= max")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so derived configs are checked
+        return cls(*fields)
 
 
-@dataclass
 class FilterReport:
-    total: int = 0
-    kept: int = 0
-    rejected: dict[str, int] = field(default_factory=lambda: {r: 0 for r in RULE_ORDER})
-    malformed: int = 0
+    """The filter funnel: pairs seen, kept, rejected per rule of RULE_ORDER
+    and malformed lines skipped; == compares every count."""
+
+    def __init__(self, total: int = 0, kept: int = 0, rejected: dict[str, int] | None = None,
+                 malformed: int = 0):
+        self.total = total
+        self.kept = kept
+        self.rejected = dict.fromkeys(RULE_ORDER, 0) if rejected is None else rejected
+        self.malformed = malformed
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is FilterReport else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FilterReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def merge(self, other: "FilterReport") -> "FilterReport":
         merged = FilterReport(
@@ -392,7 +405,7 @@ def filter_corpus(pairs, cfg: FilterConfig,
 
 def reverse_target(pair: ParallelExample) -> ParallelExample:
     """Reverse the target token order; an involution."""
-    return replace(pair, target=" ".join(reversed(pair.target.split())))
+    return pair._replace(target=" ".join(reversed(pair.target.split())))
 
 
 def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .candidates import Candidate, strip_eos
@@ -40,17 +40,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class DecodeConfig:
-    beam_size: int = 4
-    max_len: int = 50
-    n_candidates: int = 15
-    length_penalty_alpha: float = 0.0
-    fusion_lambda: float = 0.0
-    sample_k: int = 500
-    seed: int = 0
+class DecodeConfig(namedtuple("DecodeConfig", "beam_size max_len n_candidates "
+                              "length_penalty_alpha fusion_lambda sample_k seed",
+                              defaults=(4, 50, 15, 0.0, 0.0, 500, 0))):
+    """Search and sampling settings, checked whenever a config is built,
+    _replace included."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.beam_size < 1 or self.max_len < 1 or self.n_candidates < 1:
             raise ConfigError("beam_size, max_len, n_candidates must be >= 1")
         if not 0 <= self.fusion_lambda < math.inf:
@@ -68,6 +67,11 @@ class DecodeConfig:
                               f"length penalty out of float range within max_len {self.max_len}")
         if self.sample_k < 1:
             raise ConfigError("sample_k must be >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so derived configs are checked
+        return cls(*fields)
 
 
 def _length_penalty(n: int, alpha: float) -> float:
@@ -297,7 +301,7 @@ def decode_batch(fwd: Scorer, lm: Scorer | None, sources, cfg: DecodeConfig):
 
 def sample_batch(fwd: Scorer, sources, cfg: DecodeConfig):
     """Sample one candidate per source with per-line seeds cfg.seed + index."""
-    return [topk_sample(fwd, s, replace(cfg, seed=cfg.seed + i)) for i, s in enumerate(sources)]
+    return [topk_sample(fwd, s, cfg._replace(seed=cfg.seed + i)) for i, s in enumerate(sources)]
 
 
 def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
@@ -314,7 +318,7 @@ def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
         raise LengthMismatchError(f"{len(sources)} sources vs {len(refs)} references")
     for lam_ncr in ncr_grid:
         check_lambda_ncr(lam_ncr)
-    configs = [replace(cfg, fusion_lambda=lam_sf) for lam_sf in sf_grid]
+    configs = [cfg._replace(fusion_lambda=lam_sf) for lam_sf in sf_grid]
     results = []
     for lam_sf, decode_cfg in zip(sf_grid, configs):
         cands_per_sentence = decode_batch(fwd, lm, sources, decode_cfg)

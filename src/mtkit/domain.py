@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import (ConfigError, EmptyInputError, ModelFormatError, check_new_line, model_file,
@@ -77,14 +76,22 @@ class DomainClassifier:
         return 1.0 / (1.0 + math.exp(-z))
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    stage1_threshold: float = 0.5
-    final_threshold: float = 0.90
+class SelectionConfig(namedtuple("SelectionConfig", "stage1_threshold final_threshold",
+                                 defaults=(0.5, 0.90))):
+    """Thresholds of bilingual_select, checked whenever a config is built,
+    _replace included."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.stage1_threshold <= self.final_threshold <= 1:
             raise ConfigError("need 0 <= stage1_threshold <= final_threshold <= 1")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make, so derived configs are checked
+        return cls(*fields)
 
 
 def _fit_logistic(texts: list[list[str]], labels: np.ndarray, vocab: list[str],

@@ -59,12 +59,24 @@ def _fusion_lm():
 # ---------------------------------------------------------------------------
 # argument handling
 
-def test_no_args_is_usage_error():
+def test_no_args_is_usage_error(capsys):
     assert run([]) == 2
+    assert capsys.readouterr().err.startswith(build_parser().format_usage())
 
 
-def test_unknown_subcommand_is_usage_error():
+def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(build_parser().format_usage())
+    assert err.endswith(", ".join(repr(name) for name in _OPTIONS) + ")\n")
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out == build_parser().format_help()
+    assert {line.split()[0] for line in out.splitlines() if line.startswith("    ")} \
+        >= set(_OPTIONS)
 
 
 # Every subcommand's options and positionals, in parser order, without -h.
@@ -104,6 +116,26 @@ def test_option_inventory():
         for name, sub in subparsers.choices.items()
     }
     assert got == _OPTIONS
+
+
+@pytest.mark.parametrize("name", list(_OPTIONS))
+def test_one_subcommand_parser_equals_the_full_one(name, capsys):
+    # run() builds only the parser of the subcommand it is given; that parser
+    # must read the same options, and print the same help and usage errors,
+    # as the full one
+    (lazy,) = (a for a in build_parser(name)._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert list(lazy.choices) == [name]
+    assert " ".join(opt for action in lazy.choices[name]._actions
+                    if not isinstance(action, argparse._HelpAction)
+                    for opt in action.option_strings or [action.dest]) == _OPTIONS[name]
+    for argv in ([name, "--help"], [name, "--no-such-option"]):
+        code = run(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        assert (code, got.out, got.err) == (exc.value.code, want.out, want.err)
 
 
 def test_missing_file_reports_error_line(tmp_path, capsys):
@@ -1343,3 +1375,59 @@ def test_translate_stages_import_only_their_modules(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                               capture_output=True, text=True, env=env, check=True)
         assert proc.stdout.split() == ["0", *sorted(expected)], argv[0]
+
+
+def test_curate_stages_import_only_their_modules(tmp_path, langid_file):
+    # As for the translate stages, and no stage loads dataclasses, which pulls
+    # in inspect; numpy imports inspect itself, so only the stages that load
+    # numpy may add it.
+    text, pairs, ids = tmp_path / "text.txt", tmp_path / "pairs.tsv", tmp_path / "ids.txt"
+    _write(text, ["Hello, world.", "A small test, again."])
+    _write(pairs, ["the cat sat\tкот сидел", "a dog\tпёс"])
+    _write(ids, ["0", "1"])
+    tok, codes, enc, out, dump = (str(tmp_path / n) for n in ("tok", "codes", "enc", "out", "dump"))
+    fwd, lm, clf_en, clf_ru = (
+        str(tmp_path / n) for n in ("fwd.table", "lm.ngram", "en.domcls", "ru.domcls"))
+    models.save_table_scorer(_fusion_fwd(), fwd)
+    models.save_ngram_scorer(models.ngram_train([[0, 1], [1]], 2, vocab_size=3, eos_id=2), lm)
+    for lang in ("en", "ru"):
+        _write(tmp_path / f"{lang}.domcls", [f"domcls-v1 {lang}", "a\t2.0", "__bias__\t-0.5"])
+    base = {"mtkit", "mtkit.cli", "mtkit.errors"}
+    textnorm, bpe_, corpus_ = base | {"mtkit.textnorm"}, base | {"mtkit.bpe"}, base | {"mtkit.corpus"}
+    scorers = base | {"mtkit.candidates", "mtkit.decode", "mtkit.models"}
+    stages = [
+        (["normalize", str(text), "-o", out], textnorm),
+        # the nonbreaking-prefix lists are package data
+        (["tokenize", str(text), "-o", tok], textnorm | {"mtkit.data"}),
+        (["bpe-train", tok, "--vocab-size", "40", "--model-out", codes], bpe_),
+        (["bpe-encode", tok, "--model", codes, "-o", enc], bpe_),
+        (["filter", str(pairs), "-o", out], corpus_),
+        (["filter", str(pairs), "--langid", str(langid_file), "--langs", "en,ru", "-o", out],
+         corpus_),
+        (["domain-select", str(pairs), "--clf-en", clf_en, "--clf-ru", clf_ru, "-o", out],
+         corpus_ | {"mtkit.domain"}),
+        (["mix", "--part", f"1:bitext:{pairs}", "--n", "3", "-o", out], corpus_),
+        (["reverse-target", str(pairs), "-o", out], corpus_),
+        # the translate stages' module sets are pinned above
+        (["decode", str(ids), "--model", fwd, "--dump", dump, "-o", out], scorers),
+        (["rerank", "--dump", dump, "--source", str(ids), "--rev", lm, "--lm", lm, "-o", out],
+         scorers),
+        (["score-bleu", "--hyp", str(ids), "--ref", str(ids), "-o", out], base | {"mtkit.bleu"}),
+        (["oracle-bleu", "--dump", dump, "--ref", str(ids), "-o", out],
+         base | {"mtkit.bleu", "mtkit.candidates"}),
+    ]
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "from mtkit.cli import run\n"
+              "code = run(json.loads(sys.argv[1]))\n"
+              "added = set(sys.modules) - before\n"
+              "print(code, *(m in added for m in ('numpy', 'inspect', 'dataclasses')),\n"
+              "      *sorted(m for m in added if m.split('.')[0] == 'mtkit'))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
+    for argv, expected in stages:
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, check=True)
+        code, numpy, inspect_, dataclasses, *modules = proc.stdout.split()
+        assert (code, modules) == ("0", sorted(expected)), argv[:2]
+        assert dataclasses == "False", argv[:2]
+        assert inspect_ == numpy, argv[:2]
