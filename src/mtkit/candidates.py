@@ -1,36 +1,21 @@
 """The candidate dump: what `decode --dump` writes and `rerank` and
 `oracle-bleu` read, one tab-separated line per candidate, together with the
-Candidate record it holds. Numpy-free, so stages that only read a dump start
-without loading numpy.
+Candidate named tuple it holds. Numpy-free, so stages that only read a dump
+start without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import ConfigError, InputFormatError
 
 
-class Candidate:
-    """One hypothesis and its scores; == compares every field. Mutable:
-    noisy-channel re-ranking fills rev_logprob, lm_logprob and combined_score
-    in place."""
-
-    def __init__(self, tokens: tuple[int, ...], fwd_logprob: float,
-                 lm_logprob: float | None = None, rev_logprob: float | None = None,
-                 fused_score: float = 0.0, combined_score: float | None = None):
-        self.tokens = tokens
-        self.fwd_logprob = fwd_logprob
-        self.lm_logprob = lm_logprob
-        self.rev_logprob = rev_logprob
-        self.fused_score = fused_score
-        self.combined_score = combined_score
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is Candidate else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Candidate({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+# One hypothesis and its scores. Immutable: noisy-channel re-ranking returns
+# new candidates with rev_logprob, lm_logprob and combined_score filled.
+Candidate = namedtuple("Candidate", "tokens fwd_logprob lm_logprob rev_logprob fused_score "
+                       "combined_score", defaults=(None, None, 0.0, None))
 
 
 def strip_eos(tokens, eos_id: int | None) -> list[int]:

@@ -446,10 +446,14 @@ def cmd_score_bleu(args) -> int:
 def cmd_oracle_bleu(args) -> int:
     from . import bleu, candidates
     with _open_in(args.dump) as fh:
-        hyps_per_sentence = [
-            [candidates.strip_eos(cand.tokens, args.eos_id) for cand in cands]
-            for cands in candidates.parse_candidates(fh)
-        ]
+        cands_per_sentence = candidates.parse_candidates(fh)
+    hyps_per_sentence = [[candidates.strip_eos(cand.tokens, args.eos_id) for cand in cands]
+                         for cands in cands_per_sentence]
+    # every completed candidate ends in eos, so an id that ends none is not the dump's eos
+    if args.eos_id is not None and not any(
+            cand.tokens[-1:] == (args.eos_id,) for cands in cands_per_sentence for cand in cands):
+        raise ConfigError(
+            f"--eos-id {args.eos_id}: no candidate in the dump {args.dump} ends in it")
     refs = _read_ids(args.ref)
     result, winners = bleu.oracle_corpus_bleu(hyps_per_sentence, refs)
     if args.selected:

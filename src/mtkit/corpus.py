@@ -118,6 +118,15 @@ _BLOCK_ROWS = 64
 _BLOCK_CELLS = 1 << 17
 
 
+def _check_n_features(n_features: int, error) -> None:
+    """Raise `error` unless 1 <= n_features <= 2**32, the most features a
+    CRC-32 hash can index."""
+    if n_features < 1:
+        raise error(f"n_features must be positive, got {n_features}")
+    if n_features > 1 << 32:
+        raise error(f"n_features {n_features} exceeds 2**32, the most a CRC-32 hash can index")
+
+
 def _block_rows(n_features: int) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n_features))
 
@@ -186,8 +195,7 @@ class LangIdModel:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64)
         self.n_features = n_features
-        if n_features < 1:
-            raise ModelFormatError(f"n_features must be positive, got {n_features}")
+        _check_n_features(n_features, ModelFormatError)
         if len(set(self.langs)) != len(self.langs) or len(self.langs) < 2:
             raise ModelFormatError(f"need 2 or more distinct languages, got {self.langs}")
         if self.weights.shape != (n_features, len(langs)) or self.bias.shape != (len(langs),):
@@ -215,8 +223,7 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
                  epochs: int = 300, lr: float = 2.0) -> LangIdModel:
     """Fit by full-batch gradient descent; deterministic given data order and seed."""
     import numpy as np
-    if n_features < 1:
-        raise ConfigError(f"n_features must be positive, got {n_features}")
+    _check_n_features(n_features, ConfigError)
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
     if not 0 < lr < math.inf:
@@ -296,6 +303,7 @@ def load_langid(path) -> LangIdModel:
     seen = {}  # "langs", "bias" or a weight row -> the line that set it
     with model_file(path, "langid-v1") as (header, lines):
         n_features = int(header)
+        _check_n_features(n_features, ModelFormatError)
         for lineno, line in lines:
             parts = line.split()
             if not parts:

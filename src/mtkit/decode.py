@@ -1,6 +1,6 @@
 """Decoding: beam search with optional shallow fusion and a length
 penalty, top-k sampled generation, and noisy-channel re-ranking of beam
-candidates.
+candidates, which returns new candidates and leaves its input as it was.
 
 The partial-hypothesis score is the recurrence
     S(y_1..n) = S(y_1..n-1) + log P_fwd(y_n | y_<n, x) + lam_sf * log P_lm(y_n | y_<n)
@@ -272,23 +272,31 @@ def noisy_channel_rerank(cands: list[Candidate], rev: Scorer, lm: Scorer,
     The forward term reuses each candidate's fwd_logprob from decoding (an
     ensemble forward pass already averaged there); the reverse model scores
     the source (plus its own eos) conditioned on the candidate; the language
-    model scores the candidate unconditionally, including its eos. Returns a
-    new sorted list over the same candidate objects; ties keep input order.
+    model scores the candidate unconditionally, including its eos. Returns
+    new candidates with rev_logprob, lm_logprob and combined_score filled,
+    best first; ties keep input order. The input is left as it was.
     """
     check_lambda_ncr(lambda_ncr)
     if not cands:
         raise EmptyInputError("nothing to re-rank")
-    source = tuple(source)
-    rev_target = source + (rev.eos_id,)
-    for cand in cands:
-        cand.rev_logprob = sequence_logprob(rev, cand.tokens, rev_target)
-        cand.lm_logprob = sequence_logprob(lm, (), cand.tokens)
-        if lambda_ncr == 0:
-            cand.combined_score = cand.fwd_logprob
-        else:
-            cand.combined_score = (
-                cand.fwd_logprob + lambda_ncr * (cand.rev_logprob + cand.lm_logprob))
-    return sorted(cands, key=lambda c: -c.combined_score)
+    return _combine_and_sort(_rerank_features(cands, rev, lm, source), lambda_ncr)
+
+
+def _rerank_features(cands, rev: Scorer, lm: Scorer, source) -> list[Candidate]:
+    """The candidates with rev_logprob and lm_logprob filled; neither depends
+    on lambda_ncr, so a sweep over it computes them once."""
+    rev_target = tuple(source) + (rev.eos_id,)
+    return [cand._replace(rev_logprob=sequence_logprob(rev, cand.tokens, rev_target),
+                          lm_logprob=sequence_logprob(lm, (), cand.tokens)) for cand in cands]
+
+
+def _combine_and_sort(cands, lambda_ncr: float) -> list[Candidate]:
+    """The featured candidates with combined_score filled, best first, ties
+    in input order (a stable sort)."""
+    combined = [cand._replace(combined_score=cand.fwd_logprob if lambda_ncr == 0 else
+                              cand.fwd_logprob + lambda_ncr * (cand.rev_logprob + cand.lm_logprob))
+                for cand in cands]
+    return sorted(combined, key=lambda c: -c.combined_score)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +319,7 @@ def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
     Returns a list of (lambda_sf, lambda_ncr, bleu_score) tuples in grid
     order. refs are eos-free token id sequences, one per source. The
     reference count and every grid value are checked before the first decode.
+    Each decode's candidates are scored by rev and lm once, for every lambda_ncr.
     """
     from .bleu import corpus_bleu
     refs = [list(r) for r in refs]
@@ -321,9 +330,10 @@ def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,
     configs = [cfg._replace(fusion_lambda=lam_sf) for lam_sf in sf_grid]
     results = []
     for lam_sf, decode_cfg in zip(sf_grid, configs):
-        cands_per_sentence = decode_batch(fwd, lm, sources, decode_cfg)
+        featured = [_rerank_features(cands, rev, lm, source) for source, cands
+                    in zip(sources, decode_batch(fwd, lm, sources, decode_cfg))]
         for lam_ncr in ncr_grid:
-            winners = [strip_eos(noisy_channel_rerank(cands, rev, lm, lam_ncr, source)[0].tokens,
-                                 fwd.eos_id) for source, cands in zip(sources, cands_per_sentence)]
+            winners = [strip_eos(_combine_and_sort(cands, lam_ncr)[0].tokens, fwd.eos_id)
+                       for cands in featured]
             results.append((lam_sf, lam_ncr, corpus_bleu(winners, refs).score))
     return results

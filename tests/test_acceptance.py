@@ -128,10 +128,14 @@ def test_noisy_channel_hand_arithmetic_and_set_preservation():
         ]
         rev = TableScorer(vocab, {}, [0.3, 0.2, 0.5])
         lm = TableScorer(vocab, {}, [0.25, 0.25, 0.5])
-        ranked = noisy_channel_rerank(
-            list(cands), rev, lm, 0.5, source)
+        given = list(cands)
+        ranked = noisy_channel_rerank(given, rev, lm, 0.5, source)
 
-        assert set(map(id, ranked)) == set(map(id, cands))
+        assert sorted((c.tokens, c.fwd_logprob, c.fused_score) for c in ranked) == \
+            sorted((c.tokens, c.fwd_logprob, c.fused_score) for c in cands)
+        # the input list and its candidates are unchanged
+        assert given == cands
+        assert all((c.lm_logprob, c.rev_logprob, c.combined_score) == (None,) * 3 for c in given)
         # rev scores source + its eos given the candidate; lm scores the
         # candidate including eos. Both tables are context-free here.
         rev_lp = math.log(0.3) + math.log(0.5)

@@ -1249,6 +1249,54 @@ def test_bad_input_is_named_error(tmp_path, capsys, langid_file, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+def test_oracle_bleu_refuses_an_eos_id_that_ends_no_candidate(tmp_path, capsys):
+    # the dump does not record the eos, but every completed candidate ends in
+    # it; one candidate here has no tokens at all
+    dump, ref, out = tmp_path / "dump.tsv", tmp_path / "ref.ids", tmp_path / "out.txt"
+    _write(dump, ["0\t0\t-1.0\t-\t-\t-\t0,1,2", "0\t1\t-2.0\t-\t-\t-\t",
+                  "1\t0\t-1.0\t-\t-\t-\t1,0,2"])
+    _write(ref, ["0 1", "1 0"])
+    argv = ["oracle-bleu", "--dump", str(dump), "--ref", str(ref), "-o", str(out), "--eos-id"]
+    assert run(argv + ["2"]) == 0
+    assert _read(out) == ["oracle-BLEU 100.0000"]
+    out.unlink()
+    capsys.readouterr()
+    for eos in ("5", "1"):  # 1 is in the dump, but ends no candidate
+        assert run(argv + [eos]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"error: ConfigError: --eos-id {eos}: no candidate in the dump {dump} ends in it")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n_features", [(1 << 32) + 1, 10 ** 15])
+def test_langid_model_wider_than_crc32_is_named_error(tmp_path, capsys, n_features):
+    # a CRC-32 hash indexes at most 2**32 features; the header is refused
+    # before a weight matrix of its width is allocated
+    model, pairs, out = tmp_path / "wide.langid", tmp_path / "pairs.tsv", tmp_path / "out.tsv"
+    _write(model, [f"langid-v1 {n_features}", "langs en ru", "bias 0.0 0.0", "w 0 1.0 -1.0"])
+    _write(pairs, ["the cat\tкот"])
+    assert run(["filter", str(pairs), "--langid", str(model), "--langs", "en,ru",
+                "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (f"error: ModelFormatError: {model}: n_features {n_features} "
+                                    "exceeds 2**32, the most a CRC-32 hash can index")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_features", [(1 << 32) + 1, 10 ** 15])
+def test_langid_train_wider_than_crc32_is_config_error(tmp_path, capsys, n_features):
+    en, ru, out = tmp_path / "en.txt", tmp_path / "ru.txt", tmp_path / "langid.model"
+    _write(en, ["the cat sat"])
+    _write(ru, ["кот сидел"])
+    assert run(["langid-train", f"en={en}", f"ru={ru}", "--features", str(n_features),
+                "--model-out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (f"error: ConfigError: n_features {n_features} "
+                                    "exceeds 2**32, the most a CRC-32 hash can index")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["rerank", "oracle-bleu"])
 def test_dump_indices_must_run_from_zero(tmp_path, capsys, command):
     fwd = tmp_path / "fwd.scorer"

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from mtkit.candidates import Candidate, format_candidates, parse_candidates
+from mtkit.bleu import corpus_bleu
+from mtkit.candidates import Candidate, format_candidates, parse_candidates, strip_eos
 from mtkit.decode import (
     DecodeConfig,
     beam_search,
@@ -494,20 +495,43 @@ def test_rerank_hand_arithmetic_exact():
         assert c.lm_logprob == e[3]
 
 
+def _values(cands):
+    return sorted((c.tokens, c.fwd_logprob, c.fused_score) for c in cands)
+
+
 def test_rerank_preserves_candidate_set():
     rev, lm = _rev_lm_tables()
     cands = _mk_cands()
     ranked = noisy_channel_rerank(cands, rev, lm, 0.6, (0,))
     assert len(ranked) == len(cands)
-    assert {id(c) for c in ranked} == {id(c) for c in cands}
+    assert _values(ranked) == _values(cands)
+    assert cands == _mk_cands()  # the input is not modified
+
+
+def test_rerank_leaves_its_input_unchanged():
+    # scores read from a dump are replaced in the result, not in the input
+    rev, lm = _rev_lm_tables()
+
+    def dumped():
+        return Candidate(tokens=(1, 0, 2), fwd_logprob=-3.0, lm_logprob=-9.0, rev_logprob=-9.0,
+                         fused_score=-3.0, combined_score=-9.0)
+    cands = [dumped()] + _mk_cands()
+    ranked = noisy_channel_rerank(cands, rev, lm, 0.5, (0,))
+    assert cands == [dumped()] + _mk_cands()
+    assert all(c.combined_score is None for c in cands[1:])
+    assert -9.0 not in [x for c in ranked for x in (c.lm_logprob, c.rev_logprob, c.combined_score)]
 
 
 def test_rerank_stable_for_duplicates():
+    # equal tokens and forward scores give equal combined scores; only
+    # fused_score tells the two apart, so it shows the order they come back in
     rev, lm = _rev_lm_tables()
-    first = Candidate(tokens=(0, 2), fwd_logprob=-1.0)
-    second = Candidate(tokens=(0, 2), fwd_logprob=-1.0)
-    ranked = noisy_channel_rerank([first, second], rev, lm, 0.5, (0,))
-    assert ranked[0] is first and ranked[1] is second
+    first = Candidate(tokens=(0, 2), fwd_logprob=-1.0, fused_score=-1.0)
+    second = Candidate(tokens=(0, 2), fwd_logprob=-1.0, fused_score=-2.0)
+    for pair in ([first, second], [second, first]):
+        ranked = noisy_channel_rerank(pair, rev, lm, 0.5, (0,))
+        assert [c.fused_score for c in ranked] == [c.fused_score for c in pair]
+        assert ranked[0].combined_score == ranked[1].combined_score
 
 
 def test_rerank_reuses_forward_score_without_rescoring():
@@ -515,7 +539,8 @@ def test_rerank_reuses_forward_score_without_rescoring():
     tampered = Candidate(tokens=(1, 2), fwd_logprob=+5.0)  # impossible as a real logprob
     honest = Candidate(tokens=(0, 2), fwd_logprob=-0.1)
     ranked = noisy_channel_rerank([honest, tampered], rev, lm, 0.0, (0,))
-    assert ranked[0] is tampered  # the stored value was trusted verbatim
+    # the stored value was trusted verbatim
+    assert (ranked[0].tokens, ranked[0].fwd_logprob) == ((1, 2), 5.0)
 
 
 def test_rerank_empty_list():
@@ -628,6 +653,58 @@ def test_grid_search_shape_and_reduction(random_decode_instances):
     for _, _, bleu in grid:
         assert 0.0 <= bleu <= 100.0
     assert grid[0][2] == 100.0
+
+
+def test_grid_search_matches_a_rerank_at_every_point(random_decode_instances, monkeypatch):
+    # the oracle re-ranks every decode at every (lambda_sf, lambda_ncr)
+    # point; the grid search scores each decode's candidates once
+    import mtkit.bleu
+    import mtkit.decode
+    calls, winners = [], []
+
+    def counting(*args):
+        calls.append(args)
+        return sequence_logprob(*args)
+
+    def recording(hyps, refs):
+        winners.append(hyps)
+        return corpus_bleu(hyps, refs)
+    monkeypatch.setattr(mtkit.decode, "sequence_logprob", counting)
+    monkeypatch.setattr(mtkit.bleu, "corpus_bleu", recording)
+    rng = random.Random(53)
+    sf_grid = [0.0, 0.1, 0.3]
+    varied = 0
+    long = [inst for inst in random_decode_instances if inst[3] >= 3]  # several candidates
+    for fwd, lm, source, max_len in long[:12]:
+        sources = [source, source[:1], source]
+        cfg = DecodeConfig(beam_size=4, max_len=max_len, n_candidates=4)
+        decodes = [decode_batch(fwd, lm, sources, cfg._replace(fusion_lambda=lam_sf))
+                   for lam_sf in sf_grid]
+        # a reverse model with a peaked distribution per candidate, so the
+        # winner changes along the lambda_ncr grid
+        rev_table = {}
+        for per_sentence in decodes:
+            for src, cands in zip(sources, per_sentence):
+                target = src + (fwd.eos_id,)
+                for cand, i in itertools.product(cands, range(len(target))):
+                    peaked = np.array([rng.random() ** 4 + 1e-3 for _ in fwd.vocab])
+                    rev_table[(cand.tokens, target[:i])] = peaked / peaked.sum()
+        rev = TableScorer(fwd.vocab, rev_table, fwd.default)
+        refs = [strip_eos(rng.choice(cands).tokens, fwd.eos_id) or [0] for cands in decodes[0]]
+        for ncr_grid in ([0.0, 0.3, 1.0, 3.0, 10.0], [1.0]):
+            expected = [[strip_eos(noisy_channel_rerank(cands, rev, lm, lam_ncr, src)[0].tokens,
+                                   fwd.eos_id) for src, cands in zip(sources, per_sentence)]
+                        for per_sentence in decodes for lam_ncr in ncr_grid]
+            calls.clear()
+            winners.clear()
+            got = grid_search_lambdas(fwd, rev, lm, sources, refs, cfg, sf_grid, ncr_grid)
+            assert winners == expected
+            assert got == [(lam_sf, lam_ncr, corpus_bleu(hyps, refs).score) for (lam_sf, lam_ncr),
+                           hyps in zip(itertools.product(sf_grid, ncr_grid), expected)]
+            # a rev and an lm sum per candidate of each decode, whatever len(ncr_grid)
+            assert len(calls) == 2 * sum(len(c) for per_sentence in decodes for c in per_sentence)
+            varied += len({str(hyps) for hyps in expected[:len(ncr_grid)]}) > 1
+    assert varied >= 4  # the winner moved along the lambda_ncr grid
 
 
 class _UnreadScorer(Scorer):

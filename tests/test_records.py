@@ -1,5 +1,5 @@
 """The record types: construction by keyword with defaults, == field by field,
-Candidate's mutability, and a ConfigError for every bad config value, whether
+Candidate's immutability, and a ConfigError for every bad config value, whether
 a config is built or derived from another one with _replace."""
 
 import math
@@ -51,12 +51,17 @@ def test_keyword_construction_defaults_and_field_equality(record, required, defa
         assert record(**{**required, name: value}) != made, name
 
 
-def test_candidate_is_mutable():
+def test_candidate_is_immutable():
     cand = Candidate(tokens=(0, 2), fwd_logprob=-1.0)
-    cand.rev_logprob, cand.lm_logprob, cand.combined_score = -2.0, -3.0, -6.0
-    assert cand == Candidate(tokens=(0, 2), fwd_logprob=-1.0, lm_logprob=-3.0, rev_logprob=-2.0,
-                             combined_score=-6.0)
-    assert "rev_logprob=-2.0" in repr(cand)
+    with pytest.raises(AttributeError):
+        cand.rev_logprob = -2.0
+    filled = cand._replace(rev_logprob=-2.0, lm_logprob=-3.0, combined_score=-6.0)
+    assert filled == Candidate(tokens=(0, 2), fwd_logprob=-1.0, lm_logprob=-3.0,
+                               rev_logprob=-2.0, combined_score=-6.0)
+    assert filled == ((0, 2), -1.0, -3.0, -2.0, 0.0, -6.0)  # a plain tuple of its fields
+    assert cand == Candidate(tokens=(0, 2), fwd_logprob=-1.0)
+    assert cand.rev_logprob is None and cand.combined_score is None
+    assert "rev_logprob=-2.0" in repr(filled)
 
 
 _BAD = [

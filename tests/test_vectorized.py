@@ -486,6 +486,8 @@ def test_noisy_channel_rerank_matches_next_dist_oracle(vocab, data):
     source = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=3))
     expected = reference_noisy_channel_rerank(cands, rev, lm, lam, source)
     ranked = noisy_channel_rerank(cands, rev, lm, lam, source)
-    assert [id(c) for c in ranked] == [id(cands[row[0]]) for row in expected]
+    assert [(c.tokens, c.fwd_logprob, c.fused_score) for c in ranked] == \
+        [(cands[row[0]].tokens, cands[row[0]].fwd_logprob, cands[row[0]].fused_score)
+         for row in expected]
     assert _bits([(c.rev_logprob, c.lm_logprob, c.combined_score) for c in ranked]) == \
         _bits([row[1:] for row in expected])
