@@ -113,6 +113,20 @@ def _map_lines(args, convert) -> int:
     return 0
 
 
+def _write_lines(out, lines) -> None:
+    """Write each line with its own newline, so no lines write no bytes."""
+    out.writelines(line + "\n" for line in lines)
+
+
+def _check_dump_eos(cands_per_sentence, eos_id: int, given: str, dump: str) -> None:
+    """Raise a ConfigError that starts with `given`, the option that set
+    eos_id, when a non-empty dump has no candidate ending in eos_id: every
+    completed candidate ends in the decoder's eos, so that id is not it."""
+    if cands_per_sentence and not any(
+            cand.tokens[-1:] == (eos_id,) for cands in cands_per_sentence for cand in cands):
+        raise ConfigError(f"{given}: no candidate in the dump {dump} ends in it")
+
+
 def _read_text(path: str) -> list[str]:
     """The non-blank lines of `path`, newlines stripped."""
     with _open_in(path) as fh:
@@ -222,11 +236,11 @@ def cmd_filter(args) -> int:
             report = report.merge(chunk_report)
             for pair in kept:
                 out.write((pair.source if args.mono else corpus.format_tsv_line(pair)) + "\n")
-    report.malformed = len(skipped)
+    report = report._replace(malformed=len(skipped))
     report_lines = report.to_lines()
     if args.report:
         with _open_out(args.report) as fh:
-            fh.write("\n".join(report_lines) + "\n")
+            _write_lines(fh, report_lines)
     for line in report_lines:
         _log("filter report: " + line.replace("\t", "="))
     return 0
@@ -378,7 +392,7 @@ def cmd_decode(args) -> int:
         _write_bodies(out, [cands[0] for cands in results], fwd.eos_id)
     if args.dump:
         with _open_out(args.dump) as fh:
-            fh.write("\n".join(candidates.format_candidates(results)) + "\n")
+            _write_lines(fh, candidates.format_candidates(results))
     return 0
 
 
@@ -407,6 +421,8 @@ def cmd_rerank(args) -> int:
         raise LengthMismatchError(
             f"{len(cands_per_sentence)} dumped sentences vs {len(sources)} sources"
         )
+    _check_dump_eos(cands_per_sentence, lm.eos_id, f"--lm {args.lm} eos id {lm.eos_id}",
+                    args.dump)
     ranked = [
         decode.noisy_channel_rerank(cands, rev, lm, args.lam, source)
         for cands, source in zip(cands_per_sentence, sources)
@@ -415,7 +431,7 @@ def cmd_rerank(args) -> int:
         if args.top1:
             _write_bodies(out, [cands[0] for cands in ranked], lm.eos_id)
         else:
-            out.write("\n".join(candidates.format_candidates(ranked)) + "\n")
+            _write_lines(out, candidates.format_candidates(ranked))
     return 0
 
 
@@ -449,11 +465,8 @@ def cmd_oracle_bleu(args) -> int:
         cands_per_sentence = candidates.parse_candidates(fh)
     hyps_per_sentence = [[candidates.strip_eos(cand.tokens, args.eos_id) for cand in cands]
                          for cands in cands_per_sentence]
-    # every completed candidate ends in eos, so an id that ends none is not the dump's eos
-    if args.eos_id is not None and not any(
-            cand.tokens[-1:] == (args.eos_id,) for cands in cands_per_sentence for cand in cands):
-        raise ConfigError(
-            f"--eos-id {args.eos_id}: no candidate in the dump {args.dump} ends in it")
+    if args.eos_id is not None:
+        _check_dump_eos(cands_per_sentence, args.eos_id, f"--eos-id {args.eos_id}", args.dump)
     refs = _read_ids(args.ref)
     result, winners = bleu.oracle_corpus_bleu(hyps_per_sentence, refs)
     if args.selected:
@@ -492,9 +505,8 @@ def cmd_tune_lambda(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_io(sub, input_positional: bool = True) -> None:
-    if input_positional:
-        sub.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
+def _add_io(sub) -> None:
+    sub.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
     sub.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
 
@@ -689,6 +701,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except (MtkitError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy raises a subclass; the staged outputs are removed
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -3,7 +3,8 @@
 The filter cascade applies rules in a fixed order (language id on each
 side, minimum length, maximum length, length ratio, cleanliness score) and
 attributes each rejection to the first rule that fired, so reports are
-reproducible and mergeable across chunks of a stream.
+reproducible and mergeable across chunks of a stream. A report is a named
+tuple built once from the call's counts; merging two builds a third.
 
 Language id computes its hashed character 2..4-gram features by block: one
 vectorized CRC-32 pass covers every gram of a block of texts. A block holds
@@ -74,31 +75,23 @@ class FilterConfig(namedtuple("FilterConfig", "max_len_tokens max_len_ratio min_
         return cls(*fields)
 
 
-class FilterReport:
+class FilterReport(namedtuple("FilterReport", "total kept rejected malformed")):
     """The filter funnel: pairs seen, kept, rejected per rule of RULE_ORDER
-    and malformed lines skipped; == compares every count."""
+    and malformed lines skipped. `rejected` defaults to a fresh all-zero
+    count per rule; a report is built with its counts, never updated."""
 
-    def __init__(self, total: int = 0, kept: int = 0, rejected: dict[str, int] | None = None,
-                 malformed: int = 0):
-        self.total = total
-        self.kept = kept
-        self.rejected = dict.fromkeys(RULE_ORDER, 0) if rejected is None else rejected
-        self.malformed = malformed
+    __slots__ = ()
 
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is FilterReport else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"FilterReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    def __new__(cls, total: int = 0, kept: int = 0, rejected: dict[str, int] | None = None,
+                malformed: int = 0):
+        if rejected is None:
+            rejected = dict.fromkeys(RULE_ORDER, 0)
+        return super().__new__(cls, total, kept, rejected, malformed)
 
     def merge(self, other: "FilterReport") -> "FilterReport":
-        merged = FilterReport(
-            total=self.total + other.total,
-            kept=self.kept + other.kept,
-            rejected={r: self.rejected[r] + other.rejected[r] for r in RULE_ORDER},
-            malformed=self.malformed + other.malformed,
-        )
-        return merged
+        return FilterReport(self.total + other.total, self.kept + other.kept,
+                            {r: self.rejected[r] + other.rejected[r] for r in RULE_ORDER},
+                            self.malformed + other.malformed)
 
     def to_lines(self) -> list[str]:
         lines = [f"total\t{self.total}", f"kept\t{self.kept}"]
@@ -395,17 +388,15 @@ def filter_corpus(pairs, cfg: FilterConfig,
             pair.target for pair in pairs
             if labels.get(pair.source) == src_lang and pair.target not in labels)))
         lang_of = labels.__getitem__
-    report = FilterReport()
+    rejected = dict.fromkeys(RULE_ORDER, 0)
     kept = []
     for pair in pairs:
         verdict = _first_rejection(pair, cfg, lang_of)
-        report.total += 1
         if verdict is None:
-            report.kept += 1
             kept.append(pair)
         else:
-            report.rejected[verdict] += 1
-    return kept, report
+            rejected[verdict] += 1
+    return kept, FilterReport(len(pairs), len(kept), rejected)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ pairs whose English side scores strictly above the first threshold, stage 2
 scores the Russian side of the survivors only, and a pair is selected when
 the mean of the two scores reaches the final threshold.
 
+Training counts each line's tokens once. The train, held-out and full count
+matrices are built from those counts one at a time, so at most one is held
+during a fit, and the held-out rows are scored with the fit's own product.
+
 Only training uses numpy, and it imports numpy where it needs it; scoring,
 selection and the model file are pure Python, so `mtkit domain-select`
 starts without loading it.
@@ -94,22 +98,28 @@ class SelectionConfig(namedtuple("SelectionConfig", "stage1_threshold final_thre
         return cls(*fields)
 
 
-def _fit_logistic(texts: list[list[str]], labels: np.ndarray, vocab: list[str],
-                  epochs: int, lr: float) -> tuple[np.ndarray, float]:
+def _count_matrix(pos: list[Counter], neg: list[Counter],
+                  index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The counts of pos then neg over the columns of `index`, the sorted
+    vocab, one row each, and their labels: 1 for pos, 0 for neg."""
     import numpy as np
-    index = {tok: i for i, tok in enumerate(vocab)}
-    x = np.zeros((len(texts), len(vocab)))
-    for row, toks in enumerate(texts):
-        for tok, c in Counter(toks).items():
+    x = np.zeros((len(pos) + len(neg), len(index)))
+    for row, count in enumerate(pos + neg):
+        for tok, c in count.items():
             x[row, index[tok]] = c
-    w = np.zeros(len(vocab))
+    return x, np.array([1.0] * len(pos) + [0.0] * len(neg))
+
+
+def _fit_logistic(x: np.ndarray, labels: np.ndarray, epochs: int,
+                  lr: float) -> tuple[np.ndarray, float]:
+    import numpy as np
+    w = np.zeros(x.shape[1])
     b = 0.0
-    n = len(texts)
     for _ in range(epochs):
         z = x @ w + b
         p = 1.0 / (1.0 + np.exp(-z))
         grad = p - labels
-        w -= lr * (x.T @ grad) / n
+        w -= lr * (x.T @ grad) / len(x)
         b -= lr * float(grad.mean())
     return w, b
 
@@ -141,38 +151,23 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
         negatives = rng.sample(negatives, size)
 
     tokenizer = tokenizer or _whitespace_tokenize
-    pos_toks = [tokenizer(t) for t in positives]
-    neg_toks = [tokenizer(t) for t in negatives]
-    vocab = sorted({tok for toks in pos_toks + neg_toks for tok in toks})
+    pos = [Counter(tokenizer(t)) for t in positives]
+    neg = [Counter(tokenizer(t)) for t in negatives]
+    index = {tok: i for i, tok in enumerate(sorted(set().union(*pos, *neg)))}
 
+    holdout_accuracy = None
     n_hold = int(size * HOLDOUT_FRAC)
     if n_hold > 0 and size - n_hold > 0:
         order = list(range(size))
         rng.shuffle(order)
-        hold_idx = set(order[:n_hold])
-        train_texts = [pos_toks[i] for i in range(size) if i not in hold_idx]
-        train_labels = [1.0] * len(train_texts)
-        train_texts += [neg_toks[i] for i in range(size) if i not in hold_idx]
-        train_labels += [0.0] * (len(train_texts) - len(train_labels))
-        w, b = _fit_logistic(train_texts, np.array(train_labels), vocab, epochs, lr)
-        index = {tok: i for i, tok in enumerate(vocab)}
-        correct = 0
-        held = [(pos_toks[i], 1) for i in sorted(hold_idx)] + [
-            (neg_toks[i], 0) for i in sorted(hold_idx)
-        ]
-        for toks, label in held:
-            z = b + sum(w[index[t]] * c for t, c in Counter(toks).items() if t in index)
-            correct += int((z > 0) == bool(label))
-        holdout_accuracy = correct / len(held)
-    else:
-        holdout_accuracy = None
-
-    all_texts = pos_toks + neg_toks
-    all_labels = np.array([1.0] * len(pos_toks) + [0.0] * len(neg_toks))
-    w, b = _fit_logistic(all_texts, all_labels, vocab, epochs, lr)
-    clf = DomainClassifier(
-        lang, {tok: float(w[i]) for i, tok in enumerate(vocab)}, b, tokenizer
-    )
+        hold, train = sorted(order[:n_hold]), sorted(order[n_hold:])
+        x, y = _count_matrix([pos[i] for i in train], [neg[i] for i in train], index)
+        w, b = _fit_logistic(x, y, epochs, lr)
+        x, y = _count_matrix([pos[i] for i in hold], [neg[i] for i in hold], index)
+        holdout_accuracy = int(np.count_nonzero((x @ w + b > 0) == y)) / len(y)
+    x, y = _count_matrix(pos, neg, index)
+    w, b = _fit_logistic(x, y, epochs, lr)
+    clf = DomainClassifier(lang, {tok: float(w[i]) for tok, i in index.items()}, b, tokenizer)
     clf.holdout_accuracy = holdout_accuracy
     return clf
 

@@ -87,12 +87,9 @@ def _split_chunk(chunk: str, prefixes: frozenset[str]) -> list[str]:
             chunk = chunk[:-3]
         elif chunk[-1] == "." and chunk[:-1] in prefixes:
             break
-        elif chunk[-1] in _TRAILING and len(chunk) > 1:
+        elif chunk[-1] in _TRAILING:
             tail.append(chunk[-1])
             chunk = chunk[:-1]
-        elif chunk[-1] in _TRAILING and len(chunk) == 1:
-            tail.append(chunk)
-            chunk = ""
         else:
             break
     return head + ([chunk] if chunk else []) + tail[::-1]

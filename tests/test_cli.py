@@ -1269,6 +1269,80 @@ def test_oracle_bleu_refuses_an_eos_id_that_ends_no_candidate(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_rerank_refuses_an_lm_whose_eos_ends_no_candidate(tmp_path, capsys):
+    # the dump's candidates end in 3 but the lm's eos is 4: --top1 would keep
+    # the dump's eos in its output, and the lm would score it as a word
+    rev, lm, src = tmp_path / "rev.ngram", tmp_path / "lm.ngram", tmp_path / "src.txt"
+    dump, out = tmp_path / "dump.tsv", tmp_path / "out.txt"
+    models.save_ngram_scorer(models.ngram_train([[1, 2, 0]], 2, vocab_size=5, eos_id=4), rev)
+    models.save_ngram_scorer(models.ngram_train([[1, 2]], 2, vocab_size=5, eos_id=4), lm)
+    _write(src, ["0"])
+    _write(dump, ["0\t0\t-1.0\t-\t-\t-\t1,3", "0\t1\t-2.0\t-\t-\t-\t"])
+    argv = ["rerank", "--dump", str(dump), "--source", str(src), "--rev", str(rev),
+            "--lm", str(lm), "-o", str(out)]
+    for top1 in ([], ["--top1"]):
+        assert run(argv + top1) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"error: ConfigError: --lm {lm} eos id 4: no candidate in the dump {dump} ends in it")
+        assert not out.exists()
+    _write(dump, ["0\t0\t-1.0\t-\t-\t-\t1,4"])
+    assert run(argv + ["--top1"]) == 0
+    assert _read(out) == ["1"]
+
+
+def test_empty_input_writes_empty_dumps(tmp_path):
+    # every line ends in its own newline, so no lines are no bytes, as with -o
+    fwd, src, dump = tmp_path / "fwd.table", tmp_path / "src.ids", tmp_path / "dump.tsv"
+    top, ranked = tmp_path / "top.txt", tmp_path / "ranked.tsv"
+    models.save_table_scorer(_fusion_fwd(), fwd)
+    src.write_bytes(b"")
+    assert run(["decode", str(src), "--model", str(fwd), "--dump", str(dump),
+                "-o", str(top)]) == 0
+    assert run(["rerank", "--dump", str(dump), "--source", str(src), "--rev", str(fwd),
+                "--lm", str(fwd), "-o", str(ranked)]) == 0
+    assert [p.read_bytes() for p in (top, dump, ranked)] == [b"", b"", b""]
+
+
+_OOM_SCRIPT = """\
+import json, os, resource, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+limit = 512 << 20  # far above what mtkit needs here, far below what the run asks for
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from mtkit.cli import run
+sys.exit(run(json.loads(sys.argv[1])))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
+@pytest.mark.parametrize("stage", ["decode", "tune-lambda", "langid-train"])
+def test_out_of_memory_is_a_named_error(tmp_path, stage):
+    # Python raises MemoryError when an allocation passes the address-space
+    # limit: decode and tune-lambda build a length-penalty entry per step up
+    # to --max-len, langid-train a feature row of --features values
+    fwd, ids, en, ru = (str(tmp_path / n) for n in ("fwd.table", "ids", "en.txt", "ru.txt"))
+    out = tmp_path / "out"
+    models.save_table_scorer(_fusion_fwd(), fwd)
+    _write(tmp_path / "ids", ["0"])
+    _write(tmp_path / "en.txt", ["the cat sat"])
+    _write(tmp_path / "ru.txt", ["кот сидел"])
+    argv = {
+        "decode": ["decode", ids, "--model", fwd, "--max-len", "1000000000", "-o", str(out)],
+        "tune-lambda": ["tune-lambda", "--model", fwd, "--rev", fwd, "--lm", fwd, "--source", ids,
+                        "--ref", ids, "--max-len", "1000000000", "-o", str(out)],
+        "langid-train": ["langid-train", f"en={en}", f"ru={ru}", "--features", "100000000",
+                         "--model-out", str(out)],
+    }[stage]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
+    proc = subprocess.run([sys.executable, "-c", _OOM_SCRIPT, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: MemoryError: ")
+    # no output file, staged or final
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["en.txt", "fwd.table", "ids", "ru.txt"]
+
+
 @pytest.mark.parametrize("n_features", [(1 << 32) + 1, 10 ** 15])
 def test_langid_model_wider_than_crc32_is_named_error(tmp_path, capsys, n_features):
     # a CRC-32 hash indexes at most 2**32 features; the header is refused

@@ -54,6 +54,18 @@ def test_train_deterministic(domain_fixture):
     assert a.weights == b.weights and a.bias == b.bias
 
 
+def test_equal_classes_train_the_same_model_for_every_seed(domain_fixture):
+    # with equal classes the seed only picks the held-out split; the model
+    # kept is the refit on every example, so it does not depend on the seed
+    med_en, news_en, _, _ = domain_fixture
+    models = [domain_train(med_en[:60], news_en[:60], seed=seed, epochs=50) for seed in range(5)]
+    first = models[0]
+    assert first.holdout_accuracy is not None
+    assert first.weights.keys() == {t for line in med_en[:60] + news_en[:60] for t in line.split()}
+    for clf in models[1:]:
+        assert clf.weights == first.weights and clf.bias == first.bias
+
+
 def test_train_subsamples_larger_class(domain_fixture):
     med_en, news_en, _, _ = domain_fixture
     clf = domain_train(med_en[:400], news_en[:100], seed=1)

@@ -1,6 +1,7 @@
 """The record types: construction by keyword with defaults, == field by field,
-Candidate's immutability, and a ConfigError for every bad config value, whether
-a config is built or derived from another one with _replace."""
+the immutability of Candidate and FilterReport, and a ConfigError for every
+bad config value, whether a config is built or derived from another one with
+_replace."""
 
 import math
 
@@ -62,6 +63,22 @@ def test_candidate_is_immutable():
     assert cand == Candidate(tokens=(0, 2), fwd_logprob=-1.0)
     assert cand.rev_logprob is None and cand.combined_score is None
     assert "rev_logprob=-2.0" in repr(filled)
+
+
+def test_filter_report_is_immutable_and_merge_builds_a_new_one():
+    first = FilterReport(total=3, kept=2, rejected={**dict.fromkeys(RULE_ORDER, 0), "ratio": 1})
+    second = FilterReport(total=2, kept=0, rejected={**dict.fromkeys(RULE_ORDER, 0), "score": 2},
+                          malformed=1)
+    with pytest.raises(AttributeError):
+        first.total = 4
+    merged = first.merge(second)
+    assert merged == FilterReport(5, 2, {**dict.fromkeys(RULE_ORDER, 0), "ratio": 1, "score": 2}, 1)
+    assert first == (3, 2, {**dict.fromkeys(RULE_ORDER, 0), "ratio": 1}, 0)
+    assert second == (2, 0, {**dict.fromkeys(RULE_ORDER, 0), "score": 2}, 1)
+    assert merged.rejected is not first.rejected and merged.rejected is not second.rejected
+    # each report built with the default gets its own zero counts
+    assert FilterReport().rejected is not FilterReport().rejected
+    assert first._replace(malformed=7) == (3, 2, first.rejected, 7) and first.malformed == 0
 
 
 _BAD = [
