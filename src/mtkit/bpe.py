@@ -13,7 +13,7 @@ import random
 from collections import Counter, defaultdict
 
 from .errors import (ConfigError, EmptyInputError, ModelFormatError, VocabMismatchError,
-                     check_new_line, model_file, model_writer)
+                     check_new_line, check_seed, model_file, model_writer)
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 WORD_END = "</w>"
@@ -189,17 +189,20 @@ def _encode_word(model: BpeModel, word: str, rng: random.Random | None, dropout_
     return result
 
 
-def check_dropout(dropout_p: float) -> None:
-    """Raise ConfigError unless 0 <= dropout_p < 1; a caller that encodes
-    line by line runs it once first, so an empty input is checked too."""
+def check_dropout(dropout_p: float, seed: int = 0) -> None:
+    """Raise ConfigError unless 0 <= dropout_p < 1 and, when dropout draws,
+    seed >= 0; a caller that encodes line by line runs it once first, so an
+    empty input is checked too."""
     if not 0.0 <= dropout_p < 1.0:
         raise ConfigError(f"dropout_p must be in [0, 1), got {dropout_p}")
+    if dropout_p > 0.0:
+        check_seed(seed)
 
 
 def bpe_encode(model: BpeModel, text: str, dropout_p: float = 0.0, seed: int = 0) -> list[int]:
     """Encode text to token ids; with dropout_p > 0 each applicable merge is
     skipped with that probability via a generator seeded per call."""
-    check_dropout(dropout_p)
+    check_dropout(dropout_p, seed)
     rng = random.Random(seed) if dropout_p > 0.0 else None
     ids: list[int] = []
     unk = model.unk_id

@@ -6,7 +6,8 @@ stdout), logs go to stderr, all randomness flows from --seed. filter, decode,
 sample and tune-lambda accept --threads so existing scripts keep working, but
 ignore it: every stage runs on one thread, because worker pools bound by the
 interpreter lock ran slower than one thread. filter, decode and tune-lambda
-draw no random numbers, so they accept --seed and ignore it too. Every
+draw no random numbers, so they accept --seed and ignore it too; the stages
+that draw refuse a negative seed, which would repeat a positive one. Every
 output file is written to a temporary file beside it and renamed into place
 only when the subcommand succeeds, so a failed run leaves no partial file
 behind and an existing file unchanged.
@@ -189,7 +190,7 @@ def cmd_bpe_train(args) -> int:
 
 def cmd_bpe_encode(args) -> int:
     from . import bpe
-    bpe.check_dropout(args.dropout)
+    bpe.check_dropout(args.dropout, args.seed)
     model = bpe.load_model(args.model)
     return _map_lines(args, lambda idx, line: " ".join(map(str, bpe.bpe_encode(
         model, line, dropout_p=args.dropout, seed=args.seed + idx))))

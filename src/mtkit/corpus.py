@@ -25,7 +25,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import (ConfigError, EmptyInputError, InputFormatError, ModelFormatError,
-                     check_new_line, model_file, model_writer)
+                     check_new_line, check_seed, model_file, model_writer)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -214,15 +214,19 @@ class LangIdModel:
 
 def langid_train(labeled, seed: int = 0, n_features: int = 2048,
                  epochs: int = 300, lr: float = 2.0) -> LangIdModel:
-    """Fit by full-batch gradient descent; deterministic given data order and seed."""
+    """Fit by full-batch gradient descent; deterministic given data order and seed.
+
+    Memory is one n x n_features float64 feature matrix on top of numpy and
+    numpy.random, which draws the initial weights; no other stage loads
+    numpy.random. Both products of an epoch read the matrix in its
+    row-major storage order."""
     import numpy as np
     _check_n_features(n_features, ConfigError)
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
     if not 0 < lr < math.inf:
         raise ConfigError(f"lr must be positive and finite, got {lr}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     pairs = [(text, lang) for text, lang in labeled]
     langs = sorted({lang for _, lang in pairs})
     if len(langs) < 2:
@@ -248,7 +252,8 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
         exp = np.exp(logits)
         probs = exp / exp.sum(axis=1, keepdims=True)
         grad = probs - y
-        w -= lr * (x.T @ grad) / n
+        # mathematically x.T @ grad, but BLAS reads x row-major, as it is stored
+        w -= lr * (grad.T @ x).T / n
         b -= lr * grad.mean(axis=0)
     return LangIdModel(langs, w, b, n_features)
 
@@ -423,6 +428,7 @@ def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:
             raise EmptyInputError(f"corpus {i} is empty")
         if not 0 < weight < math.inf:
             raise ConfigError(f"corpus {i} weight must be positive and finite, got {weight}")
+    check_seed(seed)
     rng = random.Random(seed)
     weights = [w for _, w in corpora]
     cursors = [0] * len(corpora)

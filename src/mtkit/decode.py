@@ -33,6 +33,7 @@ from .errors import (
     LengthMismatchError,
     NoCompletedHypothesisError,
     VocabMismatchError,
+    check_seed,
 )
 from .models import _NORM_TOL, Scorer, check_same_vocab
 
@@ -67,6 +68,7 @@ class DecodeConfig(namedtuple("DecodeConfig", "beam_size max_len n_candidates "
                               f"length penalty out of float range within max_len {self.max_len}")
         if self.sample_k < 1:
             raise ConfigError("sample_k must be >= 1")
+        check_seed(self.seed)
         return self
 
     @classmethod

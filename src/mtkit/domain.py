@@ -23,8 +23,8 @@ import sys
 from collections import Counter, namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import (ConfigError, EmptyInputError, ModelFormatError, check_new_line, model_file,
-                     model_writer)
+from .errors import (ConfigError, EmptyInputError, ModelFormatError, check_new_line, check_seed,
+                     model_file, model_writer)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -137,6 +137,7 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
     if not 0 < lr < math.inf:
         raise ConfigError(f"lr must be positive and finite, got {lr}")
+    check_seed(seed)
     positives = list(positives)
     negatives = list(negatives)
     if not positives:

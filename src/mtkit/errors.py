@@ -2,8 +2,8 @@
 failure, the message saying where. ConfigError and InputFormatError are also
 ValueErrors, as json.JSONDecodeError is. Also the readers' rule for naming
 the file at fault, the reader and the writer for text model files, their
-rule against a repeated line, and the writers' rule for leaving no partial
-output file behind."""
+rule against a repeated line, the writers' rule for leaving no partial
+output file behind, and the rule for a seed."""
 
 import contextlib
 import os
@@ -98,6 +98,13 @@ def check_new_line(seen: dict, key, lineno: int) -> None:
     first = seen.setdefault(key, lineno)
     if first != lineno:
         raise ModelFormatError(f"line {lineno}: repeats line {first}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise ConfigError for a negative seed: random.Random seeds with
+    abs(seed), so seed -s would repeat the draws of seed s."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 @contextlib.contextmanager

@@ -10,6 +10,9 @@ merge loop of `bpe_train`, a per-element loop for the checkpoint
 mean of `average_checkpoint_files`, and the gram-by-gram language-id
 features with the one-text classification over them, kept for the tests only. The library versions
 must agree with them exactly (`==` on every float, merge and vocab id).
+`reference_langid_train` is the exception: its descent sums one float at a
+time, in its own order, so it agrees with the BLAS products of
+`langid_train` to rounding, not bit for bit.
 The reference beam always runs all max_len steps and applies the length
 penalty with its own arithmetic, so it also checks the early stop of the
 library version. A saturated beam must agree with `exact_search`.
@@ -360,3 +363,30 @@ def reference_langid_classify(model, text: str) -> tuple[str, float]:
     probs = exp / exp.sum()
     idx = int(probs.argmax())
     return model.langs[idx], float(probs[idx])
+
+
+def reference_langid_train(labeled, seed: int, n_features: int, epochs: int, lr: float):
+    """langid_train's full-batch descent over reference_langid_features,
+    one float at a time, from the same default_rng weights; returns the
+    sorted languages, the weights as n_features lists of one float per
+    language, and the bias."""
+    langs = sorted({lang for _, lang in labeled})
+    rows = [reference_langid_features(text, n_features).tolist() for text, _ in labeled]
+    targets = [[float(lang == code) for code in langs] for _, lang in labeled]
+    w = np.random.default_rng(seed).normal(0.0, 0.01, size=(n_features, len(langs))).tolist()
+    b = [0.0] * len(langs)
+    n = len(rows)
+    for _ in range(epochs):
+        grads = []
+        for row, target in zip(rows, targets):
+            logits = [sum(row[f] * w[f][j] for f in range(n_features)) + b[j]
+                      for j in range(len(langs))]
+            top = max(logits)
+            exps = [math.exp(z - top) for z in logits]
+            total = sum(exps)
+            grads.append([e / total - t for e, t in zip(exps, target)])
+        for f in range(n_features):
+            for j in range(len(langs)):
+                w[f][j] -= lr * sum(row[f] * g[j] for row, g in zip(rows, grads)) / n
+        b = [b[j] - lr * sum(g[j] for g in grads) / n for j in range(len(langs))]
+    return langs, w, b

@@ -1211,6 +1211,13 @@ def _bad_input_argv(tmp_path, case, langid_file):
         return (["avg-checkpoints", str(deep), "-o", out],
                 f"ModelFormatError: {deep}: header JSON nests too deeply")
     command, option, value = case.split()
+    if command in ("bpe-encode", "sample", "mix"):  # seed cases; bpe-encode draws with dropout only
+        codes = tmp_path / "codes.bpe"
+        bpe.save_model(bpe.bpe_train(["a b"], 10), codes)
+        argv = {"bpe-encode": ["bpe-encode", str(pairs), "--model", str(codes), "--dropout", "0.3"],
+                "sample": ["sample", str(ids), "--model", str(fwd)],
+                "mix": ["mix", "--part", f"1:bitext:{pairs}", "--n", "2"]}[command]
+        return argv + [f"--seed={value}", "-o", out], f"ConfigError: seed must be >= 0, got {value}"
     if command == "domain-train":
         argv = ["domain-train", "--positives", str(pairs), "--negatives", str(ids)]
     else:
@@ -1235,7 +1242,8 @@ def _bad_input_argv(tmp_path, case, langid_file):
     "domain-train epochs -3", "domain-train lr nan", "domain-train lr -inf",
     "decode alpha nan", "decode alpha inf", "tune-lambda alpha nan", "decode fusion-lambda inf",
     "rerank lam inf", "tune-lambda ncr-grid inf", "mix n -1", "oracle-bleu eos-id -5",
-    "langid-train seed -1", "avg-checkpoints table", "tokenize german-quotes without detok",
+    "langid-train seed -1", "domain-train seed -1", "bpe-encode seed -2", "sample seed -1",
+    "mix seed -3", "avg-checkpoints table", "tokenize german-quotes without detok",
     "filter langs without langid", "filter langs outside the model",
     "domain-select clf-en ru", "domain-select clf-ru en", "domain-select clf-ru de",
 ])
@@ -1469,6 +1477,8 @@ def test_translate_stages_import_only_their_modules(tmp_path):
     # Each stage imports the mtkit modules it uses inside its own function,
     # so a stage started in a fresh interpreter loads no other; where
     # bytecode writing is off, every extra module is compiled again per run.
+    # None loads numpy.random, which adds about 6 MB of RSS: only
+    # langid-train draws from it.
     src, ref, hyp = tmp_path / "src.ids", tmp_path / "ref.ids", tmp_path / "hyp.txt"
     _write(src, ["0", "0"])
     _write(ref, ["0", "1"])
@@ -1491,18 +1501,20 @@ def test_translate_stages_import_only_their_modules(tmp_path):
     script = ("import json, sys\n"
               "from mtkit.cli import run\n"
               "code = run(json.loads(sys.argv[1]))\n"
-              "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'mtkit'))\n")
+              "print(code, 'numpy.random' in sys.modules,\n"
+              "      *sorted(m for m in sys.modules if m.split('.')[0] == 'mtkit'))\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
     for argv, expected in stages:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                               capture_output=True, text=True, env=env, check=True)
-        assert proc.stdout.split() == ["0", *sorted(expected)], argv[0]
+        assert proc.stdout.split() == ["0", "False", *sorted(expected)], argv[0]
 
 
 def test_curate_stages_import_only_their_modules(tmp_path, langid_file):
     # As for the translate stages, and no stage loads dataclasses, which pulls
     # in inspect; numpy imports inspect itself, so only the stages that load
-    # numpy may add it.
+    # numpy may add it. Only langid-train, which draws its initial weights
+    # from default_rng, loads numpy.random (about 6 MB of RSS).
     text, pairs, ids = tmp_path / "text.txt", tmp_path / "pairs.tsv", tmp_path / "ids.txt"
     _write(text, ["Hello, world.", "A small test, again."])
     _write(pairs, ["the cat sat\tкот сидел", "a dog\tпёс"])
@@ -1523,11 +1535,15 @@ def test_curate_stages_import_only_their_modules(tmp_path, langid_file):
         (["tokenize", str(text), "-o", tok], textnorm | {"mtkit.data"}),
         (["bpe-train", tok, "--vocab-size", "40", "--model-out", codes], bpe_),
         (["bpe-encode", tok, "--model", codes, "-o", enc], bpe_),
+        (["langid-train", f"en={text}", f"ru={pairs}", "--epochs", "2", "--model-out", out],
+         corpus_),
         (["filter", str(pairs), "-o", out], corpus_),
         (["filter", str(pairs), "--langid", str(langid_file), "--langs", "en,ru", "-o", out],
          corpus_),
         (["domain-select", str(pairs), "--clf-en", clf_en, "--clf-ru", clf_ru, "-o", out],
          corpus_ | {"mtkit.domain"}),
+        (["domain-train", "--positives", str(text), "--negatives", str(pairs), "--epochs", "2",
+          "--model-out", out], base | {"mtkit.domain"}),
         (["mix", "--part", f"1:bitext:{pairs}", "--n", "3", "-o", out], corpus_),
         (["reverse-target", str(pairs), "-o", out], corpus_),
         # the translate stages' module sets are pinned above
@@ -1543,13 +1559,15 @@ def test_curate_stages_import_only_their_modules(tmp_path, langid_file):
               "from mtkit.cli import run\n"
               "code = run(json.loads(sys.argv[1]))\n"
               "added = set(sys.modules) - before\n"
-              "print(code, *(m in added for m in ('numpy', 'inspect', 'dataclasses')),\n"
+              "print(code, *(m in added for m in\n"
+              "              ('numpy', 'numpy.random', 'inspect', 'dataclasses')),\n"
               "      *sorted(m for m in added if m.split('.')[0] == 'mtkit'))\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
     for argv, expected in stages:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                               capture_output=True, text=True, env=env, check=True)
-        code, numpy, inspect_, dataclasses, *modules = proc.stdout.split()
+        code, numpy, numpy_random, inspect_, dataclasses, *modules = proc.stdout.split()
         assert (code, modules) == ("0", sorted(expected)), argv[:2]
+        assert numpy_random == str(argv[0] == "langid-train"), argv[:2]
         assert dataclasses == "False", argv[:2]
         assert inspect_ == numpy, argv[:2]

@@ -1,6 +1,7 @@
 """Language id, the filter cascade, target reversal, mixing, and TSV io."""
 
 import functools
+import math
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mtkit import bpe, domain
 from mtkit.corpus import (
     FilterConfig,
     FilterReport,
@@ -29,10 +31,12 @@ from mtkit.corpus import (
     reverse_target,
     save_langid,
 )
-from mtkit.errors import EmptyInputError
+from mtkit.decode import DecodeConfig
+from mtkit.errors import ConfigError, EmptyInputError
 
 from conftest import make_sentence
-from scalar_reference import reference_langid_classify, reference_langid_features
+from scalar_reference import (reference_langid_classify, reference_langid_features,
+                              reference_langid_train)
 
 # ---------------------------------------------------------------------------
 # language id
@@ -183,9 +187,27 @@ def test_langid_train_matches_reference_features(langid_corpus):
         logits -= logits.max(axis=1, keepdims=True)
         exp = np.exp(logits)
         grad = exp / exp.sum(axis=1, keepdims=True) - y
-        w -= 2.0 * (x.T @ grad) / len(labeled)
+        w -= 2.0 * (grad.T @ x).T / len(labeled)
         b -= 2.0 * grad.mean(axis=0)
     assert np.array_equal(model.weights, w) and np.array_equal(model.bias, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled=st.lists(st.tuples(st.text("abcаб ", max_size=8),
+                                  st.sampled_from(["de", "en", "ru"])),
+                        min_size=2, max_size=6).filter(lambda rows: len({l for _, l in rows}) > 1),
+       n_features=st.integers(1, 9), epochs=st.integers(1, 4), lr=st.sampled_from([0.5, 2.0]),
+       seed=st.integers(0, 2**32))
+def test_langid_train_matches_scalar_descent(labeled, n_features, epochs, lr, seed):
+    # The recorded digests cover one shape only; this checks the math, and
+    # the orientation of each product, on small shapes of every kind,
+    # without relying on how BLAS rounds. A parameter that updates cancel
+    # to near zero is held to 1e-12 of one step of size lr instead.
+    model = langid_train(labeled, seed=seed, n_features=n_features, epochs=epochs, lr=lr)
+    langs, w, b = reference_langid_train(labeled, seed, n_features, epochs, lr)
+    assert model.langs == langs
+    for got, want in zip([*model.weights.ravel(), *model.bias], [*np.ravel(w), *b]):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * lr), (got, want)
 
 
 def test_langid_lone_surrogate(langid_model):
@@ -451,6 +473,25 @@ def test_mix_errors():
         mix_sample([([], 1.0)], 10, seed=0)
     with pytest.raises(ValueError):
         mix_sample([(_corpus(3, "s"), 0.0)], 10, seed=0)
+
+
+def test_a_negative_seed_is_refused_where_it_would_repeat_a_positive_one():
+    # random.Random seeds with abs(seed), so seed -2 would draw what 2 draws
+    assert random.Random(-2).random() == random.Random(2).random()
+    parts = [(_corpus(5, "a"), 1.0), (_corpus(5, "b"), 1.0)]
+    codes = bpe.bpe_train(["a b c", "ab bc"], 12)
+    draws = {
+        "mix": lambda seed: mix_sample(parts, 10, seed=seed),
+        "dropout": lambda seed: bpe.bpe_encode(codes, "ab bc abc", dropout_p=0.5, seed=seed),
+        "domain": lambda seed: domain.domain_train(["a b"] * 4, ["c d"] * 6, seed=seed),
+        "sample": lambda seed: DecodeConfig(seed=seed),
+    }
+    for draw in draws.values():
+        draw(2)
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -2$"):
+            draw(-2)
+    # without dropout nothing is drawn, and the seed is not read
+    assert bpe.bpe_encode(codes, "ab bc abc", seed=-2) == bpe.bpe_encode(codes, "ab bc abc")
 
 
 # ---------------------------------------------------------------------------
