@@ -8,9 +8,11 @@ through Scorer.next_dist (the whole distribution, for beam search and
 sampling) or Scorer.token_prob (one entry of it, for re-ranking), so the
 decoders never know which kind of model is behind them.
 
-numpy is imported inside the functions that do array math. Training an
-n-gram model uses numpy; loading and saving one and its token_prob do not,
-so `mtkit rerank` over n-gram models starts without loading numpy.
+Every model file is an NMTC container: checkpoints, table scorers and
+n-gram models. numpy is imported inside the functions that do array math.
+Training and saving an n-gram model use numpy; loading one, which reads each
+payload straight into an array('q'), and its token_prob do not, so
+`mtkit rerank` over n-gram models starts without loading numpy.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import json
 import math
 import os
 import struct
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain
-from operator import lt
+from itertools import chain, compress, count
+from operator import lt, not_
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -33,9 +36,6 @@ from .errors import (
     NameSetMismatchError,
     ShapeMismatchError,
     VocabMismatchError,
-    check_new_line,
-    model_file,
-    model_writer,
     naming,
     staged,
 )
@@ -51,13 +51,15 @@ _NORM_TOL = 1e-6
 
 # Container: magic NMTC, u32 version, u64 header length, a JSON header
 # {"metadata": {...}, "tensors": [{"name", "shape", "dtype", "offset"}, ...]},
-# then raw little-endian f32 or f64 payloads in sorted-name order; offsets
-# count from the end of the header.
+# then raw little-endian f32, f64 or i64 payloads in sorted-name order;
+# offsets count from the end of the header.
 _MAGIC = b"NMTC"
 _VERSION = 1
 _PREFIX = struct.Struct("<4sIQ")
-_DTYPES = {"f32": "<f4", "f64": "<f8"}  # numpy dtype strings
+_DTYPES = {"f32": "<f4", "f64": "<f8", "i64": "<i8"}  # numpy dtype strings
+_FLOATS = {d: _DTYPES[d] for d in ("f32", "f64")}  # the dtypes a table scorer reads
 _F32 = {"f32": _DTYPES["f32"]}  # the only dtype average_checkpoint_files reads
+_I64 = {"i64": _DTYPES["i64"]}  # the only dtype an n-gram model reads
 
 
 def _write_checkpoint(path, metadata: dict, shapes: dict, tensor, dtype: str = "f32") -> None:
@@ -112,15 +114,26 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice raises ModelFormatError
+    rather than silently taking the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ModelFormatError(f"header repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_header(fh) -> tuple[dict, list[dict], int]:
     """Parse and check the header; return (metadata, tensor entries, payload start).
 
     Any defect raises ModelFormatError (ValueError if not UTF-8 JSON), to be
     named by the caller's `naming`: short or wrong magic, version and length
     fields, a header that is not a UTF-8 JSON object or nests too deeply to
-    parse, or a tensor entry without a string name and dtype, a list of
-    non-negative int dimensions as shape, and a non-negative int offset.
-    Payloads are not read here.
+    parse, a key repeated in one of its objects, or a tensor entry without a
+    string name and dtype, a list of non-negative int dimensions as shape,
+    and a non-negative int offset. Payloads are not read here.
     """
     prefix = fh.read(_PREFIX.size)
     if prefix[:4] != _MAGIC:
@@ -134,7 +147,7 @@ def _read_header(fh) -> tuple[dict, list[dict], int]:
     if payload_start > _file_size(fh):
         raise ModelFormatError("header runs past the end of the file")
     try:
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        header = json.loads(fh.read(hlen).decode("utf-8"), object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ModelFormatError("header JSON nests too deeply") from None
     if not isinstance(header, dict):
@@ -160,21 +173,27 @@ def _read_header(fh) -> tuple[dict, list[dict], int]:
     return metadata, entries, payload_start
 
 
-def _read_tensor(fh, payload_start: int, entry: dict, dtypes=_DTYPES) -> np.ndarray:
-    """Read one payload described by a checked header entry as an array of
-    one of `dtypes`; another dtype, a short payload or a non-finite value
+def _payload(fh, payload_start: int, entry: dict, dtypes: dict) -> int:
+    """Seek to the payload of a checked header entry and return its size in
+    bytes; a dtype not in `dtypes` or a payload past the end of the file
     raises ModelFormatError."""
-    import numpy as np
     if entry["dtype"] not in dtypes:
         raise ModelFormatError(f"unsupported dtype {entry['dtype']}")
-    dtype = np.dtype(dtypes[entry["dtype"]])
-    shape = tuple(entry["shape"])
-    nbytes = math.prod(shape) * dtype.itemsize
+    nbytes = math.prod(entry["shape"]) * int(dtypes[entry["dtype"]][2:])
     start = payload_start + entry["offset"]
     if start + nbytes > _file_size(fh):
         raise ModelFormatError(f"truncated payload for {entry['name']!r}")
     fh.seek(start)
-    arr = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape)
+    return nbytes
+
+
+def _read_tensor(fh, payload_start: int, entry: dict, dtypes: dict) -> np.ndarray:
+    """Read one payload described by a checked header entry as an array of
+    one of `dtypes`; another dtype, a short payload or a non-finite value
+    raises ModelFormatError."""
+    import numpy as np
+    nbytes = _payload(fh, payload_start, entry, dtypes)
+    arr = np.frombuffer(fh.read(nbytes), dtype=dtypes[entry["dtype"]]).reshape(entry["shape"])
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"tensor {entry['name']!r} contains non-finite values")
     return arr
@@ -312,28 +331,40 @@ def save_table_scorer(m: TableScorer, path) -> None:
                       {name: arr.shape for name, arr in tensors.items()}, tensors.__getitem__, "f64")
 
 
+def _load(path, build):
+    """Open an NMTC container and return build(fh, metadata, entries,
+    payload start) once its header is read and checked; a ModelFormatError,
+    a ValueError or an OverflowError (a number in the metadata too large for
+    a float) raised meanwhile becomes a ModelFormatError naming the file."""
+    with naming(path, ModelFormatError, (ValueError, OverflowError)), open(path, "rb") as fh:
+        return build(fh, *_read_header(fh))
+
+
+def _table_from(fh, metadata: dict, entries: list, payload_start: int) -> TableScorer:
+    """The table scorer of a container whose header is read."""
+    vocab, eos, contexts = (metadata.get(k) for k in ("vocab", "eos", "contexts"))
+    if not (isinstance(vocab, list) and all(isinstance(t, str) for t in (*vocab, eos))):
+        raise ModelFormatError("metadata needs a vocab list of strings and an eos string")
+    if not (isinstance(contexts, list) and all(
+            isinstance(c, list) and len(c) == 2
+            and all(isinstance(ids, list) and all(type(i) is int for i in ids) for ids in c)
+            for c in contexts)):
+        raise ModelFormatError("metadata contexts must be [[source ids], [prefix ids]] pairs")
+    tensors = {e["name"]: _read_tensor(fh, payload_start, e, _FLOATS) for e in entries}
+    if set(tensors) != {"default", "rows"}:
+        raise ModelFormatError(f"expected tensors ['default', 'rows'], got {sorted(tensors)}")
+    default, rows = tensors["default"], tensors["rows"]
+    if rows.ndim != 2 or len(rows) != len(contexts):
+        raise ModelFormatError(f"rows of shape {rows.shape} for {len(contexts)} contexts")
+    table = {(tuple(src), tuple(prefix)): row for (src, prefix), row in zip(contexts, rows)}
+    if len(table) != len(contexts):
+        raise ModelFormatError("duplicate contexts")
+    return TableScorer(vocab, table, default, eos_token=eos)
+
+
 def load_table_scorer(path) -> TableScorer:
     """Read a save_table_scorer file; a malformed one raises ModelFormatError."""
-    with naming(path, ModelFormatError), open(path, "rb") as fh:
-        metadata, entries, payload_start = _read_header(fh)
-        vocab, eos, contexts = (metadata.get(k) for k in ("vocab", "eos", "contexts"))
-        if not (isinstance(vocab, list) and all(isinstance(t, str) for t in (*vocab, eos))):
-            raise ModelFormatError("metadata needs a vocab list of strings and an eos string")
-        if not (isinstance(contexts, list) and all(
-                isinstance(c, list) and len(c) == 2
-                and all(isinstance(ids, list) and all(type(i) is int for i in ids) for ids in c)
-                for c in contexts)):
-            raise ModelFormatError("metadata contexts must be [[source ids], [prefix ids]] pairs")
-        tensors = {e["name"]: _read_tensor(fh, payload_start, e) for e in entries}
-        if set(tensors) != {"default", "rows"}:
-            raise ModelFormatError(f"expected tensors ['default', 'rows'], got {sorted(tensors)}")
-        default, rows = tensors["default"], tensors["rows"]
-        if rows.ndim != 2 or len(rows) != len(contexts):
-            raise ModelFormatError(f"rows of shape {rows.shape} for {len(contexts)} contexts")
-        table = {(tuple(src), tuple(prefix)): row for (src, prefix), row in zip(contexts, rows)}
-        if len(table) != len(contexts):
-            raise ModelFormatError("duplicate contexts")
-        return TableScorer(vocab, table, default, eos_token=eos)
+    return _load(path, _table_from)
 
 
 class NGramScorer(Scorer):
@@ -351,9 +382,10 @@ class NGramScorer(Scorer):
     Layout, as in KenLM: the constructor takes grams, which maps each gram
     length k in [0, order] that occurs to (ids, counts), two array('q'); ids
     holds the k ids of each gram, the grams in sorted order, and counts one
-    non-negative count per gram, as ngram_train builds them and an ngram-v2
-    file holds them. The constructor checks all of this but the order of the
-    grams, which load_ngram_scorer checks, since its input comes from outside.
+    non-negative count per gram, as ngram_train builds them and an n-gram
+    container holds them (one grams and one counts tensor per length). The
+    constructor checks all of this but the order of the grams, which
+    load_ngram_scorer checks, since its input comes from outside.
 
     Scoring reads per-context spans (KenLM's state). A context shorter than
     `order` with a non-zero total count has a span (lo, hi, total), found on
@@ -543,100 +575,111 @@ def ngram_train(corpus, order: int, *, vocab_size: int | None = None,
     return NGramScorer(order, vocab_size, eos_id, grams, weights, floor)
 
 
-# n-gram file, ngram-v2 text: the header line "ngram-v2 <order> <V> <eos>",
-# "floor <floor>", "weights <w_1> ... <w_order>" (given_weights, which the
-# constructor normalizes on load to the same floats as before the save), then
-# for each gram length k that occurs, in increasing k, the line
-# "grams <k> <ids>" (k ids per gram, the grams in sorted order) and the line
-# "counts <k> <counts>" (one count per gram, in the same order): the arrays
-# of NGramScorer.grams, written and read as they are.
+# n-gram file: an NMTC container (layout above) of i64 payloads. The metadata
+# holds order, vocab_size, eos_id, floor and weights (given_weights, which the
+# constructor normalizes on load to the same floats as before the save; JSON
+# writes each float so that it reads back equal). Each gram length k that
+# occurs has the tensor grams.<k> [n_k, k] (k ids per gram, the grams in
+# sorted order) and the tensor counts.<k> [n_k] (one count per gram, in the
+# same order): the arrays of NGramScorer.grams, written and read as they are.
+_NGRAM_KINDS = ("grams", "counts")
+
 
 def save_ngram_scorer(m: NGramScorer, path) -> None:
-    """Write m as an ngram-v2 file (layout above)."""
-    with model_writer(path, "ngram-v2", f"{m.order} {m.vocab_size} {m.eos_id}") as fh:
-        fh.write(f"floor {m.floor!r}\n")
-        fh.write("weights " + " ".join(repr(w) for w in m.given_weights) + "\n")
-        for k, (ids, counts) in sorted(m.grams.items()):
-            fh.write(f"grams {k}" + (" %d" * len(ids)) % tuple(ids) + "\n")
-            fh.write(f"counts {k}" + (" %d" * len(counts)) % tuple(counts) + "\n")
+    """Write m as an n-gram container (layout above)."""
+    tensors, shapes = {}, {}
+    for k, (ids, counts) in m.grams.items():
+        tensors[f"grams.{k}"], shapes[f"grams.{k}"] = ids, (len(counts), k)
+        tensors[f"counts.{k}"], shapes[f"counts.{k}"] = counts, (len(counts),)
+    metadata = {"order": int(m.order), "vocab_size": int(m.vocab_size), "eos_id": int(m.eos_id),
+                "floor": m.floor, "weights": m.given_weights}
+    _write_checkpoint(path, metadata, shapes, tensors.__getitem__, "i64")
 
 
-def _check_sorted(ids: array, k: int, n: int, lineno: int) -> None:
-    """Raise ModelFormatError naming the line unless the n grams of k ids in
-    ids are in strictly increasing order, which also rules out a repeat.
-    map releases each pair of zip tuples before the next, so zip reuses
-    them and no tuple is built per gram."""
+def _check_sorted(ids: array, k: int, n: int, name: str) -> None:
+    """Raise ModelFormatError naming the tensor unless the n grams of k ids
+    in ids are in strictly increasing order, which also rules out a repeat.
+    Two zips walk the grams one apart and the walk stops at the first pair
+    out of order; map releases each pair of zip tuples before the next, so
+    zip reuses them and nothing is built per gram."""
     if n < 2:
         return
-    cols = [ids[j::k] for j in range(k)]
-    ordered = list(map(lt, zip(*cols), zip(*(c[1:] for c in cols)))) if k else [False]
-    if all(ordered):
-        return
-    i = ordered.index(False) + 1
+    if k:
+        grams, later = zip(*[iter(ids)] * k), zip(*[iter(ids)] * k)
+        next(later)
+        i = next(compress(count(1), map(not_, map(lt, grams, later))), None)
+        if i is None:
+            return
+    else:
+        i = 1  # a second empty gram
     gram = " ".join(map(str, ids[i * k:i * k + k]))
     what = "repeats" if ids[i * k - k:i * k] == ids[i * k:i * k + k] else "sorts before"
-    raise ModelFormatError(f"line {lineno}: {k}-gram {i + 1} ({gram}) {what} the one before it")
+    raise ModelFormatError(f"tensor {name!r}: {k}-gram {i + 1} ({gram}) {what} the one before it")
+
+
+def _read_ints(fh, payload_start: int, entry: dict) -> array:
+    """Read one i64 payload described by a checked header entry straight into
+    an array('q'), with no object per number."""
+    values = array("q", [0]) * (_payload(fh, payload_start, entry, _I64) // 8)
+    fh.readinto(values)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
+def _ngram_from(fh, metadata: dict, entries: list, payload_start: int) -> NGramScorer:
+    """The n-gram model of a container whose header is read (layout above)."""
+    order, vocab_size, eos_id, floor, weights = (
+        metadata.get(key) for key in ("order", "vocab_size", "eos_id", "floor", "weights"))
+    if not (all(type(v) is int for v in (order, vocab_size, eos_id))
+            and type(floor) in (int, float) and isinstance(weights, list)
+            and all(type(w) in (int, float) for w in weights)):
+        raise ModelFormatError("metadata needs int order, vocab_size and eos_id, "
+                               "a number floor and a list of number weights")
+    pairs: dict = {}  # k -> {"grams": entry, "counts": entry}
+    for entry in entries:
+        name = entry["name"]
+        kind, _, k = name.partition(".")
+        try:
+            k = int(k)
+        except ValueError:
+            k = None
+        if kind not in _NGRAM_KINDS or k is None or name != f"{kind}.{k}":
+            raise ModelFormatError(f"unknown tensor {name!r}")
+        if not 0 <= k <= order:
+            raise ModelFormatError(f"tensor {name!r}: gram length {k} outside [0, {order}]")
+        if entry["dtype"] != "i64":
+            raise ModelFormatError(f"tensor {name!r}: dtype {entry['dtype']}, not i64")
+        pairs.setdefault(k, {})[kind] = entry
+    grams = {}
+    for k, pair in sorted(pairs.items()):
+        for kind, other in (_NGRAM_KINDS, _NGRAM_KINDS[::-1]):
+            if other not in pair:
+                raise ModelFormatError(f"tensor '{kind}.{k}' has no '{other}.{k}' tensor")
+        ids_shape, counts_shape = pair["grams"]["shape"], pair["counts"]["shape"]
+        if len(counts_shape) != 1 or ids_shape != [*counts_shape, k]:
+            raise ModelFormatError(f"tensor 'grams.{k}' of shape {ids_shape} for tensor "
+                                   f"'counts.{k}' of shape {counts_shape}, not [n, {k}] for [n]")
+        ids, counts = (_read_ints(fh, payload_start, pair[kind]) for kind in _NGRAM_KINDS)
+        if not counts:
+            continue  # lists no grams
+        if min(counts) < 0:
+            raise ModelFormatError(f"tensor 'counts.{k}': negative count")
+        _check_sorted(ids, k, len(counts), f"grams.{k}")
+        grams[k] = ids, counts
+    return NGramScorer(order, vocab_size, eos_id, grams, weights, floor)
 
 
 def load_ngram_scorer(path) -> NGramScorer:
-    """Read a save_ngram_scorer file (layout above), each grams and counts
-    line straight into an array('q'). Besides a malformed field, a repeated
-    line, a gram length outside [0, order], a grams line without its counts
-    line or the reverse, an id count that is not k times the count count,
-    grams out of sorted order or listed twice, a negative count and a value
-    outside the int64 range raise ModelFormatError naming the line."""
-    found: dict = {}  # "floor", "weights", ("grams", k), ("counts", k) -> values
-    line_of: dict = {}  # the same keys -> line number
-    with model_file(path, "ngram-v2") as (header, lines):
-        order, vocab_size, eos_id = (int(x) for x in header.split())
-        for lineno, line in lines:
-            kind, _, rest = line.partition(" ")
-            if kind in ("grams", "counts"):
-                k, _, rest = rest.partition(" ")
-                key, parse = (kind, int(k)), int
-                if not 0 <= key[1] <= order:
-                    raise ModelFormatError(f"line {lineno}: gram length {k} outside [0, {order}]")
-            elif kind in ("floor", "weights"):
-                key, parse = kind, float
-            elif not line.strip():
-                continue
-            else:
-                raise ModelFormatError(f"line {lineno}: unknown line kind {kind!r}")
-            check_new_line(line_of, key, lineno)
-            values = list(map(parse, rest.split()))
-            if parse is int:
-                try:
-                    values = array("q", values)
-                except OverflowError:
-                    raise ModelFormatError(f"line {lineno}: a value outside the int64 range") from None
-            found[key] = values
-        if "floor" not in found or "weights" not in found:
-            raise ModelFormatError("missing floor or weights line")
-        floor = found.pop("floor")
-        if len(floor) != 1:
-            raise ModelFormatError(f"line {line_of['floor']}: expected one floor value")
-        weights = found.pop("weights")
-        grams = {}
-        for (kind, k), ids in found.items():
-            lineno = line_of[kind, k]
-            if kind == "counts":
-                if ("grams", k) not in found:
-                    raise ModelFormatError(f"line {lineno}: counts {k} has no grams {k} line")
-                continue
-            if ("counts", k) not in found:
-                raise ModelFormatError(f"line {lineno}: grams {k} has no counts {k} line")
-            counts_line, counts = line_of["counts", k], found["counts", k]
-            if len(ids) != k * len(counts):
-                raise ModelFormatError(
-                    f"line {lineno}: {len(ids)} ids for the {len(counts)} counts of line "
-                    f"{counts_line}, not {k} per gram")
-            if not counts:
-                continue  # lists no grams
-            if min(counts) < 0:
-                raise ModelFormatError(f"line {counts_line}: negative count")
-            _check_sorted(ids, k, len(counts), lineno)
-            grams[k] = ids, counts
-        return NGramScorer(order, vocab_size, eos_id, grams, weights, floor[0])
+    """Read a save_ngram_scorer file (layout above), each payload straight
+    into an array('q'). Besides a malformed container, metadata without an
+    int order, V and eos, a number floor and a list of number weights, an
+    unknown tensor, a gram length outside [0, order], a grams tensor without
+    its counts tensor or the reverse, shapes that do not give k ids per
+    count, a dtype other than i64, a short payload, a negative count and
+    grams out of sorted order or listed twice raise ModelFormatError naming
+    the file and the tensor; the constructor checks the floor and weights."""
+    return _load(path, _ngram_from)
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +717,18 @@ class EnsembleScorer(Scorer):
         return acc / len(self.scorers)
 
 
+def _scorer_from(fh, metadata: dict, entries: list, payload_start: int) -> Scorer:
+    """The scorer that a read header's metadata describes."""
+    if "order" in metadata:
+        return _ngram_from(fh, metadata, entries, payload_start)
+    if "vocab" in metadata:
+        return _table_from(fh, metadata, entries, payload_start)
+    raise ModelFormatError("metadata describes neither an n-gram model (order) "
+                           "nor a table scorer (vocab)")
+
+
 def load_scorer(path) -> Scorer:
-    """Read an NMTC container as a table scorer and any other file as an
-    n-gram model, whose header check rejects what is neither."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-    return load_table_scorer(path) if magic == _MAGIC else load_ngram_scorer(path)
+    """Read an NMTC container, its header once, as the scorer its metadata
+    describes: an n-gram model or a table scorer. Any other file raises
+    ModelFormatError."""
+    return _load(path, _scorer_from)

@@ -257,6 +257,25 @@ def table_container(vocab, default, contexts=(), rows=(), eos="eos",
     return nmtc_bytes({"metadata": metadata, "tensors": tensors}, default.tobytes() + rows.tobytes())
 
 
+def ngram_container(*tensors, order=2, vocab_size=4, eos_id=3, floor=0.01, weights=(0.5, 0.5),
+                    edit=None) -> bytes:
+    """NMTC bytes of an n-gram model put together field by field, so a test
+    can break any rule that save_ngram_scorer keeps. Each tensor is
+    (name, shape, values) or (name, shape, values, dtype); its values are
+    packed as little-endian i64 (f64 for dtype f64) in the order given,
+    whatever the shape and name say. edit, if given, rewrites the header's
+    JSON text before it is written."""
+    metadata = {"order": order, "vocab_size": vocab_size, "eos_id": eos_id,
+                "floor": floor, "weights": list(weights)}
+    entries, payload = [], b""
+    for name, shape, values, *dtype in tensors:
+        dtype = dtype[0] if dtype else "i64"
+        entries.append({"name": name, "shape": list(shape), "dtype": dtype, "offset": len(payload)})
+        payload += struct.pack(f"<{len(values)}{'d' if dtype == 'f64' else 'q'}", *values)
+    header = json.dumps({"metadata": metadata, "tensors": entries})
+    return nmtc_bytes((edit(header) if edit else header).encode("utf-8"), payload)
+
+
 def make_lm_scorer(vocab_n: int, max_len: int, rng: random.Random) -> TableScorer:
     """Unconditional variant: contexts keyed on the empty source."""
     return make_table_scorer(vocab_n, max_len, rng, source=())

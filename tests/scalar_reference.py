@@ -2,7 +2,8 @@
 
 These are the original one-token-at-a-time loops of `beam_search`,
 `topk_sample` and `NGramScorer.next_dist`, the dict loop that counted the
-grams of `ngram_train`, the gram-by-gram writer of `save_ngram_scorer`, a
+grams of `ngram_train`, a number-by-number container writer for
+`save_ngram_scorer` (packed with struct, not through the library's writer), a
 gram -> count dict to `NGramScorer` conversion (`ngram_from_counts`), an
 exhaustive search over every terminated sequence, the `next_dist`-based
 loops of `sequence_logprob` and `noisy_channel_rerank`, the recount-every-pair
@@ -20,8 +21,10 @@ library version. A saturated beam must agree with `exact_search`.
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import struct
 import zlib
 from array import array
 from collections import Counter
@@ -205,18 +208,32 @@ def ngram_gram_counts(model) -> dict:
             for k, (ids, counts) in model.grams.items() for i, c in enumerate(counts)}
 
 
-def reference_ngram_file(order, vocab_size, eos_id, counts: dict, weights, floor) -> str:
-    """The ngram-v2 text of a model built from a gram -> count dict, formatted
-    one gram at a time from the sorted dict."""
-    lines = [f"ngram-v2 {order} {vocab_size} {eos_id}", f"floor {float(floor)!r}",
-             "weights " + " ".join(repr(float(w)) for w in weights)]
+def reference_ngram_file(order, vocab_size, eos_id, counts: dict, weights, floor) -> bytes:
+    """The n-gram container of a model built from a gram -> count dict,
+    packed one number at a time with struct from the sorted dict: magic
+    NMTC, u32 version 1, u64 header length, the compact sorted-key JSON
+    header, then per gram length k the i64 tensors counts.<k> [n_k] and
+    grams.<k> [n_k, k], all in sorted-name order."""
     by_len: dict[int, list] = {}
     for gram in sorted(counts):
         by_len.setdefault(len(gram), []).append(gram)
-    for k, grams in sorted(by_len.items()):
-        lines.append(" ".join(["grams", str(k), *(str(i) for gram in grams for i in gram)]))
-        lines.append(" ".join(["counts", str(k), *(str(counts[gram]) for gram in grams)]))
-    return "\n".join(lines) + "\n"
+    payloads = {}
+    for k, grams in by_len.items():
+        payloads[f"counts.{k}"] = [len(grams)], b"".join(
+            struct.pack("<q", counts[gram]) for gram in grams)
+        payloads[f"grams.{k}"] = [len(grams), k], b"".join(
+            struct.pack("<q", i) for gram in grams for i in gram)
+    tensors, offset = [], 0
+    for name in sorted(payloads):
+        shape, payload = payloads[name]
+        tensors.append({"dtype": "i64", "name": name, "offset": offset, "shape": shape})
+        offset += len(payload)
+    metadata = {"eos_id": eos_id, "floor": float(floor), "order": order,
+                "vocab_size": vocab_size, "weights": [float(w) for w in weights]}
+    header = json.dumps({"metadata": metadata, "tensors": tensors},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return (b"NMTC" + struct.pack("<IQ", 1, len(header)) + header
+            + b"".join(payloads[name][1] for name in sorted(payloads)))
 
 
 def reference_ngram_next_dist(model, prefix) -> np.ndarray:

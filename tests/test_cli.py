@@ -20,7 +20,7 @@ from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
 from mtkit.models import TableScorer
 
 from conftest import EN_WORDS, MED_EN, MED_RU, NEWS_EN, NEWS_RU, RU_WORDS, \
-    default_rules_text, make_domain_line, make_sentence, table_container
+    default_rules_text, make_domain_line, make_sentence, ngram_container, table_container
 
 
 def _write(path, lines):
@@ -321,7 +321,8 @@ def test_bpe_model_without_specials_is_named_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-_NGRAM = "ngram-v2 1 3 2\nfloor 0.01\nweights 1.0\ngrams 1 0\ncounts 1 1\n"
+_NGRAM_ARGS = {"order": 1, "vocab_size": 3, "eos_id": 2, "weights": [1.0]}
+_NGRAM = ngram_container(("counts.1", [1], [1]), ("grams.1", [1, 1], [0]), **_NGRAM_ARGS)
 _TABLE_VOCAB = ["a", "b", "eos"]
 _TABLE = table_container(_TABLE_VOCAB, [0.25, 0.25, 0.5])
 _LANGID = "langid-v1 16\nlangs en ru\nbias 0.0 0.0\nw 1 0.5 -0.5\n"
@@ -329,15 +330,22 @@ _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
 
 
 @pytest.mark.parametrize("command, good, bad", [
-    pytest.param("decode", _NGRAM, _NGRAM.replace("grams 1 0\n", "grams 1 0 1\n"),
+    pytest.param("decode", _NGRAM,
+                 ngram_container(("counts.1", [1], [1]), ("grams.1", [2, 1], [0, 1]),
+                                 **_NGRAM_ARGS),
                  id="ngram count missing"),
-    pytest.param("decode", _NGRAM, _NGRAM.replace("ngram-v2 1 3 2", "ngram-v2 3 x 4"),
+    pytest.param("decode", _NGRAM,
+                 ngram_container(("counts.1", [1], [1]), ("grams.1", [1, 1], [0]),
+                                 **{**_NGRAM_ARGS, "vocab_size": "x"}),
                  id="ngram header not int"),
-    pytest.param("decode", _NGRAM, _NGRAM.replace("grams 1 0\ncounts 1 1",
-                                                  "grams 1 0 1\ncounts 1 1 -3"),
+    pytest.param("decode", _NGRAM,
+                 ngram_container(("counts.1", [2], [1, -3]), ("grams.1", [2, 1], [0, 1]),
+                                 **_NGRAM_ARGS),
                  id="ngram negative count"),
     pytest.param("decode", _NGRAM, "ngram-v1 1 3 2\nfloor 0.01\nweights 1.0\ncount 0 1\n",
                  id="ngram-v1 file"),
+    pytest.param("decode", _NGRAM, "ngram-v2 1 3 2\nfloor 0.01\nweights 1.0\ngrams 1 0\n"
+                 "counts 1 1\n", id="ngram-v2 text file"),
     pytest.param("decode", _TABLE,
                  table_container(_TABLE_VOCAB, [0.25, 0.25, 0.5], default_dtype="i64"),
                  id="table default not float"),
@@ -1183,6 +1191,11 @@ def _bad_input_argv(tmp_path, case, langid_file):
     if case == "avg-checkpoints table":
         return (["avg-checkpoints", str(fwd), "-o", out],
                 f"ModelFormatError: {fwd}: unsupported dtype f64")
+    if case == "avg-checkpoints ngram":
+        lm = tmp_path / "lm.ngram"
+        models.save_ngram_scorer(models.ngram_train([[0, 1]], 2), lm)
+        return (["avg-checkpoints", str(lm), "-o", out],
+                f"ModelFormatError: {lm}: unsupported dtype i64")
     if case == "decode blank source line":
         _write(ids, ["0", "", "0"])
         return decode, f"EmptyInputError: {ids}: line 2 holds no source tokens"
@@ -1243,7 +1256,8 @@ def _bad_input_argv(tmp_path, case, langid_file):
     "decode alpha nan", "decode alpha inf", "tune-lambda alpha nan", "decode fusion-lambda inf",
     "rerank lam inf", "tune-lambda ncr-grid inf", "mix n -1", "oracle-bleu eos-id -5",
     "langid-train seed -1", "domain-train seed -1", "bpe-encode seed -2", "sample seed -1",
-    "mix seed -3", "avg-checkpoints table", "tokenize german-quotes without detok",
+    "mix seed -3", "avg-checkpoints table", "avg-checkpoints ngram",
+    "tokenize german-quotes without detok",
     "filter langs without langid", "filter langs outside the model",
     "domain-select clf-en ru", "domain-select clf-ru en", "domain-select clf-ru de",
 ])
@@ -1478,7 +1492,8 @@ def test_translate_stages_import_only_their_modules(tmp_path):
     # so a stage started in a fresh interpreter loads no other; where
     # bytecode writing is off, every extra module is compiled again per run.
     # None loads numpy.random, which adds about 6 MB of RSS: only
-    # langid-train draws from it.
+    # langid-train draws from it. Of these, only decode loads numpy at all:
+    # rerank reads its n-gram containers straight into array('q').
     src, ref, hyp = tmp_path / "src.ids", tmp_path / "ref.ids", tmp_path / "hyp.txt"
     _write(src, ["0", "0"])
     _write(ref, ["0", "1"])
@@ -1490,24 +1505,24 @@ def test_translate_stages_import_only_their_modules(tmp_path):
                "mtkit.models"}
     stages = [
         (["decode", str(src), "--model", fwd, "--lm", lm, "--fusion-lambda", "0.1",
-          "--max-len", "4", "--dump", dump, "-o", out], scorers),
+          "--max-len", "4", "--dump", dump, "-o", out], scorers, "True"),
         (["rerank", "--dump", dump, "--source", str(src), "--rev", lm, "--lm", lm,
-          "--top1", "-o", out], scorers),
+          "--top1", "-o", out], scorers, "False"),
         (["score-bleu", "--hyp", str(hyp), "--ref", str(ref), "-o", out],
-         {"mtkit", "mtkit.cli", "mtkit.errors", "mtkit.bleu"}),
+         {"mtkit", "mtkit.cli", "mtkit.errors", "mtkit.bleu"}, "False"),
         (["oracle-bleu", "--dump", dump, "--ref", str(ref), "--eos-id", "2", "-o", out],
-         {"mtkit", "mtkit.cli", "mtkit.errors", "mtkit.bleu", "mtkit.candidates"}),
+         {"mtkit", "mtkit.cli", "mtkit.errors", "mtkit.bleu", "mtkit.candidates"}, "False"),
     ]
     script = ("import json, sys\n"
               "from mtkit.cli import run\n"
               "code = run(json.loads(sys.argv[1]))\n"
-              "print(code, 'numpy.random' in sys.modules,\n"
+              "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules,\n"
               "      *sorted(m for m in sys.modules if m.split('.')[0] == 'mtkit'))\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
-    for argv, expected in stages:
+    for argv, expected, numpy in stages:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                               capture_output=True, text=True, env=env, check=True)
-        assert proc.stdout.split() == ["0", "False", *sorted(expected)], argv[0]
+        assert proc.stdout.split() == ["0", numpy, "False", *sorted(expected)], argv[0]
 
 
 def test_curate_stages_import_only_their_modules(tmp_path, langid_file):

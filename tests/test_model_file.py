@@ -12,7 +12,7 @@ import pytest
 from mtkit import bpe, corpus, domain, models, textnorm
 from mtkit.errors import ModelFormatError, model_file
 
-from conftest import default_rules_text, table_container
+from conftest import default_rules_text, ngram_container, table_container
 
 
 def _save_ngram(path):
@@ -70,52 +70,93 @@ def test_load_fuzzed_model_files(tmp_path, name):
     assert 0 < loaded < len(variants)
 
 
-_NGRAM_HEAD = "ngram-v2 2 4 3\nfloor 0.01\nweights 0.5 0.5\n"
+_GOOD = (("counts.1", [1], [2]), ("grams.1", [1, 1], [1]))
 
 
-@pytest.mark.parametrize("text, line", [
-    pytest.param(_NGRAM_HEAD + "floor 0.02\ngrams 1 0\ncounts 1 1\n", 4, id="floor repeated"),
-    pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 1\nweights 1.0 0.0\n", 6,
-                 id="weights repeated"),
-    pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 1\ngrams 1 2\ncounts 1 5\n", 6,
-                 id="grams repeated"),
-    pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 1\ncounts 1 5\n", 6, id="counts repeated"),
-    pytest.param(_NGRAM_HEAD + "grams 1 0 0\ncounts 1 1 5\n", 4, id="gram listed twice"),
-    pytest.param(_NGRAM_HEAD + "grams 0\ncounts 0 1 5\n", 4, id="empty gram listed twice"),
-    pytest.param(_NGRAM_HEAD + "grams 2 0 1 1 2 0 1\ncounts 2 1 1 1\n", 4,
+def _edit(old, new):
+    return lambda header: header.replace(old, new)
+
+
+@pytest.mark.parametrize("blob, where", [
+    pytest.param(ngram_container(*_GOOD, edit=_edit('"floor": 0.01',
+                                                    '"floor": 0.01, "floor": 0.02')),
+                 "header repeats the key 'floor'", id="floor repeated"),
+    pytest.param(ngram_container(*_GOOD, edit=_edit('"weights": [0.5, 0.5]',
+                                                    '"weights": [0.5, 0.5], "weights": [1.0, 0.0]')),
+                 "header repeats the key 'weights'", id="weights repeated"),
+    pytest.param(ngram_container(*_GOOD, ("grams.1", [1, 1], [2])),
+                 "duplicate tensor 'grams.1'", id="grams repeated"),
+    pytest.param(ngram_container(*_GOOD, ("counts.1", [1], [5])),
+                 "duplicate tensor 'counts.1'", id="counts repeated"),
+    pytest.param(ngram_container(("counts.1", [2], [1, 5]), ("grams.1", [2, 1], [0, 0])),
+                 "tensor 'grams.1': 1-gram 2 (0) repeats the one before it",
+                 id="gram listed twice"),
+    pytest.param(ngram_container(("counts.0", [2], [1, 5]), ("grams.0", [2, 0], [])),
+                 "tensor 'grams.0': 0-gram 2 () repeats the one before it",
+                 id="empty gram listed twice"),
+    pytest.param(ngram_container(("counts.2", [3], [1, 1, 1]),
+                                 ("grams.2", [3, 2], [0, 1, 1, 2, 0, 1])),
+                 "tensor 'grams.2': 2-gram 3 (0 1) sorts before the one before it",
                  id="2-gram listed twice"),
-    pytest.param(_NGRAM_HEAD + "grams 1 2 0\ncounts 1 1 1\n", 4, id="grams out of order"),
-    pytest.param(_NGRAM_HEAD + "grams 2 0 2 0 1\ncounts 2 1 1\n", 4,
+    pytest.param(ngram_container(("counts.1", [2], [1, 1]), ("grams.1", [2, 1], [2, 0])),
+                 "tensor 'grams.1': 1-gram 2 (0) sorts before the one before it",
+                 id="grams out of order"),
+    pytest.param(ngram_container(("counts.2", [2], [1, 1]), ("grams.2", [2, 2], [0, 2, 0, 1])),
+                 "tensor 'grams.2': 2-gram 2 (0 1) sorts before the one before it",
                  id="2-grams out of order"),
-    pytest.param(_NGRAM_HEAD + "grams 1 9223372036854775808\ncounts 1 1\n", 4,
-                 id="id outside int64"),
-    pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 9223372036854775808\n", 5,
-                 id="count outside int64"),
-    pytest.param(_NGRAM_HEAD + "grams 1 0\ncounts 1 1\ngrams 2 0 1\n", 6,
-                 id="grams without counts"),
-    pytest.param(_NGRAM_HEAD + "counts 2 1\ngrams 1 0\ncounts 1 1\n", 4,
-                 id="counts without grams"),
-    pytest.param(_NGRAM_HEAD + "grams 2 0 1 2\ncounts 2 1\n", 4, id="ids not k per count"),
-    pytest.param(_NGRAM_HEAD + "grams 1 0 1\ncounts 1 1\n", 4, id="fewer counts than grams"),
-    pytest.param(_NGRAM_HEAD + "grams 1 0 1\ncounts 1 1 -1\n", 5, id="negative count"),
-    pytest.param(_NGRAM_HEAD + "grams -1\ncounts -1\n", 4, id="negative gram length"),
-    pytest.param(_NGRAM_HEAD + "grams 3 0 1 2\ncounts 3 1\n", 4, id="gram length above order"),
-    pytest.param("ngram-v2 1 4 3\nfloor 0.01\nweights 1.0\ngrams 1 0\ncounts 1 1\n"
-                 "grams 5 0 1 2 3 0\ncounts 5 7\n", 6, id="gram length above order 1"),
-    pytest.param(_NGRAM_HEAD + "count 0 1\n", 4, id="ngram-v1 count line"),
-    pytest.param(_NGRAM_HEAD.replace("floor 0.01", "floor 0.01 0.02"), 2,
-                 id="two floor values"),
+    pytest.param(ngram_container(*_GOOD, ("grams.2", [1, 2], [0, 1])),
+                 "tensor 'grams.2' has no 'counts.2' tensor", id="grams without counts"),
+    pytest.param(ngram_container(("counts.2", [1], [1]), *_GOOD),
+                 "tensor 'counts.2' has no 'grams.2' tensor", id="counts without grams"),
+    pytest.param(ngram_container(("counts.2", [1], [1]), ("grams.2", [1, 3], [0, 1, 2])),
+                 "tensor 'grams.2' of shape [1, 3] for tensor 'counts.2' of shape [1], "
+                 "not [n, 2] for [n]", id="ids not k per count"),
+    pytest.param(ngram_container(("counts.1", [1], [1]), ("grams.1", [2, 1], [0, 1])),
+                 "tensor 'grams.1' of shape [2, 1] for tensor 'counts.1' of shape [1], "
+                 "not [n, 1] for [n]", id="fewer counts than grams"),
+    pytest.param(ngram_container(("counts.1", [2, 1], [1, 1]), ("grams.1", [2, 1], [0, 1])),
+                 "tensor 'grams.1' of shape [2, 1] for tensor 'counts.1' of shape [2, 1], "
+                 "not [n, 1] for [n]", id="counts not one per gram"),
+    pytest.param(ngram_container(("counts.1", [2], [1, -1]), ("grams.1", [2, 1], [0, 1])),
+                 "tensor 'counts.1': negative count", id="negative count"),
+    pytest.param(ngram_container(("grams.-1", [1, 0], []), ("counts.-1", [1], [1])),
+                 "tensor 'grams.-1': gram length -1 outside [0, 2]", id="negative gram length"),
+    pytest.param(ngram_container(("counts.3", [1], [1]), ("grams.3", [1, 3], [0, 1, 2])),
+                 "tensor 'counts.3': gram length 3 outside [0, 2]", id="gram length above order"),
+    pytest.param(ngram_container(*_GOOD, ("grams.5", [1, 5], [0, 1, 2, 3, 0]),
+                                 ("counts.5", [1], [7]), order=1, weights=[1.0]),
+                 "tensor 'grams.5': gram length 5 outside [0, 1]", id="gram length above order 1"),
+    pytest.param(ngram_container(*_GOOD, ("count.0", [1], [1])),
+                 "unknown tensor 'count.0'", id="ngram-v1 count line"),
+    pytest.param(ngram_container(*_GOOD, ("grams.01", [1, 1], [0])),
+                 "unknown tensor 'grams.01'", id="gram length not in canonical form"),
+    pytest.param(ngram_container(*_GOOD, ("grams.None", [1, 1], [0])),
+                 "unknown tensor 'grams.None'", id="gram length not a number"),
+    pytest.param(ngram_container(("counts.1", [1], [2]), ("grams.1", [1, 1], [1.0], "f64")),
+                 "tensor 'grams.1': dtype f64, not i64", id="grams not i64"),
+    pytest.param(ngram_container(*_GOOD)[:-1], "truncated payload for 'grams.1'",
+                 id="short payload"),
+    pytest.param(ngram_container(*_GOOD, floor=[0.01, 0.02]),
+                 "metadata needs int order, vocab_size and eos_id, a number floor and a list of "
+                 "number weights", id="two floor values"),
+    pytest.param(ngram_container(*_GOOD, order=2.0),
+                 "metadata needs int order, vocab_size and eos_id, a number floor and a list of "
+                 "number weights", id="order not int"),
+    pytest.param(ngram_container(*_GOOD, vocab_size=10 ** 400),
+                 "int too large to convert to float", id="vocab size past the float range"),
 ])
-def test_malformed_ngram_file_names_the_line(tmp_path, text, line):
-    """Each defect raises ModelFormatError naming the file and the line;
-    none loads with one of two values silently winning."""
+def test_malformed_ngram_file_names_the_line(tmp_path, blob, where):
+    """Each defect raises ModelFormatError naming the file and the tensor or
+    header key at fault, the container's counterpart of the line that the
+    earlier text layout named; none loads with one of two values silently
+    winning."""
     path = tmp_path / "lm.ngram"
-    path.write_text(_NGRAM_HEAD + "grams 1 1\ncounts 1 2\n", encoding="utf-8")
+    path.write_bytes(ngram_container(*_GOOD))
     models.load_ngram_scorer(path)
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(blob)
     with pytest.raises(ModelFormatError) as err:
         models.load_ngram_scorer(path)
-    assert str(err.value).startswith(f"{path}: line {line}: "), err.value
+    assert str(err.value) == f"{path}: {where}"
 
 
 _LANGID = "langid-v1 4\nlangs en ru\nbias 0.0 0.0\nw 1 0.5 -0.5\n"
@@ -169,10 +210,14 @@ def test_repeated_domcls_line_names_both_lines(tmp_path, extra, first):
 
 
 def test_ngram_v1_file_is_rejected(tmp_path):
+    # and an ngram-v2 text file: n-gram models are NMTC containers now
     path = tmp_path / "lm.ngram"
-    path.write_text("ngram-v1 1 3 2\nfloor 0.01\nweights 1.0\ncount 0 1\n", encoding="utf-8")
-    with pytest.raises(ModelFormatError, match="expected a 'ngram-v2' header, got 'ngram-v1'"):
-        models.load_ngram_scorer(path)
+    for text in ("ngram-v1 1 3 2\nfloor 0.01\nweights 1.0\ncount 0 1\n",
+                 "ngram-v2 1 3 2\nfloor 0.01\nweights 1.0\ngrams 1 0\ncounts 1 1\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ModelFormatError) as err:
+            models.load_ngram_scorer(path)
+        assert str(err.value) == f"{path}: bad magic b'ngra'"
 
 
 # site -> (loader, file text with {x} at one numeric field or a function
@@ -184,9 +229,12 @@ _NUMERIC_SITES = {
                       lambda x: table_container(["a", "eos"], [0.5, 0.5], [((0,), ())],
                                                 [[0.5, float(x)]]), "0.5"),
     "ngram floor": (models.load_ngram_scorer,
-                    "ngram-v2 1 3 2\nfloor {x}\nweights 1.0\ngrams 1 0\ncounts 1 1\n", "0.01"),
+                    lambda x: ngram_container(("counts.1", [1], [1]), ("grams.1", [1, 1], [0]),
+                                              order=1, vocab_size=3, eos_id=2, floor=float(x),
+                                              weights=[1.0]), "0.01"),
     "ngram weights": (models.load_ngram_scorer,
-                      "ngram-v2 2 3 2\nfloor 0.01\nweights 1.0 {x}\ngrams 1 0\ncounts 1 1\n",
+                      lambda x: ngram_container(("counts.1", [1], [1]), ("grams.1", [1, 1], [0]),
+                                                vocab_size=3, eos_id=2, weights=[1.0, float(x)]),
                       "0.5"),
     "langid bias": (corpus.load_langid,
                     "langid-v1 4\nlangs en ru\nbias 0.0 {x}\nw 1 0.5 -0.5\n", "0.5"),

@@ -343,13 +343,10 @@ def test_ngram_short_prefix_reuses_shorter_context():
 def test_ngram_model_file_with_out_of_vocab_grams(tmp_path):
     # last ids >= V (and < 0) count toward their context's total but score nothing
     path = tmp_path / "lm.ngram"
-    path.write_text(
-        "ngram-v2 3 5 4\nfloor 0.01\nweights 0.2 0.3 0.5\n"
-        "grams 1 0 1 4 7\ncounts 1 4 3 2 5\n"
-        "grams 2 0 1 0 9 1 -1 2 8\ncounts 2 2 3 1 4\n"
-        "grams 3 0 1 2 0 1 6 1 2 3\ncounts 3 1 2 0\n",
-        encoding="utf-8",
-    )
+    counts = {(0,): 4, (1,): 3, (4,): 2, (7,): 5,
+              (0, 1): 2, (0, 9): 3, (1, -1): 1, (2, 8): 4,
+              (0, 1, 2): 1, (0, 1, 6): 2, (1, 2, 3): 0}
+    path.write_bytes(reference_ngram_file(3, 5, 4, counts, [0.2, 0.3, 0.5], 0.01))
     m = load_ngram_scorer(path)
     for prefix in ((), (0,), (1,), (2,), (0, 1), (1, 2), (3, 3), (9, 0), (-1,)):
         assert _bits(m.next_dist((), prefix)) == _bits(reference_ngram_next_dist(m, prefix))
@@ -432,7 +429,7 @@ def test_ngram_train_counts_match_scalar_reference(corpus, order, eos):
 def test_ngram_file_matches_scalar_writer(tmp_path_factory, args):
     path = tmp_path_factory.mktemp("ngram") / "lm.ngram"
     save_ngram_scorer(ngram_from_counts(*args), path)
-    assert path.read_text(encoding="utf-8") == reference_ngram_file(*args)
+    assert path.read_bytes() == reference_ngram_file(*args)
 
 
 @_ONE_TOKEN
