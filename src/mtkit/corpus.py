@@ -196,12 +196,6 @@ class LangIdModel:
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ModelFormatError("langid weights and bias must be finite")
 
-    def predict_proba(self, text: str) -> np.ndarray:
-        import numpy as np
-        features = np.empty((1, self.n_features))
-        _langid_features([text], features)
-        return self._proba(features[0])
-
     def _proba(self, features: np.ndarray) -> np.ndarray:
         """Softmax of one feature row's logits; a block is taken row by row,
         because a batched product does not round as the row product does."""
@@ -259,16 +253,21 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
 
 
 def langid_classify(model: LangIdModel, text: str) -> tuple[str, float]:
+    """The language that _langid_labels gives a non-blank text, as a block
+    of one, with its probability."""
+    import numpy as np
     if not text.strip():
         raise EmptyInputError("cannot classify empty text")
-    probs = model.predict_proba(text)
+    features = np.empty((1, model.n_features))
+    _langid_features([text], features)
+    probs = model._proba(features[0])
     idx = int(probs.argmax())
     return model.langs[idx], float(probs[idx])
 
 
 def _langid_labels(model: LangIdModel, texts) -> dict[str, str]:
-    """Map each distinct non-blank text to the language langid_classify gives
-    it, featurizing a block of texts at a time into one reused buffer."""
+    """Map each distinct non-blank text to its most probable language,
+    featurizing a block of texts at a time into one reused buffer."""
     import numpy as np
     distinct = list(dict.fromkeys(text for text in texts if text.strip()))
     step = _block_rows(model.n_features)
@@ -333,25 +332,15 @@ def load_langid(path) -> LangIdModel:
 # ---------------------------------------------------------------------------
 # filter cascade
 
-def filter_pair(pair: ParallelExample, cfg: FilterConfig,
-                langid: LangIdModel | None = None) -> str | None:
-    """Return None to keep, or the name of the first rule that rejects.
-
-    Lengths are whitespace word tokens, counted before any subword step.
-    A blank side fails its language-id rule when that rule is on. Pairs
-    without an external score skip the score rule.
-    """
-    lang_of = None
-    if langid is not None and cfg.required_langs is not None:
-        def lang_of(text: str) -> str:
-            return langid_classify(langid, text)[0]
-    return _first_rejection(pair, cfg, lang_of)
-
-
 def _first_rejection(pair: ParallelExample, cfg: FilterConfig, lang_of) -> str | None:
-    """The rule cascade of filter_pair; lang_of(text) gives the language of a
-    non-blank side, or is None when the language-id rules are off. The
-    target is looked up only when the source passed."""
+    """None to keep the pair, or the name of the first rule that rejects it.
+
+    lang_of(text) gives the language of a non-blank side, or is None when
+    the language-id rules are off; a blank side fails its language-id rule
+    when that rule is on, and the target is looked up only when the source
+    passed. Lengths are whitespace word tokens, counted before any subword
+    step. A pair without an external score skips the score rule.
+    """
     if lang_of is not None:
         src_lang, tgt_lang = cfg.required_langs
         if not pair.source.strip() or lang_of(pair.source) != src_lang:
@@ -379,10 +368,9 @@ def filter_corpus(pairs, cfg: FilterConfig,
 
     With the language-id rules on, the distinct non-blank sources are
     classified first, a block at a time, then the distinct targets of the
-    pairs whose source passed; the cascade then reads those labels, so each
-    pair gets the verdict filter_pair gives it. The report counts this
-    call's pairs only; callers that filter a stream chunk by chunk combine
-    the chunk reports with FilterReport.merge.
+    pairs whose source passed; the cascade then reads those labels. The
+    report counts this call's pairs only; callers that filter a stream chunk
+    by chunk combine the chunk reports with FilterReport.merge.
     """
     pairs = list(pairs)
     lang_of = None
@@ -402,6 +390,14 @@ def filter_corpus(pairs, cfg: FilterConfig,
         else:
             rejected[verdict] += 1
     return kept, FilterReport(len(pairs), len(kept), rejected)
+
+
+def filter_pair(pair: ParallelExample, cfg: FilterConfig,
+                langid: LangIdModel | None = None) -> str | None:
+    """The verdict filter_corpus gives the pair alone: None if it is kept,
+    otherwise the one rule its report counts."""
+    _, report = filter_corpus([pair], cfg, langid)
+    return next((rule for rule in RULE_ORDER if report.rejected[rule]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +454,16 @@ def parse_tsv_line(line: str) -> ParallelExample:
     return ParallelExample(cols[0], cols[1], score)
 
 
-def read_parallel_tsv(lines, on_malformed=None):
-    """Yield examples from TSV lines; malformed lines are reported, not fatal."""
+def read_parallel_tsv(lines, on_malformed):
+    """Yield examples from TSV lines; a malformed line is passed to
+    on_malformed(line number, reason), not fatal."""
     for line_no, line in enumerate(lines, start=1):
         if line.strip() == "":
             continue
         try:
             pair = parse_tsv_line(line)
         except ValueError as exc:
-            if on_malformed is not None:
-                on_malformed(line_no, str(exc))
+            on_malformed(line_no, str(exc))
             continue
         yield pair
 

@@ -42,11 +42,6 @@ class LengthMismatchError(MtkitError):
 class ShapeMismatchError(MtkitError):
     """Checkpoints disagree on the shape of a named tensor."""
 
-    def __init__(self, name: str, msg: str | None = None):
-        detail = f": {msg}" if msg else ""
-        super().__init__(f"shape mismatch for tensor {name!r}{detail}")
-        self.name = name
-
 
 class NameSetMismatchError(MtkitError):
     """Checkpoints do not share an identical set of tensor names."""

@@ -235,8 +235,8 @@ def average_checkpoint_files(paths: list, out_path) -> None:
                 raise NameSetMismatchError(f"tensor name sets differ (symmetric diff: {diff})")
             for name, e in entries.items():
                 if e["shape"] != shapes[name]:
-                    raise ShapeMismatchError(
-                        name, f"{tuple(shapes[name])} vs {tuple(e['shape'])}")
+                    raise ShapeMismatchError(f"shape mismatch for tensor {name!r}: "
+                                             f"{tuple(shapes[name])} vs {tuple(e['shape'])}")
 
         def mean(name: str) -> np.ndarray:
             values = []
@@ -331,15 +331,6 @@ def save_table_scorer(m: TableScorer, path) -> None:
                       {name: arr.shape for name, arr in tensors.items()}, tensors.__getitem__, "f64")
 
 
-def _load(path, build):
-    """Open an NMTC container and return build(fh, metadata, entries,
-    payload start) once its header is read and checked; a ModelFormatError,
-    a ValueError or an OverflowError (a number in the metadata too large for
-    a float) raised meanwhile becomes a ModelFormatError naming the file."""
-    with naming(path, ModelFormatError, (ValueError, OverflowError)), open(path, "rb") as fh:
-        return build(fh, *_read_header(fh))
-
-
 def _table_from(fh, metadata: dict, entries: list, payload_start: int) -> TableScorer:
     """The table scorer of a container whose header is read."""
     vocab, eos, contexts = (metadata.get(k) for k in ("vocab", "eos", "contexts"))
@@ -362,11 +353,6 @@ def _table_from(fh, metadata: dict, entries: list, payload_start: int) -> TableS
     return TableScorer(vocab, table, default, eos_token=eos)
 
 
-def load_table_scorer(path) -> TableScorer:
-    """Read a save_table_scorer file; a malformed one raises ModelFormatError."""
-    return _load(path, _table_from)
-
-
 class NGramScorer(Scorer):
     """Interpolated n-gram language model with a probability floor.
 
@@ -384,8 +370,8 @@ class NGramScorer(Scorer):
     holds the k ids of each gram, the grams in sorted order, and counts one
     non-negative count per gram, as ngram_train builds them and an n-gram
     container holds them (one grams and one counts tensor per length). The
-    constructor checks all of this but the order of the grams, which
-    load_ngram_scorer checks, since its input comes from outside.
+    constructor checks all of this but the order of the grams, which the
+    loader checks, since its input comes from outside.
 
     Scoring reads per-context spans (KenLM's state). A context shorter than
     `order` with a non-zero total count has a span (lo, hi, total), found on
@@ -425,7 +411,7 @@ class NGramScorer(Scorer):
             if len(ids) != k * len(counts):
                 raise ModelFormatError(f"{len(ids)} ids for {len(counts)} {k}-grams, not {k} per gram")
             if counts and min(counts) < 0:
-                raise ModelFormatError(f"negative {k}-gram count")
+                raise ModelFormatError(f"tensor 'counts.{k}': negative count")
         self.order = order
         self.vocab_size = vocab_size
         self.eos_id = eos_id
@@ -517,13 +503,13 @@ class NGramScorer(Scorer):
 
 
 def ngram_train(corpus, order: int, *, vocab_size: int | None = None,
-                eos_id: int | None = None, weights=None,
-                floor: float | None = None) -> NGramScorer:
+                eos_id: int | None = None, weights=None) -> NGramScorer:
     """Count all k-grams (k <= order) over id sequences, appending eos to each.
 
     vocab_size and eos_id default to one past the largest id seen and that
     same value respectively, so plain id corpora work without ceremony. The
-    default floor scales down with vocab size to keep total floor mass small.
+    floor, min(1e-4, 0.1 / vocab_size), scales down with vocab size to keep
+    total floor mass small.
 
     Counting takes one numpy sort per gram length k: each k-gram window is
     keyed by the rank of its first k-1 ids among the distinct (k-1)-grams
@@ -570,9 +556,7 @@ def ngram_train(corpus, order: int, *, vocab_size: int | None = None,
         grams[k] = array("q", rows.tobytes()), array("q", cnts.astype(np.int64).tobytes())
     if weights is None:
         weights = [1.0 / order] * order
-    if floor is None:
-        floor = min(1e-4, 0.1 / vocab_size)
-    return NGramScorer(order, vocab_size, eos_id, grams, weights, floor)
+    return NGramScorer(order, vocab_size, eos_id, grams, weights, min(1e-4, 0.1 / vocab_size))
 
 
 # n-gram file: an NMTC container (layout above) of i64 payloads. The metadata
@@ -628,7 +612,14 @@ def _read_ints(fh, payload_start: int, entry: dict) -> array:
 
 
 def _ngram_from(fh, metadata: dict, entries: list, payload_start: int) -> NGramScorer:
-    """The n-gram model of a container whose header is read (layout above)."""
+    """The n-gram model of a container whose header is read (layout above),
+    each payload read straight into an array('q'). Metadata without an int
+    order, V and eos, a number floor and a list of number weights, an
+    unknown tensor, a gram length outside [0, order], a grams tensor without
+    its counts tensor or the reverse, shapes that do not give k ids per
+    count, a dtype other than i64, a short payload and grams out of sorted
+    order or listed twice raise ModelFormatError naming the tensor; the
+    constructor checks the counts, the floor and the weights."""
     order, vocab_size, eos_id, floor, weights = (
         metadata.get(key) for key in ("order", "vocab_size", "eos_id", "floor", "weights"))
     if not (all(type(v) is int for v in (order, vocab_size, eos_id))
@@ -663,23 +654,9 @@ def _ngram_from(fh, metadata: dict, entries: list, payload_start: int) -> NGramS
         ids, counts = (_read_ints(fh, payload_start, pair[kind]) for kind in _NGRAM_KINDS)
         if not counts:
             continue  # lists no grams
-        if min(counts) < 0:
-            raise ModelFormatError(f"tensor 'counts.{k}': negative count")
         _check_sorted(ids, k, len(counts), f"grams.{k}")
         grams[k] = ids, counts
     return NGramScorer(order, vocab_size, eos_id, grams, weights, floor)
-
-
-def load_ngram_scorer(path) -> NGramScorer:
-    """Read a save_ngram_scorer file (layout above), each payload straight
-    into an array('q'). Besides a malformed container, metadata without an
-    int order, V and eos, a number floor and a list of number weights, an
-    unknown tensor, a gram length outside [0, order], a grams tensor without
-    its counts tensor or the reverse, shapes that do not give k ids per
-    count, a dtype other than i64, a short payload, a negative count and
-    grams out of sorted order or listed twice raise ModelFormatError naming
-    the file and the tensor; the constructor checks the floor and weights."""
-    return _load(path, _ngram_from)
 
 
 # ---------------------------------------------------------------------------
@@ -717,18 +694,16 @@ class EnsembleScorer(Scorer):
         return acc / len(self.scorers)
 
 
-def _scorer_from(fh, metadata: dict, entries: list, payload_start: int) -> Scorer:
-    """The scorer that a read header's metadata describes."""
-    if "order" in metadata:
-        return _ngram_from(fh, metadata, entries, payload_start)
-    if "vocab" in metadata:
-        return _table_from(fh, metadata, entries, payload_start)
-    raise ModelFormatError("metadata describes neither an n-gram model (order) "
-                           "nor a table scorer (vocab)")
-
-
 def load_scorer(path) -> Scorer:
     """Read an NMTC container, its header once, as the scorer its metadata
     describes: an n-gram model or a table scorer. Any other file raises
-    ModelFormatError."""
-    return _load(path, _scorer_from)
+    ModelFormatError naming it, as does a ValueError or an OverflowError (a
+    number in the metadata too large for a float) raised while reading."""
+    with naming(path, ModelFormatError, (ValueError, OverflowError)), open(path, "rb") as fh:
+        metadata, entries, payload_start = _read_header(fh)
+        if "order" in metadata:
+            return _ngram_from(fh, metadata, entries, payload_start)
+        if "vocab" in metadata:
+            return _table_from(fh, metadata, entries, payload_start)
+        raise ModelFormatError("metadata describes neither an n-gram model (order) "
+                               "nor a table scorer (vocab)")

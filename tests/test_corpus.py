@@ -17,6 +17,7 @@ from mtkit.corpus import (
     ParallelExample,
     RULE_ORDER,
     _block_rows,
+    _first_rejection,
     _langid_features,
     _langid_labels,
     filter_corpus,
@@ -80,7 +81,8 @@ def test_langid_probabilities_normalized(langid_model):
     rng = random.Random(90)
     for lang in ("en", "de", "ru"):
         for _ in range(10):
-            probs = langid_model.predict_proba(make_sentence(rng, lang))
+            features = reference_langid_features(make_sentence(rng, lang), langid_model.n_features)
+            probs = langid_model._proba(features)
             assert abs(float(probs.sum()) - 1.0) <= 1e-6
             assert np.all(probs >= 0)
 
@@ -343,7 +345,8 @@ def test_filter_report_merge(planted_filter_fixture, langid_model):
 
 def test_filter_corpus_matches_filter_pair(langid_model):
     # filter_corpus classifies the sides by block; each verdict must be the
-    # one filter_pair gives the pair alone
+    # one the cascade gives when the scalar oracle classifies one text at a
+    # time, and the one filter_pair gives the pair alone
     rng = random.Random(21)
     repeated = make_sentence(rng, "en", 8)
     pairs = []
@@ -363,7 +366,12 @@ def test_filter_corpus_matches_filter_pair(langid_model):
     cfg = FilterConfig(required_langs=("en", "de"), max_len_tokens=10, min_len_tokens=4)
     assert len({side for p in pairs for side in (p.source, p.target)}) > _block_rows(2048)
     kept, report = filter_corpus(pairs, cfg, langid_model)
-    verdicts = [filter_pair(pair, cfg, langid_model) for pair in pairs]
+
+    def lang_of(text):
+        return reference_langid_classify(langid_model, text)[0]
+
+    verdicts = [_first_rejection(pair, cfg, lang_of) for pair in pairs]
+    assert [filter_pair(pair, cfg, langid_model) for pair in pairs] == verdicts
     assert kept == [pair for pair, v in zip(pairs, verdicts) if v is None]
     expected = FilterReport(total=len(pairs), kept=verdicts.count(None))
     for verdict in filter(None, verdicts):

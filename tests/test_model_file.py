@@ -34,7 +34,7 @@ def _save_rules(path):
 
 
 _FORMATS = {
-    "ngram": (_save_ngram, models.load_ngram_scorer),
+    "ngram": (_save_ngram, models.load_scorer),
     "langid": (_save_langid, corpus.load_langid),
     "domcls": (_save_domcls, domain.load_classifier),
     "normrules": (_save_rules, textnorm.load_rules),
@@ -152,10 +152,10 @@ def test_malformed_ngram_file_names_the_line(tmp_path, blob, where):
     winning."""
     path = tmp_path / "lm.ngram"
     path.write_bytes(ngram_container(*_GOOD))
-    models.load_ngram_scorer(path)
+    models.load_scorer(path)
     path.write_bytes(blob)
     with pytest.raises(ModelFormatError) as err:
-        models.load_ngram_scorer(path)
+        models.load_scorer(path)
     assert str(err.value) == f"{path}: {where}"
 
 
@@ -216,23 +216,23 @@ def test_ngram_v1_file_is_rejected(tmp_path):
                  "ngram-v2 1 3 2\nfloor 0.01\nweights 1.0\ngrams 1 0\ncounts 1 1\n"):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ModelFormatError) as err:
-            models.load_ngram_scorer(path)
+            models.load_scorer(path)
         assert str(err.value) == f"{path}: bad magic b'ngra'"
 
 
 # site -> (loader, file text with {x} at one numeric field or a function
 # giving the file bytes for x, a valid value for it)
 _NUMERIC_SITES = {
-    "table default": (models.load_table_scorer,
+    "table default": (models.load_scorer,
                       lambda x: table_container(["a", "eos"], [float(x), 0.5]), "0.5"),
-    "table context": (models.load_table_scorer,
+    "table context": (models.load_scorer,
                       lambda x: table_container(["a", "eos"], [0.5, 0.5], [((0,), ())],
                                                 [[0.5, float(x)]]), "0.5"),
-    "ngram floor": (models.load_ngram_scorer,
+    "ngram floor": (models.load_scorer,
                     lambda x: ngram_container(("counts.1", [1], [1]), ("grams.1", [1, 1], [0]),
                                               order=1, vocab_size=3, eos_id=2, floor=float(x),
                                               weights=[1.0]), "0.01"),
-    "ngram weights": (models.load_ngram_scorer,
+    "ngram weights": (models.load_scorer,
                       lambda x: ngram_container(("counts.1", [1], [1]), ("grams.1", [1, 1], [0]),
                                                 vocab_size=3, eos_id=2, weights=[1.0, float(x)]),
                       "0.5"),

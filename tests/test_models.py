@@ -23,9 +23,7 @@ from mtkit.models import (
     TableScorer,
     average_checkpoint_files,
     checkpoint_metadata,
-    load_ngram_scorer,
     load_scorer,
-    load_table_scorer,
     ngram_train,
     save_checkpoint,
     save_ngram_scorer,
@@ -208,7 +206,7 @@ def _checkpoint_readers(path, tmp_path):
     return [
         lambda: checkpoint_metadata(path),
         lambda: average_checkpoint_files([path, path], tmp_path / "avg.ckpt"),
-        lambda: load_table_scorer(path),
+        lambda: load_scorer(path),
     ]
 
 
@@ -442,7 +440,7 @@ def test_table_save_load_roundtrip(tmp_path):
     m = make_table_scorer(4, 3, rng)
     path = tmp_path / "table.txt"
     save_table_scorer(m, path)
-    loaded = load_table_scorer(path)
+    loaded = load_scorer(path)
     assert loaded.vocab == m.vocab
     assert loaded.eos_id == m.eos_id
     assert set(loaded.table) == set(m.table)
@@ -468,24 +466,18 @@ def test_load_scorer_dispatch(tmp_path):
 
 
 def test_loaders_refuse_a_container_of_another_kind(tmp_path):
-    # every scorer file is an NMTC container, so a loader tells the kinds
+    # every scorer file is an NMTC container, so load_scorer tells the kinds
     # apart by the metadata and names the file it cannot read
-    ngram, table, ckpt, text = (tmp_path / n for n in ("lm.ngram", "t.table", "w.ckpt", "lm.txt"))
-    save_ngram_scorer(ngram_train([[0, 1, 2]], 2), ngram)
-    save_table_scorer(make_table_scorer(3, 2, random.Random(9)), table)
+    ckpt, text = tmp_path / "w.ckpt", tmp_path / "lm.txt"
     save_checkpoint({"w": [1.0, 2.0]}, ckpt)
     text.write_text("ngram-v2 1 3 2\nfloor 0.01\nweights 1.0\ngrams 1 0\ncounts 1 1\n")
     cases = [
-        (load_table_scorer, ngram, "metadata needs a vocab list of strings and an eos string"),
-        (load_ngram_scorer, table, "metadata needs int order, vocab_size and eos_id, "
-                                   "a number floor and a list of number weights"),
-        (load_scorer, ckpt, "metadata describes neither an n-gram model (order) "
-                            "nor a table scorer (vocab)"),
-        (load_scorer, text, "bad magic b'ngra'"),
+        (ckpt, "metadata describes neither an n-gram model (order) nor a table scorer (vocab)"),
+        (text, "bad magic b'ngra'"),
     ]
-    for load, path, why in cases:
+    for path, why in cases:
         with pytest.raises(ModelFormatError) as err:
-            load(path)
+            load_scorer(path)
         assert str(err.value) == f"{path}: {why}"
 
 
@@ -502,7 +494,7 @@ def test_ngram_load_memory_follows_the_arrays(tmp_path):
     save_ngram_scorer(m, path)
     tracemalloc.start()
     try:
-        loaded = load_ngram_scorer(path)
+        loaded = load_scorer(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -545,7 +537,7 @@ def test_table_container_roundtrip_is_bit_exact(tmp_path_factory, table):
 def test_empty_table_roundtrip(tmp_path):
     path = tmp_path / "empty.table"
     save_table_scorer(TableScorer(["eos"], {}, [1.0]), path)
-    loaded = load_table_scorer(path)
+    loaded = load_scorer(path)
     assert loaded.table == {} and loaded.default.tobytes() == np.array([1.0]).tobytes()
 
 
@@ -586,10 +578,9 @@ def test_malformed_table_container_raises_model_format_error(tmp_path, case):
     data, what = _BAD_TABLES[case]
     path = tmp_path / "bad.table"
     path.write_bytes(data)
-    for load in (load_table_scorer, load_scorer):
-        with pytest.raises(ModelFormatError, match=what) as info:
-            load(path)
-        assert str(info.value).startswith(f"{path}: ")
+    with pytest.raises(ModelFormatError, match=what) as info:
+        load_scorer(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +642,7 @@ def test_ngram_train_validation():
 
 
 @pytest.mark.parametrize("grams, why", [
-    pytest.param({1: (array("q", [0, 1]), array("q", [-5, 2]))}, "negative 1-gram count",
+    pytest.param({1: (array("q", [0, 1]), array("q", [-5, 2]))}, "tensor 'counts.1': negative count",
                  id="negative count"),
     pytest.param({3: (array("q", [0, 1, 2]), array("q", [1]))}, "gram length 3 outside [0, 2]",
                  id="gram length above order"),
@@ -674,7 +665,7 @@ def test_ngram_save_load_roundtrip(tmp_path):
     m = ngram_train(corpus, order=3)
     path = tmp_path / "lm.txt"
     save_ngram_scorer(m, path)
-    loaded = load_ngram_scorer(path)
+    loaded = load_scorer(path)
     assert (loaded.order, loaded.vocab_size, loaded.eos_id) == (m.order, m.vocab_size, m.eos_id)
     assert loaded.floor == m.floor and loaded.weights == m.weights
     assert loaded.grams == m.grams

@@ -25,7 +25,7 @@ from mtkit.errors import EmptyInputError, NoCompletedHypothesisError
 from mtkit.models import (
     Scorer,
     TableScorer,
-    load_ngram_scorer,
+    load_scorer,
     ngram_train,
     save_ngram_scorer,
 )
@@ -347,7 +347,7 @@ def test_ngram_model_file_with_out_of_vocab_grams(tmp_path):
               (0, 1): 2, (0, 9): 3, (1, -1): 1, (2, 8): 4,
               (0, 1, 2): 1, (0, 1, 6): 2, (1, 2, 3): 0}
     path.write_bytes(reference_ngram_file(3, 5, 4, counts, [0.2, 0.3, 0.5], 0.01))
-    m = load_ngram_scorer(path)
+    m = load_scorer(path)
     for prefix in ((), (0,), (1,), (2,), (0, 1), (1, 2), (3, 3), (9, 0), (-1,)):
         assert _bits(m.next_dist((), prefix)) == _bits(reference_ngram_next_dist(m, prefix))
 
@@ -454,7 +454,7 @@ def test_ngram_file_roundtrip_is_bit_exact(tmp_path_factory, m, data):
     # load normalizes them exactly as the model in memory did
     path = tmp_path_factory.mktemp("ngram") / "lm.ngram"
     save_ngram_scorer(m, path)
-    loaded = load_ngram_scorer(path)
+    loaded = load_scorer(path)
     assert (loaded.order, loaded.vocab_size, loaded.eos_id) == (m.order, m.vocab_size, m.eos_id)
     assert loaded.grams == m.grams
     assert loaded.weights == m.weights and loaded.floor == m.floor
