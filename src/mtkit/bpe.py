@@ -13,7 +13,7 @@ import random
 from collections import Counter, defaultdict
 
 from .errors import (ConfigError, EmptyInputError, ModelFormatError, VocabMismatchError,
-                     check_new_line, check_seed, model_file, model_writer)
+                     check_new_line, check_seed, model_file, write_lines)
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 WORD_END = "</w>"
@@ -231,12 +231,14 @@ def bpe_decode(model: BpeModel, ids) -> str:
 
 def save_model(model: BpeModel, path) -> None:
     """Write the text container: `bpe-v1 <vocab_size>`, vocab lines, blank line, merge lines."""
-    with model_writer(path, "bpe-v1", model.vocab_size) as fh:
+    def lines():
+        yield f"bpe-v1 {model.vocab_size}"
         for tok, tid in sorted(model.vocab.items(), key=lambda kv: kv[1]):
-            fh.write(f"{tok}\t{tid}\n")
-        fh.write("\n")
+            yield f"{tok}\t{tid}"
+        yield ""
         for left, right in model.merges:
-            fh.write(f"{left} {right}\n")
+            yield f"{left} {right}"
+    write_lines(path, lines())
 
 
 def load_model(path) -> BpeModel:

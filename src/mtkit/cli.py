@@ -7,10 +7,10 @@ sample and tune-lambda accept --threads so existing scripts keep working, but
 ignore it: every stage runs on one thread, because worker pools bound by the
 interpreter lock ran slower than one thread. filter, decode and tune-lambda
 draw no random numbers, so they accept --seed and ignore it too; the stages
-that draw refuse a negative seed, which would repeat a positive one. Every
-output file is written to a temporary file beside it and renamed into place
-only when the subcommand succeeds, so a failed run leaves no partial file
-behind and an existing file unchanged.
+that draw refuse a negative seed, which would repeat a positive one. One
+writer, errors.write_lines, stages every text output and text model file,
+renaming it into place only once every line is written, so a failed run
+leaves no partial file behind and an existing file unchanged.
 
 Imports: each stage runs as its own process in a pipeline, so start-up is
 paid per stage, and where bytecode writing is off (PYTHONDONTWRITEBYTECODE)
@@ -34,6 +34,7 @@ bpe-encode and comes out through bpe-decode.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import itertools
 import sys
@@ -46,7 +47,7 @@ from .errors import (
     ModelFormatError,
     MtkitError,
     naming,
-    staged,
+    write_lines,
 )
 
 CHUNK = 4096
@@ -64,14 +65,14 @@ def _open_in(path: str):
         yield fh
 
 
-@contextlib.contextmanager
-def _open_out(path: str | None):
-    """Text sink for -o and the side outputs: stdout for None or '-', else a staged file."""
+def _write_lines(path: str | None, lines) -> None:
+    """The one way the CLI writes -o and the side outputs: each line with its
+    own newline, so no lines write no bytes, to stdout for None or '-', else
+    through write_lines to a staged file. A generator of lines streams."""
     if path is None or path == "-":
-        yield sys.stdout
-        return
-    with staged(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
+        sys.stdout.writelines(line + "\n" for line in lines)
+    else:
+        write_lines(path, lines)
 
 
 def _log(msg: str) -> None:
@@ -87,6 +88,10 @@ def _log_config(args: argparse.Namespace) -> None:
 
 def _parse_ids(line: str) -> list[int]:
     return [int(t) for t in line.split()]
+
+
+def _format_ids(ids) -> str:
+    return " ".join(map(str, ids))
 
 
 def _load_forward(paths: list[str]):
@@ -108,15 +113,9 @@ def _bpe_tokenizer(path: str | None):
 def _map_lines(args, convert) -> int:
     """The per-line stages: write convert(index, line), the newline stripped
     from line, for each line of args.input to args.output."""
-    with _open_in(args.input) as src, _open_out(args.output) as out:
-        for idx, line in enumerate(src):
-            out.write(convert(idx, line.rstrip("\n")) + "\n")
+    with _open_in(args.input) as src:
+        _write_lines(args.output, (convert(idx, line.rstrip("\n")) for idx, line in enumerate(src)))
     return 0
-
-
-def _write_lines(out, lines) -> None:
-    """Write each line with its own newline, so no lines write no bytes."""
-    out.writelines(line + "\n" for line in lines)
 
 
 def _check_dump_eos(cands_per_sentence, eos_id: int, given: str, dump: str) -> None:
@@ -144,15 +143,15 @@ def _read_ids(path: str, nonempty: bool = False) -> list[list[int]]:
     return lines
 
 
-def _read_tsv(src, stage: str, path: str, skipped=None):
+def _read_tsv(src, stage: str, path: str, counts=None):
     """Pairs from the TSV lines of `path`; each malformed line is logged and,
-    when a `skipped` list is given, its line number appended there."""
+    when a `counts` Counter is given, counted in counts["malformed"]."""
     from . import corpus
 
     def on_malformed(line_no: int, why: str) -> None:
         _log(f"{stage}: {path}: malformed line {line_no}: {why}")
-        if skipped is not None:
-            skipped.append(line_no)
+        if counts is not None:
+            counts["malformed"] += 1
 
     return corpus.read_parallel_tsv(src, on_malformed)
 
@@ -192,8 +191,8 @@ def cmd_bpe_encode(args) -> int:
     from . import bpe
     bpe.check_dropout(args.dropout, args.seed)
     model = bpe.load_model(args.model)
-    return _map_lines(args, lambda idx, line: " ".join(map(str, bpe.bpe_encode(
-        model, line, dropout_p=args.dropout, seed=args.seed + idx))))
+    return _map_lines(args, lambda idx, line: _format_ids(bpe.bpe_encode(
+        model, line, dropout_p=args.dropout, seed=args.seed + idx)))
 
 
 def cmd_bpe_decode(args) -> int:
@@ -226,22 +225,25 @@ def cmd_filter(args) -> int:
             raise ConfigError(f"--langs {args.langs}: the langid model {args.langid} knows "
                               f"{' '.join(langid.langs)}, not {' '.join(unknown)}")
     report = corpus.FilterReport()
-    skipped: list[int] = []
-    with _open_in(args.input) as src, _open_out(args.output) as out:
-        if args.mono:
-            pairs = (corpus.ParallelExample(t, t) for t in (line.rstrip("\n") for line in src))
-        else:
-            pairs = _read_tsv(src, "filter", args.input, skipped=skipped)
+    counts = collections.Counter()
+
+    def kept_lines(pairs):
+        nonlocal report
         while chunk := list(itertools.islice(pairs, CHUNK)):
             kept, chunk_report = corpus.filter_corpus(chunk, cfg, langid)
             report = report.merge(chunk_report)
             for pair in kept:
-                out.write((pair.source if args.mono else corpus.format_tsv_line(pair)) + "\n")
-    report = report._replace(malformed=len(skipped))
-    report_lines = report.to_lines()
+                yield pair.source if args.mono else corpus.format_tsv_line(pair)
+
+    with _open_in(args.input) as src:
+        if args.mono:
+            pairs = (corpus.ParallelExample(t, t) for t in (line.rstrip("\n") for line in src))
+        else:
+            pairs = _read_tsv(src, "filter", args.input, counts)
+        _write_lines(args.output, kept_lines(pairs))
+    report_lines = report._replace(malformed=counts["malformed"]).to_lines()
     if args.report:
-        with _open_out(args.report) as fh:
-            _write_lines(fh, report_lines)
+        _write_lines(args.report, report_lines)
     for line in report_lines:
         _log("filter report: " + line.replace("\t", "="))
     return 0
@@ -278,17 +280,15 @@ def cmd_mix(args) -> int:
         with _open_in(path) as fh:
             corpora.append((list(_read_tsv(fh, "mix", path)), weight))
     mixed = corpus.mix_sample(corpora, args.n, args.seed)
-    with _open_out(args.output) as out:
-        for pair in mixed:
-            out.write(corpus.format_tsv_line(pair) + "\n")
+    _write_lines(args.output, map(corpus.format_tsv_line, mixed))
     return 0
 
 
 def cmd_reverse_target(args) -> int:
     from . import corpus
-    with _open_in(args.input) as src, _open_out(args.output) as out:
-        for pair in _read_tsv(src, "reverse-target", args.input):
-            out.write(corpus.format_tsv_line(corpus.reverse_target(pair)) + "\n")
+    with _open_in(args.input) as src:
+        _write_lines(args.output, (corpus.format_tsv_line(corpus.reverse_target(pair))
+                                   for pair in _read_tsv(src, "reverse-target", args.input)))
     return 0
 
 
@@ -320,15 +320,13 @@ def cmd_domain_select(args) -> int:
     cfg = domain.SelectionConfig(
         stage1_threshold=args.stage1, final_threshold=args.final
     )
-    with _open_in(args.input) as src, _open_out(args.output) as out:
+    with _open_in(args.input) as src:
         pairs = _read_tsv(src, "domain-select", args.input)
         selected, counts = domain.bilingual_select(
             pairs, clf_en, clf_ru, cfg, english_side=args.english_side
         )
-        for pair, score_en, score_ru in selected:
-            out.write(
-                corpus.format_tsv_line(pair, (repr(score_en), repr(score_ru))) + "\n"
-            )
+    _write_lines(args.output, (corpus.format_tsv_line(pair, (repr(score_en), repr(score_ru)))
+                               for pair, score_en, score_ru in selected))
     _log(
         "domain-select counts: "
         + " ".join(f"{k}={counts[k]}" for k in ("input", "stage1_kept", "stage2_scored", "final_kept"))
@@ -375,13 +373,6 @@ def _decode_config(args, fusion_lambda: float = 0.0):
     )
 
 
-def _write_bodies(out, cands_top1, eos_id: int) -> None:
-    """One line per candidate: its token ids without the target-side `eos_id`."""
-    from . import candidates
-    for cand in cands_top1:
-        out.write(" ".join(str(t) for t in candidates.strip_eos(cand.tokens, eos_id)) + "\n")
-
-
 def cmd_decode(args) -> int:
     from . import candidates, decode, models
     fwd = _load_forward(args.model)
@@ -389,24 +380,23 @@ def cmd_decode(args) -> int:
     cfg = _decode_config(args, fusion_lambda=args.fusion_lambda)
     sources = _read_ids(args.input, nonempty=True)
     results = decode.decode_batch(fwd, lm, sources, cfg)
-    with _open_out(args.output) as out:
-        _write_bodies(out, [cands[0] for cands in results], fwd.eos_id)
+    _write_lines(args.output, (_format_ids(candidates.strip_eos(cands[0].tokens, fwd.eos_id))
+                               for cands in results))
     if args.dump:
-        with _open_out(args.dump) as fh:
-            _write_lines(fh, candidates.format_candidates(results))
+        _write_lines(args.dump, candidates.format_candidates(results))
     return 0
 
 
 def cmd_sample(args) -> int:
-    from . import decode
+    from . import candidates, decode
     fwd = _load_forward(args.model)
     cfg = decode.DecodeConfig(
         max_len=args.max_len, sample_k=args.k, seed=args.seed
     )
     sources = _read_ids(args.input)
     cands = decode.sample_batch(fwd, sources, cfg)
-    with _open_out(args.output) as out:
-        _write_bodies(out, cands, fwd.eos_id)
+    _write_lines(args.output, (_format_ids(candidates.strip_eos(cand.tokens, fwd.eos_id))
+                               for cand in cands))
     return 0
 
 
@@ -428,11 +418,11 @@ def cmd_rerank(args) -> int:
         decode.noisy_channel_rerank(cands, rev, lm, args.lam, source)
         for cands, source in zip(cands_per_sentence, sources)
     ]
-    with _open_out(args.output) as out:
-        if args.top1:
-            _write_bodies(out, [cands[0] for cands in ranked], lm.eos_id)
-        else:
-            _write_lines(out, candidates.format_candidates(ranked))
+    if args.top1:
+        _write_lines(args.output, (_format_ids(candidates.strip_eos(cands[0].tokens, lm.eos_id))
+                                   for cands in ranked))
+    else:
+        _write_lines(args.output, candidates.format_candidates(ranked))
     return 0
 
 
@@ -447,16 +437,13 @@ def cmd_score_bleu(args) -> int:
         refs = [line.split() for line in fh]
     result = bleu.corpus_bleu(hyps, refs)
     if args.sentence_scores:
-        with _open_out(args.sentence_scores) as fh:
-            for idx, (hyp, ref) in enumerate(zip(hyps, refs)):
-                fh.write(f"{idx}\t{bleu.sentence_bleu(hyp, ref):.4f}\n")
-    with _open_out(args.output) as out:
-        out.write(
-            f"BLEU {result.score:.4f} BP {result.brevity_penalty:.4f} "
-            f"lens {result.hyp_len}/{result.ref_len} precisions "
-            + " ".join(f"{p:.4f}" for p in result.precisions)
-            + "\n"
-        )
+        _write_lines(args.sentence_scores, (f"{idx}\t{bleu.sentence_bleu(hyp, ref):.4f}"
+                                            for idx, (hyp, ref) in enumerate(zip(hyps, refs))))
+    _write_lines(args.output, [
+        f"BLEU {result.score:.4f} BP {result.brevity_penalty:.4f} "
+        f"lens {result.hyp_len}/{result.ref_len} precisions "
+        + " ".join(f"{p:.4f}" for p in result.precisions)
+    ])
     return 0
 
 
@@ -471,11 +458,8 @@ def cmd_oracle_bleu(args) -> int:
     refs = _read_ids(args.ref)
     result, winners = bleu.oracle_corpus_bleu(hyps_per_sentence, refs)
     if args.selected:
-        with _open_out(args.selected) as fh:
-            for tokens in winners:
-                fh.write(" ".join(str(t) for t in tokens) + "\n")
-    with _open_out(args.output) as out:
-        out.write(f"oracle-BLEU {result.score:.4f}\n")
+        _write_lines(args.selected, map(_format_ids, winners))
+    _write_lines(args.output, [f"oracle-BLEU {result.score:.4f}"])
     return 0
 
 
@@ -497,9 +481,8 @@ def cmd_tune_lambda(args) -> int:
     results = decode.grid_search_lambdas(
         fwd, rev, lm, sources, refs, cfg,
         _grid("--sf-grid", args.sf_grid), _grid("--ncr-grid", args.ncr_grid))
-    with _open_out(args.output) as out:
-        for lam_sf, lam_ncr, score in results:
-            out.write(f"{lam_sf!r}\t{lam_ncr!r}\t{score:.4f}\n")
+    _write_lines(args.output, (f"{lam_sf!r}\t{lam_ncr!r}\t{score:.4f}"
+                               for lam_sf, lam_ncr, score in results))
     return 0
 
 

@@ -25,7 +25,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import (ConfigError, EmptyInputError, InputFormatError, ModelFormatError,
-                     check_new_line, check_seed, model_file, model_writer)
+                     check_lang_code, check_new_line, check_seed, model_file, write_lines)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -223,6 +223,8 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
     check_seed(seed)
     pairs = [(text, lang) for text, lang in labeled]
     langs = sorted({lang for _, lang in pairs})
+    for lang in langs:
+        check_lang_code(lang)
     if len(langs) < 2:
         raise EmptyInputError(f"need at least 2 languages, got {langs}")
     lang_idx = {lang: i for i, lang in enumerate(langs)}
@@ -283,13 +285,14 @@ def _langid_labels(model: LangIdModel, texts) -> dict[str, str]:
 
 
 def save_langid(model: LangIdModel, path) -> None:
-    with model_writer(path, "langid-v1", model.n_features) as fh:
-        fh.write("langs " + " ".join(model.langs) + "\n")
-        fh.write("bias " + " ".join(repr(float(v)) for v in model.bias) + "\n")
-        for idx in range(model.n_features):
-            row = model.weights[idx]
+    def lines():
+        yield f"langid-v1 {model.n_features}"
+        yield "langs " + " ".join(model.langs)
+        yield "bias " + " ".join(repr(float(v)) for v in model.bias)
+        for idx, row in enumerate(model.weights):
             if (row != 0.0).any():
-                fh.write(f"w {idx} " + " ".join(repr(float(v)) for v in row) + "\n")
+                yield f"w {idx} " + " ".join(repr(float(v)) for v in row)
+    write_lines(path, lines())
 
 
 def load_langid(path) -> LangIdModel:

@@ -23,8 +23,8 @@ import sys
 from collections import Counter, namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import (ConfigError, EmptyInputError, ModelFormatError, check_new_line, check_seed,
-                     model_file, model_writer)
+from .errors import (ConfigError, EmptyInputError, ModelFormatError, check_lang_code,
+                     check_new_line, check_seed, model_file, write_lines)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -138,6 +138,7 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
     if not 0 < lr < math.inf:
         raise ConfigError(f"lr must be positive and finite, got {lr}")
     check_seed(seed)
+    check_lang_code(lang)
     positives = list(positives)
     negatives = list(negatives)
     if not positives:
@@ -202,10 +203,12 @@ def bilingual_select(pairs, clf_en: DomainClassifier, clf_ru: DomainClassifier,
 
 
 def save_classifier(clf: DomainClassifier, path) -> None:
-    with model_writer(path, "domcls-v1", clf.lang) as fh:
+    def lines():
+        yield f"domcls-v1 {clf.lang}"
         for tok in sorted(clf.weights):
-            fh.write(f"{tok}\t{clf.weights[tok]!r}\n")
-        fh.write(f"{_BIAS}\t{clf.bias!r}\n")
+            yield f"{tok}\t{clf.weights[tok]!r}"
+        yield f"{_BIAS}\t{clf.bias!r}"
+    write_lines(path, lines())
 
 
 def load_classifier(path, tokenizer=None) -> DomainClassifier:

@@ -1,9 +1,10 @@
 """Exception types shared across mtkit modules: one class per kind of
 failure, the message saying where. ConfigError and InputFormatError are also
 ValueErrors, as json.JSONDecodeError is. Also the readers' rule for naming
-the file at fault, the reader and the writer for text model files, their
-rule against a repeated line, the writers' rule for leaving no partial
-output file behind, and the rule for a seed."""
+the file at fault, the reader for text model files and their rule against a
+repeated line, the writers' rule for leaving no partial output file behind,
+the one writer that stages every text output and text model file, and the
+rules for a seed and a language code."""
 
 import contextlib
 import os
@@ -102,6 +103,13 @@ def check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
+def check_lang_code(code: str) -> None:
+    """Raise ConfigError for a language code that is empty or holds
+    whitespace: model files store codes as space-separated words."""
+    if code.split() != [code]:
+        raise ConfigError(f"language code {code!r} is empty or holds whitespace")
+
+
 @contextlib.contextmanager
 def staged(path):
     """Yield a temporary path beside `path` that replaces `path` only if the
@@ -121,11 +129,11 @@ def staged(path):
         raise
 
 
-@contextlib.contextmanager
-def model_writer(path, magic: str, header):
-    """Yield a UTF-8 text handle whose first line `<magic> <header>` is
-    written, the file `model_file` reads. The file is staged: `path` is
-    replaced only if the block completes."""
+def write_lines(path, lines) -> None:
+    """The one writer of text outputs and text model files: each of `lines`
+    and a newline to `path` as UTF-8, one write per line, so a generator
+    streams and no lines make a 0-byte file. The file is staged: an error
+    while writing or while `lines` yields leaves `path` as it was."""
     with staged(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"{magic} {header}\n")
-        yield fh
+        for line in lines:
+            fh.write(line + "\n")

@@ -1,6 +1,8 @@
 """End-to-end runs of the mtkit command line against small on-disk fixtures."""
 
 import argparse
+import builtins
+import errno
 import inspect
 import json
 import os
@@ -1223,6 +1225,15 @@ def _bad_input_argv(tmp_path, case, langid_file):
         deep.write_bytes(b"NMTC" + struct.pack("<IQ", 1, 200000) + b"[" * 200000)
         return (["avg-checkpoints", str(deep), "-o", out],
                 f"ModelFormatError: {deep}: header JSON nests too deeply")
+    if case.startswith(("langid-train code ", "domain-train lang ")):
+        code = "" if case.endswith("empty") else "e n"
+        if case.startswith("langid-train"):
+            argv = ["langid-train", f"{code}={pairs}", f"ru={ids}"]
+        else:
+            argv = ["domain-train", "--positives", str(pairs), "--negatives", str(ids),
+                    "--lang", code]
+        return (argv + ["--model-out", out],
+                f"ConfigError: language code {code!r} is empty or holds whitespace")
     command, option, value = case.split()
     if command in ("bpe-encode", "sample", "mix"):  # seed cases; bpe-encode draws with dropout only
         codes = tmp_path / "codes.bpe"
@@ -1260,6 +1271,8 @@ def _bad_input_argv(tmp_path, case, langid_file):
     "tokenize german-quotes without detok",
     "filter langs without langid", "filter langs outside the model",
     "domain-select clf-en ru", "domain-select clf-ru en", "domain-select clf-ru de",
+    "langid-train code empty", "langid-train code with a space",
+    "domain-train lang empty", "domain-train lang with a space",
 ])
 def test_bad_input_is_named_error(tmp_path, capsys, langid_file, case):
     argv, expected = _bad_input_argv(tmp_path, case, langid_file)
@@ -1324,6 +1337,114 @@ def test_empty_input_writes_empty_dumps(tmp_path):
     assert run(["rerank", "--dump", str(dump), "--source", str(src), "--rev", str(fwd),
                 "--lm", str(fwd), "-o", str(ranked)]) == 0
     assert [p.read_bytes() for p in (top, dump, ranked)] == [b"", b"", b""]
+
+
+# (subcommand, output option) -> the rest of a run that succeeds, over the
+# files _writer_files makes; the run writes that option's path and no other
+# file. Each word is formatted after the split, so a path may hold a space.
+_WRITERS = {
+    ("normalize", "-o"): "normalize {text}",
+    ("tokenize", "-o"): "tokenize {text}",
+    ("bpe-train", "--model-out"): "bpe-train {text} --vocab-size 40",
+    ("bpe-encode", "-o"): "bpe-encode {text} --model {codes}",
+    ("bpe-decode", "-o"): "bpe-decode {bpe_ids} --model {codes}",
+    ("filter", "-o"): "filter {pairs}",
+    ("filter", "--report"): "filter {pairs}",
+    ("langid-train", "--model-out"): "langid-train en={text} ru={ru} --features 64 --epochs 2",
+    ("domain-train", "--model-out"): "domain-train --positives {text} --negatives {ru} --epochs 2",
+    ("domain-select", "-o"): "domain-select {pairs} --clf-en {clf_en} --clf-ru {clf_ru}",
+    ("mix", "-o"): "mix --part 1:bitext:{pairs} --n 3",
+    ("reverse-target", "-o"): "reverse-target {pairs}",
+    ("avg-checkpoints", "-o"): "avg-checkpoints {ckpt}",
+    ("decode", "-o"): "decode {ids} --model {fwd} --beam 2 --max-len 3",
+    ("decode", "--dump"): "decode {ids} --model {fwd} --beam 2 --max-len 3",
+    ("sample", "-o"): "sample {ids} --model {fwd} --k 2 --max-len 3",
+    ("rerank", "-o"): "rerank --dump {dump} --source {ids} --rev {fwd} --lm {fwd}",
+    ("score-bleu", "-o"): "score-bleu --hyp {text} --ref {text}",
+    ("score-bleu", "--sentence-scores"): "score-bleu --hyp {text} --ref {text}",
+    ("oracle-bleu", "-o"): "oracle-bleu --dump {dump} --ref {ids}",
+    ("oracle-bleu", "--selected"): "oracle-bleu --dump {dump} --ref {ids}",
+    ("tune-lambda", "-o"): "tune-lambda --model {fwd} --rev {fwd} --lm {fwd} --source {ids} "
+                           "--ref {ids} --beam 2 --max-len 3 --sf-grid 0 --ncr-grid 0,0.5",
+}
+# the streaming stages: their output option -> the input an empty file replaces
+_STREAMING = {("normalize", "-o"): "text", ("tokenize", "-o"): "text",
+              ("bpe-encode", "-o"): "text", ("bpe-decode", "-o"): "bpe_ids",
+              ("filter", "-o"): "pairs", ("reverse-target", "-o"): "pairs"}
+
+
+def _writer_files(tmp_path) -> dict:
+    files = {name: tmp_path / name for name in (
+        "text", "ru", "codes", "bpe_ids", "pairs", "clf_en", "clf_ru", "ckpt", "ids", "fwd",
+        "dump")}
+    _write(files["text"], ["the cat sat", "a dog ran"])
+    _write(files["ru"], ["кошка сидит", "собака бежит"])
+    model = bpe.bpe_train(["the cat sat"], 40)
+    bpe.save_model(model, files["codes"])
+    _write(files["bpe_ids"], [" ".join(map(str, bpe.bpe_encode(model, "the cat")))])
+    _write(files["pairs"], ["the cat	cat the", "a dog	dog a"])
+    _write(files["clf_en"], ["domcls-v1 en", "cat	5.0"])
+    _write(files["clf_ru"], ["domcls-v1 ru", "cat	5.0"])
+    models.save_checkpoint({"w": [1.0, 2.0]}, files["ckpt"])
+    _write(files["ids"], ["0", "1"])
+    models.save_table_scorer(_fusion_fwd(), files["fwd"])
+    _write(files["dump"], ["0\t0\t-1.0\t-\t-\t-\t0,2", "1\t0\t-1.0\t-\t-\t-\t1,2"])
+    return files
+
+
+class _FullDisk:
+    """A file opened for writing whose every write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("command, option", list(_WRITERS),
+                         ids=[f"{c} {o}" for c, o in _WRITERS])
+def test_every_output_is_staged(tmp_path, capsys, monkeypatch, command, option):
+    # a run whose write fails leaves no temporary file, and the path absent
+    # or with its earlier bytes; a streaming stage writes no lines as 0 bytes
+    files = _writer_files(tmp_path)
+    out = tmp_path / "out"
+    argv = [word.format(**files) for word in _WRITERS[command, option].split()]
+    argv += [option, str(out)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    real_open = builtins.open
+    staged_prefix = os.path.realpath(out) + ".tmp"
+
+    def open_on_full_disk(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        full = "w" in mode and str(file).startswith(staged_prefix)
+        return _FullDisk(fh) if full else fh
+
+    for earlier in (None, b"earlier bytes\n"):
+        if earlier is not None:
+            out.write_bytes(earlier)
+        monkeypatch.setattr(builtins, "open", open_on_full_disk)
+        assert run(argv) == 1
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: OSError: [Errno 28] No space left")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            before + ([] if earlier is None else ["out"]))
+        assert (out.read_bytes() if out.exists() else None) == earlier
+
+    assert run(argv) == 0
+    assert out.read_bytes() not in (b"", b"earlier bytes\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["out"])
+    if (command, option) in _STREAMING:
+        files[_STREAMING[command, option]].write_bytes(b"")
+        assert run(argv) == 0
+        assert out.read_bytes() == b""
 
 
 _OOM_SCRIPT = """\
