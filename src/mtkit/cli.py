@@ -535,7 +535,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
                        help="with --detok: replace paired ASCII quotes with German ones")
 
     if p := add("bpe-train", cmd_bpe_train, "learn BPE merges"):
-        _add_io(p)
+        # no -o: the merges go to --model-out only
+        p.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
         p.add_argument("--vocab-size", type=int, required=True)
         p.add_argument("--model-out", required=True)
 

@@ -25,7 +25,8 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import (ConfigError, EmptyInputError, InputFormatError, ModelFormatError,
-                     check_lang_code, check_new_line, check_seed, model_file, write_lines)
+                     check_lang_code, check_new_line, check_seed, check_training, model_file,
+                     write_lines)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -216,11 +217,7 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
     row-major storage order."""
     import numpy as np
     _check_n_features(n_features, ConfigError)
-    if epochs < 1:
-        raise ConfigError(f"epochs must be at least 1, got {epochs}")
-    if not 0 < lr < math.inf:
-        raise ConfigError(f"lr must be positive and finite, got {lr}")
-    check_seed(seed)
+    check_training(epochs, lr, seed)
     pairs = [(text, lang) for text, lang in labeled]
     langs = sorted({lang for _, lang in pairs})
     for lang in langs:

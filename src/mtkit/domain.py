@@ -24,7 +24,7 @@ from collections import Counter, namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import (ConfigError, EmptyInputError, ModelFormatError, check_lang_code,
-                     check_new_line, check_seed, model_file, write_lines)
+                     check_new_line, check_training, model_file, write_lines)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,10 +53,13 @@ class DomainClassifier:
     """token -> weight map with a bias, scored through a logistic link.
 
     No token may be spelled like the model file's bias line (`__bias__`),
-    which would load back as the bias.
+    which would load back as the bias. holdout_accuracy is the accuracy
+    domain_train measured on its held-out split, or None when it held none
+    out; the model file does not store it.
     """
 
-    def __init__(self, lang: str, weights: dict[str, float], bias: float, tokenizer=None):
+    def __init__(self, lang: str, weights: dict[str, float], bias: float, tokenizer=None,
+                 holdout_accuracy: float | None = None):
         if _BIAS in weights:
             raise ModelFormatError(f"token {_BIAS!r} is reserved for the bias")
         self.lang = lang
@@ -66,7 +69,7 @@ class DomainClassifier:
         if not all(math.isfinite(v) for v in values):
             raise ModelFormatError("domain classifier weights and bias must be finite")
         self.tokenizer = tokenizer or _whitespace_tokenize
-        self.holdout_accuracy: float | None = None
+        self.holdout_accuracy = holdout_accuracy
 
     def score(self, text: str) -> float:
         z = self.bias
@@ -133,11 +136,7 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
     on all examples.
     """
     import numpy as np
-    if epochs < 1:
-        raise ConfigError(f"epochs must be at least 1, got {epochs}")
-    if not 0 < lr < math.inf:
-        raise ConfigError(f"lr must be positive and finite, got {lr}")
-    check_seed(seed)
+    check_training(epochs, lr, seed)
     check_lang_code(lang)
     positives = list(positives)
     negatives = list(negatives)
@@ -169,9 +168,8 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
         holdout_accuracy = int(np.count_nonzero((x @ w + b > 0) == y)) / len(y)
     x, y = _count_matrix(pos, neg, index)
     w, b = _fit_logistic(x, y, epochs, lr)
-    clf = DomainClassifier(lang, {tok: float(w[i]) for tok, i in index.items()}, b, tokenizer)
-    clf.holdout_accuracy = holdout_accuracy
-    return clf
+    return DomainClassifier(lang, {tok: float(w[i]) for tok, i in index.items()}, b, tokenizer,
+                            holdout_accuracy)
 
 
 def bilingual_select(pairs, clf_en: DomainClassifier, clf_ru: DomainClassifier,

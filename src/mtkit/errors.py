@@ -4,9 +4,10 @@ ValueErrors, as json.JSONDecodeError is. Also the readers' rule for naming
 the file at fault, the reader for text model files and their rule against a
 repeated line, the writers' rule for leaving no partial output file behind,
 the one writer that stages every text output and text model file, and the
-rules for a seed and a language code."""
+rules for a seed, training settings and a language code."""
 
 import contextlib
+import math
 import os
 import re
 
@@ -101,6 +102,16 @@ def check_seed(seed: int) -> None:
     abs(seed), so seed -s would repeat the draws of seed s."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
+def check_training(epochs: int, lr: float, seed: int) -> None:
+    """Raise ConfigError unless a gradient-descent fit gets at least one
+    epoch, a positive finite learning rate and a seed check_seed accepts."""
+    if epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    if not 0 < lr < math.inf:
+        raise ConfigError(f"lr must be positive and finite, got {lr}")
+    check_seed(seed)
 
 
 def check_lang_code(code: str) -> None:

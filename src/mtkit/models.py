@@ -366,26 +366,29 @@ class NGramScorer(Scorer):
     prefix, so an empty prefix scores every order with the unigram context.
 
     Layout, as in KenLM: the constructor takes grams, which maps each gram
-    length k in [0, order] that occurs to (ids, counts), two array('q'); ids
+    length k in [1, order] that occurs to (ids, counts), two array('q'); ids
     holds the k ids of each gram, the grams in sorted order, and counts one
     non-negative count per gram, as ngram_train builds them and an n-gram
     container holds them (one grams and one counts tensor per length). The
     constructor checks all of this but the order of the grams, which the
-    loader checks, since its input comes from outside.
+    loader checks, since its input comes from outside. These arrays are the
+    model's only storage: scoring reads them through views, which lock them,
+    so they cannot be resized (append raises BufferError) while the model
+    holds them.
 
     Scoring reads per-context spans (KenLM's state). A context shorter than
-    `order` with a non-zero total count has a span (lo, hi, total), found on
-    its first use by bisecting the sorted grams of length len(ctx) + 1 one
-    id column at a time, then kept; a context without counts is searched
-    again each time, so no more spans are kept than the model has contexts.
-    Sorting puts a context's grams side by side, by last id, so [lo, hi)
-    indexes those whose last id lies in [0, V) in two flat arrays of last
-    ids and counts; grams with another last id count toward the total but
-    score no token, and the empty gram counts toward the total of the empty
-    context. next_dist and token_prob walk the same spans (_walk): next_dist
-    adds a span's counts with numpy; token_prob finds one count by a bisect
-    in the span, without numpy, by the same operations in the same order as
-    next_dist performs for that token, so it returns the same float.
+    `order` with a non-zero total count has a span (k, lo, hi, total), found
+    on its first use by bisecting the sorted k-grams, k = len(ctx) + 1, one
+    strided id column at a time, then kept; a context without counts is
+    searched again each time, so no more spans are kept than the model has
+    contexts. Sorting puts a context's grams side by side, by last id, so
+    [lo, hi) indexes those whose last id lies in [0, V); grams with another
+    last id count toward the total but score no token (an out-of-vocab
+    1-gram reserves mass for the empty context this way). next_dist and
+    token_prob walk the same spans (_walk): next_dist adds a span's counts
+    with numpy; token_prob finds one count by a bisect in the span, without
+    numpy, by the same operations in the same order as next_dist performs
+    for that token, so it returns the same float.
 
     given_weights keeps the weights as passed in; weights holds them divided
     by their sum. A second division need not give the same floats, so the
@@ -406,8 +409,8 @@ class NGramScorer(Scorer):
         if not 0 < floor * vocab_size < 1:
             raise ModelFormatError("floor * vocab_size must lie in (0, 1)")
         for k, (ids, counts) in grams.items():
-            if not 0 <= k <= order:
-                raise ModelFormatError(f"gram length {k} outside [0, {order}]")
+            if not 1 <= k <= order:
+                raise ModelFormatError(f"gram length {k} outside [1, {order}]")
             if len(ids) != k * len(counts):
                 raise ModelFormatError(f"{len(ids)} ids for {len(counts)} {k}-grams, not {k} per gram")
             if counts and min(counts) < 0:
@@ -419,43 +422,27 @@ class NGramScorer(Scorer):
         self.weights = [w / sum(weights) for w in weights]
         self.floor = float(floor)
         self.grams = grams
-        self._empty = sum(grams[0][1]) if 0 in grams else 0
+        # k -> the k id columns of the k-grams, strided views of grams[k][0]
+        self._columns = {k: [memoryview(ids)[j::k] for j in range(k)]
+                         for k, (ids, _) in grams.items()}
         self._spans: dict[tuple, tuple] = {}  # context -> span, kept once found
-        self._orders = None  # _columns()
-        self._dense = None  # last and counts as numpy arrays, for next_dist
-
-    def _columns(self) -> tuple[dict, array, array]:
-        """(columns, last, counts): columns maps each gram length k <= order
-        that occurs to (base, its k id columns); last and counts join the
-        last ids and counts of those lengths, k's from base on. Built on the
-        first scoring call, so training, loading and saving never build it."""
-        if self._orders is None:
-            columns, last, counts = {}, array("q"), array("q")
-            for k in range(1, self.order + 1):
-                if k in self.grams:
-                    ids, cnts = self.grams[k]
-                    columns[k] = len(last), [ids[j::k] for j in range(k)]
-                    last.extend(columns[k][1][-1])
-                    counts.extend(cnts)
-            self._orders = columns, last, counts
-        return self._orders
+        self._dense: dict = {}  # k -> last ids and counts as numpy views, for next_dist
 
     def _span(self, ctx: tuple) -> tuple | None:
         """The span of a context shorter than order, searched for and kept,
         or None when its total count is 0 (see the class docstring)."""
-        columns, _, counts = self._columns()
-        base, cols = columns.get(len(ctx) + 1, (0, ()))
-        lo = hi = 0
-        total = 0 if ctx else self._empty
-        if cols:
-            hi = len(cols[0])
-            for col, i in zip(cols, ctx):  # the grams in [lo, hi) share ctx up to col
-                lo, hi = bisect_left(col, i, lo, hi), bisect_right(col, i, lo, hi)
-            total += sum(counts[base + lo:base + hi])
-            lo, hi = bisect_left(cols[-1], 0, lo, hi), bisect_left(cols[-1], self.vocab_size, lo, hi)
+        k = len(ctx) + 1
+        cols = self._columns.get(k)
+        if not cols:
+            return None
+        lo, hi = 0, len(cols[0])
+        for col, i in zip(cols, ctx):  # the grams in [lo, hi) share ctx up to col
+            lo, hi = bisect_left(col, i, lo, hi), bisect_right(col, i, lo, hi)
+        total = sum(self.grams[k][1][lo:hi])
         if not total:
             return None
-        span = self._spans[ctx] = base + lo, base + hi, float(total)
+        lo, hi = bisect_left(cols[-1], 0, lo, hi), bisect_left(cols[-1], self.vocab_size, lo, hi)
+        span = self._spans[ctx] = k, lo, hi, float(total)
         return span
 
     def _walk(self, prefix):
@@ -470,17 +457,17 @@ class NGramScorer(Scorer):
 
     def next_dist(self, source, prefix) -> np.ndarray:
         import numpy as np
-        if self._dense is None:
-            _, last, counts = self._columns()
-            self._dense = (np.frombuffer(last, dtype=np.int64),
-                           np.frombuffer(counts, dtype=np.int64).astype(np.float64))
-        ids, fcounts = self._dense
         interp = np.zeros(self.vocab_size)
         active = 0.0
-        for w, (lo, hi, total) in self._walk(prefix):
+        for w, (k, lo, hi, total) in self._walk(prefix):
             active += w
+            if k not in self._dense:
+                ids, counts = self.grams[k]
+                self._dense[k] = (np.frombuffer(ids, dtype=np.int64)[k - 1::k],
+                                  np.frombuffer(counts, dtype=np.int64))
+            last, counts = self._dense[k]
             # per token, the same operations as the scalar w * c / total
-            interp[ids[lo:hi]] += w * fcounts[lo:hi] / total
+            interp[last[lo:hi]] += w * counts[lo:hi] / total
         if active > 0:
             interp /= active
         else:
@@ -490,11 +477,11 @@ class NGramScorer(Scorer):
         return out
 
     def token_prob(self, source, prefix, tok: int) -> float:
-        _, last, counts = self._columns()
         p = 0.0
         active = 0.0
-        for w, (lo, hi, total) in self._walk(prefix):
+        for w, (k, lo, hi, total) in self._walk(prefix):
             active += w
+            last, counts = self._columns[k][-1], self.grams[k][1]
             i = bisect_left(last, tok, lo, hi)
             if i < hi and last[i] == tok and counts[i]:
                 p += w * float(counts[i]) / total
@@ -580,22 +567,17 @@ def save_ngram_scorer(m: NGramScorer, path) -> None:
     _write_checkpoint(path, metadata, shapes, tensors.__getitem__, "i64")
 
 
-def _check_sorted(ids: array, k: int, n: int, name: str) -> None:
-    """Raise ModelFormatError naming the tensor unless the n grams of k ids
-    in ids are in strictly increasing order, which also rules out a repeat.
+def _check_sorted(ids: array, k: int, name: str) -> None:
+    """Raise ModelFormatError naming the tensor unless the grams of k ids in
+    ids are in strictly increasing order, which also rules out a repeat.
     Two zips walk the grams one apart and the walk stops at the first pair
     out of order; map releases each pair of zip tuples before the next, so
     zip reuses them and nothing is built per gram."""
-    if n < 2:
+    grams, later = zip(*[iter(ids)] * k), zip(*[iter(ids)] * k)
+    next(later, None)
+    i = next(compress(count(1), map(not_, map(lt, grams, later))), None)
+    if i is None:
         return
-    if k:
-        grams, later = zip(*[iter(ids)] * k), zip(*[iter(ids)] * k)
-        next(later)
-        i = next(compress(count(1), map(not_, map(lt, grams, later))), None)
-        if i is None:
-            return
-    else:
-        i = 1  # a second empty gram
     gram = " ".join(map(str, ids[i * k:i * k + k]))
     what = "repeats" if ids[i * k - k:i * k] == ids[i * k:i * k + k] else "sorts before"
     raise ModelFormatError(f"tensor {name!r}: {k}-gram {i + 1} ({gram}) {what} the one before it")
@@ -615,7 +597,7 @@ def _ngram_from(fh, metadata: dict, entries: list, payload_start: int) -> NGramS
     """The n-gram model of a container whose header is read (layout above),
     each payload read straight into an array('q'). Metadata without an int
     order, V and eos, a number floor and a list of number weights, an
-    unknown tensor, a gram length outside [0, order], a grams tensor without
+    unknown tensor, a gram length outside [1, order], a grams tensor without
     its counts tensor or the reverse, shapes that do not give k ids per
     count, a dtype other than i64, a short payload and grams out of sorted
     order or listed twice raise ModelFormatError naming the tensor; the
@@ -637,8 +619,8 @@ def _ngram_from(fh, metadata: dict, entries: list, payload_start: int) -> NGramS
             k = None
         if kind not in _NGRAM_KINDS or k is None or name != f"{kind}.{k}":
             raise ModelFormatError(f"unknown tensor {name!r}")
-        if not 0 <= k <= order:
-            raise ModelFormatError(f"tensor {name!r}: gram length {k} outside [0, {order}]")
+        if not 1 <= k <= order:
+            raise ModelFormatError(f"tensor {name!r}: gram length {k} outside [1, {order}]")
         if entry["dtype"] != "i64":
             raise ModelFormatError(f"tensor {name!r}: dtype {entry['dtype']}, not i64")
         pairs.setdefault(k, {})[kind] = entry
@@ -654,7 +636,7 @@ def _ngram_from(fh, metadata: dict, entries: list, payload_start: int) -> NGramS
         ids, counts = (_read_ints(fh, payload_start, pair[kind]) for kind in _NGRAM_KINDS)
         if not counts:
             continue  # lists no grams
-        _check_sorted(ids, k, len(counts), f"grams.{k}")
+        _check_sorted(ids, k, f"grams.{k}")
         grams[k] = ids, counts
     return NGramScorer(order, vocab_size, eos_id, grams, weights, floor)
 

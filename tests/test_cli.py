@@ -86,7 +86,7 @@ def test_help_lists_every_subcommand(capsys):
 _OPTIONS = {
     "normalize": "input -o --output --rules",
     "tokenize": "input -o --output --lang --detok --german-quotes",
-    "bpe-train": "input -o --output --vocab-size --model-out",
+    "bpe-train": "input --vocab-size --model-out",
     "bpe-encode": "input -o --output --model --dropout --seed",
     "bpe-decode": "input -o --output --model",
     "filter": "input -o --output --seed --threads --max-len --min-len --max-ratio "
@@ -309,6 +309,17 @@ def test_bpe_encode_deterministic(tmp_path):
          "-o", str(plain)])
     for dropped, whole in zip(_read(out1), _read(plain)):
         assert len(dropped.split()) >= len(whole.split())
+
+
+def test_bpe_train_refuses_an_output_option(tmp_path, capsys):
+    # bpe-train writes only --model-out; an -o it would never write is a
+    # usage error, not a silently missing file
+    corpus, ignored, model = tmp_path / "t.txt", tmp_path / "ignored.txt", tmp_path / "m.bpe"
+    _write(corpus, ["abab abba baab"])
+    assert run(["bpe-train", str(corpus), "-o", str(ignored), "--vocab-size", "12",
+                "--model-out", str(model)]) == 2
+    assert "unrecognized arguments: -o" in capsys.readouterr().err
+    assert not ignored.exists() and not model.exists()
 
 
 @pytest.mark.parametrize("command", ["bpe-encode", "bpe-decode"])

@@ -92,7 +92,7 @@ def _edit(old, new):
                  "tensor 'grams.1': 1-gram 2 (0) repeats the one before it",
                  id="gram listed twice"),
     pytest.param(ngram_container(("counts.0", [2], [1, 5]), ("grams.0", [2, 0], [])),
-                 "tensor 'grams.0': 0-gram 2 () repeats the one before it",
+                 "tensor 'counts.0': gram length 0 outside [1, 2]",
                  id="empty gram listed twice"),
     pytest.param(ngram_container(("counts.2", [3], [1, 1, 1]),
                                  ("grams.2", [3, 2], [0, 1, 1, 2, 0, 1])),
@@ -120,12 +120,12 @@ def _edit(old, new):
     pytest.param(ngram_container(("counts.1", [2], [1, -1]), ("grams.1", [2, 1], [0, 1])),
                  "tensor 'counts.1': negative count", id="negative count"),
     pytest.param(ngram_container(("grams.-1", [1, 0], []), ("counts.-1", [1], [1])),
-                 "tensor 'grams.-1': gram length -1 outside [0, 2]", id="negative gram length"),
+                 "tensor 'grams.-1': gram length -1 outside [1, 2]", id="negative gram length"),
     pytest.param(ngram_container(("counts.3", [1], [1]), ("grams.3", [1, 3], [0, 1, 2])),
-                 "tensor 'counts.3': gram length 3 outside [0, 2]", id="gram length above order"),
+                 "tensor 'counts.3': gram length 3 outside [1, 2]", id="gram length above order"),
     pytest.param(ngram_container(*_GOOD, ("grams.5", [1, 5], [0, 1, 2, 3, 0]),
                                  ("counts.5", [1], [7]), order=1, weights=[1.0]),
-                 "tensor 'grams.5': gram length 5 outside [0, 1]", id="gram length above order 1"),
+                 "tensor 'grams.5': gram length 5 outside [1, 1]", id="gram length above order 1"),
     pytest.param(ngram_container(*_GOOD, ("count.0", [1], [1])),
                  "unknown tensor 'count.0'", id="ngram-v1 count line"),
     pytest.param(ngram_container(*_GOOD, ("grams.01", [1, 1], [0])),

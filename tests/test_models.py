@@ -481,26 +481,58 @@ def test_loaders_refuse_a_container_of_another_kind(tmp_path):
         assert str(err.value) == f"{path}: {why}"
 
 
-def test_ngram_load_memory_follows_the_arrays(tmp_path):
+@pytest.fixture(scope="module")
+def big_ngram(tmp_path_factory):
+    """A trigram model of over 200,000 grams and its saved file."""
+    rng = random.Random(5)
+    m = ngram_train([[rng.randrange(50000) for _ in range(20)] for _ in range(5000)], 3)
+    assert sum(len(counts) for _, counts in m.grams.values()) >= 200_000
+    path = tmp_path_factory.mktemp("big") / "lm.ngram"
+    save_ngram_scorer(m, path)
+    return m, path
+
+
+def _traced_peak(work):
+    """work()'s result and the peak of the memory it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = work()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _gram_bytes(m) -> int:
+    return sum(a.itemsize * len(a) for pair in m.grams.values() for a in pair)
+
+
+def test_ngram_load_memory_follows_the_arrays(big_ngram):
     # each payload is read straight into its array('q') and the sort check
     # stops at the first gram out of order without copying the ids, so a
     # load allocates little beyond the arrays it returns (1.002x here; the
     # text loader took 5.9x, and a sort check that copies the id columns
     # takes about 1.9x)
-    rng = random.Random(5)
-    m = ngram_train([[rng.randrange(50000) for _ in range(20)] for _ in range(5000)], 3)
-    assert sum(len(counts) for _, counts in m.grams.values()) >= 200_000
-    path = tmp_path / "lm.ngram"
-    save_ngram_scorer(m, path)
-    tracemalloc.start()
-    try:
-        loaded = load_scorer(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    m, path = big_ngram
+    loaded, peak = _traced_peak(lambda: load_scorer(path))
     assert loaded.grams == m.grams
-    arrays = sum(a.itemsize * len(a) for pair in loaded.grams.values() for a in pair)
-    assert peak <= 1.5 * arrays, (peak, arrays)
+    assert peak <= 1.5 * _gram_bytes(loaded), (peak, _gram_bytes(loaded))
+
+
+def test_ngram_scoring_allocates_no_copy_of_the_grams(big_ngram):
+    # scoring reads the loaded arrays through strided views, so the first
+    # token_prob and next_dist allocate their spans and one vocab-sized
+    # result, not a copy of the grams (about 0.2x here; a model that copies
+    # its id columns and counts on first use takes about 1.8x)
+    m, path = big_ngram
+    loaded = load_scorer(path)
+    ids = m.grams[3][0]
+    prefix = tuple(ids[:2])  # a context with counts at every order
+    (p, dist), peak = _traced_peak(
+        lambda: (loaded.token_prob((1,), prefix, ids[2]), loaded.next_dist((1,), prefix)))
+    assert p == dist[ids[2]] > m.floor
+    assert peak <= 0.5 * _gram_bytes(loaded), (peak, _gram_bytes(loaded))
+    with pytest.raises(BufferError):  # the views share the arrays' storage
+        loaded.grams[3][1].append(0)
 
 
 def _dists(n: int, vocab_n: int):
@@ -644,10 +676,12 @@ def test_ngram_train_validation():
 @pytest.mark.parametrize("grams, why", [
     pytest.param({1: (array("q", [0, 1]), array("q", [-5, 2]))}, "tensor 'counts.1': negative count",
                  id="negative count"),
-    pytest.param({3: (array("q", [0, 1, 2]), array("q", [1]))}, "gram length 3 outside [0, 2]",
+    pytest.param({3: (array("q", [0, 1, 2]), array("q", [1]))}, "gram length 3 outside [1, 2]",
                  id="gram length above order"),
-    pytest.param({-1: (array("q"), array("q", [1]))}, "gram length -1 outside [0, 2]",
+    pytest.param({-1: (array("q"), array("q", [1]))}, "gram length -1 outside [1, 2]",
                  id="negative gram length"),
+    pytest.param({0: (array("q"), array("q", [1]))}, "gram length 0 outside [1, 2]",
+                 id="empty gram"),
     pytest.param({2: (array("q", [0, 1, 2]), array("q", [1]))}, "3 ids for 1 2-grams, not 2 per gram",
                  id="ids not k per count"),
 ])

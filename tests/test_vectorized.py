@@ -385,12 +385,12 @@ def test_ngram_lazy_index_is_safe_under_threads():
 @st.composite
 def _ngram_args(draw, vocab=st.integers(2, 6)):
     """ngram_from_counts arguments (order, V, eos, counts, weights, floor): orders
-    1-4, grams (the empty one too) whose ids may lie outside [0, V), zero
-    counts and zero weights."""
+    1-4, grams whose ids may lie outside [0, V) (so some mass scores no
+    token), zero counts and zero weights."""
     order = draw(st.integers(1, 4))
     vocab = draw(vocab)
     ids = st.integers(0, vocab - 1) | st.sampled_from([-1, vocab, vocab + 2])
-    counts = draw(st.dictionaries(st.lists(ids, max_size=order).map(tuple),
+    counts = draw(st.dictionaries(st.lists(ids, min_size=1, max_size=order).map(tuple),
                                   st.integers(0, 5), max_size=40))
     weights = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0, 10),
                             min_size=order, max_size=order).filter(lambda w: sum(w) > 0))
@@ -435,8 +435,8 @@ def test_ngram_file_matches_scalar_writer(tmp_path_factory, args):
 @_ONE_TOKEN
 @given(m=_ngram_scorers(), data=st.data())
 def test_ngram_token_prob_is_next_dist_entry(m, data):
-    # and next_dist is the scalar reference's, for the empty gram, zero
-    # counts and out-of-vocab ids too
+    # and next_dist is the scalar reference's, for zero counts and
+    # out-of-vocab ids too
     ids = st.integers(0, m.vocab_size - 1) | st.sampled_from([-1, m.vocab_size + 2])
     prefixes = data.draw(st.lists(st.lists(ids, max_size=5).map(tuple), max_size=6))
     seen = [gram[:-1] for gram in ngram_gram_counts(m)]  # contexts seen in training
