@@ -57,8 +57,8 @@ class DecodeConfig(namedtuple("DecodeConfig", "beam_size max_len n_candidates "
             raise ConfigError(f"fusion_lambda must be finite and >= 0, got {self.fusion_lambda}")
         if not math.isfinite(self.length_penalty_alpha):
             raise ConfigError(f"length_penalty_alpha must be finite, got {self.length_penalty_alpha}")
-        # lp(n) is monotone in n, so its ends bound every entry of the table
-        # beam_search divides by
+        # lp(n) is monotone in n, so its values at 0 and max_len bound every
+        # lp(n) that beam_search divides by
         try:
             ends = [_length_penalty(n, self.length_penalty_alpha) for n in (0, self.max_len)]
         except OverflowError:
@@ -97,12 +97,12 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
     al. 2017). Under the Scorer contract a step adds at most
     log(1 + 1e-6) * (1 + lambda) to a score, so the best live score plus
     that much per remaining step bounds the score c of any later
-    completion, and its fused score is at most the largest c / lp(n) over
-    the lengths n it can still have. Division by a positive number is
-    monotone under rounding, so when that bound is below the last kept
-    completion the remaining steps cannot change the result. If nothing
-    completes, the best partial is returned alone; its last token is not
-    eos.
+    completion. lp is monotone in n and division by a positive number is
+    monotone under rounding, so its fused score is at most the larger c /
+    lp(n) of the shortest and the longest length n it can still have; once
+    that is below the last kept completion, the remaining steps cannot
+    change the result. If nothing completes, the best partial is returned
+    alone; its last token is not eos.
 
     Each step scores the (beams x V) matrix (score + log P_fwd) + lambda *
     log P_lm at once and sorts only the entries that can reach the beam, so
@@ -119,8 +119,8 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
         check_same_vocab((fwd, lm), "forward and lm")
     vocab_size = fwd.vocab_size
     eos = fwd.eos_id
+    alpha = cfg.length_penalty_alpha
     limit = min(cfg.n_candidates, cfg.beam_size)
-    lp = [_length_penalty(n, cfg.length_penalty_alpha) for n in range(cfg.max_len + 1)]
 
     # (score, tokens, fwd_sum, lm_sum)
     beams = [(0.0, (), 0.0, 0.0)]
@@ -145,7 +145,7 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
                     fwd_sum + float(logf[row, tok]), lm_sum + llp)
 
         for row in np.flatnonzero(scores[:, eos] != -np.inf):
-            completed.append(_finish(entry(row, eos), lam, lp))
+            completed.append(_finish(entry(row, eos), lam, alpha))
         completed.sort(key=lambda c: (-c.fused_score, c.tokens))
         del completed[limit:]
 
@@ -165,16 +165,16 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
         order = np.lexsort((toks, parent_rank[rows], -flat[picked]))[: cfg.beam_size]
         beams = [entry(int(rows[i]), int(toks[i])) for i in order]
 
-        if beams and len(completed) == limit:
+        if beams and step + 1 < cfg.max_len and len(completed) == limit:
             ceiling = _score_ceiling(beams[0][0], cfg.max_len - step - 1, lam)
-            if max((ceiling / lp[n] for n in range(step + 2, cfg.max_len + 1)),
-                   default=-math.inf) < completed[-1].fused_score:
+            if max(ceiling / _length_penalty(n, alpha)
+                   for n in (step + 2, cfg.max_len)) < completed[-1].fused_score:
                 break
 
     if completed:
         return completed
     if beams:
-        return [_finish(beams[0], lam, lp)]
+        return [_finish(beams[0], lam, alpha)]
     raise NoCompletedHypothesisError("all expansions hit zero-probability tokens")
 
 
@@ -187,23 +187,23 @@ _MAX_STEP_LOGP = math.log1p(_NORM_TOL) * (1 + 1e-9)
 def _score_ceiling(score: float, steps: int, lam: float) -> float:
     """Upper bound on the score of any extension of `score` by up to `steps` tokens.
 
-    Repeats the recurrence with the largest log-probability the Scorer
-    contract allows. Float rounding is monotone, so the bound also holds
-    for the rounded scores the search computes.
+    A closed form at or above reference_score_ceiling in
+    tests/scalar_reference.py, the loop that repeats the recurrence with the
+    largest step the Scorer contract allows; its docstring gives the rounding
+    argument. The slack also covers an lp(n) an ulp off monotone, so the two
+    end lengths beam_search checks bound every length between.
     """
-    lm_gain = lam * _MAX_STEP_LOGP
-    for _ in range(steps):
-        score = score + _MAX_STEP_LOGP + lm_gain
-    return score
+    gain = _MAX_STEP_LOGP + lam * _MAX_STEP_LOGP
+    return score + (steps * gain + steps * 2**-48 * (abs(score) + steps * gain))
 
 
-def _finish(entry, lam: float, lp: list[float]) -> Candidate:
+def _finish(entry, lam: float, alpha: float) -> Candidate:
     score, tokens, fwd_sum, lm_sum = entry
     return Candidate(
         tokens=tokens,
         fwd_logprob=fwd_sum,
         lm_logprob=lm_sum if lam > 0 else None,
-        fused_score=score / lp[len(tokens)],
+        fused_score=score / _length_penalty(len(tokens), alpha),
     )
 
 

@@ -17,6 +17,8 @@ time, in its own order, so it agrees with the BLAS products of
 The reference beam always runs all max_len steps and applies the length
 penalty with its own arithmetic, so it also checks the early stop of the
 library version. A saturated beam must agree with `exact_search`.
+`reference_score_ceiling` is the step-by-step loop that the early stop's
+closed-form `_score_ceiling` must stay at or above.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from mtkit.bpe import BOS, EOS, PAD, UNK, WORD_END, BpeModel
 from mtkit.candidates import Candidate
 from mtkit.corpus import _NGRAM_RANGE
-from mtkit.decode import DecodeConfig, _log_dist
+from mtkit.decode import _MAX_STEP_LOGP, DecodeConfig, _log_dist
 from mtkit.errors import ConfigError, EmptyInputError, NoCompletedHypothesisError
 from mtkit.models import NGramScorer
 
@@ -48,6 +50,38 @@ def _reference_finish(entry, lam: float, alpha: float) -> Candidate:
         lm_logprob=lm_sum if lam > 0 else None,
         fused_score=score if alpha == 0 else score / ((5.0 + n) / 6.0) ** alpha,
     )
+
+
+def reference_score_ceiling(score: float, steps: int, lam: float) -> float:
+    """The score after `steps` steps that each add the largest log-probability
+    the Scorer contract allows, with the search's own rounding.
+
+    Rounding is monotone, so this bounds every score the search can reach
+    from `score` in `steps` steps. Why decode._score_ceiling, the closed form
+    score + (n*g + 2**-48 * n * (|score| + n*g)), is at or above it: write M =
+    _MAX_STEP_LOGP, L = lam * M as rounded, g = M + L, u = 2**-53 and n =
+    steps >= 1. A step from a float s rounds s + M to a float no further from
+    s + M than s is, so it adds at most 2M, and at most M + u|s + M|; the
+    same holds for adding L. So every s stays in [score, score + 2ng], one
+    step adds at most g + u(2|s| + 3g), and the loop ends at most ng +
+    un(2|score| + 3ng) above score. The closed form's seven roundings (no
+    addition errs in the subnormal range, and no product comes near it) take
+    at most about 7u off its slack 32un(|score| + ng), 4u·ng off its n*g and
+    u|result| at the end, so it ends at least 23un(|score| + ng) above this
+    loop, which is at least 11u|loop result|; an overflow only makes it inf.
+    At n = 0 both return score.
+
+    That margin is what the early stop's two-length check needs if float pow
+    is not correctly rounded. An lp(n) one ulp off monotone moves the loop
+    result divided by it by at most about 2u relative, which the margin
+    absorbs, so the closed form divided by lp at the shortest or the longest
+    remaining length still bounds the loop result divided by lp at any
+    length between.
+    """
+    lm_gain = lam * _MAX_STEP_LOGP
+    for _ in range(steps):
+        score = score + _MAX_STEP_LOGP + lm_gain
+    return score
 
 
 def reference_beam_search(fwd, lm, source, cfg: DecodeConfig) -> list[Candidate]:

@@ -1461,40 +1461,57 @@ def test_every_output_is_staged(tmp_path, capsys, monkeypatch, command, option):
 _OOM_SCRIPT = """\
 import json, os, resource, sys
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
-limit = 512 << 20  # far above what mtkit needs here, far below what the run asks for
+limit = 512 << 20  # far above what mtkit needs here, far below 10**8 float64s
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from mtkit.cli import run
 sys.exit(run(json.loads(sys.argv[1])))
 """
 
 
+def _run_limited(argv):
+    # runs `mtkit argv` in a child under the address-space limit and a wall-clock limit
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
+    return subprocess.run([sys.executable, "-c", _OOM_SCRIPT, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=False, timeout=120)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
-@pytest.mark.parametrize("stage", ["decode", "tune-lambda", "langid-train"])
+@pytest.mark.parametrize("stage", ["langid-train"])
 def test_out_of_memory_is_a_named_error(tmp_path, stage):
     # Python raises MemoryError when an allocation passes the address-space
-    # limit: decode and tune-lambda build a length-penalty entry per step up
-    # to --max-len, langid-train a feature row of --features values
-    fwd, ids, en, ru = (str(tmp_path / n) for n in ("fwd.table", "ids", "en.txt", "ru.txt"))
-    out = tmp_path / "out"
-    models.save_table_scorer(_fusion_fwd(), fwd)
-    _write(tmp_path / "ids", ["0"])
+    # limit: langid-train builds a feature row of --features values
+    en, ru = (str(tmp_path / n) for n in ("en.txt", "ru.txt"))
     _write(tmp_path / "en.txt", ["the cat sat"])
     _write(tmp_path / "ru.txt", ["кот сидел"])
-    argv = {
-        "decode": ["decode", ids, "--model", fwd, "--max-len", "1000000000", "-o", str(out)],
-        "tune-lambda": ["tune-lambda", "--model", fwd, "--rev", fwd, "--lm", fwd, "--source", ids,
-                        "--ref", ids, "--max-len", "1000000000", "-o", str(out)],
-        "langid-train": ["langid-train", f"en={en}", f"ru={ru}", "--features", "100000000",
-                         "--model-out", str(out)],
-    }[stage]
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
-    proc = subprocess.run([sys.executable, "-c", _OOM_SCRIPT, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, check=False)
+    proc = _run_limited(["langid-train", f"en={en}", f"ru={ru}", "--features", "100000000",
+                         "--model-out", str(tmp_path / "out")])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: MemoryError: ")
     # no output file, staged or final
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["en.txt", "fwd.table", "ids", "ru.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["en.txt", "ru.txt"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
+@pytest.mark.parametrize("stage", ["decode", "tune-lambda"])
+def test_huge_max_len_decodes_like_a_small_one(tmp_path, stage):
+    # decode cost follows the search, not --max-len: the early stop fires
+    # long before 10**9 steps, and nothing is sized by --max-len
+    fwd, ids = str(tmp_path / "fwd.table"), str(tmp_path / "ids")
+    models.save_table_scorer(_fusion_fwd(), fwd)
+    _write(tmp_path / "ids", ["0"])
+    outputs = []
+    for max_len in ("8", "1000000000"):
+        out = tmp_path / f"out.{max_len}"
+        argv = {
+            "decode": ["decode", ids, "--model", fwd, "--max-len", max_len, "-o", str(out)],
+            "tune-lambda": ["tune-lambda", "--model", fwd, "--rev", fwd, "--lm", fwd,
+                            "--source", ids, "--ref", ids, "--max-len", max_len, "-o", str(out)],
+        }[stage]
+        proc = _run_limited(argv)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] != b""
 
 
 @pytest.mark.parametrize("n_features", [(1 << 32) + 1, 10 ** 15])

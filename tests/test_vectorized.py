@@ -8,6 +8,7 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from hypothesis import strategies as st
 from mtkit.candidates import Candidate
 from mtkit.decode import (
     DecodeConfig,
+    _length_penalty,
+    _score_ceiling,
     beam_search,
     noisy_channel_rerank,
     topk_sample,
 )
-from mtkit.errors import EmptyInputError, NoCompletedHypothesisError
+from mtkit.errors import ConfigError, EmptyInputError, NoCompletedHypothesisError
 from mtkit.models import (
     Scorer,
     TableScorer,
@@ -40,6 +43,7 @@ from scalar_reference import (
     reference_ngram_file,
     reference_ngram_next_dist,
     reference_noisy_channel_rerank,
+    reference_score_ceiling,
     reference_topk_sample,
 )
 
@@ -254,6 +258,50 @@ def test_early_stop_matches_reference_on_scaled_rows():
                            fusion_lambda=rng.choice([0.0, 0.5]))
         assert _outcome(beam_search, fwd, lm, (0,), cfg) == _outcome(
             reference_beam_search, fwd, lm, (0,), cfg)
+
+
+_EDGE_SCORES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    score=st.one_of(st.sampled_from(_EDGE_SCORES), st.floats(-1e300, 1e300),
+                    st.floats(-100.0, 100.0)),
+    steps=st.one_of(st.integers(0, 30), st.integers(0, 10**4)),
+    lam=st.one_of(st.sampled_from([0.0, 0.1, 1e6]), st.floats(0.0, 1e6)),
+)
+def test_score_ceiling_is_at_or_above_the_loop(score, steps, lam):
+    ceiling = _score_ceiling(score, steps, lam)
+    loop = reference_score_ceiling(score, steps, lam)
+    assert ceiling >= loop
+    if steps:
+        # an lp one ulp off monotone moves loop / lp by about 2**-52 relative;
+        # the closed form clears the loop by twice that, in exact arithmetic
+        assert Fraction(ceiling) - Fraction(loop) >= abs(Fraction(loop)) * Fraction(4, 2**53)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    ceiling=st.one_of(st.floats(-1e300, 1e300), st.floats(-100.0, 100.0)),
+    alpha=st.one_of(st.sampled_from([1e-12, -1e-12, -3.0, 299.0, 0.0, 1.0]),
+                    st.floats(-3.0, 299.0)),
+    max_len=st.integers(2, 2000),
+    data=st.data(),
+)
+def test_two_end_lengths_decide_the_early_stop(ceiling, alpha, max_len, data):
+    # beam_search divides the ceiling by lp at the shortest and the longest
+    # length a later completion can have; the largest quotient over every
+    # length between is one of those two
+    while True:
+        try:
+            DecodeConfig(max_len=max_len, length_penalty_alpha=alpha)
+            break
+        except ConfigError:  # lp overflows within max_len
+            max_len //= 2
+    first = data.draw(st.integers(min(2, max_len), max_len))
+    ends = max(ceiling / _length_penalty(n, alpha) for n in (first, max_len))
+    every = max(ceiling / _length_penalty(n, alpha) for n in range(first, max_len + 1))
+    assert ends == every
 
 
 # ---------------------------------------------------------------------------
