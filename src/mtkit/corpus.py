@@ -429,8 +429,7 @@ def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:
     weights = [w for _, w in corpora]
     cursors = [0] * len(corpora)
     out = []
-    for _ in range(n):
-        i = rng.choices(range(len(corpora)), weights=weights)[0]
+    for i in rng.choices(range(len(corpora)), weights=weights, k=n):
         items = corpora[i][0]
         out.append(items[cursors[i] % len(items)])
         cursors[i] += 1

@@ -8,11 +8,12 @@ through Scorer.next_dist (the whole distribution, for beam search and
 sampling) or Scorer.token_prob (one entry of it, for re-ranking), so the
 decoders never know which kind of model is behind them.
 
-Every model file is an NMTC container: checkpoints, table scorers and
-n-gram models. numpy is imported inside the functions that do array math.
-Training and saving an n-gram model use numpy; loading one, which reads each
-payload straight into an array('q'), and its token_prob do not, so
-`mtkit rerank` over n-gram models starts without loading numpy.
+Every model file is an NMTC container: checkpoints (f32), table scorers
+(f64) and n-gram models (i64), each payload read by _read_array straight
+into an array. numpy is imported inside the functions that do array math.
+Training and saving an n-gram model use numpy; loading one and its
+token_prob do not, so `mtkit rerank` over n-gram models starts without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -51,15 +52,13 @@ _NORM_TOL = 1e-6
 
 # Container: magic NMTC, u32 version, u64 header length, a JSON header
 # {"metadata": {...}, "tensors": [{"name", "shape", "dtype", "offset"}, ...]},
-# then raw little-endian f32, f64 or i64 payloads in sorted-name order;
-# offsets count from the end of the header.
+# then raw little-endian payloads of one dtype in _DTYPES, in sorted-name
+# order; offsets count from the end of the header.
 _MAGIC = b"NMTC"
 _VERSION = 1
 _PREFIX = struct.Struct("<4sIQ")
-_DTYPES = {"f32": "<f4", "f64": "<f8", "i64": "<i8"}  # numpy dtype strings
-_FLOATS = {d: _DTYPES[d] for d in ("f32", "f64")}  # the dtypes a table scorer reads
-_F32 = {"f32": _DTYPES["f32"]}  # the only dtype average_checkpoint_files reads
-_I64 = {"i64": _DTYPES["i64"]}  # the only dtype an n-gram model reads
+# dtype -> (numpy dtype string of the file's bytes, array typecode in memory)
+_DTYPES = {"f32": ("<f4", "f"), "f64": ("<f8", "d"), "i64": ("<i8", "q")}
 
 
 def _write_checkpoint(path, metadata: dict, shapes: dict, tensor, dtype: str = "f32") -> None:
@@ -72,7 +71,7 @@ def _write_checkpoint(path, metadata: dict, shapes: dict, tensor, dtype: str = "
     raises leaves it as it was.
     """
     import numpy as np
-    np_dtype = np.dtype(_DTYPES[dtype])
+    np_dtype = np.dtype(_DTYPES[dtype][0])
     names = sorted(shapes)
     entries = []
     offset = 0
@@ -173,27 +172,32 @@ def _read_header(fh) -> tuple[dict, list[dict], int]:
     return metadata, entries, payload_start
 
 
-def _payload(fh, payload_start: int, entry: dict, dtypes: dict) -> int:
-    """Seek to the payload of a checked header entry and return its size in
-    bytes; a dtype not in `dtypes` or a payload past the end of the file
-    raises ModelFormatError."""
-    if entry["dtype"] not in dtypes:
-        raise ModelFormatError(f"unsupported dtype {entry['dtype']}")
-    nbytes = math.prod(entry["shape"]) * int(dtypes[entry["dtype"]][2:])
+def _read_array(fh, payload_start: int, entry: dict, dtype: str) -> array:
+    """Read the payload of a checked header entry straight into an array of
+    `dtype`, with no object per number. An entry of another dtype or a
+    payload past the end of the file raises ModelFormatError naming the
+    tensor; the size is checked before anything is allocated."""
+    if entry["dtype"] != dtype:
+        raise ModelFormatError(f"tensor {entry['name']!r}: dtype {entry['dtype']}, not {dtype}")
+    typecode = _DTYPES[dtype][1]
+    n = math.prod(entry["shape"])
     start = payload_start + entry["offset"]
-    if start + nbytes > _file_size(fh):
+    if start + n * array(typecode).itemsize > _file_size(fh):
         raise ModelFormatError(f"truncated payload for {entry['name']!r}")
+    values = array(typecode, [0]) * n
     fh.seek(start)
-    return nbytes
+    fh.readinto(values)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
 
 
-def _read_tensor(fh, payload_start: int, entry: dict, dtypes: dict) -> np.ndarray:
-    """Read one payload described by a checked header entry as an array of
-    one of `dtypes`; another dtype, a short payload or a non-finite value
-    raises ModelFormatError."""
+def _read_floats(fh, payload_start: int, entry: dict, dtype: str) -> np.ndarray:
+    """_read_array's payload as a numpy view in the entry's shape; a
+    non-finite value raises ModelFormatError."""
     import numpy as np
-    nbytes = _payload(fh, payload_start, entry, dtypes)
-    arr = np.frombuffer(fh.read(nbytes), dtype=dtypes[entry["dtype"]]).reshape(entry["shape"])
+    values = _read_array(fh, payload_start, entry, dtype)
+    arr = np.frombuffer(values, dtype=values.typecode).reshape(entry["shape"])
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"tensor {entry['name']!r} contains non-finite values")
     return arr
@@ -242,7 +246,7 @@ def average_checkpoint_files(paths: list, out_path) -> None:
             values = []
             for fh, p, (_, _, payload_start), entries in zip(handles, paths, headers, entry_maps):
                 with naming(p, ModelFormatError):
-                    values.append(_read_tensor(fh, payload_start, entries[name], _F32))
+                    values.append(_read_floats(fh, payload_start, entries[name], "f32"))
             values = np.array(values, dtype=np.float64)
             values.sort(axis=0)
             return (values.sum(axis=0) / len(paths)).astype(np.float32)
@@ -332,7 +336,8 @@ def save_table_scorer(m: TableScorer, path) -> None:
 
 
 def _table_from(fh, metadata: dict, entries: list, payload_start: int) -> TableScorer:
-    """The table scorer of a container whose header is read."""
+    """The table scorer of a container whose header is read; its tensors
+    must be f64, the dtype save_table_scorer writes."""
     vocab, eos, contexts = (metadata.get(k) for k in ("vocab", "eos", "contexts"))
     if not (isinstance(vocab, list) and all(isinstance(t, str) for t in (*vocab, eos))):
         raise ModelFormatError("metadata needs a vocab list of strings and an eos string")
@@ -341,7 +346,7 @@ def _table_from(fh, metadata: dict, entries: list, payload_start: int) -> TableS
             and all(isinstance(ids, list) and all(type(i) is int for i in ids) for ids in c)
             for c in contexts)):
         raise ModelFormatError("metadata contexts must be [[source ids], [prefix ids]] pairs")
-    tensors = {e["name"]: _read_tensor(fh, payload_start, e, _FLOATS) for e in entries}
+    tensors = {e["name"]: _read_floats(fh, payload_start, e, "f64") for e in entries}
     if set(tensors) != {"default", "rows"}:
         raise ModelFormatError(f"expected tensors ['default', 'rows'], got {sorted(tensors)}")
     default, rows = tensors["default"], tensors["rows"]
@@ -583,16 +588,6 @@ def _check_sorted(ids: array, k: int, name: str) -> None:
     raise ModelFormatError(f"tensor {name!r}: {k}-gram {i + 1} ({gram}) {what} the one before it")
 
 
-def _read_ints(fh, payload_start: int, entry: dict) -> array:
-    """Read one i64 payload described by a checked header entry straight into
-    an array('q'), with no object per number."""
-    values = array("q", [0]) * (_payload(fh, payload_start, entry, _I64) // 8)
-    fh.readinto(values)
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values
-
-
 def _ngram_from(fh, metadata: dict, entries: list, payload_start: int) -> NGramScorer:
     """The n-gram model of a container whose header is read (layout above),
     each payload read straight into an array('q'). Metadata without an int
@@ -621,8 +616,6 @@ def _ngram_from(fh, metadata: dict, entries: list, payload_start: int) -> NGramS
             raise ModelFormatError(f"unknown tensor {name!r}")
         if not 1 <= k <= order:
             raise ModelFormatError(f"tensor {name!r}: gram length {k} outside [1, {order}]")
-        if entry["dtype"] != "i64":
-            raise ModelFormatError(f"tensor {name!r}: dtype {entry['dtype']}, not i64")
         pairs.setdefault(k, {})[kind] = entry
     grams = {}
     for k, pair in sorted(pairs.items()):
@@ -633,7 +626,7 @@ def _ngram_from(fh, metadata: dict, entries: list, payload_start: int) -> NGramS
         if len(counts_shape) != 1 or ids_shape != [*counts_shape, k]:
             raise ModelFormatError(f"tensor 'grams.{k}' of shape {ids_shape} for tensor "
                                    f"'counts.{k}' of shape {counts_shape}, not [n, {k}] for [n]")
-        ids, counts = (_read_ints(fh, payload_start, pair[kind]) for kind in _NGRAM_KINDS)
+        ids, counts = (_read_array(fh, payload_start, pair[kind], "i64") for kind in _NGRAM_KINDS)
         if not counts:
             continue  # lists no grams
         _check_sorted(ids, k, f"grams.{k}")

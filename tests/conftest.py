@@ -1,11 +1,13 @@
 """Shared fixtures: synthetic trilingual corpora, planted filter fixtures,
-randomized table scorers, and small trained models reused across suites.
+randomized table scorers, small trained models reused across suites, and
+the model-file fuzzing and full-disk helpers.
 
 Everything is seeded; fixtures are deterministic across runs and test order.
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import random
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from mtkit import bpe, corpus, textnorm
+from mtkit.errors import ModelFormatError
 from mtkit.models import TableScorer
 
 EN_WORDS = (
@@ -274,6 +277,54 @@ def ngram_container(*tensors, order=2, vocab_size=4, eos_id=3, floor=0.01, weigh
         payload += struct.pack(f"<{len(values)}{'d' if dtype == 'f64' else 'q'}", *values)
     header = json.dumps({"metadata": metadata, "tensors": entries})
     return nmtc_bytes((edit(header) if edit else header).encode("utf-8"), payload)
+
+
+# ---------------------------------------------------------------------------
+# model-file fuzzing and failing writes
+
+def fuzz_variants(data: bytes, rng: random.Random, alphabet: bytes, garbles: int) -> list[bytes]:
+    """Every proper prefix of data, then `garbles` copies of it with one to
+    three bytes replaced, each by a byte of alphabet or a random byte."""
+    variants = [data[:n] for n in range(len(data))]
+    for _ in range(garbles):
+        garbled = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            garbled[rng.randrange(len(garbled))] = rng.choice([*alphabet, rng.randrange(256)])
+        variants.append(bytes(garbled))
+    return variants
+
+
+def loads_or_names_file(read, path) -> bool:
+    """Whether read() returns; the ModelFormatError it may raise instead
+    must start with path and name it once."""
+    try:
+        read()
+    except ModelFormatError as exc:
+        assert str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1, exc
+        return False
+    return True
+
+
+class FullDisk:
+    """A file opened for writing whose writes fail as on a full disk, from
+    write number `fails_at` on."""
+
+    def __init__(self, fh, fails_at: int):
+        self._fh = fh
+        self._fails_at = fails_at
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes >= self._fails_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
 
 
 def make_lm_scorer(vocab_n: int, max_len: int, rng: random.Random) -> TableScorer:

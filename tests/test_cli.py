@@ -2,7 +2,6 @@
 
 import argparse
 import builtins
-import errno
 import inspect
 import json
 import os
@@ -21,7 +20,7 @@ from mtkit.cli import build_parser, run
 from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
 from mtkit.models import TableScorer
 
-from conftest import EN_WORDS, MED_EN, MED_RU, NEWS_EN, NEWS_RU, RU_WORDS, \
+from conftest import EN_WORDS, MED_EN, MED_RU, NEWS_EN, NEWS_RU, RU_WORDS, FullDisk, \
     default_rules_text, make_domain_line, make_sentence, ngram_container, table_container
 
 
@@ -1203,12 +1202,12 @@ def _bad_input_argv(tmp_path, case, langid_file):
                 "ConfigError: eos_id must be >= 0, got -5")
     if case == "avg-checkpoints table":
         return (["avg-checkpoints", str(fwd), "-o", out],
-                f"ModelFormatError: {fwd}: unsupported dtype f64")
+                f"ModelFormatError: {fwd}: tensor 'default': dtype f64, not f32")
     if case == "avg-checkpoints ngram":
         lm = tmp_path / "lm.ngram"
         models.save_ngram_scorer(models.ngram_train([[0, 1]], 2), lm)
         return (["avg-checkpoints", str(lm), "-o", out],
-                f"ModelFormatError: {lm}: unsupported dtype i64")
+                f"ModelFormatError: {lm}: tensor 'counts.1': dtype i64, not f32")
     if case == "decode blank source line":
         _write(ids, ["0", "", "0"])
         return decode, f"EmptyInputError: {ids}: line 2 holds no source tokens"
@@ -1403,22 +1402,6 @@ def _writer_files(tmp_path) -> dict:
     return files
 
 
-class _FullDisk:
-    """A file opened for writing whose every write fails as on a full disk."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def write(self, data):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
-
-
 @pytest.mark.parametrize("command, option", list(_WRITERS),
                          ids=[f"{c} {o}" for c, o in _WRITERS])
 def test_every_output_is_staged(tmp_path, capsys, monkeypatch, command, option):
@@ -1435,7 +1418,7 @@ def test_every_output_is_staged(tmp_path, capsys, monkeypatch, command, option):
     def open_on_full_disk(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
         full = "w" in mode and str(file).startswith(staged_prefix)
-        return _FullDisk(fh) if full else fh
+        return FullDisk(fh, 1) if full else fh
 
     for earlier in (None, b"earlier bytes\n"):
         if earlier is not None:
@@ -1579,145 +1562,81 @@ def test_stray_value_error_is_a_bug_not_an_exit_code(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # start-up
 
-def test_text_and_bleu_stages_do_not_load_numpy(tmp_path, langid_file):
-    # A pipeline runs each stage as its own process, so a stage that does no
-    # array math must not pay for importing numpy. The stages run one after
-    # another in one fresh interpreter; the last two need numpy (a table
-    # scorer is an array file), so the check cannot pass because numpy never
-    # loads at all.
-    text = tmp_path / "text.txt"
-    _write(text, ["Hello, world.", "A small test, again."])
-    pairs = tmp_path / "pairs.tsv"
-    _write(pairs, ["a b c\tx y z", "d e\tu v"])
-    ids = tmp_path / "ids.txt"
-    _write(ids, ["0", "1"])
-    dump = tmp_path / "dump.tsv"
-    _write(dump, ["0\t0\t-1.0\t-\t-\t-\t0,2", "1\t0\t-1.0\t-\t-\t-\t1,2"])
-    tok, codes, enc, out = (str(tmp_path / n) for n in ("tok", "codes", "enc", "out"))
-    rev, lm, table, clf_en, clf_ru = (
-        str(tmp_path / n) for n in ("rev.ngram", "lm.ngram", "rev.table", "en.domcls", "ru.domcls"))
-    models.save_ngram_scorer(models.ngram_train([[1, 0], [0]], 2, vocab_size=3, eos_id=2), rev)
-    models.save_ngram_scorer(models.ngram_train([[0, 0, 1], [1]], 3, vocab_size=3, eos_id=2), lm)
-    models.save_table_scorer(TableScorer(["a", "b", "eos"], {}, np.ones(3) / 3), table)
+# A pipeline runs each stage as its own process, so a stage pays for every
+# module it imports: where bytecode writing is off, each is compiled again
+# per run. Each stage imports the mtkit modules it uses inside its own
+# function, so a stage started in a fresh interpreter loads no other, and a
+# stage that does no array math does not import numpy; rerank over n-gram
+# models reads their containers straight into arrays. Only langid-train,
+# which draws its initial weights from default_rng, loads numpy.random
+# (about 6 MB of RSS). No stage loads dataclasses, which pulls in inspect;
+# numpy imports inspect itself, so only the stages that load numpy may add it.
+_TEXT, _BPE, _CORPUS = {"mtkit.textnorm"}, {"mtkit.bpe"}, {"mtkit.corpus"}
+_SCORERS = {"mtkit.candidates", "mtkit.decode", "mtkit.models"}
+_BLEU = {"mtkit.bleu"}
+_RERANK = "rerank --dump {dump} --source {ids} --lm {lm} -o {out}"
+
+# stage -> (argv, the mtkit modules it loads besides mtkit, mtkit.cli and
+# mtkit.errors, whether it loads numpy)
+_STAGES = {
+    "normalize": ("normalize {text} -o {out}", _TEXT, False),
+    # the nonbreaking-prefix lists are package data
+    "tokenize": ("tokenize {text} -o {out}", _TEXT | {"mtkit.data"}, False),
+    "bpe-train": ("bpe-train {tok} --vocab-size 40 --model-out {out}", _BPE, False),
+    "bpe-encode": ("bpe-encode {tok} --model {codes} -o {out}", _BPE, False),
+    "bpe-encode dropout": ("bpe-encode {tok} --model {codes} --dropout 0.1 -o {out}", _BPE, False),
+    "bpe-decode": ("bpe-decode {enc} --model {codes} -o {out}", _BPE, False),
+    "langid-train": ("langid-train en={text} ru={pairs} --epochs 2 --model-out {out}", _CORPUS,
+                     True),
+    "filter": ("filter {pairs} -o {out}", _CORPUS, False),
+    "filter mono": ("filter {text} --mono -o {out}", _CORPUS, False),
+    "filter langid": ("filter {pairs} --langid {langid} --langs en,ru -o {out}", _CORPUS, True),
+    "domain-train": ("domain-train --positives {text} --negatives {pairs} --epochs 2 "
+                     "--model-out {out}", {"mtkit.domain"}, True),
+    "domain-select": ("domain-select {pairs} --clf-en {clf_en} --clf-ru {clf_ru} -o {out}",
+                      _CORPUS | {"mtkit.domain"}, False),
+    "domain-select final": ("domain-select {pairs} --clf-en {clf_en} --clf-ru {clf_ru} "
+                            "--final 0.5 -o {out}", _CORPUS | {"mtkit.domain"}, False),
+    "mix": ("mix --part 1:bitext:{pairs} --n 3 -o {out}", _CORPUS, False),
+    "reverse-target": ("reverse-target {pairs} -o {out}", _CORPUS, False),
+    # a table scorer is an array file
+    "decode": ("decode {ids} --model {fwd} --dump {out}.dump -o {out}", _SCORERS, True),
+    "decode lm": ("decode {ids} --model {fwd} --lm {lm} --fusion-lambda 0.1 --max-len 4 "
+                  "--dump {out}.dump -o {out}", _SCORERS, True),
+    "rerank": (_RERANK + " --rev {lm}", _SCORERS, False),
+    "rerank top1": (_RERANK + " --rev {lm} --top1", _SCORERS, False),
+    "rerank table rev": (_RERANK + " --rev {table}", _SCORERS, True),
+    "score-bleu": ("score-bleu --hyp {text} --ref {text} -o {out}", _BLEU, False),
+    "oracle-bleu": ("oracle-bleu --dump {dump} --ref {ids} --eos-id 2 -o {out}",
+                    _BLEU | {"mtkit.candidates"}, False),
+}
+
+
+@pytest.fixture
+def stage_files(tmp_path, langid_file):
+    files = {name: tmp_path / name for name in (
+        "text", "tok", "codes", "enc", "pairs", "ids", "dump", "fwd", "table", "lm", "clf_en",
+        "clf_ru", "out")}
+    _write(files["text"], ["Hello, world.", "A small test, again."])
+    _write(files["tok"], ["Hello , world .", "A small test , again ."])
+    model = bpe.bpe_train(["Hello , world .", "A small test , again ."], 40)
+    bpe.save_model(model, files["codes"])
+    _write(files["enc"], [" ".join(map(str, bpe.bpe_encode(model, "A small test")))])
+    _write(files["pairs"], ["the cat sat\tкот сидел", "a dog\tпёс"])
+    _write(files["ids"], ["0", "1"])
+    _write(files["dump"], ["0\t0\t-1.0\t-\t-\t-\t0,2", "1\t0\t-1.0\t-\t-\t-\t1,2"])
+    models.save_table_scorer(_fusion_fwd(), files["fwd"])
+    models.save_table_scorer(TableScorer(["a", "b", "eos"], {}, np.ones(3) / 3), files["table"])
+    models.save_ngram_scorer(models.ngram_train([[0, 0, 1], [1]], 3, vocab_size=3, eos_id=2),
+                             files["lm"])
     for lang in ("en", "ru"):
-        _write(tmp_path / f"{lang}.domcls",
-               [f"domcls-v1 {lang}", "a\t2.0", "u\t1.5", "__bias__\t-0.5"])
-    rerank = ["rerank", "--dump", str(dump), "--source", str(ids), "--lm", lm, "-o", out]
-    numpy_free = [
-        ["normalize", str(text), "-o", out],
-        ["tokenize", str(text), "-o", tok],
-        ["bpe-train", tok, "--vocab-size", "40", "--model-out", codes],
-        ["bpe-encode", tok, "--model", codes, "-o", enc],
-        ["bpe-encode", tok, "--model", codes, "--dropout", "0.1", "-o", enc],
-        ["bpe-decode", enc, "--model", codes, "-o", out],
-        ["reverse-target", str(pairs), "-o", out],
-        ["mix", "--part", f"1:bitext:{pairs}", "--n", "3", "-o", out],
-        ["filter", str(pairs), "-o", out],
-        ["filter", str(text), "--mono", "-o", out],
-        ["score-bleu", "--hyp", str(text), "--ref", str(text), "-o", out],
-        ["oracle-bleu", "--dump", str(dump), "--ref", str(ids), "--eos-id", "2", "-o", out],
-        ["domain-select", str(pairs), "--clf-en", clf_en, "--clf-ru", clf_ru, "--final", "0.5",
-         "-o", out],
-        rerank + ["--rev", rev],
-        rerank + ["--rev", rev, "--top1"],
-    ]
-    with_numpy = [
-        rerank + ["--rev", table],
-        ["filter", str(pairs), "--langid", str(langid_file), "--langs", "en,ru", "-o", out],
-    ]
-    script = ("import json, sys\n"
-              "from mtkit.cli import run\n"
-              "for argv in json.loads(sys.argv[1]):\n"
-              "    print(argv[0], run(argv), 'numpy' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(numpy_free + with_numpy)],
-                          capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.splitlines() == (
-        [f"{argv[0]} 0 False" for argv in numpy_free] + ["rerank 0 True", "filter 0 True"])
+        _write(files[f"clf_{lang}"], [f"domcls-v1 {lang}", "a\t2.0", "u\t1.5", "__bias__\t-0.5"])
+    return {"langid": langid_file, **files}
 
 
-def test_translate_stages_import_only_their_modules(tmp_path):
-    # Each stage imports the mtkit modules it uses inside its own function,
-    # so a stage started in a fresh interpreter loads no other; where
-    # bytecode writing is off, every extra module is compiled again per run.
-    # None loads numpy.random, which adds about 6 MB of RSS: only
-    # langid-train draws from it. Of these, only decode loads numpy at all:
-    # rerank reads its n-gram containers straight into array('q').
-    src, ref, hyp = tmp_path / "src.ids", tmp_path / "ref.ids", tmp_path / "hyp.txt"
-    _write(src, ["0", "0"])
-    _write(ref, ["0", "1"])
-    _write(hyp, ["0", "1"])
-    fwd, lm, dump, out = (str(tmp_path / n) for n in ("fwd.table", "lm.ngram", "dump", "out"))
-    models.save_table_scorer(_fusion_fwd(), fwd)
-    models.save_ngram_scorer(models.ngram_train([[0, 1], [1]], 2, vocab_size=3, eos_id=2), lm)
-    scorers = {"mtkit", "mtkit.cli", "mtkit.errors", "mtkit.candidates", "mtkit.decode",
-               "mtkit.models"}
-    stages = [
-        (["decode", str(src), "--model", fwd, "--lm", lm, "--fusion-lambda", "0.1",
-          "--max-len", "4", "--dump", dump, "-o", out], scorers, "True"),
-        (["rerank", "--dump", dump, "--source", str(src), "--rev", lm, "--lm", lm,
-          "--top1", "-o", out], scorers, "False"),
-        (["score-bleu", "--hyp", str(hyp), "--ref", str(ref), "-o", out],
-         {"mtkit", "mtkit.cli", "mtkit.errors", "mtkit.bleu"}, "False"),
-        (["oracle-bleu", "--dump", dump, "--ref", str(ref), "--eos-id", "2", "-o", out],
-         {"mtkit", "mtkit.cli", "mtkit.errors", "mtkit.bleu", "mtkit.candidates"}, "False"),
-    ]
-    script = ("import json, sys\n"
-              "from mtkit.cli import run\n"
-              "code = run(json.loads(sys.argv[1]))\n"
-              "print(code, 'numpy' in sys.modules, 'numpy.random' in sys.modules,\n"
-              "      *sorted(m for m in sys.modules if m.split('.')[0] == 'mtkit'))\n")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
-    for argv, expected, numpy in stages:
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
-                              capture_output=True, text=True, env=env, check=True)
-        assert proc.stdout.split() == ["0", numpy, "False", *sorted(expected)], argv[0]
-
-
-def test_curate_stages_import_only_their_modules(tmp_path, langid_file):
-    # As for the translate stages, and no stage loads dataclasses, which pulls
-    # in inspect; numpy imports inspect itself, so only the stages that load
-    # numpy may add it. Only langid-train, which draws its initial weights
-    # from default_rng, loads numpy.random (about 6 MB of RSS).
-    text, pairs, ids = tmp_path / "text.txt", tmp_path / "pairs.tsv", tmp_path / "ids.txt"
-    _write(text, ["Hello, world.", "A small test, again."])
-    _write(pairs, ["the cat sat\tкот сидел", "a dog\tпёс"])
-    _write(ids, ["0", "1"])
-    tok, codes, enc, out, dump = (str(tmp_path / n) for n in ("tok", "codes", "enc", "out", "dump"))
-    fwd, lm, clf_en, clf_ru = (
-        str(tmp_path / n) for n in ("fwd.table", "lm.ngram", "en.domcls", "ru.domcls"))
-    models.save_table_scorer(_fusion_fwd(), fwd)
-    models.save_ngram_scorer(models.ngram_train([[0, 1], [1]], 2, vocab_size=3, eos_id=2), lm)
-    for lang in ("en", "ru"):
-        _write(tmp_path / f"{lang}.domcls", [f"domcls-v1 {lang}", "a\t2.0", "__bias__\t-0.5"])
-    base = {"mtkit", "mtkit.cli", "mtkit.errors"}
-    textnorm, bpe_, corpus_ = base | {"mtkit.textnorm"}, base | {"mtkit.bpe"}, base | {"mtkit.corpus"}
-    scorers = base | {"mtkit.candidates", "mtkit.decode", "mtkit.models"}
-    stages = [
-        (["normalize", str(text), "-o", out], textnorm),
-        # the nonbreaking-prefix lists are package data
-        (["tokenize", str(text), "-o", tok], textnorm | {"mtkit.data"}),
-        (["bpe-train", tok, "--vocab-size", "40", "--model-out", codes], bpe_),
-        (["bpe-encode", tok, "--model", codes, "-o", enc], bpe_),
-        (["langid-train", f"en={text}", f"ru={pairs}", "--epochs", "2", "--model-out", out],
-         corpus_),
-        (["filter", str(pairs), "-o", out], corpus_),
-        (["filter", str(pairs), "--langid", str(langid_file), "--langs", "en,ru", "-o", out],
-         corpus_),
-        (["domain-select", str(pairs), "--clf-en", clf_en, "--clf-ru", clf_ru, "-o", out],
-         corpus_ | {"mtkit.domain"}),
-        (["domain-train", "--positives", str(text), "--negatives", str(pairs), "--epochs", "2",
-          "--model-out", out], base | {"mtkit.domain"}),
-        (["mix", "--part", f"1:bitext:{pairs}", "--n", "3", "-o", out], corpus_),
-        (["reverse-target", str(pairs), "-o", out], corpus_),
-        # the translate stages' module sets are pinned above
-        (["decode", str(ids), "--model", fwd, "--dump", dump, "-o", out], scorers),
-        (["rerank", "--dump", dump, "--source", str(ids), "--rev", lm, "--lm", lm, "-o", out],
-         scorers),
-        (["score-bleu", "--hyp", str(ids), "--ref", str(ids), "-o", out], base | {"mtkit.bleu"}),
-        (["oracle-bleu", "--dump", dump, "--ref", str(ids), "-o", out],
-         base | {"mtkit.bleu", "mtkit.candidates"}),
-    ]
+@pytest.mark.parametrize("stage", list(_STAGES))
+def test_stage_loads_only_its_modules(stage_files, stage):
+    argv, modules, numpy = _STAGES[stage]
     script = ("import json, sys\n"
               "before = set(sys.modules)\n"
               "from mtkit.cli import run\n"
@@ -1727,11 +1646,13 @@ def test_curate_stages_import_only_their_modules(tmp_path, langid_file):
               "              ('numpy', 'numpy.random', 'inspect', 'dataclasses')),\n"
               "      *sorted(m for m in added if m.split('.')[0] == 'mtkit'))\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
-    for argv, expected in stages:
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
-                              capture_output=True, text=True, env=env, check=True)
-        code, numpy, numpy_random, inspect_, dataclasses, *modules = proc.stdout.split()
-        assert (code, modules) == ("0", sorted(expected)), argv[:2]
-        assert numpy_random == str(argv[0] == "langid-train"), argv[:2]
-        assert dataclasses == "False", argv[:2]
-        assert inspect_ == numpy, argv[:2]
+    proc = subprocess.run([sys.executable, "-c", script,
+                           json.dumps(argv.format(**stage_files).split())],
+                          capture_output=True, text=True, env=env, check=True)
+    code, numpy_, numpy_random, inspect_, dataclasses, *loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert loaded == sorted({"mtkit", "mtkit.cli", "mtkit.errors", *modules})
+    assert numpy_ == str(numpy)
+    assert numpy_random == str(stage == "langid-train")
+    assert dataclasses == "False"
+    assert inspect_ == numpy_

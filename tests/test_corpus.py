@@ -469,6 +469,18 @@ def test_mix_single_corpus_replays_in_order():
     assert [p.source for p in out] == [f"s{i % 4}" for i in range(10)]
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [0, 1, 7, 1500])
+def test_mix_picks_as_one_draw_per_example(seed, n):
+    # choices(k=n) takes one random() per pick, in order, so its picks are
+    # those of n one-pick calls on the same generator
+    weights = [0.5, 2.0, 1.25]
+    parts = [(_corpus(3, name), w) for name, w in zip("abc", weights)]
+    rng = random.Random(seed)
+    picks = [rng.choices(range(3), weights=weights)[0] for _ in range(n)]
+    assert [p.source[0] for p in mix_sample(parts, n, seed)] == ["abc"[i] for i in picks]
+
+
 def test_mix_deterministic():
     parts = [(_corpus(50, "bitext"), 1.0), (_corpus(50, "news"), 1.0)]
     assert mix_sample(parts, 500, seed=5) == mix_sample(parts, 500, seed=5)
