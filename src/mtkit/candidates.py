@@ -13,9 +13,11 @@ from .errors import ConfigError, InputFormatError
 
 
 # One hypothesis and its scores. Immutable: noisy-channel re-ranking returns
-# new candidates with rev_logprob, lm_logprob and combined_score filled.
+# new candidates with rev_logprob, lm_logprob and combined_score filled. The
+# search sets fused_score, which the dump does not hold, so a parsed
+# candidate has none.
 Candidate = namedtuple("Candidate", "tokens fwd_logprob lm_logprob rev_logprob fused_score "
-                       "combined_score", defaults=(None, None, 0.0, None))
+                       "combined_score", defaults=(None, None, None, None))
 
 
 def strip_eos(tokens, eos_id: int | None) -> list[int]:
@@ -77,7 +79,6 @@ def parse_candidates(lines) -> list[list[Candidate]]:
             fwd_logprob=float(cols[2]),
             lm_logprob=_parse_opt(cols[3]),
             rev_logprob=_parse_opt(cols[4]),
-            fused_score=float(cols[2]),
             combined_score=_parse_opt(cols[5]),
         )
         scores = (cand.fwd_logprob, cand.lm_logprob, cand.rev_logprob, cand.combined_score)

@@ -118,13 +118,30 @@ def _map_lines(args, convert) -> int:
     return 0
 
 
-def _check_dump_eos(cands_per_sentence, eos_id: int, given: str, dump: str) -> None:
-    """Raise a ConfigError that starts with `given`, the option that set
-    eos_id, when a non-empty dump has no candidate ending in eos_id: every
-    completed candidate ends in the decoder's eos, so that id is not it."""
-    if cands_per_sentence and not any(
-            cand.tokens[-1:] == (eos_id,) for cands in cands_per_sentence for cand in cands):
-        raise ConfigError(f"{given}: no candidate in the dump {dump} ends in it")
+def _read_dump(path: str, eos_id: int | None, given: str, n_sources: int | None = None):
+    """The candidate lists of the dump at `path`. With `n_sources`, a dump of
+    another number of sentences is a LengthMismatchError. With an eos_id, set
+    by the option `given`, a non-empty dump in which no candidate ends in it
+    is a ConfigError that starts with `given`: every completed candidate ends
+    in the decoder's eos, so that id is not it. strip_eos refuses a negative
+    eos_id before the dump is searched."""
+    from . import candidates
+    with _open_in(path) as fh:
+        cands_per_sentence = candidates.parse_candidates(fh)
+    if n_sources is not None and len(cands_per_sentence) != n_sources:
+        raise LengthMismatchError(
+            f"{len(cands_per_sentence)} dumped sentences vs {n_sources} sources")
+    if eos_id is not None and cands_per_sentence and all(
+            len(candidates.strip_eos(cand.tokens, eos_id)) == len(cand.tokens)
+            for cands in cands_per_sentence for cand in cands):
+        raise ConfigError(f"{given}: no candidate in the dump {path} ends in it")
+    return cands_per_sentence
+
+
+def _write_top1(path: str | None, cands, eos_id: int) -> None:
+    """Write the tokens of each of `cands`, without a trailing eos, one line each."""
+    from . import candidates
+    _write_lines(path, (_format_ids(candidates.strip_eos(cand.tokens, eos_id)) for cand in cands))
 
 
 def _read_text(path: str) -> list[str]:
@@ -161,8 +178,7 @@ def _read_tsv(src, stage: str, path: str, counts=None):
 
 def cmd_normalize(args) -> int:
     from . import textnorm
-    rules = textnorm.load_rules(args.rules) if args.rules else None
-    return _map_lines(args, lambda _, line: textnorm.normalize_punct(line, rules))
+    return _map_lines(args, lambda _, line: textnorm.normalize_punct(line))
 
 
 def cmd_tokenize(args) -> int:
@@ -380,23 +396,20 @@ def cmd_decode(args) -> int:
     cfg = _decode_config(args, fusion_lambda=args.fusion_lambda)
     sources = _read_ids(args.input, nonempty=True)
     results = decode.decode_batch(fwd, lm, sources, cfg)
-    _write_lines(args.output, (_format_ids(candidates.strip_eos(cands[0].tokens, fwd.eos_id))
-                               for cands in results))
+    _write_top1(args.output, (cands[0] for cands in results), fwd.eos_id)
     if args.dump:
         _write_lines(args.dump, candidates.format_candidates(results))
     return 0
 
 
 def cmd_sample(args) -> int:
-    from . import candidates, decode
+    from . import decode
     fwd = _load_forward(args.model)
     cfg = decode.DecodeConfig(
         max_len=args.max_len, sample_k=args.k, seed=args.seed
     )
     sources = _read_ids(args.input)
-    cands = decode.sample_batch(fwd, sources, cfg)
-    _write_lines(args.output, (_format_ids(candidates.strip_eos(cand.tokens, fwd.eos_id))
-                               for cand in cands))
+    _write_top1(args.output, decode.sample_batch(fwd, sources, cfg), fwd.eos_id)
     return 0
 
 
@@ -406,21 +419,14 @@ def cmd_rerank(args) -> int:
     rev = models.load_scorer(args.rev)
     lm = models.load_scorer(args.lm)
     sources = _read_ids(args.source)
-    with _open_in(args.dump) as fh:
-        cands_per_sentence = candidates.parse_candidates(fh)
-    if len(cands_per_sentence) != len(sources):
-        raise LengthMismatchError(
-            f"{len(cands_per_sentence)} dumped sentences vs {len(sources)} sources"
-        )
-    _check_dump_eos(cands_per_sentence, lm.eos_id, f"--lm {args.lm} eos id {lm.eos_id}",
-                    args.dump)
+    cands_per_sentence = _read_dump(args.dump, lm.eos_id, f"--lm {args.lm} eos id {lm.eos_id}",
+                                    len(sources))
     ranked = [
         decode.noisy_channel_rerank(cands, rev, lm, args.lam, source)
         for cands, source in zip(cands_per_sentence, sources)
     ]
     if args.top1:
-        _write_lines(args.output, (_format_ids(candidates.strip_eos(cands[0].tokens, lm.eos_id))
-                                   for cands in ranked))
+        _write_top1(args.output, (cands[0] for cands in ranked), lm.eos_id)
     else:
         _write_lines(args.output, candidates.format_candidates(ranked))
     return 0
@@ -449,12 +455,9 @@ def cmd_score_bleu(args) -> int:
 
 def cmd_oracle_bleu(args) -> int:
     from . import bleu, candidates
-    with _open_in(args.dump) as fh:
-        cands_per_sentence = candidates.parse_candidates(fh)
+    cands_per_sentence = _read_dump(args.dump, args.eos_id, f"--eos-id {args.eos_id}")
     hyps_per_sentence = [[candidates.strip_eos(cand.tokens, args.eos_id) for cand in cands]
                          for cands in cands_per_sentence]
-    if args.eos_id is not None:
-        _check_dump_eos(cands_per_sentence, args.eos_id, f"--eos-id {args.eos_id}", args.dump)
     refs = _read_ids(args.ref)
     result, winners = bleu.oracle_corpus_bleu(hyps_per_sentence, refs)
     if args.selected:
@@ -524,7 +527,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
     if p := add("normalize", cmd_normalize, "normalize punctuation"):
         _add_io(p)
-        p.add_argument("--rules", default=None, help="rules file (default built-in table)")
 
     if p := add("tokenize", cmd_tokenize, "word tokenize (or detokenize with --detok)"):
         _add_io(p)

@@ -1,15 +1,15 @@
 """Exception types shared across mtkit modules: one class per kind of
 failure, the message saying where. ConfigError and InputFormatError are also
 ValueErrors, as json.JSONDecodeError is. Also the readers' rule for naming
-the file at fault, the reader for text model files and their rule against a
-repeated line, the writers' rule for leaving no partial output file behind,
-the one writer that stages every text output and text model file, and the
-rules for a seed, training settings and a language code."""
+the file at fault, the reader for text model files (BPE, language id and
+domain classifier) and their rule against a repeated line, the writers'
+rule for leaving no partial output file behind, the one writer that stages
+every text output and text model file, and the rules for a seed, training
+settings and a language code."""
 
 import contextlib
 import math
 import os
-import re
 
 
 class MtkitError(Exception):
@@ -76,11 +76,11 @@ def model_file(path, magic: str):
     newline) for each later line, blank lines included, read from the file
     as the caller iterates, so no file is held in memory whole. Under
     `naming`, a ModelFormatError (a wrong magic word, a line or constructor
-    check), ValueError, IndexError or re.error raised inside the block becomes
-    a ModelFormatError that starts with the path, so loaders leave the path
-    out and parse fields with plain int(), float(), unpacking and indexing.
+    check), ValueError or IndexError raised inside the block becomes a
+    ModelFormatError that starts with the path, so loaders leave the path out
+    and parse fields with plain int(), float(), unpacking and indexing.
     """
-    with naming(path, ModelFormatError, (ValueError, IndexError, re.error)), \
+    with naming(path, ModelFormatError, (ValueError, IndexError)), \
             open(path, encoding="utf-8") as fh:
         word, _, rest = fh.readline().rstrip("\n").partition(" ")
         if word != magic:

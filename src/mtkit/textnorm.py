@@ -1,18 +1,17 @@
 """Punctuation normalization, word tokenization, and German quote post-processing.
 
-The normalizer applies an ordered rewrite table (straight quotes, single
-spaces, ascii dashes): a tuple of compiled (pattern, replacement) pairs. The
-tokenizer splits punctuation off words with a non-breaking-prefix list per
-language; `detokenize` inverts it on canonically spaced text. Everything here
-is a pure function over immutable rule tables.
+The normalizer applies one fixed, ordered rewrite table in the style of the
+Moses punctuation normalizer (straight quotes, single spaces, ascii dashes):
+a tuple of compiled (pattern, replacement) pairs. The tokenizer splits
+punctuation off words with the shipped non-breaking-prefix list of its
+language (en, de or ru); `detokenize` inverts it on canonically spaced text.
+Everything here is a pure function over immutable tables.
 """
 
 from __future__ import annotations
 
 import re
 from importlib import resources
-
-from .errors import ModelFormatError, model_file
 
 # Ordered (pattern, replacement) rewrites. No replacement may reintroduce a
 # match for any rule, so a single pass is idempotent.
@@ -30,26 +29,9 @@ _DEFAULT_RULES = tuple((re.compile(p), r) for p, r in [
 ])
 
 
-def load_rules(path) -> tuple[tuple[re.Pattern[str], str], ...]:
-    """Read an ordered rule table: header `normrules-v1 <tag>`, then
-    pattern<TAB>replacement lines. The tag names the table and is not used."""
-    rules = []
-    with model_file(path, "normrules-v1") as (_, lines):
-        for lineno, line in lines:
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ModelFormatError(f"line {lineno}: expected pattern<TAB>replacement")
-            pattern = re.compile(parts[0])
-            pattern.sub(parts[1], "")  # parses the replacement, so a bad one fails here
-            rules.append((pattern, parts[1]))
-    return tuple(rules)
-
-
-def normalize_punct(text: str, rules: tuple[tuple[re.Pattern[str], str], ...] | None = None) -> str:
-    """Rewrite text with `rules`, the default table for None (total, idempotent)."""
-    for pattern, repl in _DEFAULT_RULES if rules is None else rules:
+def normalize_punct(text: str) -> str:
+    """Rewrite text with the table above (total, idempotent)."""
+    for pattern, repl in _DEFAULT_RULES:
         text = pattern.sub(repl, text)
     return text
 
@@ -61,16 +43,18 @@ _TRAILING = set("\".,!?;:)]}%")
 _CLOSING = set(".,!?;:)]}%")  # attach left on detokenization
 _OPENING = set("([{¿¡")  # attach right on detokenization
 
+# The languages with a shipped prefix list; the cache holds at most these.
+_PREFIX_LANGS = ("en", "de", "ru")
 _PREFIX_CACHE: dict[str, frozenset[str]] = {}
 
 
 def nonbreaking_prefixes(lang: str) -> frozenset[str]:
-    """Per-language prefixes whose trailing period stays attached (one per line, UTF-8)."""
+    """Prefixes whose trailing period stays attached: the shipped list of
+    `lang` (one per line, UTF-8), or the empty set for a code without one."""
+    if lang not in _PREFIX_LANGS:
+        return frozenset()
     if lang not in _PREFIX_CACHE:
-        try:
-            raw = resources.files("mtkit.data").joinpath(f"{lang}_prefixes.txt").read_text("utf-8")
-        except FileNotFoundError:
-            raw = ""
+        raw = resources.files("mtkit.data").joinpath(f"{lang}_prefixes.txt").read_text("utf-8")
         _PREFIX_CACHE[lang] = frozenset(line.strip() for line in raw.splitlines() if line.strip())
     return _PREFIX_CACHE[lang]
 

@@ -44,12 +44,6 @@ RU_WORDS = (
 WORDS_BY_LANG = {"en": EN_WORDS, "de": DE_WORDS, "ru": RU_WORDS}
 
 
-def default_rules_text() -> str:
-    """The default rewrite table of normalize_punct as a normrules-v1 file."""
-    return "normrules-v1 moses-lite-1\n" + "".join(
-        f"{pattern.pattern}\t{repl}\n" for pattern, repl in textnorm._DEFAULT_RULES)
-
-
 def make_sentence(rng: random.Random, lang: str, n_words: int | None = None) -> str:
     """A canonical normalized sentence: single spaces, balanced quotes,
     punctuation attached the way the tokenizer re-attaches it."""

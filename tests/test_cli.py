@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
 from mtkit.models import TableScorer
 
 from conftest import EN_WORDS, MED_EN, MED_RU, NEWS_EN, NEWS_RU, RU_WORDS, FullDisk, \
-    default_rules_text, make_domain_line, make_sentence, ngram_container, table_container
+    make_domain_line, make_sentence, ngram_container, table_container
 
 
 def _write(path, lines):
@@ -83,7 +84,7 @@ def test_help_lists_every_subcommand(capsys):
 # Every subcommand's options and positionals, in parser order, without -h.
 # Adding or removing a knob shows up here as a test diff.
 _OPTIONS = {
-    "normalize": "input -o --output --rules",
+    "normalize": "input -o --output",
     "tokenize": "input -o --output --lang --detok --german-quotes",
     "bpe-train": "input --vocab-size --model-out",
     "bpe-encode": "input -o --output --model --dropout --seed",
@@ -117,6 +118,16 @@ def test_option_inventory():
         for name, sub in subparsers.choices.items()
     }
     assert got == _OPTIONS
+
+
+def test_readme_names_every_option_and_only_real_ones():
+    # an option added or removed without a README edit shows up here; --help
+    # and pip's --no-build-isolation are the only other options it names
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        named = set(re.findall(r"(?<![\w-])--[a-z0-9]+(?:-[a-z0-9]+)*", fh.read()))
+    options = {opt for spec in _OPTIONS.values() for opt in spec.split() if opt.startswith("--")}
+    assert named - {"--help", "--no-build-isolation"} == options
 
 
 @pytest.mark.parametrize("name", list(_OPTIONS))
@@ -213,18 +224,6 @@ def test_normalize_stdout_default(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == '"Hello" world\n'
     assert "[mtkit] normalize config:" in captured.err
-
-
-def test_normalize_custom_rules_file(tmp_path):
-    rules_path = tmp_path / "rules.txt"
-    rules_path.write_text(default_rules_text(), encoding="utf-8")
-    inp = tmp_path / "raw.txt"
-    out = tmp_path / "norm.txt"
-    _write(inp, ["–dash…"])
-    assert run(["normalize", str(inp), "-o", str(out), "--rules", str(rules_path)]) == 0
-    ref = tmp_path / "ref.txt"
-    assert run(["normalize", str(inp), "-o", str(ref)]) == 0
-    assert _read(out) == _read(ref)
 
 
 def test_tokenize_detokenize_roundtrip(tmp_path):
@@ -364,10 +363,6 @@ _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
     pytest.param("decode", _TABLE, table_container(_TABLE_VOCAB, [0.25, 0.25, 0.5], [((0,), ())],
                                                    [[0.25, 0.125, 0.125]]),
                  id="table context sums to 0.5"),
-    pytest.param("normalize", "normrules-v1 x\na\tb\n", "normrules-v1 x\n(unclosed\ty\n",
-                 id="rules bad pattern"),
-    pytest.param("normalize", "normrules-v1 x\na\tb\n", "normrules-v1 x\na\t\\9\n",
-                 id="rules bad replacement"),
     pytest.param("filter", _LANGID, _LANGID + "w 99 1 1\n", id="langid row past n_features"),
     pytest.param("filter", _LANGID, _LANGID + "w 1 7\n", id="langid row short"),
     pytest.param("filter", _LANGID, _LANGID + "w -1 1 1\n", id="langid negative row"),
@@ -396,7 +391,7 @@ def test_malformed_model_file_exits_1(tmp_path, capsys, command, good, bad):
     if command == "domain-select":  # --clf-ru takes a well-formed Russian classifier
         _write(tmp_path / "ru.domcls", ["domcls-v1 ru", "foo\t0.5"])
         files.append("ru.domcls")
-    flag = {"decode": ["--model"], "normalize": ["--rules"],
+    flag = {"decode": ["--model"],
             "filter": ["--langs", "en,ru", "--langid"],
             "domain-select": ["--clf-ru", str(tmp_path / "ru.domcls"), "--clf-en"]}[command]
     out = tmp_path / "out.txt"
@@ -846,7 +841,8 @@ def test_decode_writes_top1_and_dump(tmp_path):
         assert len(got_cands) == len(want_cands)
         for got, want in zip(got_cands, want_cands):
             assert got.tokens == want.tokens
-            assert got.fused_score == want.fused_score
+            assert got.fwd_logprob == want.fwd_logprob  # the dump holds it bit for bit
+            assert got.fused_score is None
 
 
 def test_decode_ensemble_of_identical_models_matches_single(tmp_path):
@@ -880,6 +876,28 @@ def test_decode_fusion_shifts_winner(tmp_path):
     assert rc == 0
     assert _read(plain) == ["0"]
     assert _read(fused) == ["1"]
+
+
+def test_parsed_fusion_dump_claims_no_fused_score(tmp_path):
+    # the dump holds no fused-score column, so a parsed candidate has none,
+    # where the decoder's fused score differs from its forward log-prob
+    fwd_path = tmp_path / "fwd.scorer"
+    lm_path = tmp_path / "lm.scorer"
+    models.save_table_scorer(_fusion_fwd(), fwd_path)
+    models.save_table_scorer(_fusion_lm(), lm_path)
+    src = tmp_path / "src.txt"
+    _write(src, ["0"])
+    dump = tmp_path / "dump.tsv"
+    assert run(["decode", str(src), "--model", str(fwd_path), "--lm", str(lm_path),
+                "--fusion-lambda", "0.1", "--beam", "9", "--max-len", "2",
+                "--n-candidates", "9", "--dump", str(dump), "-o", str(tmp_path / "out.txt")]) == 0
+    cfg = DecodeConfig(beam_size=9, max_len=2, n_candidates=9, fusion_lambda=0.1)
+    want = beam_search(_fusion_fwd(), _fusion_lm(), [0], cfg)
+    assert any(c.fused_score != c.fwd_logprob for c in want)
+    with open(dump, encoding="utf-8") as fh:
+        (got,) = parse_candidates(fh)
+    assert [(c.tokens, c.fwd_logprob) for c in got] == [(c.tokens, c.fwd_logprob) for c in want]
+    assert all(c.fused_score is None for c in got)
 
 
 def test_decode_lm_with_another_eos_exits_1(tmp_path, capsys):

@@ -8,11 +8,11 @@ import zlib
 
 import pytest
 
-from mtkit import bpe, corpus, domain, models, textnorm
+from mtkit import bpe, corpus, domain, models
 from mtkit.errors import ModelFormatError, model_file
 
-from conftest import (FullDisk, default_rules_text, fuzz_variants, loads_or_names_file,
-                      ngram_container, table_container)
+from conftest import (FullDisk, fuzz_variants, loads_or_names_file, ngram_container,
+                      table_container)
 
 
 def _save_ngram(path):
@@ -29,15 +29,10 @@ def _save_domcls(path):
     domain.save_classifier(clf, path)
 
 
-def _save_rules(path):
-    path.write_text(default_rules_text(), encoding="utf-8")
-
-
 _FORMATS = {
     "ngram": (_save_ngram, models.load_scorer),
     "langid": (_save_langid, corpus.load_langid),
     "domcls": (_save_domcls, domain.load_classifier),
-    "normrules": (_save_rules, textnorm.load_rules),
 }
 
 

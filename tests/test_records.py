@@ -21,7 +21,7 @@ _RECORDS = [
                       hyp_len=3, ref_len=3), {},
      dict(score=2.0, precisions=(1.0,) * 4, brevity_penalty=0.5, hyp_len=4, ref_len=4)),
     (Candidate, dict(tokens=(0, 2), fwd_logprob=-1.0),
-     dict(lm_logprob=None, rev_logprob=None, fused_score=0.0, combined_score=None),
+     dict(lm_logprob=None, rev_logprob=None, fused_score=None, combined_score=None),
      dict(tokens=(1, 2), fwd_logprob=-2.0, lm_logprob=-1.0, rev_logprob=-1.0, fused_score=-1.0,
           combined_score=-1.0)),
     (ParallelExample, dict(source="a b", target="x y"), dict(external_score=None),
@@ -59,7 +59,7 @@ def test_candidate_is_immutable():
     filled = cand._replace(rev_logprob=-2.0, lm_logprob=-3.0, combined_score=-6.0)
     assert filled == Candidate(tokens=(0, 2), fwd_logprob=-1.0, lm_logprob=-3.0,
                                rev_logprob=-2.0, combined_score=-6.0)
-    assert filled == ((0, 2), -1.0, -3.0, -2.0, 0.0, -6.0)  # a plain tuple of its fields
+    assert filled == ((0, 2), -1.0, -3.0, -2.0, None, -6.0)  # a plain tuple of its fields
     assert cand == Candidate(tokens=(0, 2), fwd_logprob=-1.0)
     assert cand.rev_logprob is None and cand.combined_score is None
     assert "rev_logprob=-2.0" in repr(filled)

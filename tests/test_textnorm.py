@@ -2,20 +2,14 @@
 
 import random
 
-import pytest
-
 from mtkit import textnorm
-from mtkit.errors import ModelFormatError
 from mtkit.textnorm import (
     detokenize,
     german_quote_postprocess,
-    load_rules,
     nonbreaking_prefixes,
     normalize_punct,
     word_tokenize,
 )
-
-from conftest import default_rules_text
 
 # ---------------------------------------------------------------------------
 # normalize_punct
@@ -58,40 +52,6 @@ def test_normalize_idempotent_on_noisy_random_text():
 
 
 # ---------------------------------------------------------------------------
-# rule tables
-
-
-def test_rules_file_loads_the_default_table(tmp_path):
-    path = tmp_path / "rules.txt"
-    path.write_text(default_rules_text(), encoding="utf-8")
-    loaded = load_rules(path)
-    assert [(p.pattern, r) for p, r in loaded] == [
-        (p.pattern, r) for p, r in textnorm._DEFAULT_RULES
-    ]
-    assert normalize_punct("“x”  y", loaded) == normalize_punct("“x”  y")
-
-
-def test_empty_rules_file_rewrites_nothing(tmp_path):
-    path = tmp_path / "rules.txt"
-    path.write_text("normrules-v1 none\n", encoding="utf-8")
-    assert normalize_punct("“x”  y", load_rules(path)) == "“x”  y"
-
-
-def test_rules_bad_header(tmp_path):
-    path = tmp_path / "rules.txt"
-    path.write_text("wrong header\n")
-    with pytest.raises(ModelFormatError):
-        load_rules(path)
-
-
-def test_rules_bad_line(tmp_path):
-    path = tmp_path / "rules.txt"
-    path.write_text("normrules-v1 x\nno tab here\n")
-    with pytest.raises(ModelFormatError):
-        load_rules(path)
-
-
-# ---------------------------------------------------------------------------
 # word_tokenize
 
 
@@ -128,6 +88,16 @@ def test_tokenize_german_prefix():
 
 def test_tokenize_unknown_language_prefixes_empty():
     assert nonbreaking_prefixes("xx") == frozenset()
+
+
+def test_prefix_table_reads_only_the_shipped_lists():
+    # a code is never joined into a package path, and unknown codes add no
+    # cache entry, so the cache holds at most the three shipped lists
+    assert nonbreaking_prefixes("../data/en") == frozenset()
+    for i in range(1000):
+        assert nonbreaking_prefixes(f"x{i}") == frozenset()
+    assert len(textnorm._PREFIX_CACHE) <= 3
+    assert "Dr" in nonbreaking_prefixes("en")
 
 
 # ---------------------------------------------------------------------------
