@@ -100,16 +100,6 @@ def _load_forward(paths: list[str]):
     return scorers[0] if len(scorers) == 1 else models.EnsembleScorer(scorers)
 
 
-def _bpe_tokenizer(path: str | None):
-    """Token-string tokenizer for domain classifiers backed by the --bpe
-    model, or None without one."""
-    if not path:
-        return None
-    from . import bpe
-    model = bpe.load_model(path)
-    return lambda text: [model.id_to_token[i] for i in bpe.bpe_encode(model, text)]
-
-
 def _map_lines(args, convert) -> int:
     """The per-line stages: write convert(index, line), the newline stripped
     from line, for each line of args.input to args.output."""
@@ -313,10 +303,9 @@ def cmd_reverse_target(args) -> int:
 
 def cmd_domain_train(args) -> int:
     from . import domain
-    tokenizer = _bpe_tokenizer(args.bpe)
     clf = domain.domain_train(
         _read_text(args.positives), _read_text(args.negatives), seed=args.seed, lang=args.lang,
-        tokenizer=tokenizer, epochs=args.epochs, lr=args.lr,
+        epochs=args.epochs, lr=args.lr,
     )
     domain.save_classifier(clf, args.model_out)
     if clf.holdout_accuracy is not None:
@@ -326,9 +315,8 @@ def cmd_domain_train(args) -> int:
 
 def cmd_domain_select(args) -> int:
     from . import corpus, domain
-    tokenizer = _bpe_tokenizer(args.bpe)
-    clf_en = domain.load_classifier(args.clf_en, tokenizer)
-    clf_ru = domain.load_classifier(args.clf_ru, tokenizer)
+    clf_en = domain.load_classifier(args.clf_en)
+    clf_ru = domain.load_classifier(args.clf_ru)
     for flag, path, clf, lang in (("--clf-en", args.clf_en, clf_en, "en"),
                                   ("--clf-ru", args.clf_ru, clf_ru, "ru")):
         if clf.lang != lang:
@@ -577,7 +565,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--positives", required=True)
         p.add_argument("--negatives", required=True)
         p.add_argument("--lang", default="en")
-        p.add_argument("--bpe", default=None, help="BPE model for tokenization")
         p.add_argument("--model-out", required=True)
         p.add_argument("--epochs", type=int, default=300)
         p.add_argument("--lr", type=float, default=0.5)
@@ -587,7 +574,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         _add_io(p)
         p.add_argument("--clf-en", required=True)
         p.add_argument("--clf-ru", required=True)
-        p.add_argument("--bpe", default=None, help="BPE model for tokenization")
         p.add_argument("--stage1", type=float, default=0.5)
         p.add_argument("--final", type=float, default=0.90)
         p.add_argument("--english-side", default="source", choices=("source", "target"))

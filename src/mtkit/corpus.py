@@ -419,11 +419,15 @@ def mix_sample(corpora, n: int, seed: int) -> list[ParallelExample]:
     corpora = [(list(stream), float(weight)) for stream, weight in corpora]
     if not corpora:
         raise EmptyInputError("mix_sample needs at least one corpus")
+    total = 0.0  # summed in order, as random.choices sums the weights; it refuses an inf
     for i, (items, weight) in enumerate(corpora):
         if not items:
             raise EmptyInputError(f"corpus {i} is empty")
         if not 0 < weight < math.inf:
             raise ConfigError(f"corpus {i} weight must be positive and finite, got {weight}")
+        total += weight
+    if total == math.inf:
+        raise ConfigError(f"corpus weights must have a finite total, got {total}")
     check_seed(seed)
     rng = random.Random(seed)
     weights = [w for _, w in corpora]

@@ -6,6 +6,10 @@ pairs whose English side scores strictly above the first threshold, stage 2
 scores the Russian side of the survivors only, and a pair is selected when
 the mean of the two scores reaches the final threshold.
 
+The tokens are the whitespace words of the text as given (`text.split()`),
+in training and in scoring alike, so the tokens of a model file are always
+the ones scoring counts.
+
 Training counts each line's tokens once. The train, held-out and full count
 matrices are built from those counts one at a time, so at most one is held
 during a fit, and the held-out rows are scored with the fit's own product.
@@ -30,10 +34,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _whitespace_tokenize(text: str) -> list[str]:
-    return text.split()
-
-
 # The final-threshold comparison works in decimal terms: (0.95 + 0.85) / 2
 # must reach a 0.90 cutoff even though the double average lands one ulp
 # below 0.9. The slack is far below any meaningful score resolution.
@@ -52,28 +52,32 @@ _BIAS = "__bias__"
 class DomainClassifier:
     """token -> weight map with a bias, scored through a logistic link.
 
-    No token may be spelled like the model file's bias line (`__bias__`),
-    which would load back as the bias. holdout_accuracy is the accuracy
+    Tokens are whitespace words, as text.split() gives them: an empty token
+    or one that holds whitespace, which score could never count, is refused,
+    and so is one spelled like the model file's bias line (`__bias__`), which
+    would load back as the bias. holdout_accuracy is the accuracy
     domain_train measured on its held-out split, or None when it held none
     out; the model file does not store it.
     """
 
-    def __init__(self, lang: str, weights: dict[str, float], bias: float, tokenizer=None,
+    def __init__(self, lang: str, weights: dict[str, float], bias: float,
                  holdout_accuracy: float | None = None):
         if _BIAS in weights:
             raise ModelFormatError(f"token {_BIAS!r} is reserved for the bias")
+        for tok in weights:
+            if tok.split() != [tok]:
+                raise ModelFormatError(f"token {tok!r} is not one whitespace word")
         self.lang = lang
         self.weights = dict(weights)
         self.bias = float(bias)
         values = [*self.weights.values(), self.bias]
         if not all(math.isfinite(v) for v in values):
             raise ModelFormatError("domain classifier weights and bias must be finite")
-        self.tokenizer = tokenizer or _whitespace_tokenize
         self.holdout_accuracy = holdout_accuracy
 
     def score(self, text: str) -> float:
         z = self.bias
-        for tok, count in Counter(self.tokenizer(text)).items():
+        for tok, count in Counter(text.split()).items():
             w = self.weights.get(tok)
             if w is not None:
                 z += w * count
@@ -128,7 +132,7 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray, epochs: int,
 
 
 def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
-                 tokenizer=None, epochs: int = 300, lr: float = 0.5) -> DomainClassifier:
+                 epochs: int = 300, lr: float = 0.5) -> DomainClassifier:
     """Train a binary in-domain classifier on equal-sized classes.
 
     The larger class is subsampled to match the smaller. A held-out split is
@@ -151,9 +155,8 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
     if len(negatives) > size:
         negatives = rng.sample(negatives, size)
 
-    tokenizer = tokenizer or _whitespace_tokenize
-    pos = [Counter(tokenizer(t)) for t in positives]
-    neg = [Counter(tokenizer(t)) for t in negatives]
+    pos = [Counter(t.split()) for t in positives]
+    neg = [Counter(t.split()) for t in negatives]
     index = {tok: i for i, tok in enumerate(sorted(set().union(*pos, *neg)))}
 
     holdout_accuracy = None
@@ -168,7 +171,7 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
         holdout_accuracy = int(np.count_nonzero((x @ w + b > 0) == y)) / len(y)
     x, y = _count_matrix(pos, neg, index)
     w, b = _fit_logistic(x, y, epochs, lr)
-    return DomainClassifier(lang, {tok: float(w[i]) for tok, i in index.items()}, b, tokenizer,
+    return DomainClassifier(lang, {tok: float(w[i]) for tok, i in index.items()}, b,
                             holdout_accuracy)
 
 
@@ -209,7 +212,7 @@ def save_classifier(clf: DomainClassifier, path) -> None:
     write_lines(path, lines())
 
 
-def load_classifier(path, tokenizer=None) -> DomainClassifier:
+def load_classifier(path) -> DomainClassifier:
     """Read a save_classifier file. A line without a tab and a token (or the
     bias line) given twice raise ModelFormatError naming the line."""
     weights = {}
@@ -225,4 +228,4 @@ def load_classifier(path, tokenizer=None) -> DomainClassifier:
             check_new_line(seen, tok, lineno)
             weights[tok] = float(value)
         bias = weights.pop(_BIAS, 0.0)
-        return DomainClassifier(lang, weights, bias, tokenizer)
+        return DomainClassifier(lang, weights, bias)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -77,15 +78,6 @@ def test_train_empty_class():
         domain_train([], ["news text"])
     with pytest.raises(EmptyInputError):
         domain_train(["med text"], [])
-
-
-def test_custom_tokenizer_used():
-    # a tokenizer that splits on '|' makes these one-token classes
-    clf = domain_train(
-        ["med stuff|x"] * 20, ["plain news|y"] * 20,
-        seed=2, tokenizer=lambda t: t.split("|"),
-    )
-    assert clf.score("med stuff|anything") > 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +303,19 @@ def test_classifier_roundtrip_and_reserved_bias_token(tmp_path):
     assert loaded.score("__bias__ foo bias") == clf.score("__bias__ foo bias")
     with pytest.raises(ModelFormatError, match="'__bias__' is reserved"):
         DomainClassifier("en", {"__bias__": 1.5, "foo": -0.25}, 0.0)
+
+
+def test_classifier_refuses_a_token_that_split_cannot_produce(tmp_path):
+    # score counts text.split() words, so an empty token or one that holds
+    # whitespace would load and never be counted
+    path = tmp_path / "clf.txt"
+    path.write_text("domcls-v1 en\nfoo bar\t5.0\n\t2.0\n__bias__\t-1.0\n", encoding="utf-8")
+    with pytest.raises(ModelFormatError,
+                       match=f"^{re.escape(str(path))}: token 'foo bar' is not one whitespace"):
+        load_classifier(path)
+    for tok in ("", " ", "a b", " a", "a\n", "a\u00a0b"):
+        with pytest.raises(ModelFormatError, match=f"^token {re.escape(repr(tok))} is not"):
+            DomainClassifier("en", {"ok": 1.0, tok: 1.0}, 0.0)
 
 
 def test_classifier_load_bad_header(tmp_path):
