@@ -44,7 +44,6 @@ from .errors import (
     EmptyInputError,
     InputFormatError,
     LengthMismatchError,
-    ModelFormatError,
     MtkitError,
     naming,
     write_lines,
@@ -343,22 +342,10 @@ def cmd_domain_select(args) -> int:
 
 def cmd_avg_checkpoints(args) -> int:
     from . import models
-    paths = list(args.checkpoints)
-    if args.top_k is not None:
-        if args.top_k < 1:
-            raise ConfigError(f"--top-k must be at least 1, got {args.top_k}")
-        scored = []
-        for path in paths:
-            score = models.checkpoint_metadata(path).get("validation_score", 0.0)
-            # false for NaN, the infinities and ints beyond the float range
-            if type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
-                raise ModelFormatError(
-                    f"{path}: validation_score {score!r} is not a finite number")
-            scored.append((float(score), path))
-        scored.sort(key=lambda sp: (-sp[0], sp[1]))
-        paths = [path for _, path in scored[: args.top_k]]
-        _log(f"avg-checkpoints: top-{args.top_k} by validation score: {paths}")
-    models.average_checkpoint_files(paths, args.output)
+    k = args.top_k
+    paths = models.average_checkpoint_files(
+        args.checkpoints, args.output, k,
+        on_chosen=lambda chosen: _log(f"avg-checkpoints: top-{k} by validation score: {chosen}"))
     _log(f"avg-checkpoints: averaged {len(paths)} checkpoints")
     return 0
 

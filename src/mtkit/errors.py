@@ -125,7 +125,9 @@ def check_lang_code(code: str) -> None:
 def staged(path):
     """Yield a temporary path beside `path` that replaces `path` only if the
     block completes; on failure the temporary file is removed, so `path`
-    keeps its earlier bytes or stays absent."""
+    keeps its earlier bytes or stays absent. An OSError naming the temporary
+    path, such as a failed open in a missing directory, is raised again
+    naming `path`."""
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         yield path  # a device or pipe such as /dev/null: nothing to replace
@@ -134,9 +136,11 @@ def staged(path):
     try:
         yield tmp
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

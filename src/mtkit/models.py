@@ -203,37 +203,42 @@ def _read_floats(fh, payload_start: int, entry: dict, dtype: str) -> np.ndarray:
     return arr
 
 
-def checkpoint_metadata(path) -> dict:
-    """Read just the metadata block, leaving payloads untouched."""
-    with naming(path, ModelFormatError), open(path, "rb") as fh:
-        metadata, _, _ = _read_header(fh)
-    return metadata
-
-
-def average_checkpoint_files(paths: list, out_path) -> None:
-    """Average checkpoint files tensor by tensor into out_path.
-
-    The files must share tensor names and shapes. Each output element is
-    the mean of its k input values, summed in f64 after sorting, so the
-    output bytes do not depend on the order of paths; its metadata is
-    {"source_count": k}. Every tensor must be f32. Only k copies of one
-    tensor are resident at a time, so memory is bounded by the largest
-    tensor rather than the full checkpoint size. Payloads are checked as
-    they are written; the writer stages its file, so a rejected input
-    leaves out_path as it was.
+def average_checkpoint_files(paths: list, out_path, top_k=None, *, on_chosen=None) -> list:
+    """Average checkpoint files tensor by tensor into out_path; return the
+    paths averaged. Each header is read once, in path order. With top_k,
+    each file is opened, read and scored in turn (else all are opened
+    first), and the top_k by metadata "validation_score" (0.0 if missing,
+    ties to the smaller path) are averaged, best first, once on_chosen, if
+    given, is called with their paths; a score that is not a finite int or
+    float raises ModelFormatError naming the file. The averaged files must
+    share f32 tensor names and shapes. Each element is the mean of its k
+    values, summed in f64 after sorting, so the bytes do not depend on the
+    order of paths; the metadata is {"source_count": k}. One tensor's k
+    copies are held at a time. The writer stages its file, so a rejected
+    input leaves out_path as it was.
     """
     import numpy as np
+    if top_k is not None and top_k < 1:
+        raise ConfigError(f"--top-k must be at least 1, got {top_k}")
     if not paths:
         raise EmptyInputError("no checkpoint files given")
     with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(p, "rb")) for p in paths]
-        headers = []
-        for fh, p in zip(handles, paths):
+        handles = (stack.enter_context(open(p, "rb")) for p in paths)
+        files = []  # (rank key, path, handle, payload start, name -> tensor entry)
+        for p, fh in zip(paths, handles if top_k else list(handles)):
             with naming(p, ModelFormatError):
-                headers.append(_read_header(fh))
-        entry_maps = [{e["name"]: e for e in entries} for _, entries, _ in headers]
-        shapes = {name: e["shape"] for name, e in entry_maps[0].items()}
-        for entries in entry_maps[1:]:
+                metadata, entries, payload_start = _read_header(fh)
+                score = metadata.get("validation_score", 0.0) if top_k else 0.0
+                # false for NaN, the infinities and ints beyond the float range
+                if type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
+                    raise ModelFormatError(f"validation_score {score!r} is not a finite number")
+            files.append(((-float(score), p), p, fh, payload_start, {e["name"]: e for e in entries}))
+        if top_k:
+            files = sorted(files, key=lambda f: f[0])[:top_k]
+            if on_chosen is not None:
+                on_chosen([f[1] for f in files])
+        shapes = {name: e["shape"] for name, e in files[0][4].items()}
+        for *_, entries in files[1:]:
             if set(entries) != set(shapes):
                 diff = sorted(set(entries) ^ set(shapes))
                 raise NameSetMismatchError(f"tensor name sets differ (symmetric diff: {diff})")
@@ -244,14 +249,15 @@ def average_checkpoint_files(paths: list, out_path) -> None:
 
         def mean(name: str) -> np.ndarray:
             values = []
-            for fh, p, (_, _, payload_start), entries in zip(handles, paths, headers, entry_maps):
+            for _, p, fh, payload_start, entries in files:
                 with naming(p, ModelFormatError):
                     values.append(_read_floats(fh, payload_start, entries[name], "f32"))
             values = np.array(values, dtype=np.float64)
             values.sort(axis=0)
-            return (values.sum(axis=0) / len(paths)).astype(np.float32)
+            return (values.sum(axis=0) / len(files)).astype(np.float32)
 
-        _write_checkpoint(out_path, {"source_count": len(paths)}, shapes, mean)
+        _write_checkpoint(out_path, {"source_count": len(files)}, shapes, mean)
+    return [f[1] for f in files]
 
 
 # ---------------------------------------------------------------------------

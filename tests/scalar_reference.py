@@ -16,13 +16,16 @@ time, in its own order, so it agrees with the BLAS products of
 `langid_train` to rounding, not bit for bit.
 The reference beam always runs all max_len steps and applies the length
 penalty with its own arithmetic, so it also checks the early stop of the
-library version. A saturated beam must agree with `exact_search`.
+library version. A saturated beam must agree with `exact_search`, and so
+must `bounded_exact_search`, the branch and bound that proves the top
+sequences at sizes `exact_search` cannot enumerate.
 `reference_score_ceiling` is the step-by-step loop that the early stop's
 closed-form `_score_ceiling` must stay at or above.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -177,6 +180,80 @@ def exact_search(fwd, lm, source, max_len: int, fusion_lambda: float = 0.0) -> C
             elif len(tokens) < max_len:
                 stack.append((tokens, new_score, fwd_sum + flp, lm_sum + llp))
     if best is None:
+        raise NoCompletedHypothesisError("no eos-terminated sequence has finite score")
+    return best
+
+
+def bounded_exact_search(fwd, lm, source, max_len: int, fusion_lambda: float = 0.0,
+                         n_best: int = 1, budget: int = 10 ** 5) -> list[Candidate]:
+    """The n_best best eos-terminated sequences of length <= max_len, best
+    first, proven by a depth-first branch and bound (Stahlberg & Byrne 2019).
+
+    Every sequence it reaches is scored with exact_search's arithmetic,
+    operation for operation, and ranked by (-score, tokens), so its first
+    candidate equals exact_search's. A node's children are expanded best
+    first, so the first dive is greedy, and no incumbent is given from
+    outside. A node is dropped only when reference_score_ceiling over its
+    remaining steps, which under the Scorer contract bounds every completion
+    below it, is strictly below the n_best-th completion found so far; a tie
+    stays, since it can still win on tokens. The check runs when a node is
+    pushed and again when it is popped, as completions found in between
+    raise the bar. More than `budget` expansions raise ConfigError, so an
+    unproven answer is never returned.
+    """
+    source = tuple(source)
+    lam = fusion_lambda
+    if lam > 0 and lm is None:
+        raise ConfigError("fusion_lambda > 0 requires a language model")
+    eos = fwd.eos_id
+    best: list[Candidate] = []
+
+    def kept(node) -> bool:
+        tokens, score = node[0], node[1]
+        return len(best) < n_best or reference_score_ceiling(
+            score, max_len - len(tokens), lam) >= best[-1].fused_score
+
+    # prefix (eos-free), score, fwd_sum, lm_sum
+    stack = [((), 0.0, 0.0, 0.0)]
+    expanded = 0
+    while stack:
+        node = stack.pop()
+        if not kept(node):
+            continue
+        expanded += 1
+        if expanded > budget:
+            raise ConfigError(f"no proof within {budget} expansions")
+        prefix, score, fwd_sum, lm_sum = node
+        logf = _log_dist(fwd.next_dist(source, prefix))
+        logl = _log_dist(lm.next_dist((), prefix)) if lam > 0 else None
+        children = []
+        for tok in range(fwd.vocab_size):
+            flp = float(logf[tok])
+            if lam > 0:
+                llp = float(logl[tok])
+                new_score = score + flp + lam * llp
+            else:
+                llp = 0.0
+                new_score = score + flp
+            if new_score == float("-inf"):
+                continue
+            tokens = prefix + (tok,)
+            if tok == eos:
+                best.append(Candidate(
+                    tokens=tokens,
+                    fwd_logprob=fwd_sum + flp,
+                    lm_logprob=lm_sum + llp if lam > 0 else None,
+                    fused_score=new_score,
+                ))
+                best.sort(key=lambda c: (-c.fused_score, c.tokens))
+                del best[n_best:]
+            elif len(tokens) < max_len:
+                children.append((tokens, new_score, fwd_sum + flp, lm_sum + llp))
+        # best first; the ceiling grows with the score, so once a child is
+        # dropped every later one is too
+        children.sort(key=lambda c: (-c[1], c[0]))
+        stack.extend(reversed(list(itertools.takewhile(kept, children))))
+    if not best:
         raise NoCompletedHypothesisError("no eos-terminated sequence has finite score")
     return best
 

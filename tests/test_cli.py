@@ -755,6 +755,66 @@ def test_avg_checkpoints_top_k_needs_numeric_score(tmp_path, capsys, score):
     assert not out.exists()
 
 
+# case -> (validation score of each file, "w" of each file, --top-k, the stderr
+# lines after the config line, with {0}, {1}, ... for the file paths, and the
+# "w" averaged into the output, or None for exit 1 and no output file)
+_AVG_RUNS = {
+    "score tie": ([2.0, 1.0, 2], [[3.0], [1.0], [5.0]], "1",
+                  ["top-1 by validation score: ['{0}']", "averaged 1 checkpoints"], [3.0]),
+    "missing score": ([-0.5, None, 1e-9], [[1.0], [2.0], [4.0]], "2",
+                      ["top-2 by validation score: ['{2}', '{1}']", "averaged 2 checkpoints"],
+                      [3.0]),
+    "top-k above the file count": ([1, 3], [[1.0], [5.0]], "5",
+                                   ["top-5 by validation score: ['{1}', '{0}']",
+                                    "averaged 2 checkpoints"], [3.0]),
+    "no top-k": ([1, "n/a"], [[1.0], [5.0]], None, ["averaged 2 checkpoints"], [3.0]),
+    "non-finite score": ([1.0, float("inf")], [[1.0], [5.0]], "1",
+                         ["error: ModelFormatError: {1}: validation_score inf is not a finite "
+                          "number"], None),
+    "top-k 0": ([1.0, 2.0], [[1.0], [5.0]], "0",
+                ["error: ConfigError: --top-k must be at least 1, got 0"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(_AVG_RUNS))
+def test_avg_checkpoints_runs(tmp_path, capsys, case):
+    scores, ws, top_k, lines, mean = _AVG_RUNS[case]
+    paths = [str(tmp_path / f"c{i}.nmtc") for i in range(len(scores))]
+    for path, score, w in zip(paths, scores, ws):
+        models.save_checkpoint({"w": w}, path,
+                               None if score is None else {"validation_score": score})
+    out = tmp_path / "avg.nmtc"
+    argv = ["avg-checkpoints", *paths, "-o", str(out)]
+    argv += [] if top_k is None else ["--top-k", top_k]
+    assert run(argv) == (0 if mean else 1)
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("[mtkit] avg-checkpoints config: ")
+    assert err[1:] == [line.format(*paths) if line.startswith("error: ")
+                       else "[mtkit] avg-checkpoints: " + line.format(*paths) for line in lines]
+    if mean is None:
+        assert not out.exists()
+    else:
+        count = len(paths) if top_k is None else min(len(paths), int(top_k))
+        assert out.read_bytes() == _checkpoint_bytes(tmp_path, mean, {"source_count": count})
+
+
+@pytest.mark.parametrize("top_k", [[], ["--top-k", "2"]], ids=["all", "top-k 2"])
+def test_avg_checkpoints_reads_each_header_once(tmp_path, monkeypatch, top_k):
+    paths = [str(tmp_path / f"c{i}.nmtc") for i in range(3)]
+    for i, path in enumerate(paths):
+        models.save_checkpoint({"w": [float(i)]}, path, {"validation_score": i})
+    reads = []
+    read_header = models._read_header
+
+    def counted(fh):
+        reads.append(fh.name)
+        return read_header(fh)
+
+    monkeypatch.setattr(models, "_read_header", counted)
+    assert run(["avg-checkpoints", *paths, "-o", str(tmp_path / "avg.nmtc"), *top_k]) == 0
+    assert reads == paths
+
+
 def test_avg_checkpoints_rejects_non_f32_dtype(tmp_path, capsys):
     path = tmp_path / "f16.nmtc"
     models.save_checkpoint({"w": [1.0, 3.0]}, path)
@@ -1405,6 +1465,13 @@ def test_every_output_is_staged(tmp_path, capsys, monkeypatch, command, option):
             before + ([] if earlier is None else ["out"]))
         assert (out.read_bytes() if out.exists() else None) == earlier
 
+    # a failed open names the path given, not the temporary file beside it
+    missing = str(tmp_path / "missing" / "out")
+    assert run(argv[:-1] + [missing]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: {missing!r}"
+    assert ".tmp" not in err
+
     assert run(argv) == 0
     assert out.read_bytes() not in (b"", b"earlier bytes\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["out"])
@@ -1572,6 +1639,8 @@ _STAGES = {
                             "--final 0.5 -o {out}", _CORPUS | {"mtkit.domain"}, False),
     "mix": ("mix --part 1:bitext:{pairs} --n 3 -o {out}", _CORPUS, False),
     "reverse-target": ("reverse-target {pairs} -o {out}", _CORPUS, False),
+    "avg-checkpoints": ("avg-checkpoints {ckpt0} {ckpt1} --top-k 1 -o {out}", {"mtkit.models"},
+                        True),
     # a table scorer is an array file
     "decode": ("decode {ids} --model {fwd} --dump {out}.dump -o {out}", _SCORERS, True),
     "decode lm": ("decode {ids} --model {fwd} --lm {lm} --fusion-lambda 0.1 --max-len 4 "
@@ -1582,6 +1651,10 @@ _STAGES = {
     "score-bleu": ("score-bleu --hyp {text} --ref {text} -o {out}", _BLEU, False),
     "oracle-bleu": ("oracle-bleu --dump {dump} --ref {ids} --eos-id 2 -o {out}",
                     _BLEU | {"mtkit.candidates"}, False),
+    "sample": ("sample {ids} --model {fwd} --k 2 --max-len 3 -o {out}", _SCORERS, True),
+    "tune-lambda": ("tune-lambda --model {fwd} --rev {fwd} --lm {lm} --source {ids} --ref {ids} "
+                    "--beam 2 --max-len 3 --n-candidates 2 --alpha 0.5 --sf-grid 0,0.1 "
+                    "--ncr-grid 0,0.5 -o {out}", _SCORERS | _BLEU, True),
 }
 
 
@@ -1604,6 +1677,9 @@ def stage_files(tmp_path, langid_file):
                              files["lm"])
     for lang in ("en", "ru"):
         _write(files[f"clf_{lang}"], [f"domcls-v1 {lang}", "a\t2.0", "u\t1.5", "__bias__\t-0.5"])
+    for i in range(2):
+        files[f"ckpt{i}"] = tmp_path / f"ckpt{i}"
+        models.save_checkpoint({"w": [float(i)]}, files[f"ckpt{i}"], {"validation_score": i})
     return {"langid": langid_file, **files}
 
 
@@ -1665,12 +1741,13 @@ def test_every_option_a_stage_accepts_is_read(stage_files):
         recorder = _ReadRecorder(args)
         assert args.func(recorder) == 0
         read.setdefault(argv[0], set()).update(recorder.read)
-    # the subcommands no _STAGES case runs
-    assert set(_OPTIONS) - set(read) == {"avg-checkpoints", "sample", "tune-lambda"}
+    # every subcommand has a _STAGES case
+    assert set(_OPTIONS) - set(read) == set()
     for name, dests in read.items():
         (sub,) = (a for a in build_parser(name)._actions
                   if isinstance(a, argparse._SubParsersAction))
         got = {opt for action in sub.choices[name]._actions if action.dest in dests
                for opt in action.option_strings or [action.dest]}
-        ignored = {"--threads", "--seed"} if name in ("filter", "decode") else {"--threads"}
+        ignored = ({"--threads", "--seed"} if name in ("filter", "decode", "tune-lambda")
+                   else {"--threads"})
         assert set(_OPTIONS[name].split()) - got <= ignored, name

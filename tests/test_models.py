@@ -21,8 +21,8 @@ from mtkit.models import (
     EnsembleScorer,
     NGramScorer,
     TableScorer,
+    _read_header,
     average_checkpoint_files,
-    checkpoint_metadata,
     load_scorer,
     ngram_train,
     save_checkpoint,
@@ -114,6 +114,38 @@ def test_average_matches_scalar_reference(tmp_path):
             tmp_path, expected, {"source_count": k})
 
 
+_SCORES = st.one_of(st.none(), st.integers(-3, 3),
+                    st.sampled_from([-0.0, 0.0, 0.5, 2.5, -1e300]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(scores=st.lists(_SCORES, min_size=1, max_size=6), top_k=st.integers(1, 8))
+def test_average_top_k_is_the_best_by_score_then_path(tmp_path_factory, scores, top_k):
+    # a missing score counts 0.0 and ties go to the smaller path; the chosen
+    # files average to the bytes of averaging them alone, and on_chosen hears
+    # them before the output exists
+    tmp_path = tmp_path_factory.mktemp("top_k")
+    rng = random.Random(len(scores))
+    paths = [tmp_path / f"c{rng.randrange(3)}{i}.ckpt" for i in range(len(scores))]
+    for path, score in zip(paths, scores):
+        save_checkpoint(_random_tensors(rng), path,
+                        None if score is None else {"validation_score": score})
+    expected = sorted(paths, key=lambda p: (-float(scores[paths.index(p)] or 0.0), p))[:top_k]
+    out, heard = tmp_path / "top.ckpt", []
+    assert average_checkpoint_files(
+        paths, out, top_k, on_chosen=lambda chosen: heard.append((chosen, out.exists()))
+    ) == expected
+    assert heard == [(expected, False)]
+    assert out.read_bytes() == _average_bytes(tmp_path, expected)
+
+
+def test_average_without_top_k_ignores_scores(tmp_path):
+    paths = _save_all(tmp_path, [{"w": [1.0]}, {"w": [3.0]}], {"validation_score": "n/a"})
+    heard = []
+    assert average_checkpoint_files(paths, tmp_path / "avg.ckpt", on_chosen=heard.append) == paths
+    assert heard == []
+
+
 def test_average_shape_mismatch_names_tensor(tmp_path):
     paths = _save_all(tmp_path, [{"w": np.zeros(2)}, {"w": np.zeros(3)}])
     with pytest.raises(ShapeMismatchError) as err:
@@ -167,7 +199,8 @@ def test_checkpoint_file_roundtrip(tmp_path):
     tensors["scalar"] = np.float32(2.5).reshape(())
     metadata = {"step": 3, "validation_score": 0.75}
     (path,) = _save_all(tmp_path, [tensors], metadata)
-    assert checkpoint_metadata(path) == metadata
+    with open(path, "rb") as fh:
+        assert _read_header(fh)[0] == metadata
     assert _average_bytes(tmp_path, [path]) == _saved_bytes(
         tmp_path, tensors, {"source_count": 1})
 
@@ -179,12 +212,6 @@ def test_checkpoint_save_deterministic(tmp_path):
     save_checkpoint(tensors, p1, {"step": 3})
     save_checkpoint(tensors, p2, {"step": 3})
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_checkpoint_metadata_only_read(tmp_path):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint({"w": np.zeros(4)}, path, {"validation_score": 0.25})
-    assert checkpoint_metadata(path) == {"validation_score": 0.25}
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -205,9 +232,9 @@ def test_checkpoint_truncated_payload(tmp_path):
 
 def _checkpoint_readers(path, tmp_path):
     return [
-        lambda: checkpoint_metadata(path),
         lambda: average_checkpoint_files([path, path], tmp_path / "avg.ckpt"),
         lambda: load_scorer(path),
+        lambda: average_checkpoint_files([path, path], tmp_path / "avg.ckpt", top_k=1),
     ]
 
 
@@ -296,7 +323,7 @@ def test_load_fuzzed_checkpoint_files(tmp_path):
     save_table_scorer(make_table_scorer(3, 2, rng), path)
     table = path.read_bytes()
     readers = _checkpoint_readers(path, tmp_path)
-    for data, loads in ((checkpoint, readers[1]), (table, readers[2])):
+    for data, loads in ((checkpoint, readers[0]), (table, readers[1])):
         variants = fuzz_variants(data, rng, b'0123456789-.,[]{}":fe', 400)
         succeeded = {read: 0 for read in readers}
         for blob in variants:

@@ -26,6 +26,7 @@ from mtkit.decode import (
 )
 from mtkit.errors import ConfigError, EmptyInputError, NoCompletedHypothesisError
 from mtkit.models import (
+    EnsembleScorer,
     Scorer,
     TableScorer,
     load_scorer,
@@ -35,6 +36,7 @@ from mtkit.models import (
 
 from conftest import make_table_scorer
 from scalar_reference import (
+    bounded_exact_search,
     exact_search,
     ngram_from_counts,
     ngram_gram_counts,
@@ -335,6 +337,131 @@ def test_saturated_beam_equals_exact_search(vocab, max_len, seed, lam, zero_frac
     assert top.fused_score == oracle.fused_score
     assert top.fwd_logprob == oracle.fwd_logprob
     assert top.lm_logprob == oracle.lm_logprob
+
+
+# ---------------------------------------------------------------------------
+# bounded exact search
+
+
+def _oracle_scorer(kind: str, vocab: int, max_len: int, rng: random.Random, source):
+    if kind == "rising":  # one-hot rows scaled within the contract raise a score
+        return HashScorer(vocab, rng.random(), zero_frac=0.6, scale=1 + 5e-7)
+    if kind == "table":
+        return make_table_scorer(vocab, max_len, rng, source=source,
+                                 zero_frac=rng.choice([0.0, 0.3]))
+    corpus = [[rng.randrange(vocab - 1) for _ in range(rng.randint(1, 4))] for _ in range(6)]
+    ngram = ngram_train(corpus, rng.randint(1, 3), vocab_size=vocab, eos_id=vocab - 1)
+    if kind == "ngram":
+        return ngram
+    return EnsembleScorer([make_table_scorer(vocab, max_len, rng, source=source), ngram])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    vocab=st.integers(2, 5),
+    max_len=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from([0.0, 0.1, 0.5]),
+    kinds=st.tuples(*[st.sampled_from(["table", "ngram", "ensemble", "rising"])] * 2),
+    n_best=st.integers(1, 4),
+)
+def test_bounded_exact_search_equals_exhaustive_search(vocab, max_len, seed, lam, kinds, n_best):
+    # the pruning drops no sequence that exact_search or a saturated beam
+    # would rank among the n best
+    rng = random.Random(seed)
+    source = (0,)
+    fwd = _oracle_scorer(kinds[0], vocab, max_len, rng, source)
+    lm = _oracle_scorer(kinds[1], vocab, max_len, rng, ())
+    size = vocab ** max_len
+    try:
+        oracle = exact_search(fwd, lm, source, max_len, fusion_lambda=lam)
+    except NoCompletedHypothesisError:
+        with pytest.raises(NoCompletedHypothesisError):
+            bounded_exact_search(fwd, lm, source, max_len, lam, n_best)
+        return
+    got = bounded_exact_search(fwd, lm, source, max_len, lam, n_best)
+    assert got[0] == oracle
+    cfg = DecodeConfig(beam_size=size, max_len=max_len, n_candidates=n_best, fusion_lambda=lam)
+    assert got == reference_beam_search(fwd, lm, source, cfg)
+
+
+def test_bounded_exact_search_keeps_a_node_whose_score_can_still_rise():
+    # (b) scores below the completion (a, eos), but a row may sum to
+    # 1 + 1e-6, so (b, eos) still beats it: only the ceiling keeps (b)
+    fwd = TableScorer(["a", "b", "eos"], {
+        ((0,), ()): [0.5, 0.4999998, 2e-7],
+        ((0,), (0,)): [0.0, 0.0, 1.0],
+        ((0,), (1,)): [0.0, 0.0, 1 + 5e-7],
+    }, np.ones(3) / 3)
+    (best,) = bounded_exact_search(fwd, None, (0,), 2)
+    assert best == exact_search(fwd, None, (0,), 2)
+    assert best.tokens == (1, 2)
+
+
+def test_bounded_exact_search_raises_past_its_budget():
+    # with more places than completions nothing is pruned: each of the
+    # 1 + 3 + 9 partials shorter than 3 tokens is expanded and completes
+    fwd = HashScorer(4, 0)
+    assert len(bounded_exact_search(fwd, None, (0,), 3, n_best=50, budget=13)) == 1 + 3 + 9
+    with pytest.raises(ConfigError, match="no proof within 12 expansions"):
+        bounded_exact_search(fwd, None, (0,), 3, n_best=50, budget=12)
+
+
+def _translate_instance(seed: int, vocab: int = 2000, sentences: int = 8):
+    """The translate workload's kind of input: a forward table peaked along
+    each reference (0.8 on its token, at up to two positions 0.45 and 0.35
+    split with an alternative whose path rejoins the reference, eos 1e-9
+    before the end), a uniform row elsewhere, and a trigram LM over a
+    near-deterministic Markov chain that has seen the references."""
+    rng = random.Random(seed)
+    eos = vocab - 1
+    starts = rng.sample(range(eos), eos // 7)
+    succ = [rng.sample(range(eos), 3) for _ in range(eos)]
+
+    def sentence(length):
+        out = [rng.choice(starts)]
+        while len(out) < length:
+            out.append(rng.choices(succ[out[-1]], weights=(0.9, 0.07, 0.03))[0])
+        return out
+
+    def row(peaks):
+        vec = np.full(vocab, (1.0 - sum(peaks.values())) / (vocab - len(peaks)))
+        vec[list(peaks)] = list(peaks.values())
+        return vec
+
+    sources = [tuple(rng.sample(range(eos), rng.randint(8, 20))) for _ in range(sentences)]
+    refs = [sentence(rng.randint(8, 20)) for _ in range(sentences)]
+    table = {}
+    for src, ref in zip(sources, refs):
+        splits = {j: rng.choice([t for t in range(eos) if t != ref[j]])
+                  for j in rng.sample(range(len(ref)), 2) if rng.random() < 0.6}
+        paths = [(ref, splits)] + [(ref[:j] + [alt] + ref[j + 1:], {}) for j, alt in splits.items()]
+        for path, path_splits in paths:
+            for j in range(len(path) + 1):
+                if j == len(path):
+                    peaks = {eos: 0.8}
+                elif j in path_splits:
+                    peaks = {path[j]: 0.45, path_splits[j]: 0.35, eos: 1e-9}
+                else:
+                    peaks = {path[j]: 0.8, eos: 1e-9}
+                table.setdefault((src, tuple(path[:j])), row(peaks))
+    fwd = TableScorer([f"w{i}" for i in range(eos)] + ["eos"], table, np.full(vocab, 1 / vocab))
+    corpus = [sentence(rng.randint(6, 22)) for _ in range(1500)] + refs
+    lm = ngram_train(corpus, 3, vocab_size=vocab, eos_id=eos, weights=(0.1, 0.3, 0.6))
+    return fwd, lm, sources
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_beam_top1_is_the_proven_optimum_at_translate_size(seed):
+    # V = 2000, fusion 0.1, alpha 0, beam 5, max_len 24: sizes exact_search
+    # cannot enumerate, where the branch and bound proves the optimum
+    fwd, lm, sources = _translate_instance(seed)
+    cfg = DecodeConfig(beam_size=5, max_len=24, n_candidates=5, fusion_lambda=0.1)
+    for source in sources:
+        top = beam_search(fwd, lm, source, cfg)[0]
+        (best,) = bounded_exact_search(fwd, lm, source, 24, 0.1, budget=2000)
+        assert top.tokens == best.tokens
+        assert top.fused_score == best.fused_score
 
 
 # ---------------------------------------------------------------------------
