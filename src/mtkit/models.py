@@ -205,51 +205,51 @@ def _read_floats(fh, payload_start: int, entry: dict, dtype: str) -> np.ndarray:
 
 def average_checkpoint_files(paths: list, out_path, top_k=None, *, on_chosen=None) -> list:
     """Average checkpoint files tensor by tensor into out_path; return the
-    paths averaged. Each header is read once, in path order. With top_k,
-    each file is opened, read and scored in turn (else all are opened
-    first), and the top_k by metadata "validation_score" (0.0 if missing,
-    ties to the smaller path) are averaged, best first, once on_chosen, if
-    given, is called with their paths; a score that is not a finite int or
-    float raises ModelFormatError naming the file. The averaged files must
-    share f32 tensor names and shapes. Each element is the mean of its k
-    values, summed in f64 after sorting, so the bytes do not depend on the
-    order of paths; the metadata is {"source_count": k}. One tensor's k
-    copies are held at a time. The writer stages its file, so a rejected
-    input leaves out_path as it was.
+    paths averaged. Each file is opened, its header read and scored, and
+    closed in turn, in path order. With top_k, the top_k by metadata
+    "validation_score" (0.0 if missing, ties to the smaller path) are
+    averaged, best first, once on_chosen, if given, is called with their
+    paths; a score that is not a finite int or float raises
+    ModelFormatError naming the file. Only the averaged files are opened
+    again, for their payloads. They must share f32 tensor names and
+    shapes. Each element is the mean of its k values, summed in f64 after
+    sorting, so the bytes do not depend on the order of paths; the metadata
+    is {"source_count": k}. One tensor's k copies are held at a time. The
+    writer stages its file, so a rejected input leaves out_path as it was.
     """
     import numpy as np
     if top_k is not None and top_k < 1:
         raise ConfigError(f"--top-k must be at least 1, got {top_k}")
     if not paths:
         raise EmptyInputError("no checkpoint files given")
+    files = []  # (rank key, path, payload start, name -> tensor entry)
+    for p in paths:
+        with naming(p, ModelFormatError), open(p, "rb") as fh:
+            metadata, entries, payload_start = _read_header(fh)
+            score = metadata.get("validation_score", 0.0) if top_k else 0.0
+            # false for NaN, the infinities and ints beyond the float range
+            if type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
+                raise ModelFormatError(f"validation_score {score!r} is not a finite number")
+        files.append(((-float(score), p), p, payload_start, {e["name"]: e for e in entries}))
+    if top_k:
+        files = sorted(files, key=lambda f: f[0])[:top_k]
+        if on_chosen is not None:
+            on_chosen([f[1] for f in files])
+    shapes = {name: e["shape"] for name, e in files[0][3].items()}
+    for *_, entries in files[1:]:
+        if set(entries) != set(shapes):
+            diff = sorted(set(entries) ^ set(shapes))
+            raise NameSetMismatchError(f"tensor name sets differ (symmetric diff: {diff})")
+        for name, e in entries.items():
+            if e["shape"] != shapes[name]:
+                raise ShapeMismatchError(f"shape mismatch for tensor {name!r}: "
+                                         f"{tuple(shapes[name])} vs {tuple(e['shape'])}")
     with contextlib.ExitStack() as stack:
-        handles = (stack.enter_context(open(p, "rb")) for p in paths)
-        files = []  # (rank key, path, handle, payload start, name -> tensor entry)
-        for p, fh in zip(paths, handles if top_k else list(handles)):
-            with naming(p, ModelFormatError):
-                metadata, entries, payload_start = _read_header(fh)
-                score = metadata.get("validation_score", 0.0) if top_k else 0.0
-                # false for NaN, the infinities and ints beyond the float range
-                if type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
-                    raise ModelFormatError(f"validation_score {score!r} is not a finite number")
-            files.append(((-float(score), p), p, fh, payload_start, {e["name"]: e for e in entries}))
-        if top_k:
-            files = sorted(files, key=lambda f: f[0])[:top_k]
-            if on_chosen is not None:
-                on_chosen([f[1] for f in files])
-        shapes = {name: e["shape"] for name, e in files[0][4].items()}
-        for *_, entries in files[1:]:
-            if set(entries) != set(shapes):
-                diff = sorted(set(entries) ^ set(shapes))
-                raise NameSetMismatchError(f"tensor name sets differ (symmetric diff: {diff})")
-            for name, e in entries.items():
-                if e["shape"] != shapes[name]:
-                    raise ShapeMismatchError(f"shape mismatch for tensor {name!r}: "
-                                             f"{tuple(shapes[name])} vs {tuple(e['shape'])}")
+        handles = [stack.enter_context(open(f[1], "rb")) for f in files]
 
         def mean(name: str) -> np.ndarray:
             values = []
-            for _, p, fh, payload_start, entries in files:
+            for fh, (_, p, payload_start, entries) in zip(handles, files):
                 with naming(p, ModelFormatError):
                     values.append(_read_floats(fh, payload_start, entries[name], "f32"))
             values = np.array(values, dtype=np.float64)

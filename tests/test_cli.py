@@ -720,7 +720,8 @@ def test_avg_checkpoints_top_k_below_one_exits_1(tmp_path, capsys, k):
         models.save_checkpoint({"w": [score]}, paths[-1], {"validation_score": score})
     out = tmp_path / "avg.nmtc"
     assert run(["avg-checkpoints", *paths, "-o", str(out), "--top-k", k]) == 1
-    assert "error: ConfigError: --top-k must be at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == [f"error: ConfigError: --top-k must be at least 1, got {k}"]
     assert not out.exists()
 
 
@@ -749,15 +750,16 @@ def test_avg_checkpoints_top_k_needs_numeric_score(tmp_path, capsys, score):
     models.save_checkpoint({"w": np.zeros(2)}, path, {"validation_score": score})
     out = tmp_path / "avg.nmtc"
     assert run(["avg-checkpoints", str(good), str(path), "-o", str(out), "--top-k", "1"]) == 1
-    err = capsys.readouterr().err
-    assert "error: ModelFormatError:" in err
-    assert "Traceback" not in err
+    # no "top-1 by validation score" line: the run fails before it chooses
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == [f"error: ModelFormatError: {path}: validation_score {score!r} "
+                       "is not a finite number"]
     assert not out.exists()
 
 
 # case -> (validation score of each file, "w" of each file, --top-k, the stderr
 # lines after the config line, with {0}, {1}, ... for the file paths, and the
-# "w" averaged into the output, or None for exit 1 and no output file)
+# "w" averaged into the output)
 _AVG_RUNS = {
     "score tie": ([2.0, 1.0, 2], [[3.0], [1.0], [5.0]], "1",
                   ["top-1 by validation score: ['{0}']", "averaged 1 checkpoints"], [3.0]),
@@ -768,11 +770,6 @@ _AVG_RUNS = {
                                    ["top-5 by validation score: ['{1}', '{0}']",
                                     "averaged 2 checkpoints"], [3.0]),
     "no top-k": ([1, "n/a"], [[1.0], [5.0]], None, ["averaged 2 checkpoints"], [3.0]),
-    "non-finite score": ([1.0, float("inf")], [[1.0], [5.0]], "1",
-                         ["error: ModelFormatError: {1}: validation_score inf is not a finite "
-                          "number"], None),
-    "top-k 0": ([1.0, 2.0], [[1.0], [5.0]], "0",
-                ["error: ConfigError: --top-k must be at least 1, got 0"], None),
 }
 
 
@@ -786,16 +783,12 @@ def test_avg_checkpoints_runs(tmp_path, capsys, case):
     out = tmp_path / "avg.nmtc"
     argv = ["avg-checkpoints", *paths, "-o", str(out)]
     argv += [] if top_k is None else ["--top-k", top_k]
-    assert run(argv) == (0 if mean else 1)
+    assert run(argv) == 0
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("[mtkit] avg-checkpoints config: ")
-    assert err[1:] == [line.format(*paths) if line.startswith("error: ")
-                       else "[mtkit] avg-checkpoints: " + line.format(*paths) for line in lines]
-    if mean is None:
-        assert not out.exists()
-    else:
-        count = len(paths) if top_k is None else min(len(paths), int(top_k))
-        assert out.read_bytes() == _checkpoint_bytes(tmp_path, mean, {"source_count": count})
+    assert err[1:] == ["[mtkit] avg-checkpoints: " + line.format(*paths) for line in lines]
+    count = len(paths) if top_k is None else min(len(paths), int(top_k))
+    assert out.read_bytes() == _checkpoint_bytes(tmp_path, mean, {"source_count": count})
 
 
 @pytest.mark.parametrize("top_k", [[], ["--top-k", "2"]], ids=["all", "top-k 2"])
@@ -813,6 +806,20 @@ def test_avg_checkpoints_reads_each_header_once(tmp_path, monkeypatch, top_k):
     monkeypatch.setattr(models, "_read_header", counted)
     assert run(["avg-checkpoints", *paths, "-o", str(tmp_path / "avg.nmtc"), *top_k]) == 0
     assert reads == paths
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_NOFILE")
+def test_avg_checkpoints_top_k_of_more_files_than_may_be_open(tmp_path):
+    # ranking reads one header at a time, so only the chosen files are held
+    # open: a child allowed 64 open files averages the best of 100
+    paths = [str(tmp_path / f"c{i:03d}.nmtc") for i in range(100)]
+    for i, path in enumerate(paths):
+        models.save_checkpoint({"w": [float(i)]}, path, {"validation_score": i})
+    out = tmp_path / "avg.nmtc"
+    proc = _run_limited(["avg-checkpoints", *paths, "-o", str(out), "--top-k", "1"],
+                        _NOFILE_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == _checkpoint_bytes(tmp_path, [99.0], {"source_count": 1})
 
 
 def test_avg_checkpoints_rejects_non_f32_dtype(tmp_path, capsys):
@@ -1491,10 +1498,18 @@ sys.exit(run(json.loads(sys.argv[1])))
 """
 
 
-def _run_limited(argv):
-    # runs `mtkit argv` in a child under the address-space limit and a wall-clock limit
+_NOFILE_SCRIPT = """\
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+from mtkit.cli import run
+sys.exit(run(json.loads(sys.argv[1])))
+"""
+
+
+def _run_limited(argv, script=_OOM_SCRIPT):
+    # runs `mtkit argv` in a child under script's limit and a wall-clock limit
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
-    return subprocess.run([sys.executable, "-c", _OOM_SCRIPT, json.dumps(argv)],
+    return subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           capture_output=True, text=True, env=env, check=False, timeout=120)
 
 
