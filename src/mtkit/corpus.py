@@ -211,11 +211,13 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
                  epochs: int = 300, lr: float = 2.0) -> LangIdModel:
     """Fit by full-batch gradient descent; deterministic given data order and seed.
 
-    Memory is one n x n_features float64 feature matrix on top of numpy and
-    numpy.random, which draws the initial weights; no other stage loads
-    numpy.random. Both products of an epoch read the matrix in its
-    row-major storage order."""
+    Memory is one n x n_features float64 feature matrix on top of numpy.
+    The initial weights are the values of numpy's
+    default_rng(seed).normal(0, 0.01), drawn by mtkit.normal's exact copy
+    of it, so no stage loads numpy's random module. Both products of an
+    epoch read the matrix in its row-major storage order."""
     import numpy as np
+    from .normal import default_rng_normal
     _check_n_features(n_features, ConfigError)
     check_training(epochs, lr, seed)
     pairs = [(text, lang) for text, lang in labeled]
@@ -236,8 +238,9 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
     for row, (_, lang) in enumerate(pairs):
         y[row, lang_idx[lang]] = 1.0
 
-    rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, 0.01, size=(n_features, len(langs)))
+    size = n_features * len(langs)
+    w = np.fromiter(default_rng_normal(seed, 0.0, 0.01, size), float, count=size)
+    w = w.reshape(n_features, len(langs))
     b = np.zeros(len(langs))
     for _ in range(epochs):
         logits = x @ w + b

@@ -18,7 +18,6 @@ loading numpy.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -211,11 +210,13 @@ def average_checkpoint_files(paths: list, out_path, top_k=None, *, on_chosen=Non
     averaged, best first, once on_chosen, if given, is called with their
     paths; a score that is not a finite int or float raises
     ModelFormatError naming the file. Only the averaged files are opened
-    again, for their payloads. They must share f32 tensor names and
-    shapes. Each element is the mean of its k values, summed in f64 after
-    sorting, so the bytes do not depend on the order of paths; the metadata
-    is {"source_count": k}. One tensor's k copies are held at a time. The
-    writer stages its file, so a rejected input leaves out_path as it was.
+    again, one at a time for each tensor's payload, so no more than two
+    files (one input and the output) are open at once. They must share f32
+    tensor names and shapes. Each element is the mean of its k values,
+    summed in f64 after sorting, so the bytes do not depend on the order of
+    paths; the metadata is {"source_count": k}. One tensor's k copies are
+    held at a time. The writer stages its file, so a rejected input leaves
+    out_path as it was.
     """
     import numpy as np
     if top_k is not None and top_k < 1:
@@ -244,19 +245,16 @@ def average_checkpoint_files(paths: list, out_path, top_k=None, *, on_chosen=Non
             if e["shape"] != shapes[name]:
                 raise ShapeMismatchError(f"shape mismatch for tensor {name!r}: "
                                          f"{tuple(shapes[name])} vs {tuple(e['shape'])}")
-    with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(f[1], "rb")) for f in files]
+    def mean(name: str) -> np.ndarray:
+        values = []
+        for _, p, payload_start, entries in files:
+            with naming(p, ModelFormatError), open(p, "rb") as fh:
+                values.append(_read_floats(fh, payload_start, entries[name], "f32"))
+        values = np.array(values, dtype=np.float64)
+        values.sort(axis=0)
+        return (values.sum(axis=0) / len(files)).astype(np.float32)
 
-        def mean(name: str) -> np.ndarray:
-            values = []
-            for fh, (_, p, payload_start, entries) in zip(handles, files):
-                with naming(p, ModelFormatError):
-                    values.append(_read_floats(fh, payload_start, entries[name], "f32"))
-            values = np.array(values, dtype=np.float64)
-            values.sort(axis=0)
-            return (values.sum(axis=0) / len(files)).astype(np.float32)
-
-        _write_checkpoint(out_path, {"source_count": len(files)}, shapes, mean)
+    _write_checkpoint(out_path, {"source_count": len(files)}, shapes, mean)
     return [f[1] for f in files]
 
 

@@ -817,9 +817,26 @@ def test_avg_checkpoints_top_k_of_more_files_than_may_be_open(tmp_path):
         models.save_checkpoint({"w": [float(i)]}, path, {"validation_score": i})
     out = tmp_path / "avg.nmtc"
     proc = _run_limited(["avg-checkpoints", *paths, "-o", str(out), "--top-k", "1"],
-                        _NOFILE_SCRIPT)
+                        _RUN_SCRIPT, _open_files_limit(64))
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == _checkpoint_bytes(tmp_path, [99.0], {"source_count": 1})
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_NOFILE")
+@pytest.mark.parametrize("top_k", [[], ["--top-k", "100"]], ids=["all", "top-100"])
+def test_avg_checkpoints_of_more_files_than_may_be_open(tmp_path, top_k):
+    # the payload pass opens the chosen files one at a time for each tensor:
+    # a child allowed 64 open files averages 100 to the bytes of a run
+    # allowed them all
+    paths = [str(tmp_path / f"c{i:03d}.nmtc") for i in range(100)]
+    for i, path in enumerate(paths):
+        models.save_checkpoint({"w": [i / 7, -i / 3]}, path, {"validation_score": i % 9})
+    expected, out = tmp_path / "expected.nmtc", tmp_path / "avg.nmtc"
+    assert run(["avg-checkpoints", *paths, "-o", str(expected), *top_k]) == 0
+    proc = _run_limited(["avg-checkpoints", *paths, "-o", str(out), *top_k],
+                        _RUN_SCRIPT, _open_files_limit(64))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_avg_checkpoints_rejects_non_f32_dtype(tmp_path, capsys):
@@ -1498,19 +1515,29 @@ sys.exit(run(json.loads(sys.argv[1])))
 """
 
 
-_NOFILE_SCRIPT = """\
-import json, resource, sys
-resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+_RUN_SCRIPT = """\
+import json, sys
 from mtkit.cli import run
 sys.exit(run(json.loads(sys.argv[1])))
 """
 
 
-def _run_limited(argv, script=_OOM_SCRIPT):
-    # runs `mtkit argv` in a child under script's limit and a wall-clock limit
+def _open_files_limit(n):
+    """A preexec_fn that lets the child, and only it, hold n files open."""
+    def limit():
+        import resource
+        hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+        resource.setrlimit(resource.RLIMIT_NOFILE, (n, hard))
+    return limit
+
+
+def _run_limited(argv, script=_OOM_SCRIPT, preexec_fn=None):
+    # runs `mtkit argv` in a child under script's or preexec_fn's limit and a
+    # wall-clock limit
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
     return subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, check=False, timeout=120)
+                          capture_output=True, text=True, env=env, check=False, timeout=120,
+                          preexec_fn=preexec_fn)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
@@ -1622,10 +1649,12 @@ def test_stray_value_error_is_a_bug_not_an_exit_code(tmp_path, monkeypatch):
 # per run. Each stage imports the mtkit modules it uses inside its own
 # function, so a stage started in a fresh interpreter loads no other, and a
 # stage that does no array math does not import numpy; rerank over n-gram
-# models reads their containers straight into arrays. Only langid-train,
-# which draws its initial weights from default_rng, loads numpy.random
-# (about 6 MB of RSS). No stage loads dataclasses, which pulls in inspect;
-# numpy imports inspect itself, so only the stages that load numpy may add it.
+# models reads their containers straight into arrays. No stage loads
+# numpy.random (about 6 MB of RSS): langid-train draws its initial weights
+# with mtkit.normal, an exact copy of default_rng's normal draws whose
+# ziggurat tables are package data. No stage loads dataclasses, which pulls
+# in inspect; numpy imports inspect itself, so only the stages that load
+# numpy may add it.
 _TEXT, _BPE, _CORPUS = {"mtkit.textnorm"}, {"mtkit.bpe"}, {"mtkit.corpus"}
 _SCORERS = {"mtkit.candidates", "mtkit.decode", "mtkit.models"}
 _BLEU = {"mtkit.bleu"}
@@ -1641,8 +1670,8 @@ _STAGES = {
     "bpe-encode": ("bpe-encode {tok} --model {codes} -o {out}", _BPE, False),
     "bpe-encode dropout": ("bpe-encode {tok} --model {codes} --dropout 0.1 -o {out}", _BPE, False),
     "bpe-decode": ("bpe-decode {enc} --model {codes} -o {out}", _BPE, False),
-    "langid-train": ("langid-train en={text} ru={pairs} --epochs 2 --model-out {out}", _CORPUS,
-                     True),
+    "langid-train": ("langid-train en={text} ru={pairs} --epochs 2 --model-out {out}",
+                     _CORPUS | {"mtkit.normal", "mtkit.data"}, True),
     "filter": ("filter {pairs} -o {out}", _CORPUS, False),
     "filter mono": ("filter {text} --mono -o {out}", _CORPUS, False),
     "filter langid": ("filter {pairs} --langid {langid} --langs en,ru -o {out}", _CORPUS, True),
@@ -1717,9 +1746,19 @@ def test_stage_loads_only_its_modules(stage_files, stage):
     assert code == "0", proc.stderr
     assert loaded == sorted({"mtkit", "mtkit.cli", "mtkit.errors", *modules})
     assert numpy_ == str(numpy)
-    assert numpy_random == str(stage == "langid-train")
+    assert numpy_random == "False"
     assert dataclasses == "False"
     assert inspect_ == numpy_
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_NOFILE")
+@pytest.mark.parametrize("stage", list(_STAGES))
+def test_stage_runs_with_few_open_files(stage_files, stage):
+    # no stage holds more than a handful of files open at once: each runs in
+    # a child allowed 32
+    argv = _STAGES[stage][0].format(**stage_files).split()
+    proc = _run_limited(argv, _RUN_SCRIPT, _open_files_limit(32))
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("stage", ["domain-train", "domain-select"])

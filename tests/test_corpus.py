@@ -171,6 +171,24 @@ def test_langid_classify_matches_reference(block):
         assert labels[text] == expected[0]
 
 
+def _numpy_fit(labeled, seed: int, n_features: int, epochs: int):
+    """langid_train's descent over the oracle's rows, from the initial
+    weights numpy.random.default_rng(seed) draws; returns (weights, bias)."""
+    langs = sorted({lang for _, lang in labeled})
+    x = np.array([reference_langid_features(text, n_features) for text, _ in labeled])
+    y = np.array([[lang == code for code in langs] for _, lang in labeled], dtype=float)
+    w = np.random.default_rng(seed).normal(0.0, 0.01, size=(n_features, len(langs)))
+    b = np.zeros(len(langs))
+    for _ in range(epochs):
+        logits = x @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits)
+        grad = exp / exp.sum(axis=1, keepdims=True) - y
+        w -= 2.0 * (grad.T @ x).T / len(labeled)
+        b -= 2.0 * grad.mean(axis=0)
+    return w, b
+
+
 def test_langid_train_matches_reference_features(langid_corpus):
     # langid_train fills its matrix block by block; the fit depends on the
     # rows only, so training on the oracle's rows must give the same model
@@ -179,19 +197,20 @@ def test_langid_train_matches_reference_features(langid_corpus):
     n_features = 2048
     model = langid_train(labeled, seed=4, n_features=n_features, epochs=3)
     assert len(labeled) > _block_rows(n_features)
-    x = np.array([reference_langid_features(text, n_features) for text, _ in labeled])
-    y = np.array([[lang == code for code in model.langs] for _, lang in labeled], dtype=float)
-    rng = np.random.default_rng(4)
-    w = rng.normal(0.0, 0.01, size=(n_features, len(model.langs)))
-    b = np.zeros(len(model.langs))
-    for _ in range(3):
-        logits = x @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        grad = exp / exp.sum(axis=1, keepdims=True) - y
-        w -= 2.0 * (grad.T @ x).T / len(labeled)
-        b -= 2.0 * grad.mean(axis=0)
+    w, b = _numpy_fit(labeled, 4, n_features, 3)
     assert np.array_equal(model.weights, w) and np.array_equal(model.bias, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 7])
+@pytest.mark.parametrize("n_features", [1, 5, 2048])
+def test_langid_train_draws_default_rng_weights(langid_corpus, seed, n_features):
+    # mtkit.normal draws the initial weights; they are default_rng's, so the
+    # fit is bit for bit the one numpy.random's draws give
+    train, _ = langid_corpus
+    labeled = train[:20] + train[1000:1020] + train[2000:2020]
+    model = langid_train(labeled, seed=seed, n_features=n_features, epochs=2)
+    w, b = _numpy_fit(labeled, seed, n_features, 2)
+    assert model.weights.tobytes() == w.tobytes() and model.bias.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
