@@ -139,14 +139,19 @@ def _read_text(path: str) -> list[str]:
         return [line.rstrip("\n") for line in fh if line.strip()]
 
 
-def _read_ids(path: str, nonempty: bool = False) -> list[list[int]]:
-    """One id list per line of `path`; with `nonempty`, a line with no ids is
-    an error."""
+def _read_tokens(path: str, parse=str.split, nonempty: str = "") -> list[list]:
+    """parse(line) for each line of `path`. With `nonempty`, the kind of the
+    tokens, an empty result is an EmptyInputError naming the line."""
     with _open_in(path) as fh:
-        lines = [_parse_ids(line) for line in fh]
+        lines = [parse(line) for line in fh]
     if nonempty and [] in lines:
-        raise EmptyInputError(f"{path}: line {lines.index([]) + 1} holds no source tokens")
+        raise EmptyInputError(f"{path}: line {lines.index([]) + 1} holds no {nonempty} tokens")
     return lines
+
+
+def _read_ids(path: str, nonempty: str = "") -> list[list[int]]:
+    """One id list per line of `path`, refused empty as _read_tokens says."""
+    return _read_tokens(path, _parse_ids, nonempty)
 
 
 def _read_tsv(src, stage: str, path: str, counts=None):
@@ -369,7 +374,7 @@ def cmd_decode(args) -> int:
     fwd = _load_forward(args.model)
     lm = models.load_scorer(args.lm) if args.lm else None
     cfg = _decode_config(args, fusion_lambda=args.fusion_lambda)
-    sources = _read_ids(args.input, nonempty=True)
+    sources = _read_ids(args.input, nonempty="source")
     results = decode.decode_batch(fwd, lm, sources, cfg)
     _write_top1(args.output, (cands[0] for cands in results), fwd.eos_id)
     if args.dump:
@@ -412,10 +417,9 @@ def cmd_rerank(args) -> int:
 
 def cmd_score_bleu(args) -> int:
     from . import bleu
-    with _open_in(args.hyp) as fh:
-        hyps = [line.split() for line in fh]
-    with _open_in(args.ref) as fh:
-        refs = [line.split() for line in fh]
+    hyps = _read_tokens(args.hyp)
+    # corpus BLEU is defined for an empty reference; sentence BLEU is not
+    refs = _read_tokens(args.ref, nonempty="reference" if args.sentence_scores else "")
     result = bleu.corpus_bleu(hyps, refs)
     if args.sentence_scores:
         _write_lines(args.sentence_scores, (f"{idx}\t{bleu.sentence_bleu(hyp, ref):.4f}"
@@ -433,7 +437,7 @@ def cmd_oracle_bleu(args) -> int:
     cands_per_sentence = _read_dump(args.dump, args.eos_id, f"--eos-id {args.eos_id}")
     hyps_per_sentence = [[candidates.strip_eos(cand.tokens, args.eos_id) for cand in cands]
                          for cands in cands_per_sentence]
-    refs = _read_ids(args.ref)
+    refs = _read_ids(args.ref, nonempty="reference")
     result, winners = bleu.oracle_corpus_bleu(hyps_per_sentence, refs)
     if args.selected:
         _write_lines(args.selected, map(_format_ids, winners))
@@ -453,7 +457,7 @@ def cmd_tune_lambda(args) -> int:
     fwd = _load_forward(args.model)
     rev = models.load_scorer(args.rev)
     lm = models.load_scorer(args.lm)
-    sources = _read_ids(args.source, nonempty=True)
+    sources = _read_ids(args.source, nonempty="source")
     refs = _read_ids(args.ref)
     cfg = _decode_config(args)
     results = decode.grid_search_lambdas(

@@ -10,12 +10,16 @@ from __future__ import annotations
 import errno
 import itertools
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mtkit
 from mtkit import bpe, corpus, textnorm
 from mtkit.errors import ModelFormatError
 from mtkit.models import TableScorer
@@ -297,6 +301,22 @@ def loads_or_names_file(read, path) -> bool:
         assert str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1, exc
         return False
     return True
+
+
+RUN_SCRIPT = """\
+import json, sys
+from mtkit.cli import run
+sys.exit(run(json.loads(sys.argv[1])))
+"""
+
+
+def run_limited(argv, script=RUN_SCRIPT, preexec_fn=None):
+    """Run `mtkit argv` through `script` in a child, under the limits that
+    the script or preexec_fn sets and a wall-clock limit."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
+    return subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=False, timeout=120,
+                          preexec_fn=preexec_fn)
 
 
 class FullDisk:

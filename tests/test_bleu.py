@@ -1,5 +1,7 @@
 """Corpus/sentence BLEU and oracle selection."""
 
+import hashlib
+import itertools
 import math
 import random
 
@@ -108,6 +110,47 @@ def test_clipping_counts_repeats():
 def test_ids_work_as_tokens():
     r = corpus_bleu([[1, 2, 3]], [[1, 2, 3]])
     assert r.score == 100.0
+
+
+def _random_corpora(n, seed):
+    """n corpora of 1-6 id pairs over alphabets of 2-20 ids, every side 0-15
+    long. Half the references edit their hypothesis (substitutions, then a
+    cut or random extension), so that higher orders match too."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        alphabet = rng.randint(2, 20)
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            hyp = [rng.randrange(alphabet) for _ in range(rng.randint(0, 15))]
+            ref = ([t if rng.random() < 0.8 else rng.randrange(alphabet) for t in hyp]
+                   if rng.random() < 0.5 else [])
+            ref = (ref + [rng.randrange(alphabet) for _ in range(15)])[:rng.randint(0, 15)]
+            pairs.append((hyp, ref))
+        yield pairs
+
+
+def test_bleu_bits_match_the_golden_digest():
+    # float.hex of every corpus_bleu field and of sentence_bleu for every
+    # pair with a reference, over 2000 seeded corpora. The digest was
+    # recorded with the earlier, separate corpus and sentence formulas, so
+    # it pins their bits.
+    digest = hashlib.sha256()
+    seen = dict.fromkeys(("empty hyp", "ref shorter", "repeated bigram", "zero", "positive"), 0)
+    for pairs in _random_corpora(2000, 37):
+        r = corpus_bleu([h for h, _ in pairs], [ref for _, ref in pairs])
+        fields = [*map(float.hex, (r.score, *r.precisions, r.brevity_penalty)),
+                  str(r.hyp_len), str(r.ref_len)]
+        digest.update(" ".join(fields).encode())
+        for hyp, ref in pairs:
+            if ref:
+                digest.update(b" " + float.hex(sentence_bleu(hyp, ref)).encode())
+        digest.update(b"\n")
+        seen["empty hyp"] += sum(not h for h, _ in pairs)
+        seen["ref shorter"] += sum(len(ref) < len(h) for h, ref in pairs)
+        seen["repeated bigram"] += sum(len(set(zip(h, h[1:]))) < len(h) - 1 for h, _ in pairs)
+        seen["zero" if r.score == 0.0 else "positive"] += 1
+    assert min(seen.values()) > 100, seen
+    assert digest.hexdigest() == "cb0b18533d058cb8e8d9f06f728f05639d1daf9d7c699c5d927b03e8a5b73cc8"
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +271,18 @@ def test_oracle_corpus_dominates_rank1():
 def test_oracle_corpus_length_mismatch():
     with pytest.raises(LengthMismatchError):
         oracle_corpus_bleu([[["a"]]], [["a"], ["b"]])
+
+
+def test_per_sentence_oracle_is_not_the_corpus_optimum():
+    # the per-sentence winners hold two 4-grams and match neither, so their
+    # corpus BLEU is 0; the selection [1, 1, 0], [1, 2, 2] holds no 4-gram,
+    # so its order 4 has precision 1 and it scores above 0. Brute force over
+    # every selection finds it.
+    refs = [[2, 3, 0, 1, 0, 0, 2], [1, 3, 1, 2, 2]]
+    cands = [[[1, 0, 3, 0, 1], [1, 1, 0]], [[1, 2, 2, 0], [1, 2, 2]]]
+    oracle, winners = oracle_corpus_bleu(cands, refs)
+    assert winners == [[1, 0, 3, 0, 1], [1, 2, 2]]
+    assert oracle.score == 0.0
+    best = max(itertools.product(*cands), key=lambda sel: corpus_bleu(sel, refs).score)
+    assert best == ([1, 1, 0], [1, 2, 2])
+    assert corpus_bleu(best, refs).score == pytest.approx(27.505, abs=5e-4)

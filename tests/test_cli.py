@@ -22,7 +22,7 @@ from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
 from mtkit.models import TableScorer
 
 from conftest import EN_WORDS, MED_EN, MED_RU, NEWS_EN, NEWS_RU, RU_WORDS, FullDisk, \
-    make_domain_line, make_sentence, ngram_container, table_container
+    make_domain_line, make_sentence, ngram_container, run_limited, table_container
 
 
 def _write(path, lines):
@@ -816,8 +816,8 @@ def test_avg_checkpoints_top_k_of_more_files_than_may_be_open(tmp_path):
     for i, path in enumerate(paths):
         models.save_checkpoint({"w": [float(i)]}, path, {"validation_score": i})
     out = tmp_path / "avg.nmtc"
-    proc = _run_limited(["avg-checkpoints", *paths, "-o", str(out), "--top-k", "1"],
-                        _RUN_SCRIPT, _open_files_limit(64))
+    proc = run_limited(["avg-checkpoints", *paths, "-o", str(out), "--top-k", "1"],
+                       preexec_fn=_open_files_limit(64))
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == _checkpoint_bytes(tmp_path, [99.0], {"source_count": 1})
 
@@ -833,8 +833,8 @@ def test_avg_checkpoints_of_more_files_than_may_be_open(tmp_path, top_k):
         models.save_checkpoint({"w": [i / 7, -i / 3]}, path, {"validation_score": i % 9})
     expected, out = tmp_path / "expected.nmtc", tmp_path / "avg.nmtc"
     assert run(["avg-checkpoints", *paths, "-o", str(expected), *top_k]) == 0
-    proc = _run_limited(["avg-checkpoints", *paths, "-o", str(out), *top_k],
-                        _RUN_SCRIPT, _open_files_limit(64))
+    proc = run_limited(["avg-checkpoints", *paths, "-o", str(out), *top_k],
+                       preexec_fn=_open_files_limit(64))
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == expected.read_bytes()
 
@@ -1113,6 +1113,18 @@ def test_score_bleu_output_line(tmp_path):
     assert _read(sent) == ["0\t60.6531"]
 
 
+def test_score_bleu_accepts_an_empty_reference_line(tmp_path):
+    # corpus BLEU is defined with an empty reference; only --sentence-scores
+    # refuses one (test_bad_input_is_named_error)
+    hyp, ref, out = tmp_path / "hyp.txt", tmp_path / "ref.txt", tmp_path / "bleu.txt"
+    _write(hyp, ["a b", "c"])
+    _write(ref, ["a b", ""])
+    assert run(["score-bleu", "--hyp", str(hyp), "--ref", str(ref), "-o", str(out)]) == 0
+    assert _read(out) == [
+        "BLEU 90.3602 BP 1.0000 lens 3/2 precisions 0.6667 1.0000 1.0000 1.0000"
+    ]
+
+
 def test_dash_side_output_is_stdout(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "hyp.txt", ["the cat"])
@@ -1267,6 +1279,14 @@ def _bad_input_argv(tmp_path, case, langid_file):
     if case == "decode blank source line":
         _write(ids, ["0", "", "0"])
         return decode, f"EmptyInputError: {ids}: line 2 holds no source tokens"
+    if case.endswith("blank reference line"):  # sentence BLEU needs a reference
+        ref = tmp_path / "ref.txt"
+        _write(ref, ["0", ""])
+        argv = {"score-bleu": ["score-bleu", "--hyp", str(ids), "--sentence-scores",
+                               str(tmp_path / "sent.tsv")],
+                "oracle-bleu": ["oracle-bleu", "--dump", str(dump)]}[case.split()[0]]
+        return (argv + ["--ref", str(ref), "-o", out],
+                f"EmptyInputError: {ref}: line 2 holds no reference tokens")
     if case == "filter langs outside the model":  # langid_file knows en and ru
         return (["filter", str(pairs), "--langid", str(langid_file), "--langs", "en,de", "-o", out],
                 f"ConfigError: --langs en,de: the langid model {langid_file} knows en ru, not de")
@@ -1325,7 +1345,8 @@ def _bad_input_argv(tmp_path, case, langid_file):
 @pytest.mark.parametrize("case", [
     "reverse-target not utf-8", "rerank source not an int", "oracle-bleu dump float",
     "mix part abc:bitext:{}", "mix part 1:nope:{}", "tune-lambda grid", "decode beam 0",
-    "decode blank source line", "filter langs en", "filter langs en,ru,de",
+    "decode blank source line", "score-bleu blank reference line",
+    "oracle-bleu blank reference line", "filter langs en", "filter langs en,ru,de",
     "filter --max-len -1", "filter --min-len -1", "filter --min-len 300",
     "avg-checkpoints deep header", "langid-train features 0", "langid-train epochs -1",
     "langid-train epochs 0", "langid-train lr nan", "langid-train lr 0",
@@ -1515,13 +1536,6 @@ sys.exit(run(json.loads(sys.argv[1])))
 """
 
 
-_RUN_SCRIPT = """\
-import json, sys
-from mtkit.cli import run
-sys.exit(run(json.loads(sys.argv[1])))
-"""
-
-
 def _open_files_limit(n):
     """A preexec_fn that lets the child, and only it, hold n files open."""
     def limit():
@@ -1529,15 +1543,6 @@ def _open_files_limit(n):
         hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
         resource.setrlimit(resource.RLIMIT_NOFILE, (n, hard))
     return limit
-
-
-def _run_limited(argv, script=_OOM_SCRIPT, preexec_fn=None):
-    # runs `mtkit argv` in a child under script's or preexec_fn's limit and a
-    # wall-clock limit
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtkit.__file__))}
-    return subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, check=False, timeout=120,
-                          preexec_fn=preexec_fn)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
@@ -1548,8 +1553,8 @@ def test_out_of_memory_is_a_named_error(tmp_path, stage):
     en, ru = (str(tmp_path / n) for n in ("en.txt", "ru.txt"))
     _write(tmp_path / "en.txt", ["the cat sat"])
     _write(tmp_path / "ru.txt", ["кот сидел"])
-    proc = _run_limited(["langid-train", f"en={en}", f"ru={ru}", "--features", "100000000",
-                         "--model-out", str(tmp_path / "out")])
+    proc = run_limited(["langid-train", f"en={en}", f"ru={ru}", "--features", "100000000",
+                        "--model-out", str(tmp_path / "out")], _OOM_SCRIPT)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: MemoryError: ")
@@ -1573,7 +1578,7 @@ def test_huge_max_len_decodes_like_a_small_one(tmp_path, stage):
             "tune-lambda": ["tune-lambda", "--model", fwd, "--rev", fwd, "--lm", fwd,
                             "--source", ids, "--ref", ids, "--max-len", max_len, "-o", str(out)],
         }[stage]
-        proc = _run_limited(argv)
+        proc = run_limited(argv, _OOM_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] != b""
@@ -1757,7 +1762,7 @@ def test_stage_runs_with_few_open_files(stage_files, stage):
     # no stage holds more than a handful of files open at once: each runs in
     # a child allowed 32
     argv = _STAGES[stage][0].format(**stage_files).split()
-    proc = _run_limited(argv, _RUN_SCRIPT, _open_files_limit(32))
+    proc = run_limited(argv, preexec_fn=_open_files_limit(32))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -12,7 +12,9 @@ is also tried with out-of-range values on tiny valid inputs, and on empty
 ones where the subcommand accepts them: -1 and 0 for an int, nan, inf and
 -inf for a float. Each run exits 0, or is rejected: exit 2
 (argparse's usage error) or exit 1 with a ConfigError naming the option.
-A nan is always rejected.
+A nan is always rejected. Each int option, bar the few that cost what they
+ask for, is also run at 10**9 in a child with a 1 GiB address space: it
+exits 0, or exits 1 with one named error, a MemoryError included.
 """
 
 import argparse
@@ -20,6 +22,7 @@ import contextlib
 import io
 import os
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -29,6 +32,8 @@ from hypothesis import strategies as st
 
 from mtkit import bpe, domain, errors, models
 from mtkit.cli import build_parser, run
+
+from conftest import run_limited
 
 # Data lines are made of pieces. A clean line holds ids and spaces only, so
 # that runs reach past the parsers; a dirty line also holds numbers the
@@ -283,15 +288,22 @@ def test_fuzz_domain_select(domain_paths, tsv, stage1, final, side):
 # numeric options
 
 
-def _numeric_options():
-    """(subcommand, option, value) for every int and float option."""
+def _typed_options(type_):
+    """(subcommand, option) for every option of type `type_`."""
     (subparsers,) = (a for a in build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction))
-    values = {int: ("-1", "0"), float: ("nan", "inf", "-inf")}
     for name, sub in subparsers.choices.items():
         for action in sub._actions:
-            for value in values.get(action.type, ()):
-                yield name, action.option_strings[-1], value
+            if action.type is type_:
+                yield name, action.option_strings[-1]
+
+
+def _numeric_options():
+    """(subcommand, option, value) for every int and float option."""
+    for type_, values in ((int, ("-1", "0")), (float, ("nan", "inf", "-inf"))):
+        for name, option in _typed_options(type_):
+            for value in values:
+                yield name, option, value
 
 
 # Subcommands that finish with exit 0 when their data files are empty; a
@@ -374,3 +386,34 @@ def test_numeric_option_exits_0_or_names_option(base_argv, capsys, subcommand, o
         assert last.startswith("error: ConfigError: "), last
         words = option.lstrip("-").split("-")
         assert all(word in last for word in words), last
+
+
+# Integer options at 10**9. Only these cost what they ask for: the training
+# epochs and the mix sample size. --threads is ignored, and no test passes a
+# huge thread count.
+_COSTS_WHAT_IT_ASKS = {("langid-train", "--epochs"), ("domain-train", "--epochs"), ("mix", "--n")}
+_HUGE_INT_CASES = [case for case in _typed_options(int)
+                   if case[1] != "--threads" and case not in _COSTS_WHAT_IT_ASKS]
+
+
+def _address_space_limit():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
+@pytest.mark.parametrize("subcommand, option", [
+    pytest.param(*case, id=" ".join(case)) for case in _HUGE_INT_CASES])
+def test_huge_int_option_exits_0_or_names_error(base_argv, monkeypatch, subcommand, option):
+    # each run is a child under a 1 GiB address-space limit: an allocation
+    # sized by the option fails there with a MemoryError, which must be named
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # its thread buffers take address space
+    for argv in base_argv[subcommand]:
+        proc = run_limited(argv + [f"{option}={10 ** 9}"], preexec_fn=_address_space_limit)
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors_ = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        if proc.returncode == 1:
+            assert len(errors_) == 1 and re.match(r"error: \w+Error: ", errors_[0]), proc.stderr
+        else:
+            assert errors_ == [], proc.stderr
