@@ -243,7 +243,8 @@ def save_model(model: BpeModel, path) -> None:
 
 def load_model(path) -> BpeModel:
     """Read a `save_model` file; any malformed or inconsistent content,
-    a repeated token or merge line included, raises ModelFormatError."""
+    a repeated token or merge line or a blank line among the merges
+    included, raises ModelFormatError."""
     vocab: dict[str, int] = {}
     merges: list[tuple[str, str]] = []
     seen: dict = {}  # token, or (left, right) merge -> line number
@@ -258,8 +259,6 @@ def load_model(path) -> BpeModel:
             check_new_line(seen, parts[0], lineno)
             vocab[parts[0]] = int(parts[1])
         for lineno, line in lines:
-            if line == "":
-                continue
             parts = line.split(" ")
             if len(parts) != 2:
                 raise ModelFormatError(f"line {lineno}: expected 'left right'")

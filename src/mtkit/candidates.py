@@ -1,7 +1,7 @@
 """The candidate dump: what `decode --dump` writes and `rerank` and
-`oracle-bleu` read, one tab-separated line per candidate, together with the
-Candidate named tuple it holds. Numpy-free, so stages that only read a dump
-start without loading numpy.
+`oracle-bleu` read, one tab-separated line per candidate, by sentence and
+then rank, together with the Candidate named tuple it holds. Numpy-free,
+so stages that only read a dump start without loading numpy.
 """
 
 from __future__ import annotations
@@ -61,14 +61,13 @@ def format_candidates(cands_per_sentence) -> list[str]:
 
 
 def parse_candidates(lines) -> list[list[Candidate]]:
-    """Inverse of format_candidates; the sentence indices must run 0..n-1
-    and no score may be NaN (-inf is a legal log-probability)."""
-    sentences: dict[int, list[tuple[int, Candidate]]] = {}
+    """Inverse of format_candidates, reading only its layout: sentence 0 at
+    ranks 0, 1, ..., then sentence 1, and so on. Any other (sentence, rank)
+    pair, a blank line or a NaN score (-inf is a legal log-probability)
+    raises InputFormatError naming the line."""
+    sentences: list[list[Candidate]] = []
     for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        cols = line.split("\t")
+        cols = line.rstrip("\n").split("\t")
         if len(cols) != 7:
             raise InputFormatError(
                 f"dump line {line_no}: expected 7 tab-separated columns, got {len(cols)}")
@@ -84,11 +83,10 @@ def parse_candidates(lines) -> list[list[Candidate]]:
         scores = (cand.fwd_logprob, cand.lm_logprob, cand.rev_logprob, cand.combined_score)
         if any(x is not None and math.isnan(x) for x in scores):
             raise InputFormatError(f"dump line {line_no}: a score is NaN")
-        sentences.setdefault(idx, []).append((rank, cand))
-    missing = set(range(len(sentences))) - sentences.keys()
-    if missing:
-        raise InputFormatError(f"dump sentence indices must run 0..n-1; {min(missing)} is missing")
-    return [
-        [cand for _, cand in sorted(group, key=lambda rc: rc[0])]
-        for _, group in sorted(sentences.items())
-    ]
+        if (idx, rank) == (len(sentences), 0):
+            sentences.append([cand])
+        elif sentences and (idx, rank) == (len(sentences) - 1, len(sentences[-1])):
+            sentences[-1].append(cand)
+        else:
+            raise InputFormatError(f"dump line {line_no}: sentence {idx} rank {rank} is out of order")
+    return sentences

@@ -6,11 +6,12 @@ attributes each rejection to the first rule that fired, so reports are
 reproducible and mergeable across chunks of a stream. A report is a named
 tuple built once from the call's counts; merging two builds a third.
 
-Language id computes its hashed character 2..4-gram features by block: one
-vectorized CRC-32 pass covers every gram of a block of texts. A block holds
-at most 64 texts and 1 MB of feature rows (one row, if a row alone is
-larger), so its memory is bounded by its texts' length, not the input's.
-The rows, and every verdict, equal those of hashing one gram at a time.
+Language id hashes character 2..4-grams by block, one vectorized CRC-32
+pass per block of texts. A block holds at most 64 texts and 1 MB of feature
+rows (one row, if a row alone is larger), so its memory follows its texts'
+length, not the input's; rows and verdicts equal those of hashing one gram
+at a time. A model file holds every weight row, so loading it takes memory
+in proportion to the file, not to the feature count its header states.
 
 Only the language-id code uses numpy, and it imports numpy where it needs
 it, so the stages that read and write pairs start without loading it.
@@ -25,7 +26,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import (ConfigError, EmptyInputError, InputFormatError, ModelFormatError,
-                     check_lang_code, check_new_line, check_seed, check_training, model_file,
+                     check_lang_code, check_seed, check_training, model_file,
                      write_lines)
 
 if TYPE_CHECKING:
@@ -181,19 +182,20 @@ def _langid_features(texts: list[str], out: np.ndarray) -> None:
 
 
 class LangIdModel:
-    """Multinomial logistic regression over hashed character 2..4-grams."""
+    """Multinomial logistic regression over hashed character 2..4-grams;
+    weights has one row per feature and one column per language."""
 
-    def __init__(self, langs: list[str], weights: np.ndarray, bias: np.ndarray, n_features: int):
+    def __init__(self, langs: list[str], weights: np.ndarray, bias: np.ndarray):
         import numpy as np
         self.langs = list(langs)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64)
-        self.n_features = n_features
-        _check_n_features(n_features, ModelFormatError)
         if len(set(self.langs)) != len(self.langs) or len(self.langs) < 2:
             raise ModelFormatError(f"need 2 or more distinct languages, got {self.langs}")
-        if self.weights.shape != (n_features, len(langs)) or self.bias.shape != (len(langs),):
-            raise ModelFormatError("langid weight shapes inconsistent with langs/n_features")
+        if self.weights.shape[1:] != (len(langs),) or self.bias.shape != (len(langs),):
+            raise ModelFormatError("langid weight shapes inconsistent with langs")
+        self.n_features = self.weights.shape[0]
+        _check_n_features(self.n_features, ModelFormatError)
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ModelFormatError("langid weights and bias must be finite")
 
@@ -251,7 +253,7 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
         # mathematically x.T @ grad, but BLAS reads x row-major, as it is stored
         w -= lr * (grad.T @ x).T / n
         b -= lr * grad.mean(axis=0)
-    return LangIdModel(langs, w, b, n_features)
+    return LangIdModel(langs, w, b)
 
 
 def langid_classify(model: LangIdModel, text: str) -> tuple[str, float]:
@@ -290,46 +292,33 @@ def save_langid(model: LangIdModel, path) -> None:
         yield "langs " + " ".join(model.langs)
         yield "bias " + " ".join(repr(float(v)) for v in model.bias)
         for idx, row in enumerate(model.weights):
-            if (row != 0.0).any():
-                yield f"w {idx} " + " ".join(repr(float(v)) for v in row)
+            yield f"w {idx} " + " ".join(repr(float(v)) for v in row)
     write_lines(path, lines())
 
 
 def load_langid(path) -> LangIdModel:
-    import numpy as np
-    langs = None
-    bias = None
-    weights = None
-    seen = {}  # "langs", "bias" or a weight row -> the line that set it
+    """Read the one layout save_langid writes: `langid-v1 <n_features>`,
+    `langs ...`, `bias ...`, then the rows `w 0` ... `w <n_features - 1>` in
+    order, one weight per language each. Any other line, a blank one
+    included, or an early end raises ModelFormatError naming the line."""
     with model_file(path, "langid-v1") as (header, lines):
         n_features = int(header)
         _check_n_features(n_features, ModelFormatError)
-        for lineno, line in lines:
-            parts = line.split()
-            if not parts:
-                continue
-            key = parts[0]
-            if key == "langs":
-                langs = parts[1:]
-                weights = np.zeros((n_features, len(langs)))
-            elif key == "bias":
-                bias = np.array([float(v) for v in parts[1:]])
-            elif key == "w":
-                if weights is None:
-                    raise ModelFormatError(f"line {lineno}: weight line before langs line")
-                key = row = int(parts[1])
-                if not 0 <= row < n_features or len(parts) != 2 + len(langs):
-                    raise ModelFormatError(
-                        f"line {lineno}: expected 'w <row in [0, {n_features})>' "
-                        f"and {len(langs)} weights"
-                    )
-                weights[row] = [float(v) for v in parts[2:]]
-            else:
-                raise ModelFormatError(f"line {lineno}: unknown line kind {key!r}")
-            check_new_line(seen, key, lineno)
-        if langs is None or bias is None:
-            raise ModelFormatError("missing langs or bias line")
-        return LangIdModel(langs, weights, bias, n_features)
+        _, line = next(lines, (2, ""))
+        word, *langs = line.split(" ")
+        if word != "langs":
+            raise ModelFormatError("line 2: expected 'langs' and the language codes")
+        def row(lineno: int, key: str) -> list[float]:
+            _, line = next(lines, (lineno, ""))
+            read_key, *fields = line.rsplit(" ", len(langs))
+            if read_key != key or len(fields) != len(langs):
+                raise ModelFormatError(f"line {lineno}: expected {key!r} and {len(langs)} weights")
+            return [float(v) for v in fields]
+        bias = row(3, "bias")
+        weights = [row(4 + idx, f"w {idx}") for idx in range(n_features)]
+        for lineno, _ in lines:
+            raise ModelFormatError(f"line {lineno}: expected the end of the file")
+        return LangIdModel(langs, weights, bias)
 
 
 # ---------------------------------------------------------------------------

@@ -213,15 +213,14 @@ def save_classifier(clf: DomainClassifier, path) -> None:
 
 
 def load_classifier(path) -> DomainClassifier:
-    """Read a save_classifier file. A line without a tab and a token (or the
-    bias line) given twice raise ModelFormatError naming the line."""
+    """Read a save_classifier file. A line without a tab, a blank one
+    included, and a token (or the bias line) given twice raise
+    ModelFormatError naming the line."""
     weights = {}
     seen: dict[str, int] = {}  # token -> line number
     with model_file(path, "domcls-v1") as (header, lines):
         (lang,) = header.split()
         for lineno, line in lines:
-            if not line:
-                continue
             tok, _, value = line.partition("\t")
             if not value:
                 raise ModelFormatError(f"line {lineno}: expected token<TAB>weight")

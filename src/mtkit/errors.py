@@ -74,7 +74,9 @@ def model_file(path, magic: str):
     Yields (header, lines). header is the rest of the first line after the
     magic word and one space. lines yields (line number, line without its
     newline) for each later line, blank lines included, read from the file
-    as the caller iterates, so no file is held in memory whole. Under
+    as the caller iterates, so no file is held in memory whole. A loader
+    reads only its saver's layout, taking a line it expects with
+    next(lines, (lineno, "")): a StopIteration would escape `naming`. Under
     `naming`, a ModelFormatError (a wrong magic word, a line or constructor
     check), ValueError or IndexError raised inside the block becomes a
     ModelFormatError that starts with the path, so loaders leave the path out

@@ -8,7 +8,6 @@ import random
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from mtkit import bleu, bpe, corpus, domain, models, textnorm
 from mtkit.candidates import Candidate, format_candidates

@@ -281,6 +281,16 @@ def test_load_rejects_malformed_fields(tmp_path, content):
         load_model(path)
 
 
+def test_load_rejects_a_vocab_larger_than_its_header(tmp_path):
+    # six vocab lines, all ids distinct, under a header of vocab size 5
+    path = tmp_path / "m.bpe"
+    path.write_text("bpe-v1 5\n<pad>\t0\n<unk>\t1\n<bos>\t2\n<eos>\t3\n</w>\t4\na\t5\n\n",
+                    encoding="utf-8")
+    with pytest.raises(ModelFormatError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: stored vocab exceeds configured vocab_size"
+
+
 def test_load_rejects_non_utf8(tmp_path, fixture_bpe):
     path = tmp_path / "m.bpe"
     save_model(fixture_bpe, path)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mtkit
-from mtkit import bpe, corpus, domain, models
+from mtkit import bpe, corpus, models
 from mtkit.candidates import Candidate, format_candidates, parse_candidates, strip_eos
 from mtkit.cli import build_parser, run
 from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
@@ -336,7 +336,8 @@ _NGRAM_ARGS = {"order": 1, "vocab_size": 3, "eos_id": 2, "weights": [1.0]}
 _NGRAM = ngram_container(("counts.1", [1], [1]), ("grams.1", [1, 1], [0]), **_NGRAM_ARGS)
 _TABLE_VOCAB = ["a", "b", "eos"]
 _TABLE = table_container(_TABLE_VOCAB, [0.25, 0.25, 0.5])
-_LANGID = "langid-v1 16\nlangs en ru\nbias 0.0 0.0\nw 1 0.5 -0.5\n"
+_LANGID_HEAD = "langid-v1 2\nlangs en ru\nbias 0.0 0.0\n"
+_LANGID = _LANGID_HEAD + "w 0 0.25 -0.25\nw 1 0.5 -0.5\n"
 _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
 
 
@@ -364,17 +365,22 @@ _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
                                                    [[0.25, 0.125, 0.125]]),
                  id="table context sums to 0.5"),
     pytest.param("filter", _LANGID, _LANGID + "w 99 1 1\n", id="langid row past n_features"),
-    pytest.param("filter", _LANGID, _LANGID + "w 1 7\n", id="langid row short"),
-    pytest.param("filter", _LANGID, _LANGID + "w -1 1 1\n", id="langid negative row"),
+    pytest.param("filter", _LANGID, _LANGID_HEAD + "w 0 0.25 -0.25\nw 1 7\n",
+                 id="langid row short"),
+    pytest.param("filter", _LANGID, _LANGID_HEAD + "w -1 1 1\nw 1 0.5 -0.5\n",
+                 id="langid negative row"),
     pytest.param("filter", _LANGID, "langid-v1 0\nlangs en ru\nbias 0.0 0.0\n",
                  id="langid no features"),
-    pytest.param("filter", _LANGID, _LANGID + "langs en ru\n", id="langid langs repeated"),
-    pytest.param("filter", _LANGID, _LANGID + "bias 1.0 1.0\n", id="langid bias repeated"),
-    pytest.param("filter", _LANGID, _LANGID + "w 1 0.0 0.0\n", id="langid row repeated"),
-    pytest.param("filter", _LANGID, "langid-v1 16\nlangs\nbias\n", id="langid no languages"),
-    pytest.param("filter", _LANGID, "langid-v1 16\nlangs en\nbias 0.0\n",
+    pytest.param("filter", _LANGID, _LANGID.replace("bias", "langs en ru\nbias"),
+                 id="langid langs repeated"),
+    pytest.param("filter", _LANGID, _LANGID.replace("w 0", "bias 1.0 1.0\nw 0"),
+                 id="langid bias repeated"),
+    pytest.param("filter", _LANGID, _LANGID.replace("w 1", "w 0 0.0 0.0\nw 1"),
+                 id="langid row repeated"),
+    pytest.param("filter", _LANGID, "langid-v1 1\nlangs\nbias\nw 0\n", id="langid no languages"),
+    pytest.param("filter", _LANGID, "langid-v1 1\nlangs en\nbias 0.0\nw 0 0.5\n",
                  id="langid one language"),
-    pytest.param("filter", _LANGID, "langid-v1 16\nlangs en en\nbias 0.0 0.0\n",
+    pytest.param("filter", _LANGID, "langid-v1 1\nlangs en en\nbias 0.0 0.0\nw 0 0.5 -0.5\n",
                  id="langid language repeated"),
     pytest.param("domain-select", _DOMCLS, _DOMCLS + "bar\tx\n", id="domcls weight not float"),
     pytest.param("domain-select", _DOMCLS, (_DOMCLS + "caf\xe9\t0.5\n").encode("latin-1"),
@@ -1612,24 +1618,65 @@ def test_langid_train_wider_than_crc32_is_config_error(tmp_path, capsys, n_featu
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["rerank", "oracle-bleu"])
-def test_dump_indices_must_run_from_zero(tmp_path, capsys, command):
+def _dump_argv(tmp_path, command):
+    """The argv of `command` reading tmp_path/dump.tsv against a two-line
+    source (rerank) or reference (oracle-bleu), writing tmp_path/out.txt."""
     fwd = tmp_path / "fwd.scorer"
     models.save_table_scorer(_fusion_fwd(), fwd)
     src = tmp_path / "src.txt"
     _write(src, ["0", "0"])
-    dump = tmp_path / "dump.tsv"  # sentences 1 and 2 of a three-line source
-    _write(dump, ["1\t0\t-1.0\t-\t-\t-\t0,2", "2\t0\t-2.0\t-\t-\t-\t1,2"])
-    out = tmp_path / "out.txt"
+    dump, out = tmp_path / "dump.tsv", tmp_path / "out.txt"
     if command == "rerank":
         argv = ["rerank", "--dump", str(dump), "--source", str(src), "--rev", str(fwd),
                 "--lm", str(fwd), "--top1"]
     else:
         argv = ["oracle-bleu", "--dump", str(dump), "--ref", str(src), "--eos-id", "2"]
-    assert run(argv + ["-o", str(out)]) == 1
+    return argv + ["-o", str(out)], dump, out
+
+
+@pytest.mark.parametrize("command", ["rerank", "oracle-bleu"])
+def test_dump_indices_must_run_from_zero(tmp_path, capsys, command):
+    argv, dump, out = _dump_argv(tmp_path, command)
+    # sentences 1 and 2 of a three-line source
+    _write(dump, ["1\t0\t-1.0\t-\t-\t-\t0,2", "2\t0\t-2.0\t-\t-\t-\t1,2"])
+    assert run(argv) == 1
     err = capsys.readouterr().err
-    assert (f"error: InputFormatError: {dump}: dump sentence indices must run 0..n-1; "
-            "0 is missing") in err
+    assert f"error: InputFormatError: {dump}: dump line 1: sentence 1 rank 0 is out of order" in err
+    assert not out.exists()
+
+
+def _cand(idx, rank):
+    return f"{idx}\t{rank}\t-{rank + 1}.0\t-\t-\t-\t{rank % 2},2"
+
+
+@pytest.mark.parametrize("command", ["rerank", "oracle-bleu"])
+@pytest.mark.parametrize("lines, where", [
+    pytest.param([_cand(0, 0), _cand(0, 0), _cand(1, 0)],
+                 "dump line 2: sentence 0 rank 0 is out of order", id="repeated rank"),
+    pytest.param([_cand(0, 0), _cand(0, 2), _cand(1, 0)],
+                 "dump line 2: sentence 0 rank 2 is out of order", id="skipped rank"),
+    pytest.param([_cand(0, 0), _cand(0, 1), _cand(1, 1), _cand(1, 0)],
+                 "dump line 3: sentence 1 rank 1 is out of order", id="ranks out of order"),
+    pytest.param([_cand(1, 0), _cand(0, 0)],
+                 "dump line 1: sentence 1 rank 0 is out of order", id="sentences out of order"),
+    pytest.param([_cand(0, 0), _cand(1, 0), _cand(0, 1)],
+                 "dump line 3: sentence 0 rank 1 is out of order", id="sentence resumed"),
+    pytest.param([_cand(0, 0), "", _cand(1, 0)],
+                 "dump line 2: expected 7 tab-separated columns, got 1", id="blank line"),
+])
+def test_dump_in_another_order_exits_1(tmp_path, capsys, command, lines, where):
+    """rerank and oracle-bleu read the dump in the order decode --dump
+    writes it, sentence by sentence and ranks from 0; any other order is
+    refused, naming the line, and nothing is written."""
+    argv, dump, out = _dump_argv(tmp_path, command)
+    _write(dump, [_cand(0, 0), _cand(0, 1), _cand(1, 0)])
+    assert run(argv) == 0  # the same command reads the dump in its written order
+    out.unlink()
+    capsys.readouterr()
+    _write(dump, lines)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: InputFormatError: {dump}: {where}"
     assert not out.exists()
 
 

@@ -33,7 +33,7 @@ from mtkit.corpus import (
     save_langid,
 )
 from mtkit.decode import DecodeConfig
-from mtkit.errors import ConfigError, EmptyInputError
+from mtkit.errors import ConfigError, EmptyInputError, ModelFormatError
 
 from conftest import make_sentence
 from scalar_reference import (reference_langid_classify, reference_langid_features,
@@ -135,8 +135,27 @@ def _lid_block(draw):
 @functools.lru_cache(maxsize=None)
 def _random_langid_model(n_features: int) -> LangIdModel:
     rng = np.random.default_rng(n_features)
-    return LangIdModel(["de", "en", "ru"], rng.normal(size=(n_features, 3)),
-                       rng.normal(size=3), n_features)
+    return LangIdModel(["de", "en", "ru"], rng.normal(size=(n_features, 3)), rng.normal(size=3))
+
+
+@pytest.mark.parametrize("weights, bias, why", [
+    pytest.param([0.5, -0.5], [0.0, 0.0], "langid weight shapes inconsistent with langs",
+                 id="weights not a matrix"),
+    pytest.param([[0.5, -0.5, 0.0]], [0.0, 0.0], "langid weight shapes inconsistent with langs",
+                 id="a weight per language too many"),
+    pytest.param([[0.5, -0.5]], [0.0], "langid weight shapes inconsistent with langs",
+                 id="bias too short"),
+    pytest.param(np.zeros((0, 2)), [0.0, 0.0], "n_features must be positive, got 0",
+                 id="no feature rows"),
+    pytest.param([[0.5, np.inf]], [0.0, 0.0], "langid weights and bias must be finite",
+                 id="infinite weight"),
+])
+def test_langid_model_checks_its_shapes(weights, bias, why):
+    # n_features is the number of weight rows
+    with pytest.raises(ModelFormatError) as err:
+        LangIdModel(["en", "ru"], weights, bias)
+    assert str(err.value) == why
+    assert LangIdModel(["en", "ru"], [[0.5, -0.5]] * 3, [0.0, 0.0]).n_features == 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,6 +303,14 @@ def test_filter_too_short():
     cfg = FilterConfig(min_len_tokens=2)
     assert filter_pair(_pair(1, 5), cfg) == "too_short"
     assert filter_pair(ParallelExample("", "b"), FilterConfig()) == "too_short"
+
+
+def test_filter_empty_side_without_a_length_minimum():
+    # min_len_tokens 0 lets an empty side past too_short; its length ratio
+    # is unbounded, so the ratio rule rejects it
+    cfg = FilterConfig(min_len_tokens=0)
+    assert filter_pair(ParallelExample("", "b"), cfg) == "ratio"
+    assert filter_pair(ParallelExample("a", ""), cfg) == "ratio"
 
 
 def test_filter_first_failure_attribution(langid_model):

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtkit.bleu import corpus_bleu
 from mtkit.candidates import Candidate, format_candidates, parse_candidates, strip_eos
@@ -597,6 +599,20 @@ def test_candidate_dump_roundtrip(random_decode_instances):
         assert back.lm_logprob == orig.lm_logprob
         assert back.rev_logprob == orig.rev_logprob
         assert back.combined_score == orig.combined_score
+
+
+_score = st.floats(allow_nan=False)
+_candidate = st.builds(Candidate, tokens=st.lists(st.integers(0, 2**63 - 1)).map(tuple),
+                       fwd_logprob=_score, lm_logprob=st.none() | _score,
+                       rev_logprob=st.none() | _score, combined_score=st.none() | _score)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_candidate, min_size=1, max_size=4), max_size=5))
+def test_candidate_dump_parses_back_to_what_was_formatted(cands_per_sentence):
+    # bit for bit: repr tells -0.0 from 0.0, which == does not
+    parsed = parse_candidates(format_candidates(cands_per_sentence))
+    assert repr(parsed) == repr(cands_per_sentence)
 
 
 def test_candidate_dump_none_fields():

@@ -18,7 +18,7 @@ from mtkit.domain import (
 )
 from mtkit.errors import EmptyInputError, ModelFormatError
 
-from conftest import MED_EN, MED_RU, NEWS_EN, NEWS_RU, make_domain_line
+from conftest import MED_EN, NEWS_EN, make_domain_line
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ model saver."""
 
 import builtins
 import random
+import tracemalloc
 import zlib
 
 import pytest
@@ -141,21 +142,98 @@ def test_malformed_ngram_file_names_the_line(tmp_path, blob, where):
     assert str(err.value) == f"{path}: {where}"
 
 
-_LANGID = "langid-v1 4\nlangs en ru\nbias 0.0 0.0\nw 1 0.5 -0.5\n"
+_LANGID = "langid-v1 2\nlangs en ru\nbias 0.0 0.0\nw 0 0.25 -0.25\nw 1 0.5 -0.5\n"
 
 
-@pytest.mark.parametrize("extra, first", [
-    pytest.param("langs en ru\n", 2, id="langs"),
-    pytest.param("bias 1.0 1.0\n", 3, id="bias"),
-    pytest.param("w 1 0.0 0.0\n", 4, id="weight row"),
+@pytest.mark.parametrize("extra, first, expected", [
+    pytest.param("langs en ru\n", 2, "'bias' and 2 weights", id="langs"),
+    pytest.param("bias 1.0 1.0\n", 3, "'w 0' and 2 weights", id="bias"),
+    pytest.param("w 0 0.0 0.0\n", 4, "'w 1' and 2 weights", id="weight row"),
 ])
-def test_repeated_langid_line_names_both_lines(tmp_path, extra, first):
-    """A repeated line is an error, not a line that silently wins."""
+def test_repeated_langid_line_names_both_lines(tmp_path, extra, first, expected):
+    """A repeated line is an error, not a line that silently wins: the
+    line after line `first` must be the next line of the layout, and the
+    error names it."""
+    lines = _LANGID.splitlines(keepends=True)
+    lines.insert(first, extra)
     path = tmp_path / "lid.model"
-    path.write_text(_LANGID + extra, encoding="utf-8")
+    path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ModelFormatError) as err:
         corpus.load_langid(path)
-    assert str(err.value) == f"{path}: line 5: repeats line {first}"
+    assert str(err.value) == f"{path}: line {first + 1}: expected {expected}"
+
+
+@pytest.mark.parametrize("text, where", [
+    pytest.param(_LANGID.replace("w 0 0.25 -0.25\n", ""), "line 4: expected 'w 0' and 2 weights",
+                 id="first row missing"),
+    pytest.param(_LANGID.replace("w 1 0.5 -0.5\n", ""), "line 5: expected 'w 1' and 2 weights",
+                 id="last row missing"),
+    pytest.param(_LANGID.replace("w 0 0.25 -0.25\nw 1 0.5 -0.5", "w 1 0.5 -0.5\nw 0 0.25 -0.25"),
+                 "line 4: expected 'w 0' and 2 weights", id="rows out of order"),
+    pytest.param(_LANGID.replace("\nw 1", "\n\nw 1"), "line 5: expected 'w 1' and 2 weights",
+                 id="blank line between rows"),
+    pytest.param(_LANGID.replace("\nbias", "\n\nbias"), "line 3: expected 'bias' and 2 weights",
+                 id="blank line before bias"),
+    pytest.param(_LANGID + "\n", "line 6: expected the end of the file", id="blank last line"),
+    pytest.param(_LANGID + "w 2 1.0 1.0\n", "line 6: expected the end of the file",
+                 id="row past n_features"),
+    pytest.param("langid-v1 2\n", "line 2: expected 'langs' and the language codes",
+                 id="header only"),
+    pytest.param(_LANGID.replace("langs", "\nlangs"),
+                 "line 2: expected 'langs' and the language codes", id="blank line before langs"),
+    pytest.param(_LANGID.replace("w 1 0.5 -0.5", "w 1 0.5"), "line 5: expected 'w 1' and 2 weights",
+                 id="short row"),
+    pytest.param(_LANGID.replace("w 1 0.5 -0.5", "w 1 0.5 -0.5 0.0"),
+                 "line 5: expected 'w 1' and 2 weights", id="long row"),
+    pytest.param(_LANGID.replace("w 1 0.5", "w  1 0.5"), "line 5: expected 'w 1' and 2 weights",
+                 id="two spaces"),
+])
+def test_langid_file_is_read_in_its_written_layout(tmp_path, text, where):
+    """save_langid writes langs, bias and every row in order; any other
+    layout is refused, naming the line."""
+    path = tmp_path / "lid.model"
+    path.write_text(_LANGID, encoding="utf-8")
+    corpus.load_langid(path)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError) as err:
+        corpus.load_langid(path)
+    assert str(err.value) == f"{path}: {where}"
+
+
+def test_langid_load_memory_follows_the_file(tmp_path):
+    # the header's 2**24 features would be a 256 MB weight matrix; the file
+    # holds one row, so the load fails at line 4 having read 57 bytes
+    path = tmp_path / "lid.model"
+    path.write_text("langid-v1 16777216\nlangs en ru\nbias 0.0 0.0\nw 1 0.5 -0.5\n",
+                    encoding="utf-8")
+    assert path.stat().st_size == 57
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError) as err:
+            corpus.load_langid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: line 4: expected 'w 0' and 2 weights"
+    assert peak < 1 << 20
+
+
+def test_langid_file_roundtrip_is_byte_exact(tmp_path):
+    """Save, load and save give the same bytes, and the loaded model the
+    same bits; every row is written, an all-zero one included."""
+    hand = corpus.LangIdModel(["en", "ru"], [[0.0, 0.0], [0.5, -0.5], [-0.0, 5e-324]], [0.1, -0.1])
+    trained = tmp_path / "trained.model"
+    _save_langid(trained)
+    for model in (hand, corpus.load_langid(trained)):
+        first, second = tmp_path / "first.model", tmp_path / "second.model"
+        corpus.save_langid(model, first)
+        loaded = corpus.load_langid(first)
+        corpus.save_langid(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert len(first.read_text(encoding="utf-8").splitlines()) == 3 + model.n_features
+        assert (loaded.langs, loaded.n_features) == (model.langs, model.n_features)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.bias.tobytes() == model.bias.tobytes()
 
 
 _BPE = ("bpe-v1 10\n<pad>\t0\n<unk>\t1\n<bos>\t2\n<eos>\t3\n</w>\t4\na\t5\nb\t6\nab\t7\n"
@@ -191,6 +269,22 @@ def test_repeated_domcls_line_names_both_lines(tmp_path, extra, first):
     assert str(err.value) == f"{path}: line 4: repeats line {first}"
 
 
+@pytest.mark.parametrize("load, text, line", [
+    pytest.param(bpe.load_model, _BPE.replace("\nab </w>", "\n\nab </w>"), 13, id="bpe merges"),
+    pytest.param(bpe.load_model, _BPE + "\n", 14, id="bpe end"),
+    pytest.param(domain.load_classifier, "domcls-v1 en\nfoo\t0.5\n\n__bias__\t0.0\n", 3,
+                 id="domcls"),
+])
+def test_blank_line_in_a_text_model_is_refused(tmp_path, load, text, line):
+    """No saver writes a blank line among BPE merges or classifier weights,
+    so the loaders refuse one there, naming it."""
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: line {line}: expected ")
+
+
 def test_ngram_v1_file_is_rejected(tmp_path):
     # and an ngram-v2 text file: n-gram models are NMTC containers now
     path = tmp_path / "lm.ngram"
@@ -218,10 +312,8 @@ _NUMERIC_SITES = {
                       lambda x: ngram_container(("counts.1", [1], [1]), ("grams.1", [1, 1], [0]),
                                                 vocab_size=3, eos_id=2, weights=[1.0, float(x)]),
                       "0.5"),
-    "langid bias": (corpus.load_langid,
-                    "langid-v1 4\nlangs en ru\nbias 0.0 {x}\nw 1 0.5 -0.5\n", "0.5"),
-    "langid weight": (corpus.load_langid,
-                      "langid-v1 4\nlangs en ru\nbias 0.0 0.0\nw 1 {x} -0.5\n", "0.5"),
+    "langid bias": (corpus.load_langid, _LANGID.replace("bias 0.0 0.0", "bias 0.0 {x}"), "0.5"),
+    "langid weight": (corpus.load_langid, _LANGID.replace("w 1 0.5", "w 1 {x}"), "0.5"),
     "domcls weight": (domain.load_classifier,
                       "domcls-v1 en\nfoo\t{x}\n__bias__\t0.5\n", "-0.5"),
     "domcls bias": (domain.load_classifier,

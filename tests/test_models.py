@@ -624,6 +624,8 @@ _BAD_TABLES = {
                                  "tensors": [_entry(name=n, dtype="f64")
                                              for n in ("default", "rows", "x")]},
                                 np.array(_ROW).tobytes()), "expected tensors"),
+    "default too short": (table_container(_VOCAB, [1.0]), "default vector length != vocab size"),
+    "default not a vector": (table_container(_VOCAB, [_ROW]), "default vector: expected 1-d"),
 }
 
 
@@ -695,23 +697,27 @@ def test_ngram_train_validation():
         ngram_train([[0, 1.5]], order=2)  # not an integer id
 
 
-@pytest.mark.parametrize("grams, why", [
-    pytest.param({1: (array("q", [0, 1]), array("q", [-5, 2]))}, "tensor 'counts.1': negative count",
-                 id="negative count"),
-    pytest.param({3: (array("q", [0, 1, 2]), array("q", [1]))}, "gram length 3 outside [1, 2]",
-                 id="gram length above order"),
-    pytest.param({-1: (array("q"), array("q", [1]))}, "gram length -1 outside [1, 2]",
+@pytest.mark.parametrize("changes, why", [
+    pytest.param({"grams": {1: (array("q", [0, 1]), array("q", [-5, 2]))}},
+                 "tensor 'counts.1': negative count", id="negative count"),
+    pytest.param({"grams": {3: (array("q", [0, 1, 2]), array("q", [1]))}},
+                 "gram length 3 outside [1, 2]", id="gram length above order"),
+    pytest.param({"grams": {-1: (array("q"), array("q", [1]))}}, "gram length -1 outside [1, 2]",
                  id="negative gram length"),
-    pytest.param({0: (array("q"), array("q", [1]))}, "gram length 0 outside [1, 2]",
+    pytest.param({"grams": {0: (array("q"), array("q", [1]))}}, "gram length 0 outside [1, 2]",
                  id="empty gram"),
-    pytest.param({2: (array("q", [0, 1, 2]), array("q", [1]))}, "3 ids for 1 2-grams, not 2 per gram",
-                 id="ids not k per count"),
+    pytest.param({"grams": {2: (array("q", [0, 1, 2]), array("q", [1]))}},
+                 "3 ids for 1 2-grams, not 2 per gram", id="ids not k per count"),
+    pytest.param({"order": 0, "weights": []}, "order must be >= 1", id="order 0"),
+    pytest.param({"eos_id": 4}, "eos_id out of range", id="eos id equals the vocab size"),
 ])
-def test_ngram_constructor_checks_the_layout(grams, why):
+def test_ngram_constructor_checks_the_layout(changes, why):
     # a negative count would give next_dist entries below 0 and above 1,
     # against the Scorer contract that beam search's early stop relies on
+    args = {"order": 2, "vocab_size": 4, "eos_id": 3, "grams": {}, "weights": [0.5, 0.5],
+            "floor": 1e-3, **changes}
     with pytest.raises(ModelFormatError) as err:
-        NGramScorer(2, 4, 3, grams, [0.5, 0.5], 1e-3)
+        NGramScorer(**args)
     assert str(err.value) == why
 
 
@@ -728,6 +734,26 @@ def test_ngram_save_load_roundtrip(tmp_path):
     for _ in range(20):
         prefix = tuple(rng.randrange(m.vocab_size) for _ in range(rng.randint(0, 3)))
         assert np.array_equal(loaded.next_dist((), prefix), m.next_dist((), prefix))
+
+
+def test_ngram_file_with_an_empty_gram_length_loads(tmp_path):
+    """A scorer built with no grams of length 2 saves an empty grams.2 and
+    counts.2 pair; the file loads as the model without that pair and
+    scores bit for bit like it."""
+    unigrams = array("q", [0, 1, 2, 3]), array("q", [3, 1, 2, 2])
+    bare = NGramScorer(2, 4, 3, {1: unigrams}, [0.25, 0.75], 1e-3)
+    path = tmp_path / "lm.ngram"
+    save_ngram_scorer(NGramScorer(2, 4, 3, {1: unigrams, 2: (array("q"), array("q"))},
+                                  [0.25, 0.75], 1e-3), path)
+    with open(path, "rb") as fh:
+        names = [entry["name"] for entry in _read_header(fh)[1]]
+    assert "grams.2" in names and "counts.2" in names
+    loaded = load_scorer(path)
+    assert loaded.grams == bare.grams
+    for prefix in [(), (0,), (3,), (1, 2)]:
+        assert loaded.next_dist((), prefix).tobytes() == bare.next_dist((), prefix).tobytes()
+        assert [loaded.token_prob((), prefix, t) for t in range(4)] == \
+            [bare.token_prob((), prefix, t) for t in range(4)]
 
 
 def test_ngram_train_deterministic():

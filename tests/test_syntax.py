@@ -30,10 +30,14 @@ def _annotation_names(node) -> set[str]:
 
 
 def test_src_modules_use_every_name_they_import():
-    # a deletion can leave an import behind; a name counts as used when any
-    # expression or annotation, a string one included, names it
+    # a deletion can leave an import behind, in the package, its tests or its
+    # benchmark; a name counts as used when any expression or annotation, a
+    # string one included, names it
     unused = []
-    for path in sorted((ROOT / "src" / "mtkit").glob("*.py")):
+    paths = sorted(path for top in ("src", "tests", "perfbench")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert any(path.name == "test_syntax.py" for path in paths)
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         imported, used = {}, set()
         for node in ast.walk(tree):
@@ -47,6 +51,6 @@ def test_src_modules_use_every_name_they_import():
                 used |= _annotation_names(node.annotation)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
                 used |= _annotation_names(node.returns)
-        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
