@@ -13,7 +13,7 @@ import random
 from collections import Counter, defaultdict
 
 from .errors import (ConfigError, EmptyInputError, ModelFormatError, VocabMismatchError,
-                     check_new_line, check_seed, model_file, write_lines)
+                     check_seed, model_file, write_lines)
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 WORD_END = "</w>"
@@ -25,7 +25,9 @@ ZERO_DROPOUT_CACHE_MAX = 1 << 16
 
 class BpeModel:
     """Ordered merge list plus token-string -> id vocabulary; vocab_size is
-    the configured target, at least len(vocab)."""
+    the configured target, at least len(vocab). Ids run 0 .. len(vocab) - 1,
+    each symbol is one whitespace word and no merge is listed twice, so
+    every model built saves to a file load_model reads back as the same."""
 
     def __init__(self, merges: list[tuple[str, str]], vocab: dict[str, int], vocab_size: int):
         self.merges = merges
@@ -39,20 +41,23 @@ class BpeModel:
     def _validate(self):
         if len(self.vocab) > self.vocab_size:
             raise ModelFormatError("stored vocab exceeds configured vocab_size")
-        if len(self.id_to_token) != len(self.vocab):
-            raise ModelFormatError("duplicate ids in vocab")
         missing = [tok for tok in SPECIALS if tok not in self.vocab]
         if missing:
             raise ModelFormatError(f"vocab lacks required symbols {missing}")
-        bad = [i for i in self.id_to_token if not 0 <= i < self.vocab_size]
-        if bad:
-            raise ModelFormatError(f"ids {bad[:5]} outside [0, {self.vocab_size})")
+        if sorted(self.vocab.values()) != list(range(len(self.vocab))):
+            raise ModelFormatError(f"vocab ids are not 0 .. {len(self.vocab) - 1}")
+        for tok in self.vocab:
+            if tok.split() != [tok]:
+                raise ModelFormatError(f"symbol {tok!r} is empty or holds whitespace")
         known = set(self.vocab) - {PAD, UNK, BOS, EOS}
-        for left, right in self.merges:
+        for rank, (left, right) in enumerate(self.merges):
             if left not in known or right not in known:
                 raise ModelFormatError(f"merge ({left!r},{right!r}) references unknown symbol")
             if left + right not in self.vocab:
                 raise ModelFormatError(f"merged symbol {left + right!r} missing from vocab")
+            if self.merge_ranks[left, right] != rank:
+                raise ModelFormatError(f"merge ({left!r},{right!r}) at rank {rank} "
+                                       f"is repeated at rank {self.merge_ranks[left, right]}")
 
     @property
     def pad_id(self) -> int:
@@ -242,26 +247,29 @@ def save_model(model: BpeModel, path) -> None:
 
 
 def load_model(path) -> BpeModel:
-    """Read a `save_model` file; any malformed or inconsistent content,
-    a repeated token or merge line or a blank line among the merges
-    included, raises ModelFormatError."""
+    """Read the one layout save_model writes: `bpe-v1 <vocab_size>`, vocab
+    lines `token<TAB>0`, `token<TAB>1`, ... in id order, a blank line, then
+    one `left right` line per merge. Any other line raises ModelFormatError
+    naming it, a repeated token its first line too; BpeModel's checks, one
+    against a repeated merge among them, raise it naming the file."""
     vocab: dict[str, int] = {}
     merges: list[tuple[str, str]] = []
-    seen: dict = {}  # token, or (left, right) merge -> line number
     with model_file(path, "bpe-v1") as (header, lines):
         vocab_size = int(header)
         for lineno, line in lines:
             if line == "":
                 break  # end of the vocab section; merges follow
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ModelFormatError(f"line {lineno}: expected token<TAB>id")
-            check_new_line(seen, parts[0], lineno)
-            vocab[parts[0]] = int(parts[1])
+            tok, _, tid = line.partition("\t")
+            if tok in vocab:  # line id + 2 set the token
+                raise ModelFormatError(f"line {lineno}: repeats line {vocab[tok] + 2}")
+            if tid != str(len(vocab)):
+                raise ModelFormatError(f"line {lineno}: expected token<TAB>{len(vocab)}")
+            vocab[tok] = len(vocab)
+        else:
+            raise ModelFormatError(f"line {len(vocab) + 2}: expected a blank line")
         for lineno, line in lines:
             parts = line.split(" ")
             if len(parts) != 2:
                 raise ModelFormatError(f"line {lineno}: expected 'left right'")
-            check_new_line(seen, (parts[0], parts[1]), lineno)
             merges.append((parts[0], parts[1]))
         return BpeModel(merges=merges, vocab=vocab, vocab_size=vocab_size)

@@ -183,7 +183,8 @@ def _langid_features(texts: list[str], out: np.ndarray) -> None:
 
 class LangIdModel:
     """Multinomial logistic regression over hashed character 2..4-grams;
-    weights has one row per feature and one column per language."""
+    weights has one row per feature and one column per language. Each
+    language code is one whitespace word, as the model file stores it."""
 
     def __init__(self, langs: list[str], weights: np.ndarray, bias: np.ndarray):
         import numpy as np
@@ -192,6 +193,8 @@ class LangIdModel:
         self.bias = np.asarray(bias, dtype=np.float64)
         if len(set(self.langs)) != len(self.langs) or len(self.langs) < 2:
             raise ModelFormatError(f"need 2 or more distinct languages, got {self.langs}")
+        for lang in self.langs:
+            check_lang_code(lang, ModelFormatError)
         if self.weights.shape[1:] != (len(langs),) or self.bias.shape != (len(langs),):
             raise ModelFormatError("langid weight shapes inconsistent with langs")
         self.n_features = self.weights.shape[0]
@@ -225,7 +228,7 @@ def langid_train(labeled, seed: int = 0, n_features: int = 2048,
     pairs = [(text, lang) for text, lang in labeled]
     langs = sorted({lang for _, lang in pairs})
     for lang in langs:
-        check_lang_code(lang)
+        check_lang_code(lang, ConfigError)
     if len(langs) < 2:
         raise EmptyInputError(f"need at least 2 languages, got {langs}")
     lang_idx = {lang: i for i, lang in enumerate(langs)}

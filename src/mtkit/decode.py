@@ -80,12 +80,6 @@ def _length_penalty(n: int, alpha: float) -> float:
     return ((5.0 + n) / 6.0) ** alpha
 
 
-def _log_dist(dist: np.ndarray) -> np.ndarray:
-    import numpy as np
-    with np.errstate(divide="ignore"):
-        return np.log(dist)
-
-
 def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> list[Candidate]:
     """Return up to min(n_candidates, beam_size) completed hypotheses.
 
@@ -128,14 +122,12 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
     for step in range(cfg.max_len):
         if not beams:
             break
-        logf = np.array(
-            [_log_dist(fwd.next_dist(source, b[1])) for b in beams], dtype=np.float64
-        )
+        with np.errstate(divide="ignore"):
+            logf = np.log([fwd.next_dist(source, b[1]) for b in beams], dtype=np.float64)
+            if lam > 0:
+                logl = np.log([lm.next_dist((), b[1]) for b in beams], dtype=np.float64)
         scores = np.array([b[0] for b in beams])[:, None] + logf
         if lam > 0:
-            logl = np.array(
-                [_log_dist(lm.next_dist((), b[1])) for b in beams], dtype=np.float64
-            )
             scores += lam * logl
 
         def entry(row, tok):

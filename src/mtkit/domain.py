@@ -28,7 +28,7 @@ from collections import Counter, namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import (ConfigError, EmptyInputError, ModelFormatError, check_lang_code,
-                     check_new_line, check_training, model_file, write_lines)
+                     check_training, model_file, write_lines)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,13 +55,15 @@ class DomainClassifier:
     Tokens are whitespace words, as text.split() gives them: an empty token
     or one that holds whitespace, which score could never count, is refused,
     and so is one spelled like the model file's bias line (`__bias__`), which
-    would load back as the bias. holdout_accuracy is the accuracy
-    domain_train measured on its held-out split, or None when it held none
-    out; the model file does not store it.
+    would load back as the bias; the language code is one whitespace word
+    too. So every classifier built saves to a file load_classifier reads
+    back. holdout_accuracy is the accuracy domain_train measured on its
+    held-out split, or None when it held none out; the file does not store it.
     """
 
     def __init__(self, lang: str, weights: dict[str, float], bias: float,
                  holdout_accuracy: float | None = None):
+        check_lang_code(lang, ModelFormatError)
         if _BIAS in weights:
             raise ModelFormatError(f"token {_BIAS!r} is reserved for the bias")
         for tok in weights:
@@ -141,7 +143,7 @@ def domain_train(positives, negatives, seed: int = 0, lang: str = "en",
     """
     import numpy as np
     check_training(epochs, lr, seed)
-    check_lang_code(lang)
+    check_lang_code(lang, ConfigError)
     positives = list(positives)
     negatives = list(negatives)
     if not positives:
@@ -213,18 +215,21 @@ def save_classifier(clf: DomainClassifier, path) -> None:
 
 
 def load_classifier(path) -> DomainClassifier:
-    """Read a save_classifier file. A line without a tab, a blank one
-    included, and a token (or the bias line) given twice raise
-    ModelFormatError naming the line."""
+    """Read the layout save_classifier writes: `domcls-v1 <lang>`, then a
+    `token<TAB>weight` line per token and the `__bias__<TAB>bias` line. A
+    line without a tab (a blank one too) or repeating an earlier one, and a
+    missing bias line, raise ModelFormatError; a line error names the line."""
     weights = {}
-    seen: dict[str, int] = {}  # token -> line number
     with model_file(path, "domcls-v1") as (header, lines):
-        (lang,) = header.split()
         for lineno, line in lines:
             tok, _, value = line.partition("\t")
             if not value:
                 raise ModelFormatError(f"line {lineno}: expected token<TAB>weight")
-            check_new_line(seen, tok, lineno)
+            if tok in weights:  # line i + 2 set the i-th token read
+                first = list(weights).index(tok) + 2
+                raise ModelFormatError(f"line {lineno}: repeats line {first}")
             weights[tok] = float(value)
-        bias = weights.pop(_BIAS, 0.0)
-        return DomainClassifier(lang, weights, bias)
+        if _BIAS not in weights:
+            raise ModelFormatError(f"no {_BIAS!r} line")
+        bias = weights.pop(_BIAS)
+        return DomainClassifier(header, weights, bias)

@@ -2,10 +2,9 @@
 failure, the message saying where. ConfigError and InputFormatError are also
 ValueErrors, as json.JSONDecodeError is. Also the readers' rule for naming
 the file at fault, the reader for text model files (BPE, language id and
-domain classifier) and their rule against a repeated line, the writers'
-rule for leaving no partial output file behind, the one writer that stages
-every text output and text model file, and the rules for a seed, training
-settings and a language code."""
+domain classifier), the writers' rule for leaving no partial output file
+behind, the one writer that stages every text output and text model file,
+and the rules for a seed, training settings and a language code."""
 
 import contextlib
 import math
@@ -90,15 +89,6 @@ def model_file(path, magic: str):
         yield rest, ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2))
 
 
-def check_new_line(seen: dict, key, lineno: int) -> None:
-    """Record in `seen` (key -> line number) that line `lineno` sets `key`;
-    raise ModelFormatError naming both lines if an earlier line set it, so
-    no repeated line of a model file silently wins or shifts a rank."""
-    first = seen.setdefault(key, lineno)
-    if first != lineno:
-        raise ModelFormatError(f"line {lineno}: repeats line {first}")
-
-
 def check_seed(seed: int) -> None:
     """Raise ConfigError for a negative seed: random.Random seeds with
     abs(seed), so seed -s would repeat the draws of seed s."""
@@ -116,11 +106,12 @@ def check_training(epochs: int, lr: float, seed: int) -> None:
     check_seed(seed)
 
 
-def check_lang_code(code: str) -> None:
-    """Raise ConfigError for a language code that is empty or holds
-    whitespace: model files store codes as space-separated words."""
+def check_lang_code(code: str, error: type[MtkitError]) -> None:
+    """Raise `error` for a language code that is empty or holds whitespace:
+    model files store codes as space-separated words. Trainers raise
+    ConfigError, model constructors ModelFormatError."""
     if code.split() != [code]:
-        raise ConfigError(f"language code {code!r} is empty or holds whitespace")
+        raise error(f"language code {code!r} is empty or holds whitespace")
 
 
 @contextlib.contextmanager

@@ -39,9 +39,15 @@ import numpy as np
 from mtkit.bpe import BOS, EOS, PAD, UNK, WORD_END, BpeModel
 from mtkit.candidates import Candidate
 from mtkit.corpus import _NGRAM_RANGE
-from mtkit.decode import _MAX_STEP_LOGP, DecodeConfig, _log_dist
+from mtkit.decode import _MAX_STEP_LOGP, DecodeConfig
 from mtkit.errors import ConfigError, EmptyInputError, NoCompletedHypothesisError
 from mtkit.models import NGramScorer
+
+
+def _log_dist(dist) -> np.ndarray:
+    """One next_dist vector's log-probabilities, log 0 = -inf without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(dist)
 
 
 def _reference_finish(entry, lam: float, alpha: float) -> Candidate:

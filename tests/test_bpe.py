@@ -306,10 +306,33 @@ _SPECIAL_VOCAB = {bpe.PAD: 0, bpe.UNK: 1, bpe.BOS: 2, bpe.EOS: 3, bpe.WORD_END: 
     *({k: v for k, v in _SPECIAL_VOCAB.items() if k != tok} for tok in bpe.SPECIALS),
     {**_SPECIAL_VOCAB, "a": 10},  # id == vocab_size
     {**_SPECIAL_VOCAB, "a": -1},
-], ids=[*(f"no {tok}" for tok in bpe.SPECIALS), "id == vocab_size", "negative id"])
+    {**_SPECIAL_VOCAB, "a": 6},  # within [0, vocab_size), but id 5 is unused
+    {**_SPECIAL_VOCAB, "a": 4},
+], ids=[*(f"no {tok}" for tok in bpe.SPECIALS), "id == vocab_size", "negative id", "id skipped",
+        "duplicate id"])
 def test_model_validation_rejects_missing_specials_and_bad_ids(vocab):
     with pytest.raises(ModelFormatError):
         BpeModel(merges=[], vocab=vocab, vocab_size=10)
+
+
+@pytest.mark.parametrize("merges, vocab, why", [
+    pytest.param([("a", "b"), ("a", "b")], {**_SPECIAL_VOCAB, "b": 6, "ab": 7},
+                 "merge ('a','b') at rank 0 is repeated at rank 1", id="repeated merge"),
+    pytest.param([], {**_SPECIAL_VOCAB, "a": 6, "": 5}, "symbol '' is empty or holds whitespace",
+                 id="empty symbol"),
+    pytest.param([], {**_SPECIAL_VOCAB, "a b": 6}, "symbol 'a b' is empty or holds whitespace",
+                 id="symbol holds a space"),
+    pytest.param([], {**_SPECIAL_VOCAB, "a\tb": 6}, "symbol 'a\\tb' is empty or holds whitespace",
+                 id="symbol holds a tab"),
+    pytest.param([], {**_SPECIAL_VOCAB, "b\n": 6}, "symbol 'b\\n' is empty or holds whitespace",
+                 id="symbol ends a line"),
+])
+def test_model_refuses_what_its_file_cannot_hold(merges, vocab, why):
+    # a repeated merge line moves the pair's rank; a symbol that is not one
+    # whitespace word would not parse back from its vocab or merge line
+    with pytest.raises(ModelFormatError) as err:
+        BpeModel(merges=merges, vocab=vocab, vocab_size=10)
+    assert str(err.value) == why
 
 
 def test_load_fuzzed_model_files(tmp_path):

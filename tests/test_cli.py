@@ -338,7 +338,7 @@ _TABLE_VOCAB = ["a", "b", "eos"]
 _TABLE = table_container(_TABLE_VOCAB, [0.25, 0.25, 0.5])
 _LANGID_HEAD = "langid-v1 2\nlangs en ru\nbias 0.0 0.0\n"
 _LANGID = _LANGID_HEAD + "w 0 0.25 -0.25\nw 1 0.5 -0.5\n"
-_DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
+_DOMCLS = "domcls-v1 en\nfoo\t0.5\n__bias__\t0.0\n"
 
 
 @pytest.mark.parametrize("command, good, bad", [
@@ -386,8 +386,8 @@ _DOMCLS = "domcls-v1 en\nfoo\t0.5\n"
     pytest.param("domain-select", _DOMCLS, (_DOMCLS + "caf\xe9\t0.5\n").encode("latin-1"),
                  id="domcls not utf-8"),
     pytest.param("domain-select", _DOMCLS, _DOMCLS + "foo\t-3.0\n", id="domcls token repeated"),
-    pytest.param("domain-select", _DOMCLS, _DOMCLS + "__bias__\t0.0\n__bias__\t2.0\n",
-                 id="domcls bias repeated"),
+    pytest.param("domain-select", _DOMCLS, _DOMCLS + "__bias__\t2.0\n", id="domcls bias repeated"),
+    pytest.param("domain-select", _DOMCLS, "domcls-v1 en\nfoo\t0.5\n", id="domcls bias missing"),
 ])
 def test_malformed_model_file_exits_1(tmp_path, capsys, command, good, bad):
     model = tmp_path / "model.txt"
@@ -395,7 +395,7 @@ def test_malformed_model_file_exits_1(tmp_path, capsys, command, good, bad):
     _write(inp, ["0" if command == "decode" else "a b\tc d"])
     files = ["in.txt", "model.txt"]
     if command == "domain-select":  # --clf-ru takes a well-formed Russian classifier
-        _write(tmp_path / "ru.domcls", ["domcls-v1 ru", "foo\t0.5"])
+        _write(tmp_path / "ru.domcls", ["domcls-v1 ru", "foo\t0.5", "__bias__\t0.0"])
         files.append("ru.domcls")
     flag = {"decode": ["--model"],
             "filter": ["--langs", "en,ru", "--langid"],
@@ -1301,7 +1301,8 @@ def _bad_input_argv(tmp_path, case, langid_file):
         clfs = {}
         for side in ("en", "ru"):
             clfs[side] = tmp_path / f"{side}.domcls"
-            _write(clfs[side], [f"domcls-v1 {lang if flag == f'clf-{side}' else side}", "a\t1.0"])
+            _write(clfs[side], [f"domcls-v1 {lang if flag == f'clf-{side}' else side}", "a\t1.0",
+                                "__bias__\t0.0"])
         return (["domain-select", str(pairs), "--clf-en", str(clfs["en"]),
                  "--clf-ru", str(clfs["ru"]), "-o", out],
                 f"ConfigError: --{flag} {clfs[flag[-2:]]}: holds a {lang!r} classifier")
@@ -1477,8 +1478,8 @@ def _writer_files(tmp_path) -> dict:
     bpe.save_model(model, files["codes"])
     _write(files["bpe_ids"], [" ".join(map(str, bpe.bpe_encode(model, "the cat")))])
     _write(files["pairs"], ["the cat	cat the", "a dog	dog a"])
-    _write(files["clf_en"], ["domcls-v1 en", "cat	5.0"])
-    _write(files["clf_ru"], ["domcls-v1 ru", "cat	5.0"])
+    _write(files["clf_en"], ["domcls-v1 en", "cat	5.0", "__bias__	0.0"])
+    _write(files["clf_ru"], ["domcls-v1 ru", "cat	5.0", "__bias__	0.0"])
     models.save_checkpoint({"w": [1.0, 2.0]}, files["ckpt"])
     _write(files["ids"], ["0", "1"])
     models.save_table_scorer(_fusion_fwd(), files["fwd"])

@@ -138,22 +138,30 @@ def _random_langid_model(n_features: int) -> LangIdModel:
     return LangIdModel(["de", "en", "ru"], rng.normal(size=(n_features, 3)), rng.normal(size=3))
 
 
-@pytest.mark.parametrize("weights, bias, why", [
-    pytest.param([0.5, -0.5], [0.0, 0.0], "langid weight shapes inconsistent with langs",
-                 id="weights not a matrix"),
-    pytest.param([[0.5, -0.5, 0.0]], [0.0, 0.0], "langid weight shapes inconsistent with langs",
+@pytest.mark.parametrize("langs, weights, bias, why", [
+    pytest.param(["en", "ru"], [0.5, -0.5], [0.0, 0.0],
+                 "langid weight shapes inconsistent with langs", id="weights not a matrix"),
+    pytest.param(["en", "ru"], [[0.5, -0.5, 0.0]], [0.0, 0.0],
+                 "langid weight shapes inconsistent with langs",
                  id="a weight per language too many"),
-    pytest.param([[0.5, -0.5]], [0.0], "langid weight shapes inconsistent with langs",
-                 id="bias too short"),
-    pytest.param(np.zeros((0, 2)), [0.0, 0.0], "n_features must be positive, got 0",
-                 id="no feature rows"),
-    pytest.param([[0.5, np.inf]], [0.0, 0.0], "langid weights and bias must be finite",
-                 id="infinite weight"),
+    pytest.param(["en", "ru"], [[0.5, -0.5]], [0.0],
+                 "langid weight shapes inconsistent with langs", id="bias too short"),
+    pytest.param(["en", "ru"], np.zeros((0, 2)), [0.0, 0.0],
+                 "n_features must be positive, got 0", id="no feature rows"),
+    pytest.param(["en", "ru"], [[0.5, np.inf]], [0.0, 0.0],
+                 "langid weights and bias must be finite", id="infinite weight"),
+    pytest.param(["en gb", "ru"], [[0.5, -0.5]], [0.0, 0.0],
+                 "language code 'en gb' is empty or holds whitespace", id="code holds a space"),
+    pytest.param(["en", ""], [[0.5, -0.5]], [0.0, 0.0],
+                 "language code '' is empty or holds whitespace", id="empty code"),
+    pytest.param(["en", "ru\n"], [[0.5, -0.5]], [0.0, 0.0],
+                 "language code 'ru\\n' is empty or holds whitespace", id="code ends a line"),
 ])
-def test_langid_model_checks_its_shapes(weights, bias, why):
-    # n_features is the number of weight rows
+def test_langid_model_checks_its_shapes(langs, weights, bias, why):
+    # n_features is the number of weight rows; a language code must be one
+    # word of the file's space-separated `langs` line
     with pytest.raises(ModelFormatError) as err:
-        LangIdModel(["en", "ru"], weights, bias)
+        LangIdModel(langs, weights, bias)
     assert str(err.value) == why
     assert LangIdModel(["en", "ru"], [[0.5, -0.5]] * 3, [0.0, 0.0]).n_features == 3
 

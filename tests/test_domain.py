@@ -318,6 +318,14 @@ def test_classifier_refuses_a_token_that_split_cannot_produce(tmp_path):
             DomainClassifier("en", {"ok": 1.0, tok: 1.0}, 0.0)
 
 
+@pytest.mark.parametrize("lang", ["e n", "", " en", "en\n", "en\t"])
+def test_classifier_refuses_a_language_code_its_header_cannot_hold(lang):
+    # the header `domcls-v1 <lang>` loads back as one whitespace word
+    with pytest.raises(ModelFormatError) as err:
+        DomainClassifier(lang, {"foo": 0.5}, 0.1)
+    assert str(err.value) == f"language code {lang!r} is empty or holds whitespace"
+
+
 def test_classifier_load_bad_header(tmp_path):
     from mtkit.errors import ModelFormatError
 

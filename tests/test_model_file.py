@@ -8,6 +8,8 @@ import tracemalloc
 import zlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtkit import bpe, corpus, domain, models
 from mtkit.errors import ModelFormatError, model_file
@@ -240,21 +242,48 @@ _BPE = ("bpe-v1 10\n<pad>\t0\n<unk>\t1\n<bos>\t2\n<eos>\t3\n</w>\t4\na\t5\nb\t6\
         "ab</w>\t8\n\na b\nab </w>\n")
 
 
-@pytest.mark.parametrize("text, line, first", [
-    pytest.param(_BPE + "ab </w>\n", 14, 13, id="last merge"),
-    pytest.param(_BPE + "a b\n", 14, 12, id="earlier merge"),
-    pytest.param(_BPE.replace("b\t6\n", "b\t6\na\t9\n"), 9, 7, id="token"),
+@pytest.mark.parametrize("text, where", [
+    pytest.param(_BPE + "ab </w>\n", "merge ('ab','</w>') at rank 1 is repeated at rank 2",
+                 id="last merge"),
+    pytest.param(_BPE + "a b\n", "merge ('a','b') at rank 0 is repeated at rank 2",
+                 id="earlier merge"),
+    pytest.param(_BPE.replace("b\t6\n", "b\t6\na\t9\n"), "line 9: repeats line 7", id="token"),
 ])
-def test_repeated_bpe_line_names_both_lines(tmp_path, text, line, first):
+def test_repeated_bpe_line_names_both_lines(tmp_path, text, where):
     """A repeated merge would silently move that pair's rank, which changes
-    the encoding."""
+    the encoding; the model refuses it, naming both ranks (line = rank +
+    len(vocab) + 3). A repeated token names both lines."""
     path = tmp_path / "m.bpe"
     path.write_text(_BPE, encoding="utf-8")
     assert bpe.load_model(path).merges == [("a", "b"), ("ab", "</w>")]
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ModelFormatError) as err:
         bpe.load_model(path)
-    assert str(err.value) == f"{path}: line {line}: repeats line {first}"
+    assert str(err.value) == f"{path}: {where}"
+
+
+@pytest.mark.parametrize("text, where", [
+    pytest.param(_BPE.replace("a\t5\nb\t6", "b\t6\na\t5"), "line 7: expected token<TAB>5",
+                 id="ids out of order"),
+    pytest.param(_BPE.replace("b\t6", "b\t9"), "line 8: expected token<TAB>6", id="id skipped"),
+    pytest.param(_BPE.replace("b\t6", "b\t06"), "line 8: expected token<TAB>6",
+                 id="id not in canonical form"),
+    pytest.param(_BPE.replace("b\t6", "b\t6\t6"), "line 8: expected token<TAB>6",
+                 id="two tabs"),
+    pytest.param(_BPE.replace("b\t6", "b"), "line 8: expected token<TAB>6", id="no id"),
+    pytest.param(_BPE.split("\n\n")[0] + "\n", "line 11: expected a blank line",
+                 id="no blank line"),
+    pytest.param("bpe-v1 10\n", "line 2: expected a blank line",
+                 id="header only"),
+])
+def test_bpe_file_is_read_in_its_written_layout(tmp_path, text, where):
+    """save_model writes vocab line i as token<TAB>i, then a blank line;
+    any other vocab section is refused, naming the line."""
+    path = tmp_path / "m.bpe"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError) as err:
+        bpe.load_model(path)
+    assert str(err.value) == f"{path}: {where}"
 
 
 @pytest.mark.parametrize("extra, first", [
@@ -267,6 +296,149 @@ def test_repeated_domcls_line_names_both_lines(tmp_path, extra, first):
     with pytest.raises(ModelFormatError) as err:
         domain.load_classifier(path)
     assert str(err.value) == f"{path}: line 4: repeats line {first}"
+
+
+@pytest.mark.parametrize("text, where", [
+    pytest.param("domcls-v1 en\nfoo\t0.5\n", "no '__bias__' line", id="no bias line"),
+    pytest.param("domcls-v1 en\n", "no '__bias__' line", id="header only"),
+    pytest.param("domcls-v1 e n\n__bias__\t0.0\n",
+                 "language code 'e n' is empty or holds whitespace", id="code holds a space"),
+    pytest.param("domcls-v1 en \n__bias__\t0.0\n",
+                 "language code 'en ' is empty or holds whitespace",
+                 id="code with a trailing space"),
+    pytest.param("domcls-v1 \n__bias__\t0.0\n", "language code '' is empty or holds whitespace",
+                 id="empty code"),
+])
+def test_domcls_file_is_read_in_its_written_layout(tmp_path, text, where):
+    """save_classifier always writes the bias line and a one-word code."""
+    path = tmp_path / "clf.model"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError) as err:
+        domain.load_classifier(path)
+    assert str(err.value) == f"{path}: {where}"
+
+
+# Round trips: every model a constructor accepts saves to a file that loads
+# back as the same model and saves to the same bytes; whatever a file cannot
+# hold is refused by the constructor, before any file is written.
+
+_ROUNDTRIP = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# the characters of words, then the whitespace that can separate them
+_WORD_CHARS = "ab\u00e9_<>/"
+_WORD = st.text(_WORD_CHARS, min_size=1, max_size=6)
+_TEXT = st.text(_WORD_CHARS + "\t \n\r\x0b\x1c\u2028", max_size=8)
+# a code or symbol no model file can hold: empty, or holding whitespace
+_BAD = _TEXT.filter(lambda text: text.split() != [text])
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _resave(tmp_path_factory, save, load, model):
+    """Save `model`, load it and save the loaded model; check that both
+    files hold the same bytes and return the loaded model."""
+    first, second = (tmp_path_factory.mktemp("roundtrip") / name for name in ("first", "second"))
+    save(model, first)
+    loaded = load(first)
+    save(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    return loaded
+
+
+@_ROUNDTRIP
+@given(codes=st.lists(_WORD, min_size=2, max_size=3, unique=True), bad=_BAD)
+@example(codes=["en", "ru"], bad="en gb")
+@example(codes=["en", "ru"], bad="")
+def test_langid_codes_roundtrip_or_are_refused(tmp_path_factory, codes, bad):
+    weights = [[0.5 * i for i in range(len(codes))], [-0.0, 5e-324, 1e308][:len(codes)]]
+    bias = [0.25] * len(codes)
+    model = corpus.LangIdModel(codes, weights, bias)
+    loaded = _resave(tmp_path_factory, corpus.save_langid, corpus.load_langid, model)
+    assert loaded.langs == codes
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    with pytest.raises(ModelFormatError, match="is empty or holds whitespace"):
+        corpus.LangIdModel([*codes[:-1], bad], weights, bias)
+
+
+@st.composite
+def _hand_bpe(draw):
+    """A vocab of the specials and drawn symbols under shuffled ids, and
+    merges of known symbols whose concatenation the vocab holds."""
+    tokens = [*bpe.SPECIALS, *draw(st.lists(_WORD.filter(lambda t: t not in bpe.SPECIALS),
+                                            max_size=6, unique=True))]
+    known = tokens[bpe.SPECIALS.index(bpe.WORD_END):]
+    pairs = st.tuples(st.sampled_from(known), st.sampled_from(known))
+    merges = draw(st.lists(pairs, max_size=5, unique=True))
+    tokens = list(dict.fromkeys(tokens + [left + right for left, right in merges]))
+    vocab = dict(zip(tokens, draw(st.permutations(range(len(tokens))))))
+    return merges, vocab, len(vocab) + draw(st.integers(0, 3))
+
+
+@_ROUNDTRIP
+@given(model=_hand_bpe(), bad=_BAD)
+@example(model=([("a", "b")], {**dict(zip(bpe.SPECIALS, range(5))), "a": 5, "b": 6, "ab": 7}, 8),
+         bad="a b")
+def test_hand_built_bpe_roundtrips_or_is_refused(tmp_path_factory, model, bad):
+    merges, vocab, vocab_size = model
+    model = bpe.BpeModel(merges, vocab, vocab_size)
+    loaded = _resave(tmp_path_factory, bpe.save_model, bpe.load_model, model)
+    assert (loaded.merges, loaded.vocab, loaded.vocab_size) == (merges, vocab, vocab_size)
+    # what a bpe-v1 file cannot hold: a symbol that is not one word, a
+    # repeated merge, ids other than 0 .. len(vocab) - 1
+    with pytest.raises(ModelFormatError, match="is empty or holds whitespace"):
+        bpe.BpeModel(merges, {**vocab, bad: len(vocab)}, vocab_size + 1)
+    if merges:
+        with pytest.raises(ModelFormatError, match="is repeated at rank"):
+            bpe.BpeModel(merges + merges[:1], vocab, vocab_size)
+    with pytest.raises(ModelFormatError, match="vocab ids are not"):
+        bpe.BpeModel(merges, {tok: i + 1 for tok, i in vocab.items()}, vocab_size + 1)
+
+
+@_ROUNDTRIP
+@given(lines=st.lists(_TEXT, min_size=1, max_size=6).filter(lambda lines: "".join(lines).split()),
+       extra=st.integers(1, 20))
+def test_trained_bpe_roundtrips(tmp_path_factory, lines, extra):
+    chars = {ch for line in lines for ch in "".join(line.split())}
+    model = bpe.bpe_train(lines, len(bpe.SPECIALS) + len(chars) + extra)
+    loaded = _resave(tmp_path_factory, bpe.save_model, bpe.load_model, model)
+    assert (loaded.merges, loaded.vocab) == (model.merges, model.vocab)
+    assert loaded.vocab_size == model.vocab_size
+
+
+# tokens that sort just before, at and after the bias line's token
+_NEAR_BIAS = ["__bias", "__bias_", "__bias__x", "__biat", "_", "`", "a"]
+_WEIGHT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310])
+
+
+@_ROUNDTRIP
+@given(lang=_WORD, weights=st.dictionaries(_WORD | st.sampled_from(_NEAR_BIAS), _WEIGHT,
+                                           max_size=6),
+       bias=_WEIGHT, bad=_BAD)
+@example(lang="en", weights={"x": 0.5}, bias=0.1, bad="e n")
+@example(lang="en", weights={"x": 0.5}, bias=0.1, bad="")
+def test_hand_built_domcls_roundtrips_or_is_refused(tmp_path_factory, lang, weights, bias, bad):
+    model = domain.DomainClassifier(lang, weights, bias)
+    loaded = _resave(tmp_path_factory, domain.save_classifier, domain.load_classifier, model)
+    assert loaded.lang == lang and list(loaded.weights) == sorted(weights)
+    assert _bits([*loaded.weights.values(), loaded.bias]) == \
+        _bits([*(weights[tok] for tok in sorted(weights)), bias])
+    for refused in [(bad, weights), (lang, {**weights, bad: 1.0}),
+                    (lang, {**weights, "__bias__": 1.0})]:
+        with pytest.raises(ModelFormatError):
+            domain.DomainClassifier(*refused, bias)
+
+
+@_ROUNDTRIP
+@given(lines=st.lists(_TEXT, min_size=2, max_size=8), seed=st.integers(0, 3))
+def test_trained_domcls_roundtrips(tmp_path_factory, lines, seed):
+    half = len(lines) // 2
+    model = domain.domain_train(lines[:half], lines[half:], seed=seed, epochs=3)
+    loaded = _resave(tmp_path_factory, domain.save_classifier, domain.load_classifier, model)
+    assert (loaded.lang, list(loaded.weights)) == (model.lang, list(model.weights))
+    assert _bits([*loaded.weights.values(), loaded.bias]) == \
+        _bits([*model.weights.values(), model.bias])
 
 
 @pytest.mark.parametrize("load, text, line", [

@@ -54,3 +54,39 @@ def test_src_modules_use_every_name_they_import():
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+# public names that nothing in the package or its benchmark calls, kept for
+# the user, each with its reason
+_USER_API = {
+    "models.save_checkpoint": "the user's way to write an NMTC checkpoint for avg-checkpoints",
+}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # no public function or class stays that only tests call; a name counts
+    # as used when src/mtkit or perfbench names it anywhere but in its own
+    # definition: in an expression, an import or a string (perfbench's
+    # tracing wraps functions by name)
+    public, used = [], set()
+    paths = sorted(path for top in ("src/mtkit", "perfbench")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert any(path.name == "run.py" for path in paths)
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.parent.name == "mtkit":
+            public += [f"{path.stem}.{node.name}" for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert "corpus.LangIdModel" in public
+    assert sorted(name for name in public if name.partition(".")[2] not in used) == \
+        sorted(_USER_API)
