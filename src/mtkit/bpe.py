@@ -13,7 +13,7 @@ import random
 from collections import Counter, defaultdict
 
 from .errors import (ConfigError, EmptyInputError, ModelFormatError, VocabMismatchError,
-                     check_seed, model_file, write_lines)
+                     check_seed, read_model, write_lines)
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<bos>", "<eos>"
 WORD_END = "</w>"
@@ -234,42 +234,36 @@ def bpe_decode(model: BpeModel, ids) -> str:
     return "".join(pieces).replace(WORD_END, " ").rstrip()
 
 
+def _lines(merges, vocab, vocab_size):
+    yield f"bpe-v1 {vocab_size}"
+    for tok, tid in sorted(vocab.items(), key=lambda kv: kv[1]):
+        yield f"{tok}\t{tid}"
+    yield ""
+    for left, right in merges:
+        yield f"{left} {right}"
+
+
 def save_model(model: BpeModel, path) -> None:
     """Write the text container: `bpe-v1 <vocab_size>`, vocab lines, blank line, merge lines."""
-    def lines():
-        yield f"bpe-v1 {model.vocab_size}"
-        for tok, tid in sorted(model.vocab.items(), key=lambda kv: kv[1]):
-            yield f"{tok}\t{tid}"
-        yield ""
-        for left, right in model.merges:
-            yield f"{left} {right}"
-    write_lines(path, lines())
+    write_lines(path, _lines(model.merges, model.vocab, model.vocab_size))
+
+
+def _fields(header, lines):
+    vocab_size = int(header)
+    vocab: dict[str, int] = {}
+    for lineno, line in lines:
+        if line == "":
+            break
+        tok, _, tid = line.partition("\t")
+        if tok in vocab:  # line i + 2 set the i-th token read
+            raise ModelFormatError(f"line {lineno}: repeats line {list(vocab).index(tok) + 2}")
+        vocab[tok] = int(tid)
+    merges = [tuple(line.partition(" ")[::2]) for _, line in lines]
+    return merges, vocab, vocab_size
 
 
 def load_model(path) -> BpeModel:
-    """Read the one layout save_model writes: `bpe-v1 <vocab_size>`, vocab
-    lines `token<TAB>0`, `token<TAB>1`, ... in id order, a blank line, then
-    one `left right` line per merge. Any other line raises ModelFormatError
-    naming it, a repeated token its first line too; BpeModel's checks, one
-    against a repeated merge among them, raise it naming the file."""
-    vocab: dict[str, int] = {}
-    merges: list[tuple[str, str]] = []
-    with model_file(path, "bpe-v1") as (header, lines):
-        vocab_size = int(header)
-        for lineno, line in lines:
-            if line == "":
-                break  # end of the vocab section; merges follow
-            tok, _, tid = line.partition("\t")
-            if tok in vocab:  # line id + 2 set the token
-                raise ModelFormatError(f"line {lineno}: repeats line {vocab[tok] + 2}")
-            if tid != str(len(vocab)):
-                raise ModelFormatError(f"line {lineno}: expected token<TAB>{len(vocab)}")
-            vocab[tok] = len(vocab)
-        else:
-            raise ModelFormatError(f"line {len(vocab) + 2}: expected a blank line")
-        for lineno, line in lines:
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise ModelFormatError(f"line {lineno}: expected 'left right'")
-            merges.append((parts[0], parts[1]))
-        return BpeModel(merges=merges, vocab=vocab, vocab_size=vocab_size)
+    """Read a file only byte for byte as save_model writes it: a CRLF line, an
+    id in another form or any other layout raises ModelFormatError naming the
+    first line that departs, a repeated token its first line too."""
+    return read_model(path, "bpe-v1", _fields, _lines, BpeModel)

@@ -53,14 +53,16 @@ CHUNK = 4096
 
 
 @contextlib.contextmanager
-def _open_in(path: str):
+def _open_in(path: str, newline: str | None = None):
     """The one way the CLI reads a text input ('-' for stdin), held to strict
-    UTF-8 whatever the locale. An InputFormatError or ValueError raised in
-    the block, from a line check, undecodable bytes or a field that int() or
-    float() rejects, becomes an InputFormatError that starts with the path."""
+    UTF-8 whatever the locale, newline as open() takes it. An InputFormatError
+    or ValueError raised in the block, from a line check, undecodable bytes or
+    a field that int() or float() rejects, becomes an InputFormatError that
+    starts with the path."""
     stdin = path == "-"
     with naming(path, InputFormatError), \
-            open(sys.stdin.fileno() if stdin else path, encoding="utf-8", closefd=not stdin) as fh:
+            open(sys.stdin.fileno() if stdin else path, encoding="utf-8", newline=newline,
+                 closefd=not stdin) as fh:
         yield fh
 
 
@@ -115,7 +117,7 @@ def _read_dump(path: str, eos_id: int | None, given: str, n_sources: int | None 
     in the decoder's eos, so that id is not it. strip_eos refuses a negative
     eos_id before the dump is searched."""
     from . import candidates
-    with _open_in(path) as fh:
+    with _open_in(path, newline="") as fh:
         cands_per_sentence = candidates.parse_candidates(fh)
     if n_sources is not None and len(cands_per_sentence) != n_sources:
         raise LengthMismatchError(

@@ -19,6 +19,7 @@ it, so the stages that read and write pairs start without loading it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import namedtuple
@@ -26,7 +27,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import (ConfigError, EmptyInputError, InputFormatError, ModelFormatError,
-                     check_lang_code, check_seed, check_training, model_file,
+                     check_lang_code, check_seed, check_training, read_model,
                      write_lines)
 
 if TYPE_CHECKING:
@@ -289,39 +290,33 @@ def _langid_labels(model: LangIdModel, texts) -> dict[str, str]:
     return labels
 
 
+def _langid_lines(langs, weights, bias):
+    yield f"langid-v1 {len(weights)}"
+    yield "langs " + " ".join(langs)
+    yield "bias " + " ".join(repr(float(v)) for v in bias)
+    for idx, row in enumerate(weights):
+        yield f"w {idx} " + " ".join(repr(float(v)) for v in row)
+
+
 def save_langid(model: LangIdModel, path) -> None:
-    def lines():
-        yield f"langid-v1 {model.n_features}"
-        yield "langs " + " ".join(model.langs)
-        yield "bias " + " ".join(repr(float(v)) for v in model.bias)
-        for idx, row in enumerate(model.weights):
-            yield f"w {idx} " + " ".join(repr(float(v)) for v in row)
-    write_lines(path, lines())
+    write_lines(path, _langid_lines(model.langs, model.weights, model.bias))
+
+
+def _langid_fields(header, lines):
+    n_features = int(header)
+    _check_n_features(n_features, ModelFormatError)
+    langs = next(lines, (2, ""))[1].split(" ")[1:]
+    rows = ([float(v) for v in line.split(" ")[-len(langs):]] for _, line in lines)
+    bias = next(rows, [])
+    return langs, list(itertools.islice(rows, n_features)), bias
 
 
 def load_langid(path) -> LangIdModel:
-    """Read the one layout save_langid writes: `langid-v1 <n_features>`,
-    `langs ...`, `bias ...`, then the rows `w 0` ... `w <n_features - 1>` in
-    order, one weight per language each. Any other line, a blank one
-    included, or an early end raises ModelFormatError naming the line."""
-    with model_file(path, "langid-v1") as (header, lines):
-        n_features = int(header)
-        _check_n_features(n_features, ModelFormatError)
-        _, line = next(lines, (2, ""))
-        word, *langs = line.split(" ")
-        if word != "langs":
-            raise ModelFormatError("line 2: expected 'langs' and the language codes")
-        def row(lineno: int, key: str) -> list[float]:
-            _, line = next(lines, (lineno, ""))
-            read_key, *fields = line.rsplit(" ", len(langs))
-            if read_key != key or len(fields) != len(langs):
-                raise ModelFormatError(f"line {lineno}: expected {key!r} and {len(langs)} weights")
-            return [float(v) for v in fields]
-        bias = row(3, "bias")
-        weights = [row(4 + idx, f"w {idx}") for idx in range(n_features)]
-        for lineno, _ in lines:
-            raise ModelFormatError(f"line {lineno}: expected the end of the file")
-        return LangIdModel(langs, weights, bias)
+    """Read a file only byte for byte as save_langid writes it: a row out of
+    order or missing, a CRLF line, a weight in another form or any other
+    layout raises ModelFormatError naming the first line that departs. The
+    header's n_features is checked first, and at most that many rows read."""
+    return read_model(path, "langid-v1", _langid_fields, _langid_lines, LangIdModel)
 
 
 # ---------------------------------------------------------------------------

@@ -106,11 +106,8 @@ def beam_search(fwd: Scorer, lm: Scorer | None, source, cfg: DecodeConfig) -> li
     source = tuple(source)
     if not source:
         raise EmptyInputError("source must be non-empty")
+    check_fusion(fwd, lm, cfg.fusion_lambda)
     lam = cfg.fusion_lambda
-    if lam > 0:
-        if lm is None:
-            raise ConfigError("fusion_lambda > 0 requires a language model")
-        check_same_vocab((fwd, lm), "forward and lm")
     vocab_size = fwd.vocab_size
     eos = fwd.eos_id
     alpha = cfg.length_penalty_alpha
@@ -251,6 +248,15 @@ def sequence_logprob(scorer: Scorer, source, tokens) -> float:
     return total
 
 
+def check_fusion(fwd: Scorer, lm: Scorer | None, fusion_lambda: float) -> None:
+    """Refuse fusion_lambda > 0 without an lm of fwd's vocab; decode_batch runs
+    it once first, so an empty input is checked too."""
+    if fusion_lambda > 0:
+        if lm is None:
+            raise ConfigError("fusion_lambda > 0 requires a language model")
+        check_same_vocab((fwd, lm), "forward and lm")
+
+
 def check_lambda_ncr(lambda_ncr: float) -> None:
     """Raise ConfigError unless lambda_ncr is finite and >= 0; a caller that
     re-ranks sentence by sentence runs it once first, so an empty input is
@@ -298,6 +304,7 @@ def _combine_and_sort(cands, lambda_ncr: float) -> list[Candidate]:
 
 def decode_batch(fwd: Scorer, lm: Scorer | None, sources, cfg: DecodeConfig):
     """Beam-decode many sources; output order follows input order."""
+    check_fusion(fwd, lm, cfg.fusion_lambda)
     return [beam_search(fwd, lm, s, cfg) for s in sources]
 
 

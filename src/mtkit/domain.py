@@ -28,7 +28,7 @@ from collections import Counter, namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import (ConfigError, EmptyInputError, ModelFormatError, check_lang_code,
-                     check_training, model_file, write_lines)
+                     check_training, read_model, write_lines)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -205,31 +205,30 @@ def bilingual_select(pairs, clf_en: DomainClassifier, clf_ru: DomainClassifier,
     return selected, counts
 
 
+def _lines(lang, weights, bias):
+    yield f"domcls-v1 {lang}"
+    for tok in sorted(weights):
+        yield f"{tok}\t{weights[tok]!r}"
+    yield f"{_BIAS}\t{bias!r}"
+
+
 def save_classifier(clf: DomainClassifier, path) -> None:
-    def lines():
-        yield f"domcls-v1 {clf.lang}"
-        for tok in sorted(clf.weights):
-            yield f"{tok}\t{clf.weights[tok]!r}"
-        yield f"{_BIAS}\t{clf.bias!r}"
-    write_lines(path, lines())
+    write_lines(path, _lines(clf.lang, clf.weights, clf.bias))
+
+
+def _fields(header, lines):
+    weights = {}
+    for lineno, line in lines:
+        tok, _, value = line.partition("\t")
+        if tok in weights:  # line i + 2 set the i-th token read
+            raise ModelFormatError(f"line {lineno}: repeats line {list(weights).index(tok) + 2}")
+        weights[tok] = float(value)
+    return header, weights, weights.pop(_BIAS, None)
 
 
 def load_classifier(path) -> DomainClassifier:
-    """Read the layout save_classifier writes: `domcls-v1 <lang>`, then a
-    `token<TAB>weight` line per token and the `__bias__<TAB>bias` line. A
-    line without a tab (a blank one too) or repeating an earlier one, and a
-    missing bias line, raise ModelFormatError; a line error names the line."""
-    weights = {}
-    with model_file(path, "domcls-v1") as (header, lines):
-        for lineno, line in lines:
-            tok, _, value = line.partition("\t")
-            if not value:
-                raise ModelFormatError(f"line {lineno}: expected token<TAB>weight")
-            if tok in weights:  # line i + 2 set the i-th token read
-                first = list(weights).index(tok) + 2
-                raise ModelFormatError(f"line {lineno}: repeats line {first}")
-            weights[tok] = float(value)
-        if _BIAS not in weights:
-            raise ModelFormatError(f"no {_BIAS!r} line")
-        bias = weights.pop(_BIAS)
-        return DomainClassifier(header, weights, bias)
+    """Read a file only byte for byte as save_classifier writes it: tokens out
+    of order, a line after the bias line, a CRLF line, a weight in another
+    form or any other layout raises ModelFormatError naming the first line
+    that departs, a repeated token its first line too."""
+    return read_model(path, "domcls-v1", _fields, _lines, DomainClassifier)

@@ -1,12 +1,14 @@
 """Exception types shared across mtkit modules: one class per kind of
 failure, the message saying where. ConfigError and InputFormatError are also
 ValueErrors, as json.JSONDecodeError is. Also the readers' rule for naming
-the file at fault, the reader for text model files (BPE, language id and
-domain classifier), the writers' rule for leaving no partial output file
+the file at fault, the reader of text model files (BPE, language id and
+domain classifier), which refuses a CRLF file or a number in another form
+than its saver writes, the writers' rule for leaving no partial output file
 behind, the one writer that stages every text output and text model file,
 and the rules for a seed, training settings and a language code."""
 
 import contextlib
+import itertools
 import math
 import os
 
@@ -66,27 +68,38 @@ def naming(path, error: type[MtkitError], catch=(ValueError,)):
         raise error(f"{path}: {exc}") from None
 
 
-@contextlib.contextmanager
-def model_file(path, magic: str):
-    """Open a UTF-8 text model file whose first word is `magic`.
-
-    Yields (header, lines). header is the rest of the first line after the
-    magic word and one space. lines yields (line number, line without its
-    newline) for each later line, blank lines included, read from the file
-    as the caller iterates, so no file is held in memory whole. A loader
-    reads only its saver's layout, taking a line it expects with
-    next(lines, (lineno, "")): a StopIteration would escape `naming`. Under
-    `naming`, a ModelFormatError (a wrong magic word, a line or constructor
-    check), ValueError or IndexError raised inside the block becomes a
-    ModelFormatError that starts with the path, so loaders leave the path out
-    and parse fields with plain int(), float(), unpacking and indexing.
-    """
-    with naming(path, ModelFormatError, (ValueError, IndexError)), \
-            open(path, encoding="utf-8") as fh:
-        word, _, rest = fh.readline().rstrip("\n").partition(" ")
-        if word != magic:
-            raise ModelFormatError(f"expected a {magic!r} header, got {word!r}")
-        yield rest, ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=2))
+def read_model(path, magic: str, parse, lines_of, build):
+    """The model build(*fields) of the UTF-8 text file whose first word is
+    `magic`, accepted only byte for byte as its saver writes it. parse(header,
+    lines) returns the fields and checks no layout: header follows the magic
+    word and a space, and lines yields (line number, line without its
+    newline) as parse reads on; a ValueError it raises, as int() or float()
+    does, names the line read last. The file is then read again and compared
+    with lines_of(*fields), the saver's lines, naming the first that departs,
+    before build runs the constructor's checks. Errors start with the path."""
+    lineno = 1
+    def numbered(fh):
+        nonlocal lineno
+        for lineno, raw in enumerate(fh, start=1):
+            yield lineno, raw.decode("utf-8").removesuffix("\n")
+    with naming(path, ModelFormatError), open(path, "rb") as fh:
+        lines = numbered(fh)
+        try:
+            word, _, header = next(lines, (1, ""))[1].partition(" ")
+            if word != magic:
+                raise ModelFormatError(f"expected a {magic!r} header, got {word!r}")
+            fields = parse(header, lines)
+        except ValueError as exc:
+            raise ModelFormatError(f"line {lineno}: {exc}") from None
+        fh.seek(0)
+        for lineno, (got, want) in enumerate(itertools.zip_longest(fh, lines_of(*fields)), start=1):
+            if want is None:
+                raise ModelFormatError(f"line {lineno}: expected the end of the file")
+            want += "\n"
+            if got != want.encode("utf-8"):
+                got = "the end of the file" if got is None else repr(got.decode("utf-8"))
+                raise ModelFormatError(f"line {lineno}: expected {want!r}, got {got}")
+        return build(*fields)
 
 
 def check_seed(seed: int) -> None:

@@ -292,14 +292,21 @@ def fuzz_variants(data: bytes, rng: random.Random, alphabet: bytes, garbles: int
     return variants
 
 
-def loads_or_names_file(read, path) -> bool:
-    """Whether read() returns; the ModelFormatError it may raise instead
-    must start with path and name it once."""
+def loads_or_names_file(read, path, save=None, error=ModelFormatError) -> bool:
+    """Whether read() returns; the `error` it may raise instead must start
+    with path and name it once. With a saver, save(what read() returned,
+    other path) must write the exact bytes of path: a file loads only as
+    its writer writes it."""
+    data = path.read_bytes()
     try:
-        read()
-    except ModelFormatError as exc:
+        loaded = read()
+    except error as exc:
         assert str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1, exc
         return False
+    if save is not None:
+        resaved = path.with_name(path.name + ".resaved")
+        save(loaded, resaved)
+        assert resaved.read_bytes() == data, data
     return True
 
 

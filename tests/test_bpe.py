@@ -336,8 +336,9 @@ def test_model_refuses_what_its_file_cannot_hold(merges, vocab, why):
 
 
 def test_load_fuzzed_model_files(tmp_path):
-    """Truncated or garbled files load as a valid model or raise
-    ModelFormatError, which starts with the path and names it once."""
+    """Truncated or garbled files load as a valid model that saves back to
+    the bytes of its file, or raise ModelFormatError, which starts with the
+    path and names it once."""
     model = bpe_train(["abc abd ab ba", "cab"], vocab_size=20)
     path = tmp_path / "m.bpe"
     save_model(model, path)
@@ -347,11 +348,12 @@ def test_load_fuzzed_model_files(tmp_path):
         fuzzed = load_model(path)
         fuzzed._validate()
         bpe_decode(fuzzed, bpe_encode(fuzzed, "abc cab zz"))
+        return fuzzed
 
     loaded = 0
     for blob in variants:
         path.write_bytes(blob)
-        loaded += loads_or_names_file(load_and_use, path)
+        loaded += loads_or_names_file(load_and_use, path, save_model)
     assert 0 < loaded < len(variants)
 
 

@@ -956,6 +956,28 @@ def test_decode_lm_with_another_eos_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sources", [[], ["0"]], ids=["empty input", "one source"])
+@pytest.mark.parametrize("lm, why", [
+    pytest.param(None, "ConfigError: fusion_lambda > 0 requires a language model", id="no lm"),
+    pytest.param(TableScorer(["a", "eos", "b"], {}, np.ones(3) / 3),
+                 "VocabMismatchError: forward and lm eos ids differ: [2, 1]", id="lm of another eos"),
+])
+def test_decode_checks_fusion_before_the_first_sentence(tmp_path, capsys, sources, lm, why):
+    # an empty input is refused as a non-empty one is, so the exit code
+    # does not depend on the input
+    fwd_path, lm_path, src, out = (tmp_path / n for n in ("fwd.scorer", "lm.scorer", "src.txt",
+                                                          "out.txt"))
+    models.save_table_scorer(_fusion_fwd(), fwd_path)
+    src.write_text("".join(line + "\n" for line in sources), encoding="utf-8")
+    argv = ["decode", str(src), "--model", str(fwd_path), "--fusion-lambda", "0.1", "-o", str(out)]
+    if lm is not None:
+        models.save_table_scorer(lm, lm_path)
+        argv += ["--lm", str(lm_path)]
+    assert run(argv) == 1
+    assert f"error: {why}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eos", ["bpe eos", "word"])
 def test_text_decodes_through_bpe_encode_and_bpe_decode(tmp_path, eos):
     # The decoding stages read and write ids; text goes in through bpe-encode
@@ -1664,6 +1686,10 @@ def _cand(idx, rank):
                  "dump line 3: sentence 0 rank 1 is out of order", id="sentence resumed"),
     pytest.param([_cand(0, 0), "", _cand(1, 0)],
                  "dump line 2: expected 7 tab-separated columns, got 1", id="blank line"),
+    pytest.param([_cand(0, 0) + "\r", _cand(0, 1), _cand(1, 0)],
+                 "dump line 1: expected {!r}, got {!r}".format(_cand(0, 0) + "\n",
+                                                              _cand(0, 0) + "\r\n"),
+                 id="CRLF line"),
 ])
 def test_dump_in_another_order_exits_1(tmp_path, capsys, command, lines, where):
     """rerank and oracle-bleu read the dump in the order decode --dump

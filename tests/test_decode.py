@@ -585,13 +585,17 @@ def test_sample_batch_per_line_seeds():
 # candidate dump format
 
 
+def _file_lines(lines) -> list[str]:
+    """The lines as a dump file yields them, each with its newline."""
+    return [line + "\n" for line in lines]
+
+
 def test_candidate_dump_roundtrip(random_decode_instances):
     fwd, lm, source, max_len = random_decode_instances[1]
     cands = beam_search(fwd, lm, source, _saturated(fwd.vocab_size, max_len))
     rev = make_table_scorer(fwd.vocab_size, max_len, random.Random(51), source=source)
     ranked = noisy_channel_rerank(cands, rev, lm, 0.5, source)
-    lines = format_candidates([ranked])
-    parsed = parse_candidates(lines)
+    parsed = parse_candidates(_file_lines(format_candidates([ranked])))
     assert len(parsed) == 1
     for orig, back in zip(ranked, parsed[0]):
         assert back.tokens == orig.tokens
@@ -611,14 +615,14 @@ _candidate = st.builds(Candidate, tokens=st.lists(st.integers(0, 2**63 - 1)).map
 @given(st.lists(st.lists(_candidate, min_size=1, max_size=4), max_size=5))
 def test_candidate_dump_parses_back_to_what_was_formatted(cands_per_sentence):
     # bit for bit: repr tells -0.0 from 0.0, which == does not
-    parsed = parse_candidates(format_candidates(cands_per_sentence))
+    parsed = parse_candidates(_file_lines(format_candidates(cands_per_sentence)))
     assert repr(parsed) == repr(cands_per_sentence)
 
 
 def test_candidate_dump_none_fields():
     lines = format_candidates([[Candidate(tokens=(0, 1), fwd_logprob=-2.5)]])
     assert lines == ["0\t0\t-2.5\t-\t-\t-\t0,1"]
-    parsed = parse_candidates(lines)
+    parsed = parse_candidates(_file_lines(lines))
     c = parsed[0][0]
     assert c.lm_logprob is None and c.rev_logprob is None and c.combined_score is None
 
@@ -632,10 +636,10 @@ def test_parse_candidates_rejects_bad_lines():
 def test_parse_candidates_rejects_a_nan_score(column):
     cols = ["0", "1", "-1.0", "-inf", "-inf", "-", "1,2"]
     first = "0\t0\t-1.0\t-\t-\t-\t1"
-    assert parse_candidates([first, "\t".join(cols)])[0][1].lm_logprob == -math.inf
+    assert parse_candidates(_file_lines([first, "\t".join(cols)]))[0][1].lm_logprob == -math.inf
     cols[column] = "nan"
     with pytest.raises(InputFormatError, match="^dump line 2: a score is NaN$"):
-        parse_candidates([first, "\t".join(cols)])
+        parse_candidates(_file_lines([first, "\t".join(cols)]))
 
 
 # ---------------------------------------------------------------------------

@@ -307,12 +307,14 @@ def test_classifier_roundtrip_and_reserved_bias_token(tmp_path):
 
 def test_classifier_refuses_a_token_that_split_cannot_produce(tmp_path):
     # score counts text.split() words, so an empty token or one that holds
-    # whitespace would load and never be counted
+    # whitespace would load and never be counted; each file is written as
+    # save_classifier would write it, so the constructor's check is reached
     path = tmp_path / "clf.txt"
-    path.write_text("domcls-v1 en\nfoo bar\t5.0\n\t2.0\n__bias__\t-1.0\n", encoding="utf-8")
-    with pytest.raises(ModelFormatError,
-                       match=f"^{re.escape(str(path))}: token 'foo bar' is not one whitespace"):
-        load_classifier(path)
+    for tok in ("foo bar", ""):
+        path.write_text(f"domcls-v1 en\n{tok}\t5.0\n__bias__\t-1.0\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: token "
+                           f"{re.escape(repr(tok))} is not one whitespace"):
+            load_classifier(path)
     for tok in ("", " ", "a b", " a", "a\n", "a\u00a0b"):
         with pytest.raises(ModelFormatError, match=f"^token {re.escape(repr(tok))} is not"):
             DomainClassifier("en", {"ok": 1.0, tok: 1.0}, 0.0)

@@ -1,6 +1,6 @@
 """The shared text model-file reader and the loaders built on it, the
-non-finite value check of every model loader, and the staging of every
-model saver."""
+candidate dump, which is read only as written too, the non-finite value
+check of every model loader, and the staging of every model saver."""
 
 import builtins
 import random
@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtkit import bpe, corpus, domain, models
-from mtkit.errors import ModelFormatError, model_file
+from mtkit import bpe, candidates, corpus, domain, models
+from mtkit.errors import InputFormatError, ModelFormatError, naming, read_model, write_lines
 
 from conftest import (FullDisk, fuzz_variants, loads_or_names_file, ngram_container,
                       table_container)
@@ -32,18 +32,21 @@ def _save_domcls(path):
     domain.save_classifier(clf, path)
 
 
+# name -> (a saver of one model to a path, the loader, the model saver that a
+# text model's re-save goes through, or None for the container)
 _FORMATS = {
-    "ngram": (_save_ngram, models.load_scorer),
-    "langid": (_save_langid, corpus.load_langid),
-    "domcls": (_save_domcls, domain.load_classifier),
+    "ngram": (_save_ngram, models.load_scorer, None),
+    "langid": (_save_langid, corpus.load_langid, corpus.save_langid),
+    "domcls": (_save_domcls, domain.load_classifier, domain.save_classifier),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_FORMATS))
 def test_load_fuzzed_model_files(tmp_path, name):
     """Truncated or garbled files load or raise ModelFormatError, which
-    starts with the path and names it once."""
-    save, load = _FORMATS[name]
+    starts with the path and names it once; a text model that loads saves
+    back to the bytes of its file."""
+    save, load, resave = _FORMATS[name]
     path = tmp_path / name
     save(path)
     variants = fuzz_variants(path.read_bytes(), random.Random(zlib.crc32(name.encode())),
@@ -51,7 +54,7 @@ def test_load_fuzzed_model_files(tmp_path, name):
     loaded = 0
     for blob in variants:
         path.write_bytes(blob)
-        loaded += loads_or_names_file(lambda: load(path), path)
+        loaded += loads_or_names_file(lambda: load(path), path, resave)
     assert 0 < loaded < len(variants)
 
 
@@ -148,13 +151,15 @@ _LANGID = "langid-v1 2\nlangs en ru\nbias 0.0 0.0\nw 0 0.25 -0.25\nw 1 0.5 -0.5\
 
 
 @pytest.mark.parametrize("extra, first, expected", [
-    pytest.param("langs en ru\n", 2, "'bias' and 2 weights", id="langs"),
-    pytest.param("bias 1.0 1.0\n", 3, "'w 0' and 2 weights", id="bias"),
-    pytest.param("w 0 0.0 0.0\n", 4, "'w 1' and 2 weights", id="weight row"),
+    pytest.param("langs en ru\n", 2, "could not convert string to float: 'en'", id="langs"),
+    pytest.param("bias 1.0 1.0\n", 3, "expected 'w 0 1.0 1.0\\n', got 'bias 1.0 1.0\\n'",
+                 id="bias"),
+    pytest.param("w 0 0.0 0.0\n", 4, "expected 'w 1 0.0 0.0\\n', got 'w 0 0.0 0.0\\n'",
+                 id="weight row"),
 ])
 def test_repeated_langid_line_names_both_lines(tmp_path, extra, first, expected):
     """A repeated line is an error, not a line that silently wins: the
-    line after line `first` must be the next line of the layout, and the
+    line after line `first` is read as the next line of the layout, and the
     error names it."""
     lines = _LANGID.splitlines(keepends=True)
     lines.insert(first, extra)
@@ -162,37 +167,42 @@ def test_repeated_langid_line_names_both_lines(tmp_path, extra, first, expected)
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ModelFormatError) as err:
         corpus.load_langid(path)
-    assert str(err.value) == f"{path}: line {first + 1}: expected {expected}"
+    assert str(err.value) == f"{path}: line {first + 1}: {expected}"
 
 
 @pytest.mark.parametrize("text, where", [
-    pytest.param(_LANGID.replace("w 0 0.25 -0.25\n", ""), "line 4: expected 'w 0' and 2 weights",
-                 id="first row missing"),
-    pytest.param(_LANGID.replace("w 1 0.5 -0.5\n", ""), "line 5: expected 'w 1' and 2 weights",
-                 id="last row missing"),
+    # a file of one row is written with the header `langid-v1 1`
+    pytest.param(_LANGID.replace("w 0 0.25 -0.25\n", ""),
+                 "line 1: expected 'langid-v1 1\\n', got 'langid-v1 2\\n'", id="first row missing"),
+    pytest.param(_LANGID.replace("w 1 0.5 -0.5\n", ""),
+                 "line 1: expected 'langid-v1 1\\n', got 'langid-v1 2\\n'", id="last row missing"),
     pytest.param(_LANGID.replace("w 0 0.25 -0.25\nw 1 0.5 -0.5", "w 1 0.5 -0.5\nw 0 0.25 -0.25"),
-                 "line 4: expected 'w 0' and 2 weights", id="rows out of order"),
-    pytest.param(_LANGID.replace("\nw 1", "\n\nw 1"), "line 5: expected 'w 1' and 2 weights",
+                 "line 4: expected 'w 0 0.5 -0.5\\n', got 'w 1 0.5 -0.5\\n'", id="rows out of order"),
+    pytest.param(_LANGID.replace("\nw 1", "\n\nw 1"), "line 5: could not convert string to float: ''",
                  id="blank line between rows"),
-    pytest.param(_LANGID.replace("\nbias", "\n\nbias"), "line 3: expected 'bias' and 2 weights",
+    pytest.param(_LANGID.replace("\nbias", "\n\nbias"), "line 3: could not convert string to float: ''",
                  id="blank line before bias"),
     pytest.param(_LANGID + "\n", "line 6: expected the end of the file", id="blank last line"),
     pytest.param(_LANGID + "w 2 1.0 1.0\n", "line 6: expected the end of the file",
                  id="row past n_features"),
-    pytest.param("langid-v1 2\n", "line 2: expected 'langs' and the language codes",
+    pytest.param("langid-v1 2\n", "line 1: expected 'langid-v1 0\\n', got 'langid-v1 2\\n'",
                  id="header only"),
+    # with no language read from line 2, all of line 3 is read as weights
     pytest.param(_LANGID.replace("langs", "\nlangs"),
-                 "line 2: expected 'langs' and the language codes", id="blank line before langs"),
-    pytest.param(_LANGID.replace("w 1 0.5 -0.5", "w 1 0.5"), "line 5: expected 'w 1' and 2 weights",
-                 id="short row"),
+                 "line 3: could not convert string to float: 'langs'", id="blank line before langs"),
+    pytest.param(_LANGID.replace("w 1 0.5 -0.5", "w 1 0.5"),
+                 "line 5: expected 'w 1 1.0 0.5\\n', got 'w 1 0.5\\n'", id="short row"),
     pytest.param(_LANGID.replace("w 1 0.5 -0.5", "w 1 0.5 -0.5 0.0"),
-                 "line 5: expected 'w 1' and 2 weights", id="long row"),
-    pytest.param(_LANGID.replace("w 1 0.5", "w  1 0.5"), "line 5: expected 'w 1' and 2 weights",
-                 id="two spaces"),
+                 "line 5: expected 'w 1 -0.5 0.0\\n', got 'w 1 0.5 -0.5 0.0\\n'", id="long row"),
+    pytest.param(_LANGID.replace("w 1 0.5", "w  1 0.5"),
+                 "line 5: expected 'w 1 0.5 -0.5\\n', got 'w  1 0.5 -0.5\\n'", id="two spaces"),
+    pytest.param(_LANGID.replace("bias 0.0 0.0", "bias 0.0"),
+                 "line 3: could not convert string to float: 'bias'", id="short bias"),
 ])
 def test_langid_file_is_read_in_its_written_layout(tmp_path, text, where):
     """save_langid writes langs, bias and every row in order; any other
-    layout is refused, naming the line."""
+    layout is refused, naming the first line that departs from what
+    save_langid writes for the values read."""
     path = tmp_path / "lid.model"
     path.write_text(_LANGID, encoding="utf-8")
     corpus.load_langid(path)
@@ -204,7 +214,8 @@ def test_langid_file_is_read_in_its_written_layout(tmp_path, text, where):
 
 def test_langid_load_memory_follows_the_file(tmp_path):
     # the header's 2**24 features would be a 256 MB weight matrix; the file
-    # holds one row, so the load fails at line 4 having read 57 bytes
+    # holds one row, so the load reads 57 bytes and fails at the header,
+    # which save_langid writes as `langid-v1 1` for one row
     path = tmp_path / "lid.model"
     path.write_text("langid-v1 16777216\nlangs en ru\nbias 0.0 0.0\nw 1 0.5 -0.5\n",
                     encoding="utf-8")
@@ -216,7 +227,8 @@ def test_langid_load_memory_follows_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(err.value) == f"{path}: line 4: expected 'w 0' and 2 weights"
+    assert str(err.value) == \
+        f"{path}: line 1: expected 'langid-v1 1\\n', got 'langid-v1 16777216\\n'"
     assert peak < 1 << 20
 
 
@@ -263,22 +275,25 @@ def test_repeated_bpe_line_names_both_lines(tmp_path, text, where):
 
 
 @pytest.mark.parametrize("text, where", [
-    pytest.param(_BPE.replace("a\t5\nb\t6", "b\t6\na\t5"), "line 7: expected token<TAB>5",
-                 id="ids out of order"),
-    pytest.param(_BPE.replace("b\t6", "b\t9"), "line 8: expected token<TAB>6", id="id skipped"),
-    pytest.param(_BPE.replace("b\t6", "b\t06"), "line 8: expected token<TAB>6",
+    pytest.param(_BPE.replace("a\t5\nb\t6", "b\t6\na\t5"),
+                 "line 7: expected 'a\\t5\\n', got 'b\\t6\\n'", id="ids out of order"),
+    pytest.param(_BPE.replace("b\t6", "b\t9"), "line 8: expected 'ab\\t7\\n', got 'b\\t9\\n'",
+                 id="id skipped"),
+    pytest.param(_BPE.replace("b\t6", "b\t06"), "line 8: expected 'b\\t6\\n', got 'b\\t06\\n'",
                  id="id not in canonical form"),
-    pytest.param(_BPE.replace("b\t6", "b\t6\t6"), "line 8: expected token<TAB>6",
-                 id="two tabs"),
-    pytest.param(_BPE.replace("b\t6", "b"), "line 8: expected token<TAB>6", id="no id"),
-    pytest.param(_BPE.split("\n\n")[0] + "\n", "line 11: expected a blank line",
+    pytest.param(_BPE.replace("b\t6", "b\t6\t6"),
+                 "line 8: invalid literal for int() with base 10: '6\\t6'", id="two tabs"),
+    pytest.param(_BPE.replace("b\t6", "b"), "line 8: invalid literal for int() with base 10: ''",
+                 id="no id"),
+    pytest.param(_BPE.split("\n\n")[0] + "\n", "line 11: expected '\\n', got the end of the file",
                  id="no blank line"),
-    pytest.param("bpe-v1 10\n", "line 2: expected a blank line",
+    pytest.param("bpe-v1 10\n", "line 2: expected '\\n', got the end of the file",
                  id="header only"),
 ])
 def test_bpe_file_is_read_in_its_written_layout(tmp_path, text, where):
     """save_model writes vocab line i as token<TAB>i, then a blank line;
-    any other vocab section is refused, naming the line."""
+    any other vocab section is refused, naming the first line that departs
+    from what save_model writes for the values read."""
     path = tmp_path / "m.bpe"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ModelFormatError) as err:
@@ -299,8 +314,10 @@ def test_repeated_domcls_line_names_both_lines(tmp_path, extra, first):
 
 
 @pytest.mark.parametrize("text, where", [
-    pytest.param("domcls-v1 en\nfoo\t0.5\n", "no '__bias__' line", id="no bias line"),
-    pytest.param("domcls-v1 en\n", "no '__bias__' line", id="header only"),
+    pytest.param("domcls-v1 en\nfoo\t0.5\n",
+                 "line 3: expected '__bias__\\tNone\\n', got the end of the file", id="no bias line"),
+    pytest.param("domcls-v1 en\n", "line 2: expected '__bias__\\tNone\\n', got the end of the file",
+                 id="header only"),
     pytest.param("domcls-v1 e n\n__bias__\t0.0\n",
                  "language code 'e n' is empty or holds whitespace", id="code holds a space"),
     pytest.param("domcls-v1 en \n__bias__\t0.0\n",
@@ -441,20 +458,111 @@ def test_trained_domcls_roundtrips(tmp_path_factory, lines, seed):
         _bits([*model.weights.values(), model.bias])
 
 
-@pytest.mark.parametrize("load, text, line", [
-    pytest.param(bpe.load_model, _BPE.replace("\nab </w>", "\n\nab </w>"), 13, id="bpe merges"),
-    pytest.param(bpe.load_model, _BPE + "\n", 14, id="bpe end"),
-    pytest.param(domain.load_classifier, "domcls-v1 en\nfoo\t0.5\n\n__bias__\t0.0\n", 3,
-                 id="domcls"),
+@pytest.mark.parametrize("load, text, where", [
+    pytest.param(bpe.load_model, _BPE.replace("\nab </w>", "\n\nab </w>"),
+                 "line 13: expected ' \\n', got '\\n'", id="bpe merges"),
+    pytest.param(bpe.load_model, _BPE + "\n", "line 14: expected ' \\n', got '\\n'", id="bpe end"),
+    pytest.param(domain.load_classifier, "domcls-v1 en\nfoo\t0.5\n\n__bias__\t0.0\n",
+                 "line 3: could not convert string to float: ''", id="domcls"),
 ])
-def test_blank_line_in_a_text_model_is_refused(tmp_path, load, text, line):
+def test_blank_line_in_a_text_model_is_refused(tmp_path, load, text, where):
     """No saver writes a blank line among BPE merges or classifier weights,
     so the loaders refuse one there, naming it."""
     path = tmp_path / "model.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ModelFormatError) as err:
         load(path)
-    assert str(err.value).startswith(f"{path}: line {line}: expected ")
+    assert str(err.value) == f"{path}: {where}"
+
+
+# Each text file loads only as its writer writes it. Every bad file below
+# loaded through an earlier, hand-written reader and saved back to other bytes.
+
+_DOMCLS = "domcls-v1 en\nfoo\t0.5\n__bias__\t0.0\n"
+_DUMP = "0\t0\t-1.0\t-\t-\t-\t3,4\n0\t1\t-15.0\t-0.5\t-\t-\t1\n1\t0\t-2.0\t-\t-\t-\t\n"
+
+
+def _read_dump(path):
+    """The dump at path, read as rerank and oracle-bleu read it."""
+    with naming(path, InputFormatError), open(path, encoding="utf-8", newline="") as fh:
+        return candidates.parse_candidates(fh)
+
+
+def _save_dump(cands, path):
+    write_lines(path, candidates.format_candidates(cands))
+
+
+# format -> (loader, saver, the error a file at fault raises, the word before
+# the line number in it, a file the saver writes)
+_TEXT_FILES = {
+    "bpe": (bpe.load_model, bpe.save_model, ModelFormatError, "line", _BPE),
+    "langid": (corpus.load_langid, corpus.save_langid, ModelFormatError, "line", _LANGID),
+    "domcls": (domain.load_classifier, domain.save_classifier, ModelFormatError, "line", _DOMCLS),
+    "dump": (_read_dump, _save_dump, InputFormatError, "dump line", _DUMP),
+}
+
+
+def _lenient(fmt, old, new, line, name, good=None):
+    """The case of `fmt`'s file `good` (its saved file by default) with old
+    replaced by new, which departs from the writer first at `line`."""
+    good = _TEXT_FILES[fmt][4] if good is None else good
+    return pytest.param(fmt, good, good.replace(old, new, 1), line, id=f"{fmt} {name}")
+
+
+@pytest.mark.parametrize("fmt, good, bad, line", [
+    _lenient("bpe", "bpe-v1 10", "bpe-v1 1_0", 1, "header 1_0"),
+    _lenient("bpe", "bpe-v1 10", "bpe-v1  10", 1, "header after two spaces"),
+    _lenient("langid", "langid-v1 2", "langid-v1 +2", 1, "header +2"),
+    _lenient("langid", "w 0 1.0", "w 0 1E0", 4, "weight 1E0",
+             _LANGID.replace("w 0 0.25", "w 0 1.0")),
+    _lenient("langid", "w 0 10.5", "w 0 1_0.5", 4, "weight 1_0.5",
+             _LANGID.replace("w 0 0.25", "w 0 10.5")),
+    _lenient("domcls", "foo\t1.0", "foo\t1E0", 2, "weight 1E0", _DOMCLS.replace("0.5", "1.0")),
+    _lenient("domcls", "foo\t10.5", "foo\t1_0.5", 2, "weight 1_0.5",
+             _DOMCLS.replace("0.5", "10.5")),
+    _lenient("domcls", "foo\t0.5", "foo\t0.5 ", 2, "weight and a space"),
+    _lenient("domcls", "bar\t1.0\nfoo\t0.5", "foo\t0.5\nbar\t1.0", 2, "tokens out of order",
+             _DOMCLS.replace("foo", "bar\t1.0\nfoo")),
+    _lenient("domcls", "zoo\t1.0\n__bias__\t0.0\n", "__bias__\t0.0\nzoo\t1.0\n", 3,
+             "line after the bias line", _DOMCLS.replace("__bias__", "zoo\t1.0\n__bias__")),
+    _lenient("dump", "-15.0", "-1_5.0", 2, "score -1_5.0"),
+    _lenient("dump", "0\t0", "+0\t0", 1, "sentence +0"),
+    _lenient("dump", "3,4", "03,+4", 1, "tokens 03,+4"),
+    # a CRLF bpe-v1 file has no blank line, and int() cannot read line 11,
+    # "\r"; a domcls-v1 header "domcls-v1 en\r" is written for the code "en\r"
+    *(pytest.param(fmt, _TEXT_FILES[fmt][4], _TEXT_FILES[fmt][4].replace("\n", "\r\n"), line,
+                   id=f"{fmt} CRLF lines")
+      for fmt, line in [("bpe", 11), ("langid", 1), ("domcls", 2), ("dump", 1)]),
+    *(pytest.param(fmt, text, text[:-1], text.count("\n"), id=f"{fmt} no final newline")
+      for fmt, (*_, text) in sorted(_TEXT_FILES.items())),
+])
+def test_text_file_loads_only_as_written(tmp_path, fmt, good, bad, line):
+    """A file its saver would not write, byte for byte, is refused, naming
+    the path and a line: the first that departs from the writer, or one that
+    int() or float() cannot read."""
+    load, save, error, word, _ = _TEXT_FILES[fmt]
+    path = tmp_path / fmt
+    path.write_bytes(good.encode("utf-8"))
+    assert loads_or_names_file(lambda: load(path), path, save, error)
+    path.write_bytes(bad.encode("utf-8"))
+    with pytest.raises(error) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: {word} {line}: ")
+
+
+def test_load_fuzzed_dump(tmp_path):
+    """Truncated or garbled dumps load as candidates that format back to the
+    bytes of the file, or raise InputFormatError, which starts with the path
+    and names it once."""
+    path = tmp_path / "dump"
+    path.write_text(_DUMP, encoding="utf-8")
+    variants = fuzz_variants(path.read_bytes(), random.Random(7), b"\t\n\r -+_,.0123456789ef",
+                             400)
+    loaded = 0
+    for blob in variants:
+        path.write_bytes(blob)
+        loaded += loads_or_names_file(lambda: _read_dump(path), path, _save_dump, InputFormatError)
+    assert 0 < loaded < len(variants)
 
 
 def test_ngram_v1_file_is_rejected(tmp_path):
@@ -515,11 +623,16 @@ def test_model_file_streams_lines(tmp_path):
     path = tmp_path / "m.txt"
     path.write_bytes(b"magic-v1 7\nfirst\n" + b"filler line\n" * 20000 + b"\xff\n")
     seen = []
-    with pytest.raises(ModelFormatError, match="m.txt"):
-        with model_file(path, "magic-v1") as (header, lines):
-            seen.append(header)
-            seen.extend(lines)
+
+    def parse(header, lines):
+        seen.append(header)
+        seen.extend(lines)
+
+    with pytest.raises(ModelFormatError) as err:
+        read_model(path, "magic-v1", parse, None, None)
     assert seen[:3] == ["7", (2, "first"), (3, "filler line")]
+    assert str(err.value) == (f"{path}: line 20003: 'utf-8' codec can't decode byte 0xff "
+                              "in position 0: invalid start byte")
 
 
 def _average_saver(tmp_path):
