@@ -84,22 +84,17 @@ def sentence_bleu(hyp, ref) -> float:
     return _combine(_stats(list(hyp), ref), _EPS).score
 
 
-def oracle_select(hyps, ref):
-    """Return (best hypothesis by sentence BLEU, its score); first index wins ties."""
-    if not hyps:
-        raise EmptyInputError("oracle_select requires at least one candidate")
-    scores = [sentence_bleu(hyp, ref) for hyp in hyps]
-    best = scores.index(max(scores))
-    return hyps[best], scores[best]
-
-
 def oracle_corpus_bleu(hyps_per_sentence, refs) -> tuple[BleuResult, list]:
     """Corpus BLEU of the per-sentence oracle winners, and the winners. Each
-    winner has the best sentence BLEU of its candidates; another selection
-    can still have a higher corpus BLEU, which sums statistics first."""
+    winner is the first of its candidates with the best sentence BLEU;
+    another selection can still have a higher corpus BLEU, which sums
+    statistics first."""
     if len(hyps_per_sentence) != len(refs):
         raise LengthMismatchError(
             f"{len(hyps_per_sentence)} candidate lists vs {len(refs)} references"
         )
-    winners = [oracle_select(hyps, ref)[0] for hyps, ref in zip(hyps_per_sentence, refs)]
+    if not all(hyps_per_sentence):
+        raise EmptyInputError("oracle_corpus_bleu needs at least one candidate per sentence")
+    winners = [max(hyps, key=lambda hyp: sentence_bleu(hyp, ref))
+               for hyps, ref in zip(hyps_per_sentence, refs)]
     return corpus_bleu(winners, refs), winners

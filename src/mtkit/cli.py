@@ -101,11 +101,30 @@ def _load_forward(paths: list[str]):
     return scorers[0] if len(scorers) == 1 else models.EnsembleScorer(scorers)
 
 
-def _map_lines(args, convert) -> int:
-    """The per-line stages: write convert(index, line), the newline stripped
-    from line, for each line of args.input to args.output."""
+def _each_line(path: str, fh, convert, nonempty: str = ""):
+    """convert(i, line) for each line of `fh`, read from `path`, its newline
+    stripped, i counting from 0. With `nonempty`, the kind of the tokens, a
+    blank line is an EmptyInputError naming the line. A ValueError that is no
+    MtkitError, as int() raises, becomes an InputFormatError naming the line,
+    before which _open_in puts the path."""
+    for idx, line in enumerate(fh):
+        line = line.rstrip("\n")
+        if nonempty and not line.split():
+            raise EmptyInputError(f"{path}: line {idx + 1} holds no {nonempty} tokens")
+        try:
+            converted = convert(idx, line)
+        except ValueError as exc:
+            if isinstance(exc, MtkitError):
+                raise
+            raise InputFormatError(f"line {idx + 1}: {exc}") from None
+        yield converted
+
+
+def _map_lines(args, convert, nonempty: str = "") -> int:
+    """The per-line stages: write convert(index, line) for each line of
+    args.input to args.output, as _each_line reads them."""
     with _open_in(args.input) as src:
-        _write_lines(args.output, (convert(idx, line.rstrip("\n")) for idx, line in enumerate(src)))
+        _write_lines(args.output, _each_line(args.input, src, convert, nonempty))
     return 0
 
 
@@ -142,13 +161,9 @@ def _read_text(path: str) -> list[str]:
 
 
 def _read_tokens(path: str, parse=str.split, nonempty: str = "") -> list[list]:
-    """parse(line) for each line of `path`. With `nonempty`, the kind of the
-    tokens, an empty result is an EmptyInputError naming the line."""
+    """parse(line) for each line of `path`, as _each_line reads them."""
     with _open_in(path) as fh:
-        lines = [parse(line) for line in fh]
-    if nonempty and [] in lines:
-        raise EmptyInputError(f"{path}: line {lines.index([]) + 1} holds no {nonempty} tokens")
-    return lines
+        return list(_each_line(path, fh, lambda _, line: parse(line), nonempty))
 
 
 def _read_ids(path: str, nonempty: str = "") -> list[list[int]]:
@@ -157,16 +172,21 @@ def _read_ids(path: str, nonempty: str = "") -> list[list[int]]:
 
 
 def _read_tsv(src, stage: str, path: str, counts=None):
-    """Pairs from the TSV lines of `path`; each malformed line is logged and,
-    when a `counts` Counter is given, counted in counts["malformed"]."""
+    """Pairs from the TSV lines of `path`, blank lines skipped; each malformed
+    line is logged and, when a `counts` Counter is given, counted in
+    counts["malformed"]."""
     from . import corpus
-
-    def on_malformed(line_no: int, why: str) -> None:
-        _log(f"{stage}: {path}: malformed line {line_no}: {why}")
-        if counts is not None:
-            counts["malformed"] += 1
-
-    return corpus.read_parallel_tsv(src, on_malformed)
+    for line_no, line in enumerate(src, start=1):
+        if not line.strip():
+            continue
+        try:
+            pair = corpus.parse_tsv_line(line)
+        except ValueError as exc:
+            _log(f"{stage}: {path}: malformed line {line_no}: {exc}")
+            if counts is not None:
+                counts["malformed"] += 1
+            continue
+        yield pair
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +405,15 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from . import decode
+    from . import candidates, decode
     fwd = _load_forward(args.model)
-    cfg = decode.DecodeConfig(
-        max_len=args.max_len, sample_k=args.k, seed=args.seed
-    )
-    sources = _read_ids(args.input)
-    _write_top1(args.output, decode.sample_batch(fwd, sources, cfg), fwd.eos_id)
-    return 0
+    cfg = decode.DecodeConfig(max_len=args.max_len, sample_k=args.k, seed=args.seed)
+
+    def sample(idx: int, line: str) -> str:
+        cand = decode.topk_sample(fwd, _parse_ids(line), cfg._replace(seed=args.seed + idx))
+        return _format_ids(candidates.strip_eos(cand.tokens, fwd.eos_id))
+
+    return _map_lines(args, sample, nonempty="source")
 
 
 def cmd_rerank(args) -> int:

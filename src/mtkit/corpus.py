@@ -447,20 +447,6 @@ def parse_tsv_line(line: str) -> ParallelExample:
     return ParallelExample(cols[0], cols[1], score)
 
 
-def read_parallel_tsv(lines, on_malformed):
-    """Yield examples from TSV lines; a malformed line is passed to
-    on_malformed(line number, reason), not fatal."""
-    for line_no, line in enumerate(lines, start=1):
-        if line.strip() == "":
-            continue
-        try:
-            pair = parse_tsv_line(line)
-        except ValueError as exc:
-            on_malformed(line_no, str(exc))
-            continue
-        yield pair
-
-
 def format_tsv_line(pair: ParallelExample, extra_cols=()) -> str:
     cols = [pair.source, pair.target]
     if pair.external_score is not None:

@@ -205,6 +205,8 @@ def topk_sample(fwd: Scorer, source, cfg: DecodeConfig) -> Candidate:
     """
     import numpy as np
     source = tuple(source)
+    if not source:
+        raise EmptyInputError("source must be non-empty")
     rng = random.Random(cfg.seed)
     eos = fwd.eos_id
     tokens: tuple[int, ...] = ()
@@ -306,11 +308,6 @@ def decode_batch(fwd: Scorer, lm: Scorer | None, sources, cfg: DecodeConfig):
     """Beam-decode many sources; output order follows input order."""
     check_fusion(fwd, lm, cfg.fusion_lambda)
     return [beam_search(fwd, lm, s, cfg) for s in sources]
-
-
-def sample_batch(fwd: Scorer, sources, cfg: DecodeConfig):
-    """Sample one candidate per source with per-line seeds cfg.seed + index."""
-    return [topk_sample(fwd, s, cfg._replace(seed=cfg.seed + i)) for i, s in enumerate(sources)]
 
 
 def grid_search_lambdas(fwd: Scorer, rev: Scorer, lm: Scorer, sources, refs,

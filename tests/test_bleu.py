@@ -11,7 +11,6 @@ from mtkit.bleu import (
     BleuResult,
     corpus_bleu,
     oracle_corpus_bleu,
-    oracle_select,
     sentence_bleu,
 )
 from mtkit.candidates import strip_eos
@@ -203,26 +202,26 @@ def test_sentence_agrees_with_corpus_when_unsmoothed_defined():
 def test_oracle_picks_reference_itself():
     ref = ["a", "b", "c"]
     cands = [["a", "x", "c"], ["a", "b", "c"], ["b", "a"]]
-    best, score = oracle_select(cands, ref)
-    assert best == ["a", "b", "c"] and score == 100.0
+    oracle, winners = oracle_corpus_bleu([cands], [ref])
+    assert winners == [["a", "b", "c"]] and oracle.score == 100.0
 
 
 def test_oracle_single_candidate():
-    best, score = oracle_select([["q"]], ["a", "b"])
-    assert best == ["q"] and score >= 0.0
+    oracle, winners = oracle_corpus_bleu([[["q"]]], [["a", "b"]])
+    assert winners == [["q"]] and oracle.score == 0.0
 
 
 def test_oracle_empty_candidates():
     with pytest.raises(EmptyInputError):
-        oracle_select([], ["a"])
+        oracle_corpus_bleu([[["a"]], []], [["a"], ["b"]])
 
 
 def test_oracle_first_index_wins_ties():
     ref = ["a", "b"]
     first = ["a", "b"]
     second = ["a", "b"]
-    best, _ = oracle_select([first, second], ref)
-    assert best is first
+    _, winners = oracle_corpus_bleu([[first, second]], [ref])
+    assert winners[0] is first
 
 
 def test_oracle_four_way_hand_comparison():
@@ -235,8 +234,8 @@ def test_oracle_four_way_hand_comparison():
     ]
     scores = [sentence_bleu(c, ref) for c in cands]
     assert max(range(4), key=lambda i: scores[i]) == 1
-    best, score = oracle_select(cands, ref)
-    assert best is cands[1] and score == 100.0
+    oracle, winners = oracle_corpus_bleu([cands], [ref])
+    assert winners[0] is cands[1] and oracle.score == 100.0
 
 
 def test_oracle_strips_trailing_eos():
@@ -248,8 +247,8 @@ def test_oracle_strips_trailing_eos():
     assert strip_eos((1, 99), None) == [1, 99]  # no eos id, no strip
     ref = [1, 2]
     hyps = [strip_eos(c, 99) for c in ([1, 9, 99], [1, 2, 99], [1, 2])]
-    best, score = oracle_select(hyps, ref)
-    assert best is hyps[1] and best == [1, 2] and score == 100.0
+    oracle, winners = oracle_corpus_bleu([hyps], [ref])
+    assert winners[0] is hyps[1] and winners[0] == [1, 2] and oracle.score == 100.0
 
 
 def test_oracle_corpus_dominates_rank1():

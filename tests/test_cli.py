@@ -18,11 +18,13 @@ import mtkit
 from mtkit import bpe, corpus, models
 from mtkit.candidates import Candidate, format_candidates, parse_candidates, strip_eos
 from mtkit.cli import build_parser, run
-from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank
+from mtkit.decode import DecodeConfig, beam_search, noisy_channel_rerank, topk_sample
+from mtkit.errors import ConfigError
 from mtkit.models import TableScorer
 
 from conftest import EN_WORDS, MED_EN, MED_RU, NEWS_EN, NEWS_RU, RU_WORDS, FullDisk, \
-    make_domain_line, make_sentence, ngram_container, run_limited, table_container
+    make_domain_line, make_sentence, make_table_scorer, ngram_container, run_limited, \
+    table_container
 
 
 def _write(path, lines):
@@ -630,6 +632,20 @@ def test_reverse_target_logs_malformed_lines(tmp_path, capsys):
     _assert_malformed_logged(captured.err, "reverse-target", inp)
 
 
+def test_filter_skips_blank_lines_and_logs_and_counts_malformed_ones(tmp_path, capsys):
+    inp = tmp_path / "pairs.tsv"
+    rep = tmp_path / "report.txt"
+    _write(inp, ["a\tb", "", "broken line", "c\td\t0.9", "   ", "\t ", "e\tf"])
+    assert run(["filter", str(inp), "--report", str(rep)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["a\tb", "c\td\t0.9", "e\tf"]
+    malformed = [line for line in captured.err.splitlines() if "malformed line" in line]
+    assert malformed == [f"[mtkit] filter: {inp}: malformed line 3: "
+                         "expected 2 or 3 tab-separated columns, got 1"]
+    report = dict(line.split("\t") for line in _read(rep))
+    assert (report["total"], report["kept"], report["malformed"]) == ("3", "3", "1")
+
+
 # ---------------------------------------------------------------------------
 # domain commands
 
@@ -1020,6 +1036,23 @@ def test_sample_k1_is_greedy(tmp_path):
     assert _read(out) == ["0", "0"]  # greedy path is a, eos
 
 
+def test_sample_draws_line_i_with_seed_plus_i(tmp_path):
+    fwd_path = tmp_path / "fwd.scorer"
+    models.save_table_scorer(make_table_scorer(4, 4, random.Random(50)), fwd_path)
+    fwd = models.load_scorer(fwd_path)
+    src = tmp_path / "src.txt"
+    sources = [[0, 1]] * 5 + [[2]]
+    _write(src, [" ".join(map(str, ids)) for ids in sources])
+    out = tmp_path / "out.txt"
+    assert run(["sample", str(src), "-o", str(out), "--model", str(fwd_path), "--k", "3",
+                "--max-len", "4", "--seed", "100"]) == 0
+    expected = [" ".join(map(str, strip_eos(topk_sample(fwd, ids, DecodeConfig(
+        max_len=4, sample_k=3, seed=100 + i)).tokens, fwd.eos_id)))
+        for i, ids in enumerate(sources)]
+    assert _read(out) == expected
+    assert len(set(expected[:5])) > 1  # the same source draws differently on each line
+
+
 def test_rerank_top1_matches_library(tmp_path):
     fwd = _fusion_fwd()
     fwd_path = tmp_path / "fwd.scorer"
@@ -1261,7 +1294,18 @@ def _bad_input_argv(tmp_path, case, langid_file):
         return ["reverse-target", str(pairs), "-o", out], f"InputFormatError: {pairs}: 'utf-8' codec"
     if case == "rerank source not an int":
         _write(ids, ["1 2 x", "0"])
-        return rerank, f"InputFormatError: {ids}: invalid literal for int()"
+        return rerank, f"InputFormatError: {ids}: line 1: invalid literal for int()"
+    if case.endswith(" id not an int"):  # each reader of ids names the line at fault
+        bad = tmp_path / "bad.txt"
+        _write(bad, ["0", "0 x"])
+        codes = tmp_path / "codes.bpe"
+        bpe.save_model(bpe.bpe_train(["a b"], 10), codes)
+        argv = {"decode": ["decode", str(bad), "--model", str(fwd), "--max-len", "2"],
+                "sample": ["sample", str(bad), "--model", str(fwd), "--max-len", "2"],
+                "bpe-decode": ["bpe-decode", str(bad), "--model", str(codes)],
+                "oracle-bleu": ["oracle-bleu", "--dump", str(dump), "--ref", str(bad)],
+                "tune-lambda": tune[:-2] + ["--ref", str(bad)]}[case.split()[0]]
+        return argv + ["-o", out], f"InputFormatError: {bad}: line 2: invalid literal for int()"
     if case == "oracle-bleu dump float":
         _write(dump, ["0\t0\tzz\t-\t-\t-\t0,2", "1\t0\t-1.0\t-\t-\t-\t0,2"])
         return (["oracle-bleu", "--dump", str(dump), "--ref", str(ids), "-o", out],
@@ -1304,9 +1348,11 @@ def _bad_input_argv(tmp_path, case, langid_file):
         models.save_ngram_scorer(models.ngram_train([[0, 1]], 2), lm)
         return (["avg-checkpoints", str(lm), "-o", out],
                 f"ModelFormatError: {lm}: tensor 'counts.1': dtype i64, not f32")
-    if case == "decode blank source line":
+    if case in ("decode blank source line", "sample blank source line"):
         _write(ids, ["0", "", "0"])
-        return decode, f"EmptyInputError: {ids}: line 2 holds no source tokens"
+        argv = decode if case.startswith("decode") else ["sample", str(ids), "--model", str(fwd),
+                                                         "--max-len", "2", "-o", out]
+        return argv, f"EmptyInputError: {ids}: line 2 holds no source tokens"
     if case.endswith("blank reference line"):  # sentence BLEU needs a reference
         ref = tmp_path / "ref.txt"
         _write(ref, ["0", ""])
@@ -1374,7 +1420,9 @@ def _bad_input_argv(tmp_path, case, langid_file):
 @pytest.mark.parametrize("case", [
     "reverse-target not utf-8", "rerank source not an int", "oracle-bleu dump float",
     "mix part abc:bitext:{}", "mix part 1:nope:{}", "tune-lambda grid", "decode beam 0",
-    "decode blank source line", "score-bleu blank reference line",
+    "decode blank source line", "sample blank source line", "score-bleu blank reference line",
+    "decode id not an int", "sample id not an int", "bpe-decode id not an int",
+    "oracle-bleu id not an int", "tune-lambda id not an int",
     "oracle-bleu blank reference line", "filter langs en", "filter langs en,ru,de",
     "filter --max-len -1", "filter --min-len -1", "filter --min-len 300",
     "avg-checkpoints deep header", "langid-train features 0", "langid-train epochs -1",
@@ -1705,6 +1753,26 @@ def test_dump_in_another_order_exits_1(tmp_path, capsys, command, lines, where):
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"error: InputFormatError: {dump}: {where}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error, expected", [
+    (ValueError, "InputFormatError: {inp}: line 2: bad"),
+    (ConfigError, "ConfigError: bad"),
+])
+def test_per_line_value_error_names_its_line(tmp_path, capsys, monkeypatch, error, expected):
+    # a ValueError of the per-line work, as int() raises, names the line; a
+    # named error that is also a ValueError keeps its kind and message
+    def normalize_punct(line):
+        if line == "b":
+            raise error("bad")
+        return line
+
+    monkeypatch.setattr("mtkit.textnorm.normalize_punct", normalize_punct)
+    inp = tmp_path / "text.txt"
+    _write(inp, ["a", "b"])
+    assert run(["normalize", str(inp), "-o", str(tmp_path / "out.txt")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {expected.format(inp=inp)}"
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_stray_value_error_is_a_bug_not_an_exit_code(tmp_path, monkeypatch):

@@ -28,7 +28,6 @@ from mtkit.corpus import (
     load_langid,
     mix_sample,
     parse_tsv_line,
-    read_parallel_tsv,
     reverse_target,
     save_langid,
 )
@@ -587,14 +586,6 @@ def test_parse_tsv_rejects_bad_lines():
         parse_tsv_line("a\tb\t1.5")
     with pytest.raises(ValueError):
         parse_tsv_line("a\tb\tnot_a_number")
-
-
-def test_read_parallel_tsv_skips_and_reports():
-    lines = ["a\tb", "", "broken line", "c\td\t0.9", "   ", "e\tf"]
-    seen = []
-    pairs = list(read_parallel_tsv(lines, on_malformed=lambda no, msg: seen.append(no)))
-    assert [p.source for p in pairs] == ["a", "c", "e"]
-    assert seen == [3]
 
 
 def test_format_tsv_roundtrip():

@@ -17,7 +17,6 @@ from mtkit.decode import (
     decode_batch,
     grid_search_lambdas,
     noisy_channel_rerank,
-    sample_batch,
     sequence_logprob,
     topk_sample,
 )
@@ -107,6 +106,12 @@ def test_beam_requires_nonempty_source():
     fwd = make_table_scorer(3, 2, rng)
     with pytest.raises(EmptyInputError):
         beam_search(fwd, None, (), DecodeConfig(beam_size=2, max_len=2))
+
+
+def test_sample_requires_nonempty_source():
+    fwd = make_table_scorer(3, 2, random.Random(40))
+    with pytest.raises(EmptyInputError, match="source must be non-empty"):
+        topk_sample(fwd, (), DecodeConfig(max_len=2, sample_k=2))
 
 
 def test_beam_fusion_requires_lm():
@@ -568,17 +573,6 @@ def test_decode_batch_order_and_threads(random_decode_instances):
     out = decode_batch(fwd, lm, sources, cfg)
     assert out == [beam_search(fwd, lm, s, cfg) for s in sources]
     assert len(out) == 6
-
-
-def test_sample_batch_per_line_seeds():
-    rng = random.Random(50)
-    fwd = make_table_scorer(4, 4, rng)
-    sources = [(0, 1)] * 5
-    cfg = DecodeConfig(max_len=4, sample_k=3, seed=100)
-    out = sample_batch(fwd, sources, cfg)
-    for i, c in enumerate(out):
-        solo = topk_sample(fwd, (0, 1), DecodeConfig(max_len=4, sample_k=3, seed=100 + i))
-        assert c == solo
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ _BAD = [
 @pytest.mark.parametrize("config, bad", _BAD,
                          ids=[f"{c.__name__}-{next(iter(b))}" for c, b in _BAD])
 def test_every_bad_config_value_is_refused_when_built_or_derived(config, bad):
-    # sample_batch and grid_search_lambdas derive per-line and per-point
+    # the sample stage and grid_search_lambdas derive per-line and per-point
     # configs with _replace, so it must check what it builds too
     with pytest.raises(ConfigError) as built:
         config(**bad)
